@@ -8,8 +8,7 @@ package mimoctl_test
 //
 // Both report ns/lanestep — cost per (loop, epoch) — on identical
 // synthetic telemetry streams, so the ratio is the batch speedup.
-// cmd/benchcmp gates it at >= 5x (make bench-batch), alongside the
-// 0 allocs/op gate on the batch kernel itself.
+// Run with: go test -run '^$' -bench=Fleet -benchmem
 
 import (
 	"math/rand"

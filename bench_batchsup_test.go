@@ -10,9 +10,8 @@ package mimoctl_test
 // Both sides run monitor-less engaged supervisors past their grace
 // period — the nominal steady state where the alarm EMAs are live — on
 // identical telemetry with targets pinned to each lane's operating
-// point so no lane ever leaves the fast path. Both report ns/lanestep;
-// cmd/benchcmp gates the ratio at >= 3x (make bench-batchsup) alongside
-// the 0 allocs/op pin on the fused kernel.
+// point so no lane ever leaves the fast path. Both report ns/lanestep.
+// Run with: go test -run '^$' -bench=FleetSupervised -benchmem
 
 import (
 	"math/rand"

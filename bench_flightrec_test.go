@@ -8,7 +8,7 @@ package mimoctl_test
 // both tiers and <5% ns/op overhead for the full experiment suite with
 // harness-wide recording enabled.
 //
-// Run with: make bench  (or go test -bench=FlightRec -benchmem)
+// Run with: go test -run '^$' -bench=FlightRec -benchmem
 
 import (
 	"testing"

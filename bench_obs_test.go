@@ -8,7 +8,7 @@ package mimoctl_test
 // acceptance budget is zero allocations with events off and <5% ns/op
 // overhead for the full experiment suite with the plane enabled.
 //
-// Run with: OBS=1 ./scripts/bench.sh  (or go test -bench=Obs -benchmem)
+// Run with: go test -run '^$' -bench=Obs -benchmem
 
 import (
 	"testing"
@@ -109,7 +109,9 @@ func BenchmarkObsSuiteOverhead(b *testing.B) {
 // TestObsOffStepAllocFree pins the events-off hot path at zero
 // allocations per epoch: the bare MIMO controller step (the seed gate)
 // and the supervised step with a fleet loop attached but no event bus —
-// SLO scoring and scoped counters must not cost heap.
+// SLO scoring and scoped counters must not cost heap. The supervised
+// loop is measured past its grace period, where the innovation monitor
+// reads the inner controller's innovation every epoch.
 func TestObsOffStepAllocFree(t *testing.T) {
 	proto, _, err := experiments.DesignedMIMO(false, experiments.DefaultSeed)
 	if err != nil {
@@ -127,21 +129,26 @@ func TestObsOffStepAllocFree(t *testing.T) {
 	}
 
 	f := obs.NewFleet(obs.Options{Registry: telemetry.NewRegistry()})
-	sup := supervisor.New(proto.Clone(), supervisor.Options{})
+	opts := supervisor.Options{GraceEpochs: 400}
+	sup := supervisor.New(proto.Clone(), opts)
 	sup.SetTargets(2.5, 2.0)
 	sup.SetLoopObs(f.Register("gate"))
 	st := benchTel()
 	epoch := 0
-	// Warm up past the engage/hold transient and first-epoch latches.
-	for ; epoch < 64; epoch++ {
+	// Warm up past the grace period (and with it the engage/hold
+	// transient and first-epoch latches).
+	for ; epoch < opts.GraceEpochs+64; epoch++ {
 		st.Epoch = epoch
 		st.Config = sup.Step(st)
+	}
+	if sup.Mode() != supervisor.ModeEngaged {
+		t.Fatalf("supervisor left engaged mode during warm-up (mode %v)", sup.Mode())
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		st.Epoch = epoch
 		epoch++
 		st.Config = sup.Step(st)
 	}); n != 0 {
-		t.Fatalf("Supervised.Step allocates %.1f/op with events off, want 0", n)
+		t.Fatalf("Supervised.Step allocates %.1f/op past grace with events off, want 0", n)
 	}
 }

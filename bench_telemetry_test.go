@@ -7,7 +7,7 @@ package mimoctl_test
 // registry. The acceptance budget is <5% ns/op overhead for the live
 // registry and no measurable difference for the nop one.
 //
-// Run with: make bench  (or go test -bench=Telemetry -benchmem)
+// Run with: go test -run '^$' -bench=Telemetry -benchmem
 
 import (
 	"testing"

@@ -9,8 +9,7 @@ package mimoctl_test
 // is near zero; on a single-CPU host the pump serializes with the
 // producers and the gate still must hold.
 //
-// Run with: TSDB=1 ./scripts/bench.sh  (make bench-tsdb gates the
-// captured ratio via cmd/benchcmp against BENCH_tsdb.json.)
+// Run with: go test -run '^$' -bench=TSDB -benchmem
 
 import (
 	"testing"

@@ -40,12 +40,10 @@ func main() {
 		historyOn   = flag.Bool("history", false, "record per-loop telemetry history into the embedded time-series store, served on /history (implies -obs; watch with cmd/mimostat)")
 		basePath    = flag.String("baseline", "", "compare live history against this committed baseline snapshot and surface drift on /healthz (implies -history)")
 		baseOutPath = flag.String("baseline-out", "", "capture a baseline snapshot of this run's history to this path on exit (implies -history)")
-		batchOn     = flag.Bool("batch", false, "step MIMO and supervised loops on the batched structure-of-arrays backend (bit-identical output; loops with a flight recorder or adapter attached stay scalar)")
 	)
 	flag.Parse()
 	outputCSV = *format == "csv"
 	experiments.SetParallelism(*parallel)
-	experiments.SetBatchStepping(*batchOn)
 	if *frDir != "" {
 		if err := os.MkdirAll(*frDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -53,7 +53,7 @@ func TestBatchStepZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkBatchStep measures the fused kernel's per-loop cost over a
-// 1024-lane fleet. CI gates this benchmark at 0 allocs/op via benchcmp.
+// 1024-lane fleet; TestBatchStepZeroAlloc pins it at 0 allocs/op.
 func BenchmarkBatchStep(b *testing.B) {
 	e, tels, outs := fleetEngine(b, 1024)
 	b.ReportAllocs()
@@ -70,8 +70,8 @@ func BenchmarkBatchStep(b *testing.B) {
 
 // BenchmarkBatchSupervisedStep measures the fused supervised kernel
 // (sanitize → LQG step → monitor EMAs → quantize) per lane over a
-// 1024-lane fleet warmed past its grace period. CI gates this benchmark
-// at 0 allocs/op via benchcmp.
+// 1024-lane fleet warmed past its grace period;
+// TestBatchSupervisedStepZeroAlloc pins it at 0 allocs/op.
 func BenchmarkBatchSupervisedStep(b *testing.B) {
 	e, tels, outs, cleanup := supAllocFleet(b, 1024, false)
 	defer cleanup()

@@ -48,8 +48,7 @@ const (
 // steps them with fused fixed-size kernels. Lane ids are stable: Add
 // returns an id that stays valid until Retire, and retired slots are
 // reused by later Adds. An Engine is not safe for concurrent use; shard
-// fleets across engines for parallelism (each experiment job owns its
-// own, exactly as jobs own cloned scalar controllers).
+// fleets across engines (or use StepAllSharded) for parallelism.
 type Engine struct {
 	// Design state, lane-major at the strides above.
 	a, b, c    []float64

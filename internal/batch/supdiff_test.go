@@ -500,10 +500,10 @@ func supAllocFleet(tb testing.TB, n int, wireObs bool) (*SupEngine, []sim.Teleme
 
 // TestBatchSupervisedStepZeroAlloc pins the supervised fast path at 0
 // allocs per fleet epoch — with and without the fleet observability
-// plane attached (per-epoch events included). This is where the batch
-// tier beats even a "zero-alloc" scalar loop: the scalar engaged path
-// allocates in LastInnovation every post-grace epoch, the fused kernel
-// reads the innovation SoA in place.
+// plane attached (per-epoch events included). The fused kernel reads
+// the innovation SoA in place; the scalar engaged path matches it by
+// reading into the supervisor's scratch buffer (TestObsOffStepAllocFree
+// pins the scalar side past grace).
 func TestBatchSupervisedStepZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

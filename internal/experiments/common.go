@@ -158,8 +158,6 @@ func RunTracking(ctrl core.ArchController, w sim.Workload, seed int64, epochs, s
 	ctrl.Reset()
 	rec := attachFlightRec(ctrl, trackingMeta(ctrl, w, seed, epochs))
 	defer finishFlightRec(rec, ctrl, "track_"+w.Name()+"_"+ctrl.Name())
-	ctrl = maybeBatch(ctrl, rec)
-	defer flushBatch(ctrl)
 	tel := proc.Step()
 	var sumIPS, sumP, sumIErr, sumPErr float64
 	n := 0
@@ -205,8 +203,6 @@ func RunEnergy(ctrl core.ArchController, w sim.Workload, seed int64, epochs, war
 	ctrl.Reset()
 	rec := attachFlightRec(ctrl, trackingMeta(ctrl, w, seed, warm+epochs))
 	defer finishFlightRec(rec, ctrl, "energy_"+w.Name()+"_"+ctrl.Name())
-	ctrl = maybeBatch(ctrl, rec)
-	defer flushBatch(ctrl)
 	tel := proc.Step()
 	for i := 0; i < warm; i++ {
 		cfg := ctrl.Step(tel)

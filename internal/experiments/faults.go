@@ -208,8 +208,6 @@ func runFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed in
 	})
 	defer finishFlightRec(rec, ctrl, "faults_"+fc.Name+"_"+ctrl.Name())
 	wireLoopObs(ctrl, "faults/"+fc.Name+"/"+ctrl.Name())
-	ctrl = maybeBatch(ctrl, rec)
-	defer flushBatch(ctrl)
 	row := FaultRow{Class: fc.Name, Arch: ctrl.Name()}
 	applyObs, observes := ctrl.(supervisor.ApplyObserver)
 
@@ -257,7 +255,7 @@ func runFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed in
 		row.PowerErrPct = 100 * rSumP / float64(rN)
 		row.IPSErrPct = 100 * rSumI / float64(rN)
 	}
-	if sup := supervisedOf(ctrl); sup != nil {
+	if sup, ok := ctrl.(*supervisor.Supervised); ok {
 		h := sup.Health()
 		row.Sanitized = h.SanitizedIPS + h.SanitizedPower
 		row.Fallbacks = h.Fallbacks

@@ -107,8 +107,6 @@ func fig12Run(ctrl core.ArchController, w sim.Workload, seed int64, epochs, samp
 	}
 	ctrl.Reset()
 	ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
-	loop := maybeBatch(ctrl, nil)
-	defer flushBatch(loop)
 	trace := Fig12Trace{Workload: w.Name(), Arch: ctrl.Name()}
 	tel := proc.Step()
 	var sumErr float64
@@ -116,9 +114,9 @@ func fig12Run(ctrl core.ArchController, w sim.Workload, seed int64, epochs, samp
 	for k := 0; k < epochs; k++ {
 		ipsRef, pRef, changed := sched.Step(tel)
 		if changed {
-			loop.SetTargets(ipsRef, pRef)
+			ctrl.SetTargets(ipsRef, pRef)
 		}
-		cfg := loop.Step(tel)
+		cfg := ctrl.Step(tel)
 		if err := proc.Apply(cfg); err != nil {
 			return Fig12Trace{}, err
 		}

@@ -114,8 +114,6 @@ func fig6Point(namd sim.Workload, set Fig6WeightSet, seed int64, epochs int) (Fi
 		return point, nil
 	}
 	ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
-	loop := maybeBatch(ctrl, nil)
-	defer flushBatch(loop)
 	proc, err := sim.NewProcessor(namd, sim.DefaultProcessorOptions(), seed+77)
 	if err != nil {
 		return Fig6Point{}, err
@@ -126,7 +124,7 @@ func fig6Point(namd sim.Workload, set Fig6WeightSet, seed int64, epochs int) (Fi
 	var sumIErr, sumPErr float64
 	n := 0
 	for k := 0; k < epochs; k++ {
-		cfg := loop.Step(tel)
+		cfg := ctrl.Step(tel)
 		if err := proc.Apply(cfg); err != nil {
 			return Fig6Point{}, err
 		}

@@ -104,13 +104,11 @@ func fig8Run(ctrl *core.MIMOController, w sim.Workload, seed int64, epochs int) 
 	}
 	ctrl.Reset()
 	ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
-	loop := maybeBatch(ctrl, nil)
-	defer flushBatch(loop)
 	tel := proc.Step()
 	freqSeries := make([]int, 0, epochs)
 	cacheSeries := make([]int, 0, epochs)
 	for k := 0; k < epochs; k++ {
-		cfg := loop.Step(tel)
+		cfg := ctrl.Step(tel)
 		if err := proc.Apply(cfg); err != nil {
 			return Fig8Point{}, err
 		}

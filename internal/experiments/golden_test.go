@@ -125,51 +125,6 @@ func TestGoldenParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestGoldenBatchIdentical is the batch backend's half of the
-// determinism contract: with -batch stepping enabled, every experiment
-// must reproduce the serial scalar golden bytes exactly, serial and on
-// a 4-worker pool. Flight recording is explicitly disabled for the
-// duration — recording forces the scalar path (the batch kernels do not
-// record), which would make this test vacuous under FLIGHTREC_DUMP_DIR —
-// and the wrap counter proves the batch path actually ran.
-func TestGoldenBatchIdentical(t *testing.T) {
-	if *updateGolden {
-		t.Skip("golden files being rewritten")
-	}
-	prevRec := func() FlightRecConfig { frMu.Lock(); defer frMu.Unlock(); return frCfg }()
-	SetFlightRecording(FlightRecConfig{})
-	SetBatchStepping(true)
-	defer func() {
-		SetBatchStepping(false)
-		SetFlightRecording(prevRec)
-	}()
-
-	before := batchWraps.Load()
-	beforeSup := batchSupWraps.Load()
-	for _, workers := range []int{0, 4} {
-		for _, c := range goldenCases() {
-			c, workers := c, workers
-			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
-				want, err := os.ReadFile(goldenPath(c.name))
-				if err != nil {
-					t.Fatalf("missing golden file (run TestGolden -update first): %v", err)
-				}
-				got := renderCSV(t, c, workers)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("batch workers=%d output differs from scalar golden\n%s",
-						workers, firstDiff(got, want))
-				}
-			})
-		}
-	}
-	if batchWraps.Load() == before {
-		t.Fatal("batch backend never engaged; the comparison above was vacuous")
-	}
-	if batchSupWraps.Load() == beforeSup {
-		t.Fatal("supervised batch tier never engaged; the supervised rows above ran scalar")
-	}
-}
-
 // firstDiff reports the first differing line for a readable failure.
 func firstDiff(got, want []byte) string {
 	gl := bytes.Split(got, []byte("\n"))

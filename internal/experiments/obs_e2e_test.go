@@ -106,7 +106,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// sink. The recorder rides the pump goroutine, not the publish path,
 	// but it stays out of the timed min-of-two passes above so the
 	// overhead gate keeps measuring the plane alone (the history cost is
-	// gated separately by BenchmarkTSDBSuite* via scripts/bench.sh).
+	// measured separately by BenchmarkTSDBSuite*).
 	reg := telemetry.NewRegistry()
 	hist := tsdb.New(tsdb.Options{})
 	var fleet *obs.Fleet

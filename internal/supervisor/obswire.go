@@ -73,13 +73,7 @@ func (s *Supervised) publishObs(t *sim.Telemetry, cfg sim.Config, flags uint8, i
 // innovation magnitude, NaN when unavailable. Allocation-free via the
 // shared scratch buffer.
 func (s *Supervised) lastInnovNorm() float64 {
-	var innov []float64
-	if ir, ok := s.inner.(innovationIntoReporter); ok {
-		innov = ir.LastInnovationInto(s.innovScratch[:0])
-	} else if ir, ok := s.inner.(InnovationReporter); ok {
-		innov = ir.LastInnovation()
-	}
-	if v := s.relInnovation(innov); v >= 0 {
+	if v := s.relInnovation(s.lastInnovation()); v >= 0 {
 		return v
 	}
 	return math.NaN()

@@ -498,16 +498,14 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 	if s.grace > 0 {
 		s.grace--
 	} else {
-		if ir, ok := s.inner.(InnovationReporter); ok {
-			if v := s.relInnovation(ir.LastInnovation()); v >= 0 {
-				s.emaInnov += s.opts.InnovationAlpha * (v - s.emaInnov)
-				if s.emaInnov > s.opts.InnovationLimit {
-					s.health.InnovationAlarms++
-					if m != nil {
-						m.innovationAlarms.Inc()
-					}
-					sick = true
+		if v := s.relInnovation(s.lastInnovation()); v >= 0 {
+			s.emaInnov += s.opts.InnovationAlpha * (v - s.emaInnov)
+			if s.emaInnov > s.opts.InnovationLimit {
+				s.health.InnovationAlarms++
+				if m != nil {
+					m.innovationAlarms.Inc()
 				}
+				sick = true
 			}
 		}
 		e := s.relError(t)
@@ -668,15 +666,23 @@ func (s *Supervised) observeModelHealth() {
 	if mon == nil {
 		return
 	}
-	var innov []float64
-	if ir, ok := s.inner.(innovationIntoReporter); ok {
-		innov = ir.LastInnovationInto(s.innovScratch[:0])
-	} else if ir, ok := s.inner.(InnovationReporter); ok {
-		innov = ir.LastInnovation()
-	}
-	if len(innov) >= 2 {
+	if innov := s.lastInnovation(); len(innov) >= 2 {
 		mon.Observe(innov[0], innov[1])
 	}
+}
+
+// lastInnovation returns the inner controller's most recent innovation,
+// nil when it reports none. Allocation-free for innovationIntoReporter
+// inners: the slice aliases s.innovScratch and is valid until the next
+// call. Other InnovationReporter inners fall back to LastInnovation.
+func (s *Supervised) lastInnovation() []float64 {
+	if ir, ok := s.inner.(innovationIntoReporter); ok {
+		return ir.LastInnovationInto(s.innovScratch[:0])
+	}
+	if ir, ok := s.inner.(InnovationReporter); ok {
+		return ir.LastInnovation()
+	}
+	return nil
 }
 
 // recordEpoch writes a supervisor-authored flight record for epochs the

@@ -12,8 +12,8 @@ import (
 	"mimoctl/internal/telemetry"
 )
 
-// Baseline drift detection: the observability analog of the benchcmp
-// gate. A Baseline is a compact fleet-wide statistical snapshot of
+// Baseline drift detection: the observability analog of a golden
+// regression test. A Baseline is a compact fleet-wide statistical snapshot of
 // selected signals over a reference window, committed alongside the
 // goldens; at runtime the Detector periodically compares a trailing
 // live window against it and flags signals whose live statistics

@@ -9,8 +9,8 @@ import (
 
 // BenchmarkTSDBIngest measures the recorder's batch ingest path — the
 // work the obs.Bus pump goroutine pays per drained batch — across an
-// 8-loop fleet with realistically wobbly signals. The committed capture
-// (BENCH_tsdb.json) pins allocs/op at zero; make bench-tsdb gates it.
+// 8-loop fleet with realistically wobbly signals. TestIngestAllocFree
+// pins the same path at zero allocations.
 func BenchmarkTSDBIngest(b *testing.B) {
 	db := New(Options{})
 	rec := NewRecorder(db, nil)
