@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: check vet build test race cover fuzz golden golden-doctor golden-tsdb
 
-# check is the default verify flow: vet + build + race-enabled tests.
+# check is the default verify flow: vet + build + race-enabled tests,
+# plus vet and tests of the bench/ module.
 check:
 	./scripts/check.sh
 
@@ -23,6 +24,7 @@ fuzz:
 	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzQuantHysteresis -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzSupervisedBatchVsScalar -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz FuzzBlockRoundTrip -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/flightrec/ -run '^$$' -fuzz FuzzReadDump -fuzztime $(or $(FUZZTIME),10s)
 
 # golden re-records the golden regression CSVs after an intentional
 # output change; review the diff like code.

@@ -1,11 +1,15 @@
 // Command mimotrace runs one closed-loop experiment and emits a
-// per-epoch trace (epoch, targets, measured and true outputs, knob
-// settings) for plotting — the raw data behind Figures 6, 11, and 12.
+// per-epoch trace for plotting — the raw data behind Figures 6, 11, and
+// 12. Each row is the one per-epoch record (obs.Event) the flight
+// recorder, the event bus and the history store share, in the same
+// columns: targets, measured and true outputs, the Kalman innovation
+// when the controller reports one, the requested and in-effect knob
+// indices, and the supervisor mode.
 //
-// The trace flows through the telemetry layer's TraceRecorder: -format
-// selects CSV (default) or JSONL, -every subsamples, and -metrics-addr
-// additionally serves live diagnostics (/metrics, /healthz, /trace,
-// /debug/pprof) while the run is in flight.
+// -format selects CSV (default) or JSONL, -every subsamples, and
+// -metrics-addr additionally serves live diagnostics (/metrics,
+// /healthz, /trace with the most recent records, /debug/pprof) while
+// the run is in flight.
 //
 // With -flightrec the run also keeps a control-loop flight recorder
 // attached: the last epochs of controller internals are dumped to the
@@ -25,8 +29,11 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"math"
+	"net/http"
 	"os"
 	"syscall"
 
@@ -34,6 +41,7 @@ import (
 	"mimoctl/internal/experiments"
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/health"
+	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/supervisor"
 	"mimoctl/internal/telemetry"
@@ -64,21 +72,15 @@ func main() {
 	if *every < 1 {
 		fatal(fmt.Errorf("-every must be >= 1, got %d", *every))
 	}
-	var sink telemetry.Sink
+	out := bufio.NewWriter(os.Stdout)
+	var sink obs.Sink
 	switch *format {
 	case "csv":
-		sink = telemetry.NewCSVSink(os.Stdout)
+		sink = obs.NewCSVSink(out, nil)
 	case "jsonl":
-		sink = telemetry.NewJSONLSink(os.Stdout)
+		sink = obs.NewJSONLSink(out, nil)
 	default:
 		fatal(fmt.Errorf("unknown -format %q (want csv or jsonl)", *format))
-	}
-	rec, err := telemetry.NewTraceRecorder(telemetry.RecorderOptions{
-		SampleEvery: *every,
-		Sink:        sink,
-	})
-	if err != nil {
-		fatal(err)
 	}
 
 	var frec *flightrec.Recorder
@@ -97,15 +99,18 @@ func main() {
 		defer stop()
 	}
 
+	// trace keeps the most recent records for /trace; the harness
+	// appends every epoch, so its sequence is the epoch number.
+	var trace *flightrec.Recorder
 	if *metricsAddr != "" {
+		trace = flightrec.New(0)
 		reg := telemetry.NewRegistry()
 		telemetry.RegisterGoMetrics(reg)
 		experiments.EnableTelemetry(reg) // before any processor is built
 		srv, err := telemetry.StartServer(*metricsAddr, telemetry.ServerOptions{
 			Registry: reg,
 			Health:   supervisor.Healthz,
-			Trace:    rec,
-			Extra:    flightrecEndpoints(frec),
+			Extra:    append(flightrecEndpoints(frec), traceEndpoint(trace)),
 		})
 		if err != nil {
 			fatal(err)
@@ -152,6 +157,9 @@ func main() {
 	}
 	sup, supervised := ctrl.(*supervisor.Supervised)
 
+	ir, _ := ctrl.(supervisor.InnovationReporter)
+	batch := make([]obs.Event, 1)
+	var sinkErr error
 	tel := proc.Step()
 	for k := 0; k < *epochs; k++ {
 		if sched != nil {
@@ -172,38 +180,84 @@ func main() {
 			sup.ObserveApply(cfg, nil)
 		}
 		tel = proc.Step()
-		ti, tp := ctrl.Targets()
-		ev := telemetry.EpochEvent{
-			Epoch:       k,
-			IPSTarget:   ti,
-			PowerTarget: tp,
-			IPS:         tel.IPS,
-			PowerW:      tel.PowerW,
-			TrueIPS:     tel.TrueIPS,
-			TruePowerW:  tel.TruePowerW,
-			FreqGHz:     cfg.FreqGHz(),
-			L2Ways:      cfg.L2Ways(),
-			ROBEntries:  cfg.ROBEntries(),
-			TempC:       tel.TempC,
-			PhaseID:     tel.PhaseID,
-		}
-		if ir, ok := ctrl.(supervisor.InnovationReporter); ok {
-			if innov := ir.LastInnovation(); len(innov) >= 2 {
-				ev.InnovIPS, ev.InnovPower = innov[0], innov[1]
-			}
-		}
+		ev := &batch[0]
+		fillEvent(ev, uint64(k), ctrl, ir, cfg, &tel)
 		if supervised {
-			ev.Mode = sup.Mode().String()
+			ev.Mode = uint8(sup.Mode())
 		}
-		rec.Record(ev)
+		trace.Append(ev)
+		if k%*every == 0 && sinkErr == nil {
+			sinkErr = sink.WriteEvents(batch)
+		}
 	}
 	if frec != nil {
 		frec.RequestDump("run-complete")
 	}
 	// A trace whose tail was silently dropped (full disk, closed pipe)
-	// must not exit 0: Close surfaces the first sink error.
-	if err := rec.Close(); err != nil {
-		fatal(err)
+	// must not exit 0: the first write or flush error is fatal.
+	if err := out.Flush(); sinkErr == nil {
+		sinkErr = err
+	}
+	if sinkErr != nil {
+		fatal(sinkErr)
+	}
+}
+
+// fillEvent writes the harness's record of epoch k: cfg is the
+// configuration the controller requested, tel the telemetry of the epoch
+// it produced. Internals the harness cannot see (continuous request,
+// excess, guardband) are NaN, as is the innovation of a controller that
+// reports none.
+func fillEvent(ev *obs.Event, k uint64, ctrl core.ArchController, ir supervisor.InnovationReporter, cfg sim.Config, tel *sim.Telemetry) {
+	ti, tp := ctrl.Targets()
+	nan := math.NaN()
+	*ev = obs.Event{
+		Epoch:       k,
+		IPSTarget:   ti,
+		PowerTarget: tp,
+		IPS:         tel.IPS,
+		PowerW:      tel.PowerW,
+		TrueIPS:     tel.TrueIPS,
+		TruePowerW:  tel.TruePowerW,
+		InnovIPS:    nan,
+		InnovPowerW: nan,
+		InnovNorm:   nan,
+		ExcessNorm:  nan,
+		Guardband:   nan,
+		UFreqGHz:    nan,
+		UL2Ways:     nan,
+		UROBEntries: nan,
+		ReqFreq:     int16(cfg.FreqIdx),
+		ReqCache:    int16(cfg.CacheIdx),
+		ReqROB:      int16(cfg.ROBIdx),
+		CfgFreq:     int16(tel.Config.FreqIdx),
+		CfgCache:    int16(tel.Config.CacheIdx),
+		CfgROB:      int16(tel.Config.ROBIdx),
+	}
+	if ir != nil {
+		if innov := ir.LastInnovation(); len(innov) >= 2 {
+			ev.InnovIPS, ev.InnovPowerW = innov[0], innov[1]
+		}
+	}
+}
+
+// traceEndpoint serves the recent records as /trace: JSONL by default,
+// CSV with ?format=csv.
+func traceEndpoint(r *flightrec.Recorder) telemetry.Endpoint {
+	return telemetry.Endpoint{
+		Path: "/trace",
+		Desc: "recent epoch records (JSONL; ?format=csv)",
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			var sink obs.Sink
+			if req.URL.Query().Get("format") == "csv" {
+				w.Header().Set("Content-Type", "text/csv")
+				sink = obs.NewCSVSink(w, nil)
+			} else {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				sink = obs.NewJSONLSink(w, nil)
+			}
+			_ = sink.WriteEvents(r.Snapshot())
+		}),
 	}
 }
 

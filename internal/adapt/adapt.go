@@ -56,10 +56,10 @@ import (
 	"math/rand"
 
 	"mimoctl/internal/core"
-	"mimoctl/internal/flightrec"
 	"mimoctl/internal/health"
 	"mimoctl/internal/lqg"
 	"mimoctl/internal/lti"
+	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/sysid"
 )
@@ -276,7 +276,7 @@ type Verdict struct {
 	// Cfg is the configuration to issue (the proposal, possibly
 	// carrying excitation dither).
 	Cfg sim.Config
-	// Flags are flight-recorder bits to stage for this epoch.
+	// Flags are obs.Flag* bits to stage for this epoch.
 	Flags uint32
 	// Swapped reports that new gains were installed this epoch; the
 	// caller should reset any loop-shape alarm state it keeps.
@@ -331,7 +331,7 @@ type Adapter struct {
 
 	// Per-instance instrument binding (nil: use the global SetTelemetry
 	// binding).
-	tel *adaptMetrics
+	tel  *adaptMetrics
 	uScr [3]float64
 }
 
@@ -513,7 +513,7 @@ func (a *Adapter) Advance(t sim.Telemetry, proposed sim.Config, clean bool) Verd
 	case StateExciting:
 		if a.exciteLeft > 0 {
 			v.Cfg = a.dither(proposed)
-			v.Flags |= flightrec.FlagExcitation
+			v.Flags |= obs.FlagExcitation
 			a.exciteLeft--
 		}
 		if a.exciteLeft == 0 {

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"mimoctl/internal/core"
-	"mimoctl/internal/flightrec"
 	"mimoctl/internal/health"
 	"mimoctl/internal/lqg"
 	"mimoctl/internal/mat"
+	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/sysid"
 )
@@ -166,7 +166,7 @@ func TestAdapterRecoversFromDrift(t *testing.T) {
 				mon.Observe(in[0], in[1])
 			}
 			v := ad.Advance(tel, cfg, true)
-			if v.Flags&flightrec.FlagExcitation != 0 {
+			if v.Flags&obs.FlagExcitation != 0 {
 				sawExcite = true
 			}
 			if v.Swapped {
@@ -262,7 +262,7 @@ func TestAdapterInhibitAndForce(t *testing.T) {
 		t.Fatalf("state %v after forced episode, want exciting", ad.State())
 	}
 	v := ad.Advance(tel, tel.Config, true)
-	if v.Flags&flightrec.FlagExcitation == 0 {
+	if v.Flags&obs.FlagExcitation == 0 {
 		t.Fatal("exciting epoch carried no FlagExcitation")
 	}
 

@@ -3,10 +3,10 @@ package adapt
 import (
 	"fmt"
 
-	"mimoctl/internal/flightrec"
 	"mimoctl/internal/lqg"
 	"mimoctl/internal/lti"
 	"mimoctl/internal/mat"
+	"mimoctl/internal/obs"
 	"mimoctl/internal/robust"
 	"mimoctl/internal/sysid"
 )
@@ -160,7 +160,7 @@ func (a *Adapter) verifyAndSwap(v *Verdict) bool {
 	if m := a.metrics(); m != nil {
 		m.swaps.Inc()
 	}
-	v.Flags |= flightrec.FlagAdaptSwap
+	v.Flags |= obs.FlagAdaptSwap
 	v.Swapped = true
 	return true
 }
@@ -183,7 +183,7 @@ func (a *Adapter) revert(v *Verdict) {
 			a.base = a.deployedModel.Off
 			a.est = newRLS(a.deployedModel, a.opts.Lambda, a.opts.InitialCovariance,
 				a.opts.CovarianceCap, a.opts.NoiseAlpha, a.opts.OperatingPointAlpha)
-			v.Flags |= flightrec.FlagAdaptRevert
+			v.Flags |= obs.FlagAdaptRevert
 			v.Reverted = true
 		}
 	}

@@ -386,7 +386,8 @@ func (e *SupEngine) StepAll(tels []sim.Telemetry, out []sim.Config) error {
 	return nil
 }
 
-// stepInto advances lane i, routing its event to the epoch batch evs.
+// stepInto advances lane i. A fast-path lane on the engine's bus fills
+// its event in place, in the next slot of the epoch batch evs.
 func (e *SupEngine) stepInto(i int, tels []sim.Telemetry, out []sim.Config, evs *[]obs.Event) {
 	if e.parked[i] {
 		e.maybeReadmit(i)
@@ -395,17 +396,29 @@ func (e *SupEngine) stepInto(i int, tels []sim.Telemetry, out []sim.Config, evs 
 			return
 		}
 	}
-	var ev obs.Event
-	cfg, filled := e.supStep(i, &tels[i], &ev)
-	out[i] = cfg
-	if filled {
-		if lb := e.loopBus[i]; lb == e.bus {
-			*evs = append(*evs, ev)
-		} else {
-			// A lane wired to a different fleet's bus (unusual) keeps
-			// the scalar per-event publish.
+	if lb := e.loopBus[i]; lb != e.bus {
+		// A lane wired to a different fleet's bus (unusual) keeps the
+		// scalar per-event publish.
+		var ev obs.Event
+		cfg, filled := e.supStep(i, &tels[i], &ev)
+		out[i] = cfg
+		if filled {
 			lb.Publish(&ev)
 		}
+		return
+	}
+	// Claim the next slot without zeroing it: supStep writes every
+	// field of the event it fills.
+	n := len(*evs)
+	if n < cap(*evs) {
+		*evs = (*evs)[:n+1]
+	} else {
+		*evs = append(*evs, obs.Event{})
+	}
+	cfg, filled := e.supStep(i, &tels[i], &(*evs)[n])
+	out[i] = cfg
+	if !filled {
+		*evs = (*evs)[:n]
 	}
 }
 
@@ -428,7 +441,7 @@ func (e *SupEngine) StepLane(id int, t sim.Telemetry) sim.Config {
 // supStep is the fused nominal-path kernel: the line-for-line
 // transcription of supervisor.Supervised.Step's engaged/healthy path
 // (sanitize → dead-channel and model-health checks → inner LQG kernel →
-// monitor feed → validation → obs sample) against the SoA state.
+// monitor feed → validation → epoch record) against the SoA state.
 //
 // The first half runs PURE — sanitize results, staleness, alarm EMAs,
 // and the sick streak are computed in locals. If the epoch would enter
@@ -590,48 +603,53 @@ func (e *SupEngine) supStep(id int, t *sim.Telemetry, ev *obs.Event) (sim.Config
 	li := e.mimo.lastInnov[id*strideY : id*strideY+2 : id*strideY+2]
 	e.mon[id].Observe(li[0], li[1])
 
+	illegal := false
 	if err := cfg.Validate(); err != nil {
 		h.IllegalConfigs++
 		cfg = st.Config
+		illegal = true
 	}
 	e.lastReq[id] = cfg
 	e.haveReq[id] = true
 
-	// publishObs(): one wide fleet observability sample.
+	// endEpoch(): the bus record of an engaged epoch. The inner's own
+	// internals (continuous request, excess) stay NaN on the bus.
 	l := e.loop[id]
 	if l == nil {
 		return cfg, false
 	}
-	guard := math.NaN()
-	if mon := e.mon[id]; mon != nil {
-		guard = mon.Snapshot().GuardbandConsumption
+	flags := obs.FlagSupervised
+	if !ipsOK {
+		flags |= obs.FlagSanitizedIPS
 	}
-	// lastInnovNorm() — relInnovation of the fresh innovation.
+	if !powerOK {
+		flags |= obs.FlagSanitizedPower
+	}
+	if illegal {
+		flags |= obs.FlagIllegalConfig
+	}
+	// relInnovation of the fresh innovation.
 	iScale := math.Max(ipsTgt, 0.5)
 	pScale := math.Max(powTgt, 0.5)
 	innovNorm := math.Max(math.Abs(li[0])/iScale, math.Abs(li[1])/pScale)
 	if math.IsNaN(innovNorm) || math.IsInf(innovNorm, 0) {
 		innovNorm = 10 * o.InnovationLimit
 	}
-	var flags uint8
-	if !(ipsOK && powerOK) {
-		flags |= obs.FlagSanitized
+	// Field by field rather than a composite literal, so the slot is
+	// written in place instead of through a zeroed temporary and a copy.
+	// LoopID and Epoch are stamped by ObserveInto.
+	nan := math.NaN()
+	ev.Flags, ev.Mode, ev.Health, ev.Adapt = flags, obs.ModeEngaged, uint8(e.mon[id].Level()), 0
+	ev.IPSTarget, ev.PowerTarget = ipsTgt, powTgt
+	ev.IPS, ev.PowerW, ev.TrueIPS, ev.TruePowerW = sanIPS, sanPow, t.TrueIPS, t.TruePowerW
+	ev.InnovIPS, ev.InnovPowerW, ev.InnovNorm = li[0], li[1], innovNorm
+	ev.ExcessNorm, ev.Guardband, ev.UFreqGHz, ev.UL2Ways, ev.UROBEntries = nan, nan, nan, nan, nan
+	ev.ReqFreq, ev.ReqCache, ev.ReqROB = int16(cfg.FreqIdx), int16(cfg.CacheIdx), int16(cfg.ROBIdx)
+	ev.CfgFreq, ev.CfgCache, ev.CfgROB = int16(t.Config.FreqIdx), int16(t.Config.CacheIdx), int16(t.Config.ROBIdx)
+	if mon := e.mon[id]; mon != nil {
+		ev.Guardband = mon.Snapshot().GuardbandConsumption
 	}
-	filled := l.ObserveInto(obs.Sample{
-		Mode:        uint8(supervisor.ModeEngaged),
-		Health:      uint8(e.mon[id].Level()),
-		Flags:       flags,
-		IPSTarget:   ipsTgt,
-		PowerTarget: powTgt,
-		IPS:         sanIPS,
-		PowerW:      sanPow,
-		InnovNorm:   innovNorm,
-		Guardband:   guard,
-		ReqFreq:     int16(cfg.FreqIdx),
-		ReqCache:    int16(cfg.CacheIdx),
-		ReqROB:      int16(cfg.ROBIdx),
-	}, ev)
-	return cfg, filled
+	return cfg, l.ObserveInto(ev)
 }
 
 func supFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -552,6 +552,23 @@ func (s *captureSink) WriteEvents(batch []obs.Event) error {
 // two event streams to match field for field — including the sanitized
 // measurements, innovation norms, mode/flag bits, and per-loop epochs —
 // across the eviction and re-admission seams.
+// eventFloats lists all 14 float fields of an event.
+func eventFloats(ev *obs.Event) []float64 {
+	return []float64{
+		ev.IPSTarget, ev.PowerTarget, ev.IPS, ev.PowerW, ev.TrueIPS, ev.TruePowerW,
+		ev.InnovIPS, ev.InnovPowerW, ev.InnovNorm, ev.ExcessNorm, ev.Guardband,
+		ev.UFreqGHz, ev.UL2Ways, ev.UROBEntries,
+	}
+}
+
+// zeroEventFloats clears the fields eventFloats lists, so == compares
+// the rest of the record (NaN != NaN would fail any struct compare).
+func zeroEventFloats(ev *obs.Event) {
+	ev.IPSTarget, ev.PowerTarget, ev.IPS, ev.PowerW, ev.TrueIPS, ev.TruePowerW = 0, 0, 0, 0, 0, 0
+	ev.InnovIPS, ev.InnovPowerW, ev.InnovNorm, ev.ExcessNorm, ev.Guardband = 0, 0, 0, 0, 0
+	ev.UFreqGHz, ev.UL2Ways, ev.UROBEntries = 0, 0, 0
+}
+
 func TestBatchSupervisedObsParity(t *testing.T) {
 	base := designedController(t, true)
 	mkSide := func() (*supervisor.Supervised, *captureSink, *obs.Bus) {
@@ -622,13 +639,16 @@ func TestBatchSupervisedObsParity(t *testing.T) {
 	}
 	for i := range sinkB.evs {
 		a, b := sinkB.evs[i], sinkR.evs[i]
-		af := []float64{a.IPSTarget, a.PowerTarget, a.IPS, a.PowerW, a.InnovNorm, a.Guardband}
-		bf := []float64{b.IPSTarget, b.PowerTarget, b.IPS, b.PowerW, b.InnovNorm, b.Guardband}
-		if !floatsIdentical(af, bf) {
-			t.Fatalf("event %d: float fields %v != scalar %v", i, af, bf)
+		af, bf := eventFloats(&a), eventFloats(&b)
+		for k := range af {
+			if math.Float64bits(af[k]) != math.Float64bits(bf[k]) {
+				t.Fatalf("event %d: float fields %v != scalar %v (field %d)", i, af, bf, k)
+			}
 		}
-		a.IPSTarget, a.PowerTarget, a.IPS, a.PowerW, a.InnovNorm, a.Guardband = 0, 0, 0, 0, 0, 0
-		b.IPSTarget, b.PowerTarget, b.IPS, b.PowerW, b.InnovNorm, b.Guardband = 0, 0, 0, 0, 0, 0
+		// With every float matched bit for bit, the rest of the record
+		// must match exactly: no field is excluded.
+		zeroEventFloats(&a)
+		zeroEventFloats(&b)
 		if a != b {
 			t.Fatalf("event %d: %+v != scalar %+v", i, a, b)
 		}

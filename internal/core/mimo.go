@@ -8,6 +8,7 @@ import (
 
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/lqg"
+	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/sysid"
 )
@@ -118,7 +119,7 @@ func (c *MIMOController) LastInnovationInto(dst []float64) []float64 {
 }
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight recorder
-// that receives one Record per Step. Implements flightrec.Recordable.
+// that receives one record per Step. Implements flightrec.Recordable.
 func (c *MIMOController) SetFlightRecorder(r *flightrec.Recorder) { c.fr = r }
 
 // FlightRecorder returns the attached recorder (nil when detached).
@@ -211,7 +212,7 @@ func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
 			m.stepErrors.Inc()
 		}
 		if c.fr != nil {
-			c.appendRecord(t, c.cur, flightrec.FlagStepError, nil, nil)
+			c.appendRecord(t, c.cur, obs.FlagStepError, nil, nil)
 		}
 		return c.cur
 	}
@@ -265,20 +266,23 @@ func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
 // absolute knob units (nil on step-error epochs), innov the step's
 // Kalman innovation (nil when no step completed).
 func (c *MIMOController) appendRecord(t sim.Telemetry, req sim.Config, flags uint32, u, innov []float64) {
-	rec := flightrec.Record{
+	nan := math.NaN()
+	ev := obs.Event{
 		Flags:       flags,
 		IPSTarget:   c.ipsTarget,
 		PowerTarget: c.powerTarget,
-		MeasIPS:     t.IPS,
-		MeasPowerW:  t.PowerW,
+		IPS:         t.IPS,
+		PowerW:      t.PowerW,
 		TrueIPS:     t.TrueIPS,
 		TruePowerW:  t.TruePowerW,
-		InnovIPS:    math.NaN(),
-		InnovPowerW: math.NaN(),
+		InnovIPS:    nan,
+		InnovPowerW: nan,
+		InnovNorm:   nan,
 		ExcessNorm:  c.lq.LastExcessNorm(),
-		UFreqGHz:    math.NaN(),
-		UL2Ways:     math.NaN(),
-		UROBEntries: math.NaN(),
+		Guardband:   nan,
+		UFreqGHz:    nan,
+		UL2Ways:     nan,
+		UROBEntries: nan,
 		ReqFreq:     int16(req.FreqIdx),
 		ReqCache:    int16(req.CacheIdx),
 		ReqROB:      int16(req.ROBIdx),
@@ -287,18 +291,18 @@ func (c *MIMOController) appendRecord(t sim.Telemetry, req sim.Config, flags uin
 		CfgROB:      int16(t.Config.ROBIdx),
 	}
 	if len(innov) >= 2 {
-		rec.InnovIPS, rec.InnovPowerW = innov[0], innov[1]
+		ev.InnovIPS, ev.InnovPowerW = innov[0], innov[1]
 	}
 	if len(u) >= 2 {
-		rec.UFreqGHz, rec.UL2Ways = u[0], u[1]
+		ev.UFreqGHz, ev.UL2Ways = u[0], u[1]
 	}
 	if len(u) >= 3 {
-		rec.UROBEntries = u[2] * ROBUnit
+		ev.UROBEntries = u[2] * ROBUnit
 	}
 	if !c.threeInput {
-		rec.ReqROB = flightrec.IdxNA
+		ev.ReqROB = obs.IdxNA
 	}
-	c.fr.Append(rec)
+	c.fr.Append(&ev)
 }
 
 // AdoptDesign hot-swaps a freshly designed LQG controller (and the

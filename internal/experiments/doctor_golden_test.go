@@ -8,6 +8,7 @@ import (
 
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/health"
+	"mimoctl/internal/obs"
 )
 
 // The committed flight-recorder dumps the mimodoctor CI smoke job
@@ -74,7 +75,7 @@ func TestGoldenDoctorDump(t *testing.T) {
 			if gd.swap {
 				swapped := false
 				for _, r := range recs {
-					if r.Flags&flightrec.FlagAdaptSwap != 0 {
+					if r.Flags&obs.FlagAdaptSwap != 0 {
 						swapped = true
 						break
 					}

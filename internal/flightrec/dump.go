@@ -11,7 +11,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"mimoctl/internal/telemetry"
+	"mimoctl/internal/obs"
 )
 
 // Dump format. Two encodings of the same versioned schema:
@@ -19,13 +19,16 @@ import (
 //   - binary: magic + version + JSON meta + fixed 128-byte records with
 //     raw little-endian IEEE float bits — bit-exact round-trip for every
 //     value including NaN payloads,
-//   - JSONL: a meta header line then one record object per line, using
-//     telemetry.JSONFloat's "NaN"/"+Inf"/"-Inf" sentinels (encoding/json
-//     rejects non-finite numbers), so faulted windows survive a text
-//     dump too. JSONL canonicalizes NaN payload bits; the binary format
-//     is the authoritative one for byte-identical replay comparisons.
+//   - JSONL: a meta header line then one record object per line in the
+//     obs.Event text codec, whose "NaN"/"+Inf"/"-Inf" sentinels let
+//     faulted windows survive a text dump too. JSONL canonicalizes NaN
+//     payload bits; the binary format is the authoritative one for
+//     byte-identical replay comparisons.
 //
-// ReadDump auto-detects the encoding from the first bytes.
+// The v1 binary record stores the flight-record fields of an obs.Event;
+// LoopID, Health, Adapt, InnovNorm and Guardband are not stored and
+// decode as 0 and NaN. ReadDump auto-detects the encoding from the
+// first bytes.
 
 // FormatVersion is the dump schema version.
 const FormatVersion = 1
@@ -39,7 +42,7 @@ const recordBinSize = 128
 // EncodeRecords renders records in the fixed binary layout (no header).
 // Replay tests compare these bytes: float equality at the bit level is
 // exactly what "byte-identical replay" means, NaN included.
-func EncodeRecords(recs []Record) []byte {
+func EncodeRecords(recs []obs.Event) []byte {
 	out := make([]byte, len(recs)*recordBinSize)
 	for i := range recs {
 		putRecord(out[i*recordBinSize:], &recs[i])
@@ -47,14 +50,14 @@ func EncodeRecords(recs []Record) []byte {
 	return out
 }
 
-func putRecord(b []byte, r *Record) {
+func putRecord(b []byte, r *obs.Event) {
 	le := binary.LittleEndian
 	le.PutUint64(b[0:], r.Epoch)
 	le.PutUint32(b[8:], r.Flags)
 	b[12] = r.Mode
 	b[13], b[14], b[15] = 0, 0, 0
 	for i, v := range [...]float64{
-		r.IPSTarget, r.PowerTarget, r.MeasIPS, r.MeasPowerW,
+		r.IPSTarget, r.PowerTarget, r.IPS, r.PowerW,
 		r.TrueIPS, r.TruePowerW, r.InnovIPS, r.InnovPowerW,
 		r.ExcessNorm, r.UFreqGHz, r.UL2Ways, r.UROBEntries,
 	} {
@@ -66,15 +69,15 @@ func putRecord(b []byte, r *Record) {
 	le.PutUint32(b[124:], 0)
 }
 
-func getRecord(b []byte) Record {
+func getRecord(b []byte) obs.Event {
 	le := binary.LittleEndian
-	var r Record
+	r := obs.Event{InnovNorm: math.NaN(), Guardband: math.NaN()}
 	r.Epoch = le.Uint64(b[0:])
 	r.Flags = le.Uint32(b[8:])
 	r.Mode = b[12]
 	f := func(i int) float64 { return math.Float64frombits(le.Uint64(b[16+8*i:])) }
 	r.IPSTarget, r.PowerTarget = f(0), f(1)
-	r.MeasIPS, r.MeasPowerW = f(2), f(3)
+	r.IPS, r.PowerW = f(2), f(3)
 	r.TrueIPS, r.TruePowerW = f(4), f(5)
 	r.InnovIPS, r.InnovPowerW = f(6), f(7)
 	r.ExcessNorm = f(8)
@@ -91,7 +94,7 @@ func (r *Recorder) WriteBinary(w io.Writer) error {
 	return writeBinary(w, r.Meta(), r.Snapshot())
 }
 
-func writeBinary(w io.Writer, meta Meta, recs []Record) error {
+func writeBinary(w io.Writer, meta Meta, recs []obs.Event) error {
 	meta.Version = FormatVersion
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
@@ -120,7 +123,7 @@ func writeBinary(w io.Writer, meta Meta, recs []Record) error {
 }
 
 // ReadBinary parses a binary dump.
-func ReadBinary(r io.Reader) (Meta, []Record, error) {
+func ReadBinary(r io.Reader) (Meta, []obs.Event, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(Magic))
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -172,72 +175,18 @@ func ReadBinary(r io.Reader) (Meta, []Record, error) {
 	if count > 1<<24 {
 		return Meta{}, nil, fmt.Errorf("flightrec: implausible record count %d", count)
 	}
-	recs := make([]Record, count)
+	// The count is the header's claim, not evidence: grow the slice as
+	// records actually arrive, so a truncated file cannot make the
+	// reader allocate for records it does not contain.
+	recs := make([]obs.Event, 0, min(int(count), 1024))
 	var rb [recordBinSize]byte
-	for i := range recs {
+	for i := 0; i < int(count); i++ {
 		if _, err := io.ReadFull(br, rb[:]); err != nil {
 			return Meta{}, nil, fmt.Errorf("flightrec: read record %d: %w", i, err)
 		}
-		recs[i] = getRecord(rb[:])
+		recs = append(recs, getRecord(rb[:]))
 	}
 	return meta, recs, nil
-}
-
-// recordWire is the JSONL encoding of a Record. Float fields use
-// telemetry.JSONFloat so non-finite values round-trip as the shared
-// "NaN"/"+Inf"/"-Inf" sentinels.
-type recordWire struct {
-	Epoch       uint64              `json:"epoch"`
-	Flags       uint32              `json:"flags,omitempty"`
-	Mode        uint8               `json:"mode,omitempty"`
-	IPSTarget   telemetry.JSONFloat `json:"ips_target"`
-	PowerTarget telemetry.JSONFloat `json:"power_target"`
-	MeasIPS     telemetry.JSONFloat `json:"ips_meas"`
-	MeasPowerW  telemetry.JSONFloat `json:"power_meas"`
-	TrueIPS     telemetry.JSONFloat `json:"ips_true"`
-	TruePowerW  telemetry.JSONFloat `json:"power_true"`
-	InnovIPS    telemetry.JSONFloat `json:"innov_ips"`
-	InnovPowerW telemetry.JSONFloat `json:"innov_power"`
-	ExcessNorm  telemetry.JSONFloat `json:"excess_norm"`
-	UFreqGHz    telemetry.JSONFloat `json:"u_freq_ghz"`
-	UL2Ways     telemetry.JSONFloat `json:"u_l2_ways"`
-	UROBEntries telemetry.JSONFloat `json:"u_rob"`
-	ReqFreq     int16               `json:"req_freq"`
-	ReqCache    int16               `json:"req_cache"`
-	ReqROB      int16               `json:"req_rob"`
-	CfgFreq     int16               `json:"cfg_freq"`
-	CfgCache    int16               `json:"cfg_cache"`
-	CfgROB      int16               `json:"cfg_rob"`
-}
-
-func wireFrom(r Record) recordWire {
-	return recordWire{
-		Epoch: r.Epoch, Flags: r.Flags, Mode: r.Mode,
-		IPSTarget: telemetry.JSONFloat(r.IPSTarget), PowerTarget: telemetry.JSONFloat(r.PowerTarget),
-		MeasIPS: telemetry.JSONFloat(r.MeasIPS), MeasPowerW: telemetry.JSONFloat(r.MeasPowerW),
-		TrueIPS: telemetry.JSONFloat(r.TrueIPS), TruePowerW: telemetry.JSONFloat(r.TruePowerW),
-		InnovIPS: telemetry.JSONFloat(r.InnovIPS), InnovPowerW: telemetry.JSONFloat(r.InnovPowerW),
-		ExcessNorm: telemetry.JSONFloat(r.ExcessNorm),
-		UFreqGHz:   telemetry.JSONFloat(r.UFreqGHz), UL2Ways: telemetry.JSONFloat(r.UL2Ways),
-		UROBEntries: telemetry.JSONFloat(r.UROBEntries),
-		ReqFreq:     r.ReqFreq, ReqCache: r.ReqCache, ReqROB: r.ReqROB,
-		CfgFreq: r.CfgFreq, CfgCache: r.CfgCache, CfgROB: r.CfgROB,
-	}
-}
-
-func (w recordWire) record() Record {
-	return Record{
-		Epoch: w.Epoch, Flags: w.Flags, Mode: w.Mode,
-		IPSTarget: float64(w.IPSTarget), PowerTarget: float64(w.PowerTarget),
-		MeasIPS: float64(w.MeasIPS), MeasPowerW: float64(w.MeasPowerW),
-		TrueIPS: float64(w.TrueIPS), TruePowerW: float64(w.TruePowerW),
-		InnovIPS: float64(w.InnovIPS), InnovPowerW: float64(w.InnovPowerW),
-		ExcessNorm: float64(w.ExcessNorm),
-		UFreqGHz:   float64(w.UFreqGHz), UL2Ways: float64(w.UL2Ways),
-		UROBEntries: float64(w.UROBEntries),
-		ReqFreq:     w.ReqFreq, ReqCache: w.ReqCache, ReqROB: w.ReqROB,
-		CfgFreq: w.CfgFreq, CfgCache: w.CfgCache, CfgROB: w.CfgROB,
-	}
 }
 
 // jsonlHeader is the first line of a JSONL dump.
@@ -251,23 +200,20 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return writeJSONL(w, r.Meta(), r.Snapshot())
 }
 
-func writeJSONL(w io.Writer, meta Meta, recs []Record) error {
+func writeJSONL(w io.Writer, meta Meta, recs []obs.Event) error {
 	meta.Version = FormatVersion
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlHeader{Meta: meta}); err != nil {
+	if err := json.NewEncoder(bw).Encode(jsonlHeader{Meta: meta}); err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		if err := enc.Encode(wireFrom(rec)); err != nil {
-			return err
-		}
+	if err := obs.NewJSONLSink(bw, nil).WriteEvents(recs); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
 // ReadJSONL parses a JSONL dump.
-func ReadJSONL(r io.Reader) (Meta, []Record, error) {
+func ReadJSONL(r io.Reader) (Meta, []obs.Event, error) {
 	dec := json.NewDecoder(r)
 	var head jsonlHeader
 	if err := dec.Decode(&head); err != nil {
@@ -276,22 +222,22 @@ func ReadJSONL(r io.Reader) (Meta, []Record, error) {
 	if head.Meta.Version != FormatVersion {
 		return Meta{}, nil, fmt.Errorf("flightrec: unsupported dump version %d (want %d)", head.Meta.Version, FormatVersion)
 	}
-	var recs []Record
+	var recs []obs.Event
 	for {
-		var w recordWire
-		if err := dec.Decode(&w); err == io.EOF {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err == io.EOF {
 			break
 		} else if err != nil {
 			return Meta{}, nil, fmt.Errorf("flightrec: decode record %d: %w", len(recs), err)
 		}
-		recs = append(recs, w.record())
+		recs = append(recs, ev)
 	}
 	return head.Meta, recs, nil
 }
 
 // ReadDump auto-detects the encoding (binary magic vs. JSONL) and
 // parses the dump.
-func ReadDump(r io.Reader) (Meta, []Record, error) {
+func ReadDump(r io.Reader) (Meta, []obs.Event, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(Magic))
 	if err != nil && len(head) == 0 {
@@ -304,7 +250,7 @@ func ReadDump(r io.Reader) (Meta, []Record, error) {
 }
 
 // ReadDumpFile opens and parses a dump file in either encoding.
-func ReadDumpFile(path string) (Meta, []Record, error) {
+func ReadDumpFile(path string) (Meta, []obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Meta{}, nil, err

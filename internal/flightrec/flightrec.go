@@ -15,109 +15,20 @@
 // seed/arch/fault-class identity lets the window be replayed
 // bit-identically.
 //
+// The record is obs.Event, the one per-epoch schema the bus, the SLO
+// engine, the history store and cmd/mimotrace share; the ring stamps
+// its Epoch from its own sequence, starting at 0. The flag bits, modes
+// and IdxNA the records carry are defined beside it in internal/obs.
+//
 // A nil *Recorder is valid and records nothing, so controllers can wire
 // the Append call unconditionally.
 package flightrec
 
 import (
 	"sync"
+
+	"mimoctl/internal/obs"
 )
-
-// Flag bits on a Record. The supervisor stages its per-epoch flags
-// before the inner controller runs (StageFlags); whichever component
-// appends the epoch's record picks them up.
-const (
-	// FlagSupervised marks an epoch that passed through the supervised
-	// runtime (internal/supervisor).
-	FlagSupervised uint32 = 1 << iota
-	// FlagFallback marks an epoch pinned at the safe configuration.
-	FlagFallback
-	// FlagHold marks an actuation-backoff hold epoch: the inner
-	// controller was not stepped and a previous request was held or
-	// re-issued.
-	FlagHold
-	// FlagSanitizedIPS / FlagSanitizedPower mark epochs whose sensor
-	// reading was implausible and substituted before the controller saw
-	// it; MeasIPS/MeasPowerW hold the substituted value.
-	FlagSanitizedIPS
-	FlagSanitizedPower
-	// FlagApplyError marks an epoch whose preceding actuation attempt
-	// was reported failed.
-	FlagApplyError
-	// FlagStepError marks an inner-controller step failure; the previous
-	// configuration was held.
-	FlagStepError
-	// FlagIllegalConfig marks an inner-controller output that failed
-	// validation and was replaced by the in-effect configuration.
-	FlagIllegalConfig
-	// FlagExcitation marks an epoch whose issued configuration carries
-	// deliberate identification dither from the adaptation loop
-	// (internal/adapt): the knobs were perturbed around the working
-	// point to make the regressor informative.
-	FlagExcitation
-	// FlagAdaptSwap marks the epoch on which the adaptation loop
-	// hot-swapped re-identified controller gains into the inner
-	// controller.
-	FlagAdaptSwap
-	// FlagAdaptRevert marks the epoch on which a hot-swapped design
-	// failed its post-swap probation and the previous gains were
-	// restored.
-	FlagAdaptRevert
-)
-
-// Modes recorded in Record.Mode (mirrors supervisor.Mode; a raw,
-// unsupervised controller always records ModeEngaged).
-const (
-	ModeEngaged  uint8 = 0
-	ModeFallback uint8 = 1
-)
-
-// IdxNA marks a knob index that does not apply to the record (e.g. the
-// ROB knob of a 2-input controller).
-const IdxNA int16 = -1
-
-// Record is one epoch of the closed loop, sized so the ring append is a
-// plain struct copy. All floats are stored and serialized as raw IEEE
-// bit patterns, so NaN and ±Inf round-trip losslessly — faulted epochs
-// are exactly the ones worth recording.
-type Record struct {
-	// Epoch is the recorder's own sequence number, stamped by Append;
-	// with one record per harness epoch it equals the harness epoch.
-	Epoch uint64
-	// Flags is the union of the Flag* bits observed this epoch.
-	Flags uint32
-	// Mode is the supervisor mode (ModeEngaged for raw controllers).
-	Mode uint8
-
-	// References in effect.
-	IPSTarget   float64
-	PowerTarget float64
-	// Measured (possibly faulted/sanitized) and true plant outputs.
-	MeasIPS    float64
-	MeasPowerW float64
-	TrueIPS    float64
-	TruePowerW float64
-	// Kalman innovation y - Cx̂ of the step, absolute units (NaN when
-	// the stepping controller exposes none, e.g. fallback epochs).
-	InnovIPS    float64
-	InnovPowerW float64
-	// ExcessNorm is ‖u_requested − u_applied‖₂ from the LQG anti-windup
-	// feedback: nonzero means quantization or range saturation bit.
-	ExcessNorm float64
-	// Continuous actuation request in absolute units before
-	// quantization (NaN on epochs where no request was computed).
-	UFreqGHz    float64
-	UL2Ways     float64
-	UROBEntries float64
-
-	// ReqFreq/ReqCache/ReqROB are the quantized configuration indices
-	// the controller requested this epoch; CfgFreq/CfgCache/CfgROB are
-	// the indices in effect during the epoch (the previous request as
-	// the plant actually applied it). A persistent Req[k] != Cfg[k+1]
-	// divergence is the signature of a stuck actuator.
-	ReqFreq, ReqCache, ReqROB int16
-	CfgFreq, CfgCache, CfgROB int16
-}
 
 // Meta identifies a recording well enough to replay it: controller
 // architecture, workload, fault class, and the seed that fixes every
@@ -155,10 +66,10 @@ type Recordable interface {
 // safely. All methods are safe on a nil receiver.
 type Recorder struct {
 	mu     sync.Mutex
-	buf    []Record
+	buf    []obs.Event
 	next   int    // ring write position
 	count  int    // records currently in the ring
-	seq    uint64 // records ever appended; stamps Record.Epoch
+	seq    uint64 // records ever appended; stamps Event.Epoch
 	staged uint32 // flags staged for the next Append
 	meta   Meta
 	onDump func(reason string, r *Recorder)
@@ -170,22 +81,24 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Recorder{buf: make([]Record, capacity), meta: Meta{Version: FormatVersion, Capacity: capacity}}
+	return &Recorder{buf: make([]obs.Event, capacity), meta: Meta{Version: FormatVersion, Capacity: capacity}}
 }
 
-// Append writes one record, stamping its Epoch from the recorder's
-// sequence counter and merging (then clearing) any staged flags. The
-// hot-path cost is one uncontended mutex and a struct copy.
-func (r *Recorder) Append(rec Record) {
+// Append copies one record into the ring, stamping the copy's Epoch
+// from the recorder's sequence counter and merging (then clearing) any
+// staged flags; ev itself is not modified. The hot-path cost is one
+// uncontended mutex and a struct copy.
+func (r *Recorder) Append(ev *obs.Event) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	rec.Epoch = r.seq
-	rec.Flags |= r.staged
+	slot := &r.buf[r.next]
+	*slot = *ev
+	slot.Epoch = r.seq
+	slot.Flags |= r.staged
 	r.staged = 0
 	r.seq++
-	r.buf[r.next] = rec
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -209,13 +122,13 @@ func (r *Recorder) StageFlags(flags uint32) {
 }
 
 // Snapshot returns the ring contents in chronological order.
-func (r *Recorder) Snapshot() []Record {
+func (r *Recorder) Snapshot() []obs.Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Record, r.count)
+	out := make([]obs.Event, r.count)
 	start := r.next - r.count
 	if start < 0 {
 		start += len(r.buf)
@@ -314,11 +227,4 @@ func (r *Recorder) RequestDump(reason string) {
 	if fn != nil {
 		fn(reason, r)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -7,33 +7,38 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"mimoctl/internal/obs"
 )
 
 // rec returns a record whose fields are all derived from i, with NaN
 // and ±Inf planted on the float channels every few records — the dump
 // format must round-trip exactly the values a faulted run produces.
-func rec(i int) Record {
+func rec(i int) *obs.Event {
 	f := float64(i)
-	r := Record{
+	r := &obs.Event{
 		Flags: uint32(i), Mode: uint8(i % 2),
 		IPSTarget: 2.5, PowerTarget: 2.0,
-		MeasIPS: f * 1.01, MeasPowerW: f * 1.02,
+		IPS: f * 1.01, PowerW: f * 1.02,
 		TrueIPS: f * 1.03, TruePowerW: f * 1.04,
 		InnovIPS: f * 0.01, InnovPowerW: f * 0.02,
 		ExcessNorm: f * 0.001,
 		UFreqGHz:   f * 0.1, UL2Ways: f * 0.2, UROBEntries: f * 16,
-		ReqFreq: int16(i % 16), ReqCache: int16(i % 4), ReqROB: IdxNA,
+		ReqFreq: int16(i % 16), ReqCache: int16(i % 4), ReqROB: obs.IdxNA,
 		CfgFreq: int16((i + 1) % 16), CfgCache: int16((i + 1) % 4), CfgROB: 0,
 	}
 	switch i % 5 {
 	case 1:
-		r.MeasIPS = math.NaN()
+		r.IPS = math.NaN()
 		r.InnovIPS = math.NaN()
 	case 2:
-		r.MeasPowerW = math.Inf(1)
+		r.PowerW = math.Inf(1)
 	case 3:
 		r.UFreqGHz = math.Inf(-1)
 	}
+	// Fields the v1 binary record does not store hold what it decodes
+	// them as, so a ring snapshot and its decoded dump compare equal.
+	r.InnovNorm, r.Guardband = math.NaN(), math.NaN()
 	return r
 }
 
@@ -81,11 +86,11 @@ func TestAppendBelowCapacity(t *testing.T) {
 
 func TestStagedFlagsMergeOnce(t *testing.T) {
 	r := New(4)
-	r.StageFlags(FlagSupervised | FlagSanitizedIPS)
-	r.Append(Record{})
-	r.Append(Record{})
+	r.StageFlags(obs.FlagSupervised | obs.FlagSanitizedIPS)
+	r.Append(&obs.Event{})
+	r.Append(&obs.Event{})
 	snap := r.Snapshot()
-	if snap[0].Flags != FlagSupervised|FlagSanitizedIPS {
+	if snap[0].Flags != obs.FlagSupervised|obs.FlagSanitizedIPS {
 		t.Errorf("first record flags = %#x, want staged bits", snap[0].Flags)
 	}
 	if snap[1].Flags != 0 {
@@ -96,7 +101,7 @@ func TestStagedFlagsMergeOnce(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Append(rec(0))
-	r.StageFlags(FlagHold)
+	r.StageFlags(obs.FlagHold)
 	r.RequestDump("nil")
 	r.SetMeta(Meta{})
 	r.Reset()
@@ -116,7 +121,7 @@ func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < writes; i++ {
-			r.StageFlags(FlagSupervised)
+			r.StageFlags(obs.FlagSupervised)
 			r.Append(rec(i))
 		}
 	}()
@@ -270,7 +275,7 @@ func TestAppendDoesNotAllocate(t *testing.T) {
 	r := New(1024)
 	sample := rec(1)
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.StageFlags(FlagSupervised)
+		r.StageFlags(obs.FlagSupervised)
 		r.Append(sample)
 	})
 	if allocs != 0 {

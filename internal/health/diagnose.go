@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"mimoctl/internal/flightrec"
+	"mimoctl/internal/obs"
 )
 
 // Cause is a ranked root-cause hypothesis for a misbehaving loop.
@@ -55,7 +56,7 @@ const freezeRunLen = 8
 // hypotheses. It needs nothing but the dump: every detector works off
 // the recorded per-epoch evidence (flags, measured vs. true outputs,
 // innovation, requested vs. effective configuration, knob pinning).
-func Diagnose(meta flightrec.Meta, recs []flightrec.Record) *Diagnosis {
+func Diagnose(meta flightrec.Meta, recs []obs.Event) *Diagnosis {
 	d := &Diagnosis{Records: len(recs)}
 	if len(recs) == 0 {
 		d.Verdicts = []Verdict{{Cause: CauseHealthy, Score: 0, Evidence: "empty recording"}}
@@ -67,18 +68,18 @@ func Diagnose(meta flightrec.Meta, recs []flightrec.Record) *Diagnosis {
 	// frozen channels, and measured-vs-true divergence beyond noise.
 	sanitized, nonFinite, deviant, extreme := 0, 0, 0, 0
 	for _, r := range recs {
-		if r.Flags&(flightrec.FlagSanitizedIPS|flightrec.FlagSanitizedPower) != 0 {
+		if r.Flags&(obs.FlagSanitizedIPS|obs.FlagSanitizedPower) != 0 {
 			sanitized++
 		}
-		badIPS := math.IsNaN(r.MeasIPS) || math.IsInf(r.MeasIPS, 0)
-		badPow := math.IsNaN(r.MeasPowerW) || math.IsInf(r.MeasPowerW, 0)
+		badIPS := math.IsNaN(r.IPS) || math.IsInf(r.IPS, 0)
+		badPow := math.IsNaN(r.PowerW) || math.IsInf(r.PowerW, 0)
 		if badIPS || badPow {
 			nonFinite++
 			continue
 		}
 		// 1% / 2.5% relative noise: a 15% relative gap is > 5σ on both
 		// channels — measurement and plant disagree.
-		dev := math.Max(relDev(r.MeasIPS, r.TrueIPS), relDev(r.MeasPowerW, r.TruePowerW))
+		dev := math.Max(relDev(r.IPS, r.TrueIPS), relDev(r.PowerW, r.TruePowerW))
 		if dev > 0.15 {
 			deviant++
 		}
@@ -86,8 +87,8 @@ func Diagnose(meta flightrec.Meta, recs []flightrec.Record) *Diagnosis {
 			extreme++ // a >2× reading is a spike, not noise or drift
 		}
 	}
-	frozen := maxInt(freezeCount(recs, func(r flightrec.Record) float64 { return r.MeasIPS }),
-		freezeCount(recs, func(r flightrec.Record) float64 { return r.MeasPowerW }))
+	frozen := maxInt(freezeCount(recs, func(r obs.Event) float64 { return r.IPS }),
+		freezeCount(recs, func(r obs.Event) float64 { return r.PowerW }))
 	sensorFrac := math.Max(math.Max(float64(sanitized)/n, float64(nonFinite)/n),
 		math.Max(float64(frozen)/n, float64(deviant)/n))
 	// A sustained fault occupies a contiguous window of the ring (the
@@ -108,12 +109,12 @@ func Diagnose(meta flightrec.Meta, recs []flightrec.Record) *Diagnosis {
 		if nx.Epoch != r.Epoch+1 {
 			continue // ring gap
 		}
-		if r.Flags&flightrec.FlagApplyError != 0 {
+		if r.Flags&obs.FlagApplyError != 0 {
 			applyErrs++
 		}
 		mismatch := reqCfgMismatch(r, nx)
 		requested := r.ReqFreq != r.CfgFreq || r.ReqCache != r.CfgCache ||
-			(r.ReqROB != flightrec.IdxNA && r.ReqROB != r.CfgROB)
+			(r.ReqROB != obs.IdxNA && r.ReqROB != r.CfgROB)
 		if requested || mismatch {
 			attempted++
 			if mismatch {
@@ -202,7 +203,7 @@ func relDev(a, b float64) float64 {
 // freezeCount counts epochs belonging to runs of at least freezeRunLen
 // bit-identical consecutive readings. Bit equality (not ==) so frozen
 // NaN channels count as frozen too.
-func freezeCount(recs []flightrec.Record, get func(flightrec.Record) float64) int {
+func freezeCount(recs []obs.Event, get func(obs.Event) float64) int {
 	total, run := 0, 1
 	flush := func() {
 		if run >= freezeRunLen {
@@ -224,8 +225,8 @@ func freezeCount(recs []flightrec.Record, get func(flightrec.Record) float64) in
 // reqCfgMismatch reports whether the configuration in effect at the
 // next epoch differs from what this epoch requested, on the channels
 // the controller actually drives.
-func reqCfgMismatch(r, next flightrec.Record) bool {
-	if r.Flags&(flightrec.FlagFallback|flightrec.FlagHold) != 0 {
+func reqCfgMismatch(r, next obs.Event) bool {
+	if r.Flags&(obs.FlagFallback|obs.FlagHold) != 0 {
 		// Fallback pins and holds re-issue by design; only engaged
 		// requests witness the actuator.
 		return false
@@ -233,14 +234,14 @@ func reqCfgMismatch(r, next flightrec.Record) bool {
 	if r.ReqFreq != next.CfgFreq || r.ReqCache != next.CfgCache {
 		return true
 	}
-	return r.ReqROB != flightrec.IdxNA && r.ReqROB != next.CfgROB
+	return r.ReqROB != obs.IdxNA && r.ReqROB != next.CfgROB
 }
 
 // pinnedAtLimit reports whether any driven knob request sits at the
 // end of its legal range. Level counts come from the dump's meta; the
 // defaults match the simulator's tables (16 frequency steps, 4 cache
 // configurations, 8 ROB sizes).
-func pinnedAtLimit(r flightrec.Record, meta flightrec.Meta) bool {
+func pinnedAtLimit(r obs.Event, meta flightrec.Meta) bool {
 	fl, cl, rl := meta.FreqLevels, meta.CacheLevels, meta.ROBLevels
 	if fl <= 0 {
 		fl = 16
@@ -257,13 +258,13 @@ func pinnedAtLimit(r flightrec.Record, meta flightrec.Meta) bool {
 	if r.ReqCache == 0 || int(r.ReqCache) == cl-1 {
 		return true
 	}
-	return r.ReqROB != flightrec.IdxNA && (r.ReqROB == 0 || int(r.ReqROB) == rl-1)
+	return r.ReqROB != obs.IdxNA && (r.ReqROB == 0 || int(r.ReqROB) == rl-1)
 }
 
 // trackingFar reports whether the true outputs miss the references by
 // more than 20% — far beyond what the certified loop leaves in steady
 // state.
-func trackingFar(r flightrec.Record) bool {
+func trackingFar(r obs.Event) bool {
 	if r.IPSTarget > 0 && relDev(r.TrueIPS, r.IPSTarget) > 0.2 {
 		return true
 	}
@@ -273,7 +274,7 @@ func trackingFar(r flightrec.Record) bool {
 // innovationTrend returns (growth, p): growth is the ratio of the
 // largest to the smallest octile mean |innovation| (normalized by the
 // targets), p the worst-channel Ljung–Box p-value over the recording.
-func innovationTrend(recs []flightrec.Record) (growth, p float64) {
+func innovationTrend(recs []obs.Event) (growth, p float64) {
 	growth, p = 1, 1
 	for ch := 0; ch < 2; ch++ {
 		xs := make([]float64, 0, len(recs))

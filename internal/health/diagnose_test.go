@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mimoctl/internal/flightrec"
+	"mimoctl/internal/obs"
 )
 
 // synthMeta matches the simulator's knob tables.
@@ -17,21 +18,21 @@ func synthMeta() flightrec.Meta {
 // healthyRecords builds n epochs of a well-behaved loop: outputs near
 // target with deterministic wobble (so no channel ever looks frozen),
 // small innovations, every request applied the next epoch.
-func healthyRecords(n int) []flightrec.Record {
-	recs := make([]flightrec.Record, n)
+func healthyRecords(n int) []obs.Event {
+	recs := make([]obs.Event, n)
 	freq := int16(8)
 	for k := range recs {
 		wobbleI := 0.02 * math.Sin(0.7*float64(k))
 		wobbleP := 0.02 * math.Cos(1.3*float64(k))
 		nextFreq := int16(8 + k%2) // small dither, always applied
-		recs[k] = flightrec.Record{
+		recs[k] = obs.Event{
 			Epoch:     uint64(k),
 			IPSTarget: 2.5, PowerTarget: 2.0,
-			MeasIPS: 2.5 + wobbleI, MeasPowerW: 2.0 + wobbleP,
+			IPS: 2.5 + wobbleI, PowerW: 2.0 + wobbleP,
 			TrueIPS: 2.5 + wobbleI*0.9, TruePowerW: 2.0 + wobbleP*0.9,
 			InnovIPS: 0.01 * math.Sin(2.1*float64(k)), InnovPowerW: 0.01 * math.Cos(3.3*float64(k)),
 			UFreqGHz: 2.0, UL2Ways: 2.0, UROBEntries: 0,
-			ReqFreq: nextFreq, ReqCache: 2, ReqROB: flightrec.IdxNA,
+			ReqFreq: nextFreq, ReqCache: 2, ReqROB: obs.IdxNA,
 			CfgFreq: freq, CfgCache: 2, CfgROB: 0,
 		}
 		freq = nextFreq
@@ -39,7 +40,7 @@ func healthyRecords(n int) []flightrec.Record {
 	return recs
 }
 
-func top(t *testing.T, recs []flightrec.Record) Verdict {
+func top(t *testing.T, recs []obs.Event) Verdict {
 	t.Helper()
 	return Diagnose(synthMeta(), recs).Top()
 }
@@ -61,7 +62,7 @@ func TestDiagnoseEmptyRecording(t *testing.T) {
 func TestDiagnoseSensorNonFinite(t *testing.T) {
 	recs := healthyRecords(1000)
 	for k := 250; k < 400; k++ {
-		recs[k].MeasIPS = math.NaN()
+		recs[k].IPS = math.NaN()
 	}
 	v := top(t, recs)
 	if v.Cause != CauseSensorFault {
@@ -72,7 +73,7 @@ func TestDiagnoseSensorNonFinite(t *testing.T) {
 func TestDiagnoseSensorFrozen(t *testing.T) {
 	recs := healthyRecords(1000)
 	for k := 250; k < 400; k++ {
-		recs[k].MeasPowerW = 1.9173 // bit-identical across the window
+		recs[k].PowerW = 1.9173 // bit-identical across the window
 	}
 	v := top(t, recs)
 	if v.Cause != CauseSensorFault {
@@ -83,7 +84,7 @@ func TestDiagnoseSensorFrozen(t *testing.T) {
 func TestDiagnoseSensorSpikes(t *testing.T) {
 	recs := healthyRecords(1000)
 	for k := 0; k < 1000; k += 80 { // 13 massive spikes
-		recs[k].MeasIPS = 25.0
+		recs[k].IPS = 25.0
 	}
 	v := top(t, recs)
 	if v.Cause != CauseSensorFault {
@@ -108,7 +109,7 @@ func TestDiagnoseStuckActuator(t *testing.T) {
 func TestDiagnoseApplyErrors(t *testing.T) {
 	recs := healthyRecords(1000)
 	for k := 250; k < 400; k++ {
-		recs[k].Flags |= flightrec.FlagApplyError
+		recs[k].Flags |= obs.FlagApplyError
 	}
 	v := top(t, recs)
 	if v.Cause != CauseActuatorFault {
@@ -122,8 +123,8 @@ func TestDiagnoseInfeasibleReference(t *testing.T) {
 		// Pinned at the top of the frequency range, both true outputs far
 		// below their references, sensors agreeing with the plant.
 		recs[k].ReqFreq, recs[k].CfgFreq = 15, 15
-		recs[k].TrueIPS, recs[k].MeasIPS = 1.5, 1.5+0.001*math.Sin(float64(k))
-		recs[k].TruePowerW, recs[k].MeasPowerW = 1.2, 1.2+0.001*math.Cos(float64(k))
+		recs[k].TrueIPS, recs[k].IPS = 1.5, 1.5+0.001*math.Sin(float64(k))
+		recs[k].TruePowerW, recs[k].PowerW = 1.2, 1.2+0.001*math.Cos(float64(k))
 	}
 	v := top(t, recs)
 	if v.Cause != CauseInfeasibleReference {

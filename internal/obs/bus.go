@@ -1,14 +1,8 @@
 package obs
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"mimoctl/internal/telemetry"
 )
 
 // Bus is a bounded, lock-free multi-producer single-consumer event
@@ -317,116 +311,3 @@ func (b *Bus) flush(batch []Event) {
 		}
 	}
 }
-
-// NameFunc resolves a loop id to its registered name for the text
-// sinks; nil renders the numeric id.
-type NameFunc func(id uint32) string
-
-// JSONLSink renders one JSON object per event. Non-finite floats use
-// the shared telemetry.JSONFloat sentinels so faulted epochs — the ones
-// worth reading — survive encoding.
-type JSONLSink struct {
-	w     io.Writer
-	names NameFunc
-}
-
-// NewJSONLSink wraps w; names may be nil.
-func NewJSONLSink(w io.Writer, names NameFunc) *JSONLSink {
-	return &JSONLSink{w: w, names: names}
-}
-
-// WriteEvents implements Sink.
-func (s *JSONLSink) WriteEvents(batch []Event) error {
-	for i := range batch {
-		if err := writeEventJSON(s.w, &batch[i], s.names); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeEventJSON renders one event. Field order is fixed so streams are
-// diffable.
-func writeEventJSON(w io.Writer, ev *Event, names NameFunc) error {
-	_, err := fmt.Fprintf(w,
-		`{"loop":%q,"epoch":%d,"mode":%d,"health":%d,"adapt":%d,"flags":%d,`+
-			`"ips_target":%s,"power_target":%s,"ips":%s,"power_w":%s,`+
-			`"innov_norm":%s,"guardband":%s,"req_freq":%d,"req_cache":%d,"req_rob":%d}`+"\n",
-		loopName(ev.LoopID, names), ev.Epoch, ev.Mode, ev.Health, ev.Adapt, ev.Flags,
-		jf(ev.IPSTarget), jf(ev.PowerTarget), jf(ev.IPS), jf(ev.PowerW),
-		jf(ev.InnovNorm), jf(ev.Guardband), ev.ReqFreq, ev.ReqCache, ev.ReqROB)
-	return err
-}
-
-// jf renders a float as its JSON form with non-finite sentinels.
-func jf(v float64) string {
-	b, err := telemetry.JSONFloat(v).MarshalJSON()
-	if err != nil {
-		return `"NaN"`
-	}
-	return string(b)
-}
-
-func loopName(id uint32, names NameFunc) string {
-	if names != nil {
-		if n := names(id); n != "" {
-			return n
-		}
-	}
-	return "loop-" + strconv.FormatUint(uint64(id), 10)
-}
-
-// CSVSink renders events as CSV with a header row.
-type CSVSink struct {
-	w      *csv.Writer
-	names  NameFunc
-	wroteH bool
-}
-
-// NewCSVSink wraps w; names may be nil.
-func NewCSVSink(w io.Writer, names NameFunc) *CSVSink {
-	return &CSVSink{w: csv.NewWriter(w), names: names}
-}
-
-// csvHeader is the fixed column order of the CSV sink.
-var csvHeader = []string{
-	"loop", "epoch", "mode", "health", "adapt", "flags",
-	"ips_target", "power_target", "ips", "power_w",
-	"innov_norm", "guardband", "req_freq", "req_cache", "req_rob",
-}
-
-// WriteEvents implements Sink.
-func (s *CSVSink) WriteEvents(batch []Event) error {
-	if !s.wroteH {
-		if err := s.w.Write(csvHeader); err != nil {
-			return err
-		}
-		s.wroteH = true
-	}
-	row := make([]string, len(csvHeader))
-	for i := range batch {
-		ev := &batch[i]
-		row[0] = loopName(ev.LoopID, s.names)
-		row[1] = strconv.FormatUint(ev.Epoch, 10)
-		row[2] = strconv.Itoa(int(ev.Mode))
-		row[3] = strconv.Itoa(int(ev.Health))
-		row[4] = strconv.Itoa(int(ev.Adapt))
-		row[5] = strconv.Itoa(int(ev.Flags))
-		row[6] = cf(ev.IPSTarget)
-		row[7] = cf(ev.PowerTarget)
-		row[8] = cf(ev.IPS)
-		row[9] = cf(ev.PowerW)
-		row[10] = cf(ev.InnovNorm)
-		row[11] = cf(ev.Guardband)
-		row[12] = strconv.Itoa(int(ev.ReqFreq))
-		row[13] = strconv.Itoa(int(ev.ReqCache))
-		row[14] = strconv.Itoa(int(ev.ReqROB))
-		if err := s.w.Write(row); err != nil {
-			return err
-		}
-	}
-	s.w.Flush()
-	return s.w.Error()
-}
-
-func cf(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

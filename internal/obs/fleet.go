@@ -22,7 +22,7 @@ type Options struct {
 	// ScopeLimit bounds live per-loop scopes (default 1024, <0 disables
 	// the bound).
 	ScopeLimit int
-	// Bus, when non-nil, receives one wide Event per observed epoch per
+	// Bus, when non-nil, receives one Event per observed epoch per
 	// loop.
 	Bus *Bus
 	// Specs are the control SLOs evaluated per loop; nil selects
@@ -149,22 +149,6 @@ func (f *Fleet) Loop(name string) *Loop {
 	return f.loops[name]
 }
 
-// Sample is one epoch's observation handed to Loop.Observe. The driving
-// harness owns the sampling; the struct is fixed-size so the call never
-// allocates.
-type Sample struct {
-	// Mode: 0 engaged, 1 fallback. Health: model-health level. Adapt:
-	// adaptation state. Flags: Event flag bits.
-	Mode, Health, Adapt, Flags uint8
-
-	IPSTarget, PowerTarget float64
-	IPS, PowerW            float64
-
-	InnovNorm, Guardband float64
-
-	ReqFreq, ReqCache, ReqROB int16
-}
-
 // Loop is one registered control loop's observer handle.
 type Loop struct {
 	fleet *Fleet
@@ -212,14 +196,14 @@ func (l *Loop) Scope() *telemetry.Registry { return l.scope }
 // (~300-epoch window).
 const rmsAlpha = 1.0 / 256
 
-// Observe folds one epoch in: SLO rings, per-loop gauges, and — when a
-// bus is attached — one published Event. Nil-safe (a nil loop ignores
-// the sample) so call sites need no events-on check; the whole path is
-// allocation-free (TestObserveAllocFree).
-func (l *Loop) Observe(s Sample) {
-	var ev Event
-	if l.ObserveInto(s, &ev) {
-		l.fleet.opts.Bus.Publish(&ev)
+// Observe folds one epoch in — SLO rings, per-loop gauges — and, when
+// a bus is attached, publishes the event. It stamps ev's LoopID, Epoch
+// and FlagTargetChange; the caller fills the rest. Nil-safe (a nil loop
+// ignores the event) so call sites need no events-on check; the whole
+// path is allocation-free (TestObserveAllocFree).
+func (l *Loop) Observe(ev *Event) {
+	if l.ObserveInto(ev) {
+		l.fleet.opts.Bus.Publish(ev)
 	}
 }
 
@@ -232,23 +216,25 @@ func (l *Loop) Bus() *Bus {
 	return l.fleet.opts.Bus
 }
 
-// ObserveInto is Observe with the bus publish factored out: it folds
-// the sample into the loop's SLO and gauge state exactly as Observe
-// does and, when the fleet carries a bus, fills ev with the event
-// Observe would have published and reports true. The batched supervised
-// tier uses it to accumulate one fleet epoch's events and ship them in
-// a single bulk PublishBatch instead of N ring reservations.
-func (l *Loop) ObserveInto(s Sample, ev *Event) bool {
+// ObserveInto is Observe with the bus publish factored out: it stamps
+// and folds ev exactly as Observe does and reports whether the fleet
+// carries a bus, i.e. whether Observe would have published ev. The
+// batched supervised tier fills its per-epoch scratch slots in place
+// and ships one fleet epoch in a single bulk PublishBatch instead of N
+// ring reservations.
+func (l *Loop) ObserveInto(ev *Event) bool {
 	if l == nil {
 		return false
 	}
 	l.mu.Lock()
 	l.epoch++
-	if !l.haveTargets || s.IPSTarget != l.prevIPSTarget || s.PowerTarget != l.prevPowerTarget {
+	ev.LoopID, ev.Epoch = l.id, l.epoch
+	ev.Flags &^= FlagTargetChange
+	if !l.haveTargets || ev.IPSTarget != l.prevIPSTarget || ev.PowerTarget != l.prevPowerTarget {
 		if l.haveTargets {
-			s.Flags |= FlagTargetChange
+			ev.Flags |= FlagTargetChange
 		}
-		l.prevIPSTarget, l.prevPowerTarget = s.IPSTarget, s.PowerTarget
+		l.prevIPSTarget, l.prevPowerTarget = ev.IPSTarget, ev.PowerTarget
 		l.haveTargets = true
 		l.sinceTargetChange = 0
 	} else {
@@ -257,7 +243,7 @@ func (l *Loop) ObserveInto(s Sample, ev *Event) bool {
 
 	alerting, burning := false, false
 	for i, e := range l.slos {
-		bad := e.spec.isBad(&s, l.sinceTargetChange)
+		bad := e.spec.isBad(ev, l.sinceTargetChange)
 		e.observe(bad)
 		alerting = alerting || e.alerting
 		burning = burning || e.burning
@@ -275,20 +261,16 @@ func (l *Loop) ObserveInto(s Sample, ev *Event) bool {
 	}
 
 	// Derived per-loop signals shared by every spec.
-	worst := relErr(s.IPS, s.IPSTarget)
-	if p := relErr(s.PowerW, s.PowerTarget); p > worst {
-		worst = p
-	}
-	if !math.IsInf(worst, 0) {
+	if worst := TrackErr(ev); !math.IsInf(worst, 0) {
 		l.emaSq += rmsAlpha * (worst*worst - l.emaSq)
 	}
-	if above(s.PowerW, s.PowerTarget) > 0.15 {
+	if above(ev.PowerW, ev.PowerTarget) > 0.15 {
 		l.violationEpochs++
 		if l.mViolation != nil {
 			l.mViolation.Inc()
 		}
 	}
-	if s.Mode != 0 {
+	if ev.Mode != ModeEngaged {
 		l.fallbackEpochs++
 		if l.mFallback != nil {
 			l.mFallback.Inc()
@@ -300,7 +282,6 @@ func (l *Loop) ObserveInto(s Sample, ev *Event) bool {
 	}
 
 	transition := alerting != l.wasAlerting || burning != l.wasBurning
-	epoch := l.epoch
 	if transition {
 		if alerting != l.wasAlerting {
 			l.fleet.bump(&l.fleet.alerting, alerting)
@@ -315,19 +296,7 @@ func (l *Loop) ObserveInto(s Sample, ev *Event) bool {
 	if transition && l.fleet.opts.PublishVerdict {
 		publishGlobal(l.fleet.verdict())
 	}
-
-	if l.fleet.opts.Bus == nil {
-		return false
-	}
-	*ev = Event{
-		LoopID: l.id, Epoch: epoch,
-		Mode: s.Mode, Health: s.Health, Adapt: s.Adapt, Flags: s.Flags,
-		IPSTarget: s.IPSTarget, PowerTarget: s.PowerTarget,
-		IPS: s.IPS, PowerW: s.PowerW,
-		InnovNorm: s.InnovNorm, Guardband: s.Guardband,
-		ReqFreq: s.ReqFreq, ReqCache: s.ReqCache, ReqROB: s.ReqROB,
-	}
-	return true
+	return l.fleet.opts.Bus != nil
 }
 
 func (f *Fleet) bump(ctr *atomic.Int64, up bool) {

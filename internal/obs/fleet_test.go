@@ -9,12 +9,12 @@ import (
 	"mimoctl/internal/telemetry"
 )
 
-func goodSample() Sample {
-	return Sample{IPSTarget: 100, PowerTarget: 10, IPS: 98, PowerW: 9.5}
+func goodSample() *Event {
+	return &Event{IPSTarget: 100, PowerTarget: 10, IPS: 98, PowerW: 9.5}
 }
 
-func badSample() Sample {
-	return Sample{IPSTarget: 100, PowerTarget: 10, IPS: 20, PowerW: 14, Mode: 1}
+func badSample() *Event {
+	return &Event{IPSTarget: 100, PowerTarget: 10, IPS: 20, PowerW: 14, Mode: ModeFallback}
 }
 
 func TestFleetVerdictTransitions(t *testing.T) {
@@ -136,7 +136,7 @@ func TestFleetTargetChangeResetsSettling(t *testing.T) {
 	l := f.Register("x")
 	// Converged at target 100.
 	for i := 0; i < 20; i++ {
-		l.Observe(Sample{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10})
+		l.Observe(&Event{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10})
 	}
 	e := l.slos[0]
 	if e.totalBad != 0 {
@@ -144,14 +144,14 @@ func TestFleetTargetChangeResetsSettling(t *testing.T) {
 	}
 	// Target step: loop is far off but within grace — not bad yet.
 	for i := 0; i < 5; i++ {
-		l.Observe(Sample{IPSTarget: 200, PowerTarget: 10, IPS: 100, PowerW: 10})
+		l.Observe(&Event{IPSTarget: 200, PowerTarget: 10, IPS: 100, PowerW: 10})
 	}
 	if e.totalBad != 0 {
 		t.Fatalf("grace period violated: %d bad epochs", e.totalBad)
 	}
 	// Still off past grace: now bad.
 	for i := 0; i < 5; i++ {
-		l.Observe(Sample{IPSTarget: 200, PowerTarget: 10, IPS: 100, PowerW: 10})
+		l.Observe(&Event{IPSTarget: 200, PowerTarget: 10, IPS: 100, PowerW: 10})
 	}
 	if e.totalBad == 0 {
 		t.Fatal("unsettled loop past grace must count bad epochs")

@@ -221,39 +221,48 @@ func (e *sloEval) worstBurn() float64 {
 	return worst
 }
 
-// isBad evaluates the spec's badness condition on one sample. since is
+// isBad evaluates the spec's badness condition on one epoch. since is
 // the number of epochs since the last target change.
-func (s Spec) isBad(sample *Sample, since int) bool {
+func (s Spec) isBad(ev *Event, since int) bool {
 	switch s.Signal {
 	case SignalTrackingError:
-		return relErr(sample.IPS, sample.IPSTarget) > s.Threshold ||
-			relErr(sample.PowerW, sample.PowerTarget) > s.Threshold
+		return TrackErr(ev) > s.Threshold
 	case SignalOvershoot:
-		return above(sample.IPS, sample.IPSTarget) > s.Threshold ||
-			above(sample.PowerW, sample.PowerTarget) > s.Threshold
+		return above(ev.IPS, ev.IPSTarget) > s.Threshold ||
+			above(ev.PowerW, ev.PowerTarget) > s.Threshold
 	case SignalSettling:
-		if since <= s.Grace {
-			return false
-		}
-		return relErr(sample.IPS, sample.IPSTarget) > s.Threshold ||
-			relErr(sample.PowerW, sample.PowerTarget) > s.Threshold
+		return since > s.Grace && TrackErr(ev) > s.Threshold
 	case SignalPowerBudget:
-		return above(sample.PowerW, sample.PowerTarget) > s.Threshold
+		return above(ev.PowerW, ev.PowerTarget) > s.Threshold
 	case SignalFallback:
-		return sample.Mode != 0
+		return ev.Mode != ModeEngaged
 	}
 	return false
 }
 
-// relErr is |v-target|/target (0 when the target is not positive, NaN
-// counts as bad via the > comparison convention below).
+// TrackErr is the worst-channel relative tracking error of ev's
+// measured outputs against its targets, max over IPS and power of
+// |y-r|/r. A channel whose target is not positive contributes 0; a
+// non-finite measurement makes the error +Inf (maximally bad). The SLO
+// tracking and settling signals, the per-loop RMS gauge and the history
+// store's track_err signal all score this one function.
+func TrackErr(ev *Event) float64 {
+	worst := relErr(ev.IPS, ev.IPSTarget)
+	if p := relErr(ev.PowerW, ev.PowerTarget); p > worst {
+		worst = p
+	}
+	return worst
+}
+
+// relErr is |v-target|/target (0 when the target is not positive, +Inf
+// for a non-finite measurement).
 func relErr(v, target float64) float64 {
 	if !(target > 0) {
 		return 0
 	}
 	e := math.Abs(v-target) / target
 	if math.IsNaN(e) {
-		return math.Inf(1) // a non-finite measurement is maximally bad
+		return math.Inf(1)
 	}
 	return e
 }

@@ -84,34 +84,34 @@ func TestSLOPartialWindow(t *testing.T) {
 }
 
 func TestIsBadSignals(t *testing.T) {
-	s := Sample{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10}
+	s := Event{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10}
 	cases := []struct {
-		name   string
-		spec   Spec
-		mut    func(*Sample)
-		since  int
-		want   bool
+		name  string
+		spec  Spec
+		mut   func(*Event)
+		since int
+		want  bool
 	}{
 		{"tracking-ok", Spec{Signal: SignalTrackingError, Threshold: 0.25}, nil, 0, false},
 		{"tracking-low-ips", Spec{Signal: SignalTrackingError, Threshold: 0.25},
-			func(s *Sample) { s.IPS = 60 }, 0, true},
+			func(s *Event) { s.IPS = 60 }, 0, true},
 		{"tracking-nan", Spec{Signal: SignalTrackingError, Threshold: 0.25},
-			func(s *Sample) { s.IPS = math.NaN() }, 0, true},
+			func(s *Event) { s.IPS = math.NaN() }, 0, true},
 		{"overshoot-under-is-fine", Spec{Signal: SignalOvershoot, Threshold: 0.1},
-			func(s *Sample) { s.IPS = 50 }, 0, false},
+			func(s *Event) { s.IPS = 50 }, 0, false},
 		{"overshoot-over", Spec{Signal: SignalOvershoot, Threshold: 0.1},
-			func(s *Sample) { s.PowerW = 12 }, 0, true},
+			func(s *Event) { s.PowerW = 12 }, 0, true},
 		{"settling-in-grace", Spec{Signal: SignalSettling, Threshold: 0.25, Grace: 10},
-			func(s *Sample) { s.IPS = 10 }, 5, false},
+			func(s *Event) { s.IPS = 10 }, 5, false},
 		{"settling-past-grace", Spec{Signal: SignalSettling, Threshold: 0.25, Grace: 10},
-			func(s *Sample) { s.IPS = 10 }, 11, true},
+			func(s *Event) { s.IPS = 10 }, 11, true},
 		{"power-budget", Spec{Signal: SignalPowerBudget, Threshold: 0.15},
-			func(s *Sample) { s.PowerW = 12 }, 0, true},
+			func(s *Event) { s.PowerW = 12 }, 0, true},
 		{"power-budget-under", Spec{Signal: SignalPowerBudget, Threshold: 0.15},
-			func(s *Sample) { s.PowerW = 5 }, 0, false},
-		{"fallback", Spec{Signal: SignalFallback}, func(s *Sample) { s.Mode = 1 }, 0, true},
+			func(s *Event) { s.PowerW = 5 }, 0, false},
+		{"fallback", Spec{Signal: SignalFallback}, func(s *Event) { s.Mode = ModeFallback }, 0, true},
 		{"no-target-no-badness", Spec{Signal: SignalTrackingError, Threshold: 0.25},
-			func(s *Sample) { s.IPSTarget, s.PowerTarget = 0, 0; s.IPS = 1e9 }, 0, false},
+			func(s *Event) { s.IPSTarget, s.PowerTarget = 0, 0; s.IPS = 1e9 }, 0, false},
 	}
 	for _, tc := range cases {
 		sample := s

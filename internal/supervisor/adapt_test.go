@@ -10,6 +10,7 @@ import (
 	"mimoctl/internal/health"
 	"mimoctl/internal/lqg"
 	"mimoctl/internal/mat"
+	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/sysid"
 )
@@ -199,7 +200,7 @@ func TestSwapFlagsReachRecorder(t *testing.T) {
 	recs := rec.Snapshot()
 	sawExcite := false
 	for _, r := range recs {
-		if r.Flags&flightrec.FlagExcitation != 0 {
+		if r.Flags&obs.FlagExcitation != 0 {
 			sawExcite = true
 		}
 	}

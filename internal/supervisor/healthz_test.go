@@ -7,6 +7,7 @@ import (
 
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/health"
+	"mimoctl/internal/obs"
 )
 
 func TestHealthzFallbackIsUnhealthy(t *testing.T) {
@@ -145,13 +146,13 @@ func TestSupervisedRecordsEveryEpoch(t *testing.T) {
 		if r.Epoch != uint64(k) {
 			t.Errorf("record %d has epoch %d", k, r.Epoch)
 		}
-		if r.Flags&flightrec.FlagSupervised == 0 {
+		if r.Flags&obs.FlagSupervised == 0 {
 			t.Errorf("record %d missing FlagSupervised", k)
 		}
-		if r.Mode != flightrec.ModeEngaged {
+		if r.Mode != obs.ModeEngaged {
 			t.Errorf("record %d mode %d, want engaged", k, r.Mode)
 		}
-		if r.IPSTarget == 0 || r.MeasIPS == 0 {
+		if r.IPSTarget == 0 || r.IPS == 0 {
 			t.Errorf("record %d payload empty: %+v", k, r)
 		}
 	}
@@ -167,10 +168,10 @@ func TestSupervisedRecordsSanitizeFlags(t *testing.T) {
 	bad.IPS = math.NaN()
 	sup.Step(bad)
 	snap := rec.Snapshot()
-	if snap[0].Flags&flightrec.FlagSanitizedIPS != 0 {
+	if snap[0].Flags&obs.FlagSanitizedIPS != 0 {
 		t.Error("clean epoch carries a sanitize flag")
 	}
-	if snap[1].Flags&flightrec.FlagSanitizedIPS == 0 {
+	if snap[1].Flags&obs.FlagSanitizedIPS == 0 {
 		t.Error("sanitized epoch not flagged")
 	}
 }
@@ -202,7 +203,7 @@ func TestFallbackRecordsAndRequestsDump(t *testing.T) {
 		t.Fatalf("recorded %d epochs, want %d", len(snap), epochs)
 	}
 	last := snap[len(snap)-1]
-	if last.Flags&flightrec.FlagFallback == 0 || last.Mode != flightrec.ModeFallback {
+	if last.Flags&obs.FlagFallback == 0 || last.Mode != obs.ModeFallback {
 		t.Fatalf("fallback epoch not flagged: %+v", last)
 	}
 

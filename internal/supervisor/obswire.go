@@ -7,12 +7,11 @@ import (
 	"mimoctl/internal/sim"
 )
 
-// Observability wiring: when a fleet loop handle is attached, every
-// Step publishes one wide obs.Sample — the per-epoch record the fleet
-// plane scores against the control SLOs and (when a bus is attached)
-// ships as an event. A nil handle keeps the whole path inert; with one
-// attached the cost is one fixed-size struct fill plus the fleet's
-// allocation-free Observe.
+// Per-epoch record wiring: every Step ends in endEpoch, which fills one
+// obs.Event for the flight ring and the fleet plane. With neither
+// attached nothing is filled; with either, the cost is one fixed-size
+// struct fill plus the ring append and the fleet's allocation-free
+// Observe.
 
 // SetLoopObs attaches (or, with nil, detaches) the fleet observability
 // handle for this supervisor's loop.
@@ -21,60 +20,43 @@ func (s *Supervised) SetLoopObs(l *obs.Loop) { s.loopObs = l }
 // LoopObs returns the attached fleet loop handle (nil when detached).
 func (s *Supervised) LoopObs() *obs.Loop { return s.loopObs }
 
-// obsFlags maps this epoch's supervisor evidence to Event flag bits.
-func (s *Supervised) obsFlags(clean bool) uint8 {
-	var f uint8
-	if !clean {
-		f |= obs.FlagSanitized
+// endEpoch writes the epoch's record and publishes it to the fleet
+// plane. t carries the sanitized measurements, req the configuration
+// issued, flags the supervisor's evidence for this epoch, and innov the
+// inner controller's fresh innovation (nil on epochs it did not step).
+// author selects whether the supervisor also appends the record to the
+// flight ring: it does on fallback pins, actuation holds and engaged
+// epochs of an inner that does not record itself; a recording inner has
+// already written its engaged epochs. Controller internals only the
+// inner computes (continuous request, excess) are NaN.
+func (s *Supervised) endEpoch(t *sim.Telemetry, req sim.Config, flags uint32, mode uint8, innov []float64, author bool) {
+	rec := s.rec
+	if !author {
+		rec = nil
 	}
-	if !s.applyOK {
-		f |= obs.FlagApplyError
-	}
-	if s.mode == ModeFallback {
-		f |= obs.FlagFallback
-	}
-	return f
-}
-
-// publishObs hands the epoch to the fleet plane. t carries the
-// sanitized measurements; innov is the worst-channel relative Kalman
-// innovation (NaN on epochs the inner controller did not step).
-func (s *Supervised) publishObs(t *sim.Telemetry, cfg sim.Config, flags uint8, innov float64) {
-	l := s.loopObs
-	if l == nil {
+	if rec == nil && s.loopObs == nil {
 		return
 	}
-	guard := math.NaN()
+	// Field by field rather than a composite literal, which would be
+	// built in a zeroed temporary and copied into ev.
+	nan := math.NaN()
+	var ev obs.Event
+	ev.Flags, ev.Mode, ev.Health = flags, mode, uint8(s.opts.ModelHealth.Level())
+	ev.IPSTarget, ev.PowerTarget = s.ipsTarget, s.powerTarget
+	ev.IPS, ev.PowerW, ev.TrueIPS, ev.TruePowerW = t.IPS, t.PowerW, t.TrueIPS, t.TruePowerW
+	ev.InnovIPS, ev.InnovPowerW, ev.InnovNorm = nan, nan, nan
+	ev.ExcessNorm, ev.Guardband, ev.UFreqGHz, ev.UL2Ways, ev.UROBEntries = nan, nan, nan, nan, nan
+	ev.ReqFreq, ev.ReqCache, ev.ReqROB = int16(req.FreqIdx), int16(req.CacheIdx), int16(req.ROBIdx)
+	ev.CfgFreq, ev.CfgCache, ev.CfgROB = int16(t.Config.FreqIdx), int16(t.Config.CacheIdx), int16(t.Config.ROBIdx)
+	if v := s.relInnovation(innov); v >= 0 {
+		ev.InnovIPS, ev.InnovPowerW, ev.InnovNorm = innov[0], innov[1], v
+	}
 	if mon := s.opts.ModelHealth; mon != nil {
-		guard = mon.Snapshot().GuardbandConsumption
+		ev.Guardband = mon.Snapshot().GuardbandConsumption
 	}
-	var adaptState uint8
 	if s.adapter != nil {
-		adaptState = uint8(s.adapter.State())
+		ev.Adapt = uint8(s.adapter.State())
 	}
-	l.Observe(obs.Sample{
-		Mode:        uint8(s.mode),
-		Health:      uint8(s.opts.ModelHealth.Level()),
-		Adapt:       adaptState,
-		Flags:       flags,
-		IPSTarget:   s.ipsTarget,
-		PowerTarget: s.powerTarget,
-		IPS:         t.IPS,
-		PowerW:      t.PowerW,
-		InnovNorm:   innov,
-		Guardband:   guard,
-		ReqFreq:     int16(cfg.FreqIdx),
-		ReqCache:    int16(cfg.CacheIdx),
-		ReqROB:      int16(cfg.ROBIdx),
-	})
-}
-
-// lastInnovNorm returns the freshly stepped inner controller's relative
-// innovation magnitude, NaN when unavailable. Allocation-free via the
-// shared scratch buffer.
-func (s *Supervised) lastInnovNorm() float64 {
-	if v := s.relInnovation(s.lastInnovation()); v >= 0 {
-		return v
-	}
-	return math.NaN()
+	rec.Append(&ev)
+	s.loopObs.Observe(&ev)
 }

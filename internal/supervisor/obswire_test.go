@@ -19,9 +19,8 @@ func driveSLOVerdict(t *testing.T, level obs.Level) {
 		Windows: []obs.Window{{Epochs: 8, MaxBurn: 3}, {Epochs: 32, MaxBurn: 1.5}},
 	}}})
 	l := f.Register("x")
-	good := obs.Sample{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10}
-	bad := good
-	bad.IPS = 10
+	good := &obs.Event{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10}
+	bad := &obs.Event{IPSTarget: 100, PowerTarget: 10, IPS: 10, PowerW: 10}
 	switch level {
 	case obs.LevelOK:
 		for i := 0; i < 64; i++ {
@@ -141,7 +140,7 @@ func TestSupervisedPublishesObsSamples(t *testing.T) {
 	bad.IPS = math.NaN()
 	sup2.Step(bad)
 	ev := <-events
-	if ev.Flags&obs.FlagSanitized == 0 {
+	if ev.Flags&obs.FlagSanitizedIPS == 0 {
 		t.Fatalf("sanitized epoch not flagged: %+v", ev)
 	}
 	if ev.IPSTarget == 0 || ev.ReqFreq == 0 && ev.ReqCache == 0 && ev.ReqROB == 0 {

@@ -292,7 +292,7 @@ type Supervised struct {
 	adapter *adapt.Adapter
 
 	// Per-instance instrument binding (nil: use the global SetTelemetry
-	// binding) and fleet observability handle (nil: no per-epoch samples).
+	// binding) and fleet observability handle (nil: no per-epoch events).
 	tel     *supMetrics
 	loopObs *obs.Loop
 }
@@ -429,18 +429,15 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 	}
 	ipsOK, powerOK := s.sanitize(&t, m)
 	clean := ipsOK && powerOK
-	var flags uint32
-	if s.rec != nil {
-		flags = flightrec.FlagSupervised
-		if !ipsOK {
-			flags |= flightrec.FlagSanitizedIPS
-		}
-		if !powerOK {
-			flags |= flightrec.FlagSanitizedPower
-		}
-		if !s.applyOK {
-			flags |= flightrec.FlagApplyError
-		}
+	flags := obs.FlagSupervised
+	if !ipsOK {
+		flags |= obs.FlagSanitizedIPS
+	}
+	if !powerOK {
+		flags |= obs.FlagSanitizedPower
+	}
+	if !s.applyOK {
+		flags |= obs.FlagApplyError
 	}
 
 	if s.mode == ModeFallback {
@@ -479,8 +476,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 				s.rec.RequestDump("adapt-revert")
 			}
 		}
-		s.recordEpoch(t, cfg, flags|flightrec.FlagFallback, flightrec.ModeFallback)
-		s.publishObs(&t, cfg, s.obsFlags(clean), math.NaN())
+		s.endEpoch(&t, cfg, flags|obs.FlagFallback, obs.ModeFallback, nil, true)
 		return cfg
 	}
 
@@ -548,8 +544,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 			}
 			s.adapter.NoteGap()
 		}
-		s.recordEpoch(t, s.opts.Safe, flags|flightrec.FlagFallback, flightrec.ModeFallback)
-		s.publishObs(&t, s.opts.Safe, s.obsFlags(clean), math.NaN())
+		s.endEpoch(&t, s.opts.Safe, flags|obs.FlagFallback, obs.ModeFallback, nil, true)
 		return s.opts.Safe
 	}
 
@@ -562,8 +557,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 		s.adapter.NoteGap()
 		if s.holdEpochs > 0 {
 			s.holdEpochs--
-			s.recordEpoch(t, t.Config, flags|flightrec.FlagHold, flightrec.ModeEngaged)
-			s.publishObs(&t, t.Config, s.obsFlags(clean), math.NaN())
+			s.endEpoch(&t, t.Config, flags|obs.FlagHold, obs.ModeEngaged, nil, true)
 			return t.Config
 		}
 		s.health.ApplyRetries++
@@ -576,8 +570,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 			s.backoff *= 2
 		}
 		s.holdEpochs = s.backoff
-		s.recordEpoch(t, s.lastRequested, flags|flightrec.FlagHold, flightrec.ModeEngaged)
-		s.publishObs(&t, s.lastRequested, s.obsFlags(clean), math.NaN())
+		s.endEpoch(&t, s.lastRequested, flags|obs.FlagHold, obs.ModeEngaged, nil, true)
 		return s.lastRequested
 	}
 
@@ -619,25 +612,20 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 			}
 		}
 	}
-	if s.innerRecords {
-		if illegal {
-			// The inner's record for this epoch is already written; the
-			// flag rides on the next one (one-epoch smear, still visible).
-			s.rec.StageFlags(flightrec.FlagIllegalConfig)
-		}
-		if adaptFlags != 0 {
-			// Same one-epoch smear for excitation/swap evidence.
-			s.rec.StageFlags(adaptFlags)
-		}
-	} else {
-		if illegal {
-			flags |= flightrec.FlagIllegalConfig
-		}
-		s.recordEpoch(t, cfg, flags|adaptFlags, flightrec.ModeEngaged)
+	late := adaptFlags
+	if illegal {
+		late |= obs.FlagIllegalConfig
 	}
+	if s.innerRecords && late != 0 {
+		// The inner's record for this epoch is already written; the
+		// evidence rides on the next one (one-epoch smear, still
+		// visible). The bus event below carries it on this epoch.
+		s.rec.StageFlags(late)
+	}
+	flags |= late
 	s.lastRequested = cfg
 	s.haveRequested = true
-	s.publishObs(&t, cfg, s.obsFlags(clean), s.lastInnovNorm())
+	s.endEpoch(&t, cfg, flags, obs.ModeEngaged, s.lastInnovation(), !s.innerRecords)
 	return cfg
 }
 
@@ -683,39 +671,6 @@ func (s *Supervised) lastInnovation() []float64 {
 		return ir.LastInnovation()
 	}
 	return nil
-}
-
-// recordEpoch writes a supervisor-authored flight record for epochs the
-// inner controller did not step (fallback, holds) or cannot record
-// itself. Controller internals (innovation, continuous request, excess)
-// are NaN: nothing computed them this epoch.
-func (s *Supervised) recordEpoch(t sim.Telemetry, req sim.Config, flags uint32, mode uint8) {
-	if s.rec == nil {
-		return
-	}
-	nan := math.NaN()
-	s.rec.Append(flightrec.Record{
-		Flags:       flags,
-		Mode:        mode,
-		IPSTarget:   s.ipsTarget,
-		PowerTarget: s.powerTarget,
-		MeasIPS:     t.IPS,
-		MeasPowerW:  t.PowerW,
-		TrueIPS:     t.TrueIPS,
-		TruePowerW:  t.TruePowerW,
-		InnovIPS:    nan,
-		InnovPowerW: nan,
-		ExcessNorm:  nan,
-		UFreqGHz:    nan,
-		UL2Ways:     nan,
-		UROBEntries: nan,
-		ReqFreq:     int16(req.FreqIdx),
-		ReqCache:    int16(req.CacheIdx),
-		ReqROB:      int16(req.ROBIdx),
-		CfgFreq:     int16(t.Config.FreqIdx),
-		CfgCache:    int16(t.Config.CacheIdx),
-		CfgROB:      int16(t.Config.ROBIdx),
-	})
 }
 
 // sanitize replaces implausible sensor readings with the last good ones

@@ -13,8 +13,9 @@ import (
 // the string sentinels "NaN", "+Inf", and "-Inf" instead and accepts
 // both plain numbers and sentinels on decode. Finite values marshal via
 // encoding/json itself, so their text form is byte-identical to a plain
-// float64 field. The flight-recorder JSONL format (internal/flightrec)
-// shares this type, so both trace families round-trip the same way.
+// float64 field. The per-epoch record's text codec (internal/obs: the
+// event stream, flight-recorder JSONL dumps and cmd/mimotrace) encodes
+// its floats with this type.
 type JSONFloat float64
 
 // MarshalJSON implements json.Marshaler.

@@ -50,43 +50,45 @@ func TestJSONFloatAcceptsBareInf(t *testing.T) {
 }
 
 // TestJSONLTraceNaNInfRoundTrip is the end-to-end satellite: a faulted
-// run's JSONL trace encodes non-finite readings as sentinels and
-// ReadEpochEventsJSONL restores them bit-exactly.
+// run's JSONL trace encodes non-finite readings as sentinels and a
+// streaming decoder restores them bit-exactly.
 func TestJSONLTraceNaNInfRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	events := []EpochEvent{
-		{Epoch: 0, IPS: 2.5, PowerW: 2.0, InnovIPS: 0.01, Mode: "engaged"},
-		{Epoch: 1, IPS: math.NaN(), PowerW: math.Inf(1), TrueIPS: 2.4, InnovIPS: math.NaN()},
-		{Epoch: 2, IPS: 2.6, PowerW: math.Inf(-1), TempC: math.NaN()},
+	type row struct {
+		Epoch  int       `json:"epoch"`
+		IPS    JSONFloat `json:"ips_meas"`
+		PowerW JSONFloat `json:"power_meas"`
+		Innov  JSONFloat `json:"innov_ips"`
 	}
+	events := []row{
+		{Epoch: 0, IPS: 2.5, PowerW: 2.0, Innov: 0.01},
+		{Epoch: 1, IPS: JSONFloat(math.NaN()), PowerW: JSONFloat(math.Inf(1)), Innov: JSONFloat(math.NaN())},
+		{Epoch: 2, IPS: 2.6, PowerW: JSONFloat(math.Inf(-1))},
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for _, e := range events {
-		if err := sink.WriteEvent(e); err != nil {
+		if err := enc.Encode(e); err != nil {
 			t.Fatalf("write epoch %d: %v", e.Epoch, err)
 		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "null") {
 		t.Fatalf("trace contains null: %s", buf.String())
 	}
 
-	got, err := ReadEpochEventsJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(events))
-	}
-	eq := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	dec := json.NewDecoder(&buf)
+	eq := func(a, b JSONFloat) bool {
+		return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 	}
 	for i, e := range events {
-		g := got[i]
-		if g.Epoch != e.Epoch || !eq(g.IPS, e.IPS) || !eq(g.PowerW, e.PowerW) ||
-			!eq(g.TrueIPS, e.TrueIPS) || !eq(g.InnovIPS, e.InnovIPS) || !eq(g.TempC, e.TempC) || g.Mode != e.Mode {
+		var g row
+		if err := dec.Decode(&g); err != nil {
+			t.Fatalf("decode event %d: %v", i, err)
+		}
+		if g.Epoch != e.Epoch || !eq(g.IPS, e.IPS) || !eq(g.PowerW, e.PowerW) || !eq(g.Innov, e.Innov) {
 			t.Errorf("event %d did not round-trip:\n got %+v\nwant %+v", i, g, e)
 		}
+	}
+	if dec.More() {
+		t.Fatal("trailing data after the last event")
 	}
 }

@@ -20,12 +20,10 @@ type ServerOptions struct {
 	Registry *Registry
 	// Health backs /healthz; nil means always healthy.
 	Health HealthFunc
-	// Trace, when non-nil, adds /trace serving the recorder's ring as
-	// JSONL (add ?format=csv for CSV).
-	Trace *TraceRecorder
 	// Extra mounts additional diagnostics routes (e.g. the flight
-	// recorder's /debug/flightrec) without this package importing their
-	// providers. Each entry is listed on the index page.
+	// recorder's /debug/flightrec, mimotrace's /trace) without this
+	// package importing their providers. Each entry is listed on the
+	// index page.
 	Extra []Endpoint
 }
 
@@ -43,7 +41,6 @@ type Endpoint struct {
 //
 //	/metrics     Prometheus text exposition of the registry
 //	/healthz     200/503 from the HealthFunc (supervisor mode)
-//	/trace       recent epoch events (JSONL, ?format=csv for CSV)
 //	/debug/vars  expvar JSON
 //	/debug/pprof profiling endpoints
 type Server struct {
@@ -81,17 +78,6 @@ func NewMux(opts ServerOptions) *http.ServeMux {
 		}
 		fmt.Fprintln(w, detail)
 	})
-	if opts.Trace != nil {
-		mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-			if req.URL.Query().Get("format") == "csv" {
-				w.Header().Set("Content-Type", "text/csv")
-				_ = opts.Trace.WriteCSV(w)
-				return
-			}
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			_ = opts.Trace.WriteJSONL(w)
-		})
-	}
 	for _, e := range opts.Extra {
 		mux.Handle(e.Path, e.Handler)
 	}
@@ -110,9 +96,6 @@ func NewMux(opts ServerOptions) *http.ServeMux {
 		fmt.Fprintln(w, "mimoctl diagnostics")
 		fmt.Fprintln(w, "  /metrics      Prometheus text exposition")
 		fmt.Fprintln(w, "  /healthz      liveness (503 while in supervisor fallback)")
-		if opts.Trace != nil {
-			fmt.Fprintln(w, "  /trace        recent epoch events (JSONL; ?format=csv)")
-		}
 		for _, e := range opts.Extra {
 			fmt.Fprintf(w, "  %-13s %s\n", e.Path, e.Desc)
 		}

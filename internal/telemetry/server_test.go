@@ -66,20 +66,18 @@ func TestServerHealthz(t *testing.T) {
 }
 
 func TestServerTraceAndDebugEndpoints(t *testing.T) {
-	rec, err := NewTraceRecorder(RecorderOptions{Capacity: 8})
-	if err != nil {
-		t.Fatal(err)
+	trace := Endpoint{
+		Path: "/trace",
+		Desc: "recent epoch records",
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			io.WriteString(w, `{"epoch":3}`+"\n")
+		}),
 	}
-	rec.Record(EpochEvent{Epoch: 3, Mode: "engaged"})
-	srv := startTestServer(t, ServerOptions{Registry: NewRegistry(), Trace: rec})
+	srv := startTestServer(t, ServerOptions{Registry: NewRegistry(), Extra: []Endpoint{trace}})
 
 	code, body := get(t, "http://"+srv.Addr()+"/trace")
 	if code != 200 || !strings.Contains(body, `"epoch":3`) {
 		t.Fatalf("/trace: code=%d body=%q", code, body)
-	}
-	code, body = get(t, "http://"+srv.Addr()+"/trace?format=csv")
-	if code != 200 || !strings.HasPrefix(body, "epoch,") {
-		t.Fatalf("/trace?format=csv: code=%d body=%q", code, body)
 	}
 	code, body = get(t, "http://"+srv.Addr()+"/debug/vars")
 	if code != 200 || !strings.Contains(body, "memstats") {
@@ -90,7 +88,7 @@ func TestServerTraceAndDebugEndpoints(t *testing.T) {
 		t.Fatalf("/debug/pprof/: code=%d", code)
 	}
 	code, body = get(t, "http://"+srv.Addr()+"/")
-	if code != 200 || !strings.Contains(body, "/metrics") {
+	if code != 200 || !strings.Contains(body, "/metrics") || !strings.Contains(body, "/trace") {
 		t.Fatalf("index: code=%d body=%q", code, body)
 	}
 	code, _ = get(t, "http://"+srv.Addr()+"/nope")

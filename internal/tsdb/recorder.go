@@ -1,15 +1,15 @@
 package tsdb
 
 import (
-	"math"
-
 	"mimoctl/internal/obs"
 )
 
-// Signals recorded per loop from the wide obs.Event, in recording
-// order. track_err is derived at ingest: the worst-channel relative
-// tracking error (the same signal the SLO engine and the drift
-// detector score), so history queries need no join against targets.
+// Signals recorded per loop from the obs.Event, in recording order.
+// track_err is derived at ingest with obs.TrackErr, the worst-channel
+// relative tracking error the SLO engine and the drift detector score,
+// so history queries need no join against targets. Infinities stay
+// visible at raw resolution and are excluded from rollup aggregates like
+// every other non-finite sample.
 var Signals = []string{
 	"ips", "power_w", "ips_target", "power_target",
 	"innov_norm", "guardband", "mode",
@@ -74,7 +74,7 @@ func (r *Recorder) WriteEvents(batch []obs.Event) error {
 		ls.s[7].Append(ev.Epoch, float64(ev.ReqFreq))
 		ls.s[8].Append(ev.Epoch, float64(ev.ReqCache))
 		ls.s[9].Append(ev.Epoch, float64(ev.ReqROB))
-		ls.s[10].Append(ev.Epoch, trackErr(ev))
+		ls.s[10].Append(ev.Epoch, obs.TrackErr(ev))
 		if ev.Epoch > maxEpoch {
 			maxEpoch = ev.Epoch
 		}
@@ -111,31 +111,6 @@ func (r *Recorder) Sync() {
 			s.Sync()
 		}
 	}
-}
-
-// trackErr mirrors the SLO engine's tracking signal exactly (obs
-// relErr semantics): the worst-channel relative error of outputs
-// against targets, +Inf for a non-finite measurement, 0 for an unset
-// target. Infinities stay visible at raw resolution and are excluded
-// from rollup aggregates like every other non-finite sample.
-func trackErr(ev *obs.Event) float64 {
-	worst := relErr(ev.IPS, ev.IPSTarget)
-	if p := relErr(ev.PowerW, ev.PowerTarget); p > worst {
-		worst = p
-	}
-	return worst
-}
-
-// relErr matches the obs SLO engine's scoring helper.
-func relErr(v, target float64) float64 {
-	if !(target > 0) {
-		return 0
-	}
-	e := math.Abs(v-target) / target
-	if math.IsNaN(e) {
-		return math.Inf(1)
-	}
-	return e
 }
 
 // itoa is a small allocation-bounded uint formatter (avoids strconv in

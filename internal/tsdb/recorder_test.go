@@ -79,8 +79,8 @@ func TestTrackErrSemantics(t *testing.T) {
 	}
 	for _, c := range cases {
 		ev := c.ev
-		if got := trackErr(&ev); math.Float64bits(got) != math.Float64bits(c.want) && got != c.want {
-			t.Errorf("%s: trackErr = %v, want %v", c.name, got, c.want)
+		if got := obs.TrackErr(&ev); math.Float64bits(got) != math.Float64bits(c.want) && got != c.want {
+			t.Errorf("%s: TrackErr = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
