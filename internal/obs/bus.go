@@ -3,6 +3,7 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Bus is a bounded, lock-free multi-producer single-consumer event
@@ -17,6 +18,13 @@ import (
 // sequence number producers and the consumer advance in lockstep, so no
 // slot is read before its write completed and no slot is overwritten
 // before its read completed.
+//
+// The pump is woken per batch, not per event. While events keep
+// arriving it drains every pumpNap; only a drain that finds the ring
+// empty parks it, and producers wake a parked pump, or a napping one
+// once the ring is half full. A steady stream therefore costs one
+// timer wake-up per nap instead of a goroutine wake-up per publish,
+// and an event waits at most about one nap for its sinks.
 type Bus struct {
 	mask  uint64
 	slots []busSlot
@@ -28,9 +36,10 @@ type Bus struct {
 	dropped   atomic.Uint64
 	occHWM    atomic.Uint64 // high-water mark of head-tail at publish
 
-	wake chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
+	wake   chan struct{}
+	parked atomic.Bool // the pump is blocked until woken
+	done   chan struct{}
+	wg     sync.WaitGroup
 
 	mu      sync.Mutex
 	sinks   []Sink
@@ -38,6 +47,10 @@ type Bus struct {
 	subs    map[chan Event]struct{}
 	subDrop atomic.Uint64
 }
+
+// pumpNap is how long the pump lets events accumulate after a drain
+// that found some, before it drains again.
+const pumpNap = 100 * time.Microsecond
 
 type busSlot struct {
 	seq atomic.Uint64
@@ -88,11 +101,7 @@ func (b *Bus) Publish(ev *Event) bool {
 				s.ev = *ev
 				s.seq.Store(pos + 1)
 				b.published.Add(1)
-				b.noteOccupancy(pos + 1)
-				select {
-				case b.wake <- struct{}{}:
-				default:
-				}
+				b.wakeIfNeeded(b.noteOccupancy(pos + 1))
 				return true
 			}
 			continue
@@ -151,23 +160,33 @@ func (b *Bus) PublishBatch(evs []Event) int {
 			s.seq.Store(pos + uint64(i) + 1)
 		}
 		b.published.Add(uint64(n))
-		b.noteOccupancy(pos + uint64(n))
+		b.wakeIfNeeded(b.noteOccupancy(pos + uint64(n)))
 		written += n
+	}
+	return written
+}
+
+// wakeIfNeeded wakes the pump after a publish that left occ events in
+// the ring, when the pump is parked or the ring is half full. A
+// producer reads parked after storing its slot's sequence and the pump
+// re-checks the ring after raising parked, so a publish racing the
+// pump's parking is never stranded.
+func (b *Bus) wakeIfNeeded(occ uint64) {
+	if b.parked.Load() || occ > uint64(len(b.slots))/2 {
 		select {
 		case b.wake <- struct{}{}:
 		default:
 		}
 	}
-	return written
 }
 
 // noteOccupancy folds the post-publish ring occupancy into the
-// high-water mark. head is the producer position just written; the
-// tail read may lag (the pump releases a slot's sequence before
-// advancing tail), which only ever rounds occupancy up — the HWM
+// high-water mark and returns it. head is the producer position just
+// written; the tail read may lag (the pump releases a slot's sequence
+// before advancing tail), which only ever rounds occupancy up — the HWM
 // stays a conservative pump-lag signal, clamped to the ring capacity
 // occupancy cannot truly exceed. Lock- and allocation-free.
-func (b *Bus) noteOccupancy(head uint64) {
+func (b *Bus) noteOccupancy(head uint64) uint64 {
 	occ := head - b.tail.Load()
 	if cap := uint64(len(b.slots)); occ > cap {
 		occ = cap
@@ -175,7 +194,7 @@ func (b *Bus) noteOccupancy(head uint64) {
 	for {
 		cur := b.occHWM.Load()
 		if occ <= cur || b.occHWM.CompareAndSwap(cur, occ) {
-			return
+			return occ
 		}
 	}
 }
@@ -257,40 +276,76 @@ func (b *Bus) Close() error {
 	return b.SinkErr()
 }
 
-// pump is the single consumer: woken on publish, it drains the ring in
-// batches and fans out to sinks and subscribers.
+// pump is the single consumer: it drains the ring in batches and fans
+// out to sinks and subscribers, napping between drains while events
+// flow and parking when a drain finds none.
 func (b *Bus) pump() {
 	defer b.wg.Done()
 	batch := make([]Event, 0, 256)
+	nap := time.NewTimer(pumpNap)
+	nap.Stop()
+	flowing := false
 	for {
 		stopping := false
-		select {
-		case <-b.wake:
-		case <-b.done:
-			stopping = true
-		}
-		for {
-			tail := b.tail.Load()
-			s := &b.slots[tail&b.mask]
-			if s.seq.Load() != tail+1 {
-				break
+		if flowing {
+			nap.Reset(pumpNap)
+			select {
+			case <-nap.C:
+			case <-b.wake:
+				nap.Stop()
+			case <-b.done:
+				stopping = true
 			}
-			batch = append(batch, s.ev)
-			s.seq.Store(tail + uint64(len(b.slots)))
-			b.tail.Store(tail + 1)
-			if len(batch) == cap(batch) {
-				b.flush(batch)
-				batch = batch[:0]
+		} else {
+			// Raise parked before the last look at the ring: a producer
+			// either sees the flag and wakes the pump, or published
+			// before that look and is drained now.
+			b.parked.Store(true)
+			if !b.ready() {
+				select {
+				case <-b.wake:
+				case <-b.done:
+					stopping = true
+				}
 			}
+			b.parked.Store(false)
 		}
-		if len(batch) > 0 {
-			b.flush(batch)
-			batch = batch[:0]
-		}
+		flowing = b.drain(batch) > 0
 		if stopping {
 			return
 		}
 	}
+}
+
+// ready reports whether the slot at the consumer position is written.
+func (b *Bus) ready() bool {
+	tail := b.tail.Load()
+	return b.slots[tail&b.mask].seq.Load() == tail+1
+}
+
+// drain moves every written event to the sinks, in batches of
+// cap(batch), and returns how many it moved.
+func (b *Bus) drain(batch []Event) int {
+	n := 0
+	for {
+		tail := b.tail.Load()
+		s := &b.slots[tail&b.mask]
+		if s.seq.Load() != tail+1 {
+			break
+		}
+		batch = append(batch, s.ev)
+		s.seq.Store(tail + uint64(len(b.slots)))
+		b.tail.Store(tail + 1)
+		n++
+		if len(batch) == cap(batch) {
+			b.flush(batch)
+			batch = batch[:0]
+		}
+	}
+	if len(batch) > 0 {
+		b.flush(batch)
+	}
+	return n
 }
 
 func (b *Bus) flush(batch []Event) {

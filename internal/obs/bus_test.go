@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBusDeliversInOrder(t *testing.T) {
@@ -186,3 +188,36 @@ func TestPublishAllocFree(t *testing.T) {
 type sinkFunc func(batch []Event) error
 
 func (f sinkFunc) WriteEvents(batch []Event) error { return f(batch) }
+
+// TestBusDeliversTrickleWithoutClose publishes with pauses that let the
+// pump both nap and park between events, and requires every event to
+// reach the sink while the bus stays open: a publish that raced the
+// pump's parking and was not woken for would never be delivered.
+func TestBusDeliversTrickleWithoutClose(t *testing.T) {
+	var got atomic.Int64
+	bus := NewBus(1<<10, sinkFunc(func(batch []Event) error {
+		got.Add(int64(len(batch)))
+		return nil
+	}))
+	defer bus.Close()
+	const n = 3000
+	for i := 0; i < n; i++ {
+		ev := Event{Epoch: uint64(i)}
+		if !bus.Publish(&ev) {
+			t.Fatalf("publish %d dropped", i)
+		}
+		switch i % 50 {
+		case 0:
+			time.Sleep(300 * time.Microsecond) // past a nap: the pump parks
+		case 25:
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for got.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("sink saw %d of %d events with the bus open", got.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -241,14 +241,15 @@ func (l *Loop) ObserveInto(ev *Event) bool {
 		l.sinceTargetChange++
 	}
 
+	trackErr := TrackErr(ev)
 	alerting, burning := false, false
 	for i, e := range l.slos {
-		bad := e.spec.isBad(ev, l.sinceTargetChange)
+		bad := e.spec.isBad(ev, l.sinceTargetChange, trackErr)
 		e.observe(bad)
 		alerting = alerting || e.alerting
 		burning = burning || e.burning
 		if l.mBurn != nil {
-			l.mBurn[i].Set(e.worstBurn())
+			l.mBurn[i].Set(e.worstBurn)
 			if bad {
 				l.mBad[i].Inc()
 			}
@@ -261,8 +262,8 @@ func (l *Loop) ObserveInto(ev *Event) bool {
 	}
 
 	// Derived per-loop signals shared by every spec.
-	if worst := TrackErr(ev); !math.IsInf(worst, 0) {
-		l.emaSq += rmsAlpha * (worst*worst - l.emaSq)
+	if !math.IsInf(trackErr, 0) {
+		l.emaSq += rmsAlpha * (trackErr*trackErr - l.emaSq)
 	}
 	if above(ev.PowerW, ev.PowerTarget) > 0.15 {
 		l.violationEpochs++

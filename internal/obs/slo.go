@@ -147,6 +147,9 @@ type sloEval struct {
 
 	alerting bool
 	burning  bool
+	// worstBurn is the maximum burn rate across windows after the
+	// last observe (the per-loop burn gauge).
+	worstBurn float64
 }
 
 func newSLOEval(spec Spec) *sloEval {
@@ -188,12 +191,16 @@ func (e *sloEval) observe(bad bool) {
 	}
 
 	e.burning, e.alerting = false, len(e.spec.Windows) > 0
+	e.worstBurn = 0
 	for i, w := range e.spec.Windows {
 		burn := e.burn(i, w)
 		if burn >= w.MaxBurn {
 			e.burning = true
 		} else {
 			e.alerting = false
+		}
+		if burn > e.worstBurn {
+			e.worstBurn = burn
 		}
 	}
 }
@@ -210,28 +217,18 @@ func (e *sloEval) burn(i int, w Window) float64 {
 	return (float64(e.winBad[i]) / float64(span)) / e.budget
 }
 
-// worstBurn returns the maximum burn rate across windows.
-func (e *sloEval) worstBurn() float64 {
-	worst := 0.0
-	for i, w := range e.spec.Windows {
-		if b := e.burn(i, w); b > worst {
-			worst = b
-		}
-	}
-	return worst
-}
-
 // isBad evaluates the spec's badness condition on one epoch. since is
-// the number of epochs since the last target change.
-func (s Spec) isBad(ev *Event, since int) bool {
+// the number of epochs since the last target change; trackErr is
+// TrackErr(ev), computed once per epoch by the caller.
+func (s Spec) isBad(ev *Event, since int, trackErr float64) bool {
 	switch s.Signal {
 	case SignalTrackingError:
-		return TrackErr(ev) > s.Threshold
+		return trackErr > s.Threshold
 	case SignalOvershoot:
 		return above(ev.IPS, ev.IPSTarget) > s.Threshold ||
 			above(ev.PowerW, ev.PowerTarget) > s.Threshold
 	case SignalSettling:
-		return since > s.Grace && TrackErr(ev) > s.Threshold
+		return since > s.Grace && trackErr > s.Threshold
 	case SignalPowerBudget:
 		return above(ev.PowerW, ev.PowerTarget) > s.Threshold
 	case SignalFallback:

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"mimoctl/internal/telemetry"
 )
 
 func trackingSpec() Spec {
@@ -78,7 +81,7 @@ func TestSLOPartialWindow(t *testing.T) {
 	})
 	e.observe(true)
 	// One bad of one seen: fraction 1.0, budget 0.1 -> burn 10.
-	if got := e.worstBurn(); math.Abs(got-10) > 1e-12 {
+	if got := e.worstBurn; math.Abs(got-10) > 1e-12 {
 		t.Fatalf("partial-window burn = %g, want 10", got)
 	}
 }
@@ -118,7 +121,7 @@ func TestIsBadSignals(t *testing.T) {
 		if tc.mut != nil {
 			tc.mut(&sample)
 		}
-		if got := tc.spec.isBad(&sample, tc.since); got != tc.want {
+		if got := tc.spec.isBad(&sample, tc.since, TrackErr(&sample)); got != tc.want {
 			t.Errorf("%s: isBad = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -136,6 +139,100 @@ func TestDefaultSpecsSane(t *testing.T) {
 			if w.Epochs <= 0 || w.MaxBurn <= 0 {
 				t.Fatalf("spec %s window %+v invalid", s.Name, w)
 			}
+		}
+	}
+}
+
+// directBad is the per-spec badness condition evaluating TrackErr
+// itself, once per tracking or settling spec.
+func directBad(s Spec, ev *Event, since int) bool {
+	switch s.Signal {
+	case SignalTrackingError:
+		return TrackErr(ev) > s.Threshold
+	case SignalOvershoot:
+		return above(ev.IPS, ev.IPSTarget) > s.Threshold ||
+			above(ev.PowerW, ev.PowerTarget) > s.Threshold
+	case SignalSettling:
+		return since > s.Grace && TrackErr(ev) > s.Threshold
+	case SignalPowerBudget:
+		return above(ev.PowerW, ev.PowerTarget) > s.Threshold
+	case SignalFallback:
+		return ev.Mode != ModeEngaged
+	}
+	return false
+}
+
+// TestObserveMatchesDirectEvaluation checks ObserveInto — one TrackErr
+// per epoch shared by every spec and the RMS gauge, and the worst burn
+// recorded by observe — against a shadow that evaluates TrackErr per
+// spec and recomputes the worst burn over the windows. Every per-loop
+// gauge and counter must agree bit for bit, every epoch.
+func TestObserveMatchesDirectEvaluation(t *testing.T) {
+	specs := append(DefaultSpecs(),
+		Spec{Name: "settling", Signal: SignalSettling, Threshold: 0.1, Grace: 40, Objective: 0.9,
+			Windows: []Window{{Epochs: 64, MaxBurn: 2}, {Epochs: 512, MaxBurn: 1}}},
+		Spec{Name: "overshoot", Signal: SignalOvershoot, Threshold: 0.05, Objective: 0.8,
+			Windows: []Window{{Epochs: 32, MaxBurn: 1.5}}})
+	f := NewFleet(Options{Registry: telemetry.NewRegistry(), Specs: specs})
+	l := f.Register("direct")
+	shadow := make([]*sloEval, len(specs))
+	for i, s := range specs {
+		shadow[i] = newSLOEval(s)
+	}
+	var emaSq, prevIPS, prevPow float64
+	since, haveTargets := 0, false
+	rng := rand.New(rand.NewSource(5))
+	ipsT, powT := 2.5, 2.0
+	for k := 0; k < 6000; k++ {
+		if k%700 == 0 {
+			ipsT, powT = 1+3*rng.Float64(), 1+2*rng.Float64()
+		}
+		ev := Event{IPSTarget: ipsT, PowerTarget: powT,
+			IPS: ipsT * (1 + 0.3*rng.NormFloat64()), PowerW: powT * (1 + 0.2*rng.NormFloat64())}
+		switch rng.Intn(40) {
+		case 0:
+			ev.IPS = math.NaN()
+		case 1:
+			ev.PowerW = math.Inf(1)
+		case 2:
+			ev.Mode = ModeFallback
+		case 3:
+			ev.IPSTarget = 0
+		}
+		l.Observe(&ev)
+
+		if !haveTargets || ev.IPSTarget != prevIPS || ev.PowerTarget != prevPow {
+			prevIPS, prevPow, haveTargets, since = ev.IPSTarget, ev.PowerTarget, true, 0
+		} else {
+			since++
+		}
+		for i, e := range shadow {
+			e.observe(directBad(e.spec, &ev, since))
+			worst := 0.0
+			for j, w := range e.spec.Windows {
+				if b := e.burn(j, w); b > worst {
+					worst = b
+				}
+			}
+			alert := 0.0
+			if e.alerting {
+				alert = 1
+			}
+			if got := l.mBurn[i].Value(); math.Float64bits(got) != math.Float64bits(worst) {
+				t.Fatalf("epoch %d %s: burn gauge %v, direct %v", k, e.spec.Name, got, worst)
+			}
+			if got := l.mAlert[i].Value(); got != alert {
+				t.Fatalf("epoch %d %s: alerting gauge %v, direct %v", k, e.spec.Name, got, alert)
+			}
+			if got := l.mBad[i].Value(); got != e.totalBad {
+				t.Fatalf("epoch %d %s: bad epochs %d, direct %d", k, e.spec.Name, got, e.totalBad)
+			}
+		}
+		if worst := TrackErr(&ev); !math.IsInf(worst, 0) {
+			emaSq += rmsAlpha * (worst*worst - emaSq)
+		}
+		if got, want := l.mTrackRMS.Value(), math.Sqrt(emaSq); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("epoch %d: tracking RMS gauge %v, direct %v", k, got, want)
 		}
 	}
 }

@@ -26,11 +26,18 @@ package sim
 
 import "fmt"
 
+// Knob level counts (paper Table III).
+const (
+	numFreqLevels  = 16
+	numCacheLevels = 4
+	numROBLevels   = 8
+)
+
 // Knob setting tables (paper Table III).
 var (
 	// FreqSettingsGHz are the 16 DVFS operating points.
 	FreqSettingsGHz = func() []float64 {
-		f := make([]float64, 16)
+		f := make([]float64, numFreqLevels)
 		for i := range f {
 			f[i] = 0.5 + 0.1*float64(i)
 		}
@@ -38,11 +45,11 @@ var (
 	}()
 
 	// CacheSettings lists (L2 ways, L1 ways) from largest to smallest.
-	CacheSettings = [][2]int{{8, 4}, {6, 3}, {4, 2}, {2, 1}}
+	CacheSettings = [][2]int{{8, 4}, {6, 3}, {4, 2}, {2, 1}} // numCacheLevels entries
 
 	// ROBSettings are the reorder-buffer sizes.
 	ROBSettings = func() []int {
-		r := make([]int, 8)
+		r := make([]int, numROBLevels)
 		for i := range r {
 			r[i] = 16 * (i + 1)
 		}

@@ -50,17 +50,25 @@ type PerfResult struct {
 //
 // warmL1/warmL2 are additional transient misses per kilo-instruction due
 // to recent cache resizes; dvfsStallFrac is the fraction of the epoch
-// lost to a DVFS transition.
-func EvalPerf(p PhaseParams, cfg Config, warmL1, warmL2, dvfsStallFrac float64) PerfResult {
+// lost to a DVFS transition. It tabulates the response surface for p
+// on every call; a Processor keeps one per phase instead.
+func EvalPerf(p PhaseParams, cfg Config, warmL1, warmL2, dvfsStallFrac float64) (r PerfResult) {
+	var s surface
+	s.refresh(&p)
+	s.perfInto(&r, &p, cfg, warmL1, warmL2, dvfsStallFrac)
+	return r
+}
+
+// perfInto writes the interval model at cfg into dst, for the phase s
+// was last refreshed with; p supplies the per-epoch (AR-scaled) ILP and
+// the fields the surface does not tabulate. dst is filled field by
+// field so the result goes straight to the caller's memory.
+func (s *surface) perfInto(dst *PerfResult, p *PhaseParams, cfg Config, warmL1, warmL2, dvfsStallFrac float64) {
 	f := cfg.FreqGHz()
-	rob := float64(cfg.ROBEntries())
+	robSat := s.robSat[cfg.ROBIdx]
 
 	// ILP exposed by the instruction window, at this workload's demand.
-	demand := p.ROBDemand
-	if demand <= 0 {
-		demand = defaultROBDemand
-	}
-	ilpEff := p.ILP * (1 - math.Exp(-rob/demand))
+	ilpEff := p.ILP * robSat
 	ipcCore := math.Min(issueWidth, ilpEff)
 	if ipcCore < 0.05 {
 		ipcCore = 0.05
@@ -69,8 +77,8 @@ func EvalPerf(p PhaseParams, cfg Config, warmL1, warmL2, dvfsStallFrac float64) 
 
 	// Miss traffic with resize warm-up transients. L2 misses cannot
 	// exceed L1 misses (inclusive hierarchy).
-	l1mpki := p.L1MPKI(cfg.L1Ways()) + warmL1
-	l2mpki := p.L2MPKI(cfg.L2Ways()) + warmL2
+	l1mpki := s.l1MPKI[cfg.CacheIdx] + warmL1
+	l2mpki := s.l2MPKI[cfg.CacheIdx] + warmL2
 	if l2mpki > l1mpki {
 		l2mpki = l1mpki
 	}
@@ -81,7 +89,7 @@ func EvalPerf(p PhaseParams, cfg Config, warmL1, warmL2, dvfsStallFrac float64) 
 	// Memory-level parallelism grows with the window on the same
 	// per-workload demand scale, normalized so the full ROB achieves
 	// MLPMax.
-	mlpFrac := (1 - math.Exp(-rob/demand)) / (1 - math.Exp(-mlpROBRef/demand))
+	mlpFrac := robSat / s.mlpSat
 	mlp := 1 + (p.MLPMax-1)*mlpFrac
 	if mlp < 1 {
 		mlp = 1
@@ -102,9 +110,7 @@ func EvalPerf(p PhaseParams, cfg Config, warmL1, warmL2, dvfsStallFrac float64) 
 	instr := ipc * f * 1e9 * activeSeconds
 	bips := instr / EpochSeconds / 1e9
 
-	return PerfResult{
-		IPC: ipc, BIPS: bips, Instructions: instr,
-		CPIBase: cpiBase, CPIL1: cpiL1, CPIL2: cpiL2, CPIBranch: cpiBr,
-		L1MPKI: l1mpki, L2MPKI: l2mpki,
-	}
+	dst.IPC, dst.BIPS, dst.Instructions = ipc, bips, instr
+	dst.CPIBase, dst.CPIL1, dst.CPIL2, dst.CPIBranch = cpiBase, cpiL1, cpiL2, cpiBr
+	dst.L1MPKI, dst.L2MPKI = l1mpki, l2mpki
 }

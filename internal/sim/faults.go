@@ -376,7 +376,7 @@ func (f *FaultInjector) Apply(cfg Config) error {
 // true (noiseless) outputs — evaluation stays honest — but plant
 // faults legitimately change them: a drifted plant really does perform
 // differently, and scoring must see that.
-func (f *FaultInjector) Step() Telemetry {
+func (f *FaultInjector) Step() (t Telemetry) {
 	// Land delayed configurations whose latency has elapsed.
 	kept := f.pending[:0]
 	for _, d := range f.pending {
@@ -388,7 +388,7 @@ func (f *FaultInjector) Step() Telemetry {
 	}
 	f.pending = kept
 
-	t := f.proc.Step()
+	f.proc.step(&t)
 	for i := range f.plant {
 		f.applyPlantFault(i, &t)
 	}

@@ -56,16 +56,22 @@ type PowerResult struct {
 // EvalPower computes epoch power from the performance result and
 // configuration. tempC is the current die temperature (for leakage);
 // activity scales dynamic energy.
-func EvalPower(p PhaseParams, cfg Config, perf PerfResult, tempC, activity float64) PowerResult {
+func EvalPower(p PhaseParams, cfg Config, perf PerfResult, tempC, activity float64) (r PowerResult) {
+	powerInto(&r, &p, cfg, &perf, tempC, activity)
+	return r
+}
+
+// powerInto writes the power model into dst, reading the voltage and
+// the window energy scaling of cfg's levels from the package tables.
+func powerInto(dst *PowerResult, p *PhaseParams, cfg Config, perf *PerfResult, tempC, activity float64) {
 	f := cfg.FreqGHz()
-	v := Voltage(f)
+	v := freqVoltage[cfg.FreqIdx]
 	vScale := (v / vNom) * (v / vNom)
 
 	// Instruction throughput in G instr/s; nJ/instr × Ginstr/s = W.
 	gips := perf.BIPS
 
-	robFrac := float64(cfg.ROBEntries()) / 128.0
-	epi := epiCoreNJ + epiROBNJ*pow(robFrac, 0.7)
+	epi := epiCoreNJ + epiROBNJ*robEnergyScale[cfg.ROBIdx]
 	dynCore := epi * vScale * activity * gips
 
 	// Cache dynamic power: accesses per second × energy per access.
@@ -93,10 +99,8 @@ func EvalPower(p PhaseParams, cfg Config, perf PerfResult, tempC, activity float
 	clock := clockPowerW * f * vScale
 
 	total := dynamic + leak + clock
-	return PowerResult{
-		TotalW: total, DynamicW: dynamic, LeakageW: leak, ClockW: clock,
-		EnergyJ: total * EpochSeconds,
-	}
+	dst.TotalW, dst.DynamicW, dst.LeakageW, dst.ClockW = total, dynamic, leak, clock
+	dst.EnergyJ = total * EpochSeconds
 }
 
 // stepTemperature advances the first-order thermal state by one epoch

@@ -89,6 +89,8 @@ type Processor struct {
 	warmL2    float64
 	dvfsStall bool // a frequency change happened since the last epoch
 	arState   float64
+	// surf tabulates the current phase's response surface.
+	surf surface
 
 	totalEnergyJ float64
 	totalInstr   float64
@@ -173,29 +175,38 @@ func (p *Processor) ApplyContinuous(freqGHz, l2Ways, robEntries float64) Config 
 }
 
 // Step executes one 50 µs control epoch and returns the telemetry.
-func (p *Processor) Step() Telemetry {
+func (p *Processor) Step() (t Telemetry) {
+	p.step(&t)
+	return t
+}
+
+// step executes one epoch of the bound workload into t.
+func (p *Processor) step(t *Telemetry) {
 	params, phaseID := p.workload.Params(p.epoch)
-	return p.stepWithParams(params, phaseID)
+	p.stepWithParams(&params, phaseID, t)
 }
 
 // stepWithParams runs one epoch with externally supplied phase
-// parameters; the trace-driven processor uses it to substitute measured
-// miss rates for the analytic curves. The telemetry seam lives here so
+// parameters into t; the trace-driven processor uses it to substitute
+// measured miss rates for the analytic curves. The AR(1) fluctuation is
+// applied to *params in place. The telemetry seam lives here so
 // both the analytic and trace-driven paths are counted: the per-epoch
 // cost is one counter increment, with latency timing and gauge updates
 // sampled every procSampleEvery epochs to keep the hot path within the
 // <5% overhead budget (see BenchmarkProcessorEpochTelemetry).
-func (p *Processor) stepWithParams(params PhaseParams, phaseID int) Telemetry {
+func (p *Processor) stepWithParams(params *PhaseParams, phaseID int, t *Telemetry) {
 	m := p.met
 	if m == nil {
-		return p.stepCore(params, phaseID)
+		p.stepCore(params, phaseID, t)
+		return
 	}
 	m.epochs.Inc()
 	if p.epoch%procSampleEvery != 0 {
-		return p.stepCore(params, phaseID)
+		p.stepCore(params, phaseID, t)
+		return
 	}
 	t0 := time.Now()
-	t := p.stepCore(params, phaseID)
+	p.stepCore(params, phaseID, t)
 	m.stepSeconds.Observe(time.Since(t0).Seconds())
 	m.ips.Set(t.IPS)
 	m.power.Set(t.PowerW)
@@ -205,11 +216,10 @@ func (p *Processor) stepWithParams(params PhaseParams, phaseID int) Telemetry {
 	m.energyJ.Add(p.totalEnergyJ - p.metEnergy0)
 	m.instructions.Add(p.totalInstr - p.metInstr0)
 	p.metEnergy0, p.metInstr0 = p.totalEnergyJ, p.totalInstr
-	return t
 }
 
-// stepCore is the uninstrumented epoch step.
-func (p *Processor) stepCore(params PhaseParams, phaseID int) Telemetry {
+// stepCore is the uninstrumented epoch step. It sets every field of t.
+func (p *Processor) stepCore(params *PhaseParams, phaseID int, t *Telemetry) {
 	// Stochastic workload fluctuation (AR(1) in the log domain) applied
 	// to ILP, memory intensity, and activity.
 	mult := 1.0
@@ -227,8 +237,11 @@ func (p *Processor) stepCore(params PhaseParams, phaseID int) Telemetry {
 		stall = DVFSTransitionSeconds / EpochSeconds
 		p.dvfsStall = false
 	}
-	perf := EvalPerf(params, p.cfg, p.warmL1, p.warmL2, stall)
-	pw := EvalPower(params, p.cfg, perf, p.tempC, params.Activity)
+	var perf PerfResult
+	var pw PowerResult
+	p.surf.refresh(params)
+	p.surf.perfInto(&perf, params, p.cfg, p.warmL1, p.warmL2, stall)
+	powerInto(&pw, params, p.cfg, &perf, p.tempC, params.Activity)
 
 	// Advance internal states.
 	p.tempC = stepTemperature(p.tempC, pw.TotalW)
@@ -246,18 +259,18 @@ func (p *Processor) stepCore(params PhaseParams, phaseID int) Telemetry {
 		p.warmL2 = 0
 	}
 
-	t := Telemetry{
-		Epoch:        p.epoch,
-		TrueIPS:      perf.BIPS,
-		TruePowerW:   pw.TotalW,
-		TempC:        p.tempC,
-		Instructions: perf.Instructions,
-		EnergyJ:      pw.EnergyJ,
-		L1MPKI:       perf.L1MPKI,
-		L2MPKI:       perf.L2MPKI,
-		PhaseID:      phaseID,
-		Config:       p.cfg,
-	}
+	// Filled field by field: a composite literal assigned through t
+	// compiles to a zeroed temporary plus a whole-struct copy.
+	t.Epoch = p.epoch
+	t.TrueIPS = perf.BIPS
+	t.TruePowerW = pw.TotalW
+	t.TempC = p.tempC
+	t.Instructions = perf.Instructions
+	t.EnergyJ = pw.EnergyJ
+	t.L1MPKI = perf.L1MPKI
+	t.L2MPKI = perf.L2MPKI
+	t.PhaseID = phaseID
+	t.Config = p.cfg
 	t.IPS = t.TrueIPS
 	t.PowerW = t.TruePowerW
 	if !p.opts.Deterministic {
@@ -275,14 +288,13 @@ func (p *Processor) stepCore(params PhaseParams, phaseID int) Telemetry {
 	p.totalInstr += perf.Instructions
 	p.totalSeconds += EpochSeconds
 	p.epoch++
-	return t
 }
 
 // Run executes n epochs and returns the telemetry trace.
 func (p *Processor) Run(n int) []Telemetry {
 	out := make([]Telemetry, n)
 	for i := range out {
-		out[i] = p.Step()
+		p.step(&out[i])
 	}
 	return out
 }
@@ -293,8 +305,9 @@ func (p *Processor) Run(n int) []Telemetry {
 // thousands of configurations — use this to avoid allocating a
 // telemetry trace per configuration.
 func (p *Processor) Advance(n int) {
+	var t Telemetry
 	for i := 0; i < n; i++ {
-		p.Step()
+		p.step(&t)
 	}
 }
 

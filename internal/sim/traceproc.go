@@ -102,7 +102,7 @@ func (p *TraceProcessor) Apply(cfg Config) error {
 // Step executes one epoch: estimate the access count from the last IPC,
 // replay a (sampled) address stream, and evaluate the interval model
 // with the measured miss rates.
-func (p *TraceProcessor) Step() Telemetry {
+func (p *TraceProcessor) Step() (tel Telemetry) {
 	params, phaseID := p.inner.workload.Params(p.inner.epoch)
 	if phaseID != p.lastPhase {
 		p.gen = NewTraceGen(p.prov.TraceSpec(phaseID), p.rng)
@@ -143,7 +143,7 @@ func (p *TraceProcessor) Step() Telemetry {
 	params.L1M1, params.L1Alpha, params.L1Floor = l1mpki, 0, l1mpki
 	params.L2M1, params.L2Alpha, params.L2Floor = l2mpki, 0, l2mpki
 
-	tel := p.inner.stepWithParams(params, phaseID)
+	p.inner.stepWithParams(&params, phaseID, &tel)
 	if tel.Instructions > 0 && f > 0 {
 		p.lastIPC = tel.Instructions / (f * 1e9 * EpochSeconds)
 	}

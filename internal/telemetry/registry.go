@@ -480,7 +480,14 @@ func (c *floatCounter) render(sb *strings.Builder, name, labels string) {
 
 type gauge struct{ bits atomic.Uint64 }
 
-func (g *gauge) Set(v float64)     { g.bits.Store(math.Float64bits(v)) }
+// Set skips the store when the gauge already holds v's bits: per-epoch
+// callers mostly rewrite an unchanged value, and a plain load is far
+// cheaper than the locked store.
+func (g *gauge) Set(v float64) {
+	if b := math.Float64bits(v); g.bits.Load() != b {
+		g.bits.Store(b)
+	}
+}
 func (g *gauge) Add(delta float64) { atomicAddFloat(&g.bits, delta) }
 func (g *gauge) Value() float64    { return math.Float64frombits(g.bits.Load()) }
 func (g *gauge) render(sb *strings.Builder, name, labels string) {

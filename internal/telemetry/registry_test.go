@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -198,5 +199,24 @@ func TestBucketHelpers(t *testing.T) {
 	exp := ExponentialBuckets(1, 10, 3)
 	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
 		t.Fatalf("exponential buckets = %v", exp)
+	}
+}
+
+// TestGaugeSetHoldsLastValueBits checks that Set leaves exactly the last
+// value's bits, including repeats (skipped stores), signed zeros and
+// NaN, and interleaved with Add.
+func TestGaugeSetHoldsLastValueBits(t *testing.T) {
+	g := NewRegistry().Gauge("g", "g")
+	negZero := math.Copysign(0, -1)
+	for i, v := range []float64{1, 1, negZero, 0, 0, math.NaN(), math.NaN(), math.Inf(-1), 2.5} {
+		g.Set(v)
+		if got := g.Value(); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("step %d: Set(%v) then Value() = %v (%#x)", i, v, got, math.Float64bits(got))
+		}
+	}
+	g.Add(1)
+	g.Set(3.5)
+	if got := g.Value(); got != 3.5 {
+		t.Fatalf("Set after Add: Value() = %v, want 3.5", got)
 	}
 }

@@ -69,7 +69,8 @@ func (p *Profile) Phases() []Phase { return p.phases }
 // Params implements sim.Workload.
 func (p *Profile) Params(epoch int) (sim.PhaseParams, int) {
 	e := epoch % p.cycle
-	for i, ph := range p.phases {
+	for i := range p.phases {
+		ph := &p.phases[i]
 		if e < ph.DurationEpochs {
 			return ph.Params, i
 		}
