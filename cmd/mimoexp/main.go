@@ -7,6 +7,15 @@
 //
 // Each experiment prints the same rows/series the paper reports; see
 // EXPERIMENTS.md for the paper-vs-measured comparison.
+//
+// -metrics-addr serves live diagnostics and attaches the fleet
+// observability plane: every supervised loop the fault sweep builds
+// registers with one obs.Fleet, which serves /slo and /events and
+// composes /healthz from the loops' last reported state (503 naming the
+// first loop in supervisor fallback, failing its model-health monitor,
+// or alerting on a control SLO; model-health and SLO warns, and
+// baseline drift under -baseline, annotate a 200). -events and -history
+// attach the fleet too, without the HTTP server.
 package main
 
 import (
@@ -20,7 +29,6 @@ import (
 	"mimoctl/internal/experiments"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/runner"
-	"mimoctl/internal/supervisor"
 	"mimoctl/internal/telemetry"
 	"mimoctl/internal/tsdb"
 )
@@ -33,11 +41,10 @@ func main() {
 		k           = flag.Int("k", 3, "metric exponent for -exp edk: 1 = E, 3 = E×D²")
 		format      = flag.String("format", "text", "output format: text or csv")
 		parallel    = flag.Int("parallel", runner.DefaultWorkers(), "experiment worker count: 0 = serial, N = pool of N workers (output is byte-identical either way)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live diagnostics (/metrics, /healthz, /debug/pprof) on this address (e.g. :8090); empty disables")
+		metricsAddr = flag.String("metrics-addr", "", "serve live diagnostics (/metrics, /healthz, /slo, /events, /debug/pprof) on this address (e.g. :8090) with the fleet observability plane attached (watch with cmd/mimostat); empty disables")
 		frDir       = flag.String("flightrec-dir", "", "attach a flight recorder to every recordable run and dump each ring to this directory; empty disables")
-		obsOn       = flag.Bool("obs", false, "attach the fleet observability plane: per-loop scoped metrics, control SLOs on /slo, live events on /events (watch with cmd/mimostat)")
-		eventsPath  = flag.String("events", "", "write one JSONL event per engaged epoch per loop to this file (implies -obs)")
-		historyOn   = flag.Bool("history", false, "record per-loop telemetry history into the embedded time-series store, served on /history (implies -obs; watch with cmd/mimostat)")
+		eventsPath  = flag.String("events", "", "write one JSONL event per supervised epoch per loop to this file")
+		historyOn   = flag.Bool("history", false, "record per-loop telemetry history into the embedded time-series store, served on /history (watch with cmd/mimostat)")
 		basePath    = flag.String("baseline", "", "compare live history against this committed baseline snapshot and surface drift on /healthz (implies -history)")
 		baseOutPath = flag.String("baseline-out", "", "capture a baseline snapshot of this run's history to this path on exit (implies -history)")
 	)
@@ -63,7 +70,8 @@ func main() {
 	wantHistory := *historyOn || *basePath != "" || *baseOutPath != ""
 	var fleet *obs.Fleet
 	var hist *tsdb.DB
-	if *obsOn || *eventsPath != "" || wantHistory {
+	var warns []func() (string, bool) // extra /healthz warn sources
+	if *metricsAddr != "" || *eventsPath != "" || wantHistory {
 		var sinks []obs.Sink
 		if *eventsPath != "" {
 			f, err := os.Create(*eventsPath)
@@ -88,7 +96,7 @@ func main() {
 				}
 				det := tsdb.NewDetector(hist, base, 0, 0, tsdb.DriftConfig{})
 				rec.SetDetector(det)
-				supervisor.RegisterHealthzAnnotation("baseline-drift", det.Annotation)
+				warns = append(warns, det.Annotation)
 			}
 			// Registered before the bus-closing defer below so it runs after
 			// the bus has drained into the recorder.
@@ -116,17 +124,15 @@ func main() {
 				fmt.Fprintf(os.Stderr, "event sink: %v\n", err)
 			}
 		}()
-		fleet = obs.NewFleet(obs.Options{Registry: reg, Bus: bus, PublishVerdict: true})
+		fleet = obs.NewFleet(obs.Options{Registry: reg, Bus: bus})
 		experiments.SetObservability(fleet)
 	}
 
 	if *metricsAddr != "" {
 		opts := telemetry.ServerOptions{
 			Registry: reg,
-			Health:   supervisor.Healthz,
-		}
-		if fleet != nil {
-			opts.Extra = fleet.Endpoints()
+			Health:   func() (bool, string) { return fleet.Healthz(warns...) },
+			Extra:    fleet.Endpoints(),
 		}
 		if hist != nil {
 			opts.Extra = append(opts.Extra, hist.Endpoint())
@@ -137,7 +143,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "diagnostics on http://%s/ (metrics, healthz, debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "diagnostics on http://%s/ (metrics, healthz, slo, events, debug/pprof)\n", srv.Addr())
 	}
 
 	runners := map[string]func() error{

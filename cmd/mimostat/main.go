@@ -1,10 +1,17 @@
 // Command mimostat is the top-like fleet view of the control-SLO
 // engine: it polls a running mimoexp/mimotrace diagnostics endpoint
-// (started with -metrics-addr and -obs) and renders the fleet report —
-// loops sorted by worst burn rate, hottest first — refreshing in place.
-// When the observed process records telemetry history (-history), the
-// fleet view carries a sparkline of the fleet-wide tracking error and
-// the per-loop drill-down charts each recorded signal.
+// (started with -metrics-addr, which attaches the fleet) and renders
+// the fleet report — loops sorted by worst burn rate, hottest first —
+// refreshing in place. When the observed process records telemetry
+// history (-history), the fleet view carries a sparkline of the
+// fleet-wide tracking error and the per-loop drill-down charts each
+// recorded signal.
+//
+// The same fleet answers the process's /healthz (obs.Fleet.Healthz)
+// from each loop's last reported state: 503 naming the first loop in
+// supervisor fallback, else the first failing its model-health
+// monitor, else the first alerting on a control SLO; otherwise 200,
+// annotated with model-health warns and error-budget burn.
 //
 // Usage:
 //

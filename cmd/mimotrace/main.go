@@ -9,7 +9,11 @@
 // -format selects CSV (default) or JSONL, -every subsamples, and
 // -metrics-addr additionally serves live diagnostics (/metrics,
 // /healthz, /trace with the most recent records, /debug/pprof) while
-// the run is in flight.
+// the run is in flight. The run is registered as the one loop of an
+// obs.Fleet, which serves /slo (watch with cmd/mimostat) and composes
+// /healthz from the loop's last epoch: 503 naming the loop while it is
+// in supervisor fallback, fails its model-health monitor or alerts on a
+// control SLO, in that order; warns annotate a 200.
 //
 // With -flightrec the run also keeps a control-loop flight recorder
 // attached: the last epochs of controller internals are dumped to the
@@ -100,23 +104,27 @@ func main() {
 	}
 
 	// trace keeps the most recent records for /trace; the harness
-	// appends every epoch, so its sequence is the epoch number.
+	// appends every epoch, so its sequence is the epoch number. loop is
+	// the run's handle in the one-loop fleet behind /healthz.
 	var trace *flightrec.Recorder
+	var loop *obs.Loop
 	if *metricsAddr != "" {
 		trace = flightrec.New(0)
 		reg := telemetry.NewRegistry()
 		telemetry.RegisterGoMetrics(reg)
 		experiments.EnableTelemetry(reg) // before any processor is built
+		fleet := obs.NewFleet(obs.Options{Registry: reg})
+		loop = fleet.Register(*arch + "/" + *workload)
 		srv, err := telemetry.StartServer(*metricsAddr, telemetry.ServerOptions{
 			Registry: reg,
-			Health:   supervisor.Healthz,
-			Extra:    append(flightrecEndpoints(frec), traceEndpoint(trace)),
+			Health:   func() (bool, string) { return fleet.Healthz() },
+			Extra:    append(append(fleet.Endpoints(), flightrecEndpoints(frec)...), traceEndpoint(trace)),
 		})
 		if err != nil {
 			fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "diagnostics on http://%s/ (metrics, healthz, trace, debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "diagnostics on http://%s/ (metrics, healthz, slo, trace, debug/pprof)\n", srv.Addr())
 	}
 
 	w, err := workloads.ByName(*workload)
@@ -156,6 +164,11 @@ func main() {
 		fatal(err)
 	}
 	sup, supervised := ctrl.(*supervisor.Supervised)
+	if supervised && loop != nil {
+		// The supervisor reports its own epochs, model health included.
+		sup.SetLoopObs(loop)
+		sup.BindTelemetry(loop.Scope())
+	}
 
 	ir, _ := ctrl.(supervisor.InnovationReporter)
 	batch := make([]obs.Event, 1)
@@ -186,6 +199,11 @@ func main() {
 			ev.Mode = uint8(sup.Mode())
 		}
 		trace.Append(ev)
+		if loop != nil && !supervised {
+			// A copy: Observe restamps the epoch the trace keeps.
+			fev := *ev
+			loop.Observe(&fev)
+		}
 		if k%*every == 0 && sinkErr == nil {
 			sinkErr = sink.WriteEvents(batch)
 		}

@@ -329,8 +329,7 @@ type Adapter struct {
 
 	yScr [2]float64
 
-	// Per-instance instrument binding (nil: use the global SetTelemetry
-	// binding).
+	// Instrument binding (nil: unbound).
 	tel  *adaptMetrics
 	uScr [3]float64
 }
@@ -494,7 +493,7 @@ func (a *Adapter) Advance(t sim.Telemetry, proposed sim.Config, clean bool) Verd
 			a.failStreak = 0
 			a.attempts = 0
 			a.stats.Triggers++
-			if m := a.metrics(); m != nil {
+			if m := a.tel; m != nil {
 				m.triggers.Inc()
 			}
 			a.toState(StateDrifted)
@@ -523,7 +522,7 @@ func (a *Adapter) Advance(t sim.Telemetry, proposed sim.Config, clean bool) Verd
 	case StateRedesigning:
 		cand, err := a.redesign()
 		a.stats.Redesigns++
-		if m := a.metrics(); m != nil {
+		if m := a.tel; m != nil {
 			m.redesigns.Inc()
 		}
 		if err != nil {
@@ -543,7 +542,7 @@ func (a *Adapter) Advance(t sim.Telemetry, proposed sim.Config, clean bool) Verd
 			a.toState(StateSwapped)
 		} else {
 			a.stats.VerifyFailures++
-			if m := a.metrics(); m != nil {
+			if m := a.tel; m != nil {
 				m.verifyFailures.Inc()
 			}
 			a.episodeFailed()
@@ -586,7 +585,7 @@ func (a *Adapter) episodeFailed() {
 		return
 	}
 	a.stats.GiveUps++
-	if m := a.metrics(); m != nil {
+	if m := a.tel; m != nil {
 		m.giveUps.Inc()
 	}
 	a.cooldown = a.opts.CooldownEpochs
@@ -622,7 +621,7 @@ func (a *Adapter) dither(cfg sim.Config) sim.Config {
 		cfg.ROBIdx = clampIdx(cfg.ROBIdx+sign(a.dROB[i]), len(sim.ROBSettings))
 	}
 	a.stats.ExciteEpochs++
-	if m := a.metrics(); m != nil {
+	if m := a.tel; m != nil {
 		m.exciteEpochs.Inc()
 	}
 	return cfg
@@ -647,7 +646,7 @@ func (a *Adapter) toState(s State) {
 }
 
 func (a *Adapter) publishState() {
-	if m := a.metrics(); m != nil {
+	if m := a.tel; m != nil {
 		m.state.Set(float64(a.state))
 		m.excitation.Set(a.est.excitation())
 	}

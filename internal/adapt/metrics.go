@@ -1,14 +1,13 @@
 package adapt
 
 import (
-	"sync/atomic"
-
 	"mimoctl/internal/telemetry"
 )
 
-// Telemetry binding for the adaptation loop, following the repo-wide
-// pattern: a process-level atomic binding installed by SetTelemetry,
-// re-read at publish time, nil meaning uninstrumented.
+// Telemetry binding for the adaptation loop: each adapter carries its
+// own instruments, bound to its loop's registry scope by BindTelemetry
+// (normally through supervisor.Supervised.BindTelemetry); an unbound
+// adapter drives none.
 
 type adaptMetrics struct {
 	state      telemetry.Gauge
@@ -24,36 +23,15 @@ type adaptMetrics struct {
 	giveUps        telemetry.Counter
 }
 
-var adaptTel atomic.Pointer[adaptMetrics]
-
-// SetTelemetry binds the adaptation layer to a metrics registry. Pass
-// nil to disable instrumentation.
-func SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		adaptTel.Store(nil)
-		return
-	}
-	adaptTel.Store(newAdaptMetrics(reg))
-}
-
-// BindTelemetry binds THIS adapter instance to a registry — normally a
-// per-loop scope — taking precedence over the process-global
-// SetTelemetry binding. nil reverts to the global binding.
+// BindTelemetry binds this adapter to a registry, normally its loop's
+// scope. A nil or disabled registry unbinds.
 func (a *Adapter) BindTelemetry(reg *telemetry.Registry) {
-	if reg == nil || !reg.Enabled() {
+	if !reg.Enabled() {
 		a.tel = nil
 		return
 	}
 	a.tel = newAdaptMetrics(reg)
-}
-
-// metrics resolves the instrument binding for one hook: the instance
-// binding when present, else the process-global one.
-func (a *Adapter) metrics() *adaptMetrics {
-	if a.tel != nil {
-		return a.tel
-	}
-	return adaptTel.Load()
+	a.publishState()
 }
 
 func newAdaptMetrics(reg *telemetry.Registry) *adaptMetrics {

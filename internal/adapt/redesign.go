@@ -135,7 +135,7 @@ func (a *Adapter) verifyAndSwap(v *Verdict) bool {
 		return false
 	}
 	a.stats.LastMargin = rep.Margin
-	if m := a.metrics(); m != nil {
+	if m := a.tel; m != nil {
 		m.lastMargin.Set(rep.Margin)
 	}
 	if !rep.NominallyStable || !rep.RobustlyStable {
@@ -157,7 +157,7 @@ func (a *Adapter) verifyAndSwap(v *Verdict) bool {
 		a.opts.CovarianceCap, a.opts.NoiseAlpha, a.opts.OperatingPointAlpha)
 	a.lastErr = nil
 	a.stats.Swaps++
-	if m := a.metrics(); m != nil {
+	if m := a.tel; m != nil {
 		m.swaps.Inc()
 	}
 	v.Flags |= obs.FlagAdaptSwap
@@ -192,7 +192,7 @@ func (a *Adapter) revert(v *Verdict) {
 	a.revertPending = false
 	a.probLeft = 0
 	a.stats.Reverts++
-	if m := a.metrics(); m != nil {
+	if m := a.tel; m != nil {
 		m.reverts.Inc()
 	}
 	a.cooldown = a.opts.CooldownEpochs

@@ -34,7 +34,7 @@ import (
 // scalar supervised loop across fault-injected runs.
 //
 // Like the bare-MIMO tier, batched stepping does not drive telemetry
-// instruments (counters/gauges bound via SetTelemetry/BindTelemetry);
+// instruments (counters/gauges bound via BindTelemetry);
 // supervisor.Health counters stay exact. Epochs stepped by an evicted
 // twin drive instruments exactly as scalar epochs do.
 type SupEngine struct {

@@ -91,37 +91,6 @@ func TestDoctorClassifiesFaults(t *testing.T) {
 	}
 }
 
-// TestRecordingDoesNotPerturbResults: attaching a recorder is purely
-// observational — the stats of a recorded run equal the unrecorded
-// ones, which is why goldens stay byte-identical under
-// FLIGHTREC_DUMP_DIR.
-func TestRecordingDoesNotPerturbResults(t *testing.T) {
-	prev := func() FlightRecConfig { frMu.Lock(); defer frMu.Unlock(); return frCfg }()
-	defer SetFlightRecording(prev)
-
-	w, err := workloads.ByName(FaultSweepWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mimo, _, err := DesignedMIMO(false, DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetFlightRecording(FlightRecConfig{})
-	base, err := RunTracking(mimo.Clone(), w, DefaultSeed, 400, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetFlightRecording(FlightRecConfig{Enabled: true})
-	recorded, err := RunTracking(mimo.Clone(), w, DefaultSeed, 400, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != recorded {
-		t.Fatalf("recording perturbed the run:\n base %+v\n rec  %+v", base, recorded)
-	}
-}
-
 func TestFlightRecordingDumpsToDir(t *testing.T) {
 	prev := func() FlightRecConfig { frMu.Lock(); defer frMu.Unlock(); return frCfg }()
 	defer SetFlightRecording(prev)

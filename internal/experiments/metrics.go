@@ -3,9 +3,7 @@ package experiments
 import (
 	"sync/atomic"
 
-	"mimoctl/internal/adapt"
 	"mimoctl/internal/core"
-	"mimoctl/internal/health"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/runner"
 	"mimoctl/internal/sim"
@@ -15,9 +13,10 @@ import (
 
 // Telemetry instrumentation for the experiment harness. EnableTelemetry
 // is the single switch a binary flips: it cascades the registry to the
-// plant, controller, and supervisor layers (sim processors bind at
+// plant, controller and runner layers (sim processors bind at
 // construction, so call it before running anything) and registers the
-// harness-level progress metrics.
+// harness-level progress metrics. Supervised loops bind per loop
+// instead, through the fleet SetObservability attaches (wireLoopObs).
 
 type expMetrics struct {
 	// reg is kept for the per-figure labeled counters, which are
@@ -33,9 +32,6 @@ var expTel atomic.Pointer[expMetrics]
 func EnableTelemetry(reg *telemetry.Registry) {
 	sim.SetTelemetry(reg)
 	core.SetTelemetry(reg)
-	supervisor.SetTelemetry(reg)
-	health.SetTelemetry(reg)
-	adapt.SetTelemetry(reg)
 	runner.SetTelemetry(reg)
 	if reg == nil {
 		expTel.Store(nil)
@@ -72,12 +68,9 @@ func SetObservability(f *obs.Fleet) {
 	expObs.Store(f)
 }
 
-// Observability returns the attached fleet (nil when off).
-func Observability() *obs.Fleet { return expObs.Load() }
-
 // wireLoopObs registers loop with the attached fleet (no-op when none)
-// and binds the supervised controller — and its adapter, when present —
-// to the loop's telemetry scope so the whole stack reports per-loop
+// and binds the supervised controller (with its monitor and adapter) to
+// the loop's telemetry scope, so the whole stack reports per-loop
 // series.
 func wireLoopObs(ctrl core.ArchController, loop string) {
 	f := expObs.Load()
@@ -90,12 +83,7 @@ func wireLoopObs(ctrl core.ArchController, loop string) {
 	}
 	l := f.Register(loop)
 	sup.SetLoopObs(l)
-	if scope := l.Scope(); scope.Enabled() {
-		sup.BindTelemetry(scope)
-		if ad := sup.Adapter(); ad != nil {
-			ad.BindTelemetry(scope)
-		}
-	}
+	sup.BindTelemetry(l.Scope())
 }
 
 // markFigureDone records the successful completion of one figure/table

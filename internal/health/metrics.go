@@ -1,14 +1,13 @@
 package health
 
 import (
-	"sync/atomic"
-
 	"mimoctl/internal/telemetry"
 )
 
-// Telemetry binding for the model-health monitors, following the
-// repo-wide pattern: a process-level atomic binding installed by
-// SetTelemetry, re-read at publish time, nil meaning uninstrumented.
+// Telemetry binding for the model-health monitors: each monitor carries
+// its own gauges, bound to its loop's registry scope by BindTelemetry
+// (normally through supervisor.Supervised.BindTelemetry); an unbound
+// monitor drives none.
 
 type healthMetrics struct {
 	whitenessIPS    telemetry.Gauge
@@ -19,16 +18,23 @@ type healthMetrics struct {
 	level           telemetry.Gauge
 }
 
-var healthTel atomic.Pointer[healthMetrics]
-
-// SetTelemetry binds the health layer to a metrics registry. Pass nil
-// to disable instrumentation.
-func SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		healthTel.Store(nil)
+// BindTelemetry binds this monitor's gauges to a registry, normally its
+// loop's scope. A nil or disabled registry unbinds. Nil-safe.
+func (m *Monitor) BindTelemetry(reg *telemetry.Registry) {
+	if m == nil {
 		return
 	}
-	m := &healthMetrics{
+	var t *healthMetrics
+	if reg.Enabled() {
+		t = newHealthMetrics(reg)
+	}
+	m.mu.Lock()
+	m.tel = t
+	m.mu.Unlock()
+}
+
+func newHealthMetrics(reg *telemetry.Registry) *healthMetrics {
+	return &healthMetrics{
 		whitenessIPS:    reg.Gauge("health_whiteness_pvalue", "Ljung-Box innovation whiteness p-value", telemetry.L("channel", "ips")),
 		whitenessPower:  reg.Gauge("health_whiteness_pvalue", "Ljung-Box innovation whiteness p-value", telemetry.L("channel", "power")),
 		consumptionIPS:  reg.Gauge("health_guardband_consumption", "EMA innovation magnitude over the design guardband", telemetry.L("channel", "ips")),
@@ -36,7 +42,6 @@ func SetTelemetry(reg *telemetry.Registry) {
 		stabilityMargin: reg.Gauge("health_stability_margin", "small-gain margin recomputed with the observed guardband"),
 		level:           reg.Gauge("health_level", "combined model-health verdict (0 ok, 1 warn, 2 fail)"),
 	}
-	healthTel.Store(m)
 }
 
 // publish mirrors one evaluation into the gauges. The per-channel

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"mimoctl/internal/lti"
 	"mimoctl/internal/robust"
@@ -93,9 +92,6 @@ type Options struct {
 	// RecomputeEvery is the margin recompute period in observations
 	// (default 2048; the analysis walks a 512-point frequency grid).
 	RecomputeEvery int
-	// Publish mirrors every evaluation into the package-level snapshot
-	// consumed by supervisor.Healthz.
-	Publish bool
 }
 
 func (o Options) withDefaults() Options {
@@ -188,6 +184,8 @@ type Monitor struct {
 	detail string
 
 	ordered []float64 // scratch: window in chronological order
+
+	tel *healthMetrics // gauges (nil: unbound)
 }
 
 // NewMonitor builds a monitor with the given options.
@@ -310,12 +308,8 @@ func (m *Monitor) evaluateLocked() {
 		}
 	}
 	m.level, m.detail = level, detail
-	snap := m.snapshotLocked()
-	if tel := healthTel.Load(); tel != nil {
-		tel.publish(snap, [2]float64{m.ema[0] / o.IPSGuardband, m.ema[1] / o.PowerGuardband})
-	}
-	if o.Publish {
-		publishGlobal(snap)
+	if m.tel != nil {
+		m.tel.publish(m.snapshotLocked(), [2]float64{m.ema[0] / o.IPSGuardband, m.ema[1] / o.PowerGuardband})
 	}
 }
 
@@ -397,21 +391,3 @@ func (m *Monitor) Snapshot() Snapshot {
 	defer m.mu.Unlock()
 	return m.snapshotLocked()
 }
-
-// current is the process-wide snapshot supervisor.Healthz consults.
-var current atomic.Pointer[Snapshot]
-
-func publishGlobal(s Snapshot) { current.Store(&s) }
-
-// Current returns the most recently published snapshot (from a Monitor
-// with Options.Publish set); ok is false when none was published.
-func Current() (Snapshot, bool) {
-	p := current.Load()
-	if p == nil {
-		return Snapshot{}, false
-	}
-	return *p, true
-}
-
-// ResetGlobal clears the published snapshot (tests).
-func ResetGlobal() { current.Store(nil) }

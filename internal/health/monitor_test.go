@@ -7,6 +7,7 @@ import (
 
 	"mimoctl/internal/lti"
 	"mimoctl/internal/mat"
+	"mimoctl/internal/telemetry"
 )
 
 // feedWhite drives n small, white-ish innovations through m.
@@ -171,19 +172,41 @@ func TestNilMonitorIsSafe(t *testing.T) {
 	}
 }
 
-func TestPublishGlobal(t *testing.T) {
-	ResetGlobal()
-	t.Cleanup(ResetGlobal)
-	if _, ok := Current(); ok {
-		t.Fatal("snapshot published before any monitor ran")
-	}
-	m := NewMonitor(Options{Window: 64, EvalEvery: 16, Lags: 4, Publish: true})
+// TestBindTelemetryPublishesGauges: a bound monitor mirrors each
+// evaluation into its own registry; a second, unbound monitor in the
+// same process publishes nothing there.
+func TestBindTelemetryPublishesGauges(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := NewMonitor(Options{Window: 64, EvalEvery: 16, Lags: 4})
+	m.BindTelemetry(reg.Scope(telemetry.L("loop", "a")))
+	other := NewMonitor(Options{Window: 64, EvalEvery: 16, Lags: 4})
 	feedWhite(t, m, 64, 0.02)
-	s, ok := Current()
-	if !ok {
-		t.Fatal("Publish did not surface a global snapshot")
+	feedWhite(t, other, 64, 5)
+	if other.Level() != LevelFail {
+		t.Fatalf("unbound monitor at %v, want fail", other.Level())
 	}
-	if s.Observations == 0 {
-		t.Fatal("published snapshot is empty")
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
+	out := sb.String()
+	if !strings.Contains(out, `health_level{loop="a"} 0`) || !strings.Contains(out, `health_whiteness_pvalue{loop="a",channel="ips"}`) {
+		t.Fatalf("bound monitor's gauges missing:\n%s", out)
+	}
+	if strings.Count(out, "health_level{") != 1 {
+		t.Fatalf("unbound monitor reached the registry:\n%s", out)
+	}
+	// Unbinding stops publication; a nil monitor ignores the call.
+	m.BindTelemetry(nil)
+	feedWhite(t, m, 64, 5)
+	if m.Level() != LevelFail {
+		t.Fatalf("monitor at %v, want fail", m.Level())
+	}
+	sb.Reset()
+	_ = reg.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), `health_level{loop="a"} 0`) {
+		t.Fatalf("unbound monitor still publishing:\n%s", sb.String())
+	}
+	var nilMon *Monitor
+	nilMon.BindTelemetry(reg)
 }

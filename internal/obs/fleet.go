@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mimoctl/internal/telemetry"
@@ -31,9 +31,6 @@ type Options struct {
 	// EpochPeriod converts violation epochs to wall time in reports
 	// (default 50 µs, the paper's epoch).
 	EpochPeriod time.Duration
-	// PublishVerdict, when set, publishes the fleet verdict globally so
-	// supervisor.Healthz folds it in (see CurrentVerdict).
-	PublishVerdict bool
 }
 
 // Fleet is the loop registry of the observability plane.
@@ -45,11 +42,6 @@ type Fleet struct {
 	loops  map[string]*Loop
 	byID   []*Loop
 	nextID uint32
-
-	// Fleet-level alert accounting, maintained on loop verdict
-	// transitions so the global verdict is O(1) per epoch.
-	alerting atomic.Int64
-	burning  atomic.Int64
 }
 
 // NewFleet builds a fleet.
@@ -83,9 +75,6 @@ func NewFleet(opts Options) *Fleet {
 			func() float64 { return float64(bus.OccupancyHWM()) })
 		reg.GaugeFunc("obs_bus_capacity", "bus ring capacity in events",
 			func() float64 { return float64(bus.Cap()) })
-	}
-	if opts.PublishVerdict {
-		publishGlobal(f.verdict())
 	}
 	return f
 }
@@ -169,7 +158,10 @@ type Loop struct {
 	violationEpochs uint64
 	fallbackEpochs  uint64
 
-	wasAlerting, wasBurning bool
+	// Last observed Event.Mode, Event.Health and Event.Guardband: the
+	// loop's live state for Healthz and the /slo mode column.
+	mode, health uint8
+	guardband    float64
 
 	// Per-loop scoped instruments (nil when the fleet has no registry).
 	scope      *telemetry.Registry
@@ -241,13 +233,11 @@ func (l *Loop) ObserveInto(ev *Event) bool {
 		l.sinceTargetChange++
 	}
 
+	l.mode, l.health, l.guardband = ev.Mode, ev.Health, ev.Guardband
 	trackErr := TrackErr(ev)
-	alerting, burning := false, false
 	for i, e := range l.slos {
 		bad := e.spec.isBad(ev, l.sinceTargetChange, trackErr)
 		e.observe(bad)
-		alerting = alerting || e.alerting
-		burning = burning || e.burning
 		if l.mBurn != nil {
 			l.mBurn[i].Set(e.worstBurn)
 			if bad {
@@ -281,34 +271,11 @@ func (l *Loop) ObserveInto(ev *Event) bool {
 		l.mEpochs.Inc()
 		l.mTrackRMS.Set(math.Sqrt(l.emaSq))
 	}
-
-	transition := alerting != l.wasAlerting || burning != l.wasBurning
-	if transition {
-		if alerting != l.wasAlerting {
-			l.fleet.bump(&l.fleet.alerting, alerting)
-		}
-		if burning != l.wasBurning {
-			l.fleet.bump(&l.fleet.burning, burning)
-		}
-		l.wasAlerting, l.wasBurning = alerting, burning
-	}
 	l.mu.Unlock()
-
-	if transition && l.fleet.opts.PublishVerdict {
-		publishGlobal(l.fleet.verdict())
-	}
 	return l.fleet.opts.Bus != nil
 }
 
-func (f *Fleet) bump(ctr *atomic.Int64, up bool) {
-	if up {
-		ctr.Add(1)
-	} else {
-		ctr.Add(-1)
-	}
-}
-
-// Level grades a fleet verdict for Healthz composition.
+// Level grades the fleet's SLO verdict.
 type Level int
 
 const (
@@ -333,7 +300,7 @@ func (l Level) String() string {
 	return "ok"
 }
 
-// Verdict is the fleet-level SLO judgment folded into Healthz.
+// Verdict is the fleet-level SLO judgment reported on /slo.
 type Verdict struct {
 	Level         Level
 	Detail        string
@@ -342,14 +309,52 @@ type Verdict struct {
 	AlertingLoops int
 }
 
-// verdict computes the current fleet verdict.
-func (f *Fleet) verdict() Verdict {
+// loopHealth is one loop's scrape-time health input: its last observed
+// mode, model-health level and guardband consumption, and the first SLO
+// (in spec order) alerting and burning on it, "" when none.
+type loopHealth struct {
+	name              string
+	mode, health      uint8
+	guardband         float64
+	alerting, burning string
+}
+
+// scan snapshots every loop's health input in registration order.
+func (f *Fleet) scan() []loopHealth {
 	f.mu.Lock()
-	n := len(f.byID)
+	loops := append([]*Loop(nil), f.byID...)
 	f.mu.Unlock()
-	alerting := int(f.alerting.Load())
-	burning := int(f.burning.Load())
-	v := Verdict{Loops: n, BurningLoops: burning, AlertingLoops: alerting}
+	hs := make([]loopHealth, len(loops))
+	for i, l := range loops {
+		l.mu.Lock()
+		h := loopHealth{name: l.name, mode: l.mode, health: l.health, guardband: l.guardband}
+		for _, e := range l.slos {
+			if e.alerting && h.alerting == "" {
+				h.alerting = e.spec.Name
+			}
+			if e.burning && h.burning == "" {
+				h.burning = e.spec.Name
+			}
+		}
+		l.mu.Unlock()
+		hs[i] = h
+	}
+	return hs
+}
+
+// Verdict returns the current fleet-level judgment.
+func (f *Fleet) Verdict() Verdict {
+	hs := f.scan()
+	v := Verdict{Loops: len(hs)}
+	for _, h := range hs {
+		if h.alerting != "" {
+			v.AlertingLoops++
+		}
+		if h.burning != "" {
+			v.BurningLoops++
+		}
+	}
+	alerting, burning, n := v.AlertingLoops, v.BurningLoops, v.Loops
 	switch {
 	case alerting > 0:
 		v.Level = LevelFail
@@ -363,8 +368,79 @@ func (f *Fleet) verdict() Verdict {
 	return v
 }
 
-// Verdict returns the current fleet-level judgment.
-func (f *Fleet) Verdict() Verdict { return f.verdict() }
+// Model-health levels recorded in Event.Health (mirrors health.Level).
+const (
+	healthWarn uint8 = 1
+	healthFail uint8 = 2
+)
+
+// Healthz answers /healthz for this fleet. It is computed at scrape time
+// from each registered loop's last observed Event.Mode and Event.Health
+// and its SLO state. The first failing tier, in precedence order, makes
+// the answer unhealthy and names the first offending loop in
+// registration order:
+//
+//  1. a loop in supervisor fallback;
+//  2. a loop whose model-health monitor fails;
+//  3. a loop alerting on a control SLO.
+//
+// Otherwise the answer is healthy and lists every active warn: a loop
+// whose model-health monitor warns, a loop burning error budget, then
+// each of the caller's extra sources (for example
+// tsdb.Detector.Annotation) in argument order.
+func (f *Fleet) Healthz(warns ...func() (detail string, active bool)) (ok bool, detail string) {
+	hs := f.scan()
+	n := len(hs)
+	// first returns the first loop matching match and how many match.
+	first := func(match func(h *loopHealth) bool) (*loopHealth, int) {
+		var hit *loopHealth
+		k := 0
+		for i := range hs {
+			if match(&hs[i]) {
+				if hit == nil {
+					hit = &hs[i]
+				}
+				k++
+			}
+		}
+		return hit, k
+	}
+	if h, k := first(func(h *loopHealth) bool { return h.mode != ModeEngaged }); h != nil {
+		return false, fmt.Sprintf("supervisor fallback: loop %s pinned at the safe configuration (%d/%d loops in fallback)", h.name, k, n)
+	}
+	if h, k := first(func(h *loopHealth) bool { return h.health >= healthFail }); h != nil {
+		return false, fmt.Sprintf("model health fail: loop %s%s (%d/%d loops failing)", h.name, guardbandNote(h.guardband), k, n)
+	}
+	if h, k := first(func(h *loopHealth) bool { return h.alerting != "" }); h != nil {
+		return false, fmt.Sprintf("control SLO fail: loop %s alerting on %s (%d/%d loops alerting)", h.name, h.alerting, k, n)
+	}
+	var notes []string
+	if h, k := first(func(h *loopHealth) bool { return h.health == healthWarn }); h != nil {
+		notes = append(notes, fmt.Sprintf("model health warn: loop %s%s (%d/%d loops warning)", h.name, guardbandNote(h.guardband), k, n))
+	}
+	if h, k := first(func(h *loopHealth) bool { return h.burning != "" }); h != nil {
+		notes = append(notes, fmt.Sprintf("control SLO warn: loop %s burning error budget on %s (%d/%d loops burning)", h.name, h.burning, k, n))
+	}
+	for _, w := range warns {
+		if d, active := w(); active && d != "" {
+			notes = append(notes, d)
+		}
+	}
+	detail = fmt.Sprintf("%d loops engaged", n)
+	if len(notes) > 0 {
+		detail += "; " + strings.Join(notes, "; ")
+	}
+	return true, detail
+}
+
+// guardbandNote renders a guardband consumption for a Healthz detail
+// ("" when the loop reported none).
+func guardbandNote(g float64) string {
+	if math.IsNaN(g) || math.IsInf(g, 0) {
+		return ""
+	}
+	return fmt.Sprintf(", guardband consumption %.0f%%", 100*g)
+}
 
 // LoopStatus is one loop's row of the fleet report.
 type LoopStatus struct {
@@ -372,15 +448,14 @@ type LoopStatus struct {
 	Epochs uint64 `json:"epochs"`
 	Mode   string `json:"mode"`
 
-	TrackingRMS         telemetry.JSONFloat `json:"tracking_error_rms"`
-	FallbackEpochs      uint64              `json:"fallback_epochs"`
-	ViolationEpochs     uint64              `json:"power_violation_epochs"`
-	ViolationSeconds    telemetry.JSONFloat `json:"power_violation_seconds"`
-	SLOs                []SLOStatus         `json:"slos"`
-	WorstBurn           float64             `json:"worst_burn"`
-	WorstSLO            string              `json:"worst_slo"`
-	Alerting            bool                `json:"alerting"`
-	lastMode, lastAdapt uint8
+	TrackingRMS      telemetry.JSONFloat `json:"tracking_error_rms"`
+	FallbackEpochs   uint64              `json:"fallback_epochs"`
+	ViolationEpochs  uint64              `json:"power_violation_epochs"`
+	ViolationSeconds telemetry.JSONFloat `json:"power_violation_seconds"`
+	SLOs             []SLOStatus         `json:"slos"`
+	WorstBurn        float64             `json:"worst_burn"`
+	WorstSLO         string              `json:"worst_slo"`
+	Alerting         bool                `json:"alerting"`
 }
 
 // FleetReport is the /slo payload: loops sorted by worst burn rate,
@@ -403,7 +478,7 @@ func (f *Fleet) Report() FleetReport {
 	f.mu.Lock()
 	loops := append([]*Loop(nil), f.byID...)
 	f.mu.Unlock()
-	v := f.verdict()
+	v := f.Verdict()
 	rep := FleetReport{
 		Loops: v.Loops, Level: v.Level.String(), Detail: v.Detail,
 		AlertingLoops: v.AlertingLoops, BurningLoops: v.BurningLoops,
@@ -437,6 +512,9 @@ func (l *Loop) status(epochPeriod time.Duration) LoopStatus {
 			float64(l.violationEpochs) * epochPeriod.Seconds()),
 	}
 	st.Mode = "engaged"
+	if l.mode != ModeEngaged {
+		st.Mode = "fallback"
+	}
 	for _, e := range l.slos {
 		s := e.status()
 		st.SLOs = append(st.SLOs, s)
@@ -446,12 +524,6 @@ func (l *Loop) status(epochPeriod time.Duration) LoopStatus {
 			}
 		}
 		st.Alerting = st.Alerting || s.Alerting
-		if e.spec.Signal == SignalFallback && e.seen > 0 {
-			// The most recent fallback flag doubles as the live mode.
-			if e.ring[(e.pos+len(e.ring)-1)%len(e.ring)] != 0 {
-				st.Mode = "fallback"
-			}
-		}
 	}
 	return st
 }

@@ -73,6 +73,24 @@ func TestFleetReportSortedByBurn(t *testing.T) {
 	if rep.Rows[0].ViolationEpochs == 0 {
 		t.Fatal("power violations not counted")
 	}
+
+	// The mode column is the loop's last observed Event.Mode, so it holds
+	// with specs that do not score fallback at all.
+	custom := NewFleet(Options{Specs: []Spec{{
+		Name: "tracking", Signal: SignalTrackingError, Threshold: 0.25, Objective: 0.9,
+		Windows: []Window{{Epochs: 8, MaxBurn: 3}},
+	}}})
+	l := custom.Register("pinned")
+	for i := 0; i < 10; i++ {
+		l.Observe(&Event{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10, Mode: ModeFallback})
+	}
+	if row := custom.Report().Rows[0]; row.Mode != "fallback" || row.FallbackEpochs != 10 {
+		t.Fatalf("custom-specs row = mode %q, %d fallback epochs; want fallback, 10", row.Mode, row.FallbackEpochs)
+	}
+	l.Observe(&Event{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10})
+	if row := custom.Report().Rows[0]; row.Mode != "engaged" {
+		t.Fatalf("re-engaged loop reports mode %q", row.Mode)
+	}
 }
 
 func TestFleetScopedMetrics(t *testing.T) {
@@ -177,27 +195,6 @@ func TestFleetPublishesEvents(t *testing.T) {
 	ev = <-events
 	if ev.Flags&FlagTargetChange == 0 {
 		t.Fatalf("target change not flagged: %+v", ev)
-	}
-}
-
-func TestGlobalVerdictPublication(t *testing.T) {
-	ResetGlobal()
-	t.Cleanup(ResetGlobal)
-	if _, ok := CurrentVerdict(); ok {
-		t.Fatal("verdict published before any fleet exists")
-	}
-	f := NewFleet(Options{PublishVerdict: true})
-	v, ok := CurrentVerdict()
-	if !ok || v.Level != LevelOK {
-		t.Fatalf("initial verdict = %+v ok=%v", v, ok)
-	}
-	l := f.Register("a")
-	for i := 0; i < 3000; i++ {
-		l.Observe(badSample())
-	}
-	v, ok = CurrentVerdict()
-	if !ok || v.Level != LevelFail {
-		t.Fatalf("faulted verdict = %+v ok=%v", v, ok)
 	}
 }
 

@@ -33,13 +33,13 @@
 //   - SLO engine: declarative objectives over control-theoretic signals
 //     (tracking error, overshoot, settling, power-budget violation,
 //     fallback ratio) evaluated per loop over multi-window burn rates,
-//     surfaced via /slo, per-loop burn gauges, and a process-global
-//     verdict folded into supervisor.Healthz.
+//     surfaced via /slo and per-loop burn gauges, and folded into
+//     Fleet.Healthz.
+//
+// A fleet holds no process state: Healthz, Verdict and Report read only
+// the fleet's own loops at scrape time, so two fleets in one process
+// (or two parallel tests) answer independently.
 package obs
-
-import (
-	"sync/atomic"
-)
 
 // Event is the one per-epoch record of one control loop: what the
 // controller wanted (targets), what the sensors said (IPS, PowerW, after
@@ -159,24 +159,3 @@ const (
 // IdxNA marks a knob index that does not apply to the record (e.g. the
 // ROB knob of a 2-input controller).
 const IdxNA int16 = -1
-
-// globalVerdict is the process-global fleet verdict for Healthz
-// composition, mirroring health.Current: the last fleet that published
-// wins, which with one fleet per process — the deployment shape — is
-// exactly that fleet's verdict.
-var globalVerdict atomic.Pointer[Verdict]
-
-// CurrentVerdict returns the most recently published fleet verdict.
-// ok is false when no fleet has published.
-func CurrentVerdict() (Verdict, bool) {
-	v := globalVerdict.Load()
-	if v == nil {
-		return Verdict{}, false
-	}
-	return *v, true
-}
-
-// ResetGlobal clears the published verdict (tests).
-func ResetGlobal() { globalVerdict.Store(nil) }
-
-func publishGlobal(v Verdict) { globalVerdict.Store(&v) }

@@ -8,120 +8,121 @@ import (
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/health"
 	"mimoctl/internal/obs"
+	"mimoctl/internal/telemetry"
 )
 
+// TestHealthzFallbackIsUnhealthy: a supervised loop's fallback reaches
+// its fleet's /healthz through the mode it reports on its events — no
+// process state in between — and names the loop; the per-loop mode
+// gauge follows.
 func TestHealthzFallbackIsUnhealthy(t *testing.T) {
-	health.ResetGlobal()
-	t.Cleanup(func() { markMode(nil, ModeEngaged); health.ResetGlobal() })
+	reg := telemetry.NewRegistry()
+	f := obs.NewFleet(obs.Options{Registry: reg, Specs: []obs.Spec{}})
+	healthy := New(newFakeInner(), Options{})
+	healthy.SetLoopObs(f.Register("healthy"))
+	sup := New(newFakeInner(), Options{MaxStaleEpochs: 10, FallbackAfter: 5})
+	l := f.Register("faulty")
+	sup.SetLoopObs(l)
+	sup.BindTelemetry(l.Scope())
 
-	markMode(nil, ModeEngaged)
-	if ok, detail := Healthz(); !ok || detail != "supervisor engaged" {
+	for k := 0; k < 5; k++ {
+		healthy.Step(goodTel(k))
+		sup.Step(goodTel(k))
+	}
+	if ok, detail := f.Healthz(); !ok || detail != "2 loops engaged" {
 		t.Fatalf("engaged: ok=%v detail=%q", ok, detail)
 	}
-	markMode(nil, ModeFallback)
-	if ok, detail := Healthz(); ok || !strings.Contains(detail, "fallback") {
+	for k := 5; sup.Mode() == ModeEngaged && k < 100; k++ {
+		healthy.Step(goodTel(k))
+		bad := goodTel(k)
+		bad.PowerW = 0
+		sup.Step(bad)
+	}
+	if sup.Mode() != ModeFallback {
+		t.Fatal("never fell back")
+	}
+	if ok, detail := f.Healthz(); ok || !strings.Contains(detail, "fallback") || !strings.Contains(detail, "loop faulty") {
 		t.Fatalf("fallback: ok=%v detail=%q", ok, detail)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `supervisor_mode{loop="faulty"} 1`) {
+		t.Fatalf("per-loop mode gauge not in fallback:\n%s", sb.String())
 	}
 }
 
-// driveMonitor publishes a snapshot at the requested level through a
-// real monitor (the published snapshot is only writable by one).
-func driveMonitor(t *testing.T, level health.Level) {
-	t.Helper()
-	m := health.NewMonitor(health.Options{Window: 64, EvalEvery: 16, Lags: 4, Publish: true})
-	mag := 0.02 // tiny white innovations -> ok
+// modelHealthInnovation is the innovation magnitude (BIPS) that drives
+// a Window-64 monitor to the requested level: ~90% of the IPS guardband
+// warns, past it fails.
+func modelHealthInnovation(level health.Level) float64 {
 	switch level {
 	case health.LevelWarn:
-		mag = 0.45 * 2.5 // ~90% of the IPS guardband
+		return 0.45 * 2.5
 	case health.LevelFail:
-		mag = 0.60 * 2.5 // budget exhausted
+		return 0.60 * 2.5
 	}
+	return 0.02
+}
+
+// stepToLevel steps sup with white innovations of the level's magnitude
+// until its monitor reaches level (at most 256 epochs).
+func stepToLevel(t *testing.T, sup *Supervised, inner *fakeInner, level health.Level) {
+	t.Helper()
+	mag := modelHealthInnovation(level)
 	rng := uint64(12345)
 	unit := func() float64 { // uniform in (-1, 1), deterministic
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return float64(int64(rng>>11))/float64(1<<52) - 1
 	}
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 256 && sup.ModelHealth().Level() != level; i++ {
 		s := 1.0
 		if unit() < 0 {
 			s = -1 // random signs keep the sequence white
 		}
-		m.Observe(s*mag*(1+0.01*unit()), 0.01*unit())
+		inner.innov = []float64{s * mag * (1 + 0.01*unit()), 0.01 * unit()}
+		sup.Step(goodTel(i))
 	}
-	snap, ok := health.Current()
-	if !ok || snap.Level != level {
-		t.Fatalf("monitor drove level %v, want %v (%s)", snap.Level, level, snap.Detail)
+	if got := sup.ModelHealth().Level(); got != level {
+		t.Fatalf("monitor at %v, want %v", got, level)
 	}
 }
 
+// TestHealthzFoldsModelHealth: the model-health monitor's verdict
+// reaches /healthz through Event.Health — warn annotates a 200, fail
+// degrades it — while the supervisor is still engaged (the grace period
+// holds the alarm off), and fallback outranks it once the loop gives up.
 func TestHealthzFoldsModelHealth(t *testing.T) {
-	health.ResetGlobal()
-	t.Cleanup(func() { markMode(nil, ModeEngaged); health.ResetGlobal() })
-	markMode(nil, ModeEngaged)
+	f := obs.NewFleet(obs.Options{Specs: []obs.Spec{}})
+	inner := newFakeInner()
+	mon := health.NewMonitor(health.Options{Window: 64, EvalEvery: 16, Lags: 4})
+	sup := New(inner, Options{ModelHealth: mon, GraceEpochs: 600, FallbackAfter: 5})
+	sup.SetLoopObs(f.Register("monitored"))
 
-	driveMonitor(t, health.LevelWarn)
-	if ok, detail := Healthz(); !ok || !strings.Contains(detail, "model health warn") {
+	stepToLevel(t, sup, inner, health.LevelWarn)
+	if ok, detail := f.Healthz(); !ok || !strings.Contains(detail, "model health warn: loop monitored") {
 		t.Fatalf("warn: ok=%v detail=%q", ok, detail)
 	}
 
-	driveMonitor(t, health.LevelFail)
-	if ok, detail := Healthz(); ok || !strings.Contains(detail, "model health fail") {
+	stepToLevel(t, sup, inner, health.LevelFail)
+	if sup.Mode() != ModeEngaged {
+		t.Fatal("fell back inside the grace period")
+	}
+	if ok, detail := f.Healthz(); ok || !strings.Contains(detail, "model health fail: loop monitored") {
 		t.Fatalf("fail: ok=%v detail=%q", ok, detail)
 	}
 
-	// Supervisor fallback outranks the model-health annotation.
-	markMode(nil, ModeFallback)
-	if ok, detail := Healthz(); ok || !strings.Contains(detail, "fallback") {
+	// Past grace the fail verdict is a sick epoch: fallback follows and
+	// outranks the model-health tier.
+	for k := 0; sup.Mode() == ModeEngaged && k < 2000; k++ {
+		sup.Step(goodTel(k))
+	}
+	if sup.Mode() != ModeFallback {
+		t.Fatal("never fell back on the fail verdict")
+	}
+	if ok, detail := f.Healthz(); ok || !strings.Contains(detail, "supervisor fallback: loop monitored") {
 		t.Fatalf("fallback+fail: ok=%v detail=%q", ok, detail)
-	}
-}
-
-func TestHealthzAnnotations(t *testing.T) {
-	health.ResetGlobal()
-	t.Cleanup(func() {
-		markMode(nil, ModeEngaged)
-		health.ResetGlobal()
-		RegisterHealthzAnnotation("test-a", nil)
-		RegisterHealthzAnnotation("test-b", nil)
-	})
-	markMode(nil, ModeEngaged)
-
-	// Inactive annotations leave the response untouched.
-	active := false
-	RegisterHealthzAnnotation("test-a", func() (string, bool) { return "drift on loop-3", active })
-	if ok, detail := Healthz(); !ok || detail != "supervisor engaged" {
-		t.Fatalf("inactive annotation leaked: ok=%v detail=%q", ok, detail)
-	}
-
-	// Active annotations warn without degrading.
-	active = true
-	if ok, detail := Healthz(); !ok || !strings.Contains(detail, "drift on loop-3") {
-		t.Fatalf("active annotation missing: ok=%v detail=%q", ok, detail)
-	}
-
-	// Sources render in registration order; re-registering replaces.
-	RegisterHealthzAnnotation("test-b", func() (string, bool) { return "second source", true })
-	RegisterHealthzAnnotation("test-a", func() (string, bool) { return "replaced detail", true })
-	_, detail := Healthz()
-	if !strings.Contains(detail, "replaced detail") || !strings.Contains(detail, "second source") {
-		t.Fatalf("replacement/order broken: %q", detail)
-	}
-	if strings.Contains(detail, "drift on loop-3") {
-		t.Fatalf("stale annotation survived replacement: %q", detail)
-	}
-
-	// Fallback still outranks annotations.
-	markMode(nil, ModeFallback)
-	if ok, detail := Healthz(); ok || strings.Contains(detail, "second source") {
-		t.Fatalf("fallback did not outrank annotations: ok=%v detail=%q", ok, detail)
-	}
-
-	// Removal restores the clean response.
-	markMode(nil, ModeEngaged)
-	RegisterHealthzAnnotation("test-a", nil)
-	RegisterHealthzAnnotation("test-b", nil)
-	if ok, detail := Healthz(); !ok || detail != "supervisor engaged" {
-		t.Fatalf("after removal: ok=%v detail=%q", ok, detail)
 	}
 }
 

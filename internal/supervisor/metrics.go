@@ -1,24 +1,21 @@
 package supervisor
 
 import (
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
-
-	"mimoctl/internal/health"
-	"mimoctl/internal/obs"
 	"mimoctl/internal/telemetry"
 )
 
 // Telemetry instrumentation for the supervised runtime. The supervisor
 // step is microseconds-scale and its interesting events (mode
-// transitions, sanitization, alarms) are rare, so every hook loads the
-// binding and updates instruments unconditionally — no sampling.
+// transitions, sanitization, alarms) are rare, so every hook updates
+// the bound instruments unconditionally — no sampling.
 //
-// All metric families register eagerly in SetTelemetry so a scrape of a
-// healthy run still shows the zero-valued fault counters (the absence
-// of fallbacks is itself the signal).
+// There is no process-wide binding: each supervisor drives only the
+// instruments BindTelemetry gave it, normally its fleet loop's scope,
+// and /healthz is composed by the fleet (obs.Fleet.Healthz) from the
+// mode each loop reports. All metric families register eagerly in
+// BindTelemetry so a scrape of a healthy run still shows the
+// zero-valued fault counters (the absence of fallbacks is itself the
+// signal).
 
 type supMetrics struct {
 	epochs         telemetry.Counter
@@ -39,44 +36,21 @@ type supMetrics struct {
 	applyRetries      telemetry.Counter
 }
 
-var supTel atomic.Pointer[supMetrics]
-
-// currentMode mirrors the most recent mode transition across all live
-// Supervised instances (0 engaged, 1 fallback) for the /healthz
-// endpoint. Last transition wins: with one supervised loop per process
-// — the deployment shape — this is exactly that loop's mode.
-var currentMode atomic.Int32
-
-// SetTelemetry binds the supervisor layer to a metrics registry. Pass
-// nil to disable instrumentation (the seed behaviour).
-func SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		supTel.Store(nil)
-		return
-	}
-	supTel.Store(newSupMetrics(reg))
-}
-
-// BindTelemetry binds THIS supervisor instance to a registry — normally
-// a per-loop scope (reg.Scope(telemetry.L("loop", name))) so a fleet of
-// supervisors exposes per-loop series instead of sharing the
-// process-global binding. An instance binding takes precedence over
-// SetTelemetry; nil reverts to the global binding.
+// BindTelemetry binds this supervisor, and its model-health monitor and
+// adapter when attached, to a registry: normally the loop's scope
+// (obs.Loop.Scope), so a fleet of supervisors exposes per-loop series.
+// A nil or disabled registry unbinds all three.
 func (s *Supervised) BindTelemetry(reg *telemetry.Registry) {
-	if reg == nil || !reg.Enabled() {
+	s.opts.ModelHealth.BindTelemetry(reg)
+	if s.adapter != nil {
+		s.adapter.BindTelemetry(reg)
+	}
+	if !reg.Enabled() {
 		s.tel = nil
 		return
 	}
 	s.tel = newSupMetrics(reg)
-}
-
-// metrics resolves the instrument binding for one hook: the instance
-// binding when present, else the process-global one.
-func (s *Supervised) metrics() *supMetrics {
-	if s.tel != nil {
-		return s.tel
-	}
-	return supTel.Load()
+	s.tel.mode.Set(float64(s.mode))
 }
 
 func newSupMetrics(reg *telemetry.Registry) *supMetrics {
@@ -99,107 +73,4 @@ func newSupMetrics(reg *telemetry.Registry) *supMetrics {
 		applyRetries:      reg.Counter("supervisor_apply_retries_total", "re-issued actuation requests"),
 	}
 	return m
-}
-
-// AnnotationFunc supplies one external warn-level Healthz annotation:
-// detail is appended to the healthy response while active is true.
-// Annotations never degrade the endpoint — they are the warn tier for
-// subsystems (like the telemetry-history baseline-drift detector) whose
-// findings merit operator attention but not a 503.
-type AnnotationFunc func() (detail string, active bool)
-
-var annotations struct {
-	mu      sync.Mutex
-	sources []string
-	fns     []AnnotationFunc
-}
-
-// RegisterHealthzAnnotation adds (or, for a repeated source, replaces)
-// a warn-level annotation source. Registering a nil fn removes the
-// source. Sources render in registration order.
-func RegisterHealthzAnnotation(source string, fn AnnotationFunc) {
-	annotations.mu.Lock()
-	defer annotations.mu.Unlock()
-	for i, s := range annotations.sources {
-		if s == source {
-			if fn == nil {
-				annotations.sources = append(annotations.sources[:i], annotations.sources[i+1:]...)
-				annotations.fns = append(annotations.fns[:i], annotations.fns[i+1:]...)
-			} else {
-				annotations.fns[i] = fn
-			}
-			return
-		}
-	}
-	if fn == nil {
-		return
-	}
-	annotations.sources = append(annotations.sources, source)
-	annotations.fns = append(annotations.fns, fn)
-}
-
-// activeAnnotations snapshots the registered sources and collects the
-// active ones.
-func activeAnnotations() []string {
-	annotations.mu.Lock()
-	fns := append([]AnnotationFunc(nil), annotations.fns...)
-	annotations.mu.Unlock()
-	var out []string
-	for _, fn := range fns {
-		if detail, active := fn(); active && detail != "" {
-			out = append(out, detail)
-		}
-	}
-	return out
-}
-
-// Healthz reports process health for the diagnostics endpoint: healthy
-// while the most recently transitioned supervisor is engaged, unhealthy
-// once one has entered the safe-state fallback. When a model-health
-// monitor publishes (health.Current), its verdict is folded in: a
-// LevelFail (innovation not white, guardband exhausted, or small-gain
-// certificate lost) degrades the endpoint to 503 even while the
-// supervisor is still nominally engaged, and a LevelWarn annotates the
-// healthy response — the operator's early warning, straight from the
-// paper's runtime-checked stability story. When a fleet observability
-// plane publishes (obs.CurrentVerdict), its SLO verdict is folded in
-// the same way: precedence is fallback, then model-health fail, then
-// SLO fail; warn levels from either source annotate the healthy
-// response without degrading it.
-func Healthz() (ok bool, detail string) {
-	if currentMode.Load() == int32(ModeFallback) {
-		return false, "supervisor in fallback: pinned at the safe configuration"
-	}
-	var warns []string
-	if snap, published := health.Current(); published {
-		switch snap.Level {
-		case health.LevelFail:
-			return false, fmt.Sprintf("supervisor engaged; model health fail: %s (whiteness p=%.2g, guardband %.0f%%, margin %.2f)",
-				snap.Detail, snap.WhitenessP, 100*snap.GuardbandConsumption, snap.StabilityMargin)
-		case health.LevelWarn:
-			warns = append(warns, fmt.Sprintf("model health warn: %s (whiteness p=%.2g, guardband %.0f%%, margin %.2f)",
-				snap.Detail, snap.WhitenessP, 100*snap.GuardbandConsumption, snap.StabilityMargin))
-		}
-	}
-	if v, published := obs.CurrentVerdict(); published {
-		switch v.Level {
-		case obs.LevelFail:
-			return false, "supervisor engaged; control SLO fail: " + v.Detail
-		case obs.LevelWarn:
-			warns = append(warns, "control SLO warn: "+v.Detail)
-		}
-	}
-	warns = append(warns, activeAnnotations()...)
-	if len(warns) > 0 {
-		return true, "supervisor engaged; " + strings.Join(warns, "; ")
-	}
-	return true, "supervisor engaged"
-}
-
-// markMode records a mode for /healthz and the mode gauge.
-func markMode(m *supMetrics, mode Mode) {
-	currentMode.Store(int32(mode))
-	if m != nil {
-		m.mode.Set(float64(mode))
-	}
 }

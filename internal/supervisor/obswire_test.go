@@ -5,106 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"mimoctl/internal/adapt"
 	"mimoctl/internal/health"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/telemetry"
 )
-
-// driveSLOVerdict publishes a fleet verdict at the requested level by
-// driving a real fleet (the published verdict is only writable by one).
-func driveSLOVerdict(t *testing.T, level obs.Level) {
-	t.Helper()
-	f := obs.NewFleet(obs.Options{PublishVerdict: true, Specs: []obs.Spec{{
-		Name: "tracking", Signal: obs.SignalTrackingError, Threshold: 0.25, Objective: 0.90,
-		Windows: []obs.Window{{Epochs: 8, MaxBurn: 3}, {Epochs: 32, MaxBurn: 1.5}},
-	}}})
-	l := f.Register("x")
-	good := &obs.Event{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10}
-	bad := &obs.Event{IPSTarget: 100, PowerTarget: 10, IPS: 10, PowerW: 10}
-	switch level {
-	case obs.LevelOK:
-		for i := 0; i < 64; i++ {
-			l.Observe(good)
-		}
-	case obs.LevelWarn:
-		// Short window burns (4/8 bad), long window does not (4/32).
-		for i := 0; i < 32; i++ {
-			l.Observe(good)
-		}
-		for i := 0; i < 4; i++ {
-			l.Observe(bad)
-		}
-	case obs.LevelFail:
-		for i := 0; i < 32; i++ {
-			l.Observe(bad)
-		}
-	}
-	v, ok := obs.CurrentVerdict()
-	if !ok || v.Level != level {
-		t.Fatalf("fleet drove level %v, want %v (%s)", v.Level, level, v.Detail)
-	}
-}
-
-// TestHealthzSLOPrecedence covers the composition matrix of the
-// model-health monitor and the control-SLO engine: fail from either
-// degrades the endpoint, model-health fail wins the detail line, warns
-// from both annotate the healthy response, and supervisor fallback
-// outranks everything.
-func TestHealthzSLOPrecedence(t *testing.T) {
-	reset := func() {
-		markMode(nil, ModeEngaged)
-		health.ResetGlobal()
-		obs.ResetGlobal()
-	}
-	reset()
-	t.Cleanup(reset)
-
-	// SLO ok: no annotation.
-	driveSLOVerdict(t, obs.LevelOK)
-	if ok, detail := Healthz(); !ok || detail != "supervisor engaged" {
-		t.Fatalf("slo-ok: ok=%v detail=%q", ok, detail)
-	}
-
-	// SLO warn alone: healthy, annotated.
-	driveSLOVerdict(t, obs.LevelWarn)
-	if ok, detail := Healthz(); !ok || !strings.Contains(detail, "control SLO warn") {
-		t.Fatalf("slo-warn: ok=%v detail=%q", ok, detail)
-	}
-
-	// SLO fail alone: 503.
-	driveSLOVerdict(t, obs.LevelFail)
-	if ok, detail := Healthz(); ok || !strings.Contains(detail, "control SLO fail") {
-		t.Fatalf("slo-fail: ok=%v detail=%q", ok, detail)
-	}
-
-	// Model-health warn + SLO warn: healthy, both annotations present.
-	driveSLOVerdict(t, obs.LevelWarn)
-	driveMonitor(t, health.LevelWarn)
-	if ok, detail := Healthz(); !ok ||
-		!strings.Contains(detail, "model health warn") || !strings.Contains(detail, "control SLO warn") {
-		t.Fatalf("warn+warn: ok=%v detail=%q", ok, detail)
-	}
-
-	// Model-health warn + SLO fail: the SLO engine degrades the endpoint
-	// even though the monitor only warns.
-	driveSLOVerdict(t, obs.LevelFail)
-	if ok, detail := Healthz(); ok || !strings.Contains(detail, "control SLO fail") {
-		t.Fatalf("warn+fail: ok=%v detail=%q", ok, detail)
-	}
-
-	// Model-health fail + SLO warn: model-health fail wins the detail.
-	driveSLOVerdict(t, obs.LevelWarn)
-	driveMonitor(t, health.LevelFail)
-	if ok, detail := Healthz(); ok || !strings.Contains(detail, "model health fail") {
-		t.Fatalf("fail+warn: ok=%v detail=%q", ok, detail)
-	}
-
-	// Fallback outranks both engines.
-	markMode(nil, ModeFallback)
-	if ok, detail := Healthz(); ok || !strings.Contains(detail, "fallback") {
-		t.Fatalf("fallback: ok=%v detail=%q", ok, detail)
-	}
-}
 
 func TestSupervisedPublishesObsSamples(t *testing.T) {
 	f := obs.NewFleet(obs.Options{})
@@ -182,27 +87,49 @@ func TestSupervisedObsFallbackFlag(t *testing.T) {
 	}
 }
 
+// TestBindTelemetryScopesInstance: each supervisor drives only the
+// registry scope it was bound to, and the bind reaches its model-health
+// monitor and adapter too. There is no process-wide binding to fall
+// back on.
 func TestBindTelemetryScopesInstance(t *testing.T) {
-	SetTelemetry(nil)
 	reg := telemetry.NewRegistry()
 	supA := New(newFakeInner(), Options{})
 	supA.BindTelemetry(reg.Scope(telemetry.L("loop", "a")))
 	supB := New(newFakeInner(), Options{})
 	supB.BindTelemetry(reg.Scope(telemetry.L("loop", "b")))
+	mon := health.NewMonitor(health.Options{Window: 64, EvalEvery: 16, Lags: 4})
+	supC := New(newQuietInner(3), Options{ModelHealth: mon, Adapter: newTestAdapter(t, mon, adapt.Options{Seed: 1})})
+	supC.BindTelemetry(reg.Scope(telemetry.L("loop", "c")))
+	unbound := New(newFakeInner(), Options{})
 	for k := 0; k < 5; k++ {
 		supA.Step(goodTel(k))
+		unbound.Step(goodTel(k))
 	}
 	supB.Step(goodTel(0))
+	for k := 0; k < 32; k++ {
+		supC.Step(goodTel(k))
+	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, `supervisor_epochs_total{loop="a"} 5`) ||
-		!strings.Contains(out, `supervisor_epochs_total{loop="b"} 1`) {
-		t.Fatalf("per-instance series missing:\n%s", out)
+	for _, want := range []string{
+		`supervisor_epochs_total{loop="a"} 5`,
+		`supervisor_epochs_total{loop="b"} 1`,
+		`supervisor_epochs_total{loop="c"} 32`,
+		`health_level{loop="c"} 0`,
+		`health_guardband_consumption{loop="c",channel="ips"}`,
+		`adapt_state{loop="c"} 0`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("per-instance series %s missing:\n%s", want, out)
+		}
 	}
-	// Unbinding reverts to the (disabled) global binding.
+	if strings.Contains(out, `supervisor_epochs_total 5`) || strings.Contains(out, `supervisor_epochs_total{loop=""}`) {
+		t.Fatalf("an unbound supervisor reached the registry:\n%s", out)
+	}
+	// Unbinding stops the instance's series.
 	supA.BindTelemetry(nil)
 	supA.Step(goodTel(6))
 	sb.Reset()

@@ -146,11 +146,12 @@ type Options struct {
 	// ModelHealth, when set, receives every engaged epoch's Kalman
 	// innovation (internal/health): the streaming whiteness test,
 	// guardband-consumption gauge, and stability-margin recompute run
-	// there and surface through Healthz and the telemetry registry. The
-	// monitor is also load-bearing for safety: its fail verdict counts
-	// as a sick epoch (fallback after FallbackAfter), and re-engagement
-	// is refused while the verdict stands — a loop whose certificate is
-	// void must not be re-armed by clean telemetry alone.
+	// there and surface through the loop's events (Event.Health, which
+	// obs.Fleet.Healthz reads) and its telemetry scope. The monitor is
+	// also load-bearing for safety: its fail verdict counts as a sick
+	// epoch (fallback after FallbackAfter), and re-engagement is refused
+	// while the verdict stands — a loop whose certificate is void must
+	// not be re-armed by clean telemetry alone.
 	ModelHealth *health.Monitor
 
 	// Adapter, when set, closes the adaptation loop (internal/adapt):
@@ -291,8 +292,8 @@ type Supervised struct {
 	// Adaptation (nil when Options.Adapter was not set).
 	adapter *adapt.Adapter
 
-	// Per-instance instrument binding (nil: use the global SetTelemetry
-	// binding) and fleet observability handle (nil: no per-epoch events).
+	// Instrument binding (nil: unbound) and fleet observability handle
+	// (nil: no per-epoch events).
 	tel     *supMetrics
 	loopObs *obs.Loop
 }
@@ -303,7 +304,6 @@ func New(inner core.ArchController, opts Options) *Supervised {
 	s := &Supervised{inner: inner, opts: opts.withDefaults(), applyOK: true, adapter: opts.Adapter}
 	s.ipsTarget, s.powerTarget = inner.Targets()
 	s.grace = s.opts.GraceEpochs
-	markMode(s.metrics(), ModeEngaged)
 	return s
 }
 
@@ -392,7 +392,9 @@ func (s *Supervised) Reset() {
 	s.failStreak, s.backoff, s.holdEpochs = 0, 0, 0
 	s.haveRequested = false
 	s.fallbackEpochs, s.healthyStreak = 0, 0
-	markMode(s.metrics(), ModeEngaged)
+	if m := s.tel; m != nil {
+		m.mode.Set(float64(ModeEngaged))
+	}
 }
 
 // ObserveApply implements ApplyObserver: the harness reports the
@@ -408,7 +410,7 @@ func (s *Supervised) ObserveApply(cfg sim.Config, err error) {
 	}
 	s.applyOK = false
 	s.health.ApplyFailures++
-	if m := s.metrics(); m != nil {
+	if m := s.tel; m != nil {
 		m.applyFailures.Inc()
 	}
 	s.failStreak++
@@ -422,7 +424,7 @@ func (s *Supervised) ObserveApply(cfg sim.Config, err error) {
 // controller (engaged), wait out an actuation backoff, or pin the safe
 // configuration (fallback).
 func (s *Supervised) Step(t sim.Telemetry) sim.Config {
-	m := s.metrics()
+	m := s.tel
 	s.health.Epochs++
 	if m != nil {
 		m.epochs.Inc()
@@ -762,11 +764,10 @@ func (s *Supervised) relError(t sim.Telemetry) float64 {
 func (s *Supervised) enterFallback() {
 	s.mode = ModeFallback
 	s.health.Fallbacks++
-	m := s.metrics()
-	if m != nil {
+	if m := s.tel; m != nil {
 		m.toFallback.Inc()
+		m.mode.Set(float64(ModeFallback))
 	}
-	markMode(m, ModeFallback)
 	// Preserve the evidence: dump the ring the moment the loop gives up,
 	// while the fault-era records are still in it.
 	s.rec.RequestDump("supervisor-fallback")
@@ -785,11 +786,10 @@ func (s *Supervised) reengage() {
 	s.inner.SetTargets(s.ipsTarget, s.powerTarget)
 	s.mode = ModeEngaged
 	s.health.Reengagements++
-	m := s.metrics()
-	if m != nil {
+	if m := s.tel; m != nil {
 		m.toEngaged.Inc()
+		m.mode.Set(float64(ModeEngaged))
 	}
-	markMode(m, ModeEngaged)
 	s.grace = s.opts.GraceEpochs
 	s.emaInnov, s.emaErr = 0, 0
 	s.sickStreak = 0

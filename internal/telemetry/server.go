@@ -18,7 +18,13 @@ type ServerOptions struct {
 	// Registry backs /metrics. A nil or Nop registry serves an empty
 	// (but valid) exposition.
 	Registry *Registry
-	// Health backs /healthz; nil means always healthy.
+	// Health backs /healthz; nil means always healthy. The binaries pass
+	// their fleet's obs.Fleet.Healthz, which builds the answer from the
+	// fleet's loops at scrape time: 503 naming the first loop in
+	// supervisor fallback, then one failing its model-health monitor,
+	// then one alerting on a control SLO; otherwise 200, annotated with
+	// model-health warns, SLO budget burn and the caller's extra sources
+	// (such as tsdb baseline drift).
 	Health HealthFunc
 	// Extra mounts additional diagnostics routes (e.g. the flight
 	// recorder's /debug/flightrec, mimotrace's /trace) without this
@@ -40,7 +46,7 @@ type Endpoint struct {
 // Server is a live diagnostics HTTP server:
 //
 //	/metrics     Prometheus text exposition of the registry
-//	/healthz     200/503 from the HealthFunc (supervisor mode)
+//	/healthz     200/503 from the HealthFunc (the fleet's loops)
 //	/debug/vars  expvar JSON
 //	/debug/pprof profiling endpoints
 type Server struct {
@@ -95,7 +101,7 @@ func NewMux(opts ServerOptions) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "mimoctl diagnostics")
 		fmt.Fprintln(w, "  /metrics      Prometheus text exposition")
-		fmt.Fprintln(w, "  /healthz      liveness (503 while in supervisor fallback)")
+		fmt.Fprintln(w, "  /healthz      loop health (503 on fallback, model-health fail or SLO alert)")
 		for _, e := range opts.Extra {
 			fmt.Fprintf(w, "  %-13s %s\n", e.Path, e.Desc)
 		}

@@ -287,9 +287,10 @@ func (d *Detector) Status() (DriftStatus, bool) {
 	return *st, true
 }
 
-// Annotation renders the verdict for supervisor.Healthz: active (and
-// warn-worthy) only while the last check flagged drift. Register it
-// via supervisor.RegisterHealthzAnnotation("baseline-drift", ...).
+// Annotation renders the verdict as a /healthz warn source: active
+// only while the last check flagged drift. Pass it to the fleet's
+// health check, obs.Fleet.Healthz(det.Annotation), which lists it after
+// the fleet's own warns; drift never turns /healthz unhealthy.
 func (d *Detector) Annotation() (string, bool) {
 	st := d.status.Load()
 	if st == nil || len(st.Drifts) == 0 {
