@@ -20,9 +20,8 @@ fuzz:
 	$(GO) test ./internal/sysid/ -run '^$$' -fuzz FuzzQuantizeTo -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/experiments/ -run '^$$' -fuzz 'FuzzSteadyStateEpoch$$' -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/experiments/ -run '^$$' -fuzz FuzzSteadyStateEpochEMA -fuzztime $(or $(FUZZTIME),10s)
-	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzBatchVsScalarStep -fuzztime $(or $(FUZZTIME),10s)
-	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzQuantHysteresis -fuzztime $(or $(FUZZTIME),10s)
-	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzSupervisedBatchVsScalar -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/lqg/ -run '^$$' -fuzz FuzzStepVsReference -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzQuantHysteresis -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz FuzzBlockRoundTrip -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/flightrec/ -run '^$$' -fuzz FuzzReadDump -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSurfaceMatchesReference -fuzztime $(or $(FUZZTIME),10s)

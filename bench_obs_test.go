@@ -5,7 +5,8 @@ package mimoctl_test
 // with observability detached (the seed hot path — one nil check per
 // epoch), with a fleet loop attached (SLO scoring + scoped counters),
 // and with the event bus publishing a wide event per epoch. The
-// acceptance budget is zero allocations with events off and <5% ns/op
+// acceptance budget is zero allocations with events off (gated by
+// TestObsOffStepAllocFree in internal/supervisor) and <5% ns/op
 // overhead for the full experiment suite with the plane enabled.
 //
 // Run with: go test -run '^$' -bench=Obs -benchmem
@@ -103,52 +104,5 @@ func BenchmarkObsSuiteOverhead(b *testing.B) {
 				runExpAll(b)
 			}
 		})
-	}
-}
-
-// TestObsOffStepAllocFree pins the events-off hot path at zero
-// allocations per epoch: the bare MIMO controller step (the seed gate)
-// and the supervised step with a fleet loop attached but no event bus —
-// SLO scoring and scoped counters must not cost heap. The supervised
-// loop is measured past its grace period, where the innovation monitor
-// reads the inner controller's innovation every epoch.
-func TestObsOffStepAllocFree(t *testing.T) {
-	proto, _, err := experiments.DesignedMIMO(false, experiments.DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctrl := proto.Clone()
-	ctrl.Reset()
-	ctrl.SetTargets(2.5, 2.0)
-	tel := benchTel()
-	if n := testing.AllocsPerRun(200, func() {
-		tel.Config = ctrl.Step(tel)
-	}); n != 0 {
-		t.Fatalf("MIMOController.Step allocates %.1f/op with observability off, want 0", n)
-	}
-
-	f := obs.NewFleet(obs.Options{Registry: telemetry.NewRegistry()})
-	opts := supervisor.Options{GraceEpochs: 400}
-	sup := supervisor.New(proto.Clone(), opts)
-	sup.SetTargets(2.5, 2.0)
-	sup.SetLoopObs(f.Register("gate"))
-	st := benchTel()
-	epoch := 0
-	// Warm up past the grace period (and with it the engage/hold
-	// transient and first-epoch latches).
-	for ; epoch < opts.GraceEpochs+64; epoch++ {
-		st.Epoch = epoch
-		st.Config = sup.Step(st)
-	}
-	if sup.Mode() != supervisor.ModeEngaged {
-		t.Fatalf("supervisor left engaged mode during warm-up (mode %v)", sup.Mode())
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		st.Epoch = epoch
-		epoch++
-		st.Config = sup.Step(st)
-	}); n != 0 {
-		t.Fatalf("Supervised.Step allocates %.1f/op past grace with events off, want 0", n)
 	}
 }

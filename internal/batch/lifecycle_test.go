@@ -4,225 +4,147 @@ import (
 	"math/rand"
 	"testing"
 
-	"mimoctl/internal/core"
-	"mimoctl/internal/flightrec"
 	"mimoctl/internal/sim"
+	"mimoctl/internal/supervisor"
 )
 
-// stepPair advances a lane and its scalar twin with identical telemetry
-// and fails on any config divergence, returning the chosen config.
-func stepPair(t *testing.T, e *Engine, l *scalarLane, tel sim.Telemetry) sim.Config {
-	t.Helper()
-	got := e.StepLane(l.id, tel)
-	want := l.ctrl.Step(tel)
-	if got != want {
-		t.Fatalf("lane %d: batch %+v, scalar %+v", l.id, got, want)
-	}
-	l.cfg = got
-	return got
+// twin returns two identically built supervised loops over clones of
+// the 2- or 3-input design, with the same targets.
+func twin(t testing.TB, three bool, ips, pow float64) (*supervisor.Supervised, *supervisor.Supervised) {
+	f := supervisor.New(designedController(t, three), supervisor.Options{})
+	a := supervisor.New(designedController(t, three), supervisor.Options{})
+	f.SetTargets(ips, pow)
+	a.SetTargets(ips, pow)
+	return f, a
 }
 
-// TestBatchLaneLifecycle covers fleet-size and slot-reuse corners in
-// one table: empty engine, single lane, a fleet that is not a multiple
-// of the unroll width, and mid-run retire + re-add.
+// TestBatchLaneLifecycle covers fleet sizes — empty, one loop, eight
+// and seven — and a loop joining mid-run: ids are sequential, Len
+// counts the loops, and every loop tracks its standalone twin.
 func TestBatchLaneLifecycle(t *testing.T) {
-	cases := []struct {
+	for _, tc := range []struct {
 		name  string
-		lanes int // initial fleet size
+		loops int
 	}{
 		{"empty", 0},
 		{"single", 1},
-		{"unroll-multiple", 2 * UnrollWidth},
-		{"non-multiple", UnrollWidth + 3},
-	}
-	for _, tc := range cases {
+		{"unroll-multiple", 8},
+		{"non-multiple", 7},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(7 + tc.lanes)))
-			e := New()
-			var lanes []*scalarLane
-			addLane := func(three bool) *scalarLane {
-				c := designedController(t, three).Clone()
-				c.Reset()
-				c.SetTargets(1+rng.Float64()*3, 1+rng.Float64()*20)
-				id, err := e.Add(c.BatchState())
-				if err != nil {
-					t.Fatal(err)
-				}
-				l := &scalarLane{id: id, ctrl: c, cfg: sim.MidrangeConfig()}
-				lanes = append(lanes, l)
-				return l
+			rng := rand.New(rand.NewSource(int64(7 + tc.loops)))
+			p := newPairing(t, tc.loops, func(i int) (*supervisor.Supervised, *supervisor.Supervised) {
+				return twin(t, i%2 == 0, 1+rng.Float64()*3, 1+rng.Float64()*10)
+			})
+			if p.e.Len() != tc.loops {
+				t.Fatalf("Len=%d, want %d", p.e.Len(), tc.loops)
 			}
-			for i := 0; i < tc.lanes; i++ {
-				addLane(i%2 == 0)
-			}
-			if e.Len() != tc.lanes {
-				t.Fatalf("Len=%d, want %d", e.Len(), tc.lanes)
-			}
-
-			runEpochs := func(n int) {
-				tels := make([]sim.Telemetry, e.Slots())
-				outs := make([]sim.Config, e.Slots())
-				for ep := 0; ep < n; ep++ {
-					for _, l := range lanes {
-						tels[l.id] = randTelemetry(rng, ep, l.cfg)
-					}
-					if err := e.StepAll(tels, outs); err != nil {
-						t.Fatal(err)
-					}
-					for _, l := range lanes {
-						want := l.ctrl.Step(tels[l.id])
-						if outs[l.id] != want {
-							t.Fatalf("epoch %d lane %d: batch %+v, scalar %+v", ep, l.id, outs[l.id], want)
-						}
-						l.cfg = outs[l.id]
-					}
-				}
-			}
-			runEpochs(40)
-
-			if tc.lanes == 0 {
+			if tc.loops == 0 {
 				// StepAll on an empty engine is a no-op, not an error.
-				if err := e.StepAll(nil, nil); err != nil {
+				if err := p.e.StepAll(nil, nil); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-
-			// Retire a lane mid-run; the remaining fleet must stay in
-			// lockstep and the retired id must be rejected.
-			victim := lanes[len(lanes)/2]
-			if err := e.Retire(victim.id); err != nil {
+			tel := func(int) sim.Telemetry { return randTelemetry(rng) }
+			ep := 0
+			for ; ep < 40; ep++ {
+				p.step(t, ep, tel, nil)
+			}
+			// A loop joins mid-run with the next id.
+			f, a := twin(t, true, 2, 5)
+			p.fleet.add(f)
+			p.alone.add(a)
+			id, err := p.e.Add(f)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if e.Active(victim.id) {
-				t.Fatal("retired lane still active")
+			if id != tc.loops || p.e.Len() != tc.loops+1 {
+				t.Fatalf("mid-run Add: id %d, Len %d; want %d, %d", id, p.e.Len(), tc.loops, tc.loops+1)
 			}
-			if err := e.Retire(victim.id); err == nil {
-				t.Fatal("double retire accepted")
+			p.tels = append(p.tels, sim.Telemetry{})
+			p.out = append(p.out, sim.Config{})
+			for ; ep < 80; ep++ {
+				p.step(t, ep, tel, nil)
 			}
-			if err := e.ExtractTo(victim.id, victim.ctrl); err == nil {
-				t.Fatal("ExtractTo on retired lane accepted")
-			}
-			lanes = append(lanes[:len(lanes)/2], lanes[len(lanes)/2+1:]...)
-			runEpochs(40)
-
-			// Re-add into the freed slot: the id must be reused and the
-			// new lane must track its own twin from its snapshot.
-			before := e.Slots()
-			l := addLane(true)
-			if l.id != victim.id {
-				t.Fatalf("freed slot not reused: got id %d, want %d", l.id, victim.id)
-			}
-			if e.Slots() != before {
-				t.Fatalf("Slots grew from %d to %d despite free slot", before, e.Slots())
-			}
-			runEpochs(40)
+			p.requireSame(t)
 		})
 	}
 }
 
-// TestBatchCloneRoundTrip proves the snapshot/restore cycle is lossless
-// mid-run: clone a live scalar controller, load the clone into a lane,
-// step both, extract back into a fresh clone, and keep stepping the
-// extracted controller on the scalar path — all three stay bit-identical.
+// TestBatchCloneRoundTrip starts a fleet loop from a controller cloned
+// mid-run, and steps that loop outside the engine for a stretch and
+// then through it again: the engine keeps no per-loop state, so the
+// loop stays bit-identical to the original stepped standalone
+// throughout.
 func TestBatchCloneRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	sc := designedController(t, true).Clone()
-	sc.Reset()
-	sc.SetTargets(2.5, 15)
+	orig := designedController(t, true)
+	orig.SetTargets(2.5, 6)
 	cfg := sim.MidrangeConfig()
 	for ep := 0; ep < 300; ep++ {
-		cfg = sc.Step(randTelemetry(rng, ep, cfg))
+		tel := randTelemetry(rng)
+		tel.Config = cfg
+		cfg = orig.Step(tel)
 	}
-
-	e, id, err := FromController(sc.Clone())
-	if err != nil {
-		t.Fatal(err)
+	clone := orig.Clone()
+	p := newPairing(t, 1, func(int) (*supervisor.Supervised, *supervisor.Supervised) {
+		return supervisor.New(clone, supervisor.Options{}), supervisor.New(orig, supervisor.Options{})
+	})
+	p.fleet.cfgs[0], p.alone.cfgs[0] = cfg, cfg
+	tel := func(int) sim.Telemetry { return randTelemetry(rng) }
+	ep := 0
+	for ; ep < 200; ep++ {
+		p.step(t, ep, tel, nil)
 	}
-	l := &scalarLane{id: id, ctrl: sc, cfg: cfg}
-	for ep := 0; ep < 200; ep++ {
-		stepPair(t, e, l, randTelemetry(rng, ep, l.cfg))
-	}
-
-	// Extract mid-run and continue on the scalar path.
-	back := sc.Clone()
-	if err := e.ExtractTo(id, back); err != nil {
-		t.Fatal(err)
-	}
-	requireSameRuntime(t, "round-trip", back.BatchState(), sc.BatchState())
-	for ep := 0; ep < 200; ep++ {
-		tel := randTelemetry(rng, ep, l.cfg)
-		a := sc.Step(tel)
-		b := back.Step(tel)
-		c := e.StepLane(id, tel)
-		if a != b || a != c {
-			t.Fatalf("epoch %d: scalar %+v, extracted %+v, batch %+v", ep, a, b, c)
+	// Out of the engine: both loops step standalone.
+	for ; ep < 400; ep++ {
+		tf, ta := randTelemetry(rng), sim.Telemetry{}
+		tf.Epoch, tf.Config = ep, p.fleet.cfgs[0]
+		ta = tf
+		ta.Config = p.alone.cfgs[0]
+		got, want := p.fleet.loops[0].Step(tf), p.alone.loops[0].Step(ta)
+		if got != want {
+			t.Fatalf("epoch %d outside the engine: %+v, standalone %+v", ep, got, want)
 		}
-		l.cfg = a
+		p.fleet.cfgs[0], p.alone.cfgs[0] = got, want
+	}
+	for ; ep < 600; ep++ {
+		p.step(t, ep, tel, nil)
+	}
+	p.requireSame(t)
+	if h := p.e.Health(0); h.Epochs != 600 {
+		t.Fatalf("loop stepped %d epochs, want 600", h.Epochs)
 	}
 }
 
-// TestBatchAddRejections pins the scalar-fallback contract: shapes and
-// structures the kernels are not specialized for must be refused at
-// load time, never mis-stepped.
+// TestBatchAddRejections pins what Add refuses: a nil loop, and a loop
+// already in the fleet, which StepAll would step twice an epoch.
 func TestBatchAddRejections(t *testing.T) {
-	base := designedController(t, true)
-
-	t.Run("non-deltaU", func(t *testing.T) {
-		s := base.Clone().BatchState()
-		s.Opts.DeltaU = false
-		if _, err := New().Add(s); err == nil {
-			t.Fatal("non-ΔU structure accepted")
+	t.Run("nil", func(t *testing.T) {
+		if _, err := NewSupervised().Add(nil); err == nil {
+			t.Fatal("nil loop accepted")
 		}
 	})
-	t.Run("non-integral", func(t *testing.T) {
-		s := base.Clone().BatchState()
-		s.Opts.Integral = false
-		if _, err := New().Add(s); err == nil {
-			t.Fatal("non-integral structure accepted")
-		}
-	})
-	t.Run("wrong-shape", func(t *testing.T) {
-		s := base.Clone().BatchState()
-		s.ThreeInput = false // claims 2 inputs; matrices are 3-input
-		if _, err := New().Add(s); err == nil {
-			t.Fatal("mismatched input shape accepted")
-		}
-	})
-	t.Run("invalid-config", func(t *testing.T) {
-		s := base.Clone().BatchState()
-		s.HaveCur = true
-		s.Cur = sim.Config{FreqIdx: 99}
-		if _, err := New().Add(s); err == nil {
-			t.Fatal("invalid current config accepted")
-		}
-	})
-	t.Run("flight-recorder", func(t *testing.T) {
-		c := base.Clone()
-		c.SetFlightRecorder(flightrec.New(16))
-		if _, err := FromControllers([]*core.MIMOController{c}); err == nil {
-			t.Fatal("recorder-attached controller accepted")
-		}
-		if _, _, err := FromController(c); err == nil {
-			t.Fatal("recorder-attached controller accepted by FromController")
-		}
-	})
-	t.Run("stale-extract-shape", func(t *testing.T) {
-		e, id, err := FromController(base.Clone())
-		if err != nil {
+	t.Run("duplicate", func(t *testing.T) {
+		e := NewSupervised()
+		s := supervisor.New(designedController(t, false), supervisor.Options{})
+		if _, err := e.Add(s); err != nil {
 			t.Fatal(err)
 		}
-		wrong := designedController(t, false).Clone()
-		if err := e.ExtractTo(id, wrong); err == nil {
-			t.Fatal("extract into wrong-shaped controller accepted")
+		if _, err := e.Add(s); err == nil {
+			t.Fatal("a loop already in the fleet accepted again")
+		}
+		if e.Len() != 1 {
+			t.Fatalf("Len=%d after a refused Add, want 1", e.Len())
 		}
 	})
 }
 
 // TestBatchStepAllSliceCheck pins the slice-length contract.
 func TestBatchStepAllSliceCheck(t *testing.T) {
-	e, _, err := FromController(designedController(t, true).Clone())
-	if err != nil {
+	e := NewSupervised()
+	if _, err := e.Add(supervisor.New(designedController(t, true), supervisor.Options{})); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.StepAll(nil, make([]sim.Config, 1)); err == nil {

@@ -88,16 +88,17 @@ func knobsFromConfigInto(dst []float64, cfg sim.Config, threeInput bool) []float
 const ActuatorHysteresis = 0.25
 
 // configFromKnobs quantizes a normalized continuous input vector to a
-// legal configuration with hysteresis around the current settings. With
-// two inputs the ROB stays at its current setting.
+// legal configuration with hysteresis around the current settings. Only
+// the knobs the controller drives are quantized: with two inputs the
+// ROB stays at its current setting.
 func configFromKnobs(u []float64, threeInput bool, current sim.Config) sim.Config {
-	rob := float64(current.ROBEntries())
-	if threeInput {
-		rob = u[2] * ROBUnit
+	cfg := sim.Config{
+		FreqIdx:  sim.FreqIndexHysteresis(u[0], current.FreqIdx, ActuatorHysteresis),
+		CacheIdx: sim.CacheIndexHysteresis(u[1], current.CacheIdx, ActuatorHysteresis),
+		ROBIdx:   current.ROBIdx,
 	}
-	cfg := sim.NearestConfigHysteresis(u[0], u[1], rob, current, ActuatorHysteresis)
-	if !threeInput {
-		cfg.ROBIdx = current.ROBIdx
+	if threeInput {
+		cfg.ROBIdx = sim.ROBIndexHysteresis(u[2]*ROBUnit, current.ROBIdx, ActuatorHysteresis)
 	}
 	return cfg
 }

@@ -246,8 +246,9 @@ func (c *Controller) Step(t sim.Telemetry) sim.Config {
 	}
 	ways := duCache[0] + c.cacheOff.U0[0]
 	freq := duFreq[0] + c.freqOff.U0[0]
-	cfg := sim.NearestConfigHysteresis(freq, ways, float64(c.cur.ROBEntries()), c.cur, core.ActuatorHysteresis)
-	cfg.ROBIdx = c.cur.ROBIdx
+	cfg := c.cur
+	cfg.FreqIdx = sim.FreqIndexHysteresis(freq, c.cur.FreqIdx, core.ActuatorHysteresis)
+	cfg.CacheIdx = sim.CacheIndexHysteresis(ways, c.cur.CacheIdx, core.ActuatorHysteresis)
 	// Quantization feedback per loop.
 	c.scrCacheU[0] = float64(cfg.L2Ways()) - c.cacheOff.U0[0]
 	if err := c.cacheLoop.ObserveApplied(c.scrCacheU[:]); err == nil {

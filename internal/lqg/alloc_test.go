@@ -2,6 +2,9 @@ package lqg
 
 import (
 	"testing"
+
+	"mimoctl/internal/lti"
+	"mimoctl/internal/mat"
 )
 
 // The steady-state loop — KalmanFilter.Update and Controller.Step — is
@@ -31,19 +34,43 @@ func TestKalmanUpdateZeroAllocs(t *testing.T) {
 	}
 }
 
+// fleetPlant returns a stable order-4 plant with two inputs and two
+// outputs: with ΔU and integral action its controller steps through
+// the unrolled fleet kernel.
+func fleetPlant(t *testing.T) *lti.StateSpace {
+	t.Helper()
+	a := mat.FromRows([][]float64{
+		{0.6, 0.1, 0, 0}, {0.05, 0.5, 0.1, 0}, {0, 0.1, 0.4, 0.05}, {0, 0, 0.1, 0.3}})
+	b := mat.FromRows([][]float64{{0.5, 0.2}, {0.1, 0.4}, {0.2, 0.1}, {0.1, 0.3}})
+	c := mat.FromRows([][]float64{{1, 0, 0.5, 0}, {0, 1, 0, 0.5}})
+	ss, err := lti.NewStateSpace(a, b, c, nil, 50e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
 func TestControllerStepZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		fleet bool
 	}{
-		{"plain", Options{}},
-		{"deltaU", Options{DeltaU: true}},
-		{"integral", Options{Integral: true}},
-		{"deltaU+integral", Options{DeltaU: true, Integral: true}},
+		{"plain", Options{}, false},
+		{"deltaU", Options{DeltaU: true}, false},
+		{"integral", Options{Integral: true}, false},
+		{"deltaU+integral", Options{DeltaU: true, Integral: true}, false},
+		{"fleet-kernel", Options{DeltaU: true, Integral: true}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plant := testPlant(t)
+			if tc.fleet {
+				plant = fleetPlant(t)
+			}
 			c := design(t, plant, defaultWeights(), tc.opts)
+			if c.g.fleet != tc.fleet {
+				t.Fatalf("fleet kernel selected = %v, want %v", c.g.fleet, tc.fleet)
+			}
 			if err := c.SetReference([]float64{1, 0.5}); err != nil {
 				t.Fatal(err)
 			}
@@ -64,26 +91,27 @@ func TestControllerStepZeroAllocs(t *testing.T) {
 }
 
 func TestControllerObserveAppliedZeroAllocs(t *testing.T) {
-	plant := testPlant(t)
-	c := design(t, plant, defaultWeights(), Options{DeltaU: true})
-	if err := c.SetReference([]float64{1, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	y := []float64{0.4, 0.2}
-	applied := []float64{0.1, 0.05}
-	if _, err := c.Step(y); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, plant := range []*lti.StateSpace{testPlant(t), fleetPlant(t)} {
+		c := design(t, plant, defaultWeights(), Options{DeltaU: true, Integral: true})
+		if err := c.SetReference([]float64{1, 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		y := []float64{0.4, 0.2}
+		applied := []float64{0.1, 0.05}
 		if _, err := c.Step(y); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ObserveApplied(applied); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := c.Step(y); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ObserveApplied(applied); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Step+ObserveApplied (order %d) allocates %v times per call, want 0", plant.Order(), allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Step+ObserveApplied allocates %v times per call, want 0", allocs)
 	}
 }
 

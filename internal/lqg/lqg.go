@@ -82,7 +82,8 @@ type Controller struct {
 	plant *lti.StateSpace
 	opts  Options
 
-	// Design results.
+	// Design results, kept as matrices for analysis (Gains, KalmanGain,
+	// AsStateSpace). The runtime reads their flat copies in g.
 	kx, ku, kz *mat.Matrix // LQR gain partitions
 	lc         *mat.Matrix // Kalman filter gain (filtered form)
 	pRicc      *mat.Matrix // LQR DARE solution (for inspection)
@@ -92,7 +93,14 @@ type Controller struct {
 	// Target calculator: [x_ss; u_ss] = targetGain * r.
 	targetGain *mat.Matrix
 
-	// Runtime state.
+	// g is what Step, ObserveApplied and SetReference read: the plant
+	// and gain matrices as flat row-major copies. Immutable after
+	// Design, so clones share it.
+	g *flatGains
+
+	// Runtime state and step scratch: views into the one block rt, so
+	// a step touches one contiguous allocation.
+	rt         []float64
 	xhat       []float64 // one-step-ahead state estimate
 	uPrev      []float64 // last issued input (deviation coordinates)
 	zInt       []float64 // integrator states
@@ -101,63 +109,70 @@ type Controller struct {
 	ref        []float64 // current output reference (deviation coordinates)
 	xss        []float64
 	uss        []float64
-
-	// ws holds the per-controller scratch vectors the runtime methods
-	// reuse so the steady-state loop allocates nothing.
-	ws *stepWorkspace
+	xc         []float64 // filtered state estimate x̂ᶜ (order)
+	dx         []float64 // x̂ᶜ - x_ss (order)
+	du         []float64 // u_prev - u_ss (inputs)
+	diff       []float64 // applied - requested (inputs)
+	u          []float64 // issued input, returned by Step (inputs)
 }
 
-// stepWorkspace is the scratch storage for Step, ObserveApplied, and
-// SetReference. Every vector is preallocated to the plant's dimensions
-// at Reset/Clone time; no runtime method allocates after that. A
-// workspace belongs to exactly one controller — Clone installs a fresh
-// one so clones can step concurrently.
-type stepWorkspace struct {
-	cy      []float64 // C·x̂                     (outputs)
-	lcv     []float64 // Lc·innov                 (order)
-	xc      []float64 // filtered state estimate  (order)
-	dx      []float64 // xc - xss                 (order)
-	du      []float64 // uPrev - uss              (inputs)
-	kv      []float64 // gain-times-vector        (inputs)
-	v       []float64 // Δu feedback              (inputs)
-	u       []float64 // issued input             (inputs)
-	ax      []float64 // A·xc                     (order)
-	bu      []float64 // B·u                      (order)
-	obsDiff []float64 // applied - requested      (inputs)
-	bdiff   []float64 // B·obsDiff                (order)
-	tgt     []float64 // targetGain·r             (order+inputs)
+// flatGains holds the runtime's matrices, row-major and negated (see
+// mulRow), and the structure flags the step branches on.
+type flatGains struct {
+	n, ni, no int
+	a, b, c   []float64 // plant: n×n, n×ni, no×n
+	lc        []float64 // Kalman gain: n×no
+	kx        []float64 // ni×n
+	ku        []float64 // ni×ni (DeltaU only)
+	kz        []float64 // ni×no (Integral only)
+	tg        []float64 // target calculator: (n+ni)×no
+
+	deltaU, integral, antiWindup bool
+	// fleet marks the fleets' shape (order 4, two inputs, two outputs,
+	// ΔU + integral), which Step runs through the unrolled step4x2.
+	fleet bool
 }
 
-func newStepWorkspace(p *lti.StateSpace) *stepWorkspace {
-	n, ni, no := p.Order(), p.Inputs(), p.Outputs()
-	return &stepWorkspace{
-		cy:      make([]float64, no),
-		lcv:     make([]float64, n),
-		xc:      make([]float64, n),
-		dx:      make([]float64, n),
-		du:      make([]float64, ni),
-		kv:      make([]float64, ni),
-		v:       make([]float64, ni),
-		u:       make([]float64, ni),
-		ax:      make([]float64, n),
-		bu:      make([]float64, n),
-		obsDiff: make([]float64, ni),
-		bdiff:   make([]float64, n),
-		tgt:     make([]float64, n+ni),
+func newFlatGains(c *Controller) *flatGains {
+	p := c.plant
+	flat := func(m *mat.Matrix) []float64 {
+		if m == nil {
+			return nil
+		}
+		neg := make([]float64, len(m.RawData()))
+		for i, v := range m.RawData() {
+			neg[i] = -v
+		}
+		return neg
 	}
+	g := &flatGains{
+		n: p.Order(), ni: p.Inputs(), no: p.Outputs(),
+		a: flat(p.A), b: flat(p.B), c: flat(p.C),
+		lc: flat(c.lc), kx: flat(c.kx), ku: flat(c.ku), kz: flat(c.kz),
+		tg:         flat(c.targetGain),
+		deltaU:     c.opts.DeltaU,
+		integral:   c.opts.Integral,
+		antiWindup: !c.opts.DisableAntiWindup,
+	}
+	g.fleet = g.n == 4 && g.ni == 2 && g.no == 2 && g.deltaU && g.integral
+	return g
 }
 
-// zeroed returns s resized to length n with every entry zero, reusing
-// the backing array when it is large enough.
-func zeroed(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// newRuntime carves the runtime state and step scratch out of one
+// zeroed allocation.
+func (c *Controller) newRuntime() {
+	n, ni, no := c.g.n, c.g.ni, c.g.no
+	buf := make([]float64, 4*n+6*ni+3*no)
+	c.rt = buf
+	take := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	c.xhat, c.xss, c.xc, c.dx = take(n), take(n), take(n), take(n)
+	c.uPrev, c.lastExcess, c.uss = take(ni), take(ni), take(ni)
+	c.du, c.diff, c.u = take(ni), take(ni), take(ni)
+	c.zInt, c.lastInnov, c.ref = take(no), take(no), take(no)
 }
 
 // Design builds an LQG servo controller for the plant. The plant must
@@ -216,6 +231,7 @@ func Design(plant *lti.StateSpace, w Weights, noise Noise, opts Options) (*Contr
 	if err := c.buildTargetCalculator(); err != nil {
 		return nil, err
 	}
+	c.g = newFlatGains(c)
 	c.Reset()
 	return c, nil
 }
@@ -354,141 +370,44 @@ func (c *Controller) buildTargetCalculator() error {
 // of redesigning per worker.
 func (c *Controller) Clone() *Controller {
 	d := *c
-	d.xhat = append([]float64(nil), c.xhat...)
-	d.uPrev = append([]float64(nil), c.uPrev...)
-	d.zInt = append([]float64(nil), c.zInt...)
-	d.lastExcess = append([]float64(nil), c.lastExcess...)
-	d.lastInnov = append([]float64(nil), c.lastInnov...)
-	d.ref = append([]float64(nil), c.ref...)
-	d.xss = append([]float64(nil), c.xss...)
-	d.uss = append([]float64(nil), c.uss...)
-	d.ws = newStepWorkspace(c.plant)
+	d.newRuntime()
+	copy(d.rt, c.rt)
 	return &d
 }
 
 // Reset clears the runtime state (estimate, integrators, previous input)
-// and the reference, reusing the existing buffers when their capacity
-// allows.
+// and the reference, reusing the existing block.
 func (c *Controller) Reset() {
-	p := c.plant
-	c.xhat = zeroed(c.xhat, p.Order())
-	c.uPrev = zeroed(c.uPrev, p.Inputs())
-	c.zInt = zeroed(c.zInt, p.Outputs())
-	c.lastExcess = zeroed(c.lastExcess, p.Inputs())
-	c.lastInnov = zeroed(c.lastInnov, p.Outputs())
-	c.ref = zeroed(c.ref, p.Outputs())
-	c.xss = zeroed(c.xss, p.Order())
-	c.uss = zeroed(c.uss, p.Inputs())
-	if c.ws == nil {
-		c.ws = newStepWorkspace(p)
+	if c.rt == nil {
+		c.newRuntime()
+		return
+	}
+	for i := range c.rt {
+		c.rt[i] = 0
 	}
 }
 
 // SetReference updates the output targets (in the model's deviation
 // coordinates) and recomputes the steady-state targets.
 func (c *Controller) SetReference(r []float64) error {
-	if len(r) != c.plant.Outputs() {
-		return fmt.Errorf("lqg: reference has %d entries, want %d", len(r), c.plant.Outputs())
+	g := c.g
+	if len(r) != g.no {
+		return fmt.Errorf("lqg: reference has %d entries, want %d", len(r), g.no)
 	}
-	c.ref = append(c.ref[:0], r...)
-	t := mat.MulVecInto(c.ws.tgt, c.targetGain, r)
-	n := c.plant.Order()
-	c.xss = append(c.xss[:0], t[:n]...)
-	c.uss = append(c.uss[:0], t[n:]...)
+	copy(c.ref, r)
+	for i := 0; i < g.n+g.ni; i++ {
+		t := mulRow(g.tg[i*g.no:(i+1)*g.no], c.ref)
+		if i < g.n {
+			c.xss[i] = t
+		} else {
+			c.uss[i-g.n] = t
+		}
+	}
 	return nil
 }
 
 // Reference returns the current output reference.
 func (c *Controller) Reference() []float64 { return append([]float64(nil), c.ref...) }
-
-// Step consumes the latest measured output y (deviation coordinates) and
-// returns the input to apply for the next interval (deviation
-// coordinates). It performs: Kalman measurement update, integrator
-// update, LQR feedback, and Kalman time update.
-//
-// The returned slice is owned by the controller's workspace: it stays
-// valid (and unmodified) only until the next Step, Reset, or Clone.
-// Callers that retain it across steps must copy it first. Step
-// performs no heap allocation.
-func (c *Controller) Step(y []float64) ([]float64, error) {
-	p := c.plant
-	if len(y) != p.Outputs() {
-		return nil, fmt.Errorf("lqg: output has %d entries, want %d", len(y), p.Outputs())
-	}
-	w := c.ws
-	// Measurement update: x̂ᶜ = x̂ + Lc (y - C x̂).
-	mat.MulVecInto(w.cy, p.C, c.xhat)
-	innov := mat.VecSubInto(c.lastInnov, y, w.cy)
-	xc := mat.VecAddInto(w.xc, c.xhat, mat.MulVecInto(w.lcv, c.lc, innov))
-	// Feedback v = -K x̃ with x̃ = [δx; δu_prev; z] (pre-update z, as in
-	// the design dynamics; the DARE gain fixes all signs).
-	u := w.u
-	dx := mat.VecSubInto(w.dx, xc, c.xss)
-	if c.opts.DeltaU {
-		du := mat.VecSubInto(w.du, c.uPrev, c.uss)
-		v := mat.VecScaleInto(w.v, -1, mat.MulVecInto(w.kv, c.kx, dx))
-		mat.VecSubInto(v, v, mat.MulVecInto(w.kv, c.ku, du))
-		if c.opts.Integral {
-			mat.VecSubInto(v, v, mat.MulVecInto(w.kv, c.kz, c.zInt))
-		}
-		mat.VecAddInto(u, c.uPrev, v)
-	} else {
-		mat.VecSubInto(u, c.uss, mat.MulVecInto(w.kv, c.kx, dx))
-		if c.opts.Integral {
-			mat.VecSubInto(u, u, mat.MulVecInto(w.kv, c.kz, c.zInt))
-		}
-	}
-	// Integrator update: z += (r - y), matching z⁺ = z - C δx.
-	// Conditional-integration anti-windup: if the last actuation was
-	// clipped (lastExcess != 0), an error whose integration would push
-	// the inputs further into the unrealizable direction is skipped
-	// this step; errors pulling back toward feasibility still integrate.
-	if c.opts.Integral {
-		saturated := !c.opts.DisableAntiWindup && mat.VecNorm2(c.lastExcess) > 1e-12
-		for i := range c.zInt {
-			e := c.ref[i] - y[i]
-			if saturated && e != 0 {
-				// Input move this error's integrator commands: -Kz[:,i]·e.
-				push := 0.0
-				for j := 0; j < p.Inputs(); j++ {
-					push += -c.kz.At(j, i) * e * c.lastExcess[j]
-				}
-				if push > 0 {
-					continue
-				}
-			}
-			c.zInt[i] += e
-		}
-	}
-	// Time update with the input we are about to apply.
-	mat.MulVecInto(w.ax, p.A, xc)
-	mat.MulVecInto(w.bu, p.B, u)
-	mat.VecAddInto(c.xhat, w.ax, w.bu)
-	copy(c.uPrev, u)
-	return u, nil
-}
-
-// ObserveApplied informs the controller of the input actually applied
-// when an actuator modified (e.g. quantized or range-limited) the
-// requested input. It re-runs the time update with the corrected input
-// and applies back-calculation anti-windup: the integrators are unwound
-// in proportion to the unrealizable part of the request, so an
-// unreachable reference cannot wind them up without bound and slam the
-// actuators into the wrong corner.
-func (c *Controller) ObserveApplied(u []float64) error {
-	p := c.plant
-	if len(u) != p.Inputs() {
-		return fmt.Errorf("lqg: applied input has %d entries, want %d", len(u), p.Inputs())
-	}
-	// Undo the optimistic time update and redo with the actual input:
-	// x̂ was A x̂ᶜ + B u_req; replace the B u term.
-	w := c.ws
-	diff := mat.VecSubInto(w.obsDiff, u, c.uPrev)
-	mat.VecAddInto(c.xhat, c.xhat, mat.MulVecInto(w.bdiff, p.B, diff))
-	mat.VecScaleInto(c.lastExcess, -1, diff) // u_requested - u_applied
-	copy(c.uPrev, u)
-	return nil
-}
 
 // Gains returns copies of the LQR gain partitions (Kx, Ku, Kz). Ku and
 // Kz are nil when the corresponding option is disabled.
@@ -517,7 +436,11 @@ func (c *Controller) LastInnovation() []float64 {
 // telemetry path, the flight recorder) avoid the copy in
 // LastInnovation allocating on every step.
 func (c *Controller) LastInnovationInto(dst []float64) []float64 {
-	return append(dst[:0], c.lastInnov...)
+	dst = dst[:0]
+	for _, v := range c.lastInnov {
+		dst = append(dst, v)
+	}
+	return dst
 }
 
 // LastExcessNorm returns ‖u_requested − u_applied‖₂ from the most

@@ -211,9 +211,9 @@ func (l *Loop) Bus() *Bus {
 // ObserveInto is Observe with the bus publish factored out: it stamps
 // and folds ev exactly as Observe does and reports whether the fleet
 // carries a bus, i.e. whether Observe would have published ev. The
-// batched supervised tier fills its per-epoch scratch slots in place
-// and ships one fleet epoch in a single bulk PublishBatch instead of N
-// ring reservations.
+// fleet engine (internal/batch) has its loops fill their events in place
+// in one epoch batch and ships it in a single bulk PublishBatch instead
+// of N ring reservations.
 func (l *Loop) ObserveInto(ev *Event) bool {
 	if l == nil {
 		return false

@@ -24,7 +24,10 @@
 // for identification, as in the paper (model dimension 4).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Knob level counts (paper Table III).
 const (
@@ -184,25 +187,137 @@ const DVFSTransitionSeconds = 5e-6
 // steady-state request between two settings.
 func NearestConfigHysteresis(freqGHz, l2Ways, robEntries float64, cur Config, margin float64) Config {
 	return Config{
-		FreqIdx:  hysteresisIndex(FreqSettingsGHz, cur.FreqIdx, freqGHz, margin),
-		CacheIdx: hysteresisIndexDesc(cur.CacheIdx, l2Ways, margin),
-		ROBIdx:   hysteresisIndex(robLevelsFloat(), cur.ROBIdx, robEntries, margin),
+		FreqIdx:  FreqIndexHysteresis(freqGHz, cur.FreqIdx, margin),
+		CacheIdx: CacheIndexHysteresis(l2Ways, cur.CacheIdx, margin),
+		ROBIdx:   ROBIndexHysteresis(robEntries, cur.ROBIdx, margin),
 	}
 }
 
-// robLevelsAsc and cacheWaysAsc are precomputed, read-only level tables
-// for the quantization path, which runs once per controller step; the
-// public ROBLevels/CacheWaysLevels return fresh copies, these must
-// never be mutated.
+// FreqIndexHysteresis is NearestConfigHysteresis for the frequency knob
+// alone (request in GHz), for controllers that drive only some knobs.
+func FreqIndexHysteresis(freqGHz float64, cur int, margin float64) int {
+	return freqGrid.index(cur, freqGHz, margin)
+}
+
+// CacheIndexHysteresis is NearestConfigHysteresis for the cache knob
+// alone (request in L2 ways; cur and the result index CacheSettings,
+// largest first).
+func CacheIndexHysteresis(l2Ways float64, cur int, margin float64) int {
+	n := len(cacheGrid.levels)
+	return n - 1 - cacheGrid.index(n-1-cur, l2Ways, margin)
+}
+
+// ROBIndexHysteresis is NearestConfigHysteresis for the ROB knob alone
+// (request in entries).
+func ROBIndexHysteresis(robEntries float64, cur int, margin float64) int {
+	return robGrid.index(cur, robEntries, margin)
+}
+
+// The level tables the quantizer reads, ascending and read-only,
+// snapshotted at init with their uniform-grid fits.
 var (
-	robLevelsAsc = ROBLevels()
-	cacheWaysAsc = CacheWaysLevels()
+	freqGrid  = newKnobGrid(FreqLevels())
+	cacheGrid = newKnobGrid(CacheWaysLevels())
+	robGrid   = newKnobGrid(ROBLevels())
 )
 
-func robLevelsFloat() []float64 { return robLevelsAsc }
+// knobGrid is one knob's ascending levels and, when they are uniform,
+// the grid base + i/invStep they lie on.
+type knobGrid struct {
+	levels        []float64
+	base, invStep float64
+	uniform       bool
+}
+
+// newKnobGrid fits base + i·h to the levels and marks the grid uniform
+// when every level is within a quarter step of it: then the arithmetic
+// candidate in index lands within one slot of the nearest level.
+func newKnobGrid(levels []float64) knobGrid {
+	g := knobGrid{levels: levels}
+	n := len(levels)
+	if n < 2 {
+		return g
+	}
+	h := (levels[n-1] - levels[0]) / float64(n-1)
+	if !(h > 0) || math.IsInf(h, 0) {
+		return g
+	}
+	for i, l := range levels {
+		if math.Abs(l-(levels[0]+h*float64(i))) > 0.25*h {
+			return g
+		}
+	}
+	g.base, g.invStep, g.uniform = levels[0], 1/h, true
+	return g
+}
+
+// index is hysteresisIndex(g.levels, cur, req, margin) computed without
+// scanning a uniform grid: an arithmetic candidate and a 3-wide window
+// reproduce the scan's first-minimum-wins choice. It returns the scan's
+// answer because:
+//   - the window compares the same |level-req| distances in the same
+//     strict-improvement order, seeded with the current level's;
+//   - for a finite request every nearest level is within one slot of
+//     the candidate (the grid is uniform to a quarter step), so all
+//     minimum-distance levels lie in the window — except possibly past
+//     its left edge, where the scan decides;
+//   - NaN, ±Inf and requests too far off the grid for an int
+//     candidate go to the scan, which holds the current level on NaN.
+//
+// math.Abs replaces the scan's absf; they differ only in the sign of a
+// zero, which no distance comparison sees. TestWindowMatchesScan and
+// FuzzQuantHysteresis pin the equivalence.
+func (g *knobGrid) index(cur int, req, margin float64) int {
+	levels := g.levels
+	n := len(levels)
+	if !g.uniform {
+		return hysteresisIndex(levels, cur, req, margin)
+	}
+	if uint(cur) >= uint(n) {
+		cur = 0
+	}
+	t := (req-g.base)*g.invStep + 0.5
+	k := int(t)
+	if !(t >= 1) {
+		if !(t >= -1e18) { // NaN, -Inf, or too far below to index
+			return hysteresisIndex(levels, cur, req, margin)
+		}
+		k = 0
+	} else if k >= n {
+		if t > 1e18 { // +Inf, or too far above to index
+			return hysteresisIndex(levels, cur, req, margin)
+		}
+		k = n - 1
+	}
+	best := cur
+	bd := math.Abs(levels[cur] - req)
+	lo, hi := max(k-1, 0), min(k+1, n-1)
+	for i := lo; i <= hi; i++ {
+		if d := math.Abs(levels[i] - req); d < bd {
+			best, bd = i, d
+		}
+	}
+	if best == lo && lo > 0 {
+		// The winner sits on the window's left edge: an exact tie further
+		// left could be the scan's first minimum. Rare (an off-by-one
+		// candidate on an exact midpoint); the scan decides.
+		return hysteresisIndex(levels, cur, req, margin)
+	}
+	if best == cur {
+		return cur
+	}
+	l, h := min(cur, best), max(cur, best)
+	step := (levels[h] - levels[l]) / float64(h-l)
+	if math.Abs(req-levels[cur]) <= (0.5+margin)*step {
+		return cur
+	}
+	return best
+}
 
 // hysteresisIndex picks an index from ascending levels: the nearest one,
 // unless the request is within (0.5+margin) steps of the current level.
+// It is the quantizer's fallback for non-uniform grids, non-finite
+// requests and window-edge ties, and the tests' oracle.
 func hysteresisIndex(levels []float64, curIdx int, req, margin float64) int {
 	if curIdx < 0 || curIdx >= len(levels) {
 		curIdx = 0
@@ -227,14 +342,4 @@ func hysteresisIndex(levels []float64, curIdx int, req, margin float64) int {
 		return curIdx
 	}
 	return best
-}
-
-// hysteresisIndexDesc handles the cache setting table, which is ordered
-// largest-first; the request is in L2 ways.
-func hysteresisIndexDesc(curIdx int, l2Ways, margin float64) int {
-	levels := cacheWaysAsc // ascending ways, read-only
-	// Convert the current descending index to ascending position.
-	curAsc := len(CacheSettings) - 1 - curIdx
-	asc := hysteresisIndex(levels, curAsc, l2Ways, margin)
-	return len(CacheSettings) - 1 - asc
 }

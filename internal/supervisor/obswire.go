@@ -7,11 +7,11 @@ import (
 	"mimoctl/internal/sim"
 )
 
-// Per-epoch record wiring: every Step ends in endEpoch, which fills one
+// Per-epoch record wiring: every step ends in endEpoch, which fills one
 // obs.Event for the flight ring and the fleet plane. With neither
 // attached nothing is filled; with either, the cost is one fixed-size
-// struct fill plus the ring append and the fleet's allocation-free
-// Observe.
+// struct fill plus the ring append, the fleet's allocation-free
+// ObserveInto and the bus publish.
 
 // SetLoopObs attaches (or, with nil, detaches) the fleet observability
 // handle for this supervisor's loop.
@@ -20,28 +20,30 @@ func (s *Supervised) SetLoopObs(l *obs.Loop) { s.loopObs = l }
 // LoopObs returns the attached fleet loop handle (nil when detached).
 func (s *Supervised) LoopObs() *obs.Loop { return s.loopObs }
 
-// endEpoch writes the epoch's record and publishes it to the fleet
-// plane. t carries the sanitized measurements, req the configuration
-// issued, flags the supervisor's evidence for this epoch, and innov the
-// inner controller's fresh innovation (nil on epochs it did not step).
-// author selects whether the supervisor also appends the record to the
-// flight ring: it does on fallback pins, actuation holds and engaged
-// epochs of an inner that does not record itself; a recording inner has
-// already written its engaged epochs. Controller internals only the
-// inner computes (continuous request, excess) are NaN.
-func (s *Supervised) endEpoch(t *sim.Telemetry, req sim.Config, flags uint32, mode uint8, innov []float64, author bool) {
+// endEpoch fills ev with the epoch's record, appends it to the flight
+// ring and folds it into the fleet loop, and reports whether ev must be
+// published on the loop's bus. t carries the sanitized measurements, req
+// the configuration issued, flags the supervisor's evidence for this
+// epoch, and innov the inner controller's fresh innovation (nil on
+// epochs it did not step). author selects whether the supervisor also
+// appends the record to the flight ring: it does on fallback pins,
+// actuation holds and engaged epochs of an inner that does not record
+// itself; a recording inner has already written its engaged epochs.
+// Controller internals only the inner computes (continuous request,
+// excess) are NaN.
+func (s *Supervised) endEpoch(t *sim.Telemetry, ev *obs.Event, req sim.Config, flags uint32, mode uint8, innov []float64, author bool) bool {
 	rec := s.rec
 	if !author {
 		rec = nil
 	}
 	if rec == nil && s.loopObs == nil {
-		return
+		return false
 	}
-	// Field by field rather than a composite literal, which would be
-	// built in a zeroed temporary and copied into ev.
+	// Every field is written: ev may be a reused slot. The fleet loop
+	// stamps LoopID and Epoch.
 	nan := math.NaN()
-	var ev obs.Event
-	ev.Flags, ev.Mode, ev.Health = flags, mode, uint8(s.opts.ModelHealth.Level())
+	ev.Epoch, ev.LoopID = 0, 0
+	ev.Flags, ev.Mode, ev.Health, ev.Adapt = flags, mode, uint8(s.opts.ModelHealth.Level()), 0
 	ev.IPSTarget, ev.PowerTarget = s.ipsTarget, s.powerTarget
 	ev.IPS, ev.PowerW, ev.TrueIPS, ev.TruePowerW = t.IPS, t.PowerW, t.TrueIPS, t.TruePowerW
 	ev.InnovIPS, ev.InnovPowerW, ev.InnovNorm = nan, nan, nan
@@ -57,6 +59,6 @@ func (s *Supervised) endEpoch(t *sim.Telemetry, req sim.Config, flags uint32, mo
 	if s.adapter != nil {
 		ev.Adapt = uint8(s.adapter.State())
 	}
-	rec.Append(&ev)
-	s.loopObs.Observe(&ev)
+	rec.Append(ev)
+	return s.loopObs.ObserveInto(ev)
 }

@@ -287,6 +287,13 @@ type Supervised struct {
 	// sees: fallback pins, actuation-backoff holds.
 	rec          *flightrec.Recorder
 	innerRecords bool
+
+	// The inner controller resolved once in New: as the MIMO controller
+	// when it is one, which the engaged step calls and reads the
+	// innovation of without interface dispatch, else as an
+	// InnovationReporter when it reports one (both nil otherwise).
+	mimo         *core.MIMOController
+	innov        InnovationReporter
 	innovScratch [2]float64
 
 	// Adaptation (nil when Options.Adapter was not set).
@@ -302,6 +309,8 @@ type Supervised struct {
 // targets become the supervisor's.
 func New(inner core.ArchController, opts Options) *Supervised {
 	s := &Supervised{inner: inner, opts: opts.withDefaults(), applyOK: true, adapter: opts.Adapter}
+	s.mimo, _ = inner.(*core.MIMOController)
+	s.innov, _ = inner.(InnovationReporter)
 	s.ipsTarget, s.powerTarget = inner.Targets()
 	s.grace = s.opts.GraceEpochs
 	return s
@@ -422,8 +431,23 @@ func (s *Supervised) ObserveApply(cfg sim.Config, err error) {
 // Step implements core.ArchController. Every epoch: sanitize the
 // telemetry, update the health monitors, then either run the inner
 // controller (engaged), wait out an actuation backoff, or pin the safe
-// configuration (fallback).
+// configuration (fallback). The epoch's event goes to the flight
+// recorder and the fleet plane when they are attached.
 func (s *Supervised) Step(t sim.Telemetry) sim.Config {
+	var ev obs.Event
+	cfg, publish := s.StepEvent(t, &ev)
+	if publish {
+		s.loopObs.Bus().Publish(&ev)
+	}
+	return cfg
+}
+
+// StepEvent is Step with the bus publish left to the caller. It fills
+// ev with the epoch's record when a flight recorder or fleet loop is
+// attached, folds it into the loop's fleet state, and reports whether
+// ev must be published on the loop's bus: Step publishes it at once,
+// internal/batch with the rest of the fleet's epoch in one batch.
+func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool) {
 	m := s.tel
 	s.health.Epochs++
 	if m != nil {
@@ -478,8 +502,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 				s.rec.RequestDump("adapt-revert")
 			}
 		}
-		s.endEpoch(&t, cfg, flags|obs.FlagFallback, obs.ModeFallback, nil, true)
-		return cfg
+		return cfg, s.endEpoch(&t, ev, cfg, flags|obs.FlagFallback, obs.ModeFallback, nil, true)
 	}
 
 	// Engaged: dead-channel and model-health checks.
@@ -546,8 +569,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 			}
 			s.adapter.NoteGap()
 		}
-		s.endEpoch(&t, s.opts.Safe, flags|obs.FlagFallback, obs.ModeFallback, nil, true)
-		return s.opts.Safe
+		return s.opts.Safe, s.endEpoch(&t, ev, s.opts.Safe, flags|obs.FlagFallback, obs.ModeFallback, nil, true)
 	}
 
 	// Actuation retry with bounded exponential backoff: after a failed
@@ -559,8 +581,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 		s.adapter.NoteGap()
 		if s.holdEpochs > 0 {
 			s.holdEpochs--
-			s.endEpoch(&t, t.Config, flags|obs.FlagHold, obs.ModeEngaged, nil, true)
-			return t.Config
+			return t.Config, s.endEpoch(&t, ev, t.Config, flags|obs.FlagHold, obs.ModeEngaged, nil, true)
 		}
 		s.health.ApplyRetries++
 		if m != nil {
@@ -572,8 +593,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 			s.backoff *= 2
 		}
 		s.holdEpochs = s.backoff
-		s.endEpoch(&t, s.lastRequested, flags|obs.FlagHold, obs.ModeEngaged, nil, true)
-		return s.lastRequested
+		return s.lastRequested, s.endEpoch(&t, ev, s.lastRequested, flags|obs.FlagHold, obs.ModeEngaged, nil, true)
 	}
 
 	if s.innerRecords {
@@ -581,8 +601,16 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 		// Step; hand it the supervisor's evidence to merge in.
 		s.rec.StageFlags(flags)
 	}
-	cfg := s.inner.Step(t)
-	s.observeModelHealth()
+	var cfg sim.Config
+	if s.mimo != nil {
+		cfg = s.mimo.Step(t)
+	} else {
+		cfg = s.inner.Step(t)
+	}
+	innov := s.lastInnovation()
+	if mon := s.opts.ModelHealth; mon != nil && len(innov) >= 2 {
+		mon.Observe(innov[0], innov[1])
+	}
 	illegal := false
 	if err := cfg.Validate(); err != nil {
 		// An illegal request must never reach the hardware: hold the
@@ -627,14 +655,11 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 	flags |= late
 	s.lastRequested = cfg
 	s.haveRequested = true
-	s.endEpoch(&t, cfg, flags, obs.ModeEngaged, s.lastInnovation(), !s.innerRecords)
-	return cfg
-}
-
-// innovationIntoReporter is the allocation-free variant of
-// InnovationReporter (core.MIMOController implements both).
-type innovationIntoReporter interface {
-	LastInnovationInto([]float64) []float64
+	if s.adapter != nil {
+		// A swap or revert this epoch reset the inner's innovation.
+		innov = s.lastInnovation()
+	}
+	return cfg, s.endEpoch(&t, ev, cfg, flags, obs.ModeEngaged, innov, !s.innerRecords)
 }
 
 // modelCertOK reports whether the model-health monitor permits
@@ -649,28 +674,16 @@ func (s *Supervised) modelCertOK() bool {
 	return s.opts.ModelHealth.Level() != health.LevelFail
 }
 
-// observeModelHealth streams the freshly stepped inner controller's
-// innovation into the model-health monitor.
-func (s *Supervised) observeModelHealth() {
-	mon := s.opts.ModelHealth
-	if mon == nil {
-		return
-	}
-	if innov := s.lastInnovation(); len(innov) >= 2 {
-		mon.Observe(innov[0], innov[1])
-	}
-}
-
 // lastInnovation returns the inner controller's most recent innovation,
-// nil when it reports none. Allocation-free for innovationIntoReporter
-// inners: the slice aliases s.innovScratch and is valid until the next
-// call. Other InnovationReporter inners fall back to LastInnovation.
+// nil when it reports none. Allocation-free for a MIMO inner: the slice
+// aliases s.innovScratch and is valid until the next call. Other
+// InnovationReporter inners fall back to LastInnovation.
 func (s *Supervised) lastInnovation() []float64 {
-	if ir, ok := s.inner.(innovationIntoReporter); ok {
-		return ir.LastInnovationInto(s.innovScratch[:0])
+	if s.mimo != nil {
+		return s.mimo.LastInnovationInto(s.innovScratch[:0])
 	}
-	if ir, ok := s.inner.(InnovationReporter); ok {
-		return ir.LastInnovation()
+	if s.innov != nil {
+		return s.innov.LastInnovation()
 	}
 	return nil
 }
@@ -796,6 +809,14 @@ func (s *Supervised) reengage() {
 	s.applyOK = true
 	s.failStreak, s.backoff, s.holdEpochs = 0, 0, 0
 	s.haveRequested = false
+}
+
+// Nominal reports whether the supervisor is on the nominal engaged
+// path: engaged mode, healthy actuation, and no retry or backoff in
+// flight. internal/batch reports a loop off this path as parked.
+func (s *Supervised) Nominal() bool {
+	return s.mode == ModeEngaged && s.applyOK &&
+		s.failStreak == 0 && s.backoff == 0 && s.holdEpochs == 0
 }
 
 // String summarizes the supervisor state for logs.
