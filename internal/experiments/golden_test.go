@@ -215,8 +215,9 @@ func checkAttached(t *testing.T, c goldenCase, workers int, mode obsMode, record
 	if mode != noFleet {
 		var sinks []obs.Sink
 		if mode == withHistory {
-			// Raw retention sized past the run, so the store evicts nothing.
-			db = tsdb.New(tsdb.Options{RawBlocks: 16})
+			// Raw retention sized past the longest golden run (fig12's
+			// 2000 epochs), so the store evicts nothing.
+			db = tsdb.New(tsdb.Options{RawEpochs: 4096})
 			rec = tsdb.NewRecorder(db, func(id uint32) string { return fleet.LoopName(id) })
 			sinks = append(sinks, rec)
 		}

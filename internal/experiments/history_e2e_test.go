@@ -89,6 +89,14 @@ func TestHistoryBaselineDrift(t *testing.T) {
 	if to != historyBaselineEpochs {
 		t.Fatalf("history spans epochs %d..%d, want last epoch %d", from, to, historyBaselineEpochs)
 	}
+	// The baseline states the window it covers: every baselined signal
+	// keeps a raw point for every epoch of it.
+	for _, sig := range tsdb.BaselineSignals {
+		pts, _ := db.Query(nil, "baseline/loop", sig, from, to, tsdb.ResRaw)
+		if uint64(len(pts)) != to-from+1 {
+			t.Errorf("%s keeps %d raw points over epochs %d..%d, want %d", sig, len(pts), from, to, to-from+1)
+		}
+	}
 
 	// The healthy run reproduces the committed baseline byte-for-byte.
 	base := tsdb.CaptureBaseline(db, tsdb.BaselineSignals, from, to)

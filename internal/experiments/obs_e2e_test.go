@@ -106,7 +106,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// sink. The recorder rides the pump goroutine, not the publish path,
 	// but it stays out of the timed min-of-two passes above so the
 	// overhead gate keeps measuring the plane alone (the history cost is
-	// measured separately by BenchmarkTSDBSuite*).
+	// measured end to end by the fleet workloads of bench/run.sh).
 	reg := telemetry.NewRegistry()
 	hist := tsdb.New(tsdb.Options{})
 	var fleet *obs.Fleet
@@ -214,8 +214,8 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// Drain the bus into the recorder, then reconcile history against the
 	// bus accounting: the recorder is a sink, so it sees exactly the
 	// published events — per-loop raw point counts must sum to
-	// EventsPublished ("mode" compresses to a couple of bits per sample,
-	// so 1200 epochs never evict from the default ring).
+	// EventsPublished (every signal keeps the default 2048 raw epochs,
+	// so a 1200-epoch run evicts nothing).
 	if err := bus.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -129,18 +129,24 @@ func DefaultSpecs() []Spec {
 	}
 }
 
-// sloEval is the online evaluator of one Spec for one loop: a bad-flag
-// ring sized to the longest window with incrementally maintained
-// per-window bad counts. Updates are O(windows) with no allocation.
+// sloEval is the online evaluator of one Spec for one loop: a ring of
+// bad-epoch bits as long as the longest window, with each window's bad
+// count and burn rate maintained incrementally. Each window keeps the
+// ring index of the epoch that leaves it next, advanced by
+// compare-and-wrap, and recomputes its burn rate only when its bad
+// count changes or while its span is still filling. Updates are
+// O(windows) with no allocation, and a loop's rings stay a few hundred
+// bytes, so a fleet's fit in cache.
 type sloEval struct {
 	spec   Spec
 	budget float64
 
-	ring []uint8 // bad flags, capacity = longest window
-	pos  int     // next write index
-	seen int     // epochs observed, capped at len(ring)
+	ring []uint64 // bad flags, one bit per epoch
+	n    int      // ring length in epochs: the longest window
+	pos  int      // next write index
+	seen int      // epochs observed, capped at n
 
-	winBad []int // bad count within each window
+	win []winState // per spec window
 
 	totalBad    uint64
 	totalEpochs uint64
@@ -152,69 +158,100 @@ type sloEval struct {
 	worstBurn float64
 }
 
+// winState is one window's spec and running state.
+type winState struct {
+	Window
+	leave int     // ring index of the epoch that leaves the window next
+	bad   int     // bad epochs within the window
+	burn  float64 // burn rate over the window
+}
+
 func newSLOEval(spec Spec) *sloEval {
-	maxW := 1
+	n := 1
 	for _, w := range spec.Windows {
-		if w.Epochs > maxW {
-			maxW = w.Epochs
+		if w.Epochs > n {
+			n = w.Epochs
 		}
 	}
-	return &sloEval{
+	e := &sloEval{
 		spec:   spec,
 		budget: spec.errBudget(),
-		ring:   make([]uint8, maxW),
-		winBad: make([]int, len(spec.Windows)),
+		ring:   make([]uint64, (n+63)/64),
+		n:      n,
+		win:    make([]winState, len(spec.Windows)),
 	}
+	for i, w := range spec.Windows {
+		e.win[i].Window = w
+		// The epoch leaving a window is w.Epochs back from the write
+		// position; a window of w.Epochs >= 1 first drops the epoch at 0.
+		if w.Epochs < 0 {
+			e.win[i].leave = -w.Epochs % n
+		}
+		e.win[i].burn = e.burn(0, w.Epochs)
+	}
+	return e
 }
 
 // observe folds one epoch's badness in and refreshes the verdicts.
 func (e *sloEval) observe(bad bool) {
-	v := uint8(0)
+	v := 0
 	if bad {
 		v = 1
 		e.totalBad++
 	}
 	e.totalEpochs++
-	n := len(e.ring)
-	for i, w := range e.spec.Windows {
-		e.winBad[i] += int(v)
-		if e.seen >= w.Epochs {
-			// The epoch leaving window i is w.Epochs back from the
-			// write position.
-			e.winBad[i] -= int(e.ring[(e.pos+n-w.Epochs)%n])
-		}
-	}
-	e.ring[e.pos] = v
-	e.pos = (e.pos + 1) % n
-	if e.seen < n {
+	prev := e.seen
+	if e.seen < e.n {
 		e.seen++
 	}
-
-	e.burning, e.alerting = false, len(e.spec.Windows) > 0
+	e.burning, e.alerting = false, len(e.win) > 0
 	e.worstBurn = 0
-	for i, w := range e.spec.Windows {
-		burn := e.burn(i, w)
-		if burn >= w.MaxBurn {
+	for i := range e.win {
+		w := &e.win[i]
+		d := v
+		if prev >= w.Epochs {
+			d -= int(e.ring[w.leave>>6] >> (w.leave & 63) & 1)
+			if w.leave++; w.leave == e.n {
+				w.leave = 0
+			}
+		}
+		// The burn rate moves only with the bad count, or with the span
+		// while it is still filling.
+		if d != 0 || prev < w.Epochs {
+			w.bad += d
+			w.burn = e.burn(w.bad, w.Epochs)
+		}
+		if w.burn >= w.MaxBurn {
 			e.burning = true
 		} else {
 			e.alerting = false
 		}
-		if burn > e.worstBurn {
-			e.worstBurn = burn
+		if w.burn > e.worstBurn {
+			e.worstBurn = w.burn
 		}
+	}
+	word, bit := &e.ring[e.pos>>6], uint64(1)<<(e.pos&63)
+	if bad {
+		*word |= bit
+	} else {
+		*word &^= bit
+	}
+	if e.pos++; e.pos == e.n {
+		e.pos = 0
 	}
 }
 
-// burn returns the burn rate of window i.
-func (e *sloEval) burn(i int, w Window) float64 {
-	span := w.Epochs
+// burn returns the burn rate of bad bad epochs over a window of epochs
+// epochs, of which only the ones observed so far count.
+func (e *sloEval) burn(bad, epochs int) float64 {
+	span := epochs
 	if e.seen < span {
 		span = e.seen
 	}
 	if span == 0 {
 		return 0
 	}
-	return (float64(e.winBad[i]) / float64(span)) / e.budget
+	return (float64(bad) / float64(span)) / e.budget
 }
 
 // isBad evaluates the spec's badness condition on one epoch. since is
@@ -310,8 +347,8 @@ func (e *sloEval) status() SLOStatus {
 		Windows:     make([]WindowStatus, len(e.spec.Windows)),
 		Alerting:    e.alerting,
 	}
-	for i, w := range e.spec.Windows {
-		b := e.burn(i, w)
+	for i, w := range e.win {
+		b := w.burn
 		st.Windows[i] = WindowStatus{Epochs: w.Epochs, Burn: b, MaxBurn: w.MaxBurn, Burning: b >= w.MaxBurn}
 		if b > st.WorstBurn {
 			st.WorstBurn = b

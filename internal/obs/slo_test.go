@@ -41,7 +41,7 @@ func TestSLOAlertsOnlyWhenAllWindowsBurn(t *testing.T) {
 		e.observe(true)
 	}
 	if !e.alerting {
-		t.Fatalf("sustained badness must alert (winBad=%v)", e.winBad)
+		t.Fatalf("sustained badness must alert (windows %+v)", e.win)
 	}
 	// Recovery: a clean stretch clears the short window first, dropping
 	// the alert.
@@ -63,10 +63,10 @@ func TestSLOWindowAccounting(t *testing.T) {
 		e.observe(b)
 	}
 	// Last 4 epochs: false false false true -> 1 bad.
-	if e.winBad[0] != 1 {
-		t.Fatalf("winBad = %d, want 1", e.winBad[0])
+	if e.win[0].bad != 1 {
+		t.Fatalf("window bad count = %d, want 1", e.win[0].bad)
 	}
-	if got := e.burn(0, e.spec.Windows[0]); math.Abs(got-(0.25/0.5)) > 1e-12 {
+	if got := e.win[0].burn; math.Abs(got-(0.25/0.5)) > 1e-12 {
 		t.Fatalf("burn = %g, want 0.5", got)
 	}
 	if e.totalBad != 4 || e.totalEpochs != 8 {
@@ -165,7 +165,8 @@ func directBad(s Spec, ev *Event, since int) bool {
 // TestObserveMatchesDirectEvaluation checks ObserveInto — one TrackErr
 // per epoch shared by every spec and the RMS gauge, and the worst burn
 // recorded by observe — against a shadow that evaluates TrackErr per
-// spec and recomputes the worst burn over the windows. Every per-loop
+// spec and, with the reference evaluator, recomputes the worst burn
+// over the windows. Every per-loop
 // gauge and counter must agree bit for bit, every epoch.
 func TestObserveMatchesDirectEvaluation(t *testing.T) {
 	specs := append(DefaultSpecs(),
@@ -175,9 +176,9 @@ func TestObserveMatchesDirectEvaluation(t *testing.T) {
 			Windows: []Window{{Epochs: 32, MaxBurn: 1.5}}})
 	f := NewFleet(Options{Registry: telemetry.NewRegistry(), Specs: specs})
 	l := f.Register("direct")
-	shadow := make([]*sloEval, len(specs))
+	shadow := make([]*refSLOEval, len(specs))
 	for i, s := range specs {
-		shadow[i] = newSLOEval(s)
+		shadow[i] = newRefSLOEval(s)
 	}
 	var emaSq, prevIPS, prevPow float64
 	since, haveTargets := 0, false
@@ -233,6 +234,73 @@ func TestObserveMatchesDirectEvaluation(t *testing.T) {
 		}
 		if got, want := l.mTrackRMS.Value(), math.Sqrt(emaSq); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("epoch %d: tracking RMS gauge %v, direct %v", k, got, want)
+		}
+	}
+}
+
+// TestSLOEvalMatchesReference drives sloEval and the reference
+// evaluator with the same random bad-epoch streams under random specs
+// — a window longer than the run, two equal windows, no windows, and
+// windows of zero and negative length — and requires identical
+// worstBurn bits, burning and alerting every epoch, and identical
+// status (every burn rate by its bits) before the first epoch and
+// every 50 epochs after.
+func TestSLOEvalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const epochs = 3000
+	specs := []Spec{
+		{Name: "none", Objective: 0.9},
+		{Name: "longer-than-run", Objective: 0.95,
+			Windows: []Window{{Epochs: 16, MaxBurn: 3}, {Epochs: 2 * epochs, MaxBurn: 1}}},
+		{Name: "equal", Objective: 0.9,
+			Windows: []Window{{Epochs: 64, MaxBurn: 2}, {Epochs: 64, MaxBurn: 4}, {Epochs: 1, MaxBurn: 5}}},
+		{Name: "full", Objective: 1, Windows: []Window{{Epochs: 8, MaxBurn: 1}}},
+		{Name: "degenerate", Objective: 0.9,
+			Windows: []Window{{Epochs: 0, MaxBurn: 0}, {Epochs: -3, MaxBurn: -1}, {Epochs: 5, MaxBurn: 1}}},
+	}
+	for len(specs) < 40 {
+		s := Spec{Name: "random", Objective: rng.Float64()}
+		for n := rng.Intn(5); n > 0; n-- {
+			s.Windows = append(s.Windows, Window{Epochs: 1 + rng.Intn(700), MaxBurn: 10 * rng.Float64()})
+		}
+		specs = append(specs, s)
+	}
+	sameStatus := func(si, k int, got, want SLOStatus) {
+		t.Helper()
+		same := got.Name == want.Name && got.BadEpochs == want.BadEpochs &&
+			got.TotalEpochs == want.TotalEpochs && got.Alerting == want.Alerting &&
+			math.Float64bits(got.WorstBurn) == math.Float64bits(want.WorstBurn) &&
+			len(got.Windows) == len(want.Windows)
+		for i := 0; same && i < len(got.Windows); i++ {
+			g, w := got.Windows[i], want.Windows[i]
+			same = g.Epochs == w.Epochs && g.Burning == w.Burning &&
+				math.Float64bits(g.Burn) == math.Float64bits(w.Burn) &&
+				math.Float64bits(g.MaxBurn) == math.Float64bits(w.MaxBurn)
+		}
+		if !same {
+			t.Fatalf("spec %d (%s) epoch %d: status %+v, reference %+v", si, got.Name, k, got, want)
+		}
+	}
+	for si, spec := range specs {
+		e, ref := newSLOEval(spec), newRefSLOEval(spec)
+		sameStatus(si, -1, e.status(), ref.status())
+		// Bad epochs arrive in bursts whose density drifts over the run.
+		p := rng.Float64()
+		for k := 0; k < epochs; k++ {
+			if rng.Intn(100) == 0 {
+				p = rng.Float64()
+			}
+			bad := rng.Float64() < p
+			e.observe(bad)
+			ref.observe(bad)
+			if math.Float64bits(e.worstBurn) != math.Float64bits(ref.worstBurn) ||
+				e.burning != ref.burning || e.alerting != ref.alerting {
+				t.Fatalf("spec %d (%s) epoch %d: worst %v burning %v alerting %v, reference %v %v %v",
+					si, spec.Name, k, e.worstBurn, e.burning, e.alerting, ref.worstBurn, ref.burning, ref.alerting)
+			}
+			if k%50 == 0 || k == epochs-1 {
+				sameStatus(si, k, e.status(), ref.status())
+			}
 		}
 	}
 }

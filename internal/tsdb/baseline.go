@@ -49,7 +49,7 @@ var BaselineSignals = []string{"track_err", "power_w", "innov_norm", "guardband"
 
 // CaptureBaseline snapshots the named signals over [from, to] at raw
 // resolution, aggregating across every loop in the store. Call
-// Recorder.Sync (or Series.Sync) first if rollup-fed levels matter;
+// Recorder.Sync (or Table.Sync) first if rollup-fed levels matter;
 // capture itself reads raw points.
 func CaptureBaseline(db *DB, signals []string, from, to uint64) Baseline {
 	b := Baseline{Version: BaselineVersion, From: from, To: to, Signals: make(map[string]BaselineStat, len(signals))}
@@ -68,16 +68,8 @@ func fleetStat(db *DB, signal string, from, to uint64) (BaselineStat, bool) {
 	sum := 0.0
 	count := uint64(0)
 	var pts []Point
-	for _, k := range db.Keys() {
-		if k.Signal != signal {
-			continue
-		}
-		s := db.Lookup(k.Loop, k.Signal)
-		if s == nil {
-			continue
-		}
-		pts = pts[:0]
-		pts, _ = s.Query(pts, from, to, ResRaw)
+	for _, t := range db.carrying(signal) {
+		pts, _ = t.Query(pts[:0], signal, from, to, ResRaw)
 		for _, p := range pts {
 			if !isFinite(p.Mean) {
 				continue

@@ -10,14 +10,11 @@ import (
 func baselineDB(errLevel float64) *DB {
 	db := New(Options{})
 	for _, loop := range []string{"a", "b"} {
-		s := db.Series(loop, "track_err")
-		p := db.Series(loop, "power_w")
+		s := db.Table(loop, []string{"track_err", "power_w"})
 		for e := uint64(0); e < 256; e++ {
-			s.Append(e, errLevel+0.001*float64(e%5))
-			p.Append(e, 10.0)
+			s.Append(e, errLevel+0.001*float64(e%5), 10.0)
 		}
 		s.Sync()
-		p.Sync()
 	}
 	return db
 }
@@ -101,7 +98,7 @@ func TestCompareBaselineMinCount(t *testing.T) {
 		t.Fatalf("cold store flagged drift: %+v", got)
 	}
 	tiny := New(Options{})
-	s := tiny.Series("a", "track_err")
+	s := tiny.Table("a", []string{"track_err"})
 	for e := uint64(0); e < 10; e++ {
 		s.Append(e, 5.0)
 	}

@@ -7,253 +7,356 @@ import (
 
 // The block codec is the Gorilla design (Pelkonen et al., VLDB 2015)
 // over epoch counters instead of wall timestamps: epochs compress with
-// delta-of-delta bucketing (a steady once-per-epoch series costs one
-// bit per sample) and values with XOR float compression operating on
+// delta-of-delta bucketing (a steady once-per-epoch table costs one
+// bit per row) and values with XOR float compression operating on
 // Float64bits — NaN and Inf telemetry sentinels round-trip bit-exactly
 // because the codec never interprets the payload (FuzzBlockRoundTrip
 // holds this under arbitrary inputs).
 //
-// One block carries one timestamp stream plus `cols` interleaved value
-// columns per sample: raw series use one column (the value), rollup
-// levels use four (min, max, sum, count) so a single decode pass yields
-// the full aggregate. Every stream writes into a caller-owned
-// fixed-capacity byte buffer; appendSample reports false when the
-// buffer cannot be guaranteed to hold one worst-case sample, which is
-// the series' signal to seal the block and start the next one — the
-// encoder itself never allocates.
+// A block is a set of column streams over the same rows: column 0
+// carries the row epochs, and every value column its own XOR chain.
+// The timestamp is paid once per row, however many signals the row
+// carries, and a query that wants one signal decodes only the epoch
+// column and that signal's columns. Each column is its own bit stream,
+// written a 64-bit word at a time into a growable word slice; sealed
+// blocks hand their slices back for reuse with their capacity, so a
+// level in steady state appends without allocating.
 
-// maxCols is the widest sample the codec carries (rollup aggregates).
-const maxCols = 4
+// stream is one column's bit stream: the whole words written so far
+// plus the partial word being filled, most significant bit first. A
+// value column's stream also carries its XOR-chain state, so writing a
+// value touches one struct.
+type stream struct {
+	words []uint64
+	acc   uint64 // pending bits, left-aligned
+	last  uint64 // a value column's previous Float64bits
 
-// worstSampleBits bounds one encoded sample: a full 4+64-bit
-// delta-of-delta escape plus, per column, the 2-bit control prefix, the
-// 5-bit leading-zero count, the 6-bit width field, and 64 meaningful
-// bits.
-func worstSampleBits(cols int) uint64 { return 68 + uint64(cols)*77 }
-
-// bstream is a bit-granular cursor over a fixed-capacity byte slice.
-// The writer ORs bits in, so buffers must arrive zeroed (reset clears
-// recycled ones).
-type bstream struct {
-	data []byte
-	pos  uint64 // bits written (writer) or read (reader)
+	n           uint8 // bits pending in acc, 0..63
+	lead, trail uint8 // a value column's meaningful window
 }
 
-func (b *bstream) writeBit(bit uint64) {
-	if bit != 0 {
-		b.data[b.pos>>3] |= 1 << (7 - b.pos&7)
+// reset re-arms the stream over buf's storage.
+func (s *stream) reset(buf []uint64) {
+	*s = stream{words: buf[:0]}
+}
+
+// write appends the low n bits of v (1 <= n <= 64; v must be zero
+// above them), most significant first.
+func (s *stream) write(v uint64, n uint) {
+	free := 64 - uint(s.n)
+	if n < free {
+		s.acc |= v << (free - n)
+		s.n += uint8(n)
+		return
 	}
-	b.pos++
+	rest := n - free
+	s.words = append(s.words, s.acc|v>>rest)
+	// rest == 0 shifts by 64, which Go defines as 0.
+	s.acc, s.n = v<<(64-rest), uint8(rest)
 }
 
-// writeBits writes the low n bits of v, most significant first,
-// filling whole bytes at a time.
-func (b *bstream) writeBits(v uint64, n uint) {
-	for n > 0 {
-		free := 8 - uint(b.pos&7)
-		take := n
-		if take > free {
-			take = free
-		}
-		chunk := byte(v>>(n-take)) & byte(1<<take-1)
-		b.data[b.pos>>3] |= chunk << (free - take)
-		b.pos += uint64(take)
-		n -= take
+// seal flushes the partial word and returns the complete stream.
+func (s *stream) seal() []uint64 {
+	if s.n > 0 {
+		s.words = append(s.words, s.acc)
+		s.acc, s.n = 0, 0
 	}
+	return s.words
 }
 
-func (b *bstream) readBit() uint64 {
-	bit := uint64(b.data[b.pos>>3]>>(7-b.pos&7)) & 1
-	b.pos++
-	return bit
+// timeEnc is the epoch column's delta-of-delta state.
+type timeEnc struct {
+	last  uint64
+	delta int64
 }
 
-// readBits reads n bits, most significant first, draining whole bytes
-// at a time.
-func (b *bstream) readBits(n uint) uint64 {
-	v := uint64(0)
-	for n > 0 {
-		avail := 8 - uint(b.pos&7)
-		take := n
-		if take > avail {
-			take = avail
-		}
-		chunk := uint64(b.data[b.pos>>3]>>(avail-take)) & (uint64(1)<<take - 1)
-		v = v<<take | chunk
-		b.pos += uint64(take)
-		n -= take
-	}
-	return v
-}
-
-// colEnc is one value column's XOR chain state.
-type colEnc struct {
-	lastBits          uint64
-	leading, trailing uint8
-}
-
-// blockEnc encodes samples into a fixed-capacity buffer.
-type blockEnc struct {
-	bs    bstream
-	cols  int
-	count int
-
-	firstT, lastT uint64
-	lastDelta     int64
-
-	col [maxCols]colEnc
-}
-
-// reset re-arms the encoder over buf (zeroing it — the writer ORs bits
-// in) for a new block.
-func (e *blockEnc) reset(buf []byte, cols int) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	e.bs = bstream{data: buf}
-	e.cols = cols
-	e.count = 0
-	e.firstT, e.lastT, e.lastDelta = 0, 0, 0
-	for i := range e.col {
-		e.col[i] = colEnc{}
-	}
-}
-
-// room reports whether one worst-case sample is guaranteed to fit.
-func (e *blockEnc) room() bool {
-	return e.bs.pos+worstSampleBits(e.cols) <= uint64(len(e.bs.data))*8
-}
-
-// appendSample encodes one sample; vals[:e.cols] are the value columns.
-// It reports false — leaving the block untouched — when the block is
-// full.
-func (e *blockEnc) appendSample(t uint64, vals *[maxCols]float64) bool {
-	if !e.room() {
-		return false
-	}
-	if e.count == 0 {
-		e.firstT = t
-		e.bs.writeBits(t, 64)
-		for c := 0; c < e.cols; c++ {
-			bits := math.Float64bits(vals[c])
-			e.bs.writeBits(bits, 64)
-			e.col[c].lastBits = bits
-			// Sentinel widths force the first XOR to re-emit a window.
-			e.col[c].leading, e.col[c].trailing = 0xff, 0xff
-		}
-		e.lastT = t
-		e.count = 1
-		return true
-	}
-	delta := int64(t - e.lastT)
-	dod := delta - e.lastDelta
+// putTime writes a row epoch after the block's first, which is stored
+// verbatim.
+func (s *stream) putTime(e *timeEnc, t uint64) {
+	delta := int64(t - e.last)
+	dod := delta - e.delta
 	switch {
 	case dod == 0:
-		e.bs.writeBit(0)
+		s.write(0, 1)
 	case dod >= -63 && dod <= 64:
-		e.bs.writeBits(0b10, 2)
-		e.bs.writeBits(uint64(dod+63), 7)
+		s.write(0b10<<7|uint64(dod+63), 9)
 	case dod >= -255 && dod <= 256:
-		e.bs.writeBits(0b110, 3)
-		e.bs.writeBits(uint64(dod+255), 9)
+		s.write(0b110<<9|uint64(dod+255), 12)
 	case dod >= -2047 && dod <= 2048:
-		e.bs.writeBits(0b1110, 4)
-		e.bs.writeBits(uint64(dod+2047), 12)
+		s.write(0b1110<<12|uint64(dod+2047), 16)
 	default:
-		e.bs.writeBits(0b1111, 4)
-		e.bs.writeBits(uint64(dod), 64)
+		s.write(0b1111, 4)
+		s.write(uint64(dod), 64)
 	}
-	e.lastT, e.lastDelta = t, delta
-	for c := 0; c < e.cols; c++ {
-		e.appendXOR(&e.col[c], math.Float64bits(vals[c]))
-	}
-	e.count++
-	return true
+	e.last, e.delta = t, delta
 }
 
-// appendXOR writes one value into a column's XOR chain.
-func (e *blockEnc) appendXOR(col *colEnc, vbits uint64) {
-	xor := vbits ^ col.lastBits
-	col.lastBits = vbits
+// putFirst writes a value column's first row verbatim.
+func (s *stream) putFirst(v uint64) {
+	s.write(v, 64)
+	// Sentinel widths force the first XOR to emit a window.
+	s.last, s.lead, s.trail = v, 0xff, 0xff
+}
+
+// putValue writes one value's Float64bits into the column's XOR chain.
+func (s *stream) putValue(v uint64) {
+	xor := v ^ s.last
+	s.last = v
 	if xor == 0 {
-		e.bs.writeBit(0)
+		s.write(0, 1)
 		return
 	}
-	e.bs.writeBit(1)
-	leading := uint8(bits.LeadingZeros64(xor))
-	trailing := uint8(bits.TrailingZeros64(xor))
+	lead := uint8(bits.LeadingZeros64(xor))
+	trail := uint8(bits.TrailingZeros64(xor))
 	// The leading-zero field is 5 bits, so clamp to 31.
-	if leading > 31 {
-		leading = 31
+	if lead > 31 {
+		lead = 31
 	}
-	if col.leading != 0xff && leading >= col.leading && trailing >= col.trailing {
-		// Fits the previous meaningful window: reuse it.
-		e.bs.writeBit(0)
-		e.bs.writeBits(xor>>col.trailing, uint(64-col.leading-col.trailing))
+	if s.lead != 0xff && lead >= s.lead && trail >= s.trail {
+		// Fits the previous meaningful window: control bits 10, then
+		// the window.
+		w := uint(64 - s.lead - s.trail)
+		if w <= 62 {
+			s.write(0b10<<w|xor>>s.trail, w+2)
+		} else {
+			s.write(0b10, 2)
+			s.write(xor>>s.trail, w)
+		}
 		return
 	}
-	col.leading, col.trailing = leading, trailing
-	mbits := 64 - leading - trailing
-	e.bs.writeBit(1)
-	e.bs.writeBits(uint64(leading), 5)
-	// mbits is in [1, 64]; store mbits-1 so 64 fits the 6-bit field.
-	e.bs.writeBits(uint64(mbits-1), 6)
-	e.bs.writeBits(xor>>trailing, uint(mbits))
-}
-
-// decodeBlock replays count samples of cols columns from data, calling
-// fn for each. The caller guarantees (data, count, cols) came from a
-// matching blockEnc; decode state is local, so concurrent decodes of
-// the same sealed block are safe.
-func decodeBlock(data []byte, count, cols int, fn func(t uint64, vals *[maxCols]float64)) {
-	if count == 0 {
-		return
-	}
-	bs := bstream{data: data}
-	var col [maxCols]colEnc
-	var vals [maxCols]float64
-	t := bs.readBits(64)
-	for c := 0; c < cols; c++ {
-		col[c].lastBits = bs.readBits(64)
-		col[c].leading, col[c].trailing = 0xff, 0xff
-		vals[c] = math.Float64frombits(col[c].lastBits)
-	}
-	fn(t, &vals)
-	delta := int64(0)
-	for i := 1; i < count; i++ {
-		var dod int64
-		switch {
-		case bs.readBit() == 0:
-			dod = 0
-		case bs.readBit() == 0:
-			dod = int64(bs.readBits(7)) - 63
-		case bs.readBit() == 0:
-			dod = int64(bs.readBits(9)) - 255
-		case bs.readBit() == 0:
-			dod = int64(bs.readBits(12)) - 2047
-		default:
-			dod = int64(bs.readBits(64))
-		}
-		delta += dod
-		t += uint64(delta)
-		for c := 0; c < cols; c++ {
-			vals[c] = math.Float64frombits(readXOR(&bs, &col[c]))
-		}
-		fn(t, &vals)
+	// A new window: control bits 11, 5 bits of leading zeros, 6 bits
+	// of width-1 (so 64 fits), then the window.
+	s.lead, s.trail = lead, trail
+	w := uint(64 - lead - trail)
+	hdr := uint64(0b11)<<11 | uint64(lead)<<6 | uint64(w-1)
+	if w <= 51 {
+		s.write(hdr<<w|xor>>trail, w+13)
+	} else {
+		s.write(hdr, 13)
+		s.write(xor>>trail, w)
 	}
 }
 
-// readXOR reads one value of a column's XOR chain.
-func readXOR(bs *bstream, col *colEnc) uint64 {
-	if bs.readBit() == 0 {
-		return col.lastBits
+// reader walks a stream's bits, most significant first. tail stands in
+// for the words past the end: the partial word of a block still being
+// written.
+type reader struct {
+	words []uint64
+	tail  uint64
+	i     int
+	cur   uint64 // unread bits of the current word, left-aligned
+	left  uint   // how many bits of cur are unread
+}
+
+func newReader(c colView) reader {
+	return reader{words: c.words, tail: c.tail}
+}
+
+func (r *reader) next() uint64 {
+	w := r.tail
+	if r.i < len(r.words) {
+		w = r.words[r.i]
 	}
-	if bs.readBit() == 1 {
-		col.leading = uint8(bs.readBits(5))
-		col.trailing = 64 - col.leading - uint8(bs.readBits(6)) - 1
+	r.i++
+	return w
+}
+
+// bits reads n bits (1 <= n <= 64).
+func (r *reader) bits(n uint) uint64 {
+	if n <= r.left {
+		v := r.cur >> (64 - n)
+		r.cur <<= n
+		r.left -= n
+		return v
 	}
-	mbits := uint(64 - col.leading - col.trailing)
-	xor := bs.readBits(mbits) << col.trailing
-	col.lastBits ^= xor
-	return col.lastBits
+	// Shifts by 64 yield 0 in Go, so an empty cur contributes nothing.
+	hi := r.cur >> (64 - r.left)
+	need := n - r.left
+	r.cur = r.next()
+	lo := r.cur >> (64 - need)
+	r.cur <<= need
+	r.left = 64 - need
+	return hi<<need | lo
+}
+
+// timeDec replays an epoch column.
+type timeDec struct {
+	r     reader
+	t     uint64
+	delta int64
+	first bool
+}
+
+func newTimeDec(c colView) timeDec {
+	return timeDec{r: newReader(c), first: true}
+}
+
+func (d *timeDec) next() uint64 {
+	if d.first {
+		d.first = false
+		d.t = d.r.bits(64)
+		return d.t
+	}
+	var dod int64
+	switch {
+	case d.r.bits(1) == 0:
+	case d.r.bits(1) == 0:
+		dod = int64(d.r.bits(7)) - 63
+	case d.r.bits(1) == 0:
+		dod = int64(d.r.bits(9)) - 255
+	case d.r.bits(1) == 0:
+		dod = int64(d.r.bits(12)) - 2047
+	default:
+		dod = int64(d.r.bits(64))
+	}
+	d.delta += dod
+	d.t += uint64(d.delta)
+	return d.t
+}
+
+// xorDec replays one value column.
+type xorDec struct {
+	r           reader
+	last        uint64
+	lead, trail uint8
+	first       bool
+}
+
+func newXORDec(c colView) xorDec {
+	return xorDec{r: newReader(c), first: true}
+}
+
+func (d *xorDec) next() float64 {
+	if d.first {
+		d.first = false
+		d.last = d.r.bits(64)
+		return math.Float64frombits(d.last)
+	}
+	if d.r.bits(1) == 0 {
+		return math.Float64frombits(d.last)
+	}
+	if d.r.bits(1) == 1 {
+		d.lead = uint8(d.r.bits(5))
+		d.trail = 64 - d.lead - uint8(d.r.bits(6)) - 1
+	}
+	d.last ^= d.r.bits(uint(64-d.lead-d.trail)) << d.trail
+	return math.Float64frombits(d.last)
+}
+
+// colView is one column stream as a reader sees it: a sealed block's
+// words, or an open block's words plus its partial word.
+type colView struct {
+	words []uint64
+	tail  uint64
+}
+
+// colSource is a block, sealed or open, as a reader sees it.
+type colSource interface {
+	col(c int) colView
+}
+
+// block is one sealed block: its rows' epoch range and column streams
+// (cols[0] the epochs, cols[1:] the values).
+type block struct {
+	rows       int
+	minT, maxT uint64
+	cols       [][]uint64
+}
+
+func (b *block) col(c int) colView { return colView{words: b.cols[c]} }
+
+// writer encodes rows into the column streams of one open block.
+type writer struct {
+	rows       int
+	minT, maxT uint64
+	time       timeEnc
+	cols       []stream // [0] epochs, [1:] values
+}
+
+func newWriter(valueCols int) writer {
+	return writer{cols: make([]stream, valueCols+1)}
+}
+
+func (w *writer) col(c int) colView { return colView{words: w.cols[c].words, tail: w.cols[c].acc} }
+
+// append encodes one row; vals[c] is value column c.
+func (w *writer) append(t uint64, vals []float64) {
+	cols := w.cols[1:]
+	vals = vals[:len(cols)]
+	if w.rows == 0 {
+		w.minT, w.maxT = t, t
+		w.cols[0].write(t, 64)
+		w.time = timeEnc{last: t}
+		for c, v := range vals {
+			cols[c].putFirst(math.Float64bits(v))
+		}
+		w.rows = 1
+		return
+	}
+	if t < w.minT {
+		w.minT = t
+	}
+	if t > w.maxT {
+		w.maxT = t
+	}
+	w.cols[0].putTime(&w.time, t)
+	for c, v := range vals {
+		cols[c].putValue(math.Float64bits(v))
+	}
+	w.rows++
+}
+
+// seal moves the open block's streams into b and re-arms the writer
+// over b's previous buffers, which keep their capacity. A recycled
+// buffer too small for a block like the one just sealed, with an
+// eighth to spare, is replaced by one with a quarter to spare, so once
+// every buffer of the ring has been through a seal a stationary signal
+// appends without growing a buffer.
+func (w *writer) seal(b *block) {
+	if b.cols == nil {
+		b.cols = make([][]uint64, len(w.cols))
+	}
+	b.rows, b.minT, b.maxT = w.rows, w.minT, w.maxT
+	for c := range w.cols {
+		recycled := b.cols[c]
+		sealed := w.cols[c].seal()
+		b.cols[c] = sealed
+		if n := len(sealed); cap(recycled) < n+n/8 {
+			recycled = make([]uint64, 0, n+n/4+8)
+		}
+		w.cols[c].reset(recycled)
+	}
+	w.rows = 0
+}
+
+// rollupCols is the widest run of value columns one signal occupies:
+// a rollup row's min, max, sum and count.
+const rollupCols = 4
+
+// rowDec replays a block's epoch column together with a run of up to
+// rollupCols value columns. Decode state is local, so concurrent
+// decodes of one sealed block are safe.
+type rowDec struct {
+	time timeDec
+	vals [rollupCols]xorDec
+	n    int
+}
+
+// newRowDec decodes the n value columns from first on (value column c
+// is stream 1+c; stream 0 holds the epochs).
+func newRowDec(src colSource, first, n int) rowDec {
+	d := rowDec{time: newTimeDec(src.col(0)), n: n}
+	for i := 0; i < n; i++ {
+		d.vals[i] = newXORDec(src.col(1 + first + i))
+	}
+	return d
+}
+
+// next decodes one row into vals[:n] and returns its epoch.
+func (d *rowDec) next(vals *[rollupCols]float64) uint64 {
+	t := d.time.next()
+	for i := 0; i < d.n; i++ {
+		vals[i] = d.vals[i].next()
+	}
+	return t
 }

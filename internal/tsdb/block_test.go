@@ -1,51 +1,71 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
 
-// roundTrip encodes samples into one block and decodes them back,
-// failing on any bit-level mismatch.
-func roundTrip(t *testing.T, ts []uint64, cols int, vals [][maxCols]float64) {
+// widestBlock is the widest block the store writes: a rollup row of
+// every recorded signal.
+const widestBlock = rollupCols * nSignals
+
+// checkDecode decodes rows rows of the epoch column and every value
+// column of a block (through col), failing on any bit-level mismatch
+// with ts and vals.
+func checkDecode(t *testing.T, rows int, col func(int) colView, ts []uint64, vals [][]float64) {
 	t.Helper()
-	var enc blockEnc
-	enc.reset(make([]byte, 1<<16), cols)
+	if rows != len(ts) {
+		t.Fatalf("block holds %d rows, want %d", rows, len(ts))
+	}
+	td := newTimeDec(col(0))
 	for i := range ts {
-		if !enc.appendSample(ts[i], &vals[i]) {
-			t.Fatalf("sample %d rejected by a %d-byte block", i, 1<<16)
+		if got := td.next(); got != ts[i] {
+			t.Fatalf("row %d: epoch %d, want %d", i, got, ts[i])
 		}
 	}
-	i := 0
-	decodeBlock(enc.bs.data, enc.count, cols, func(gotT uint64, gotV *[maxCols]float64) {
-		if gotT != ts[i] {
-			t.Fatalf("sample %d: epoch %d, want %d", i, gotT, ts[i])
-		}
-		for c := 0; c < cols; c++ {
-			if math.Float64bits(gotV[c]) != math.Float64bits(vals[i][c]) {
-				t.Fatalf("sample %d col %d: bits %#x, want %#x (%v vs %v)",
-					i, c, math.Float64bits(gotV[c]), math.Float64bits(vals[i][c]), gotV[c], vals[i][c])
+	for c := range vals {
+		xd := newXORDec(col(1 + c))
+		for i := range ts {
+			got, want := math.Float64bits(xd.next()), math.Float64bits(vals[c][i])
+			if got != want {
+				t.Fatalf("row %d col %d: bits %#x, want %#x", i, c, got, want)
 			}
 		}
-		i++
-	})
-	if i != len(ts) {
-		t.Fatalf("decoded %d samples, want %d", i, len(ts))
 	}
+}
+
+// roundTrip encodes the rows (vals[c][i] is column c of row i) into
+// one block and decodes them back, both while the block is open and
+// after it is sealed.
+func roundTrip(t *testing.T, ts []uint64, vals [][]float64) {
+	t.Helper()
+	w := newWriter(len(vals))
+	row := make([]float64, len(vals))
+	for i := range ts {
+		for c := range vals {
+			row[c] = vals[c][i]
+		}
+		w.append(ts[i], row)
+	}
+	checkDecode(t, w.rows, w.col, ts, vals)
+	var b block
+	w.seal(&b)
+	checkDecode(t, b.rows, b.col, ts, vals)
 }
 
 func TestBlockRoundTripSteady(t *testing.T) {
 	// The common case: once-per-epoch cadence, slowly-varying floats.
 	n := 500
 	ts := make([]uint64, n)
-	vals := make([][maxCols]float64, n)
+	vals := [][]float64{make([]float64, n)}
 	v := 1.0
 	for i := range ts {
 		ts[i] = uint64(100 + i)
 		v += 0.001 * float64(i%7)
-		vals[i][0] = v
+		vals[0][i] = v
 	}
-	roundTrip(t, ts, 1, vals)
+	roundTrip(t, ts, vals)
 }
 
 func TestBlockRoundTripSentinels(t *testing.T) {
@@ -58,23 +78,37 @@ func TestBlockRoundTripSentinels(t *testing.T) {
 		math.Float64frombits(0x7ff8000000000001), // quiet NaN payload
 	}
 	ts := make([]uint64, len(specials))
-	vals := make([][maxCols]float64, len(specials))
-	for i, v := range specials {
+	for i := range ts {
 		ts[i] = uint64(i)
-		vals[i][0] = v
 	}
-	roundTrip(t, ts, 1, vals)
+	roundTrip(t, ts, [][]float64{specials})
 }
 
 func TestBlockRoundTripMultiColumn(t *testing.T) {
+	// A rollup row of every signal: constant, ramping and noisy columns
+	// side by side, each its own stream.
 	n := 200
 	ts := make([]uint64, n)
-	vals := make([][maxCols]float64, n)
+	vals := make([][]float64, widestBlock)
+	for c := range vals {
+		vals[c] = make([]float64, n)
+	}
 	for i := range ts {
 		ts[i] = uint64(i * 16)
-		vals[i] = [maxCols]float64{float64(i), float64(i) * 2, float64(i) * 3.5, 16}
+		for c := range vals {
+			switch c % 4 {
+			case 0:
+				vals[c][i] = float64(i) * float64(c+1)
+			case 1:
+				vals[c][i] = math.Sin(float64(i*c)) * 1e3
+			case 2:
+				vals[c][i] = float64(i) * 3.5
+			default:
+				vals[c][i] = 16
+			}
+		}
 	}
-	roundTrip(t, ts, 4, vals)
+	roundTrip(t, ts, vals)
 }
 
 func TestBlockRoundTripDeltaBuckets(t *testing.T) {
@@ -86,103 +120,122 @@ func TestBlockRoundTripDeltaBuckets(t *testing.T) {
 	cur := ts[0]
 	for i, d := range deltas {
 		cur += uint64(d + 1000) // keep epochs increasing
-		_ = i
 		ts[i+1] = cur
 	}
-	vals := make([][maxCols]float64, len(ts))
-	for i := range vals {
-		vals[i][0] = float64(i)
+	vals := [][]float64{make([]float64, len(ts))}
+	for i := range ts {
+		vals[0][i] = float64(i)
 	}
-	roundTrip(t, ts, 1, vals)
+	roundTrip(t, ts, vals)
 }
 
+// TestBlockSealsWhenFull pins a level's block boundaries: a block is
+// full once a row falls past the fixed run of epochs it covers, the
+// ring then evicts whole blocks, and a recycled block decodes as
+// freshly as the first.
 func TestBlockSealsWhenFull(t *testing.T) {
-	var enc blockEnc
-	buf := make([]byte, int(2*worstSampleBits(1)/8)+1)
-	enc.reset(buf, 1)
-	var vals [maxCols]float64
-	n := 0
-	for i := 0; ; i++ {
-		// Adversarial values: every sample flips all mantissa bits, so
-		// XOR compression gets no traction.
-		vals[0] = math.Float64frombits(0x5555555555555555 ^ uint64(i)<<1)
-		if !enc.appendSample(uint64(i), &vals) {
-			break
-		}
-		n++
-		if i > 1000 {
-			t.Fatal("block never filled")
+	const span = 16
+	l := newLevel(1, span, 2*span) // two sealed blocks of 16 epochs
+	v := []float64{0}
+	for e := uint64(0); e < 5*span; e++ {
+		v[0] = math.Float64frombits(0x5555555555555555 ^ e<<1)
+		l.append(e, v)
+		if got, want := l.open.rows, int(e%span)+1; got != want {
+			t.Fatalf("epoch %d: open block holds %d rows, want %d", e, got, want)
 		}
 	}
-	if n < 2 {
-		t.Fatalf("block held %d samples, want >= 2", n)
+	if l.n != 2 {
+		t.Fatalf("ring holds %d sealed blocks, want 2", l.n)
 	}
-	// The rejected sample must not have corrupted the block.
-	i := 0
-	decodeBlock(enc.bs.data, enc.count, 1, func(gotT uint64, _ *[maxCols]float64) {
-		if gotT != uint64(i) {
-			t.Fatalf("post-seal decode: epoch %d, want %d", gotT, i)
+	if oldest, _ := l.oldest(); oldest != 2*span {
+		t.Fatalf("oldest retained epoch %d, want %d", oldest, 2*span)
+	}
+	// A gap jumps straight past the open block's run.
+	l.append(1000, v)
+	if l.open.rows != 1 || l.open.minT != 1000 || l.end != 1008 {
+		t.Fatalf("after a gap: open block rows %d from %d ending %d", l.open.rows, l.open.minT, l.end)
+	}
+	var epochs, words []uint64
+	l.scan(0, math.MaxUint64, func(rows int, src colSource) {
+		d := newRowDec(src, 0, 1)
+		var vals [rollupCols]float64
+		for r := 0; r < rows; r++ {
+			epochs = append(epochs, d.next(&vals))
+			words = append(words, math.Float64bits(vals[0]))
 		}
-		i++
 	})
-	if i != n {
-		t.Fatalf("decoded %d, want %d", i, n)
+	if len(epochs) != 2*span+1 {
+		t.Fatalf("decoded %d rows, want %d", len(epochs), 2*span+1)
+	}
+	for i := 0; i < 2*span; i++ {
+		e := uint64(3*span + i)
+		if epochs[i] != e || words[i] != 0x5555555555555555^e<<1 {
+			t.Fatalf("row %d: epoch %d bits %#x", i, epochs[i], words[i])
+		}
 	}
 }
 
-// FuzzBlockRoundTrip asserts the codec round-trips arbitrary epoch
-// gaps and arbitrary value bit patterns Float64bits-identically —
-// including NaN payloads and infinities, which the codec must treat as
-// opaque bits.
+// FuzzBlockRoundTrip asserts the word-at-a-time codec round-trips any
+// block the store can write Float64bits-identically: 1 to widestBlock
+// value columns, arbitrary epoch gaps (repeats, escapes and wraps
+// included) and arbitrary value words, NaN payloads and infinities
+// among them — the codec must treat values as opaque bits. Every block
+// is checked open and sealed, and the third block reuses the first's
+// buffers.
 func FuzzBlockRoundTrip(f *testing.F) {
-	f.Add(uint64(0), uint64(1), uint64(0x3ff0000000000000), uint64(0x3ff0000000000001), uint64(0x7ff8000000000000))
-	f.Add(uint64(1<<40), uint64(1<<20), uint64(0x7ff0000000000000), uint64(0xfff0000000000000), uint64(0))
-	f.Add(uint64(5), uint64(0), uint64(0xffffffffffffffff), uint64(1), uint64(0x8000000000000000))
-	f.Fuzz(func(t *testing.T, t0, gapSeed, b0, b1, b2 uint64) {
-		const n = 64
-		ts := make([]uint64, n)
-		vals := make([][maxCols]float64, n)
-		cur := t0
-		seeds := [3]uint64{b0, b1, b2}
-		for i := 0; i < n; i++ {
-			ts[i] = cur
-			// Derive a deterministic, arbitrary-looking gap in [1, 2^20]
-			// from the seed; overflow wrapping is fine for the codec but
-			// keep epochs strictly increasing for the time chain.
-			gap := (gapSeed>>(uint(i)%48))%(1<<20) + 1
-			if cur+gap < cur {
-				break // would wrap uint64; stop early, prefix still valid
+	f.Add(uint64(0), uint64(1), uint8(1), []byte{0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0x3f, 0xf0, 0, 0, 0, 0, 0, 1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 0})
+	f.Add(uint64(1<<40), uint64(1<<20), uint8(4), []byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0, 0xff, 0xf0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint64(5), uint64(0), uint8(widestBlock-1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 1, 0x80})
+	f.Fuzz(func(t *testing.T, t0, gapSeed uint64, cols uint8, words []byte) {
+		nc := int(cols)%widestBlock + 1
+		const rows = 48
+		w := newWriter(nc)
+		row := make([]float64, nc)
+		var b block
+		for pass := 0; pass < 3; pass++ {
+			ts := make([]uint64, rows)
+			vals := make([][]float64, nc)
+			for c := range vals {
+				vals[c] = make([]float64, rows)
 			}
-			cur += gap
-			s := seeds[i%3]
-			seeds[i%3] = s*6364136223846793005 + 1442695040888963407
-			vals[i][0] = math.Float64frombits(s)
-		}
-		var enc blockEnc
-		enc.reset(make([]byte, 1<<16), 1)
-		kept := 0
-		for i := range ts {
-			if i > 0 && ts[i] <= ts[i-1] {
-				break
+			cur := t0 + uint64(pass)
+			seed := gapSeed ^ uint64(pass)
+			for i := 0; i < rows; i++ {
+				ts[i] = cur
+				// Gaps mostly small, sometimes zero or huge (and wrapping).
+				seed = seed*6364136223846793005 + 1442695040888963407
+				switch seed >> 61 {
+				case 0:
+					cur += seed
+				case 1:
+				default:
+					cur += seed>>44 + 1
+				}
+				for c := 0; c < nc; c++ {
+					// Values come from the fuzzer's words, cycled per
+					// column; runs of repeats and small flips arise from
+					// the input itself.
+					k := (i*nc + c) * 8
+					var word uint64
+					if len(words) >= 8 {
+						k %= len(words) - 7
+						word = binary.BigEndian.Uint64(words[k : k+8])
+					}
+					if seed>>58&3 == 0 {
+						word ^= uint64(i) << (c % 64)
+					}
+					vals[c][i] = math.Float64frombits(word)
+				}
 			}
-			if !enc.appendSample(ts[i], &vals[i]) {
-				break
+			for i := range ts {
+				for c := range vals {
+					row[c] = vals[c][i]
+				}
+				w.append(ts[i], row)
 			}
-			kept++
-		}
-		i := 0
-		decodeBlock(enc.bs.data, enc.count, 1, func(gotT uint64, gotV *[maxCols]float64) {
-			if gotT != ts[i] {
-				t.Fatalf("sample %d: epoch %d, want %d", i, gotT, ts[i])
-			}
-			if math.Float64bits(gotV[0]) != math.Float64bits(vals[i][0]) {
-				t.Fatalf("sample %d: bits %#x, want %#x",
-					i, math.Float64bits(gotV[0]), math.Float64bits(vals[i][0]))
-			}
-			i++
-		})
-		if i != kept {
-			t.Fatalf("decoded %d samples, want %d", i, kept)
+			checkDecode(t, w.rows, w.col, ts, vals)
+			w.seal(&b)
+			checkDecode(t, b.rows, b.col, ts, vals)
 		}
 	})
 }

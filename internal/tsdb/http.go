@@ -147,7 +147,7 @@ func (db *DB) serveKeys(w http.ResponseWriter) {
 }
 
 func (db *DB) serveLoop(w http.ResponseWriter, loop, signal string, from, to uint64, res Resolution, csv bool) {
-	if db.Lookup(loop, signal) == nil {
+	if t := db.lookup(loop); t == nil || t.col(signal) < 0 {
 		http.Error(w, "unknown series "+loop+"/"+signal, http.StatusNotFound)
 		return
 	}
@@ -169,9 +169,7 @@ func (db *DB) serveLoop(w http.ResponseWriter, loop, signal string, from, to uin
 			Mean: telemetry.JSONFloat(p.Mean), Count: p.Count}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_, _ = w.Write(appendLoopJSON(nil, &resp))
 }
 
 func (db *DB) serveFleet(w http.ResponseWriter, signal string, from, to uint64, res Resolution, qs []float64, csv bool) {
@@ -208,9 +206,170 @@ func (db *DB) serveFleet(w http.ResponseWriter, signal string, from, to uint64, 
 		resp.Points[i] = fp
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_, _ = w.Write(appendFleetJSON(nil, &resp))
+}
+
+// The /history bodies are written by hand, byte for byte as
+// json.Encoder with SetIndent("", "  ") writes them
+// (TestHistoryJSONMatchesEncoder), so a response costs no reflection
+// and no json.Marshal per float.
+
+// appendLoopJSON appends r, whose Points must be non-nil, and a newline.
+func appendLoopJSON(b []byte, r *HistoryResponse) []byte {
+	j := jsonBody{b: b}
+	j.open('{')
+	j.key("loop")
+	j.str(r.Loop)
+	j.key("signal")
+	j.str(r.Signal)
+	j.key("resolution")
+	j.str(r.Resolution)
+	j.key("points")
+	j.open('[')
+	for _, p := range r.Points {
+		j.next()
+		j.open('{')
+		j.key("epoch")
+		j.b = strconv.AppendUint(j.b, p.Epoch, 10)
+		j.key("min")
+		j.float(p.Min)
+		j.key("max")
+		j.float(p.Max)
+		j.key("mean")
+		j.float(p.Mean)
+		j.key("count")
+		j.b = strconv.AppendUint(j.b, p.Count, 10)
+		j.close('}')
+	}
+	j.close(']')
+	j.close('}')
+	return append(j.b, '\n')
+}
+
+// appendFleetJSON appends r, whose Points must be non-nil, and a
+// newline.
+func appendFleetJSON(b []byte, r *FleetHistoryResponse) []byte {
+	j := jsonBody{b: b}
+	j.open('{')
+	j.key("signal")
+	j.str(r.Signal)
+	j.key("resolution")
+	j.str(r.Resolution)
+	if len(r.Quantiles) > 0 {
+		j.key("quantile_levels")
+		j.open('[')
+		for _, q := range r.Quantiles {
+			j.next()
+			j.float(telemetry.JSONFloat(q))
+		}
+		j.close(']')
+	}
+	j.key("points")
+	j.open('[')
+	for _, p := range r.Points {
+		j.next()
+		j.open('{')
+		j.key("epoch")
+		j.b = strconv.AppendUint(j.b, p.Epoch, 10)
+		j.key("loops")
+		j.b = strconv.AppendInt(j.b, int64(p.Loops), 10)
+		j.key("min")
+		j.float(p.Min)
+		j.key("max")
+		j.float(p.Max)
+		j.key("mean")
+		j.float(p.Mean)
+		if len(p.Quantiles) > 0 {
+			j.key("quantiles")
+			j.open('[')
+			for _, q := range p.Quantiles {
+				j.next()
+				j.float(q)
+			}
+			j.close(']')
+		}
+		j.close('}')
+	}
+	j.close(']')
+	j.close('}')
+	return append(j.b, '\n')
+}
+
+// jsonBody appends one indented JSON document.
+type jsonBody struct {
+	b     []byte
+	elems []int // members or elements written, per open object or array
+}
+
+func (j *jsonBody) open(c byte) {
+	j.b = append(j.b, c)
+	j.elems = append(j.elems, 0)
+}
+
+func (j *jsonBody) close(c byte) {
+	d := len(j.elems) - 1
+	if j.elems[d] > 0 {
+		j.indent(d)
+	}
+	j.elems = j.elems[:d]
+	j.b = append(j.b, c)
+}
+
+// next starts a member or an element on a line of its own.
+func (j *jsonBody) next() {
+	d := len(j.elems) - 1
+	if j.elems[d] > 0 {
+		j.b = append(j.b, ',')
+	}
+	j.elems[d]++
+	j.indent(d + 1)
+}
+
+func (j *jsonBody) indent(depth int) {
+	j.b = append(j.b, '\n')
+	for i := 0; i < depth; i++ {
+		j.b = append(j.b, "  "...)
+	}
+}
+
+// key starts an object member; names are plain ASCII.
+func (j *jsonBody) key(name string) {
+	j.next()
+	j.b = append(j.b, '"')
+	j.b = append(j.b, name...)
+	j.b = append(j.b, `": `...)
+}
+
+// str writes s escaped as encoding/json escapes it.
+func (j *jsonBody) str(s string) {
+	q, _ := json.Marshal(s)
+	j.b = append(j.b, q...)
+}
+
+// float writes f as telemetry.JSONFloat marshals it: non-finite values
+// as the strings "NaN", "+Inf" and "-Inf", finite ones as
+// encoding/json formats a float64.
+func (j *jsonBody) float(f telemetry.JSONFloat) {
+	v := float64(f)
+	switch {
+	case math.IsNaN(v):
+		j.b = append(j.b, `"NaN"`...)
+	case math.IsInf(v, 1):
+		j.b = append(j.b, `"+Inf"`...)
+	case math.IsInf(v, -1):
+		j.b = append(j.b, `"-Inf"`...)
+	default:
+		format := byte('f')
+		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		j.b = strconv.AppendFloat(j.b, v, format, -1, 64)
+		// encoding/json writes e-7, not e-07.
+		if n := len(j.b); format == 'e' && j.b[n-4] == 'e' && j.b[n-3] == '-' && j.b[n-2] == '0' {
+			j.b[n-2] = j.b[n-1]
+			j.b = j.b[:n-1]
+		}
+	}
 }
 
 // fmtFloat renders CSV floats compactly, keeping NaN/Inf spellings

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"flag"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mimoctl/internal/telemetry"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden /history responses with the current outputs")
@@ -18,8 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden /history respo
 func goldenDB() *DB {
 	db := New(Options{})
 	for li, loop := range []string{"core0", "core1"} {
-		s := db.Series(loop, "ips")
-		p := db.Series(loop, "power_w")
+		s := db.Table(loop, []string{"ips", "power_w"})
 		for e := uint64(0); e < 64; e++ {
 			// Piecewise-deterministic shapes: a ramp with a step, offset
 			// per loop, plus a NaN sentinel at epoch 40 on core1.
@@ -30,11 +32,9 @@ func goldenDB() *DB {
 			if li == 1 && e == 40 {
 				v = math.NaN()
 			}
-			s.Append(e, v)
-			p.Append(e, 10+float64(li)+0.1*float64(e))
+			s.Append(e, v, 10+float64(li)+0.1*float64(e))
 		}
 		s.Sync()
-		p.Sync()
 	}
 	return db
 }
@@ -158,5 +158,63 @@ func TestHistoryAutoResolution(t *testing.T) {
 	}
 	if len(resp.Points) != 64 {
 		t.Fatalf("full-range default returned %d points, want 64", len(resp.Points))
+	}
+}
+
+// TestHistoryJSONMatchesEncoder holds the hand-written /history bodies
+// to encoding/json's indented encoding, byte for byte, over random
+// responses: floats from every formatting regime (zeros, subnormals,
+// the 1e-6 and 1e21 exponent cutoffs, NaN payloads, infinities) and
+// names that need escaping.
+func TestHistoryJSONMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	specials := []float64{0, math.Copysign(0, -1), 1e-6, 9.999999e-7, 1e21, 9.99999e20, -1e-7,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000123), 1.5, 2.3e-9, 123456789012345678}
+	float := func() telemetry.JSONFloat {
+		switch rng.Intn(3) {
+		case 0:
+			return telemetry.JSONFloat(specials[rng.Intn(len(specials))])
+		case 1:
+			return telemetry.JSONFloat(math.Float64frombits(rng.Uint64()))
+		}
+		return telemetry.JSONFloat(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(50)-25)))
+	}
+	names := []string{"core0", "faults/plant-drift/Adaptive(MIMO)", `q"uote\back`, "<tag>&amp;", "tab\tnl\n", "ünï ", "\xff"}
+	want := func(v any) []byte {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for i := 0; i < 300; i++ {
+		loop := HistoryResponse{Loop: names[rng.Intn(len(names))], Signal: names[rng.Intn(len(names))],
+			Resolution: Resolution(rng.Intn(3)).String(), Points: make([]HistoryPoint, rng.Intn(4))}
+		for k := range loop.Points {
+			loop.Points[k] = HistoryPoint{Epoch: rng.Uint64() >> uint(rng.Intn(64)),
+				Min: float(), Max: float(), Mean: float(), Count: uint64(rng.Intn(300))}
+		}
+		if got, w := appendLoopJSON(nil, &loop), want(loop); !bytes.Equal(got, w) {
+			t.Fatalf("loop body differs\ngot:\n%s\nwant:\n%s", got, w)
+		}
+		fleet := FleetHistoryResponse{Signal: names[rng.Intn(len(names))],
+			Resolution: Resolution(rng.Intn(3)).String(), Points: make([]FleetHistoryPoint, rng.Intn(4))}
+		for n := rng.Intn(3); n > 0; n-- {
+			fleet.Quantiles = append(fleet.Quantiles, rng.Float64())
+		}
+		for k := range fleet.Points {
+			p := FleetHistoryPoint{Epoch: rng.Uint64(), Loops: rng.Intn(1000),
+				Min: float(), Max: float(), Mean: float()}
+			for n := rng.Intn(3); n > 0; n-- {
+				p.Quantiles = append(p.Quantiles, float())
+			}
+			fleet.Points[k] = p
+		}
+		if got, w := appendFleetJSON(nil, &fleet), want(fleet); !bytes.Equal(got, w) {
+			t.Fatalf("fleet body differs\ngot:\n%s\nwant:\n%s", got, w)
+		}
 	}
 }

@@ -22,30 +22,39 @@ const nSignals = 11
 // Recorder adapts the event bus to the store: it implements obs.Sink,
 // so attaching it to obs.NewBus taps the existing pump goroutine as a
 // fanout sink — ingestion costs the supervised hot path nothing (the
-// publish side is unchanged), and the pump's batch drain amortizes the
-// per-event work. WriteEvents is called only from that single pump
-// goroutine, so the loop table needs no lock; the per-series appends
-// are mutex-guarded against concurrent queries.
+// publish side is unchanged). Each event becomes one row of its loop's
+// table. WriteEvents is called only from that single pump goroutine, so
+// the recorder's own state needs no lock; each loop's table is locked
+// once per drained batch against concurrent queries.
 //
 // Steady state the ingest path performs zero heap allocations
-// (TestIngestAllocFree): series preallocate their block rings on first
-// sight of a loop, and every later append recycles sealed buffers.
+// (TestRecorderWriteEventsAllocFree): a loop's table is built on first
+// sight of the loop, and sealed blocks hand their buffers to the next
+// open block.
 type Recorder struct {
 	db    *DB
 	names obs.NameFunc
-	loops map[uint32]*loopSeries
+	loops []*loopRows // indexed by LoopID, the fleet's dense registration index
+
+	// Per-batch grouping scratch: the loops the batch touches, and the
+	// batch's event indexes ordered by loop.
+	touched []*loopRows
+	order   []int32
 
 	det *Detector
 }
 
-type loopSeries struct {
-	s [nSignals]*Series
+// loopRows is one loop's table plus its share of the batch being
+// written.
+type loopRows struct {
+	t      *Table
+	off, n int
 }
 
 // NewRecorder builds a bus sink feeding db. names resolves loop ids to
 // registered names (nil renders numeric ids, matching the text sinks).
 func NewRecorder(db *DB, names obs.NameFunc) *Recorder {
-	return &Recorder{db: db, names: names, loops: make(map[uint32]*loopSeries)}
+	return &Recorder{db: db, names: names}
 }
 
 // DB returns the store this recorder feeds.
@@ -55,38 +64,71 @@ func (r *Recorder) DB() *DB { return r.db }
 // the pump goroutine as events are ingested (nil detaches).
 func (r *Recorder) SetDetector(d *Detector) { r.det = d }
 
-// WriteEvents implements obs.Sink.
+// WriteEvents implements obs.Sink. It groups the batch by loop (a
+// stable counting sort over the event indexes), then appends each
+// loop's rows under one lock of its table.
 func (r *Recorder) WriteEvents(batch []obs.Event) error {
-	maxEpoch := uint64(0)
-	for i := range batch {
-		ev := &batch[i]
-		ls := r.loops[ev.LoopID]
-		if ls == nil {
-			ls = r.register(ev.LoopID)
-		}
-		ls.s[0].Append(ev.Epoch, ev.IPS)
-		ls.s[1].Append(ev.Epoch, ev.PowerW)
-		ls.s[2].Append(ev.Epoch, ev.IPSTarget)
-		ls.s[3].Append(ev.Epoch, ev.PowerTarget)
-		ls.s[4].Append(ev.Epoch, ev.InnovNorm)
-		ls.s[5].Append(ev.Epoch, ev.Guardband)
-		ls.s[6].Append(ev.Epoch, float64(ev.Mode))
-		ls.s[7].Append(ev.Epoch, float64(ev.ReqFreq))
-		ls.s[8].Append(ev.Epoch, float64(ev.ReqCache))
-		ls.s[9].Append(ev.Epoch, float64(ev.ReqROB))
-		ls.s[10].Append(ev.Epoch, obs.TrackErr(ev))
-		if ev.Epoch > maxEpoch {
-			maxEpoch = ev.Epoch
-		}
+	if len(batch) == 0 {
+		return nil
 	}
-	if r.det != nil && len(batch) > 0 {
+	touched := r.touched[:0]
+	for i := range batch {
+		lr := r.loop(batch[i].LoopID)
+		if lr.n == 0 {
+			touched = append(touched, lr)
+		}
+		lr.n++
+	}
+	off := 0
+	for _, lr := range touched {
+		lr.off, off, lr.n = off, off+lr.n, 0
+	}
+	if cap(r.order) < len(batch) {
+		r.order = make([]int32, len(batch))
+	}
+	order := r.order[:len(batch)]
+	for i := range batch {
+		lr := r.loops[batch[i].LoopID]
+		order[lr.off+lr.n] = int32(i)
+		lr.n++
+	}
+	maxEpoch := uint64(0)
+	for _, lr := range touched {
+		lr.t.mu.Lock()
+		for _, i := range order[lr.off : lr.off+lr.n] {
+			ev := &batch[i]
+			// Taken out of the literal so the row is built in place.
+			trackErr := obs.TrackErr(ev)
+			row := [nSignals]float64{
+				ev.IPS, ev.PowerW, ev.IPSTarget, ev.PowerTarget,
+				ev.InnovNorm, ev.Guardband, float64(ev.Mode),
+				float64(ev.ReqFreq), float64(ev.ReqCache), float64(ev.ReqROB),
+				trackErr,
+			}
+			lr.t.appendRow(ev.Epoch, row[:])
+			if ev.Epoch > maxEpoch {
+				maxEpoch = ev.Epoch
+			}
+		}
+		lr.t.mu.Unlock()
+		lr.n = 0
+	}
+	r.touched = touched
+	if r.det != nil {
 		r.det.advance(maxEpoch)
 	}
 	return nil
 }
 
-// register creates (once per loop) the per-signal series set.
-func (r *Recorder) register(id uint32) *loopSeries {
+// loop returns the loop's rows, building its table (once per loop) on
+// first sight.
+func (r *Recorder) loop(id uint32) *loopRows {
+	if int(id) < len(r.loops) && r.loops[id] != nil {
+		return r.loops[id]
+	}
+	if grow := int(id) + 1 - len(r.loops); grow > 0 {
+		r.loops = append(r.loops, make([]*loopRows, grow)...)
+	}
 	name := ""
 	if r.names != nil {
 		name = r.names(id)
@@ -94,22 +136,17 @@ func (r *Recorder) register(id uint32) *loopSeries {
 	if name == "" {
 		name = "loop-" + itoa(uint64(id))
 	}
-	ls := &loopSeries{}
-	for i, sig := range Signals {
-		ls.s[i] = r.db.Series(name, sig)
-	}
-	r.loops[id] = ls
-	return ls
+	lr := &loopRows{t: r.db.Table(name, Signals)}
+	r.loops[id] = lr
+	return lr
 }
 
 // Sync flushes every open rollup window so end-of-run queries at
 // mid/coarse resolution cover the final epochs. Call after the bus has
 // drained (e.g. after Bus.Close).
 func (r *Recorder) Sync() {
-	for _, k := range r.db.Keys() {
-		if s := r.db.Lookup(k.Loop, k.Signal); s != nil {
-			s.Sync()
-		}
+	for _, t := range r.db.sorted() {
+		t.Sync()
 	}
 }
 

@@ -35,17 +35,22 @@ func TestRecorderIngestsAllSignals(t *testing.T) {
 	}
 	rec.Sync()
 
-	// One series per signal per loop, named via NameFunc (fallback
-	// loop-<id> for unregistered ids).
-	if got := len(db.Keys()); got != 2*nSignals {
-		t.Fatalf("registered %d series, want %d", got, 2*nSignals)
+	// One table per loop with a column per signal, named via NameFunc
+	// (fallback loop-<id> for unregistered ids).
+	keys := db.Keys()
+	if len(keys) != 2*nSignals {
+		t.Fatalf("registered %d (loop, signal) keys, want %d", len(keys), 2*nSignals)
 	}
-	for _, sig := range Signals {
-		if db.Lookup("core7", sig) == nil {
-			t.Fatalf("missing core7/%s", sig)
+	for i, k := range keys {
+		if want := []string{"core7", "loop-9"}[i/nSignals]; k.Loop != want {
+			t.Fatalf("key %d = %+v, want loop %s", i, k, want)
 		}
-		if db.Lookup("loop-9", sig) == nil {
-			t.Fatalf("missing loop-9/%s", sig)
+	}
+	for _, loop := range []string{"core7", "loop-9"} {
+		for _, sig := range Signals {
+			if pts, _ := db.Query(nil, loop, sig, 0, 10, ResRaw); len(pts) == 0 {
+				t.Fatalf("missing %s/%s", loop, sig)
+			}
 		}
 	}
 
@@ -126,7 +131,7 @@ func TestRecorderAdvancesDetector(t *testing.T) {
 }
 
 func TestRecorderWriteEventsAllocFree(t *testing.T) {
-	db := New(Options{BlockBytes: 512})
+	db := New(Options{RawEpochs: 512, MidEpochs: 2048, CoarseEpochs: 16384})
 	rec := NewRecorder(db, nil)
 	batch := make([]obs.Event, 64)
 	e := uint64(0)
@@ -138,8 +143,10 @@ func TestRecorderWriteEventsAllocFree(t *testing.T) {
 			}
 		}
 	}
-	// Warmup registers the 4 loops and preallocates their rings.
-	for w := 0; w < 50; w++ {
+	// Warmup registers the 4 loops and runs until every level's ring has
+	// wrapped (the 256x ring after 2 blocks of 16 384 epochs), so each
+	// open block writes into recycled buffers.
+	for e < 40000 {
 		fill()
 		if err := rec.WriteEvents(batch); err != nil {
 			t.Fatal(err)

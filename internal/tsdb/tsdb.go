@@ -8,29 +8,41 @@
 // consumption, drift onset, fallback storms, SLO burn — unfolds over
 // thousands of epochs, so tuning gains and auditing cap apportionment
 // needs retrospective, queryable per-loop history. This package stores
-// it in constant memory:
+// it in bounded memory:
 //
-//   - Per-(loop, signal) series hold Gorilla-compressed blocks:
-//     delta-of-delta epoch encoding plus XOR float compression
-//     (block.go). A steady series costs a couple of bits per sample.
+//   - One Table per loop. Each recorded epoch is one row: the epoch and
+//     a value per signal (the Recorder writes the 11 Signals of an
+//     obs.Event), so the timestamp is paid once per row however many
+//     signals the row carries.
 //
-//   - Each series keeps three resolutions — raw, 16x, and 256x — as
-//     fixed-size rings of sealed blocks. Rollup samples carry
-//     min/max/sum/count, so a million-epoch run stays queryable at
-//     coarse resolution long after the raw ring has wrapped.
+//   - Rows are stored in Gorilla-compressed blocks (block.go): one
+//     delta-of-delta epoch column and one XOR float column per signal,
+//     each its own bit stream written a 64-bit word at a time. A
+//     constant signal costs one bit per row, and a one-signal query
+//     decodes only the epoch column and that signal's columns.
 //
-//   - All block buffers are preallocated when a series is created and
-//     recycled on eviction, so the steady-state append path performs
-//     zero heap allocations (TestIngestAllocFree) — ingestion runs on
-//     the obs.Bus pump goroutine, never on the control hot path.
+//   - Each table keeps three resolutions — raw, 16x and 256x — as rings
+//     of blocks that each cover a fixed run of epochs; rollup rows
+//     carry each signal's min/max/sum/count. Retention is a number of
+//     epochs per level, the same for every signal of a loop (Options:
+//     by default 2048, 8192 and 131072 epochs), so a million-epoch run
+//     stays queryable at coarse resolution long after the raw ring has
+//     wrapped, and a constant signal keeps exactly the span of a noisy
+//     one.
 //
-// Queries (Query, QueryFleet) snapshot under the per-series mutex and
-// decode outside the ingest path; the /history HTTP surface lives in
-// http.go and the baseline-drift detector in baseline.go.
+//   - Sealed blocks hand their buffers, capacity intact, to the next
+//     open block, so once every ring has wrapped the append path
+//     performs zero heap allocations (TestIngestAllocFree) — ingestion
+//     runs on the obs.Bus pump goroutine, never on the control hot path.
+//
+// Queries (Query, QueryFleet) decode under each table's mutex, one loop
+// at a time; the /history HTTP surface lives in http.go and the
+// baseline-drift detector in baseline.go.
 package tsdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -40,7 +52,7 @@ type Resolution int
 
 const (
 	// ResAuto picks the finest level whose retained history still covers
-	// the queried `from` epoch.
+	// the queried `from` epoch (else the coarsest level holding rows).
 	ResAuto Resolution = iota - 1
 	// ResRaw is the raw per-epoch level.
 	ResRaw
@@ -90,91 +102,111 @@ func ParseResolution(s string) (Resolution, bool) {
 	return ResAuto, false
 }
 
-// Options sizes the store. The zero value selects the defaults.
+// Options sizes the store: how far back each resolution reaches. The
+// zero value selects the defaults.
 type Options struct {
-	// BlockBytes is the capacity of one block buffer (default 1024).
-	// Blocks seal when the next worst-case sample might not fit, so the
-	// sample count per block varies with compressibility.
-	BlockBytes int
-	// RawBlocks, MidBlocks, CoarseBlocks are the sealed-ring sizes per
-	// level (defaults 8, 8, 8). Retention per level is whatever the ring
-	// holds: with the defaults and a well-behaved signal the raw level
-	// keeps tens of thousands of epochs and the 256x level over a
-	// million.
-	RawBlocks, MidBlocks, CoarseBlocks int
+	// RawEpochs, MidEpochs and CoarseEpochs are the retention of the
+	// raw, 16x and 256x levels in epochs (defaults 2048, 8192 and
+	// 131072: about 0.1 s, 0.4 s and 6.5 s of 50 µs epochs). Every
+	// signal of a loop keeps the same span. A level keeps at least this
+	// many epochs back from its newest row, and at most one block more.
+	RawEpochs, MidEpochs, CoarseEpochs int
 }
 
-func (o Options) withDefaults() Options {
-	if o.BlockBytes <= 0 {
-		o.BlockBytes = 1024
+// defaultRetention is each level's retention in epochs when Options
+// leaves it unset.
+var defaultRetention = [3]int{2048, 8192, 131072}
+
+// blockRows is how many rows one block of each level holds, so a block
+// covers blockRows × factor epochs: 256 at raw resolution, 1 024 at
+// 16x and 16 384 at 256x.
+var blockRows = [3]uint64{256, 64, 64}
+
+func (o Options) retention() [3]int {
+	r := [3]int{o.RawEpochs, o.MidEpochs, o.CoarseEpochs}
+	for i := range r {
+		if r[i] <= 0 {
+			r[i] = defaultRetention[i]
+		}
 	}
-	// A block must hold at least its first (uncompressed) sample plus
-	// one worst-case follow-up.
-	if min := int(2 * worstSampleBits(maxCols) / 8); o.BlockBytes < min {
-		o.BlockBytes = min
-	}
-	if o.RawBlocks <= 0 {
-		o.RawBlocks = 8
-	}
-	if o.MidBlocks <= 0 {
-		o.MidBlocks = 8
-	}
-	if o.CoarseBlocks <= 0 {
-		o.CoarseBlocks = 8
-	}
-	return o
+	return r
 }
 
-// Key identifies one series.
+// Key identifies one recorded (loop, signal) column.
 type Key struct{ Loop, Signal string }
 
-// DB is the store: a registry of per-(loop, signal) series.
+// DB is the store: one Table per loop.
 type DB struct {
-	opts Options
+	retention [3]int
 
 	mu     sync.RWMutex
-	series map[Key]*Series
-	keys   []Key // registration order, for deterministic iteration
+	tables map[string]*Table
 }
 
 // New builds an empty store.
 func New(opts Options) *DB {
-	return &DB{opts: opts.withDefaults(), series: make(map[Key]*Series)}
+	return &DB{retention: opts.retention(), tables: make(map[string]*Table)}
 }
 
-// Series returns the series for (loop, signal), creating it — and
-// preallocating its block rings — on first use.
-func (db *DB) Series(loop, signal string) *Series {
-	k := Key{Loop: loop, Signal: signal}
+// Table returns the loop's table, creating it with one column per
+// signal on first use. A later call returns the existing table
+// whatever signals it names.
+func (db *DB) Table(loop string, signals []string) *Table {
 	db.mu.RLock()
-	s := db.series[k]
+	t := db.tables[loop]
 	db.mu.RUnlock()
-	if s != nil {
-		return s
+	if t != nil {
+		return t
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if s = db.series[k]; s != nil {
-		return s
+	if t = db.tables[loop]; t == nil {
+		t = newTable(loop, signals, db.retention)
+		db.tables[loop] = t
 	}
-	s = newSeries(db.opts)
-	db.series[k] = s
-	db.keys = append(db.keys, k)
-	return s
+	return t
 }
 
-// Lookup returns the series for (loop, signal), nil when absent.
-func (db *DB) Lookup(loop, signal string) *Series {
+// lookup returns the loop's table, nil when absent.
+func (db *DB) lookup(loop string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.series[Key{Loop: loop, Signal: signal}]
+	return db.tables[loop]
 }
 
-// Keys returns every registered series key, sorted by loop then signal.
-func (db *DB) Keys() []Key {
+// sorted returns every table, ordered by loop name.
+func (db *DB) sorted() []*Table {
 	db.mu.RLock()
-	out := append([]Key(nil), db.keys...)
+	out := make([]*Table, 0, len(db.tables))
+	for _, t := range db.tables {
+		out = append(out, t)
+	}
 	db.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].loop < out[j].loop })
+	return out
+}
+
+// carrying returns the tables recording signal, ordered by loop name.
+func (db *DB) carrying(signal string) []*Table {
+	tabs := db.sorted()
+	out := tabs[:0]
+	for _, t := range tabs {
+		if t.col(signal) >= 0 {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// Keys returns every recorded (loop, signal) pair, sorted by loop then
+// signal.
+func (db *DB) Keys() []Key {
+	var out []Key
+	for _, t := range db.sorted() {
+		for _, sig := range t.signals {
+			out = append(out, Key{Loop: t.loop, Signal: sig})
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Loop != out[j].Loop {
 			return out[i].Loop < out[j].Loop
@@ -185,19 +217,15 @@ func (db *DB) Keys() []Key {
 }
 
 // EpochRange reports the epoch span the store still retains at raw
-// resolution across every series: the oldest retained raw epoch and
-// the newest appended one. ok is false for an empty store.
+// resolution across every loop: the oldest retained raw epoch and the
+// newest appended one. ok is false for an empty store.
 func (db *DB) EpochRange() (from, to uint64, ok bool) {
 	from = math.MaxUint64
-	for _, k := range db.Keys() {
-		s := db.Lookup(k.Loop, k.Signal)
-		if s == nil {
-			continue
-		}
-		if o, okO := s.OldestEpoch(ResRaw); okO && o < from {
+	for _, t := range db.sorted() {
+		if o, okO := t.OldestEpoch(ResRaw); okO && o < from {
 			from = o
 		}
-		if l, okL := s.LastEpoch(); okL && l >= to {
+		if l, okL := t.LastEpoch(); okL && l >= to {
 			to = l
 			ok = true
 		}
@@ -214,314 +242,400 @@ func (db *DB) EpochRange() (from, to uint64, ok bool) {
 // aggregate — a window holding only those yields Count=0 and NaN
 // stats).
 type Point struct {
-	Epoch           uint64
-	Min, Max, Mean  float64
-	Count           uint64
+	Epoch          uint64
+	Min, Max, Mean float64
+	Count          uint64
 }
 
 // Query decodes the [from, to] epoch range (inclusive) of (loop,
 // signal) at the given resolution, appending to dst and returning the
 // extended slice together with the level actually used (meaningful for
-// ResAuto). A missing series yields dst unchanged.
+// ResAuto). A missing loop or signal yields dst unchanged.
 func (db *DB) Query(dst []Point, loop, signal string, from, to uint64, res Resolution) ([]Point, Resolution) {
-	s := db.Lookup(loop, signal)
-	if s == nil {
-		return dst, resolveRes(res, 0, true)
+	t := db.lookup(loop)
+	if t == nil || t.col(signal) < 0 {
+		if !res.concrete() {
+			res = ResRaw
+		}
+		return dst, res
 	}
-	return s.Query(dst, from, to, res)
+	return t.Query(dst, signal, from, to, res)
 }
 
-// ---- series ----
+func (r Resolution) concrete() bool { return r >= ResRaw && r <= ResCoarse }
 
-// aggState accumulates one open rollup window.
+// ---- tables ----
+
+// aggState accumulates one signal's share of an open rollup window.
+// An empty window holds min +Inf, max -Inf and sum -0, so the first
+// finite sample lands as itself (-0 + v is v, bit for bit) without a
+// first-sample branch; fill reports an empty window as NaN.
 type aggState struct {
-	start          uint64
-	open           bool
-	min, max, sum  float64
-	count          uint64
+	min, max, sum float64
+	count         uint64
 }
 
+var emptyAgg = aggState{min: math.Inf(1), max: math.Inf(-1), sum: math.Copysign(0, -1)}
+
+// add folds one raw sample in; non-finite samples (v-v is NaN for NaN
+// and ±Inf) are left out.
 func (a *aggState) add(v float64) {
-	if !isFinite(v) {
+	if v-v != 0 {
 		return
 	}
-	if a.count == 0 {
-		a.min, a.max, a.sum = v, v, v
-	} else {
-		if v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
-		a.sum += v
+	if v < a.min {
+		a.min = v
 	}
+	if v > a.max {
+		a.max = v
+	}
+	a.sum += v
 	a.count++
 }
 
 // merge folds a flushed finer-level aggregate in.
-func (a *aggState) merge(min, max, sum float64, count uint64) {
-	if count == 0 {
+func (a *aggState) merge(b *aggState) {
+	if b.count == 0 {
 		return
 	}
-	if a.count == 0 {
-		a.min, a.max, a.sum = min, max, sum
-	} else {
-		if min < a.min {
-			a.min = min
-		}
-		if max > a.max {
-			a.max = max
-		}
-		a.sum += sum
+	if b.min < a.min {
+		a.min = b.min
 	}
-	a.count += count
-}
-
-func (a *aggState) reset(start uint64) {
-	*a = aggState{start: start, open: true, min: math.NaN(), max: math.NaN(), sum: math.NaN()}
+	if b.max > a.max {
+		a.max = b.max
+	}
+	a.sum += b.sum
+	a.count += b.count
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// sealedBlock is one immutable encoded block.
-type sealedBlock struct {
-	data       []byte // full-capacity buffer, bits of it used
-	count      int
-	minT, maxT uint64
+// window is one open rollup window: its first epoch and an aggregate
+// per signal.
+type window struct {
+	start uint64
+	open  bool
+	aggs  []aggState
 }
 
-// level is one resolution tier: an active encoder, a ring of sealed
-// blocks, and a free list the ring recycles through.
+func (w *window) reset(start uint64) {
+	w.start, w.open = start, true
+	for i := range w.aggs {
+		w.aggs[i] = emptyAgg
+	}
+}
+
+// fill writes the window as a rollup row: min, max, sum and count per
+// signal, with NaN stats for a signal that had no finite sample.
+func (w *window) fill(row []float64) {
+	nan := math.NaN()
+	for i := range w.aggs {
+		a := &w.aggs[i]
+		r := row[rollupCols*i : rollupCols*i+rollupCols]
+		if a.count == 0 {
+			r[0], r[1], r[2], r[3] = nan, nan, nan, 0
+			continue
+		}
+		r[0], r[1], r[2], r[3] = a.min, a.max, a.sum, float64(a.count)
+	}
+}
+
+// level is one resolution of a table: the open block and a ring of
+// sealed ones.
 type level struct {
-	cols   int
-	factor uint64
-
-	enc        blockEnc
-	encMinT    uint64
-	sealed     []sealedBlock // ring storage, len == ring capacity
-	start, n   int           // ring window [start, start+n)
-	free       [][]byte
+	span     uint64 // epochs one block covers
+	end      uint64 // first epoch past the open block
+	open     writer
+	ring     []block // sealed blocks, oldest at start
+	start, n int
 }
 
-func newLevel(cols int, factor uint64, ringCap, blockBytes int) level {
-	l := level{cols: cols, factor: factor, sealed: make([]sealedBlock, ringCap)}
-	// Preallocate every buffer the level will ever use: 1 active +
-	// ringCap sealed slots; recycling keeps the free list non-empty from
-	// then on, so steady-state appends never allocate.
-	l.free = make([][]byte, 0, ringCap+1)
-	for i := 0; i < ringCap; i++ {
-		l.free = append(l.free, make([]byte, blockBytes))
-	}
-	l.enc.reset(make([]byte, blockBytes), cols)
-	return l
+func newLevel(valueCols int, span uint64, retention int) level {
+	sealed := (uint64(retention) + span - 1) / span
+	return level{span: span, open: newWriter(valueCols), ring: make([]block, sealed)}
 }
 
-// appendSample encodes one sample, sealing and starting a new block
-// when the active one fills.
-func (l *level) appendSample(t uint64, vals *[maxCols]float64) {
-	if l.enc.count == 0 {
-		l.encMinT = t
+// append encodes one row, first sealing the open block when the row
+// falls past the run of epochs it covers.
+func (l *level) append(t uint64, vals []float64) {
+	if l.open.rows > 0 && t >= l.end {
+		l.seal()
 	}
-	if l.enc.appendSample(t, vals) {
-		return
+	if l.open.rows == 0 {
+		if l.end = t - t%l.span + l.span; l.end < t {
+			l.end = math.MaxUint64
+		}
 	}
-	l.seal()
-	l.encMinT = t
-	if !l.enc.appendSample(t, vals) {
-		// Cannot happen: a fresh block always holds one sample.
-		panic("tsdb: fresh block rejected a sample")
-	}
+	l.open.append(t, vals)
 }
 
-// seal moves the active block into the ring (evicting and recycling
-// the oldest when full) and re-arms the encoder from the free list.
+// seal moves the open block into the ring. A full ring evicts its
+// oldest block, whose buffers the next open block reuses.
 func (l *level) seal() {
-	if l.enc.count == 0 {
-		return
+	slot := (l.start + l.n) % len(l.ring)
+	if l.n == len(l.ring) {
+		l.start = (l.start + 1) % len(l.ring)
+	} else {
+		l.n++
 	}
-	if l.n == len(l.sealed) {
-		// Evict the oldest sealed block, recycling its buffer.
-		l.free = append(l.free, l.sealed[l.start].data)
-		l.sealed[l.start] = sealedBlock{}
-		l.start = (l.start + 1) % len(l.sealed)
-		l.n--
-	}
-	slot := (l.start + l.n) % len(l.sealed)
-	l.sealed[slot] = sealedBlock{
-		data:  l.enc.bs.data,
-		count: l.enc.count,
-		minT:  l.encMinT,
-		maxT:  l.enc.lastT,
-	}
-	l.n++
-	buf := l.free[len(l.free)-1]
-	l.free = l.free[:len(l.free)-1]
-	l.enc.reset(buf, l.cols)
+	l.open.seal(&l.ring[slot])
 }
 
 // oldest returns the earliest retained epoch (ok=false when empty).
 func (l *level) oldest() (uint64, bool) {
 	if l.n > 0 {
-		return l.sealed[l.start].minT, true
+		return l.ring[l.start].minT, true
 	}
-	if l.enc.count > 0 {
-		return l.encMinT, true
+	if l.open.rows > 0 {
+		return l.open.minT, true
 	}
 	return 0, false
 }
 
-// Series is the history of one (loop, signal) pair.
-type Series struct {
+// scan calls fn for every block, sealed ones oldest first and then
+// the open one, whose epochs meet [from, to].
+func (l *level) scan(from, to uint64, fn func(rows int, src colSource)) {
+	for i := 0; i < l.n; i++ {
+		if b := &l.ring[(l.start+i)%len(l.ring)]; b.maxT >= from && b.minT <= to {
+			fn(b.rows, b)
+		}
+	}
+	if w := &l.open; w.rows > 0 && w.maxT >= from && w.minT <= to {
+		fn(w.rows, w)
+	}
+}
+
+// Table is the history of one loop: a row per recorded epoch with a
+// column per signal, kept at three resolutions. The raw level stores
+// the rows as given; the 16x and 256x levels store one row per window
+// with each signal's min, max, sum and count.
+type Table struct {
+	loop    string
+	signals []string
+
 	mu     sync.Mutex
 	levels [3]level
-	agg    [2]aggState // open windows feeding levels 1 and 2
-	lastT  uint64
+	win    [2]window // open windows feeding the 16x and 256x levels
+	row    []float64 // rollup row scratch
+	last   uint64
 	hasAny bool
 }
 
-func newSeries(opts Options) *Series {
-	s := &Series{}
-	s.levels[0] = newLevel(1, 1, opts.RawBlocks, opts.BlockBytes)
-	s.levels[1] = newLevel(4, 16, opts.MidBlocks, opts.BlockBytes)
-	s.levels[2] = newLevel(4, 256, opts.CoarseBlocks, opts.BlockBytes)
-	return s
-}
-
-// Append records one raw sample and folds it into the open rollup
-// windows. Epochs must be non-decreasing per series (the obs event
-// stream guarantees it); violations are recorded as given but may
-// decode slowly. Allocation-free.
-func (s *Series) Append(epoch uint64, v float64) {
-	s.mu.Lock()
-	var vals [maxCols]float64
-	vals[0] = v
-	s.levels[0].appendSample(epoch, &vals)
-
-	// Fold into the 16x window, cascading into 256x on flush.
-	w := epoch &^ (levelFactors[1] - 1)
-	if !s.agg[0].open {
-		s.agg[0].reset(w)
-	} else if s.agg[0].start != w {
-		s.flushAgg(0)
-		s.agg[0].reset(w)
+func newTable(loop string, signals []string, retention [3]int) *Table {
+	n := len(signals)
+	t := &Table{loop: loop, signals: append([]string(nil), signals...), row: make([]float64, rollupCols*n)}
+	for lv := range t.levels {
+		width := n
+		if lv > 0 {
+			width = rollupCols * n
+		}
+		t.levels[lv] = newLevel(width, blockRows[lv]*levelFactors[lv], retention[lv])
 	}
-	s.agg[0].add(v)
-	s.lastT = epoch
-	s.hasAny = true
-	s.mu.Unlock()
+	for i := range t.win {
+		t.win[i].aggs = make([]aggState, n)
+	}
+	return t
 }
 
-// flushAgg writes the open window of agg[i] into level i+1 and, for
-// the mid level, merges it into the open coarse window.
-func (s *Series) flushAgg(i int) {
-	a := &s.agg[i]
-	if !a.open {
+// col returns the column index of signal, -1 when the table lacks it.
+func (t *Table) col(signal string) int {
+	for i, s := range t.signals {
+		if s == signal {
+			return i
+		}
+	}
+	return -1
+}
+
+// Append records one row: vals[i] is signal i's value at epoch. Epochs
+// must be non-decreasing per table (the obs event stream guarantees
+// it); violations are recorded as given. Allocation-free.
+func (t *Table) Append(epoch uint64, vals ...float64) {
+	if len(vals) != len(t.signals) {
+		panic("tsdb: row width differs from the table's signal count")
+	}
+	t.mu.Lock()
+	t.appendRow(epoch, vals)
+	t.mu.Unlock()
+}
+
+// appendRow is Append with t.mu held.
+func (t *Table) appendRow(epoch uint64, vals []float64) {
+	t.levels[ResRaw].append(epoch, vals)
+	w := &t.win[0]
+	start := epoch &^ (levelFactors[ResMid] - 1)
+	if !w.open {
+		w.reset(start)
+	} else if w.start != start {
+		t.flush(0)
+		w.reset(start)
+	}
+	aggs := w.aggs[:len(vals)]
+	for i, v := range vals {
+		aggs[i].add(v)
+	}
+	t.last, t.hasAny = epoch, true
+}
+
+// flush writes open window i into level i+1 and, for the 16x window,
+// merges it into the open 256x window.
+func (t *Table) flush(i int) {
+	w := &t.win[i]
+	if !w.open {
 		return
 	}
-	var vals [maxCols]float64
-	vals[0], vals[1], vals[2], vals[3] = a.min, a.max, a.sum, float64(a.count)
-	s.levels[i+1].appendSample(a.start, &vals)
+	w.fill(t.row)
+	t.levels[i+1].append(w.start, t.row)
 	if i == 0 {
-		w := a.start &^ (levelFactors[2] - 1)
-		if !s.agg[1].open {
-			s.agg[1].reset(w)
-		} else if s.agg[1].start != w {
-			s.flushAgg(1)
-			s.agg[1].reset(w)
+		c := &t.win[1]
+		start := w.start &^ (levelFactors[ResCoarse] - 1)
+		if !c.open {
+			c.reset(start)
+		} else if c.start != start {
+			t.flush(1)
+			c.reset(start)
 		}
-		s.agg[1].merge(a.min, a.max, a.sum, a.count)
+		for j := range c.aggs {
+			c.aggs[j].merge(&w.aggs[j])
+		}
 	}
-	a.open = false
+	w.open = false
 }
 
 // Sync flushes the open rollup windows into their levels so queries at
-// mid/coarse resolution see history up to the last appended epoch.
+// 16x/256x resolution see history up to the last appended epoch.
 // Windows normally flush when the next one opens; Sync is for
 // end-of-run snapshots (baseline capture, goldens).
-func (s *Series) Sync() {
-	s.mu.Lock()
-	s.flushAgg(0)
-	s.flushAgg(1)
-	s.mu.Unlock()
+func (t *Table) Sync() {
+	t.mu.Lock()
+	t.flush(0)
+	t.flush(1)
+	t.mu.Unlock()
 }
 
 // OldestEpoch returns the earliest epoch retained at res (ok=false for
 // an empty level).
-func (s *Series) OldestEpoch(res Resolution) (uint64, bool) {
-	if res < ResRaw || res > ResCoarse {
+func (t *Table) OldestEpoch(res Resolution) (uint64, bool) {
+	if !res.concrete() {
 		return 0, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.levels[res].oldest()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.levels[res].oldest()
 }
 
 // LastEpoch returns the most recent appended epoch (ok=false when the
-// series is empty).
-func (s *Series) LastEpoch() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastT, s.hasAny
+// table is empty).
+func (t *Table) LastEpoch() (uint64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.last, t.hasAny
 }
 
-// resolveRes maps ResAuto to a concrete level given the oldest-covered
-// check result; concrete resolutions pass through.
-func resolveRes(res Resolution, picked Resolution, empty bool) Resolution {
-	if res >= ResRaw && res <= ResCoarse {
-		return res
+// reach reports, per level, whether the table holds rows there and
+// whether they reach back to from. The caller holds t.mu.
+func (t *Table) reach(from uint64) (held, covers [3]bool) {
+	for lv := range t.levels {
+		oldest, ok := t.levels[lv].oldest()
+		held[lv], covers[lv] = ok, ok && oldest <= from
 	}
-	if empty {
-		return ResRaw
-	}
-	return picked
+	return held, covers
 }
 
-// Query appends the [from, to] range (inclusive) at res to dst. With
-// ResAuto it picks the finest level whose retention still covers from
-// (falling back to the coarsest non-empty level). The returned
-// resolution is the level used.
-func (s *Series) Query(dst []Point, from, to uint64, res Resolution) ([]Point, Resolution) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lv := res
-	if lv < ResRaw || lv > ResCoarse {
-		lv = ResCoarse
-		for cand := ResRaw; cand <= ResCoarse; cand++ {
-			if oldest, ok := s.levels[cand].oldest(); ok && oldest <= from {
-				lv = cand
-				break
+// autoLevel is what ResAuto resolves to: the finest level that reaches
+// back to from, else the coarsest level holding rows (raw when none
+// does).
+func autoLevel(held, covers [3]bool) Resolution {
+	for lv := ResRaw; lv <= ResCoarse; lv++ {
+		if covers[lv] {
+			return lv
+		}
+	}
+	for lv := ResCoarse; lv >= ResRaw; lv-- {
+		if held[lv] {
+			return lv
+		}
+	}
+	return ResRaw
+}
+
+// Query appends signal's [from, to] range (inclusive) at res to dst;
+// ResAuto picks the level with autoLevel. The returned resolution is
+// the level used. A signal the table lacks yields dst unchanged. Only
+// the epoch column and the signal's columns are decoded.
+func (t *Table) Query(dst []Point, signal string, from, to uint64, res Resolution) ([]Point, Resolution) {
+	c := t.col(signal)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !res.concrete() {
+		res = autoLevel(t.reach(from))
+	}
+	if c < 0 {
+		return dst, res
+	}
+	var vals [rollupCols]float64
+	t.levels[res].scan(from, to, func(rows int, src colSource) {
+		if res == ResRaw {
+			d := newRowDec(src, c, 1)
+			for r := 0; r < rows; r++ {
+				if e := d.next(&vals); e >= from && e <= to {
+					v := vals[0]
+					dst = append(dst, Point{Epoch: e, Min: v, Max: v, Mean: v, Count: 1})
+				}
+			}
+			return
+		}
+		d := newRowDec(src, rollupCols*c, rollupCols)
+		for r := 0; r < rows; r++ {
+			if e := d.next(&vals); e >= from && e <= to {
+				count := uint64(vals[3])
+				mean := math.NaN()
+				if count > 0 {
+					mean = vals[2] / float64(count)
+				}
+				dst = append(dst, Point{Epoch: e, Min: vals[0], Max: vals[1], Mean: mean, Count: count})
 			}
 		}
+	})
+	return dst, res
+}
+
+// epochMean is one loop's mean of a signal at one epoch bucket.
+type epochMean struct {
+	epoch uint64
+	mean  float64
+}
+
+// means appends the finite means of signal's [from, to] range at the
+// concrete level res — the points a fleet aggregation pools — decoding
+// only the epoch column and, at a rollup level, the sum and count
+// columns.
+func (t *Table) means(dst []epochMean, signal string, from, to uint64, res Resolution) []epochMean {
+	c := t.col(signal)
+	first, width := c, 1
+	if res != ResRaw {
+		first, width = rollupCols*c+2, 2
 	}
-	l := &s.levels[lv]
-	collect := func(t uint64, vals *[maxCols]float64) {
-		if t < from || t > to {
-			return
+	var vals [rollupCols]float64
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.levels[res].scan(from, to, func(rows int, src colSource) {
+		d := newRowDec(src, first, width)
+		for r := 0; r < rows; r++ {
+			e := d.next(&vals)
+			if e < from || e > to {
+				continue
+			}
+			m := vals[0]
+			if width == 2 {
+				m = vals[0] / vals[1] // NaN for an empty window
+			}
+			if isFinite(m) {
+				dst = append(dst, epochMean{epoch: e, mean: m})
+			}
 		}
-		if lv == ResRaw {
-			v := vals[0]
-			dst = append(dst, Point{Epoch: t, Min: v, Max: v, Mean: v, Count: 1})
-			return
-		}
-		count := uint64(vals[3])
-		mean := math.NaN()
-		if count > 0 {
-			mean = vals[2] / float64(count)
-		}
-		dst = append(dst, Point{Epoch: t, Min: vals[0], Max: vals[1], Mean: mean, Count: count})
-	}
-	for i := 0; i < l.n; i++ {
-		b := &l.sealed[(l.start+i)%len(l.sealed)]
-		if b.maxT < from || b.minT > to {
-			continue
-		}
-		decodeBlock(b.data, b.count, l.cols, collect)
-	}
-	if l.enc.count > 0 && l.enc.lastT >= from && l.encMinT <= to {
-		decodeBlock(l.enc.bs.data, l.enc.count, l.cols, collect)
-	}
-	return dst, lv
+	})
+	return dst
 }
 
 // FleetPoint is one epoch bucket of a cross-loop aggregation: the
@@ -537,45 +651,42 @@ type FleetPoint struct {
 // QueryFleet aggregates one signal across every loop carrying it:
 // per-loop points in [from, to] at res are bucketed by epoch, and each
 // bucket reports the min/max/mean and the requested quantiles of the
-// per-loop mean values. Loops are visited in sorted order and buckets
-// return sorted, so output is deterministic.
+// per-loop mean values. ResAuto resolves once for the whole fleet — the
+// finest level that reaches back to from in every loop holding rows,
+// else the coarsest level any loop holds — so every bucket pools
+// points of one resolution. Buckets return sorted by epoch, so output
+// is deterministic.
 func (db *DB) QueryFleet(signal string, from, to uint64, res Resolution, qs []float64) ([]FleetPoint, Resolution) {
-	keys := db.Keys()
-	used := resolveRes(res, ResRaw, true)
-	buckets := make(map[uint64][]float64)
-	var epochs []uint64
-	var scratch []Point
-	first := true
-	for _, k := range keys {
-		if k.Signal != signal {
-			continue
-		}
-		s := db.Lookup(k.Loop, k.Signal)
-		if s == nil {
-			continue
-		}
-		scratch = scratch[:0]
-		var lv Resolution
-		scratch, lv = s.Query(scratch, from, to, res)
-		if first {
-			used, first = lv, false
-		}
-		for _, p := range scratch {
-			if p.Count == 0 || !isFinite(p.Mean) {
+	tabs := db.carrying(signal)
+	if !res.concrete() {
+		held, covers := [3]bool{}, [3]bool{true, true, true}
+		for _, t := range tabs {
+			t.mu.Lock()
+			h, c := t.reach(from)
+			t.mu.Unlock()
+			if !h[ResRaw] {
 				continue
 			}
-			if _, ok := buckets[p.Epoch]; !ok {
-				epochs = append(epochs, p.Epoch)
+			for lv := range held {
+				held[lv] = held[lv] || h[lv]
+				covers[lv] = covers[lv] && c[lv]
 			}
-			buckets[p.Epoch] = append(buckets[p.Epoch], p.Mean)
+		}
+		res = autoLevel(held, covers)
+	}
+	var pts []epochMean
+	for i, t := range tabs {
+		pts = t.means(pts, signal, from, to, res)
+		if i == 0 {
+			// Loops carry about as many points each: size for all.
+			pts = slices.Grow(pts, len(pts)*(len(tabs)-1))
 		}
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	out := make([]FleetPoint, 0, len(epochs))
-	for _, e := range epochs {
-		vals := buckets[e]
+	out := []FleetPoint{}
+	for _, g := range bucket(pts, res.Factor()) {
+		vals := g.means
 		sort.Float64s(vals)
-		fp := FleetPoint{Epoch: e, Loops: len(vals), Min: vals[0], Max: vals[len(vals)-1]}
+		fp := FleetPoint{Epoch: g.epoch, Loops: len(vals), Min: vals[0], Max: vals[len(vals)-1]}
 		sum := 0.0
 		for _, v := range vals {
 			sum += v
@@ -587,7 +698,60 @@ func (db *DB) QueryFleet(signal string, from, to uint64, res Resolution, qs []fl
 		}
 		out = append(out, fp)
 	}
-	return out, used
+	return out, res
+}
+
+// epochGroup is the means pooled at one epoch.
+type epochGroup struct {
+	epoch uint64
+	means []float64
+}
+
+// bucket groups pts by epoch, in epoch order. Every epoch at a level
+// is a multiple of its factor f, so when the epochs span no more than
+// twice as many buckets as there are points, a counting sort over
+// (epoch-lo)/f places them; a sparser span is sorted instead.
+func bucket(pts []epochMean, f uint64) []epochGroup {
+	if len(pts) == 0 {
+		return nil
+	}
+	lo, hi := pts[0].epoch, pts[0].epoch
+	for _, p := range pts {
+		lo, hi = min(lo, p.epoch), max(hi, p.epoch)
+	}
+	vals := make([]float64, len(pts))
+	var groups []epochGroup
+	if span := (hi - lo) / f; span < 2*uint64(len(pts)) {
+		end := make([]int, span+2) // end[b+1]: points in buckets <= b
+		for _, p := range pts {
+			end[(p.epoch-lo)/f+1]++
+		}
+		for b := 1; b < len(end); b++ {
+			end[b] += end[b-1]
+		}
+		next := append([]int(nil), end[:span+1]...)
+		for _, p := range pts {
+			b := (p.epoch - lo) / f
+			vals[next[b]] = p.mean
+			next[b]++
+		}
+		for b := uint64(0); b <= span; b++ {
+			if end[b] < end[b+1] {
+				groups = append(groups, epochGroup{epoch: lo + b*f, means: vals[end[b]:end[b+1]]})
+			}
+		}
+		return groups
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].epoch < pts[j].epoch })
+	for i := 0; i < len(pts); {
+		j := i
+		for ; j < len(pts) && pts[j].epoch == pts[i].epoch; j++ {
+			vals[j] = pts[j].mean
+		}
+		groups = append(groups, epochGroup{epoch: pts[i].epoch, means: vals[i:j]})
+		i = j
+	}
+	return groups
 }
 
 // quantileSorted interpolates the q-quantile of a sorted sample set.

@@ -2,16 +2,19 @@ package tsdb
 
 import (
 	"math"
+	"sort"
 	"testing"
+
+	"mimoctl/internal/obs"
 )
 
 func TestSeriesRawRoundTrip(t *testing.T) {
 	db := New(Options{})
-	s := db.Series("loop-a", "ips")
+	s := db.Table("loop-a", []string{"ips"})
 	for e := uint64(0); e < 100; e++ {
 		s.Append(e, float64(e)*1.5)
 	}
-	pts, res := s.Query(nil, 0, 99, ResRaw)
+	pts, res := s.Query(nil, "ips", 0, 99, ResRaw)
 	if res != ResRaw {
 		t.Fatalf("res = %v, want raw", res)
 	}
@@ -27,13 +30,13 @@ func TestSeriesRawRoundTrip(t *testing.T) {
 
 func TestRollupAggregates(t *testing.T) {
 	db := New(Options{})
-	s := db.Series("loop-a", "ips")
+	s := db.Table("loop-a", []string{"ips"})
 	// Three full 16-epoch windows of v = epoch.
 	for e := uint64(0); e < 48; e++ {
 		s.Append(e, float64(e))
 	}
 	s.Sync()
-	pts, res := s.Query(nil, 0, 47, ResMid)
+	pts, res := s.Query(nil, "ips", 0, 47, ResMid)
 	if res != ResMid {
 		t.Fatalf("res = %v, want 16x", res)
 	}
@@ -53,12 +56,12 @@ func TestRollupAggregates(t *testing.T) {
 
 func TestRollupCascadeToCoarse(t *testing.T) {
 	db := New(Options{})
-	s := db.Series("loop-a", "ips")
+	s := db.Table("loop-a", []string{"ips"})
 	for e := uint64(0); e < 512; e++ {
 		s.Append(e, 1.0)
 	}
 	s.Sync()
-	pts, res := s.Query(nil, 0, 511, ResCoarse)
+	pts, res := s.Query(nil, "ips", 0, 511, ResCoarse)
 	if res != ResCoarse {
 		t.Fatalf("res = %v, want 256x", res)
 	}
@@ -74,7 +77,7 @@ func TestRollupCascadeToCoarse(t *testing.T) {
 
 func TestRollupExcludesNonFinite(t *testing.T) {
 	db := New(Options{})
-	s := db.Series("loop-a", "ips")
+	s := db.Table("loop-a", []string{"ips"})
 	// Window 0: finite values with a NaN and an Inf mixed in.
 	s.Append(0, 2)
 	s.Append(1, math.NaN())
@@ -87,7 +90,7 @@ func TestRollupExcludesNonFinite(t *testing.T) {
 	s.Append(32, 1)
 	s.Sync()
 
-	pts, _ := s.Query(nil, 0, 31, ResMid)
+	pts, _ := s.Query(nil, "ips", 0, 31, ResMid)
 	if len(pts) != 2 {
 		t.Fatalf("got %d mid points, want 2: %+v", len(pts), pts)
 	}
@@ -99,19 +102,20 @@ func TestRollupExcludesNonFinite(t *testing.T) {
 	}
 
 	// Raw resolution still shows the sentinels bit-exactly.
-	raw, _ := s.Query(nil, 1, 1, ResRaw)
+	raw, _ := s.Query(nil, "ips", 1, 1, ResRaw)
 	if len(raw) != 1 || !math.IsNaN(raw[0].Mean) {
 		t.Fatalf("raw NaN sample: %+v", raw)
 	}
 }
 
 func TestRingEvictionKeepsRecent(t *testing.T) {
-	// Tiny blocks: force lots of seals and evictions at the raw level.
-	db := New(Options{BlockBytes: 64, RawBlocks: 2, MidBlocks: 2, CoarseBlocks: 2})
-	s := db.Series("loop-a", "ips")
+	// Small retention: force lots of seals and evictions at every level.
+	opts := Options{RawEpochs: 512, MidEpochs: 2048, CoarseEpochs: 32768}
+	db := New(opts)
+	s := db.Table("loop-a", []string{"ips"})
 	const n = 100000
 	for e := uint64(0); e < n; e++ {
-		// Incompressible-ish values to fill blocks fast.
+		// Incompressible-ish values.
 		s.Append(e, math.Float64frombits(0x3ff0000000000000|e*0x9e3779b97f4a7c15))
 	}
 	oldest, ok := s.OldestEpoch(ResRaw)
@@ -121,11 +125,13 @@ func TestRingEvictionKeepsRecent(t *testing.T) {
 	if oldest == 0 {
 		t.Fatal("raw ring never evicted")
 	}
-	// Whatever remains must be a contiguous, correctly-valued suffix.
-	pts, _ := s.Query(nil, oldest, n-1, ResRaw)
-	if len(pts) == 0 {
-		t.Fatal("no raw points in retained range")
+	// Retention is counted in epochs: at least RawEpochs back from the
+	// newest row, at most one 256-epoch block more.
+	if kept := n - oldest; kept < uint64(opts.RawEpochs) || kept > uint64(opts.RawEpochs)+blockRows[ResRaw] {
+		t.Fatalf("raw level keeps %d epochs, want %d plus at most one block", kept, opts.RawEpochs)
 	}
+	// Whatever remains must be a contiguous, correctly-valued suffix.
+	pts, _ := s.Query(nil, "ips", oldest, n-1, ResRaw)
 	want := oldest
 	for _, p := range pts {
 		if p.Epoch != want {
@@ -140,16 +146,41 @@ func TestRingEvictionKeepsRecent(t *testing.T) {
 	if want != n {
 		t.Fatalf("retained range ends at %d, want %d", want-1, n-1)
 	}
-	// Coarse retention must reach further back than raw.
+	// Coarser levels reach further back, each by its own epoch count.
+	midOldest, _ := s.OldestEpoch(ResMid)
 	coarseOldest, ok := s.OldestEpoch(ResCoarse)
-	if !ok || coarseOldest >= oldest {
-		t.Fatalf("coarse retention (%d, %v) does not exceed raw (%d)", coarseOldest, ok, oldest)
+	if !ok || coarseOldest >= midOldest || midOldest >= oldest {
+		t.Fatalf("retention not nested: raw from %d, 16x from %d, 256x from %d", oldest, midOldest, coarseOldest)
+	}
+	if kept := n - coarseOldest; kept < uint64(opts.CoarseEpochs) {
+		t.Fatalf("256x level keeps %d epochs, want at least %d", kept, opts.CoarseEpochs)
+	}
+}
+
+// TestRetentionSameForEverySignal: retention is a property of the
+// loop's table, so a constant signal keeps exactly the raw span of a
+// noisy one.
+func TestRetentionSameForEverySignal(t *testing.T) {
+	db := New(Options{})
+	s := db.Table("loop-a", []string{"noisy", "flat"})
+	const n = 20000
+	for e := uint64(0); e < n; e++ {
+		s.Append(e, math.Float64frombits(e*0x9e3779b97f4a7c15), 3)
+	}
+	noisy, _ := s.Query(nil, "noisy", 0, n, ResRaw)
+	flat, _ := s.Query(nil, "flat", 0, n, ResRaw)
+	if len(noisy) != len(flat) || noisy[0].Epoch != flat[0].Epoch {
+		t.Fatalf("noisy keeps %d raw points from %d, flat %d from %d",
+			len(noisy), noisy[0].Epoch, len(flat), flat[0].Epoch)
+	}
+	if len(noisy) < defaultRetention[ResRaw] {
+		t.Fatalf("raw level keeps %d epochs, want at least %d", len(noisy), defaultRetention[ResRaw])
 	}
 }
 
 func TestResAutoFallsBack(t *testing.T) {
-	db := New(Options{BlockBytes: 64, RawBlocks: 2, MidBlocks: 4, CoarseBlocks: 4})
-	s := db.Series("loop-a", "ips")
+	db := New(Options{RawEpochs: 512, MidEpochs: 4096, CoarseEpochs: 65536})
+	s := db.Table("loop-a", []string{"ips"})
 	const n = 50000
 	for e := uint64(0); e < n; e++ {
 		s.Append(e, math.Float64frombits(e*0x9e3779b97f4a7c15))
@@ -157,24 +188,42 @@ func TestResAutoFallsBack(t *testing.T) {
 	s.Sync()
 	rawOldest, _ := s.OldestEpoch(ResRaw)
 	if rawOldest == 0 {
-		t.Skip("raw ring did not wrap; widen n")
+		t.Fatal("raw ring did not wrap")
 	}
 	// A query from before raw retention must pick a coarser level.
-	_, res := s.Query(nil, 0, n-1, ResAuto)
-	if res == ResRaw {
-		t.Fatalf("auto picked raw for from=0 with raw retention starting at %d", rawOldest)
+	_, res := s.Query(nil, "ips", 0, n-1, ResAuto)
+	if res != ResCoarse {
+		t.Fatalf("auto picked %v for from=0 with raw retention starting at %d, want 256x", res, rawOldest)
 	}
-	// A recent query gets raw.
-	_, res = s.Query(nil, n-10, n-1, ResAuto)
+	// One inside the 16x span gets 16x, and a recent one raw.
+	_, res = s.Query(nil, "ips", n-3000, n-1, ResAuto)
+	if res != ResMid {
+		t.Fatalf("auto picked %v for a window inside the 16x span, want 16x", res)
+	}
+	_, res = s.Query(nil, "ips", n-10, n-1, ResAuto)
 	if res != ResRaw {
 		t.Fatalf("auto picked %v for a recent window, want raw", res)
+	}
+	// When no level reaches back to from, auto takes the coarsest level
+	// holding rows: history that starts late and has not filled a 16x
+	// window yet is only raw.
+	late := db.Table("loop-late", []string{"ips"})
+	for e := uint64(1024); e < 1034; e++ {
+		late.Append(e, 1)
+	}
+	if _, res := late.Query(nil, "ips", 0, n, ResAuto); res != ResRaw {
+		t.Fatalf("auto picked %v for raw-only history starting past from, want raw", res)
+	}
+	late.Sync()
+	if _, res := late.Query(nil, "ips", 0, n, ResAuto); res != ResCoarse {
+		t.Fatalf("auto picked %v for synced history starting past from, want 256x", res)
 	}
 }
 
 func TestQueryFleet(t *testing.T) {
 	db := New(Options{})
 	for i, loop := range []string{"a", "b", "c", "d"} {
-		s := db.Series(loop, "ips")
+		s := db.Table(loop, []string{"ips"})
 		for e := uint64(0); e < 32; e++ {
 			s.Append(e, float64(i+1)) // loop a=1, b=2, c=3, d=4
 		}
@@ -202,6 +251,67 @@ func TestQueryFleet(t *testing.T) {
 	}
 }
 
+// TestQueryFleetAutoResolvesOnce: with res=auto the fleet query
+// resolves one level for every loop, so each bucket pools points of the
+// resolution it reports. One loop is long enough that its raw and 16x
+// levels no longer reach epoch 0, the other is short; both are written
+// through the recorder with default options.
+func TestQueryFleetAutoResolvesOnce(t *testing.T) {
+	db := New(Options{})
+	names := map[uint32]string{0: "a-short", 1: "b-long"}
+	rec := NewRecorder(db, func(id uint32) string { return names[id] })
+	const short, long = 300, 40000
+	var batch []obs.Event
+	for e := uint64(0); e < long; e++ {
+		ips := math.Float64frombits(0x3ff0000000000000 | e*0x9e3779b97f4a7c15&0xfffffffffffff)
+		if e < short {
+			batch = append(batch, testEvent(0, e, 2+ips, 2.5, 10, 10))
+		}
+		batch = append(batch, testEvent(1, e, ips, 2.5, 10, 10))
+		if len(batch) >= 256 {
+			if err := rec.WriteEvents(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := rec.WriteEvents(batch); err != nil {
+		t.Fatal(err)
+	}
+	rec.Sync()
+	pts, res := db.QueryFleet("ips", 0, math.MaxUint64, ResAuto, nil)
+	if res == ResRaw {
+		t.Fatal("fleet query reports raw resolution though b-long's raw level no longer reaches epoch 0")
+	}
+	// The fleet answer must be exactly the per-loop answers at the
+	// reported resolution, pooled per bucket.
+	want := map[uint64][]float64{}
+	for _, loop := range []string{"a-short", "b-long"} {
+		lp, _ := db.Query(nil, loop, "ips", 0, math.MaxUint64, res)
+		for _, p := range lp {
+			want[p.Epoch] = append(want[p.Epoch], p.Mean)
+		}
+	}
+	if len(pts) != len(want) {
+		t.Fatalf("fleet query at %v has %d buckets, the loops' %v points %d", res, len(pts), res, len(want))
+	}
+	for _, p := range pts {
+		vals := want[p.Epoch]
+		if p.Epoch%res.Factor() != 0 || p.Loops != len(vals) {
+			t.Fatalf("bucket %d pools %d loops, want %d points of %v", p.Epoch, p.Loops, len(vals), res)
+		}
+		sort.Float64s(vals)
+		if p.Min != vals[0] || p.Max != vals[len(vals)-1] {
+			t.Fatalf("bucket %d: min/max %v/%v, loops' %v points %v", p.Epoch, p.Min, p.Max, res, vals)
+		}
+	}
+	for _, e := range []uint64{0, 256} {
+		if len(want[e]) != 2 {
+			t.Fatalf("bucket %d holds %d loops, want both", e, len(want[e]))
+		}
+	}
+}
+
 func TestQuantileSorted(t *testing.T) {
 	vals := []float64{1, 2, 3, 4}
 	cases := []struct{ q, want float64 }{
@@ -221,23 +331,24 @@ func TestQuantileSorted(t *testing.T) {
 }
 
 // TestIngestAllocFree is the zero-alloc gate for the steady-state
-// ingest path: after warmup (series created, rings preallocated),
-// appends — including ones that seal blocks and evict ring slots —
-// must not allocate.
+// ingest path: after warmup (every ring wrapped, so every block buffer
+// has been recycled at least once), appends — including ones that
+// seal blocks and evict ring slots — must not allocate.
 func TestIngestAllocFree(t *testing.T) {
-	db := New(Options{BlockBytes: 256, RawBlocks: 4, MidBlocks: 4, CoarseBlocks: 4})
-	s := db.Series("loop-a", "ips")
+	db := New(Options{RawEpochs: 1024, MidEpochs: 4096, CoarseEpochs: 32768})
+	s := db.Table("loop-a", []string{"ips", "power_w", "mode"})
 	// Warmup: wrap every ring at least once so eviction recycling is in
 	// steady state.
 	e := uint64(0)
 	for ; e < 200000; e++ {
-		s.Append(e, math.Float64frombits(e*0x9e3779b97f4a7c15))
+		s.Append(e, math.Float64frombits(e*0x9e3779b97f4a7c15), float64(e%7), 1)
 	}
 	const n = 50000
 	start := e
 	avg := testing.AllocsPerRun(1, func() {
 		for i := uint64(0); i < n; i++ {
-			s.Append(start+i, math.Float64frombits((start+i)*0x9e3779b97f4a7c15))
+			e := start + i
+			s.Append(e, math.Float64frombits(e*0x9e3779b97f4a7c15), float64(e%7), 1)
 		}
 		start += n
 	})
