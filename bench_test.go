@@ -1,143 +1,20 @@
 package mimoctl_test
 
-// One benchmark per paper table/figure (regenerating its rows and
-// reporting the headline values as benchmark metrics), plus ablation
-// benches for the design choices called out in DESIGN.md and
-// micro-benchmarks of the substrate hot paths.
+// BenchmarkExpAll times one pass of the full experiment suite. The
+// paper-suite workload of bench/run.sh is the end-to-end measurement;
+// this benchmark stays for profiling the suite in-process (go test
+// -cpuprofile), and bench/paper.go warms designs the way
+// warmExpDesigns does. Per-layer micro-benchmarks live next to their
+// packages (internal/sim, internal/core, internal/lqg, ...).
 //
-// Run with: go test -bench=. -benchmem
-//
-// The Fig*/Table* benchmarks report paper-comparable quantities via
-// b.ReportMetric (e.g. IPSerr%, EDreduction%); the absolute ns/op of
-// those benches is the cost of regenerating the experiment, not a claim
-// about controller overhead — see BenchmarkControllerStep for that.
+// Run with: go test -run '^$' -bench=ExpAll -benchmem
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 
-	"mimoctl/internal/core"
 	"mimoctl/internal/experiments"
-	"mimoctl/internal/lqg"
-	"mimoctl/internal/lti"
-	"mimoctl/internal/mat"
-	"mimoctl/internal/sim"
-	"mimoctl/internal/sysid"
-	"mimoctl/internal/workloads"
 )
-
-// ---- Paper figures and tables ----
-
-func BenchmarkFig6WeightSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(experiments.DefaultSeed, 2000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Points {
-			if p.Set.Label == "Power" {
-				b.ReportMetric(float64(p.EpochsSteadyFreq), "Power-steady-epochs")
-				b.ReportMetric(p.PowerErrPct, "Power-Perr%")
-			}
-		}
-	}
-}
-
-func BenchmarkFig7ModelDimension(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(experiments.DefaultSeed, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Points {
-			if p.Dimension == 4 {
-				b.ReportMetric(p.MaxErrIPSPct, "dim4-IPSerr%")
-				b.ReportMetric(p.MaxErrPowerPct, "dim4-Perr%")
-			}
-		}
-	}
-}
-
-func BenchmarkFig8Uncertainty(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(experiments.DefaultSeed, 1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hf, _, lf, _ := res.Averages()
-		b.ReportMetric(hf, "high-steady-epochs")
-		b.ReportMetric(lf, "low-steady-epochs")
-	}
-}
-
-func BenchmarkFig9EnergyDelay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(experiments.DefaultSeed, 6000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ReductionPct("MIMO"), "MIMO-EDreduction%")
-		b.ReportMetric(res.ReductionPct("Heuristic"), "Heur-EDreduction%")
-		b.ReportMetric(res.ReductionPct("Decoupled"), "Dec-EDreduction%")
-	}
-}
-
-func BenchmarkFig10ThreeInput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(experiments.DefaultSeed, 6000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ReductionPct("MIMO"), "MIMO-EDreduction%")
-		b.ReportMetric(res.ReductionPct("Heuristic"), "Heur-EDreduction%")
-	}
-}
-
-func BenchmarkFig11Tracking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(experiments.DefaultSeed, 3000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, arch := range experiments.Fig11Archs {
-			ipsErr, _ := res.Average(arch, true)
-			b.ReportMetric(ipsErr, arch+"-IPSerr%")
-		}
-	}
-}
-
-func BenchmarkFig12TimeVarying(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12(experiments.DefaultSeed, 8000, 400)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeanErr("astar", "MIMO"), "astar-MIMOerr%")
-		b.ReportMetric(res.MeanErr("milc", "MIMO"), "milc-MIMOerr%")
-	}
-}
-
-func BenchmarkTableE(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableEDK(experiments.DefaultSeed, 5000, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ReductionPct("MIMO"), "MIMO-Ereduction%")
-	}
-}
-
-func BenchmarkTableED2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableEDK(experiments.DefaultSeed, 5000, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ReductionPct("MIMO"), "MIMO-ED2reduction%")
-	}
-}
-
-// ---- Parallel experiment engine ----
 
 // BenchmarkExpAll times the full experiment suite (every figure/table at
 // a reduced epoch budget) at several worker counts. The design cache is
@@ -151,7 +28,7 @@ func BenchmarkExpAll(b *testing.B) {
 	warmExpDesigns(b)
 	for _, workers := range []int{0, 1, 4} {
 		workers := workers
-		b.Run(benchName("workers", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			experiments.SetParallelism(workers)
 			defer experiments.SetParallelism(0)
 			for i := 0; i < b.N; i++ {
@@ -220,232 +97,5 @@ func runExpAll(b *testing.B) {
 	}
 	if _, err := experiments.FaultSweep(seed, 1000); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// ---- Ablations (DESIGN.md §5) ----
-
-// ablationTracking designs a MIMO controller with the given spec tweaks
-// and reports its responsive-set tracking errors.
-func ablationTracking(b *testing.B, mutate func(*core.DesignSpec)) (ipsErr, pErr float64) {
-	b.Helper()
-	spec := core.DesignSpec{
-		Training: experiments.TrainingWorkloads(),
-		Seed:     experiments.DefaultSeed,
-	}
-	if mutate != nil {
-		mutate(&spec)
-	}
-	ctrl, _, err := core.DesignMIMO(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sumI, sumP float64
-	n := 0
-	for _, p := range workloads.ResponsiveSet() {
-		ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
-		st, err := experiments.RunTracking(ctrl, p, experiments.DefaultSeed+101, 2500, 500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sumI += st.IPSErrPct
-		sumP += st.PowerErrPct
-		n++
-	}
-	return sumI / float64(n), sumP / float64(n)
-}
-
-func BenchmarkAblationDeltaU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ipsOn, pOn := ablationTracking(b, nil)
-		ipsOff, pOff := ablationTracking(b, func(s *core.DesignSpec) { s.DisableDeltaU = true })
-		b.ReportMetric(ipsOn, "deltaU-IPSerr%")
-		b.ReportMetric(pOn, "deltaU-Perr%")
-		b.ReportMetric(ipsOff, "absU-IPSerr%")
-		b.ReportMetric(pOff, "absU-Perr%")
-	}
-}
-
-func BenchmarkAblationIntegral(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ipsOn, pOn := ablationTracking(b, nil)
-		ipsOff, pOff := ablationTracking(b, func(s *core.DesignSpec) { s.DisableIntegral = true })
-		b.ReportMetric(ipsOn, "integral-IPSerr%")
-		b.ReportMetric(pOn, "integral-Perr%")
-		b.ReportMetric(ipsOff, "noIntegral-IPSerr%")
-		b.ReportMetric(pOff, "noIntegral-Perr%")
-	}
-}
-
-func BenchmarkAblationQuantWeights(b *testing.B) {
-	// Table III rationale: frequency gets a 20x weight over cache
-	// because it has 4x the settings; equal weights make the controller
-	// jump over frequency settings.
-	for i := 0; i < b.N; i++ {
-		ipsPaper, pPaper := ablationTracking(b, nil)
-		ipsFlat, pFlat := ablationTracking(b, func(s *core.DesignSpec) {
-			s.FreqWeight = core.DefaultCacheWeight // 1:1 instead of 20:1
-		})
-		b.ReportMetric(ipsPaper, "w20to1-IPSerr%")
-		b.ReportMetric(pPaper, "w20to1-Perr%")
-		b.ReportMetric(ipsFlat, "w1to1-IPSerr%")
-		b.ReportMetric(pFlat, "w1to1-Perr%")
-	}
-}
-
-func BenchmarkAblationModelDimension(b *testing.B) {
-	for _, dim := range []int{2, 4, 8} {
-		dim := dim
-		b.Run(benchName("dim", dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ips, p := ablationTracking(b, func(s *core.DesignSpec) { s.ModelDimension = dim })
-				b.ReportMetric(ips, "IPSerr%")
-				b.ReportMetric(p, "Perr%")
-			}
-		})
-	}
-}
-
-func benchName(prefix string, v int) string {
-	return prefix + "=" + string(rune('0'+v))
-}
-
-// ---- Substrate micro-benchmarks ----
-
-func BenchmarkControllerStep(b *testing.B) {
-	// The runtime cost of one 50 µs controller invocation: the paper's
-	// "four floating-point vector-matrix multiplies".
-	ctrl, _, err := experiments.DesignedMIMO(false, experiments.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctrl.Reset()
-	ctrl.SetTargets(2.5, 2.0)
-	tel := sim.Telemetry{IPS: 2.3, PowerW: 1.9, Config: sim.MidrangeConfig()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tel.Config = ctrl.Step(tel)
-	}
-}
-
-func BenchmarkProcessorEpoch(b *testing.B) {
-	w, err := workloads.ByName("namd")
-	if err != nil {
-		b.Fatal(err)
-	}
-	proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc.Step()
-	}
-}
-
-func BenchmarkCacheAccess(b *testing.B) {
-	c, err := sim.NewCache(sim.CacheGeometry{SizeBytes: 32 << 10, Ways: 4, LineBytes: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := sim.NewTraceGen(sim.DefaultTraceSpec(), rand.New(rand.NewSource(1)))
-	addrs := gen.Generate(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(addrs[i%len(addrs)])
-	}
-}
-
-func BenchmarkSystemIdentification(b *testing.B) {
-	data, err := core.CollectIdentificationData(experiments.TrainingWorkloads(), false, 1500, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sysid.FitARX(data, sysid.ARXOrders{NA: 2, NB: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDARE(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	n := 8
-	a := mat.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, rng.NormFloat64()*0.3)
-		}
-	}
-	bm := mat.New(n, 2)
-	for i := 0; i < n; i++ {
-		bm.Set(i, 0, rng.NormFloat64())
-		bm.Set(i, 1, rng.NormFloat64())
-	}
-	q := mat.Identity(n)
-	r := mat.Identity(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lti.SolveDARE(a, bm, q, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLQGDesign(b *testing.B) {
-	ctrl, rep, err := experiments.DesignedMIMO(false, experiments.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = ctrl
-	model := rep.Model
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := lqg.Design(model.SS,
-			lqg.Weights{
-				OutputWeights: []float64{core.DefaultIPSWeight, core.DefaultPowerWeight},
-				InputWeights:  []float64{core.DefaultFreqWeight, core.DefaultCacheWeight},
-			},
-			lqg.Noise{W: model.W, V: model.V},
-			lqg.Options{DeltaU: true, Integral: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHInfNorm(b *testing.B) {
-	ctrl, rep, err := experiments.DesignedMIMO(false, experiments.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	css, err := ctrl.LQG().AsStateSpace()
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = css
-	plant := rep.Model.SS
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := plant.HInfNorm(128); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSVD(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := mat.New(40, 12)
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 12; j++ {
-			a.Set(i, j, rng.NormFloat64())
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mat.FactorSVD(a); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -32,7 +32,6 @@ func main() {
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		telemetry.RegisterGoMetrics(reg)
-		sim.SetTelemetry(reg)
 		srv, err := telemetry.StartServer(*metricsAddr, telemetry.ServerOptions{Registry: reg})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -9,13 +9,15 @@
 // EXPERIMENTS.md for the paper-vs-measured comparison.
 //
 // -metrics-addr serves live diagnostics and attaches the fleet
-// observability plane: every supervised loop the fault sweep builds
-// registers with one obs.Fleet, which serves /slo and /events and
-// composes /healthz from the loops' last reported state (503 naming the
-// first loop in supervisor fallback, failing its model-health monitor,
-// or alerting on a control SLO; model-health and SLO warns, and
-// baseline drift under -baseline, annotate a 200). -events and -history
-// attach the fleet too, without the HTTP server.
+// observability plane, whose registry receives the plant, controller,
+// runner and harness instruments of every run (docs/GUIDE.md §10).
+// Every supervised loop the fault sweep builds registers with the
+// obs.Fleet, which serves /slo and /events and composes /healthz from
+// the loops' last reported state (503 naming the first loop in
+// supervisor fallback, failing its model-health monitor, or alerting on
+// a control SLO; model-health and SLO warns, and baseline drift under
+// -baseline, annotate a 200). -events and -history attach the fleet
+// too, without the HTTP server or a registry.
 package main
 
 import (
@@ -63,8 +65,6 @@ func main() {
 	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 		telemetry.RegisterGoMetrics(reg)
-		// Before any experiment runs: sim processors bind at construction.
-		experiments.EnableTelemetry(reg)
 	}
 
 	wantHistory := *historyOn || *basePath != "" || *baseOutPath != ""

@@ -105,14 +105,15 @@ func main() {
 
 	// trace keeps the most recent records for /trace; the harness
 	// appends every epoch, so its sequence is the epoch number. loop is
-	// the run's handle in the one-loop fleet behind /healthz.
+	// the run's handle in the one-loop fleet behind /healthz, and reg
+	// the registry its processor and controller report to.
 	var trace *flightrec.Recorder
 	var loop *obs.Loop
+	var reg *telemetry.Registry
 	if *metricsAddr != "" {
 		trace = flightrec.New(0)
-		reg := telemetry.NewRegistry()
+		reg = telemetry.NewRegistry()
 		telemetry.RegisterGoMetrics(reg)
-		experiments.EnableTelemetry(reg) // before any processor is built
 		fleet := obs.NewFleet(obs.Options{Registry: reg})
 		loop = fleet.Register(*arch + "/" + *workload)
 		srv, err := telemetry.StartServer(*metricsAddr, telemetry.ServerOptions{
@@ -163,7 +164,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	proc.BindTelemetry(reg)
 	sup, supervised := ctrl.(*supervisor.Supervised)
+	inner := ctrl
+	if supervised {
+		inner = sup.Inner()
+	}
+	if mimo, ok := inner.(*core.MIMOController); ok {
+		mimo.BindTelemetry(reg)
+	}
 	if supervised && loop != nil {
 		// The supervisor reports its own epochs, model health included.
 		sup.SetLoopObs(loop)

@@ -6,7 +6,8 @@
 //
 // The library is organized as internal packages — see DESIGN.md for the
 // full inventory — with runnable entry points under cmd/ and examples/,
-// and a benchmark per paper figure/table in bench_test.go:
+// the end-to-end benchmark under bench/, and micro-benchmarks next to
+// the packages they measure:
 //
 //   - internal/mat, internal/lti, internal/sysid, internal/lqg,
 //     internal/robust: the numerical control stack (linear algebra,

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"mimoctl/internal/telemetry"
 )
 
@@ -13,10 +11,11 @@ import (
 // (whole controller step, inner LQG step) sample every
 // ctrlSampleEvery steps.
 //
-// Unlike sim.Processor, the binding is re-read on every Step: designed
-// controllers are memoized across experiments (see
-// experiments.DesignedMIMO), so construction-time binding would freeze
-// whatever was set when the design cache first filled.
+// There is no process-wide binding: a controller drives only the
+// instruments BindTelemetry gave it, and an unbound one (the default,
+// and every fresh Clone) pays one nil check per step. Designs memoized
+// for many jobs (experiments.DesignedMIMO) stay unbound; the jobs bind
+// the clones they step.
 
 // ctrlSampleEvery is the latency sampling interval (a power of two).
 const ctrlSampleEvery = 16
@@ -38,22 +37,23 @@ type ctrlMetrics struct {
 	feedbackErrors telemetry.Counter
 }
 
-var ctrlTel atomic.Pointer[ctrlMetrics]
-
-// SetTelemetry binds the controller layer to a metrics registry. Pass
-// nil to disable instrumentation (the seed behaviour); telemetry.Nop()
-// keeps the call sites live but inert.
-func SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		ctrlTel.Store(nil)
+// BindTelemetry binds this controller to a registry. A nil or disabled
+// registry (telemetry.Nop()) unbinds it; a Clone starts unbound.
+func (c *MIMOController) BindTelemetry(reg *telemetry.Registry) {
+	if !reg.Enabled() {
+		c.tel = nil
 		return
 	}
+	c.tel = newCtrlMetrics(reg)
+}
+
+func newCtrlMetrics(reg *telemetry.Registry) *ctrlMetrics {
 	latBuckets := telemetry.ExponentialBuckets(100e-9, 2, 14) // 100 ns .. ~800 µs
 	// Innovation magnitudes in absolute output units (BIPS, W): the
 	// designed plant's outputs live in [0, ~10], and a healthy loop's
 	// innovation sits well under 0.5.
 	innovBuckets := telemetry.ExponentialBuckets(0.001, 2, 13) // 1e-3 .. ~4
-	m := &ctrlMetrics{
+	return &ctrlMetrics{
 		steps:       reg.Counter("ctrl_steps_total", "controller invocations"),
 		stepSeconds: reg.Histogram("ctrl_step_seconds", "wall time of one controller step (sampled)", latBuckets),
 		lqgSeconds:  reg.Histogram("lqg_step_seconds", "wall time of the inner LQG step (sampled)", latBuckets),
@@ -69,5 +69,4 @@ func SetTelemetry(reg *telemetry.Registry) {
 		stepErrors:     reg.Counter("ctrl_step_errors_total", "absorbed LQG step failures"),
 		feedbackErrors: reg.Counter("ctrl_feedback_errors_total", "rejected actuator-feedback updates"),
 	}
-	ctrlTel.Store(m)
 }

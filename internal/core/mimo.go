@@ -49,7 +49,11 @@ type MIMOController struct {
 	cur                    sim.Config
 	haveCur                bool
 	health                 Health
-	stepCount              uint64
+
+	// tel is the telemetry binding (nil when unbound, see
+	// BindTelemetry); stepCount paces its latency sampling.
+	tel       *ctrlMetrics
+	stepCount uint64
 
 	// fr, when attached, receives one flight record per Step. A nil
 	// recorder costs one comparison on the hot path.
@@ -129,7 +133,7 @@ func (c *MIMOController) FlightRecorder() *flightrec.Recorder { return c.fr }
 // why a reference was rejected. Rejected targets leave the previous
 // references in effect and increment Health.TargetErrors.
 func (c *MIMOController) TrySetTargets(ips, power float64) error {
-	m := ctrlTel.Load()
+	m := c.tel
 	if math.IsNaN(ips) || math.IsInf(ips, 0) || math.IsNaN(power) || math.IsInf(power, 0) {
 		c.health.TargetErrors++
 		if m != nil {
@@ -174,11 +178,9 @@ func (c *MIMOController) Targets() (float64, float64) { return c.ipsTarget, c.po
 // quantization to legal settings, and actuator feedback so the estimator
 // tracks the input actually applied.
 func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
-	// The binding is re-read each step because designed controllers are
-	// memoized and long-lived (see metrics.go). Latency timers fire every
-	// ctrlSampleEvery steps; event counters and innovation histograms are
-	// unconditional.
-	m := ctrlTel.Load()
+	// Latency timers fire every ctrlSampleEvery steps; event counters
+	// and innovation histograms are unconditional.
+	m := c.tel
 	timed := false
 	var t0 time.Time
 	if m != nil {
@@ -350,8 +352,10 @@ func (c *MIMOController) CurrentDesign() (*lqg.Controller, sysid.Offsets) {
 func (c *MIMOController) Clone() *MIMOController {
 	d := *c
 	d.lq = c.lq.Clone()
-	// A recorder holds one run's records; clones start detached.
+	// A recorder holds one run's records, and whoever steps a clone
+	// binds its instruments: clones start detached and unbound.
 	d.fr = nil
+	d.tel = nil
 	return &d
 }
 

@@ -76,7 +76,7 @@ func Ablation(seed int64, epochs int) (*AblationResult, error) {
 			run = append(run, runner.Job{
 				Label: fmt.Sprintf("ablation/%s/%s", variants[vi].name, p.Name()),
 				Run: func() error {
-					ctrl := ctrls[vi].Clone()
+					ctrl := bindMIMO(ctrls[vi].Clone())
 					ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
 					st, err := RunTracking(ctrl, p, seed+101, epochs, epochs/6)
 					if err != nil {

@@ -79,7 +79,7 @@ func NewMonitoredSupervised(seed int64) (*supervisor.Supervised, error) {
 	if err != nil {
 		return nil, err
 	}
-	return supervisor.New(proto.Clone(), supervisor.Options{ModelHealth: newSweepMonitor()}), nil
+	return supervisor.New(bindMIMO(proto.Clone()), supervisor.Options{ModelHealth: newSweepMonitor()}), nil
 }
 
 // NewAdaptiveSupervised builds the adaptive architecture for the fault
@@ -91,7 +91,7 @@ func NewAdaptiveSupervised(seed int64) (*supervisor.Supervised, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl := proto.Clone()
+	ctrl := bindMIMO(proto.Clone())
 	mon := newSweepMonitor()
 	opts := adapt.Options{
 		Model:           rep.Model,

@@ -151,7 +151,7 @@ type TrackStats struct {
 // control epochs, measuring after `skip` warm-up epochs against the
 // controller's (possibly time-varying) targets.
 func RunTracking(ctrl core.ArchController, w sim.Workload, seed int64, epochs, skip int) (TrackStats, error) {
-	proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), seed)
+	proc, err := newProcessor(w, seed)
 	if err != nil {
 		return TrackStats{}, err
 	}
@@ -196,7 +196,7 @@ func RunTracking(ctrl core.ArchController, w sim.Workload, seed int64, epochs, s
 // RunEnergy drives a controller and returns the E·D^(k-1) per
 // instruction achieved over the run (after `warm` settling epochs).
 func RunEnergy(ctrl core.ArchController, w sim.Workload, seed int64, epochs, warm, k int) (float64, error) {
-	proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), seed)
+	proc, err := newProcessor(w, seed)
 	if err != nil {
 		return 0, err
 	}

@@ -147,7 +147,7 @@ func FaultSweep(seed int64, epochs int) (*FaultSweepResult, error) {
 	// counters are per-run results, so sharing one would corrupt them).
 	newCtrl := []func() core.ArchController{
 		func() core.ArchController { sup, _ := NewMonitoredSupervised(seed); return sup },
-		func() core.ArchController { return mimo.Clone() },
+		func() core.ArchController { return bindMIMO(mimo.Clone()) },
 		func() core.ArchController { return supervisor.New(NewHeuristicTracker(false), supervisor.Options{}) },
 		func() core.ArchController { return supervisor.New(dec.Clone(), supervisor.Options{}) },
 		func() core.ArchController { sup, _ := NewAdaptiveSupervised(seed); return sup },
@@ -184,7 +184,7 @@ func FaultSweep(seed int64, epochs int) (*FaultSweepResult, error) {
 // outcomes (the supervised runtime) and tolerated otherwise — a
 // deployed loop cannot abort on a failed knob write.
 func runFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed int64, epochs int) (FaultRow, error) {
-	proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), seed+701)
+	proc, err := newProcessor(w, seed+701)
 	if err != nil {
 		return FaultRow{}, err
 	}

@@ -52,7 +52,7 @@ func Fig11(seed int64, epochs int) (*Fig11Result, error) {
 		return nil, err
 	}
 	newCtrl := []func() core.ArchController{
-		func() core.ArchController { return mimo.Clone() },
+		func() core.ArchController { return bindMIMO(mimo.Clone()) },
 		func() core.ArchController { return NewHeuristicTracker(false) },
 		func() core.ArchController { return dec.Clone() },
 	}

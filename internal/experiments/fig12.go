@@ -55,7 +55,7 @@ func Fig12(seed int64, epochs, sampleEvery int) (*Fig12Result, error) {
 		return nil, err
 	}
 	newCtrl := []func() core.ArchController{
-		func() core.ArchController { return mimo.Clone() },
+		func() core.ArchController { return bindMIMO(mimo.Clone()) },
 		func() core.ArchController { return NewHeuristicTracker(false) },
 		func() core.ArchController { return dec.Clone() },
 	}
@@ -93,7 +93,7 @@ func Fig12(seed int64, epochs, sampleEvery int) (*Fig12Result, error) {
 }
 
 func fig12Run(ctrl core.ArchController, w sim.Workload, seed int64, epochs, sampleEvery int) (Fig12Trace, error) {
-	proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), seed+555)
+	proc, err := newProcessor(w, seed+555)
 	if err != nil {
 		return Fig12Trace{}, err
 	}

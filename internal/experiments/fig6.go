@@ -113,8 +113,9 @@ func fig6Point(namd sim.Workload, set Fig6WeightSet, seed int64, epochs int) (Fi
 		point.EpochsSteadyCache = epochs
 		return point, nil
 	}
+	bindMIMO(ctrl) // designed for this job alone
 	ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
-	proc, err := sim.NewProcessor(namd, sim.DefaultProcessorOptions(), seed+77)
+	proc, err := newProcessor(namd, seed+77)
 	if err != nil {
 		return Fig6Point{}, err
 	}

@@ -79,12 +79,12 @@ func Fig8(seed int64, epochs int) (*Fig8Result, error) {
 	for i, p := range apps {
 		i, p := i, p
 		jobs = append(jobs, runner.Job{Label: "fig8/high/" + p.Name(), Run: func() error {
-			pt, err := fig8Run(high.Clone(), p, seed, epochs)
+			pt, err := fig8Run(bindMIMO(high.Clone()), p, seed, epochs)
 			highPts[i] = pt
 			return err
 		}})
 		jobs = append(jobs, runner.Job{Label: "fig8/low/" + p.Name(), Run: func() error {
-			pt, err := fig8Run(low.Clone(), p, seed, epochs)
+			pt, err := fig8Run(bindMIMO(low.Clone()), p, seed, epochs)
 			lowPts[i] = pt
 			return err
 		}})
@@ -98,7 +98,7 @@ func Fig8(seed int64, epochs int) (*Fig8Result, error) {
 }
 
 func fig8Run(ctrl *core.MIMOController, w sim.Workload, seed int64, epochs int) (Fig8Point, error) {
-	proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), seed+1234)
+	proc, err := newProcessor(w, seed+1234)
 	if err != nil {
 		return Fig8Point{}, err
 	}

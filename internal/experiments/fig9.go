@@ -98,7 +98,7 @@ func runEnergyExperiment(seed int64, epochs, k int, threeInput bool) (*EnergyRes
 		case "Baseline":
 			return core.NewStaticController(baseCfg)
 		case "MIMO":
-			return core.NewOptimizer(mimo.Clone(), core.OptimizerConfig{K: k})
+			return core.NewOptimizer(bindMIMO(mimo.Clone()), core.OptimizerConfig{K: k})
 		case "Heuristic":
 			return NewHeuristicSearcher(k, threeInput)
 		case "Decoupled":

@@ -176,7 +176,7 @@ func RecordedRun(arch, class string, seed int64, epochs, capacity int) (*flightr
 	var ctrl core.ArchController
 	switch arch {
 	case "mimo":
-		ctrl = mimo.Clone()
+		ctrl = bindMIMO(mimo.Clone())
 	case "supervised":
 		ctrl, err = NewMonitoredSupervised(seed)
 		if err != nil {
@@ -213,7 +213,7 @@ func RecordedRun(arch, class string, seed int64, epochs, capacity int) (*flightr
 	// The loop below mirrors runFaulted exactly (processor seed+701,
 	// injector seed+702, step/apply/step ordering) so the random streams
 	// line up with the sweep.
-	proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), seed+701)
+	proc, err := newProcessor(w, seed+701)
 	if err != nil {
 		return nil, err
 	}

@@ -124,9 +124,9 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// The plane costs a fixed ~200ns/epoch plus the event pump (which on
 	// a single-CPU host serializes with the producers). Against this
 	// drive's synthetic ~1.2µs epochs that is tens of percent; at the
-	// paper's 50µs epoch period the same cost is <1%, and over the full
-	// experiment suite it is <5% (BenchmarkObsSuiteOverhead carries the
-	// precise numbers). The in-test gate only catches pathological
+	// paper's 50µs epoch period the same cost is <1%
+	// (BenchmarkSupervisedStepObs in internal/supervisor prices each
+	// attachment tier). The in-test gate only catches pathological
 	// regressions — an O(specs×windows) blowup or a blocking publish —
 	// and is skipped under the race detector, whose instrumentation
 	// multiplies exactly the atomic ops the plane is built from.

@@ -39,5 +39,5 @@ func Parallelism() int { return int(parallelism.Load()) }
 // runPlan executes one experiment's job plan with the configured
 // parallelism.
 func runPlan(jobs []runner.Job) error {
-	return runner.Run(jobs, Parallelism())
+	return runner.Run(jobs, Parallelism(), harnessRegistry())
 }

@@ -82,6 +82,10 @@ func NewFleet(opts Options) *Fleet {
 // Bus returns the attached event bus (nil when events are off).
 func (f *Fleet) Bus() *Bus { return f.opts.Bus }
 
+// Registry returns the registry the loop scopes derive from (nil when
+// the fleet keeps no metrics).
+func (f *Fleet) Registry() *telemetry.Registry { return f.opts.Registry }
+
 // LoopName resolves a loop id for the event sinks.
 func (f *Fleet) LoopName(id uint32) string {
 	f.mu.Lock()

@@ -1,14 +1,12 @@
 package runner
 
 import (
-	"sync/atomic"
-
 	"mimoctl/internal/telemetry"
 )
 
-// Telemetry instrumentation for the engine, following the repo-wide
-// pattern: a binary opts in once (experiments.EnableTelemetry cascades
-// here), everything else stays inert.
+// Telemetry instrumentation for the engine. There is no process-wide
+// binding: each Run drives the instruments of the registry it is
+// given, and a nil or disabled registry leaves the plan uninstrumented.
 //
 // Worker utilization is derived, not exported directly:
 //
@@ -17,14 +15,13 @@ import (
 //
 // busy counts wall time inside Job.Run summed over workers; pool counts
 // workers x pool wall time, so the ratio is the fraction of worker time
-// spent executing jobs rather than stealing or draining.
+// spent executing jobs rather than waiting for the plan's last jobs.
 
 type metrics struct {
 	queued      telemetry.Gauge
 	running     telemetry.Gauge
 	workers     telemetry.Gauge
 	done        telemetry.Counter
-	stolen      telemetry.Counter
 	jobSeconds  telemetry.Histogram
 	busySeconds telemetry.FloatCounter
 	poolSeconds telemetry.FloatCounter
@@ -35,6 +32,29 @@ type metrics struct {
 	reg *telemetry.Registry
 }
 
+// jobBuckets span one epoch-sim job (sub-millisecond at small budgets)
+// to a full-length figure sweep.
+var jobBuckets = []float64{
+	0.0005, 0.002, 0.01, 0.05, 0.25, 1, 5, 30, 120,
+}
+
+// newMetrics binds one plan to reg (nil when reg is nil or disabled).
+func newMetrics(reg *telemetry.Registry) *metrics {
+	if !reg.Enabled() {
+		return nil
+	}
+	return &metrics{
+		reg:         reg,
+		queued:      reg.Gauge("runner_jobs_queued", "experiment jobs waiting for a worker"),
+		running:     reg.Gauge("runner_jobs_running", "experiment jobs currently executing"),
+		workers:     reg.Gauge("runner_workers", "workers attached to active pools"),
+		done:        reg.Counter("runner_jobs_done_total", "experiment jobs completed (success or failure)"),
+		jobSeconds:  reg.Histogram("runner_job_seconds", "wall time of one experiment job", jobBuckets),
+		busySeconds: reg.FloatCounter("runner_worker_busy_seconds_total", "summed wall time workers spent inside jobs"),
+		poolSeconds: reg.FloatCounter("runner_worker_pool_seconds_total", "summed worker-seconds of pool lifetime (busy + idle)"),
+	}
+}
+
 // jobDone records one completed job: the pool-level instruments plus a
 // per-job-family scope (label job="<label up to the first '/'>", i.e.
 // the experiment name for "fig11/astar/MIMO"-style labels).
@@ -42,7 +62,7 @@ func (m *metrics) jobDone(label string, seconds float64) {
 	m.done.Inc()
 	m.jobSeconds.Observe(seconds)
 	m.busySeconds.Add(seconds)
-	if m.reg.Enabled() && label != "" {
+	if label != "" {
 		scope := m.reg.Scope(telemetry.L("job", jobFamily(label)))
 		scope.Counter("runner_job_done_total", "jobs completed in this family").Inc()
 		scope.FloatCounter("runner_job_family_seconds_total", "summed wall time of this family's jobs").Add(seconds)
@@ -57,31 +77,4 @@ func jobFamily(label string) string {
 		}
 	}
 	return label
-}
-
-var tel atomic.Pointer[metrics]
-
-// jobBuckets span one epoch-sim job (sub-millisecond at small budgets)
-// to a full-length figure sweep.
-var jobBuckets = []float64{
-	0.0005, 0.002, 0.01, 0.05, 0.25, 1, 5, 30, 120,
-}
-
-// SetTelemetry binds the engine to a registry; nil disables.
-func SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil || !reg.Enabled() {
-		tel.Store(nil)
-		return
-	}
-	tel.Store(&metrics{
-		reg:         reg,
-		queued:      reg.Gauge("runner_jobs_queued", "experiment jobs waiting for a worker"),
-		running:     reg.Gauge("runner_jobs_running", "experiment jobs currently executing"),
-		workers:     reg.Gauge("runner_workers", "workers attached to active pools"),
-		done:        reg.Counter("runner_jobs_done_total", "experiment jobs completed (success or failure)"),
-		stolen:      reg.Counter("runner_jobs_stolen_total", "jobs migrated between worker deques"),
-		jobSeconds:  reg.Histogram("runner_job_seconds", "wall time of one experiment job", jobBuckets),
-		busySeconds: reg.FloatCounter("runner_worker_busy_seconds_total", "summed wall time workers spent inside jobs"),
-		poolSeconds: reg.FloatCounter("runner_worker_pool_seconds_total", "summed worker-seconds of pool lifetime (busy + idle)"),
-	})
 }

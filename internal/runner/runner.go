@@ -1,6 +1,6 @@
 // Package runner is the parallel experiment engine: it executes a plan
-// of independent jobs on a bounded work-stealing worker pool and leaves
-// every result exactly where the serial path would have put it.
+// of independent jobs on a bounded worker pool and leaves every result
+// exactly where the serial path would have put it.
 //
 // The determinism contract is structural, not scheduled: a Job must be
 // self-contained (own controller clone, own processor, own RNG seeded
@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mimoctl/internal/telemetry"
 )
 
 // Job is one independent unit of an experiment plan, typically one
@@ -54,43 +56,40 @@ func (e *Error) Unwrap() error { return e.Err }
 func DefaultWorkers() int { return runtime.NumCPU() }
 
 // Run executes every job of the plan and returns the failure with the
-// lowest canonical index, or nil.
+// lowest canonical index, or nil. reg, when enabled, receives the
+// plan's runner_* instruments; nil or telemetry.Nop() runs it
+// uninstrumented.
 //
 // workers <= 0 runs the plan serially on the calling goroutine, in
 // order, stopping at the first error — the reference semantics.
-// workers >= 1 runs the plan on that many goroutines with per-worker
-// deques and work stealing; remaining jobs are cancelled once a job
-// fails. Because jobs are independent and results are keyed by index,
-// both modes produce identical results on success.
-func Run(jobs []Job, workers int) error {
+// workers >= 1 runs the plan on that many goroutines, each claiming the
+// next unclaimed index from one shared cursor; remaining jobs are
+// cancelled once a job fails. Indices are claimed in order and a
+// claimed job always runs, so every job below a failure has run and the
+// reported failure is the one the serial path reports. Because jobs
+// are independent and results are keyed by index, both modes produce
+// identical results on success.
+func Run(jobs []Job, workers int, reg *telemetry.Registry) error {
 	if len(jobs) == 0 {
 		return nil
 	}
+	m := newMetrics(reg)
 	if workers <= 0 || len(jobs) == 1 {
-		return runSerial(jobs)
+		return runSerial(jobs, m)
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	return runPool(jobs, workers)
+	return runPool(jobs, workers, m)
 }
 
-func runSerial(jobs []Job) error {
-	m := tel.Load()
+func runSerial(jobs []Job, m *metrics) error {
 	if m != nil {
 		m.queued.Add(float64(len(jobs)))
 	}
 	for i := range jobs {
-		start := time.Now()
+		d, err := runJob(&jobs[i], m)
 		if m != nil {
-			m.queued.Add(-1)
-			m.running.Add(1)
-		}
-		err := jobs[i].Run()
-		if m != nil {
-			m.running.Add(-1)
-			d := time.Since(start).Seconds()
-			m.jobDone(jobs[i].Label, d)
 			m.poolSeconds.Add(d) // serial: the one "worker" is always busy
 		}
 		if err != nil {
@@ -103,147 +102,63 @@ func runSerial(jobs []Job) error {
 	return nil
 }
 
-// shard is one worker's deque of job indices. The owner pops from the
-// front; thieves steal from the back, so an owner working through a
-// contiguous range and a thief relieving it never contend on the same
-// end for long.
-type shard struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-// popFront takes the owner's next job, or -1.
-func (s *shard) popFront() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.jobs) == 0 {
-		return -1
+// runJob runs one claimed job and returns its wall time in seconds.
+func runJob(job *Job, m *metrics) (float64, error) {
+	start := time.Now()
+	if m != nil {
+		m.queued.Add(-1)
+		m.running.Add(1)
 	}
-	j := s.jobs[0]
-	s.jobs = s.jobs[1:]
-	return j
-}
-
-// stealBack takes up to half of the victim's remaining jobs from the
-// back, returning them (or nil).
-func (s *shard) stealBack() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.jobs)
-	if n == 0 {
-		return nil
+	err := job.Run()
+	d := time.Since(start).Seconds()
+	if m != nil {
+		m.running.Add(-1)
+		m.jobDone(job.Label, d)
 	}
-	take := (n + 1) / 2
-	stolen := append([]int(nil), s.jobs[n-take:]...)
-	s.jobs = s.jobs[:n-take]
-	return stolen
+	return d, err
 }
 
-// size reports the remaining queue length (racy by design: stealing
-// victims are chosen heuristically).
-func (s *shard) size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
-func runPool(jobs []Job, workers int) error {
-	m := tel.Load()
+func runPool(jobs []Job, workers int, m *metrics) error {
 	poolStart := time.Now()
 	if m != nil {
 		m.queued.Add(float64(len(jobs)))
 		m.workers.Add(float64(workers))
 	}
-
-	// Contiguous block sharding: worker w starts with jobs
-	// [w*n/workers, (w+1)*n/workers), preserving plan locality.
-	shards := make([]*shard, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(jobs)/workers, (w+1)*len(jobs)/workers
-		idx := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			idx = append(idx, i)
-		}
-		shards[w] = &shard{jobs: idx}
-	}
-
 	var (
+		next      atomic.Int64 // the next unclaimed index
 		cancelled atomic.Bool
 		errMu     sync.Mutex
 		firstErr  *Error
 		wg        sync.WaitGroup
 	)
-	record := func(i int, err error) {
-		cancelled.Store(true)
-		errMu.Lock()
-		defer errMu.Unlock()
-		if firstErr == nil || i < firstErr.Index {
-			firstErr = &Error{Index: i, Label: jobs[i].Label, Err: err}
-		}
-	}
-	runOne := func(i int) {
-		start := time.Now()
-		if m != nil {
-			m.queued.Add(-1)
-			m.running.Add(1)
-		}
-		err := jobs[i].Run()
-		if m != nil {
-			m.running.Add(-1)
-			m.jobDone(jobs[i].Label, time.Since(start).Seconds())
-		}
-		if err != nil {
-			record(i, err)
-		}
-	}
-
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			own := shards[w]
 			for !cancelled.Load() {
-				i := own.popFront()
-				if i < 0 {
-					// Own deque drained: steal from the fullest victim.
-					victim, best := -1, 0
-					for v, s := range shards {
-						if v == w {
-							continue
-						}
-						if n := s.size(); n > best {
-							victim, best = v, n
-						}
-					}
-					if victim < 0 {
-						return
-					}
-					stolen := shards[victim].stealBack()
-					if len(stolen) == 0 {
-						continue // lost the race; rescan
-					}
-					if m != nil {
-						m.stolen.Add(uint64(len(stolen)))
-					}
-					own.mu.Lock()
-					own.jobs = append(own.jobs, stolen...)
-					own.mu.Unlock()
-					continue
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
 				}
-				runOne(i)
+				if _, err := runJob(&jobs[i], m); err != nil {
+					cancelled.Store(true)
+					errMu.Lock()
+					if firstErr == nil || i < firstErr.Index {
+						firstErr = &Error{Index: i, Label: jobs[i].Label, Err: err}
+					}
+					errMu.Unlock()
+				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if m != nil {
 		m.workers.Add(float64(-workers))
 		m.poolSeconds.Add(time.Since(poolStart).Seconds() * float64(workers))
 		// Jobs skipped by cancellation are no longer queued.
-		remaining := 0
-		for _, s := range shards {
-			remaining += s.size()
+		if claimed := int(next.Load()); claimed < len(jobs) {
+			m.queued.Add(float64(-(len(jobs) - claimed)))
 		}
-		m.queued.Add(float64(-remaining))
 	}
 	if firstErr != nil {
 		return firstErr

@@ -29,7 +29,7 @@ func TestRunAllWorkerCounts(t *testing.T) {
 				return nil
 			}}
 		}
-		if err := Run(jobs, workers); err != nil {
+		if err := Run(jobs, workers, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := calls.Load(); got != n {
@@ -44,7 +44,7 @@ func TestRunAllWorkerCounts(t *testing.T) {
 }
 
 func TestRunEmptyPlan(t *testing.T) {
-	if err := Run(nil, 4); err != nil {
+	if err := Run(nil, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +59,7 @@ func TestRunSerialStopsAtFirstError(t *testing.T) {
 		{Label: "b", Run: func() error { ran = append(ran, 1); return boom }},
 		{Label: "c", Run: func() error { ran = append(ran, 2); return nil }},
 	}
-	err := Run(jobs, 0)
+	err := Run(jobs, 0, nil)
 	var je *Error
 	if !errors.As(err, &je) || je.Index != 1 || je.Label != "b" || !errors.Is(err, boom) {
 		t.Fatalf("error = %v", err)
@@ -83,18 +83,16 @@ func TestRunParallelReportsLowestIndexError(t *testing.T) {
 			return nil
 		}})
 	}
-	err := Run(jobs, 4)
+	err := Run(jobs, 4, nil)
 	var je *Error
 	if !errors.As(err, &je) {
 		t.Fatalf("error = %v", err)
 	}
-	// Jobs 0..9 succeed; some failing job ran, and no failure below
-	// index 10 exists, so the reported index is >= 10. With 4 workers on
-	// block shards, job 10 is in worker 0's shard and is reached before
-	// cancellation can win every race, but that is scheduling; the hard
-	// guarantee is only "a real failure, lowest among those recorded".
-	if je.Index < 10 {
-		t.Fatalf("index %d cannot fail", je.Index)
+	// Jobs 0..9 succeed. Indices are claimed in order and a claimed job
+	// always runs, so job 10 is claimed before any later failure can
+	// cancel the plan: the report is the serial path's, job 10.
+	if je.Index != 10 {
+		t.Fatalf("reported index %d, want 10 (the serial path's first failure)", je.Index)
 	}
 }
 
@@ -115,7 +113,7 @@ func TestRunParallelCancels(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := Run(jobs, 2); err == nil {
+	if err := Run(jobs, 2, nil); err == nil {
 		t.Fatal("expected error")
 	}
 	if got := started.Load(); got >= n {
@@ -123,14 +121,13 @@ func TestRunParallelCancels(t *testing.T) {
 	}
 }
 
-// TestWorkStealing: a skewed plan (one shard gets all the slow jobs)
-// still finishes with every job run exactly once, and the thief actually
-// takes work (observed via telemetry).
+// TestWorkStealing: a skewed plan (the front half slow) still finishes
+// with every job run exactly once — the idle worker keeps claiming from
+// the shared cursor while the other sits in a slow job — and the queue
+// gauges drain to 0.
 func TestWorkStealing(t *testing.T) {
+	t.Parallel()
 	reg := telemetry.NewRegistry()
-	SetTelemetry(reg)
-	defer SetTelemetry(nil)
-
 	const n = 64
 	var calls atomic.Int64
 	var mu sync.Mutex
@@ -144,14 +141,12 @@ func TestWorkStealing(t *testing.T) {
 			seen[i]++
 			mu.Unlock()
 			if i < n/2 {
-				// Front half (worker 0's shard at workers=2) is slow:
-				// worker 1 drains its own shard and must steal.
 				time.Sleep(500 * time.Microsecond)
 			}
 			return nil
 		}}
 	}
-	if err := Run(jobs, 2); err != nil {
+	if err := Run(jobs, 2, reg); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != n {
@@ -162,15 +157,13 @@ func TestWorkStealing(t *testing.T) {
 			t.Fatalf("job %d ran %d times", i, seen[i])
 		}
 	}
-	stolen := metricValue(t, reg, "runner_jobs_stolen_total")
-	if stolen <= 0 {
-		t.Fatalf("no jobs stolen on a skewed plan (stolen=%v)", stolen)
-	}
 	if done := metricValue(t, reg, "runner_jobs_done_total"); done != n {
 		t.Fatalf("runner_jobs_done_total = %v, want %d", done, n)
 	}
-	if q := metricValue(t, reg, "runner_jobs_queued"); q != 0 {
-		t.Fatalf("runner_jobs_queued = %v after drain", q)
+	for _, gauge := range []string{"runner_jobs_queued", "runner_jobs_running", "runner_workers"} {
+		if v := metricValue(t, reg, gauge); v != 0 {
+			t.Fatalf("%s = %v after drain", gauge, v)
+		}
 	}
 }
 
@@ -255,7 +248,7 @@ func BenchmarkRunnerWallClock(b *testing.B) {
 				for j := 0; j < n; j++ {
 					jobs[j] = Job{Run: func() error { time.Sleep(jobSleep); return nil }}
 				}
-				if err := Run(jobs, workers); err != nil {
+				if err := Run(jobs, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -267,9 +260,8 @@ func BenchmarkRunnerWallClock(b *testing.B) {
 // scopes (label prefix up to the first '/'), alongside the pool-level
 // aggregates.
 func TestPerJobScopedTimings(t *testing.T) {
+	t.Parallel()
 	reg := telemetry.NewRegistry()
-	SetTelemetry(reg)
-	defer SetTelemetry(nil)
 
 	jobs := []Job{
 		{Label: "fig11/astar/MIMO", Run: func() error { return nil }},
@@ -277,7 +269,7 @@ func TestPerJobScopedTimings(t *testing.T) {
 		{Label: "faults/sensor-nan/0", Run: func() error { return nil }},
 		{Label: "plain", Run: func() error { return nil }},
 	}
-	if err := Run(jobs, 0); err != nil {
+	if err := Run(jobs, 0, reg); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

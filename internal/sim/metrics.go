@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync/atomic"
-
 	"mimoctl/internal/telemetry"
 )
 
@@ -12,11 +10,11 @@ import (
 // increment: everything else — step latency, output gauges, energy
 // accumulation — is observed on one epoch in procSampleEvery.
 //
-// A Processor binds the package-level metrics once at construction
-// (NewProcessor), so SetTelemetry must be called before the processors
-// it should observe are built. Counters are shared across processors;
-// gauges report the most recent sampled epoch of whichever processor
-// stepped last.
+// There is no process-wide binding: a Processor drives only the
+// instruments BindTelemetry gave it, and an unbound one (the default)
+// pays one nil check per step. Processors bound to one registry share
+// its instruments, so counters sum over them and gauges report the
+// most recent sampled epoch of whichever processor stepped last.
 
 // procSampleEvery is the sampling interval (a power of two) for the
 // heavyweight per-epoch observations.
@@ -45,19 +43,25 @@ type procMetrics struct {
 	l2Misses   telemetry.Counter
 }
 
-var procTel atomic.Pointer[procMetrics]
-
-// SetTelemetry binds the sim layer to a metrics registry. Pass nil to
-// disable instrumentation entirely (the seed behaviour); pass
-// telemetry.Nop() to keep the instrument call sites live but inert.
-// Processors created before the call keep their previous binding.
-func SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		procTel.Store(nil)
+// BindTelemetry binds this processor to a registry. A nil or disabled
+// registry (telemetry.Nop()) unbinds it. The energy and instruction
+// counters count from the binding on.
+func (p *Processor) BindTelemetry(reg *telemetry.Registry) {
+	if !reg.Enabled() {
+		p.met = nil
 		return
 	}
+	p.met = newProcMetrics(reg)
+	p.metEnergy0, p.metInstr0 = p.totalEnergyJ, p.totalInstr
+}
+
+// BindTelemetry binds the trace-driven processor, its per-level cache
+// counters included, under the rules of Processor.BindTelemetry.
+func (p *TraceProcessor) BindTelemetry(reg *telemetry.Registry) { p.inner.BindTelemetry(reg) }
+
+func newProcMetrics(reg *telemetry.Registry) *procMetrics {
 	stepBuckets := telemetry.ExponentialBuckets(50e-9, 2, 14) // 50 ns .. ~400 µs
-	m := &procMetrics{
+	return &procMetrics{
 		epochs:       reg.Counter("sim_epochs_total", "control epochs executed by the plant"),
 		stepSeconds:  reg.Histogram("sim_epoch_step_seconds", "wall time of one epoch step (sampled)", stepBuckets),
 		ips:          reg.Gauge("sim_ips_bips", "measured performance of the last sampled epoch (BIPS)"),
@@ -78,5 +82,4 @@ func SetTelemetry(reg *telemetry.Registry) {
 		l2Accesses: reg.Counter("sim_cache_accesses_total", "trace-mode cache accesses", telemetry.L("level", "l2")),
 		l2Misses:   reg.Counter("sim_cache_misses_total", "trace-mode cache misses", telemetry.L("level", "l2")),
 	}
-	procTel.Store(m)
 }

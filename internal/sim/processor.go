@@ -96,8 +96,8 @@ type Processor struct {
 	totalInstr   float64
 	totalSeconds float64
 
-	// Telemetry binding (nil when uninstrumented) and the flush marks
-	// for the cumulative float counters.
+	// Telemetry binding (nil when unbound, see BindTelemetry) and the
+	// flush marks for the cumulative float counters.
 	met                   *procMetrics
 	metEnergy0, metInstr0 float64
 }
@@ -114,7 +114,6 @@ func NewProcessor(w Workload, opts ProcessorOptions, seed int64) (*Processor, er
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(seed)),
 		tempC:    tempAmbientC + 10,
-		met:      procTel.Load(),
 	}, nil
 }
 
@@ -190,10 +189,11 @@ func (p *Processor) step(t *Telemetry) {
 // parameters into t; the trace-driven processor uses it to substitute
 // measured miss rates for the analytic curves. The AR(1) fluctuation is
 // applied to *params in place. The telemetry seam lives here so
-// both the analytic and trace-driven paths are counted: the per-epoch
-// cost is one counter increment, with latency timing and gauge updates
-// sampled every procSampleEvery epochs to keep the hot path within the
-// <5% overhead budget (see BenchmarkProcessorEpochTelemetry).
+// both the analytic and trace-driven paths are counted: a bound
+// processor pays one counter increment per epoch, with latency timing
+// and gauge updates sampled every procSampleEvery epochs
+// (BenchmarkProcessorEpochTelemetry prices it); an unbound one pays a
+// nil check.
 func (p *Processor) stepWithParams(params *PhaseParams, phaseID int, t *Telemetry) {
 	m := p.met
 	if m == nil {

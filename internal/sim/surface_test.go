@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"mimoctl/internal/telemetry"
 )
 
 // checkSurface compares the tabulated models, refreshed for p through
@@ -96,37 +98,47 @@ func (w phasedWorkload) Params(epoch int) (PhaseParams, int) {
 
 // TestPlantStepAllocFree pins the plant's epoch step at zero
 // allocations, across phase boundaries where both halves of the
-// surface are rebuilt.
+// surface are rebuilt, unbound and bound to a live registry (whose
+// sampled epochs the measured windows cross).
 func TestPlantStepAllocFree(t *testing.T) {
 	a, b := computeParams(), memoryParams()
 	b.ROBDemand = 55 // a's is 0 (the default): the ROB key changes too
 	w := phasedWorkload{phases: [2]PhaseParams{a, b}, period: 8}
-	newProc := func() *Processor {
-		p, err := NewProcessor(w, DefaultProcessorOptions(), 1)
-		if err != nil {
-			t.Fatal(err)
+	for _, reg := range []*telemetry.Registry{nil, telemetry.NewRegistry()} {
+		newProc := func() *Processor {
+			p, err := NewProcessor(w, DefaultProcessorOptions(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.BindTelemetry(reg)
+			return p
 		}
-		return p
-	}
-	proc := newProc()
-	inj := NewFaultInjector(newProc(), 2).
-		AddSensorFault(SensorFault{Kind: FaultDrift, Channel: ChPower, Magnitude: 1e-3}).
-		AddPlantFault(PlantFault{Kind: PlantGainDrift, GainRateIPS: 1e-4, GainLimitIPS: 0.9})
-	for _, tc := range []struct {
-		name  string
-		plant *Processor
-		step  func()
-	}{
-		{"Processor.Step", proc, func() { proc.Step() }},
-		{"Processor.Advance", proc, func() { proc.Advance(5) }},
-		{"FaultInjector.Step", inj.Processor(), func() { inj.Step() }},
-	} {
-		before := tc.plant.Epoch()
-		if n := testing.AllocsPerRun(100, tc.step); n != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
+		proc := newProc()
+		inj := NewFaultInjector(newProc(), 2).
+			AddSensorFault(SensorFault{Kind: FaultDrift, Channel: ChPower, Magnitude: 1e-3}).
+			AddPlantFault(PlantFault{Kind: PlantGainDrift, GainRateIPS: 1e-4, GainLimitIPS: 0.9})
+		bound := map[bool]string{false: "unbound", true: "live"}[reg != nil]
+		for _, tc := range []struct {
+			name  string
+			plant *Processor
+			step  func()
+		}{
+			{"Processor.Step", proc, func() { proc.Step() }},
+			{"Processor.Advance", proc, func() { proc.Advance(5) }},
+			{"FaultInjector.Step", inj.Processor(), func() { inj.Step() }},
+		} {
+			before := tc.plant.Epoch()
+			if n := testing.AllocsPerRun(100, tc.step); n != 0 {
+				t.Errorf("%s (%s): %v allocs/op, want 0", tc.name, bound, n)
+			}
+			if after := tc.plant.Epoch(); after/w.period == before/w.period {
+				t.Errorf("%s (%s): epochs %d..%d stay in one phase; the window must cross a boundary", tc.name, bound, before, after)
+			}
 		}
-		if after := tc.plant.Epoch(); after/w.period == before/w.period {
-			t.Errorf("%s: epochs %d..%d stay in one phase; the window must cross a boundary", tc.name, before, after)
+		if reg != nil {
+			if n := reg.Counter("sim_epochs_total", "").Value(); n == 0 {
+				t.Error("the live registry counted no epochs")
+			}
 		}
 	}
 }

@@ -5,15 +5,18 @@
 // The design constraints come from the control loop it watches: one
 // epoch is 50 µs and the simulated step costs a few hundred
 // nanoseconds, so the instrumentation hot path must be a handful of
-// uncontended atomic operations at most. Three tiers are supported:
+// uncontended atomic operations at most. Nothing binds process-wide:
+// each instrumented instance (a processor, a controller, a supervised
+// loop, a runner plan) is handed its registry, and is in one of two
+// tiers:
 //
-//   - uninstrumented: packages that were never handed a registry skip
-//     telemetry entirely (a single nil check per step),
-//   - nop registry (Nop()): instruments exist but their methods are
-//     empty — the cost of the call sites themselves, used to prove the
-//     instrumentation seams are free,
-//   - live registry (NewRegistry()): lock-free atomic counters, gauges,
-//     and fixed-bucket histograms, exposed in Prometheus text format.
+//   - unbound: handed nothing, nil or the disabled Nop() registry, it
+//     skips telemetry entirely (a single nil check per step);
+//   - live (NewRegistry(), or a Scope of one): lock-free atomic
+//     counters, gauges, and fixed-bucket histograms, exposed in
+//     Prometheus text format.
+//
+// Instruments registered on Nop() directly exist but do nothing.
 //
 // Registration (creating instruments) takes a mutex and may allocate;
 // the observation paths (Inc, Add, Set, Observe) never lock, never
