@@ -96,6 +96,9 @@ func TestFleetReportSortedByBurn(t *testing.T) {
 func TestFleetScopedMetrics(t *testing.T) {
 	reg := telemetryRegistry(t)
 	f := NewFleet(Options{Registry: reg})
+	if f.Registry() != reg {
+		t.Fatal("Registry() is not the registry the loop scopes derive from")
+	}
 	l := f.Register("cpu0")
 	for i := 0; i < 100; i++ {
 		l.Observe(goodSample())

@@ -50,7 +50,7 @@ func TestRunEmptyPlan(t *testing.T) {
 }
 
 // TestRunSerialStopsAtFirstError: the reference semantics run in order
-// and stop at the first failure.
+// and stop at the first failure; the skipped job leaves the queue.
 func TestRunSerialStopsAtFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran []int
@@ -59,7 +59,8 @@ func TestRunSerialStopsAtFirstError(t *testing.T) {
 		{Label: "b", Run: func() error { ran = append(ran, 1); return boom }},
 		{Label: "c", Run: func() error { ran = append(ran, 2); return nil }},
 	}
-	err := Run(jobs, 0, nil)
+	reg := telemetry.NewRegistry()
+	err := Run(jobs, 0, reg)
 	var je *Error
 	if !errors.As(err, &je) || je.Index != 1 || je.Label != "b" || !errors.Is(err, boom) {
 		t.Fatalf("error = %v", err)
@@ -67,6 +68,7 @@ func TestRunSerialStopsAtFirstError(t *testing.T) {
 	if len(ran) != 2 {
 		t.Fatalf("ran %v; serial must stop at the first failure", ran)
 	}
+	checkDrained(t, reg, 2)
 }
 
 // TestRunParallelReportsLowestIndexError: with several failures the
@@ -97,7 +99,7 @@ func TestRunParallelReportsLowestIndexError(t *testing.T) {
 }
 
 // TestRunParallelCancels: after a failure, not-yet-started jobs are
-// skipped rather than executed to completion.
+// skipped rather than executed to completion, and leave the queue.
 func TestRunParallelCancels(t *testing.T) {
 	const n = 1000
 	var started atomic.Int64
@@ -113,12 +115,14 @@ func TestRunParallelCancels(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := Run(jobs, 2, nil); err == nil {
+	reg := telemetry.NewRegistry()
+	if err := Run(jobs, 2, reg); err == nil {
 		t.Fatal("expected error")
 	}
 	if got := started.Load(); got >= n {
 		t.Fatalf("all %d jobs ran despite cancellation", got)
 	}
+	checkDrained(t, reg, float64(started.Load()))
 }
 
 // TestWorkStealing: a skewed plan (the front half slow) still finishes
@@ -157,12 +161,19 @@ func TestWorkStealing(t *testing.T) {
 			t.Fatalf("job %d ran %d times", i, seen[i])
 		}
 	}
-	if done := metricValue(t, reg, "runner_jobs_done_total"); done != n {
-		t.Fatalf("runner_jobs_done_total = %v, want %d", done, n)
+	checkDrained(t, reg, n)
+}
+
+// checkDrained: done jobs were counted, and the queue, running and
+// worker gauges are back to 0.
+func checkDrained(t *testing.T, reg *telemetry.Registry, done float64) {
+	t.Helper()
+	if got := metricValue(t, reg, "runner_jobs_done_total"); got != done {
+		t.Fatalf("runner_jobs_done_total = %v, want %v", got, done)
 	}
 	for _, gauge := range []string{"runner_jobs_queued", "runner_jobs_running", "runner_workers"} {
 		if v := metricValue(t, reg, gauge); v != 0 {
-			t.Fatalf("%s = %v after drain", gauge, v)
+			t.Fatalf("%s = %v after the plan returned", gauge, v)
 		}
 	}
 }
