@@ -13,7 +13,8 @@ cover:
 	./scripts/coverage.sh
 
 # fuzz gives every fuzz target a short exploratory run (CI smoke time);
-# raise FUZZTIME for a deeper local session.
+# raise FUZZTIME for a deeper local session. scripts/check.sh fails when
+# a Fuzz function in a _test.go file is missing from this list.
 fuzz:
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz FuzzLabelRoundTrip -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sysid/ -run '^$$' -fuzz FuzzPRBS -fuzztime $(or $(FUZZTIME),10s)
@@ -25,6 +26,8 @@ fuzz:
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz FuzzBlockRoundTrip -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/flightrec/ -run '^$$' -fuzz FuzzReadDump -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSurfaceMatchesReference -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStaticSweepMatchesProcessor -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzSupervisedBatchVsScalar -fuzztime $(or $(FUZZTIME),10s)
 
 # golden re-records the golden regression CSVs after an intentional
 # output change; review the diff like code.

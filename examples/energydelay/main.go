@@ -20,9 +20,13 @@ func main() {
 		training = append(training, p)
 	}
 
-	// The Baseline architecture: profile the training set for the best
-	// fixed configuration under E×D (k = 2).
-	staticCfg, _, err := core.FindBestStatic(training, 2, false, 300, 1)
+	// The Baseline architecture: profile every fixed configuration on
+	// the training set, then pick the best under E×D (k = 2).
+	prof, err := core.ProfileStatic(training, false, 300, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	staticCfg, _, err := prof.Best(2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,3 +80,29 @@ func BenchmarkControllerStepTelemetry(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBaselineProfile selects every Baseline one paper-suite seed
+// asks for: k = 1, 2 and 3 on the two-input knob set and k = 2 on the
+// three-input one, each knob set profiled once.
+//
+// Run with: go test ./internal/core/ -run '^$' -bench=BaselineProfile -benchmem -cpu 1
+func BenchmarkBaselineProfile(b *testing.B) {
+	training := experiments.TrainingWorkloads()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, sel := range []struct {
+			three bool
+			ks    []int
+		}{{false, []int{1, 2, 3}}, {true, []int{2}}} {
+			prof, err := core.ProfileStatic(training, sel.three, 300, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range sel.ks {
+				if _, _, err := prof.Best(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

@@ -63,16 +63,12 @@ const (
 // comparable numeric ranges and the Table III weights apply.
 const ROBUnit = 16.0
 
-// knobsFromConfig converts a configuration to the controller's
-// normalized continuous input vector. The 2-input variant is
-// [freq GHz, L2 ways]; the 3-input variant appends ROB/16.
-func knobsFromConfig(cfg sim.Config, threeInput bool) []float64 {
-	return knobsFromConfigInto(nil, cfg, threeInput)
-}
-
-// knobsFromConfigInto is knobsFromConfig appending into dst's backing
-// array (dst[:0] is reused); the per-step hot path passes a scratch
-// slice with capacity 3 so no allocation occurs.
+// knobsFromConfigInto converts a configuration to the controller's
+// normalized continuous input vector, appending into dst's backing
+// array (dst[:0] is reused). The 2-input variant is [freq GHz, L2
+// ways]; the 3-input variant appends ROB/16. The per-step hot path and
+// the identification runs pass a scratch slice with capacity 3, so no
+// allocation occurs.
 func knobsFromConfigInto(dst []float64, cfg sim.Config, threeInput bool) []float64 {
 	dst = append(dst[:0], cfg.FreqGHz(), float64(cfg.L2Ways()))
 	if threeInput {

@@ -10,7 +10,7 @@ import (
 
 func TestKnobConversionRoundTrip(t *testing.T) {
 	cfg := sim.Config{FreqIdx: 7, CacheIdx: 2, ROBIdx: 5}
-	u3 := knobsFromConfig(cfg, true)
+	u3 := knobsFromConfigInto(nil, cfg, true)
 	if len(u3) != 3 {
 		t.Fatalf("3-input knobs %v", u3)
 	}
@@ -22,7 +22,7 @@ func TestKnobConversionRoundTrip(t *testing.T) {
 		t.Fatalf("round trip %v != %v", back, cfg)
 	}
 	// Two-input variant preserves the current ROB.
-	u2 := knobsFromConfig(cfg, false)
+	u2 := knobsFromConfigInto(nil, cfg, false)
 	if len(u2) != 2 {
 		t.Fatalf("2-input knobs %v", u2)
 	}
@@ -331,43 +331,5 @@ func TestBatteryScheduler(t *testing.T) {
 	}
 	if _, err := NewBatteryScheduler(BatteryScheduleConfig{}); err == nil {
 		t.Fatal("expected validation error")
-	}
-}
-
-func TestStaticControllerAndSearch(t *testing.T) {
-	cfg, metric, err := FindBestStatic(trainingWorkloads(t), 2, false, 150, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metric <= 0 || math.IsInf(metric, 0) {
-		t.Fatalf("metric %v", metric)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The 2-input search must keep the paper's ROB.
-	if cfg.ROBIdx != sim.BaselineConfig().ROBIdx {
-		t.Fatalf("2-input baseline moved ROB: %v", cfg)
-	}
-	s, err := NewStaticController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ ArchController = s
-	if got := s.Step(sim.Telemetry{}); got != cfg {
-		t.Fatal("static controller must return its pinned config")
-	}
-	s.SetTargets(1, 1)
-	if i, p := s.Targets(); i != 1 || p != 1 {
-		t.Fatal("targets")
-	}
-	if s.Name() != "Baseline" || s.Config() != cfg {
-		t.Fatal("accessors")
-	}
-	if _, err := NewStaticController(sim.Config{FreqIdx: 99}); err == nil {
-		t.Fatal("expected invalid-config error")
-	}
-	if _, _, err := FindBestStatic(nil, 2, false, 10, 1); err == nil {
-		t.Fatal("expected no-workloads error")
 	}
 }

@@ -140,6 +140,7 @@ func collectIdentificationData(training []sim.Workload, threeInput bool, epochsP
 	u := mat.New(total, nu)
 	y := mat.New(total, 2)
 	row := 0
+	uk := make([]float64, 0, nu)
 	for wi, w := range training {
 		rng := rand.New(rand.NewSource(seed + int64(wi)*7919))
 		proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), seed+int64(wi)*104729)
@@ -170,7 +171,7 @@ func collectIdentificationData(training []sim.Workload, threeInput bool, epochsP
 				// previous epoch's output, so that y(t+1) — the output
 				// this input produces — lands one row later, matching
 				// x(t+1) = A x(t) + B u(t), y = C x.
-				uk := knobsFromConfig(cfg, threeInput)
+				uk = knobsFromConfigInto(uk, cfg, threeInput)
 				for j, v := range uk {
 					u.Set(row, j, v)
 				}

@@ -103,23 +103,30 @@ func DesignedDecoupled(seed int64) (*decoupled.Controller, error) {
 }
 
 // BaselineFor returns the best static configuration for metric
-// E·D^(k-1) profiled on the training set (cached per (k, threeInput,
-// seed), single-flight).
+// E·D^(k-1) on the training set. The profile behind it does not depend
+// on k and is cached per (threeInput, seed), single-flight, so every k
+// of one knob set shares one sweep; k < 1 is rejected before any.
 func BaselineFor(k int, threeInput bool, seed int64) (sim.Config, error) {
+	if k < 1 {
+		return sim.Config{}, fmt.Errorf("experiments: metric exponent k must be >= 1, got %d", k)
+	}
 	type key struct {
-		k     int
 		three bool
 		seed  int64
 	}
 	type val struct {
-		cfg sim.Config
-		err error
+		prof *core.StaticProfile
+		err  error
 	}
-	v := designOnce(key{k, threeInput, seed}, func() val {
-		cfg, _, err := core.FindBestStatic(TrainingWorkloads(), k, threeInput, 300, seed)
-		return val{cfg, err}
+	v := designOnce(key{threeInput, seed}, func() val {
+		prof, err := core.ProfileStatic(TrainingWorkloads(), threeInput, 300, seed)
+		return val{prof, err}
 	})
-	return v.cfg, v.err
+	if v.err != nil {
+		return sim.Config{}, v.err
+	}
+	cfg, _, err := v.prof.Best(k)
+	return cfg, err
 }
 
 // NewHeuristicTracker builds the tracking-mode heuristic.

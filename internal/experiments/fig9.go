@@ -66,6 +66,9 @@ func TableEDK(seed int64, epochs, k int) (*EnergyResult, error) {
 }
 
 func runEnergyExperiment(seed int64, epochs, k int, threeInput bool) (*EnergyResult, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("experiments: metric exponent k must be >= 1, got %d", k)
+	}
 	if epochs <= 0 {
 		epochs = 12000
 	}

@@ -20,7 +20,7 @@ import (
 // counters. With nothing attached, nothing is bound.
 //
 // Plants the design flow builds internally (core.DesignMIMO,
-// decoupled.Design, core.FindBestStatic) stay unbound, so
+// decoupled.Design, core.ProfileStatic) stay unbound, so
 // sim_epochs_total counts the epochs the harness drives and no
 // identification epochs.
 

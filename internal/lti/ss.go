@@ -95,10 +95,14 @@ func (s *StateSpace) Simulate(x0 []float64, u *mat.Matrix) (*mat.Matrix, error) 
 	t := u.Rows()
 	y := mat.New(t, s.Outputs())
 	x := append([]float64(nil), x0...)
+	// Scratch for the four products, reused every sample: Output and
+	// Step's arithmetic in the same order, with no per-sample slices.
+	cx, du := make([]float64, s.Outputs()), make([]float64, s.Outputs())
+	ax, bu := make([]float64, s.Order()), make([]float64, s.Order())
 	for k := 0; k < t; k++ {
-		uk := u.Row(k)
-		y.SetRow(k, s.Output(x, uk))
-		x = mat.VecAdd(mat.MulVec(s.A, x), mat.MulVec(s.B, uk))
+		uk := u.RowView(k)
+		mat.VecAddInto(y.RowView(k), mat.MulVecInto(cx, s.C, x), mat.MulVecInto(du, s.D, uk))
+		mat.VecAddInto(x, mat.MulVecInto(ax, s.A, x), mat.MulVecInto(bu, s.B, uk))
 	}
 	return y, nil
 }

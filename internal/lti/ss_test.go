@@ -72,6 +72,68 @@ func TestSimulateMatchesManualStep(t *testing.T) {
 	}
 }
 
+// randomSystem returns a 4-state, 3-input, 2-output system with a
+// non-zero feed-through and random inputs of n samples.
+func randomSystem(t *testing.T, n int) (*StateSpace, *mat.Matrix) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	fill := func(r, c int, scale float64) *mat.Matrix {
+		m := mat.New(r, c)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				m.Set(i, j, scale*rng.NormFloat64())
+			}
+		}
+		return m
+	}
+	ss, err := NewStateSpace(fill(4, 4, 0.3), fill(4, 3, 1), fill(2, 4, 1), fill(2, 3, 0.5), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss, fill(n, 3, 1)
+}
+
+// TestSimulateMatchesStepBits: Simulate's outputs are Step's, bit for
+// bit, and x0 is left as it was.
+func TestSimulateMatchesStepBits(t *testing.T) {
+	ss, u := randomSystem(t, 200)
+	x0 := []float64{0.1, -0.2, 0.3, 0.05}
+	y, err := ss.Simulate(x0, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x0[0] != 0.1 || x0[1] != -0.2 || x0[2] != 0.3 || x0[3] != 0.05 {
+		t.Fatalf("Simulate modified x0: %v", x0)
+	}
+	x := append([]float64(nil), x0...)
+	for k := 0; k < u.Rows(); k++ {
+		xNext, yk := ss.Step(x, u.Row(k))
+		for j, v := range yk {
+			if got := y.At(k, j); math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("sample %d output %d: Simulate %v, Step %v", k, j, got, v)
+			}
+		}
+		x = xNext
+	}
+}
+
+// TestSimulateAllocsIndependentOfSamples: Simulate allocates its
+// result and scratch once, never per sample.
+func TestSimulateAllocsIndependentOfSamples(t *testing.T) {
+	allocs := func(n int) float64 {
+		ss, u := randomSystem(t, n)
+		x0 := make([]float64, ss.Order())
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ss.Simulate(x0, u); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(4), allocs(1000); short != long {
+		t.Errorf("Simulate: %v allocs over 4 samples, %v over 1000; want no per-sample allocation", short, long)
+	}
+}
+
 func TestDCGain(t *testing.T) {
 	// Scalar system x+ = 0.5x + u, y = x: DC gain 1/(1-0.5) = 2.
 	ss := MustStateSpace(

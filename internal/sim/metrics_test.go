@@ -36,15 +36,15 @@ func TestBindTelemetryPerInstance(t *testing.T) {
 
 	regA, regB := telemetry.NewRegistry(), telemetry.NewRegistry()
 	a, b, unbound := newProc(regA), newProc(regB), newProc(nil)
-	a.Advance(100)
+	stepN(a, 100)
 	if err := a.Apply(faster); err != nil {
 		t.Fatal(err)
 	}
-	b.Advance(37)
+	stepN(b, 37)
 	if err := b.Apply(Config{FreqIdx: -1}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	unbound.Advance(50)
+	stepN(unbound, 50)
 	if err := unbound.Apply(faster); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestBindTelemetryPerInstance(t *testing.T) {
 	}
 
 	a.BindTelemetry(telemetry.Nop())
-	a.Advance(10)
+	stepN(a, 10)
 	if got := regA.Counter("sim_epochs_total", "").Value(); got != 100 {
 		t.Errorf("registry A counts %d epochs after Nop unbound it, want 100", got)
 	}
@@ -64,10 +64,10 @@ func TestBindTelemetryPerInstance(t *testing.T) {
 	// Bound at epoch 10, flushed on the sampled epoch 64.
 	regC := telemetry.NewRegistry()
 	late := newProc(nil)
-	late.Advance(10)
+	stepN(late, 10)
 	e0, i0, _ := late.Totals()
 	late.BindTelemetry(regC)
-	late.Advance(55)
+	stepN(late, 55)
 	e1, i1, _ := late.Totals()
 	if got, want := regC.FloatCounter("sim_energy_joules_total", "").Value(), e1-e0; math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("sim_energy_joules_total = %v, want %v (the energy since binding)", got, want)

@@ -16,6 +16,13 @@ type stubWorkload struct {
 func (w stubWorkload) Name() string                  { return w.name }
 func (w stubWorkload) Params(int) (PhaseParams, int) { return w.params, 0 }
 
+// stepN steps p n epochs, discarding the telemetry.
+func stepN(p *Processor, n int) {
+	for i := 0; i < n; i++ {
+		p.Step()
+	}
+}
+
 func computeParams() PhaseParams {
 	return PhaseParams{
 		ILP: 2.8, MemPKI: 280,

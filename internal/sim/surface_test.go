@@ -99,7 +99,9 @@ func (w phasedWorkload) Params(epoch int) (PhaseParams, int) {
 // TestPlantStepAllocFree pins the plant's epoch step at zero
 // allocations, across phase boundaries where both halves of the
 // surface are rebuilt, unbound and bound to a live registry (whose
-// sampled epochs the measured windows cross).
+// sampled epochs the measured windows cross). StaticSweep allocates
+// its set-up and results only: its count does not grow with the
+// epochs it runs.
 func TestPlantStepAllocFree(t *testing.T) {
 	a, b := computeParams(), memoryParams()
 	b.ROBDemand = 55 // a's is 0 (the default): the ROB key changes too
@@ -124,7 +126,6 @@ func TestPlantStepAllocFree(t *testing.T) {
 			step  func()
 		}{
 			{"Processor.Step", proc, func() { proc.Step() }},
-			{"Processor.Advance", proc, func() { proc.Advance(5) }},
 			{"FaultInjector.Step", inj.Processor(), func() { inj.Step() }},
 		} {
 			before := tc.plant.Epoch()
@@ -140,5 +141,18 @@ func TestPlantStepAllocFree(t *testing.T) {
 				t.Error("the live registry counted no epochs")
 			}
 		}
+	}
+
+	cfgs := []Config{BaselineConfig(), MidrangeConfig(), {FreqIdx: 15, CacheIdx: 3, ROBIdx: 7}}
+	sweepAllocs := func(epochs int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := StaticSweep(w, DefaultProcessorOptions(), 1, cfgs, 3, epochs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Both windows cross phase boundaries (period 8).
+	if short, long := sweepAllocs(10), sweepAllocs(200); short != long {
+		t.Errorf("StaticSweep: %v allocs/op over 10 epochs, %v over 200; want no per-epoch allocation", short, long)
 	}
 }

@@ -8,6 +8,22 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== every fuzz target is in make fuzz"
+# Each "func FuzzX" in a _test.go file needs a line in the Makefile's
+# fuzz target that runs its package with -fuzz X (or 'X$$').
+fuzzlist=$(sed -n '/^fuzz:/,/^$/p' Makefile)
+missing=0
+for f in $(grep -rl --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build '^func Fuzz' .); do
+	dir=$(dirname "$f")
+	for name in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$f"); do
+		if ! printf '%s\n' "$fuzzlist" | grep -F -- " $dir/ " | grep -qE -- "-fuzz '?$name(\\\$\\\$)?'? "; then
+			echo "$dir: $name is missing from the fuzz target in the Makefile"
+			missing=1
+		fi
+	done
+done
+[ "$missing" -eq 0 ]
+
 echo "== go vet ./..."
 go vet ./...
 
