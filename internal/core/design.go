@@ -45,10 +45,6 @@ type DesignSpec struct {
 	// paper's controller uses both.
 	DisableDeltaU   bool
 	DisableIntegral bool
-	// FreqLevels restricts the excitation to a subset of the DVFS
-	// settings, for identifying region models (gain scheduling). Nil
-	// uses every setting.
-	FreqLevels []float64
 }
 
 // withDefaults fills zero fields with Table III values.
@@ -113,15 +109,6 @@ type DesignReport struct {
 // and records the input/output waveforms (paper §IV-B1). Inputs are in
 // the controller's normalized units; outputs are [IPS, power].
 func CollectIdentificationData(training []sim.Workload, threeInput bool, epochsPerApp int, seed int64) (*sysid.Data, error) {
-	return collectIdentificationData(training, threeInput, epochsPerApp, seed, sim.FreqLevels())
-}
-
-// collectIdentificationData is CollectIdentificationData with a custom
-// frequency-excitation range (for gain-scheduled region models).
-func collectIdentificationData(training []sim.Workload, threeInput bool, epochsPerApp int, seed int64, freqLevels []float64) (*sysid.Data, error) {
-	if len(freqLevels) == 0 {
-		freqLevels = sim.FreqLevels()
-	}
 	if len(training) == 0 {
 		return nil, errors.New("core: no training workloads")
 	}
@@ -141,6 +128,7 @@ func collectIdentificationData(training []sim.Workload, threeInput bool, epochsP
 	y := mat.New(total, 2)
 	row := 0
 	uk := make([]float64, 0, nu)
+	freqLevels := sim.FreqLevels()
 	for wi, w := range training {
 		rng := rand.New(rand.NewSource(seed + int64(wi)*7919))
 		proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), seed+int64(wi)*104729)
@@ -205,7 +193,7 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 	if len(spec.Training) == 0 {
 		return nil, nil, errors.New("core: DesignSpec.Training is required")
 	}
-	data, err := collectIdentificationData(spec.Training, spec.ThreeInput, spec.EpochsPerApp, spec.Seed, spec.FreqLevels)
+	data, err := CollectIdentificationData(spec.Training, spec.ThreeInput, spec.EpochsPerApp, spec.Seed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: identification: %w", err)
 	}

@@ -259,26 +259,6 @@ func abs(x int) int {
 	return x
 }
 
-// geoMean returns the geometric mean of the finite, strictly positive
-// entries of xs. Non-finite or non-positive samples (a corrupt or
-// failed run) are skipped rather than allowed to poison the whole
-// average; if no usable entry remains the defined sentinel is 0. Clean
-// data is unaffected.
-func geoMean(xs []float64) float64 {
-	s, n := 0.0, 0
-	for _, x := range xs {
-		if x <= 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		s += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
 // mean returns the arithmetic mean of the finite entries of xs. NaN and
 // ±Inf samples are skipped (one corrupt run must not turn a whole
 // average into NaN); the empty / all-corrupt sentinel is 0. Clean data

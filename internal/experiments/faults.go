@@ -179,11 +179,30 @@ func FaultSweep(seed int64, epochs int) (*FaultSweepResult, error) {
 	return res, nil
 }
 
-// runFaulted drives one controller against one fault class. Apply
-// errors are reported to the controller when it observes actuation
-// outcomes (the supervised runtime) and tolerated otherwise — a
-// deployed loop cannot abort on a failed knob write.
+// runFaulted drives one controller against one fault class for the
+// sweep: the harness recorder (when recording is on) and the attached
+// fleet see the run, and driveFaulted scores it.
 func runFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed int64, epochs int) (FaultRow, error) {
+	rec := attachFlightRec(ctrl, flightrec.Meta{
+		Arch: ctrl.Name(), Workload: w.Name(), FaultClass: fc.Name,
+		Seed: seed, Epochs: epochs,
+		TargetIPS: core.DefaultIPSTarget, TargetPowerW: core.DefaultPowerTarget,
+		FreqLevels: len(sim.FreqSettingsGHz), CacheLevels: len(sim.CacheSettings), ROBLevels: len(sim.ROBSettings),
+	})
+	defer finishFlightRec(rec, ctrl, "faults_"+fc.Name+"_"+ctrl.Name())
+	wireLoopObs(ctrl, "faults/"+fc.Name+"/"+ctrl.Name())
+	return driveFaulted(ctrl, w, fc, seed, epochs, core.DefaultIPSTarget, core.DefaultPowerTarget)
+}
+
+// driveFaulted is the fault sweep's loop, shared with RecordedRun: it
+// runs ctrl toward the (ips, power) targets on w's plant (processor
+// seed+701) behind a fault injector (seed+702) carrying fc's faults,
+// and scores the true outputs against the targets. It attaches nothing:
+// the recorders and fleet loops that observe a run are the caller's.
+// Apply errors are reported to the controller when it observes
+// actuation outcomes (the supervised runtime) and tolerated otherwise —
+// a deployed loop cannot abort on a failed knob write.
+func driveFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed int64, epochs int, ips, power float64) (FaultRow, error) {
 	proc, err := newProcessor(w, seed+701)
 	if err != nil {
 		return FaultRow{}, err
@@ -199,15 +218,7 @@ func runFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed in
 		inj.AddPlantFault(pf)
 	}
 	ctrl.Reset()
-	ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
-	rec := attachFlightRec(ctrl, flightrec.Meta{
-		Arch: ctrl.Name(), Workload: w.Name(), FaultClass: fc.Name,
-		Seed: seed, Epochs: epochs,
-		TargetIPS: core.DefaultIPSTarget, TargetPowerW: core.DefaultPowerTarget,
-		FreqLevels: len(sim.FreqSettingsGHz), CacheLevels: len(sim.CacheSettings), ROBLevels: len(sim.ROBSettings),
-	})
-	defer finishFlightRec(rec, ctrl, "faults_"+fc.Name+"_"+ctrl.Name())
-	wireLoopObs(ctrl, "faults/"+fc.Name+"/"+ctrl.Name())
+	ctrl.SetTargets(ips, power)
 	row := FaultRow{Class: fc.Name, Arch: ctrl.Name()}
 	applyObs, observes := ctrl.(supervisor.ApplyObserver)
 
@@ -233,8 +244,8 @@ func runFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed in
 			math.IsNaN(tel.TruePowerW) || math.IsInf(tel.TruePowerW, 0) {
 			row.PlantCorrupt = true
 		}
-		eP := math.Abs(tel.TruePowerW-core.DefaultPowerTarget) / core.DefaultPowerTarget
-		eI := math.Abs(tel.TrueIPS-core.DefaultIPSTarget) / core.DefaultIPSTarget
+		eP := math.Abs(tel.TruePowerW-power) / power
+		eI := math.Abs(tel.TrueIPS-ips) / ips
 		if k >= faultFrom && k < faultUntil {
 			fSumP += eP
 			fSumI += eI

@@ -9,7 +9,6 @@ import (
 	"mimoctl/internal/core"
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/sim"
-	"mimoctl/internal/supervisor"
 	"mimoctl/internal/workloads"
 )
 
@@ -148,12 +147,14 @@ func FaultClassByName(name string, epochs int) (FaultClass, bool) {
 // RecordedArchs are the controller architectures RecordedRun accepts.
 func RecordedArchs() []string { return []string{"mimo", "supervised", "adaptive"} }
 
-// RecordedRun drives one fault scenario with a flight recorder attached
-// and returns the recorder. The loop is the fault sweep's (same seeds,
-// same ordering of random draws), so a recording is exactly
-// reproducible from its Meta alone: same arch, class, seed, epochs, and
-// capacity yield a byte-identical ring — the property ReplayRecorded
-// and `mimodoctor -replay` verify.
+// RecordedRun drives one fault scenario through the fault sweep's loop
+// (driveFaulted) with its own flight recorder attached and returns the
+// recorder; it registers no fleet loop and the harness-wide recorder
+// never replaces its own. A recording is exactly reproducible from its
+// Meta alone: same arch, class, seed, epochs, and capacity yield a
+// byte-identical ring — the property ReplayRecorded and `mimodoctor
+// -replay` verify — and it holds the records the sweep's harness
+// recorder writes for the same run.
 func RecordedRun(arch, class string, seed int64, epochs, capacity int) (*flightrec.Recorder, error) {
 	if epochs <= 0 {
 		epochs = 2000
@@ -209,41 +210,10 @@ func RecordedRun(arch, class string, seed int64, epochs, capacity int) (*flightr
 		ROBLevels:    len(sim.ROBSettings),
 	})
 	ctrl.(flightrec.Recordable).SetFlightRecorder(rec)
-
-	// The loop below mirrors runFaulted exactly (processor seed+701,
-	// injector seed+702, step/apply/step ordering) so the random streams
-	// line up with the sweep.
-	proc, err := newProcessor(w, seed+701)
-	if err != nil {
+	defer ctrl.(flightrec.Recordable).SetFlightRecorder(nil)
+	if _, err := driveFaulted(ctrl, w, fc, seed, epochs, tgtIPS, tgtPow); err != nil {
 		return nil, err
 	}
-	inj := sim.NewFaultInjector(proc, seed+702)
-	for _, sf := range fc.Sensor {
-		inj.AddSensorFault(sf)
-	}
-	for _, af := range fc.Actuator {
-		inj.AddActuatorFault(af)
-	}
-	for _, pf := range fc.Plant {
-		inj.AddPlantFault(pf)
-	}
-	ctrl.Reset()
-	ctrl.SetTargets(tgtIPS, tgtPow)
-	obs, observes := ctrl.(supervisor.ApplyObserver)
-	tel := inj.Step()
-	for k := 0; k < epochs; k++ {
-		cfg := ctrl.Step(tel)
-		if err := cfg.Validate(); err != nil {
-			cfg = tel.Config
-		}
-		aerr := inj.Apply(cfg)
-		if observes {
-			obs.ObserveApply(cfg, aerr)
-		}
-		tel = inj.Step()
-	}
-	countEpochs(epochs)
-	ctrl.(flightrec.Recordable).SetFlightRecorder(nil)
 	return rec, nil
 }
 

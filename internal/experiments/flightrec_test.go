@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"mimoctl/internal/core"
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/health"
+	"mimoctl/internal/obs"
+	"mimoctl/internal/telemetry"
 	"mimoctl/internal/workloads"
 )
 
@@ -48,6 +51,77 @@ func TestRecordedRunDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(flightrec.EncodeRecords(a.Snapshot()), flightrec.EncodeRecords(b.Snapshot())) {
 			t.Errorf("%s/%s: replay is not byte-identical", tc.arch, tc.class)
+		}
+	}
+}
+
+// TestRecordedRunMatchesSweepRecording holds RecordedRun to the fault
+// sweep's loop: for the same class, architecture, seed and epochs its
+// ring encodes to the records the sweep's harness recorder dumps.
+// Harness recording and a fleet stay attached while RecordedRun runs:
+// it keeps its own recorder (the harness writes no second dump) and
+// registers no fleet loop.
+func TestRecordedRunMatchesSweepRecording(t *testing.T) {
+	prev := func() FlightRecConfig { frMu.Lock(); defer frMu.Unlock(); return frCfg }()
+	defer SetFlightRecording(prev)
+	defer SetObservability(nil)
+	const epochs = 800
+	w, err := workloads.ByName(FaultSweepWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mimo, _, err := DesignedMIMO(false, DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		arch, class string
+		sweepCtrl   func() (core.ArchController, error)
+	}{
+		{"mimo", "sensor-freeze", func() (core.ArchController, error) { return bindMIMO(mimo.Clone()), nil }},
+		{"supervised", "actuator-apply-error", func() (core.ArchController, error) { return NewMonitoredSupervised(DefaultSeed) }},
+		{"adaptive", "plant-drift", func() (core.ArchController, error) { return NewAdaptiveSupervised(DefaultSeed) }},
+	} {
+		dir := t.TempDir()
+		SetFlightRecording(FlightRecConfig{Enabled: true, Dir: dir, Capacity: epochs})
+		fc, ok := FaultClassByName(tc.class, epochs)
+		if !ok {
+			t.Fatalf("unknown class %q", tc.class)
+		}
+		ctrl, err := tc.sweepCtrl()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runFaulted(ctrl, w, fc, DefaultSeed, epochs); err != nil {
+			t.Fatalf("%s/%s sweep: %v", tc.arch, tc.class, err)
+		}
+		dumps, err := filepath.Glob(filepath.Join(dir, "*.frec"))
+		if err != nil || len(dumps) != 1 {
+			t.Fatalf("%s/%s: sweep left dumps %v (%v), want one", tc.arch, tc.class, dumps, err)
+		}
+		_, sweep, err := flightrec.ReadDumpFile(dumps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		fleet := obs.NewFleet(obs.Options{Registry: telemetry.NewRegistry()})
+		SetObservability(fleet)
+		rec, err := RecordedRun(tc.arch, tc.class, DefaultSeed, epochs, epochs)
+		SetObservability(nil)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.arch, tc.class, err)
+		}
+		if after, _ := filepath.Glob(filepath.Join(dir, "*.frec")); len(after) != 1 {
+			t.Errorf("%s/%s: the harness recorder dumped RecordedRun's run: %v", tc.arch, tc.class, after)
+		}
+		if n := len(fleet.Report().Rows); n != 0 {
+			t.Errorf("%s/%s: RecordedRun registered %d fleet loops", tc.arch, tc.class, n)
+		}
+		if rec.Len() != epochs {
+			t.Errorf("%s/%s: RecordedRun's recorder holds %d records, want %d", tc.arch, tc.class, rec.Len(), epochs)
+		}
+		if !bytes.Equal(flightrec.EncodeRecords(rec.Snapshot()), flightrec.EncodeRecords(sweep)) {
+			t.Errorf("%s/%s: RecordedRun's records differ from the sweep's", tc.arch, tc.class)
 		}
 	}
 }

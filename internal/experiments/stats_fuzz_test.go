@@ -70,30 +70,3 @@ func TestMeanProperties(t *testing.T) {
 		}
 	}
 }
-
-func TestGeoMeanProperties(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	cases := []struct {
-		name string
-		in   []float64
-		want float64
-	}{
-		{"empty", nil, 0},
-		{"single", []float64{4}, 4},
-		{"all-NaN", []float64{nan}, 0},
-		{"all-nonpositive", []float64{0, -1}, 0},
-		{"nonpositive-skipped", []float64{2, 0, 8, -3}, 4},
-		{"Inf-skipped", []float64{3, inf}, 3},
-	}
-	for _, c := range cases {
-		got := geoMean(c.in)
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("geoMean(%v) [%s] = %v, want %v", c.in, c.name, got, c.want)
-		}
-	}
-	// Scale invariance on clean data: geoMean(k*xs) = k*geoMean(xs).
-	xs := []float64{1, 2, 4, 8}
-	if got, want := geoMean([]float64{3, 6, 12, 24}), 3*geoMean(xs); math.Abs(got-want) > 1e-9 {
-		t.Errorf("scale invariance violated: %v vs %v", got, want)
-	}
-}

@@ -13,7 +13,7 @@ func TestChiSquaredSurvivalKnownValues(t *testing.T) {
 		want float64
 	}{
 		{0, 5, 1.0},
-		{2, 2, math.Exp(-1)},      // k=2 is exactly exp(-x/2)
+		{2, 2, math.Exp(-1)}, // k=2 is exactly exp(-x/2)
 		{10, 2, math.Exp(-5)},
 		{3.841, 1, 0.05},
 		{9.488, 4, 0.05},

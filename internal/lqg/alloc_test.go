@@ -7,32 +7,10 @@ import (
 	"mimoctl/internal/mat"
 )
 
-// The steady-state loop — KalmanFilter.Update and Controller.Step — is
-// required to be allocation-free after construction: the scratch
+// The steady-state loop — Controller.Step and Controller.ObserveApplied
+// — is required to be allocation-free after construction: the scratch
 // workspaces are preallocated and the returned slices are
 // workspace-owned. These gates keep that property from regressing.
-
-func TestKalmanUpdateZeroAllocs(t *testing.T) {
-	plant := testPlant(t)
-	kf, err := NewKalmanFilter(plant, smallNoise(plant.Order(), plant.Outputs()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := []float64{0.3, -0.1}
-	u := []float64{0.2, 0.1}
-	// Warm once so lazy init (none expected) can't skew the measurement.
-	if _, err := kf.Update(y, u); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := kf.Update(y, u); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("KalmanFilter.Update allocates %v times per call, want 0", allocs)
-	}
-}
 
 // fleetPlant returns a stable order-4 plant with two inputs and two
 // outputs: with ΔU and integral action its controller steps through
@@ -111,96 +89,6 @@ func TestControllerObserveAppliedZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("Step+ObserveApplied (order %d) allocates %v times per call, want 0", plant.Order(), allocs)
-		}
-	}
-}
-
-// TestKalmanResetReusesBuffers pins Reset's documented no-allocation
-// behaviour: the state buffer is reused in place, not replaced.
-func TestKalmanResetReusesBuffers(t *testing.T) {
-	plant := testPlant(t)
-	kf, err := NewKalmanFilter(plant, smallNoise(plant.Order(), plant.Outputs()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kf.Update([]float64{1, 1}, []float64{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	before := &kf.xhat[0]
-	if err := kf.Reset(nil); err != nil {
-		t.Fatal(err)
-	}
-	if &kf.xhat[0] != before {
-		t.Fatal("Reset(nil) replaced the state buffer instead of reusing it")
-	}
-	for _, v := range kf.xhat {
-		if v != 0 {
-			t.Fatal("Reset(nil) did not zero the state")
-		}
-	}
-	if err := kf.Reset([]float64{0.5, -0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if &kf.xhat[0] != before {
-		t.Fatal("Reset(x0) replaced the state buffer instead of reusing it")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := kf.Reset(nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Reset allocates %v times per call, want 0", allocs)
-	}
-}
-
-// TestKalmanPredictedIsRetainable verifies Predicted and
-// PredictedOutput return fresh copies the caller may keep: later
-// Updates and Resets must not mutate a previously returned slice.
-func TestKalmanPredictedIsRetainable(t *testing.T) {
-	plant := testPlant(t)
-	kf, err := NewKalmanFilter(plant, smallNoise(plant.Order(), plant.Outputs()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kf.Update([]float64{1, 0.5}, []float64{0.2, 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	px := kf.Predicted()
-	py := kf.PredictedOutput()
-	pxCopy := append([]float64(nil), px...)
-	pyCopy := append([]float64(nil), py...)
-
-	// Mutating the returned slices must not write through into the
-	// filter state...
-	for i := range px {
-		px[i] = 1e9
-	}
-	for i := range py {
-		py[i] = 1e9
-	}
-	if kf.Predicted()[0] == 1e9 {
-		t.Fatal("Predicted returned a view into filter state")
-	}
-	// ...and advancing the filter must not rewrite retained copies.
-	for i := range px {
-		px[i] = pxCopy[i]
-	}
-	for i := range py {
-		py[i] = pyCopy[i]
-	}
-	if _, err := kf.Update([]float64{-2, 3}, []float64{1, -1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := kf.Reset(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := range px {
-		if px[i] != pxCopy[i] {
-			t.Fatal("retained Predicted slice was mutated by Update/Reset")
-		}
-		if py[i] != pyCopy[i] {
-			t.Fatal("retained PredictedOutput slice was mutated by Update/Reset")
 		}
 	}
 }

@@ -7,52 +7,6 @@ import (
 	"mimoctl/internal/mat"
 )
 
-// SolveDiscreteLyapunov solves the discrete Lyapunov (Stein) equation
-//
-//	A P Aᵀ - P + Q = 0
-//
-// for P, by vectorization: (I - A⊗A) vec(P) = vec(Q). Intended for the
-// modest state dimensions of control design (n up to a few dozen).
-func SolveDiscreteLyapunov(a, q *mat.Matrix) (*mat.Matrix, error) {
-	if !a.IsSquare() || !q.IsSquare() || a.Rows() != q.Rows() {
-		return nil, errors.New("lti: Lyapunov arguments must be square with equal size")
-	}
-	n := a.Rows()
-	nn := n * n
-	// M = I - A⊗A (Kronecker product), acting on vec(P) with row-major
-	// vec: vec(P)[i*n+j] = P[i][j]. Then (A P Aᵀ)[i][j] =
-	// Σ_{k,l} A[i][k] P[k][l] A[j][l].
-	m := mat.New(nn, nn)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			row := i*n + j
-			m.Set(row, row, 1)
-			for k := 0; k < n; k++ {
-				aik := a.At(i, k)
-				if aik == 0 {
-					continue
-				}
-				for l := 0; l < n; l++ {
-					col := k*n + l
-					m.Set(row, col, m.At(row, col)-aik*a.At(j, l))
-				}
-			}
-		}
-	}
-	vecQ := make([]float64, nn)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			vecQ[i*n+j] = q.At(i, j)
-		}
-	}
-	vecP, err := mat.SolveVec(m, vecQ)
-	if err != nil {
-		return nil, fmt.Errorf("lti: Lyapunov solve: %w", err)
-	}
-	p := mat.FromSlice(n, n, vecP)
-	return mat.Symmetrize(p), nil
-}
-
 // SolveDARE solves the discrete algebraic Riccati equation
 //
 //	P = AᵀPA - AᵀPB (R + BᵀPB)⁻¹ BᵀPA + Q

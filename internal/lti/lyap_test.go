@@ -23,39 +23,6 @@ func randStable(rng *rand.Rand, n int) *mat.Matrix {
 	return mat.Scale(0.8/r, a)
 }
 
-func TestLyapunovResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(6)
-		a := randStable(rng, n)
-		q := mat.Identity(n)
-		p, err := SolveDiscreteLyapunov(a, q)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// Residual A P Aᵀ - P + Q must vanish.
-		res := mat.Add(mat.Sub(mat.MulChain(a, p, a.T()), p), q)
-		if res.MaxAbs() > 1e-8 {
-			t.Fatalf("trial %d: Lyapunov residual %v", trial, res.MaxAbs())
-		}
-		// P must be symmetric positive definite for Q = I and stable A.
-		if !mat.IsPositiveDefinite(p) {
-			t.Fatalf("trial %d: P not positive definite", trial)
-		}
-	}
-}
-
-func TestLyapunovScalar(t *testing.T) {
-	// a p a - p + q = 0 → p = q/(1-a²). a = 0.5, q = 3 → p = 4.
-	p, err := SolveDiscreteLyapunov(mat.Diag(0.5), mat.Diag(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p.At(0, 0)-4) > 1e-12 {
-		t.Fatalf("p = %v, want 4", p.At(0, 0))
-	}
-}
-
 func TestDAREScalar(t *testing.T) {
 	// Scalar DARE with a=1, b=1, q=1, r=1:
 	// p = p - p²/(1+p) + 1 → p² - p - 1 = 0 → p = golden ratio.

@@ -1,8 +1,8 @@
 // Package lti implements discrete-time linear time-invariant (LTI)
-// state-space systems and the matrix equations used in controller design:
-// simulation, poles and stability, frequency response, controllability and
-// observability, discrete Lyapunov equations, and the discrete algebraic
-// Riccati equation (DARE).
+// state-space systems and the matrix equation used in controller design:
+// simulation, poles and stability, frequency response and the H∞ norm,
+// controllability and observability, and the discrete algebraic Riccati
+// equation (DARE).
 //
 // A system is
 //
@@ -191,31 +191,4 @@ func (s *StateSpace) IsObservable() bool {
 		return false
 	}
 	return svd.Rank(0) == s.Order()
-}
-
-// Series returns the series interconnection g2∘g1: u -> g1 -> g2 -> y.
-// The output dimension of g1 must equal the input dimension of g2.
-func Series(g1, g2 *StateSpace) (*StateSpace, error) {
-	if g1.Outputs() != g2.Inputs() {
-		return nil, fmt.Errorf("lti: series mismatch: %d outputs vs %d inputs", g1.Outputs(), g2.Inputs())
-	}
-	n1, n2 := g1.Order(), g2.Order()
-	a := mat.New(n1+n2, n1+n2)
-	a.SetSubmatrix(0, 0, g1.A)
-	a.SetSubmatrix(n1, 0, mat.Mul(g2.B, g1.C))
-	a.SetSubmatrix(n1, n1, g2.A)
-	b := mat.VStack(g1.B, mat.Mul(g2.B, g1.D))
-	c := mat.HStack(mat.Mul(g2.D, g1.C), g2.C)
-	d := mat.Mul(g2.D, g1.D)
-	return NewStateSpace(a, b, c, d, g1.Ts)
-}
-
-// Append stacks two systems diagonally: inputs and outputs are
-// concatenated, with no interconnection.
-func Append(g1, g2 *StateSpace) (*StateSpace, error) {
-	a := mat.BlockDiag(g1.A, g2.A)
-	b := mat.BlockDiag(g1.B, g2.B)
-	c := mat.BlockDiag(g1.C, g2.C)
-	d := mat.BlockDiag(g1.D, g2.D)
-	return NewStateSpace(a, b, c, d, g1.Ts)
 }

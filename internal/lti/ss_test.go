@@ -216,48 +216,6 @@ func TestControllabilityObservability(t *testing.T) {
 	}
 }
 
-func TestSeriesMatchesSequentialSimulation(t *testing.T) {
-	g1 := twoStateSystem(t)
-	g2 := MustStateSpace(mat.Diag(0.2), mat.FromRows([][]float64{{1}}),
-		mat.FromRows([][]float64{{2}}), mat.FromRows([][]float64{{0.1}}), 1)
-	ser, err := Series(g1, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	u := mat.New(50, 1)
-	for k := 0; k < 50; k++ {
-		u.Set(k, 0, rng.NormFloat64())
-	}
-	y1, err := g1.Simulate([]float64{0, 0}, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y2, err := g2.Simulate([]float64{0}, y1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ys, err := ser.Simulate(make([]float64, ser.Order()), u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ys.ApproxEqual(y2, 1e-10) {
-		t.Fatal("series simulation mismatch")
-	}
-}
-
-func TestAppendDimensions(t *testing.T) {
-	g1 := twoStateSystem(t)
-	g2 := twoStateSystem(t)
-	ap, err := Append(g1, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap.Inputs() != 2 || ap.Outputs() != 2 || ap.Order() != 4 {
-		t.Fatalf("Append dims: %d in %d out %d states", ap.Inputs(), ap.Outputs(), ap.Order())
-	}
-}
-
 func TestFrequencyResponseDC(t *testing.T) {
 	ss := twoStateSystem(t)
 	g0, err := ss.FrequencyResponse(0)

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// BenchmarkSVD factors a 40x12 matrix, the shape of a subspace
-// identification block.
+// BenchmarkSVD factors a tall 40x12 matrix, as PInv does for a
+// rank-deficient least-squares problem.
 func BenchmarkSVD(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := New(40, 12)

@@ -229,15 +229,6 @@ func (p *Processor) Apply(cfg Config) error {
 	return nil
 }
 
-// ApplyContinuous quantizes continuous knob requests (frequency in GHz,
-// cache size in L2 ways, ROB entries) to the nearest settings and
-// applies them, returning the actually applied configuration.
-func (p *Processor) ApplyContinuous(freqGHz, l2Ways, robEntries float64) Config {
-	cfg := NearestConfig(freqGHz, l2Ways, robEntries)
-	_ = p.Apply(cfg) // NearestConfig always yields a valid Config.
-	return cfg
-}
-
 // Step executes one 50 µs control epoch and returns the telemetry.
 func (p *Processor) Step() (t Telemetry) {
 	p.step(&t)

@@ -558,18 +558,6 @@ func TestProcessorTotalsAndEDP(t *testing.T) {
 	}
 }
 
-func TestProcessorApplyContinuousQuantizes(t *testing.T) {
-	w := stubWorkload{name: "w", params: computeParams()}
-	p, _ := NewProcessor(w, ProcessorOptions{Deterministic: true}, 1)
-	got := p.ApplyContinuous(1.72, 7.1, 90)
-	if math.Abs(got.FreqGHz()-1.7) > 1e-12 || got.L2Ways() != 8 || got.ROBEntries() != 96 {
-		t.Fatalf("quantized to %v", got)
-	}
-	if p.Config() != got {
-		t.Fatal("config not applied")
-	}
-}
-
 func TestProcessorRejectsNilWorkloadAndBadConfig(t *testing.T) {
 	if _, err := NewProcessor(nil, DefaultProcessorOptions(), 1); err == nil {
 		t.Fatal("expected nil-workload error")

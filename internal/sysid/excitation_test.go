@@ -54,14 +54,6 @@ func TestFitARXExcitedStillFits(t *testing.T) {
 	}
 }
 
-func TestFitSubspaceInsufficientExcitation(t *testing.T) {
-	d := constantRecord(800, 0, 32)
-	_, err := FitSubspace(d, SubspaceOptions{Order: 2})
-	if !errors.Is(err, ErrInsufficientExcitation) {
-		t.Fatalf("constant record: err = %v, want ErrInsufficientExcitation", err)
-	}
-}
-
 func TestModelFromBlocksMatchesFitARX(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	d := simulateTruth(rng, 600, 0.01)

@@ -1,9 +1,6 @@
 package sysid
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Excitation waveform design for black-box identification (paper §IV-B1:
 // "We apply waveforms with special patterns at the inputs of the system,
@@ -61,95 +58,4 @@ func RandomLevels(rng *rand.Rand, n int, levels []float64, holdMin, holdMax int)
 		i += h
 	}
 	return out
-}
-
-// Staircase sweeps through levels in order, holding each for hold
-// samples, then reverses; repeated until n samples are produced. Useful
-// for mapping static gains.
-// A non-positive n or an empty level set yields nil.
-func Staircase(n int, levels []float64, hold int) []float64 {
-	if n <= 0 || len(levels) == 0 {
-		return nil
-	}
-	if hold < 1 {
-		hold = 1
-	}
-	out := make([]float64, n)
-	idx, dir := 0, 1
-	for i := 0; i < n; i += hold {
-		for j := i; j < i+hold && j < n; j++ {
-			out[j] = levels[idx]
-		}
-		idx += dir
-		if idx >= len(levels) {
-			idx, dir = len(levels)-2, -1
-			if idx < 0 {
-				idx = 0
-			}
-		} else if idx < 0 {
-			idx, dir = 1, 1
-			if idx >= len(levels) {
-				idx = 0
-			}
-		}
-	}
-	return out
-}
-
-// Multisine generates a sum of sinusoids at the given cycle frequencies
-// (cycles per record) with Schroeder phases to minimize the crest factor,
-// scaled so the peak magnitude is amp and centered at offset.
-func Multisine(n int, cycles []float64, amp, offset float64) []float64 {
-	out := make([]float64, n)
-	nf := float64(len(cycles))
-	var peak float64
-	for i := 0; i < n; i++ {
-		t := float64(i) / float64(n)
-		var s float64
-		for k, c := range cycles {
-			// Schroeder phase: φ_k = -π k(k+1)/K.
-			phase := -math.Pi * float64(k*(k+1)) / nf
-			s += math.Sin(2*math.Pi*c*t + phase)
-		}
-		out[i] = s
-		if a := math.Abs(s); a > peak {
-			peak = a
-		}
-	}
-	if peak == 0 {
-		peak = 1
-	}
-	for i := range out {
-		out[i] = offset + amp*out[i]/peak
-	}
-	return out
-}
-
-// QuantizeTo maps every sample of x to the nearest value in levels,
-// which must be sorted ascending. Architectural knobs take discrete
-// values, so identification inputs must respect the allowed settings.
-// With no levels there is nothing to snap to: the result is a copy of x.
-// A NaN sample snaps to the first level (no |v-l| comparison can beat
-// it), so the output always consists of allowed settings.
-func QuantizeTo(x []float64, levels []float64) []float64 {
-	out := make([]float64, len(x))
-	if len(levels) == 0 {
-		copy(out, x)
-		return out
-	}
-	for i, v := range x {
-		out[i] = nearestLevel(v, levels)
-	}
-	return out
-}
-
-func nearestLevel(v float64, levels []float64) float64 {
-	best := levels[0]
-	bd := math.Abs(v - best)
-	for _, l := range levels[1:] {
-		if d := math.Abs(v - l); d < bd {
-			best, bd = l, d
-		}
-	}
-	return best
 }

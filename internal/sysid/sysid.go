@@ -446,7 +446,7 @@ func (m *Model) OneStepPredict(d *Data) (*mat.Matrix, error) {
 		return nil, errors.New("sysid: one-step predict dimension mismatch")
 	}
 	if len(m.ABlocks) == 0 {
-		return nil, errors.New("sysid: one-step prediction requires an ARX model (see FitARX); subspace models support Predict only")
+		return nil, errors.New("sysid: one-step prediction requires an ARX model (see FitARX)")
 	}
 	t := d.Samples()
 	ny := d.Y.Cols()

@@ -96,43 +96,6 @@ func MaxRelError(yTrue, yPred *mat.Matrix) ([]float64, error) {
 	return out, nil
 }
 
-// ResidualAutocorr returns the normalized autocorrelation of the
-// per-output one-step residuals at lags 1..maxLag. Small values indicate
-// the model captured the dynamics (residuals are white).
-func ResidualAutocorr(yTrue, yPred *mat.Matrix, maxLag int) ([][]float64, error) {
-	if yTrue.Rows() != yPred.Rows() || yTrue.Cols() != yPred.Cols() {
-		return nil, errors.New("sysid: ResidualAutocorr shape mismatch")
-	}
-	t := yTrue.Rows()
-	out := make([][]float64, yTrue.Cols())
-	for j := 0; j < yTrue.Cols(); j++ {
-		e := make([]float64, t)
-		var mean float64
-		for k := 0; k < t; k++ {
-			e[k] = yTrue.At(k, j) - yPred.At(k, j)
-			mean += e[k]
-		}
-		mean /= float64(t)
-		var c0 float64
-		for k := 0; k < t; k++ {
-			e[k] -= mean
-			c0 += e[k] * e[k]
-		}
-		acf := make([]float64, maxLag)
-		if c0 > 0 {
-			for lag := 1; lag <= maxLag; lag++ {
-				var c float64
-				for k := lag; k < t; k++ {
-					c += e[k] * e[k-lag]
-				}
-				acf[lag-1] = c / c0
-			}
-		}
-		out[j] = acf
-	}
-	return out, nil
-}
-
 // OrderResult records the validation quality of one candidate order.
 type OrderResult struct {
 	Orders   ARXOrders
