@@ -66,11 +66,11 @@ func NewFleet(opts Options) *Fleet {
 		// on the publish path.
 		reg := opts.Registry
 		reg.CounterFunc("obs_bus_published_total", "events accepted by the bus ring",
-			func() float64 { p, _, _ := bus.Stats(); return float64(p) })
+			func() uint64 { p, _, _ := bus.Stats(); return p })
 		reg.CounterFunc("obs_bus_dropped_total", "events dropped on a full bus ring",
-			func() float64 { _, d, _ := bus.Stats(); return float64(d) })
+			func() uint64 { _, d, _ := bus.Stats(); return d })
 		reg.CounterFunc("obs_bus_subscriber_dropped_total", "events dropped on slow live subscribers",
-			func() float64 { _, _, s := bus.Stats(); return float64(s) })
+			func() uint64 { _, _, s := bus.Stats(); return s })
 		reg.GaugeFunc("obs_bus_occupancy_hwm", "pump-lag high-water mark: worst ring occupancy seen at publish",
 			func() float64 { return float64(bus.OccupancyHWM()) })
 		reg.GaugeFunc("obs_bus_capacity", "bus ring capacity in events",
@@ -97,7 +97,10 @@ func (f *Fleet) LoopName(id uint32) string {
 }
 
 // Register adds (or returns) the loop named name. The loop gets its own
-// telemetry scope and a fresh SLO evaluator per spec.
+// telemetry scope and a fresh SLO evaluator per spec. Its per-epoch
+// families are functions of the state ObserveInto keeps, read under the
+// loop's mutex when the registry is scraped: an epoch writes no
+// instrument.
 func (f *Fleet) Register(name string) *Loop {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -117,17 +120,26 @@ func (f *Fleet) Register(name string) *Loop {
 	if reg := f.opts.Registry; reg.Enabled() {
 		scope := reg.Scope(telemetry.L("loop", name))
 		l.scope = scope
-		l.mEpochs = scope.Counter("loop_epochs_total", "epochs observed for this loop")
-		l.mFallback = scope.Counter("loop_fallback_epochs_total", "epochs pinned at the safe configuration")
-		l.mTrackRMS = scope.Gauge("loop_tracking_error_rms", "windowed RMS of the worst-channel relative tracking error")
-		l.mViolation = scope.Counter("loop_power_violation_epochs_total", "epochs with power above target beyond the budget threshold")
-		l.mBurn = make([]telemetry.Gauge, len(f.specs))
-		l.mBad = make([]telemetry.Counter, len(f.specs))
-		l.mAlert = make([]telemetry.Gauge, len(f.specs))
-		for i, spec := range f.specs {
-			l.mBurn[i] = scope.Gauge("slo_burn_rate", "worst-window burn rate", telemetry.L("slo", spec.Name))
-			l.mBad[i] = scope.Counter("slo_bad_epochs_total", "epochs violating the SLO condition", telemetry.L("slo", spec.Name))
-			l.mAlert[i] = scope.Gauge("slo_alerting", "1 while every burn window exceeds its threshold", telemetry.L("slo", spec.Name))
+		scope.CounterFunc("loop_epochs_total", "epochs observed for this loop", l.Epochs)
+		scope.CounterFunc("loop_fallback_epochs_total", "epochs pinned at the safe configuration",
+			locked(l, func() uint64 { return l.fallbackEpochs }))
+		scope.GaugeFunc("loop_tracking_error_rms", "windowed RMS of the worst-channel relative tracking error",
+			locked(l, func() float64 { return math.Sqrt(l.emaSq) }))
+		scope.CounterFunc("loop_power_violation_epochs_total", "epochs with power above target beyond the budget threshold",
+			locked(l, func() uint64 { return l.violationEpochs }))
+		for _, e := range l.slos {
+			slo := telemetry.L("slo", e.spec.Name)
+			scope.GaugeFunc("slo_burn_rate", "worst-window burn rate",
+				locked(l, func() float64 { return e.worstBurn }), slo)
+			scope.CounterFunc("slo_bad_epochs_total", "epochs violating the SLO condition",
+				locked(l, func() uint64 { return e.totalBad }), slo)
+			scope.GaugeFunc("slo_alerting", "1 while every burn window exceeds its threshold",
+				locked(l, func() float64 {
+					if e.alerting {
+						return 1
+					}
+					return 0
+				}), slo)
 		}
 	}
 	f.loops[name] = l
@@ -167,15 +179,8 @@ type Loop struct {
 	mode, health uint8
 	guardband    float64
 
-	// Per-loop scoped instruments (nil when the fleet has no registry).
-	scope      *telemetry.Registry
-	mEpochs    telemetry.Counter
-	mFallback  telemetry.Counter
-	mTrackRMS  telemetry.Gauge
-	mViolation telemetry.Counter
-	mBurn      []telemetry.Gauge
-	mBad       []telemetry.Counter
-	mAlert     []telemetry.Gauge
+	// The loop's telemetry scope (nil when the fleet has no registry).
+	scope *telemetry.Registry
 }
 
 // Name returns the registered loop name.
@@ -188,11 +193,30 @@ func (l *Loop) ID() uint32 { return l.id }
 // apply when the fleet was built without one).
 func (l *Loop) Scope() *telemetry.Registry { return l.scope }
 
+// Epochs returns the number of epochs observed so far. It is safe to
+// call while another goroutine observes: a supervisor attached to the
+// loop reports its own epoch count with it.
+func (l *Loop) Epochs() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.epoch
+}
+
+// locked wraps a read of the loop's state for scrape-time instruments:
+// the read runs under l.mu, as ObserveInto's writes do.
+func locked[T any](l *Loop, read func() T) func() T {
+	return func() T {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return read()
+	}
+}
+
 // rmsAlpha is the EMA coefficient of the tracking-error RMS gauge
 // (~300-epoch window).
 const rmsAlpha = 1.0 / 256
 
-// Observe folds one epoch in — SLO rings, per-loop gauges — and, when
+// Observe folds one epoch in — SLO rings, per-loop counts — and, when
 // a bus is attached, publishes the event. It stamps ev's LoopID, Epoch
 // and FlagTargetChange; the caller fills the rest. Nil-safe (a nil loop
 // ignores the event) so call sites need no events-on check; the whole
@@ -239,20 +263,8 @@ func (l *Loop) ObserveInto(ev *Event) bool {
 
 	l.mode, l.health, l.guardband = ev.Mode, ev.Health, ev.Guardband
 	trackErr := TrackErr(ev)
-	for i, e := range l.slos {
-		bad := e.spec.isBad(ev, l.sinceTargetChange, trackErr)
-		e.observe(bad)
-		if l.mBurn != nil {
-			l.mBurn[i].Set(e.worstBurn)
-			if bad {
-				l.mBad[i].Inc()
-			}
-			if e.alerting {
-				l.mAlert[i].Set(1)
-			} else {
-				l.mAlert[i].Set(0)
-			}
-		}
+	for _, e := range l.slos {
+		e.observe(e.spec.isBad(ev, l.sinceTargetChange, trackErr))
 	}
 
 	// Derived per-loop signals shared by every spec.
@@ -261,19 +273,9 @@ func (l *Loop) ObserveInto(ev *Event) bool {
 	}
 	if above(ev.PowerW, ev.PowerTarget) > 0.15 {
 		l.violationEpochs++
-		if l.mViolation != nil {
-			l.mViolation.Inc()
-		}
 	}
 	if ev.Mode != ModeEngaged {
 		l.fallbackEpochs++
-		if l.mFallback != nil {
-			l.mFallback.Inc()
-		}
-	}
-	if l.mEpochs != nil {
-		l.mEpochs.Inc()
-		l.mTrackRMS.Set(math.Sqrt(l.emaSq))
 	}
 	l.mu.Unlock()
 	return l.fleet.opts.Bus != nil

@@ -19,9 +19,11 @@
 //     gets a telemetry scope (per-loop series under one exposition,
 //     bounded cardinality via the registry's scope LRU) and an SLO
 //     evaluator. The driving harness fills one Event per epoch and
-//     calls Loop.Observe with it; with events and registry both detached
-//     the call reduces to the SLO ring updates — no allocation either
-//     way (gated by TestObserveAllocFree).
+//     calls Loop.Observe with it. The call folds the event into the
+//     loop's state under one uncontended mutex and writes no
+//     instrument: the per-loop series are functions of that state, read
+//     when the registry is scraped. No allocation either way (gated by
+//     TestObserveAllocFree).
 //
 //   - Bus: a lock-free bounded MPSC ring carrying one Event per
 //     observed epoch per loop to a background consumer that fans out to
@@ -33,7 +35,7 @@
 //   - SLO engine: declarative objectives over control-theoretic signals
 //     (tracking error, overshoot, settling, power-budget violation,
 //     fallback ratio) evaluated per loop over multi-window burn rates,
-//     surfaced via /slo and per-loop burn gauges, and folded into
+//     surfaced via /slo and per-loop burn-rate series, and folded into
 //     Fleet.Healthz.
 //
 // A fleet holds no process state: Healthz, Verdict and Report read only

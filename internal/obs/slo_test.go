@@ -163,25 +163,21 @@ func directBad(s Spec, ev *Event, since int) bool {
 }
 
 // TestObserveMatchesDirectEvaluation checks ObserveInto — one TrackErr
-// per epoch shared by every spec and the RMS gauge, and the worst burn
-// recorded by observe — against a shadow that evaluates TrackErr per
-// spec and, with the reference evaluator, recomputes the worst burn
-// over the windows. Every per-loop
-// gauge and counter must agree bit for bit, every epoch.
+// per epoch shared by every spec and the RMS family, and the worst burn
+// recorded by observe — against a fold of the same events (EventFold)
+// that evaluates TrackErr per spec and, with the reference evaluator,
+// recomputes the worst burn over the windows. Every per-loop series of
+// a scrape must agree bit for bit, every epoch.
 func TestObserveMatchesDirectEvaluation(t *testing.T) {
 	specs := append(DefaultSpecs(),
 		Spec{Name: "settling", Signal: SignalSettling, Threshold: 0.1, Grace: 40, Objective: 0.9,
 			Windows: []Window{{Epochs: 64, MaxBurn: 2}, {Epochs: 512, MaxBurn: 1}}},
 		Spec{Name: "overshoot", Signal: SignalOvershoot, Threshold: 0.05, Objective: 0.8,
 			Windows: []Window{{Epochs: 32, MaxBurn: 1.5}}})
-	f := NewFleet(Options{Registry: telemetry.NewRegistry(), Specs: specs})
+	reg := telemetry.NewRegistry()
+	f := NewFleet(Options{Registry: reg, Specs: specs})
 	l := f.Register("direct")
-	shadow := make([]*refSLOEval, len(specs))
-	for i, s := range specs {
-		shadow[i] = newRefSLOEval(s)
-	}
-	var emaSq, prevIPS, prevPow float64
-	since, haveTargets := 0, false
+	fold := NewEventFold(specs)
 	rng := rand.New(rand.NewSource(5))
 	ipsT, powT := 2.5, 2.0
 	for k := 0; k < 6000; k++ {
@@ -201,39 +197,36 @@ func TestObserveMatchesDirectEvaluation(t *testing.T) {
 			ev.IPSTarget = 0
 		}
 		l.Observe(&ev)
+		fold.Add(&ev)
 
-		if !haveTargets || ev.IPSTarget != prevIPS || ev.PowerTarget != prevPow {
-			prevIPS, prevPow, haveTargets, since = ev.IPSTarget, ev.PowerTarget, true, 0
-		} else {
-			since++
-		}
-		for i, e := range shadow {
-			e.observe(directBad(e.spec, &ev, since))
-			worst := 0.0
-			for j, w := range e.spec.Windows {
-				if b := e.burn(j, w); b > worst {
-					worst = b
-				}
+		sc := Scrape(t, reg)
+		for i, spec := range specs {
+			key := func(name string) string { return name + `{loop="direct",slo="` + spec.Name + `"}` }
+			bad, worst, alert := fold.SLO(i)
+			if got := sc.Float(t, key("slo_burn_rate")); math.Float64bits(got) != math.Float64bits(worst) {
+				t.Fatalf("epoch %d %s: burn rate %v, direct %v", k, spec.Name, got, worst)
 			}
-			alert := 0.0
-			if e.alerting {
-				alert = 1
+			if got := sc.Float(t, key("slo_alerting")); math.Float64bits(got) != math.Float64bits(alert) {
+				t.Fatalf("epoch %d %s: alerting %v, direct %v", k, spec.Name, got, alert)
 			}
-			if got := l.mBurn[i].Value(); math.Float64bits(got) != math.Float64bits(worst) {
-				t.Fatalf("epoch %d %s: burn gauge %v, direct %v", k, e.spec.Name, got, worst)
-			}
-			if got := l.mAlert[i].Value(); got != alert {
-				t.Fatalf("epoch %d %s: alerting gauge %v, direct %v", k, e.spec.Name, got, alert)
-			}
-			if got := l.mBad[i].Value(); got != e.totalBad {
-				t.Fatalf("epoch %d %s: bad epochs %d, direct %d", k, e.spec.Name, got, e.totalBad)
+			if got := sc.Uint(t, key("slo_bad_epochs_total")); got != bad {
+				t.Fatalf("epoch %d %s: bad epochs %d, direct %d", k, spec.Name, got, bad)
 			}
 		}
-		if worst := TrackErr(&ev); !math.IsInf(worst, 0) {
-			emaSq += rmsAlpha * (worst*worst - emaSq)
+		if got, want := sc.Float(t, `loop_tracking_error_rms{loop="direct"}`), fold.TrackingRMS(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("epoch %d: tracking RMS %v, direct %v", k, got, want)
 		}
-		if got, want := l.mTrackRMS.Value(), math.Sqrt(emaSq); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("epoch %d: tracking RMS gauge %v, direct %v", k, got, want)
+		for _, c := range []struct {
+			name string
+			want uint64
+		}{
+			{"loop_epochs_total", fold.Epochs},
+			{"loop_fallback_epochs_total", fold.FallbackEpochs},
+			{"loop_power_violation_epochs_total", fold.ViolationEpochs},
+		} {
+			if got := sc.Uint(t, c.name+`{loop="direct"}`); got != c.want {
+				t.Fatalf("epoch %d: %s %d, direct %d", k, c.name, got, c.want)
+			}
 		}
 	}
 }

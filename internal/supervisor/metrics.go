@@ -1,13 +1,19 @@
 package supervisor
 
 import (
+	"mimoctl/internal/obs"
 	"mimoctl/internal/telemetry"
 )
 
-// Telemetry instrumentation for the supervised runtime. The supervisor
-// step is microseconds-scale and its interesting events (mode
-// transitions, sanitization, alarms) are rare, so every hook updates
-// the bound instruments unconditionally — no sampling.
+// Telemetry instrumentation for the supervised runtime. The interesting
+// events (mode transitions, sanitization, alarms) are rare, so every
+// hook updates the bound instruments unconditionally — no sampling.
+// The one per-epoch family, supervisor_epochs_total, is read at scrape
+// time from the fleet loop the supervisor is attached to: every
+// StepEvent return folds its event into the loop (endEpoch →
+// obs.Loop.ObserveInto), so the loop's epoch count is the supervisor's
+// by construction. Only a supervisor bound without a loop counts its
+// epochs write-through.
 //
 // There is no process-wide binding: each supervisor drives only the
 // instruments BindTelemetry gave it, normally its fleet loop's scope,
@@ -18,7 +24,7 @@ import (
 // signal).
 
 type supMetrics struct {
-	epochs         telemetry.Counter
+	epochs         telemetry.Counter // nil when read from the fleet loop
 	mode           telemetry.Gauge
 	toFallback     telemetry.Counter
 	toEngaged      telemetry.Counter
@@ -39,7 +45,9 @@ type supMetrics struct {
 // BindTelemetry binds this supervisor, and its model-health monitor and
 // adapter when attached, to a registry: normally the loop's scope
 // (obs.Loop.Scope), so a fleet of supervisors exposes per-loop series.
-// A nil or disabled registry unbinds all three.
+// A nil or disabled registry unbinds all three. Call it after
+// SetLoopObs: a supervisor attached to a loop when it binds reports
+// supervisor_epochs_total as that loop's epoch count.
 func (s *Supervised) BindTelemetry(reg *telemetry.Registry) {
 	s.opts.ModelHealth.BindTelemetry(reg)
 	if s.adapter != nil {
@@ -49,13 +57,12 @@ func (s *Supervised) BindTelemetry(reg *telemetry.Registry) {
 		s.tel = nil
 		return
 	}
-	s.tel = newSupMetrics(reg)
+	s.tel = newSupMetrics(reg, s.loopObs)
 	s.tel.mode.Set(float64(s.mode))
 }
 
-func newSupMetrics(reg *telemetry.Registry) *supMetrics {
+func newSupMetrics(reg *telemetry.Registry, loop *obs.Loop) *supMetrics {
 	m := &supMetrics{
-		epochs:         reg.Counter("supervisor_epochs_total", "supervised steps executed"),
 		mode:           reg.Gauge("supervisor_mode", "current mode (0 engaged, 1 fallback)"),
 		toFallback:     reg.Counter("supervisor_mode_transitions_total", "mode transitions", telemetry.L("to", "fallback")),
 		toEngaged:      reg.Counter("supervisor_mode_transitions_total", "mode transitions", telemetry.L("to", "engaged")),
@@ -71,6 +78,12 @@ func newSupMetrics(reg *telemetry.Registry) *supMetrics {
 		illegalConfigs:    reg.Counter("supervisor_illegal_configs_total", "inner-controller outputs that failed validation"),
 		applyFailures:     reg.Counter("supervisor_apply_failures_total", "failed Apply attempts reported by the harness"),
 		applyRetries:      reg.Counter("supervisor_apply_retries_total", "re-issued actuation requests"),
+	}
+	const epochsName, epochsHelp = "supervisor_epochs_total", "supervised steps executed"
+	if loop != nil {
+		reg.CounterFunc(epochsName, epochsHelp, loop.Epochs)
+	} else {
+		m.epochs = reg.Counter(epochsName, epochsHelp)
 	}
 	return m
 }

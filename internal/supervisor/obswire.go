@@ -14,7 +14,8 @@ import (
 // ObserveInto and the bus publish.
 
 // SetLoopObs attaches (or, with nil, detaches) the fleet observability
-// handle for this supervisor's loop.
+// handle for this supervisor's loop. Attach before BindTelemetry, which
+// reads supervisor_epochs_total from the loop attached when it binds.
 func (s *Supervised) SetLoopObs(l *obs.Loop) { s.loopObs = l }
 
 // LoopObs returns the attached fleet loop handle (nil when detached).

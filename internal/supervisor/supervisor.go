@@ -450,7 +450,7 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool) {
 	m := s.tel
 	s.health.Epochs++
-	if m != nil {
+	if m != nil && m.epochs != nil {
 		m.epochs.Inc()
 	}
 	ipsOK, powerOK := s.sanitize(&t, m)

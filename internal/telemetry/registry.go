@@ -298,8 +298,10 @@ func (r *Registry) Gauge(name, help string, labels ...Label) Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time by
-// fn. The function must be safe to call from the scrape goroutine; use
-// it only over immutable or atomically read state.
+// fn, for state its owner already keeps: the owner's hot path then
+// writes no instrument. fn must be safe to call from the scrape
+// goroutine. It may read atomics, or take the lock under which the
+// owner updates that state: rendering runs outside the registry lock.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if !r.Enabled() {
 		return
@@ -308,15 +310,16 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 }
 
 // CounterFunc registers a counter whose cumulative value is read at
-// scrape time by fn — for mirroring counters maintained elsewhere
-// (e.g. the obs bus's atomic drop count) without a write-through
-// instrument. fn must be monotonic and safe to call from the scrape
-// goroutine.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+// scrape time by fn — for counts maintained elsewhere (the obs bus's
+// atomic drop count, a fleet loop's epoch count) without a write-through
+// instrument. The value renders as an integer, exactly as a Counter at
+// the same count does. fn must be monotonic and, as for GaugeFunc, safe
+// to call from the scrape goroutine; it may lock the state's owner.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	if !r.Enabled() {
 		return
 	}
-	r.register(name, help, "counter", labels, funcGauge(fn))
+	r.register(name, help, "counter", labels, funcCounter(fn))
 }
 
 // Histogram registers (or fetches) a histogram with the given inclusive
@@ -501,6 +504,12 @@ type funcGauge func() float64
 
 func (f funcGauge) render(sb *strings.Builder, name, labels string) {
 	writeSample(sb, name, labels, formatFloat(f()))
+}
+
+type funcCounter func() uint64
+
+func (f funcCounter) render(sb *strings.Builder, name, labels string) {
+	writeSample(sb, name, labels, formatUint(f()))
 }
 
 // atomicAddFloat adds delta to a float64 stored as bits, lock-free.

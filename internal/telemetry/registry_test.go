@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -143,6 +144,39 @@ func TestWritePrometheusFormat(t *testing.T) {
 		if !strings.Contains(out, want+"\n") {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCounterFuncRendersLikeCounter: a count read at scrape time renders
+// exactly as a write-through counter at the same count does, past 1e6
+// where a float rendering turns to exponent form (3.84e+06).
+func TestCounterFuncRendersLikeCounter(t *testing.T) {
+	const n = 3_840_000
+	r := NewRegistry()
+	r.Scope(L("via", "counter")).Counter("epochs_total", "epochs").Add(n)
+	r.Scope(L("via", "func")).CounterFunc("epochs_total", "epochs", func() uint64 { return n })
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		`epochs_total{via="counter"} 3840000`,
+		`epochs_total{via="func"} 3840000`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	// The rollup view sums both kinds.
+	sb.Reset()
+	if err := r.WritePrometheusRollup(&sb, "via"); err != nil {
+		t.Fatal(err)
+	}
+	_, v, _ := strings.Cut(sb.String(), "\nepochs_total ")
+	v, _, _ = strings.Cut(v, "\n")
+	if sum, err := strconv.ParseFloat(v, 64); err != nil || sum != 2*n {
+		t.Fatalf("rollup sum %q, want %d:\n%s", v, 2*n, sb.String())
 	}
 }
 

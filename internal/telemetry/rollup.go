@@ -153,6 +153,8 @@ func scalarValue(inst renderable) float64 {
 		return v.Value()
 	case funcGauge:
 		return v()
+	case funcCounter:
+		return float64(v())
 	}
 	return math.NaN()
 }

@@ -18,9 +18,15 @@ floor="${FLOOR:-78.0}"
 profile="${PROFILE:-coverage.out}"
 baseline="scripts/coverage_baseline.txt"
 
+# The run's log goes to a private temporary file, removed on exit, so
+# concurrent runs do not overwrite each other's and none is left behind.
+log=$(mktemp "${TMPDIR:-/tmp}/coverage_run.XXXXXX")
+trap 'rm -f "$log"' EXIT
+trap 'exit 1' HUP INT TERM
+
 echo "== go test -coverprofile $profile ./..."
-go test -coverprofile "$profile" ./... > /tmp/coverage_run.txt 2>&1 || {
-    cat /tmp/coverage_run.txt
+go test -coverprofile "$profile" ./... > "$log" 2>&1 || {
+    cat "$log"
     exit 1
 }
 
@@ -28,7 +34,7 @@ go test -coverprofile "$profile" ./... > /tmp/coverage_run.txt 2>&1 || {
 current=$(awk '/^ok / && /coverage:/ {
     for (i = 1; i <= NF; i++)
         if ($i == "coverage:" && $(i+1) ~ /%$/) { gsub("%", "", $(i+1)); print $2, $(i+1) }
-}' /tmp/coverage_run.txt | sort)
+}' "$log" | sort)
 
 if [ "${UPDATE:-0}" = "1" ]; then
     printf '%s\n' "$current" > "$baseline"
