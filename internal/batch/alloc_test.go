@@ -69,7 +69,7 @@ func requireFleetAllocFree(t *testing.T, e *SupEngine, tels []sim.Telemetry, out
 	}); avg != 0 {
 		t.Fatalf("StepAll allocates %.1f objects per fleet epoch, want 0", avg)
 	}
-	for i := 0; i < e.Len(); i++ {
+	for i := 0; i < len(e.loops); i++ {
 		if e.Parked(i) {
 			t.Fatalf("loop %d left the nominal path during the alloc run", i)
 		}

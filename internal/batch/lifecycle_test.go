@@ -36,8 +36,8 @@ func TestBatchLaneLifecycle(t *testing.T) {
 			p := newPairing(t, tc.loops, func(i int) (*supervisor.Supervised, *supervisor.Supervised) {
 				return twin(t, i%2 == 0, 1+rng.Float64()*3, 1+rng.Float64()*10)
 			})
-			if p.e.Len() != tc.loops {
-				t.Fatalf("Len=%d, want %d", p.e.Len(), tc.loops)
+			if len(p.e.loops) != tc.loops {
+				t.Fatalf("Len=%d, want %d", len(p.e.loops), tc.loops)
 			}
 			if tc.loops == 0 {
 				// StepAll on an empty engine is a no-op, not an error.
@@ -59,8 +59,8 @@ func TestBatchLaneLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if id != tc.loops || p.e.Len() != tc.loops+1 {
-				t.Fatalf("mid-run Add: id %d, Len %d; want %d, %d", id, p.e.Len(), tc.loops, tc.loops+1)
+			if id != tc.loops || len(p.e.loops) != tc.loops+1 {
+				t.Fatalf("mid-run Add: id %d, Len %d; want %d, %d", id, len(p.e.loops), tc.loops, tc.loops+1)
 			}
 			p.tels = append(p.tels, sim.Telemetry{})
 			p.out = append(p.out, sim.Config{})
@@ -135,8 +135,8 @@ func TestBatchAddRejections(t *testing.T) {
 		if _, err := e.Add(s); err == nil {
 			t.Fatal("a loop already in the fleet accepted again")
 		}
-		if e.Len() != 1 {
-			t.Fatalf("Len=%d after a refused Add, want 1", e.Len())
+		if len(e.loops) != 1 {
+			t.Fatalf("Len=%d after a refused Add, want 1", len(e.loops))
 		}
 	})
 }

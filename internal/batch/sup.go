@@ -27,9 +27,6 @@ type SupEngine struct {
 // NewSupervised returns an empty engine.
 func NewSupervised() *SupEngine { return &SupEngine{} }
 
-// Len returns the number of loops.
-func (e *SupEngine) Len() int { return len(e.loops) }
-
 // Add appends a loop to the fleet and returns its id: 0 for the first
 // loop, then 1, 2, …. Any supervised loop can join, whatever its inner
 // controller, adapter or flight recorder. The engine steps the loop in

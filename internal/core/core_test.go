@@ -113,7 +113,7 @@ func designTestController(t *testing.T, threeInput bool) (*MIMOController, *Desi
 
 func TestDesignMIMOProducesCertifiedController(t *testing.T) {
 	ctrl, rep := designTestController(t, false)
-	if ctrl.ThreeInput() {
+	if ctrl.threeInput {
 		t.Fatal("expected 2-input controller")
 	}
 	if rep.Model.SS.Order() != 4 {
@@ -186,7 +186,7 @@ func TestMIMOControllerInterface(t *testing.T) {
 	if ctrl.Name() != "MIMO" {
 		t.Fatal("name")
 	}
-	if ctrl.LQG() == nil || ctrl.Offsets().U0 == nil {
+	if lq, off := ctrl.CurrentDesign(); lq == nil || off.U0 == nil {
 		t.Fatal("accessors")
 	}
 }
@@ -284,7 +284,7 @@ func TestOptimizerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.K() != 3 || opt.Name() != "ideal+opt" {
+	if opt.k != 3 || opt.Name() != "ideal+opt" {
 		t.Fatal("accessors")
 	}
 }

@@ -37,8 +37,8 @@ type ctrlMetrics struct {
 	feedbackErrors telemetry.Counter
 }
 
-// BindTelemetry binds this controller to a registry. A nil or disabled
-// registry (telemetry.Nop()) unbinds it; a Clone starts unbound.
+// BindTelemetry binds this controller to a registry. A nil registry
+// unbinds it; a Clone starts unbound.
 func (c *MIMOController) BindTelemetry(reg *telemetry.Registry) {
 	if !reg.Enabled() {
 		c.tel = nil

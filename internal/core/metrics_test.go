@@ -11,7 +11,7 @@ import (
 // TestBindTelemetryPerInstance: a controller drives only the registry
 // it is bound to. Two clones on two registries count exactly their own
 // steps and target changes, an unbound clone counts nowhere, a clone of
-// a bound controller starts unbound, and telemetry.Nop() unbinds.
+// a bound controller starts unbound, and nil unbinds.
 func TestBindTelemetryPerInstance(t *testing.T) {
 	t.Parallel()
 	proto, _ := designTestController(t, false)
@@ -62,9 +62,9 @@ func TestBindTelemetryPerInstance(t *testing.T) {
 	}
 
 	drive(a.Clone(), 10)
-	a.BindTelemetry(telemetry.Nop())
+	a.BindTelemetry(nil)
 	drive(a, 10)
 	if got := counts(regA)[0]; got != 40 {
-		t.Errorf("registry A counts %d steps after a clone ran and Nop unbound it, want 40", got)
+		t.Errorf("registry A counts %d steps after a clone ran and nil unbound it, want 40", got)
 	}
 }

@@ -98,15 +98,6 @@ func NewMIMOController(lq *lqg.Controller, off sysid.Offsets, threeInput bool) (
 // Name implements ArchController.
 func (c *MIMOController) Name() string { return "MIMO" }
 
-// ThreeInput reports whether the ROB knob is controlled.
-func (c *MIMOController) ThreeInput() bool { return c.threeInput }
-
-// LQG exposes the inner controller (for analysis and tests).
-func (c *MIMOController) LQG() *lqg.Controller { return c.lq }
-
-// Offsets returns the identification operating point.
-func (c *MIMOController) Offsets() sysid.Offsets { return c.off }
-
 // Health returns the absorbed-error counters since the last Reset.
 func (c *MIMOController) Health() Health { return c.health }
 
@@ -125,9 +116,6 @@ func (c *MIMOController) LastInnovationInto(dst []float64) []float64 {
 // SetFlightRecorder attaches (or, with nil, detaches) a flight recorder
 // that receives one record per Step. Implements flightrec.Recordable.
 func (c *MIMOController) SetFlightRecorder(r *flightrec.Recorder) { c.fr = r }
-
-// FlightRecorder returns the attached recorder (nil when detached).
-func (c *MIMOController) FlightRecorder() *flightrec.Recorder { return c.fr }
 
 // TrySetTargets validates and updates the output references, reporting
 // why a reference was rejected. Rejected targets leave the previous

@@ -40,9 +40,6 @@ func (s *StaticController) Step(sim.Telemetry) sim.Config { return s.cfg }
 // Reset implements ArchController.
 func (s *StaticController) Reset() {}
 
-// Config returns the pinned configuration.
-func (s *StaticController) Config() sim.Config { return s.cfg }
-
 // staticSettleEpochs are run at each configuration before its totals
 // are measured, so the actuation transients do not count.
 const staticSettleEpochs = 20

@@ -150,7 +150,7 @@ func TestStaticControllerAndSearch(t *testing.T) {
 	if i, p := s.Targets(); i != 1 || p != 1 {
 		t.Fatal("targets")
 	}
-	if s.Name() != "Baseline" || s.Config() != cfg {
+	if s.Name() != "Baseline" || s.cfg != cfg {
 		t.Fatal("accessors")
 	}
 	if _, err := NewStaticController(sim.Config{FreqIdx: 99}); err == nil {

@@ -109,16 +109,6 @@ func Ablation(seed int64, epochs int) (*AblationResult, error) {
 	return res, nil
 }
 
-// Get returns the row for a variant (empty row if absent).
-func (r *AblationResult) Get(variant string) AblationRow {
-	for _, row := range r.Rows {
-		if row.Variant == variant {
-			return row
-		}
-	}
-	return AblationRow{}
-}
-
 // WriteText renders the table.
 func (r *AblationResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Ablations: responsive-set tracking errors (%d epochs, targets 2.5 BIPS / 2 W)\n", r.Epochs)

@@ -280,16 +280,6 @@ func driveFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed 
 	return row, nil
 }
 
-// Row returns the sweep cell for (class, arch), or nil.
-func (r *FaultSweepResult) Row(class, arch string) *FaultRow {
-	for i := range r.Rows {
-		if r.Rows[i].Class == class && r.Rows[i].Arch == arch {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // WriteText renders the sweep grouped by fault class.
 func (r *FaultSweepResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Fault sweep on %s (%d epochs; fault window epochs %d-%d; recovery measured from epoch %d)\n",

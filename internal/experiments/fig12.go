@@ -138,16 +138,6 @@ func fig12Run(ctrl core.ArchController, w sim.Workload, seed int64, epochs, samp
 	return trace, nil
 }
 
-// MeanErr returns the mean tracking error for (workload, arch).
-func (r *Fig12Result) MeanErr(workload, arch string) float64 {
-	for _, t := range r.Traces {
-		if t.Workload == workload && t.Arch == arch {
-			return t.MeanAbsErrPct
-		}
-	}
-	return 0
-}
-
 // WriteText renders the sampled series and summary errors.
 func (r *Fig12Result) WriteText(w io.Writer) {
 	fmt.Fprintln(w, "Figure 12: time-varying tracking (battery/QoE reference schedule, 1 J, steps every 2000 epochs)")

@@ -71,9 +71,9 @@ func TestRingAndBusAgreePerLoopEpoch(t *testing.T) {
 	if _, dropped, _ := bus.Stats(); dropped != 0 {
 		t.Fatalf("bus dropped %d events", dropped)
 	}
-	if ring.Seq() != epochs || len(recs) != epochs || len(sink.evs) != epochs || rep.Rows[0].Epochs != epochs {
+	if ring.Meta().Epochs != epochs || len(recs) != epochs || len(sink.evs) != epochs || rep.Rows[0].Epochs != epochs {
 		t.Fatalf("ring seq %d (%d held), bus events %d, /slo epochs %d; want %d each",
-			ring.Seq(), len(recs), len(sink.evs), rep.Rows[0].Epochs, epochs)
+			ring.Meta().Epochs, len(recs), len(sink.evs), rep.Rows[0].Epochs, epochs)
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	fallbacks := 0

@@ -88,12 +88,6 @@ func getRecord(b []byte) obs.Event {
 	return r
 }
 
-// WriteBinary dumps the recorder (meta + chronological ring snapshot)
-// in the binary format.
-func (r *Recorder) WriteBinary(w io.Writer) error {
-	return writeBinary(w, r.Meta(), r.Snapshot())
-}
-
 func writeBinary(w io.Writer, meta Meta, recs []obs.Event) error {
 	meta.Version = FormatVersion
 	metaJSON, err := json.Marshal(meta)
@@ -192,12 +186,6 @@ func ReadBinary(r io.Reader) (Meta, []obs.Event, error) {
 // jsonlHeader is the first line of a JSONL dump.
 type jsonlHeader struct {
 	Meta Meta `json:"flightrec"`
-}
-
-// WriteJSONL dumps the recorder as a meta header line followed by one
-// record object per line.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	return writeJSONL(w, r.Meta(), r.Snapshot())
 }
 
 func writeJSONL(w io.Writer, meta Meta, recs []obs.Event) error {

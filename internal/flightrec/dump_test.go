@@ -115,10 +115,10 @@ func FuzzReadDump(f *testing.F) {
 		r.Append(rec(i))
 	}
 	var bin, jl bytes.Buffer
-	if err := r.WriteBinary(&bin); err != nil {
+	if err := writeBinary(&bin, r.Meta(), r.Snapshot()); err != nil {
 		f.Fatal(err)
 	}
-	if err := r.WriteJSONL(&jl); err != nil {
+	if err := writeJSONL(&jl, r.Meta(), r.Snapshot()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bin.Bytes())

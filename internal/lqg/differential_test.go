@@ -58,8 +58,9 @@ func paperDesign(t testing.TB, threeInput bool) *lqg.Controller {
 	if err != nil {
 		t.Fatalf("DesignMIMO: %v", err)
 	}
-	paperDesigns.ctrl[threeInput] = mc.LQG()
-	return mc.LQG()
+	lq, _ := mc.CurrentDesign()
+	paperDesigns.ctrl[threeInput] = lq
+	return lq
 }
 
 // shape is one random controller structure.

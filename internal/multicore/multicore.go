@@ -113,12 +113,6 @@ func New(cores []*Core, budgetW float64, policy Policy) (*Chip, error) {
 	return chip, nil
 }
 
-// Budget returns the chip power budget.
-func (c *Chip) Budget() float64 { return c.budgetW }
-
-// Policy returns the active division policy.
-func (c *Chip) Policy() Policy { return c.policy }
-
 // Step advances every core one epoch, reallocating the budget on the
 // chip agent's period.
 func (c *Chip) Step() (ChipTelemetry, error) {

@@ -268,8 +268,9 @@ func TestHealthzFleetsIndependent(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			f := NewFleet(Options{Bus: NewBus(64)})
-			defer f.Bus().Close()
+			bus := NewBus(64)
+			f := NewFleet(Options{Bus: bus})
+			defer bus.Close()
 			var wg sync.WaitGroup
 			for i := 0; i < 4; i++ {
 				l := f.Register(fmt.Sprintf("%s/%d", tc.name, i))

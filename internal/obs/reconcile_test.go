@@ -269,7 +269,7 @@ func TestScrapeWhileStepping(t *testing.T) {
 	for k := 0; (k < epochs || scrapes.Load() < 3) && !quit.Load(); k++ {
 		r.step(t)
 	}
-	stepped := r.fleet.Loop("loop-00").Epochs()
+	stepped := r.fleet.Register("loop-00").Epochs() // Register returns the registered loop
 	stop()
 
 	sc := obs.Scrape(t, r.reg)

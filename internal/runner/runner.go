@@ -4,14 +4,13 @@
 //
 // The determinism contract is structural, not scheduled: a Job must be
 // self-contained (own controller clone, own processor, own RNG seeded
-// from the job's identity — see JobSeed) and must write only to its own
+// from the job's fixed inputs) and must write only to its own
 // pre-assigned result slot. Under that contract the worker count can
 // never change a result, only the wall-clock time, so serial (workers
 // <= 0) and parallel runs produce byte-identical experiment output.
 package runner
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -57,8 +56,7 @@ func DefaultWorkers() int { return runtime.NumCPU() }
 
 // Run executes every job of the plan and returns the failure with the
 // lowest canonical index, or nil. reg, when enabled, receives the
-// plan's runner_* instruments; nil or telemetry.Nop() runs it
-// uninstrumented.
+// plan's runner_* instruments; nil runs it uninstrumented.
 //
 // workers <= 0 runs the plan serially on the calling goroutine, in
 // order, stopping at the first error — the reference semantics.
@@ -164,30 +162,4 @@ func runPool(jobs []Job, workers int, m *metrics) error {
 		return firstErr
 	}
 	return nil
-}
-
-// JobSeed derives a stable per-job RNG seed from the job's identity —
-// the experiment, architecture, workload names and the experiment's
-// base seed — via 64-bit FNV-1a. The seed is a pure function of what
-// the job *is*, never of worker count or scheduling order, which is
-// what keeps parallel sweeps reproducible. New experiments should
-// derive per-job randomness through this (the pre-engine figures keep
-// their historical seed+offset derivations so their published numbers
-// stand).
-func JobSeed(experiment, arch, workload string, seed int64) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(experiment))
-	h.Write([]byte{0})
-	h.Write([]byte(arch))
-	h.Write([]byte{0})
-	h.Write([]byte(workload))
-	h.Write([]byte{0})
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
-	}
-	h.Write(b[:])
-	// Keep the seed non-negative: rand.NewSource accepts any int64 but
-	// non-negative seeds read better in logs and flags.
-	return int64(h.Sum64() &^ (1 << 63))
 }

@@ -215,37 +215,6 @@ func splitLines(s string) []string {
 	return out
 }
 
-// TestJobSeedStable: the per-job seed is a pure function of identity,
-// distinct across jobs, and never negative.
-func TestJobSeedStable(t *testing.T) {
-	a := JobSeed("fig11", "MIMO", "astar", 2016)
-	if b := JobSeed("fig11", "MIMO", "astar", 2016); b != a {
-		t.Fatalf("unstable: %d vs %d", a, b)
-	}
-	if a < 0 {
-		t.Fatalf("negative seed %d", a)
-	}
-	seen := map[int64]string{}
-	for _, exp := range []string{"fig11", "fig12"} {
-		for _, arch := range []string{"MIMO", "Heuristic", "Decoupled"} {
-			for _, wl := range []string{"astar", "milc", "namd"} {
-				for _, s := range []int64{0, 1, 2016, -7} {
-					id := fmt.Sprintf("%s/%s/%s/%d", exp, arch, wl, s)
-					k := JobSeed(exp, arch, wl, s)
-					if prev, dup := seen[k]; dup {
-						t.Fatalf("seed collision: %s and %s -> %d", prev, id, k)
-					}
-					seen[k] = id
-				}
-			}
-		}
-	}
-	// Field boundaries matter: ("ab","c") must differ from ("a","bc").
-	if JobSeed("ab", "c", "w", 1) == JobSeed("a", "bc", "w", 1) {
-		t.Fatal("field boundary collision")
-	}
-}
-
 // BenchmarkRunnerWallClock demonstrates the engine's wall-clock win on
 // latency-bound jobs, which shows even on a single CPU (the workers
 // overlap job wait time; CPU-bound speedup additionally needs real

@@ -46,19 +46,6 @@ type PerfResult struct {
 	L1MPKI, L2MPKI float64
 }
 
-// EvalPerf runs the interval model for one epoch.
-//
-// warmL1/warmL2 are additional transient misses per kilo-instruction due
-// to recent cache resizes; dvfsStallFrac is the fraction of the epoch
-// lost to a DVFS transition. It tabulates the response surface for p
-// on every call; a Processor keeps one per phase instead.
-func EvalPerf(p PhaseParams, cfg Config, warmL1, warmL2, dvfsStallFrac float64) (r PerfResult) {
-	var s surface
-	s.refresh(&p)
-	s.perfInto(&r, &p, cfg, warmL1, warmL2, dvfsStallFrac)
-	return r
-}
-
 // perfInto writes the interval model at cfg into dst, for the phase s
 // was last refreshed with; p supplies the per-epoch (AR-scaled) ILP and
 // the fields the surface does not tabulate. dst is filled field by

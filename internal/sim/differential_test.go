@@ -26,7 +26,7 @@ func allConfigs() []sim.Config {
 // phase refreshed for it and then reused, against the reference.
 func TestSurfaceMatchesReference(t *testing.T) {
 	for _, prof := range workloads.All() {
-		for id, ph := range prof.Phases() {
+		for id, ph := range prof.Phases {
 			var s sim.Surface
 			stage := fmt.Sprintf("%s phase %d", prof.Name(), id)
 			sim.CheckSurface(t, stage, &s, ph.Params, 0, 0, 0, 50)
@@ -50,7 +50,7 @@ const walkEvery = 3
 // first phase.
 func walkEpochs(prof *workloads.Profile, nCfg int) int {
 	cycle := 0
-	for _, ph := range prof.Phases() {
+	for _, ph := range prof.Phases {
 		cycle += ph.DurationEpochs
 	}
 	return max(cycle+1, nCfg*walkEvery)
@@ -91,9 +91,9 @@ func TestProcessorMatchesReference(t *testing.T) {
 			}
 			phases[a.PhaseID] = true
 		}
-		if len(visited) != len(cfgs) || len(phases) != len(prof.Phases()) {
+		if len(visited) != len(cfgs) || len(phases) != len(prof.Phases) {
 			t.Fatalf("%s: walk visited %d/%d configs and %d/%d phases", prof.Name(),
-				len(visited), len(cfgs), len(phases), len(prof.Phases()))
+				len(visited), len(cfgs), len(phases), len(prof.Phases))
 		}
 		ge, gi, gs := got.Totals()
 		re, ri, rs := ref.Totals()
@@ -112,7 +112,7 @@ func TestTraceProcessorMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	newTP := func() *sim.TraceProcessor {
-		tp, err := sim.NewTraceProcessor(prof, sim.DefaultProcessorOptions(), 11)
+		tp, err := sim.NewTraceProcessor(tracedProfile{prof}, sim.DefaultProcessorOptions(), 11)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,25 +48,6 @@ const (
 	FaultInf
 )
 
-// String names the fault kind for reports.
-func (k SensorFaultKind) String() string {
-	switch k {
-	case FaultDropout:
-		return "dropout"
-	case FaultFreeze:
-		return "freeze"
-	case FaultSpike:
-		return "spike"
-	case FaultDrift:
-		return "drift"
-	case FaultNaN:
-		return "nan"
-	case FaultInf:
-		return "inf"
-	}
-	return fmt.Sprintf("sensor(%d)", int(k))
-}
-
 // SensorFault describes one sensor failure scenario. The fault is active
 // on epochs From <= k < Until (Until <= 0 means open-ended); within the
 // window it fires every epoch unless thinned by Every (fire only when
@@ -103,19 +84,6 @@ const (
 	// epochs before it lands (a slow actuation queue).
 	ActDelay
 )
-
-// String names the fault kind for reports.
-func (k ActuatorFaultKind) String() string {
-	switch k {
-	case ActStuck:
-		return "stuck"
-	case ActError:
-		return "apply-error"
-	case ActDelay:
-		return "delay"
-	}
-	return fmt.Sprintf("actuator(%d)", int(k))
-}
 
 // Knob selects which actuator a fault affects.
 type Knob int
@@ -165,17 +133,6 @@ const (
 	// a dynamics change no static gain correction can absorb.
 	PlantLagDrift
 )
-
-// String names the fault kind for reports.
-func (k PlantFaultKind) String() string {
-	switch k {
-	case PlantGainDrift:
-		return "gain-drift"
-	case PlantLagDrift:
-		return "lag-drift"
-	}
-	return fmt.Sprintf("plant(%d)", int(k))
-}
 
 // PlantFault describes one plant degradation scenario. The drift
 // advances on epochs From <= k < Until and the accumulated degradation
@@ -306,14 +263,8 @@ func (f *FaultInjector) AddPlantFault(pf PlantFault) *FaultInjector {
 	return f
 }
 
-// Processor exposes the wrapped plant (for totals and evaluation).
-func (f *FaultInjector) Processor() *Processor { return f.proc }
-
 // Counts reports the injection tallies so far.
 func (f *FaultInjector) Counts() FaultCounts { return f.counts }
-
-// Epoch returns the injector's epoch counter (epochs stepped through it).
-func (f *FaultInjector) Epoch() int { return f.epoch }
 
 // active reports whether a fault window fires on epoch k, consuming a
 // random draw when the fault is probabilistic.

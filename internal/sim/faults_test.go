@@ -169,8 +169,8 @@ func TestFaultInjectorActuatorError(t *testing.T) {
 		t.Fatalf("want ActuatorError, got %v", err)
 	}
 	// The failed apply must not have changed the plant.
-	if inj.Processor().Config() != cfg {
-		t.Fatalf("failed apply changed plant config to %v", inj.Processor().Config())
+	if inj.proc.Config() != cfg {
+		t.Fatalf("failed apply changed plant config to %v", inj.proc.Config())
 	}
 	inj.Step()
 	inj.Step()
@@ -185,7 +185,7 @@ func TestFaultInjectorActuatorError(t *testing.T) {
 func TestFaultInjectorStuckKnob(t *testing.T) {
 	inj := NewFaultInjector(faultTestProc(t), 1).
 		AddActuatorFault(ActuatorFault{Kind: ActStuck, Knob: KnobFreq})
-	start := inj.Processor().Config()
+	start := inj.proc.Config()
 	want := start
 	want.CacheIdx = (start.CacheIdx + 1) % len(CacheSettings)
 	req := want
@@ -193,7 +193,7 @@ func TestFaultInjectorStuckKnob(t *testing.T) {
 	if err := inj.Apply(req); err != nil {
 		t.Fatal(err)
 	}
-	got := inj.Processor().Config()
+	got := inj.proc.Config()
 	if got.FreqIdx != start.FreqIdx {
 		t.Fatalf("stuck frequency moved: %v", got)
 	}
@@ -208,23 +208,23 @@ func TestFaultInjectorStuckKnob(t *testing.T) {
 func TestFaultInjectorDelayedActuation(t *testing.T) {
 	inj := NewFaultInjector(faultTestProc(t), 1).
 		AddActuatorFault(ActuatorFault{Kind: ActDelay, DelayEpochs: 2})
-	start := inj.Processor().Config()
+	start := inj.proc.Config()
 	req := start
 	req.FreqIdx = start.FreqIdx + 1
 	if err := inj.Apply(req); err != nil {
 		t.Fatal(err)
 	}
 	inj.Step() // epoch 0: not yet landed
-	if inj.Processor().Config() != start {
+	if inj.proc.Config() != start {
 		t.Fatal("delayed config landed immediately")
 	}
 	inj.Step() // epoch 1: still pending
-	if inj.Processor().Config() != start {
+	if inj.proc.Config() != start {
 		t.Fatal("delayed config landed one epoch early")
 	}
 	inj.Step() // epoch 2: due
-	if inj.Processor().Config() != req {
-		t.Fatalf("delayed config never landed: %v", inj.Processor().Config())
+	if inj.proc.Config() != req {
+		t.Fatalf("delayed config never landed: %v", inj.proc.Config())
 	}
 	if inj.Counts().DelayedApplies != 1 {
 		t.Fatalf("delayed applies %d", inj.Counts().DelayedApplies)
@@ -281,7 +281,7 @@ func TestPlantLagDriftSlowsResponse(t *testing.T) {
 			inj.Step()
 		}
 		// Step change in frequency; record the response.
-		cfg := inj.Processor().Config()
+		cfg := inj.proc.Config()
 		cfg.FreqIdx = 15
 		if err := inj.Apply(cfg); err != nil {
 			t.Fatal(err)

@@ -36,16 +36,17 @@ type procMetrics struct {
 	robResizes      telemetry.Counter
 	applyInvalid    telemetry.Counter
 
-	// Trace-driven hierarchy (per-level hit/miss), fed by TraceProcessor.
+	// Trace-driven hierarchy (per-level hit/miss), fed only by the
+	// test-side TraceProcessor.
 	l1Accesses telemetry.Counter
 	l1Misses   telemetry.Counter
 	l2Accesses telemetry.Counter
 	l2Misses   telemetry.Counter
 }
 
-// BindTelemetry binds this processor to a registry. A nil or disabled
-// registry (telemetry.Nop()) unbinds it. The energy and instruction
-// counters count from the binding on.
+// BindTelemetry binds this processor to a registry. A nil registry
+// unbinds it. The energy and instruction counters count from the
+// binding on.
 func (p *Processor) BindTelemetry(reg *telemetry.Registry) {
 	if !reg.Enabled() {
 		p.met = nil
@@ -54,10 +55,6 @@ func (p *Processor) BindTelemetry(reg *telemetry.Registry) {
 	p.met = newProcMetrics(reg)
 	p.metEnergy0, p.metInstr0 = p.totalEnergyJ, p.totalInstr
 }
-
-// BindTelemetry binds the trace-driven processor, its per-level cache
-// counters included, under the rules of Processor.BindTelemetry.
-func (p *TraceProcessor) BindTelemetry(reg *telemetry.Registry) { p.inner.BindTelemetry(reg) }
 
 func newProcMetrics(reg *telemetry.Registry) *procMetrics {
 	stepBuckets := telemetry.ExponentialBuckets(50e-9, 2, 14) // 50 ns .. ~400 µs

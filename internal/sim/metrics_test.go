@@ -9,7 +9,7 @@ import (
 
 // TestBindTelemetryPerInstance: a processor drives only the registry it
 // is bound to. Two processors on two registries count exactly their own
-// epochs and actuations, an unbound one counts nowhere, telemetry.Nop()
+// epochs and actuations, an unbound one counts nowhere, nil
 // unbinds, the cumulative counters count from the binding on, and a
 // trace-driven processor reports its per-level cache traffic.
 func TestBindTelemetryPerInstance(t *testing.T) {
@@ -55,10 +55,10 @@ func TestBindTelemetryPerInstance(t *testing.T) {
 		t.Errorf("registry B (epochs, dvfs, invalid) = %v, want %v", got, want)
 	}
 
-	a.BindTelemetry(telemetry.Nop())
+	a.BindTelemetry(nil)
 	stepN(a, 10)
 	if got := regA.Counter("sim_epochs_total", "").Value(); got != 100 {
-		t.Errorf("registry A counts %d epochs after Nop unbound it, want 100", got)
+		t.Errorf("registry A counts %d epochs after nil unbound it, want 100", got)
 	}
 
 	// Bound at epoch 10, flushed on the sampled epoch 64.

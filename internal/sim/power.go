@@ -53,14 +53,6 @@ type PowerResult struct {
 	EnergyJ float64
 }
 
-// EvalPower computes epoch power from the performance result and
-// configuration. tempC is the current die temperature (for leakage);
-// activity scales dynamic energy.
-func EvalPower(p PhaseParams, cfg Config, perf PerfResult, tempC, activity float64) (r PowerResult) {
-	powerInto(&r, &p, cfg, &perf, tempC, activity)
-	return r
-}
-
 // powerInto writes the power model into dst, reading the voltage and
 // the window energy scaling of cfg's levels from the package tables.
 func powerInto(dst *PowerResult, p *PhaseParams, cfg Config, perf *PerfResult, tempC, activity float64) {

@@ -19,8 +19,18 @@ var grids = []struct {
 	g    *knobGrid
 }{{"freq", &freqGrid}, {"cache", &cacheGrid}, {"rob", &robGrid}}
 
-// scanConfig is NearestConfigHysteresis computed by the full scan
-// alone, the implementation the windowed path replaced.
+// knobConfig quantizes each knob through its own entry point, as the
+// controllers do.
+func knobConfig(freqGHz, l2Ways, robEntries float64, cur Config, margin float64) Config {
+	return Config{
+		FreqIdx:  FreqIndexHysteresis(freqGHz, cur.FreqIdx, margin),
+		CacheIdx: CacheIndexHysteresis(l2Ways, cur.CacheIdx, margin),
+		ROBIdx:   ROBIndexHysteresis(robEntries, cur.ROBIdx, margin),
+	}
+}
+
+// scanConfig is knobConfig computed by the full scan alone, the
+// implementation the windowed path replaced.
 func scanConfig(freqGHz, l2Ways, robEntries float64, cur Config, margin float64) Config {
 	nc := len(cacheGrid.levels)
 	return Config{
@@ -110,9 +120,9 @@ func randReq(rng *rand.Rand, levels []float64) float64 {
 	}
 }
 
-// TestNearestConfigHysteresisMatchesScan checks the exported quantizer
-// and its per-knob entry points against the scan across random current
-// configurations (out-of-range indices included) and requests.
+// TestNearestConfigHysteresisMatchesScan checks the per-knob entry
+// points against the scan across random current configurations
+// (out-of-range indices included) and requests.
 func TestNearestConfigHysteresisMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200000; i++ {
@@ -124,16 +134,8 @@ func TestNearestConfigHysteresisMatchesScan(t *testing.T) {
 		f, c, r := randReq(rng, freqGrid.levels), randReq(rng, cacheGrid.levels), randReq(rng, robGrid.levels)
 		m := margins[rng.Intn(len(margins))]
 		want := scanConfig(f, c, r, cur, m)
-		if got := NearestConfigHysteresis(f, c, r, cur, m); got != want {
+		if got := knobConfig(f, c, r, cur, m); got != want {
 			t.Fatalf("cur=%+v req=(%v,%v,%v) margin=%v: %+v, scan %+v", cur, f, c, r, m, got, want)
-		}
-		got := Config{
-			FreqIdx:  FreqIndexHysteresis(f, cur.FreqIdx, m),
-			CacheIdx: CacheIndexHysteresis(c, cur.CacheIdx, m),
-			ROBIdx:   ROBIndexHysteresis(r, cur.ROBIdx, m),
-		}
-		if got != want {
-			t.Fatalf("per-knob cur=%+v req=(%v,%v,%v) margin=%v: %+v, scan %+v", cur, f, c, r, m, got, want)
 		}
 	}
 }
@@ -172,7 +174,7 @@ func FuzzQuantHysteresis(f *testing.F) {
 		cur := Config{FreqIdx: fc, CacheIdx: cc, ROBIdx: rc}
 		fReq, cReq, rReq := math.Float64frombits(fb), math.Float64frombits(cb), math.Float64frombits(rb)
 		want := scanConfig(fReq, cReq, rReq, cur, margin)
-		if got := NearestConfigHysteresis(fReq, cReq, rReq, cur, margin); got != want {
+		if got := knobConfig(fReq, cReq, rReq, cur, margin); got != want {
 			t.Fatalf("cur=%+v req=(%v,%v,%v) margin=%v: %+v, scan %+v", cur, fReq, cReq, rReq, margin, got, want)
 		}
 	})

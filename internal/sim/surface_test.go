@@ -126,13 +126,13 @@ func TestPlantStepAllocFree(t *testing.T) {
 			step  func()
 		}{
 			{"Processor.Step", proc, func() { proc.Step() }},
-			{"FaultInjector.Step", inj.Processor(), func() { inj.Step() }},
+			{"FaultInjector.Step", inj.proc, func() { inj.Step() }},
 		} {
-			before := tc.plant.Epoch()
+			before := tc.plant.epoch
 			if n := testing.AllocsPerRun(100, tc.step); n != 0 {
 				t.Errorf("%s (%s): %v allocs/op, want 0", tc.name, bound, n)
 			}
-			if after := tc.plant.Epoch(); after/w.period == before/w.period {
+			if after := tc.plant.epoch; after/w.period == before/w.period {
 				t.Errorf("%s (%s): epochs %d..%d stay in one phase; the window must cross a boundary", tc.name, bound, before, after)
 			}
 		}

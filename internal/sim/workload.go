@@ -31,16 +31,6 @@ type PhaseParams struct {
 	Activity float64
 }
 
-// L1MPKI evaluates the L1 miss curve at the given way count.
-func (p PhaseParams) L1MPKI(ways int) float64 {
-	return missCurve(p.L1M1, p.L1Alpha, p.L1Floor, ways)
-}
-
-// L2MPKI evaluates the L2 miss curve at the given way count.
-func (p PhaseParams) L2MPKI(ways int) float64 {
-	return missCurve(p.L2M1, p.L2Alpha, p.L2Floor, ways)
-}
-
 func missCurve(m1, alpha, floor float64, ways int) float64 {
 	if ways < 1 {
 		ways = 1

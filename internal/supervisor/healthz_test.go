@@ -76,7 +76,7 @@ func stepToLevel(t *testing.T, sup *Supervised, inner *fakeInner, level health.L
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return float64(int64(rng>>11))/float64(1<<52) - 1
 	}
-	for i := 0; i < 256 && sup.ModelHealth().Level() != level; i++ {
+	for i := 0; i < 256 && sup.opts.ModelHealth.Level() != level; i++ {
 		s := 1.0
 		if unit() < 0 {
 			s = -1 // random signs keep the sequence white
@@ -84,7 +84,7 @@ func stepToLevel(t *testing.T, sup *Supervised, inner *fakeInner, level health.L
 		inner.innov = []float64{s * mag * (1 + 0.01*unit()), 0.01 * unit()}
 		sup.Step(goodTel(i))
 	}
-	if got := sup.ModelHealth().Level(); got != level {
+	if got := sup.opts.ModelHealth.Level(); got != level {
 		t.Fatalf("monitor at %v, want %v", got, level)
 	}
 }
@@ -131,9 +131,6 @@ func TestSupervisedRecordsEveryEpoch(t *testing.T) {
 	sup := New(inner, Options{})
 	rec := flightrec.New(64)
 	sup.SetFlightRecorder(rec)
-	if sup.FlightRecorder() != rec {
-		t.Fatal("FlightRecorder accessor")
-	}
 
 	const n = 10
 	for k := 0; k < n; k++ {
@@ -223,9 +220,6 @@ func TestSupervisedFeedsModelHealthMonitor(t *testing.T) {
 	inner.innov = []float64{0.1, 0.05}
 	mon := health.NewMonitor(health.Options{Window: 64, EvalEvery: 16, Lags: 4})
 	sup := New(inner, Options{ModelHealth: mon})
-	if sup.ModelHealth() != mon {
-		t.Fatal("ModelHealth accessor")
-	}
 	for k := 0; k < 32; k++ {
 		sup.Step(goodTel(k))
 	}

@@ -130,12 +130,6 @@ func Detrend(d *Data) (*Data, Offsets) {
 	return &Data{U: du, Y: dy, Ts: d.Ts}, Offsets{U0: u0, Y0: y0}
 }
 
-// ApplyOffsets maps absolute inputs/outputs into the deviation
-// coordinates of the model.
-func (o Offsets) ApplyOffsets(u, y []float64) (du, dy []float64) {
-	return mat.VecSub(u, o.U0), mat.VecSub(y, o.Y0)
-}
-
 // ARXOrders selects the regression structure: NA past outputs, NB past
 // inputs, and whether a direct feed-through term u(t) is included.
 // The paper's model (§IV-B1) uses outputs at t-1..t-k and inputs at

@@ -6,6 +6,37 @@ import (
 	"unicode/utf8"
 )
 
+// unescapeLabelValue inverts escapeLabelValue. ok is false when s is
+// not a valid escaped label value (a dangling or unknown escape).
+func unescapeLabelValue(s string) (string, bool) {
+	if !strings.ContainsRune(s, '\\') {
+		return s, true
+	}
+	var sb strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c != '\\' {
+			sb.WriteByte(c)
+			continue
+		}
+		i++
+		if i >= len(s) {
+			return "", false
+		}
+		switch s[i] {
+		case '\\':
+			sb.WriteByte('\\')
+		case '"':
+			sb.WriteByte('"')
+		case 'n':
+			sb.WriteByte('\n')
+		default:
+			return "", false
+		}
+	}
+	return sb.String(), true
+}
+
 // FuzzLabelRoundTrip drives escapeLabelValue / renderLabels with
 // arbitrary (including non-UTF-8) inputs and requires that
 //

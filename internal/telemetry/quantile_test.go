@@ -8,7 +8,7 @@ import (
 
 func TestHistogramQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("q_seconds", "quantile test", LinearBuckets(10, 10, 10)) // 10..100
+	h := r.Histogram("q_seconds", "quantile test", []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	for v := 1.0; v <= 100; v++ {
 		h.Observe(v)
 	}
@@ -134,7 +134,7 @@ func TestHistogramObserveAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		reg  *Registry
-	}{{"live", NewRegistry()}, {"nop", Nop()}, {"nil", nil}} {
+	}{{"live", NewRegistry()}, {"nil", nil}} {
 		h := tc.reg.Histogram("alloc_seconds", "alloc gate", []float64{0.1, 1, 10})
 		allocs := testing.AllocsPerRun(1000, func() { h.Observe(0.5) })
 		if allocs != 0 {

@@ -57,9 +57,6 @@ func NewRecorder(db *DB, names obs.NameFunc) *Recorder {
 	return &Recorder{db: db, names: names}
 }
 
-// DB returns the store this recorder feeds.
-func (r *Recorder) DB() *DB { return r.db }
-
 // SetDetector attaches a baseline-drift detector that is advanced on
 // the pump goroutine as events are ingested (nil detaches).
 func (r *Recorder) SetDetector(d *Detector) { r.det = d }

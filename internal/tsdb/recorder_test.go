@@ -7,6 +7,15 @@ import (
 	"mimoctl/internal/obs"
 )
 
+// Status returns the latest verdict (ok=false before the first check).
+func (d *Detector) Status() (DriftStatus, bool) {
+	st := d.status.Load()
+	if st == nil {
+		return DriftStatus{}, false
+	}
+	return *st, true
+}
+
 func testEvent(loop uint32, epoch uint64, ips, ipsT, pw, pwT float64) obs.Event {
 	return obs.Event{
 		LoopID: loop, Epoch: epoch,

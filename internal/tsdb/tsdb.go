@@ -447,19 +447,10 @@ func (t *Table) col(signal string) int {
 	return -1
 }
 
-// Append records one row: vals[i] is signal i's value at epoch. Epochs
-// must be non-decreasing per table (the obs event stream guarantees
-// it); violations are recorded as given. Allocation-free.
-func (t *Table) Append(epoch uint64, vals ...float64) {
-	if len(vals) != len(t.signals) {
-		panic("tsdb: row width differs from the table's signal count")
-	}
-	t.mu.Lock()
-	t.appendRow(epoch, vals)
-	t.mu.Unlock()
-}
-
-// appendRow is Append with t.mu held.
+// appendRow records one row: vals[i] is signal i's value at epoch.
+// Epochs must be non-decreasing per table (the obs event stream
+// guarantees it); violations are recorded as given. Allocation-free;
+// the caller holds t.mu.
 func (t *Table) appendRow(epoch uint64, vals []float64) {
 	t.levels[ResRaw].append(epoch, vals)
 	w := &t.win[0]

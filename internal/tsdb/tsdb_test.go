@@ -8,6 +8,17 @@ import (
 	"mimoctl/internal/obs"
 )
 
+// Append records one row with t.mu held: the tests fill tables through
+// it, the recorder through appendRow.
+func (t *Table) Append(epoch uint64, vals ...float64) {
+	if len(vals) != len(t.signals) {
+		panic("tsdb: row width differs from the table's signal count")
+	}
+	t.mu.Lock()
+	t.appendRow(epoch, vals)
+	t.mu.Unlock()
+}
+
 func TestSeriesRawRoundTrip(t *testing.T) {
 	db := New(Options{})
 	s := db.Table("loop-a", []string{"ips"})

@@ -6,6 +6,17 @@ import (
 	"mimoctl/internal/sim"
 )
 
+// NonResponsiveSet returns the production applications that cannot.
+func NonResponsiveSet() []*Profile {
+	var out []*Profile
+	for _, p := range ProductionSet() {
+		if NonResponsive(p.name) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 func TestRegistryComplete(t *testing.T) {
 	all := All()
 	if len(all) != 27 {
@@ -33,8 +44,8 @@ func TestByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "namd" || p.Class() != FP {
-		t.Fatalf("namd lookup wrong: %v %v", p.Name(), p.Class())
+	if p.Name() != "namd" || p.class != FP {
+		t.Fatalf("namd lookup wrong: %v %v", p.Name(), p.class)
 	}
 	if _, err := ByName("zeusmp"); err == nil {
 		t.Fatal("zeusmp should be absent (unsupported in the paper too)")
@@ -73,13 +84,13 @@ func TestPhaseScheduleCyclesAndIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Phases()) != 4 {
-		t.Fatalf("astar has %d phases", len(p.Phases()))
+	if len(p.Phases) != 4 {
+		t.Fatalf("astar has %d phases", len(p.Phases))
 	}
 	// Walk two full cycles; phase IDs must go 0..3,0..3 and params must
 	// repeat exactly.
 	cycle := 0
-	for _, ph := range p.Phases() {
+	for _, ph := range p.Phases {
 		cycle += ph.DurationEpochs
 	}
 	seen := map[int]bool{}
@@ -102,18 +113,26 @@ func TestPhaseScheduleCyclesAndIDs(t *testing.T) {
 }
 
 // maxBIPS finds the best achievable BIPS over the whole configuration
-// space for the workload's nominal (phase-0) parameters.
-func maxBIPS(p *Profile) float64 {
-	params, _ := p.Params(0)
-	best := 0.0
+// space for the workload's nominal (phase-0) parameters: each
+// configuration's noiseless epoch after the actuation transients have
+// settled.
+func maxBIPS(t *testing.T, p *Profile) float64 {
+	var cfgs []sim.Config
 	for fi := range sim.FreqSettingsGHz {
 		for ci := range sim.CacheSettings {
 			for ri := range sim.ROBSettings {
-				perf := sim.EvalPerf(params, sim.Config{FreqIdx: fi, CacheIdx: ci, ROBIdx: ri}, 0, 0, 0)
-				if perf.BIPS > best {
-					best = perf.BIPS
-				}
+				cfgs = append(cfgs, sim.Config{FreqIdx: fi, CacheIdx: ci, ROBIdx: ri})
 			}
+		}
+	}
+	totals, err := sim.StaticSweep(p, sim.ProcessorOptions{Deterministic: true}, 1, cfgs, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := 0.0
+	for _, tot := range totals {
+		if bips := tot.Instructions / tot.Seconds / 1e9; bips > best {
+			best = bips
 		}
 	}
 	return best
@@ -121,13 +140,13 @@ func maxBIPS(p *Profile) float64 {
 
 func TestResponsiveCanReachTarget(t *testing.T) {
 	for _, p := range ResponsiveSet() {
-		if got := maxBIPS(p); got < 2.5 {
+		if got := maxBIPS(t, p); got < 2.5 {
 			t.Errorf("%s peaks at %.2f BIPS; responsive apps must reach 2.5", p.Name(), got)
 		}
 	}
 	// The training set is also used to derive a reachable target.
 	for _, p := range TrainingSet() {
-		if got := maxBIPS(p); got < 2.2 {
+		if got := maxBIPS(t, p); got < 2.2 {
 			t.Errorf("%s (training) peaks at %.2f BIPS", p.Name(), got)
 		}
 	}
@@ -135,7 +154,7 @@ func TestResponsiveCanReachTarget(t *testing.T) {
 
 func TestNonResponsiveCannotReachTarget(t *testing.T) {
 	for _, p := range NonResponsiveSet() {
-		if got := maxBIPS(p); got >= 2.5 {
+		if got := maxBIPS(t, p); got >= 2.5 {
 			t.Errorf("%s reaches %.2f BIPS; non-responsive apps must stay below 2.5", p.Name(), got)
 		}
 	}
@@ -143,7 +162,7 @@ func TestNonResponsiveCannotReachTarget(t *testing.T) {
 
 func TestParamsArePhysicallySane(t *testing.T) {
 	for _, p := range All() {
-		for i, ph := range p.Phases() {
+		for i, ph := range p.Phases {
 			q := ph.Params
 			if q.ILP <= 0 || q.ILP > 4 {
 				t.Errorf("%s phase %d: ILP %v", p.Name(), i, q.ILP)
@@ -177,68 +196,14 @@ func TestProfilesDriveProcessor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := proc.Run(50)
-		for _, tel := range trace {
+		for i := 0; i < 50; i++ {
+			tel := proc.Step()
 			if tel.TrueIPS <= 0 || tel.TrueIPS > 8 {
 				t.Fatalf("%s: IPS %v implausible", p.Name(), tel.TrueIPS)
 			}
 			if tel.TruePowerW <= 0 || tel.TruePowerW > 8 {
 				t.Fatalf("%s: power %v implausible", p.Name(), tel.TruePowerW)
 			}
-		}
-	}
-}
-
-func TestTraceSpecsDriveTraceProcessor(t *testing.T) {
-	// Every profile provides a TraceSpec and can run in the trace-driven
-	// mode; the measured L1 miss traffic must agree with the analytic
-	// curve's ordering (full cache ≤ gated cache misses).
-	for _, name := range []string{"namd", "milc", "mcf", "sjeng"} {
-		p, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var _ sim.TraceSpecProvider = p
-		measure := func(cacheIdx int) float64 {
-			tp, err := sim.NewTraceProcessor(p, sim.ProcessorOptions{Deterministic: true}, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tp.Apply(sim.Config{FreqIdx: 8, CacheIdx: cacheIdx, ROBIdx: 3}); err != nil {
-				t.Fatal(err)
-			}
-			tp.Run(150)
-			var sum float64
-			for _, tel := range tp.Run(80) {
-				sum += tel.L1MPKI
-			}
-			return sum / 80
-		}
-		full := measure(0)
-		gated := measure(3)
-		if full > gated+1e-9 {
-			t.Errorf("%s: trace-mode L1 MPKI with full cache (%.2f) exceeds gated (%.2f)", name, full, gated)
-		}
-	}
-}
-
-func TestTraceSpecSanity(t *testing.T) {
-	for _, p := range All() {
-		for i := range p.Phases() {
-			spec := p.TraceSpec(i)
-			if spec.WorkingSetBytes < 16<<10 || spec.WorkingSetBytes > 512<<10 {
-				t.Errorf("%s phase %d: working set %d out of range", p.Name(), i, spec.WorkingSetBytes)
-			}
-			if spec.ColdFraction < 0 || spec.ColdFraction > 0.5 {
-				t.Errorf("%s phase %d: cold fraction %v", p.Name(), i, spec.ColdFraction)
-			}
-			if spec.ZipfS <= 1 || spec.ZipfS > 1.6 {
-				t.Errorf("%s phase %d: zipf %v", p.Name(), i, spec.ZipfS)
-			}
-		}
-		// Out-of-range phase IDs fall back to phase 0.
-		if p.TraceSpec(-1) != p.TraceSpec(0) || p.TraceSpec(999) != p.TraceSpec(0) {
-			t.Errorf("%s: phase fallback broken", p.Name())
 		}
 	}
 }
