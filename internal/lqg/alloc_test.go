@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"mimoctl/internal/lti"
-	"mimoctl/internal/mat"
+	"mimoctl/internal/testkit"
 )
 
 // The steady-state loop — Controller.Step and Controller.ObserveApplied
@@ -17,10 +17,10 @@ import (
 // the unrolled fleet kernel.
 func fleetPlant(t *testing.T) *lti.StateSpace {
 	t.Helper()
-	a := mat.FromRows([][]float64{
+	a := testkit.FromRows([][]float64{
 		{0.6, 0.1, 0, 0}, {0.05, 0.5, 0.1, 0}, {0, 0.1, 0.4, 0.05}, {0, 0, 0.1, 0.3}})
-	b := mat.FromRows([][]float64{{0.5, 0.2}, {0.1, 0.4}, {0.2, 0.1}, {0.1, 0.3}})
-	c := mat.FromRows([][]float64{{1, 0, 0.5, 0}, {0, 1, 0, 0.5}})
+	b := testkit.FromRows([][]float64{{0.5, 0.2}, {0.1, 0.4}, {0.2, 0.1}, {0.1, 0.3}})
+	c := testkit.FromRows([][]float64{{1, 0, 0.5, 0}, {0, 1, 0, 0.5}})
 	ss, err := lti.NewStateSpace(a, b, c, nil, 50e-6)
 	if err != nil {
 		t.Fatal(err)

@@ -36,6 +36,19 @@ type refController struct {
 
 // newRef returns a reference runtime over c's design, starting from a
 // copy of c's runtime state.
+// scaleInto stores s*x into dst and returns dst: the reference's
+// multiplies by -1. It stays out of line so that s is a multiply: a
+// constant -1 compiles to a sign flip, which differs on the sign of a
+// NaN.
+//
+//go:noinline
+func scaleInto(dst []float64, s float64, x []float64) []float64 {
+	for i, v := range x {
+		dst[i] = s * v
+	}
+	return dst
+}
+
 func newRef(c *Controller) *refController {
 	r := &refController{
 		plant: c.plant, opts: c.opts,
@@ -163,7 +176,7 @@ func (c *refController) Step(y []float64) ([]float64, error) {
 	dx := mat.VecSubInto(w.dx, xc, c.xss)
 	if c.opts.DeltaU {
 		du := mat.VecSubInto(w.du, c.uPrev, c.uss)
-		v := mat.VecScaleInto(w.v, -1, mat.MulVecInto(w.kv, c.kx, dx))
+		v := scaleInto(w.v, -1, mat.MulVecInto(w.kv, c.kx, dx))
 		mat.VecSubInto(v, v, mat.MulVecInto(w.kv, c.ku, du))
 		if c.opts.Integral {
 			mat.VecSubInto(v, v, mat.MulVecInto(w.kv, c.kz, c.zInt))
@@ -222,7 +235,7 @@ func (c *refController) ObserveApplied(u []float64) error {
 	w := c.ws
 	diff := mat.VecSubInto(w.obsDiff, u, c.uPrev)
 	mat.VecAddInto(c.xhat, c.xhat, mat.MulVecInto(w.bdiff, p.B, diff))
-	mat.VecScaleInto(c.lastExcess, -1, diff) // u_requested - u_applied
+	scaleInto(c.lastExcess, -1, diff) // u_requested - u_applied
 	copy(c.uPrev, u)
 	return nil
 }

@@ -24,7 +24,7 @@ import (
 //     does;
 //   - every other sum x + y is x - negOne·y, which keeps x first, where
 //     the reference's compiled code does;
-//   - the reference's multiplies by -1 (mat.VecScaleInto) stay
+//   - the reference's multiplies by -1 (scaleInto) stay
 //     multiplies by negOne, a variable: a constant -1 compiles to a sign
 //     flip, which differs from the multiply on the sign of a NaN;
 //   - the anti-windup test math.Sqrt(‖excess‖²) > 1e-12 is the compare

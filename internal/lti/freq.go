@@ -8,26 +8,11 @@ import (
 	"mimoctl/internal/mat"
 )
 
-// FrequencyResponse evaluates the transfer matrix
-// G(z) = C (zI - A)⁻¹ B + D at z = e^(jωTs) for the given angular
-// frequency ω (rad/s).
-func (s *StateSpace) FrequencyResponse(omega float64) (*mat.CMatrix, error) {
-	z := cmplx.Exp(complex(0, omega*s.Ts))
-	return s.EvalTransfer(z)
-}
-
-// EvalTransfer evaluates G(z) at an arbitrary complex point z.
-func (s *StateSpace) EvalTransfer(z complex128) (*mat.CMatrix, error) {
-	return newTransferEval(s).eval(z)
-}
-
 // transferEval evaluates G(z) = C (zI - A)⁻¹ B + D repeatedly with a
 // preallocated workspace: the complex copies of (A, B, C, D) are built
 // once and every intermediate is reused across evaluations. A frequency
 // sweep (HInfNorm walks ~600 grid and refinement points per call)
-// otherwise allocates seven complex matrices per point. The in-place
-// kernels perform the same arithmetic as the allocating ones, so sweep
-// results are bit-identical to repeated EvalTransfer calls.
+// otherwise allocates seven complex matrices per point.
 //
 // The workspace makes an evaluator single-goroutine; each sweep builds
 // its own rather than caching one on the (shared) StateSpace.
@@ -77,8 +62,7 @@ func (s *StateSpace) HInfNorm(nGrid int) (norm, peakOmega float64, err error) {
 		nGrid = 256
 	}
 	nyquist := math.Pi / s.Ts
-	// One workspace for the whole sweep; identical arithmetic to calling
-	// FrequencyResponse per point.
+	// One workspace for the whole sweep.
 	ev := newTransferEval(s)
 	eval := func(w float64) (float64, error) {
 		g, err := ev.eval(cmplx.Exp(complex(0, w*s.Ts)))

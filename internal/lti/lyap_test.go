@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mimoctl/internal/mat"
+	"mimoctl/internal/testkit"
 )
 
 func randStable(rng *rand.Rand, n int) *mat.Matrix {
@@ -58,7 +59,7 @@ func TestDAREResidualRandom(t *testing.T) {
 		if res > 1e-7*(1+p.MaxAbs()) {
 			t.Fatalf("trial %d: DARE residual %v", trial, res)
 		}
-		if !mat.IsPositiveDefinite(mat.Add(p, mat.Scale(1e-12, mat.Identity(n)))) {
+		if !testkit.IsPositiveDefinite(mat.Add(p, mat.Scale(1e-12, mat.Identity(n)))) {
 			t.Fatalf("trial %d: P not PSD", trial)
 		}
 	}
@@ -105,8 +106,7 @@ func TestDAREGainStabilizesMIMO(t *testing.T) {
 			}
 		}
 		// Require controllability, else skip the trial.
-		ss := MustStateSpace(a, b, mat.Identity(n), nil, 1)
-		if !ss.IsControllable() {
+		if !testkit.Controllable(a, b) {
 			continue
 		}
 		p, err := SolveDARE(a, b, mat.Identity(n), mat.Identity(m))

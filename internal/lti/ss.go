@@ -1,8 +1,7 @@
 // Package lti implements discrete-time linear time-invariant (LTI)
 // state-space systems and the matrix equation used in controller design:
-// simulation, poles and stability, frequency response and the H∞ norm,
-// controllability and observability, and the discrete algebraic Riccati
-// equation (DARE).
+// simulation, stability, DC gain, the H∞ norm over the frequency
+// response, and the discrete algebraic Riccati equation (DARE).
 //
 // A system is
 //
@@ -70,18 +69,6 @@ func (s *StateSpace) Inputs() int { return s.B.Cols() }
 // Outputs returns the output dimension O.
 func (s *StateSpace) Outputs() int { return s.C.Rows() }
 
-// Step advances the state one sample: returns x(t+1) and y(t).
-func (s *StateSpace) Step(x, u []float64) (xNext, y []float64) {
-	xNext = mat.VecAdd(mat.MulVec(s.A, x), mat.MulVec(s.B, u))
-	y = mat.VecAdd(mat.MulVec(s.C, x), mat.MulVec(s.D, u))
-	return xNext, y
-}
-
-// Output returns y(t) = C x(t) + D u(t) without advancing the state.
-func (s *StateSpace) Output(x, u []float64) []float64 {
-	return mat.VecAdd(mat.MulVec(s.C, x), mat.MulVec(s.D, u))
-}
-
 // Simulate runs the system from initial state x0 over the input sequence
 // u (one row per sample, Inputs() columns) and returns the output sequence
 // (one row per sample, Outputs() columns).
@@ -95,8 +82,8 @@ func (s *StateSpace) Simulate(x0 []float64, u *mat.Matrix) (*mat.Matrix, error) 
 	t := u.Rows()
 	y := mat.New(t, s.Outputs())
 	x := append([]float64(nil), x0...)
-	// Scratch for the four products, reused every sample: Output and
-	// Step's arithmetic in the same order, with no per-sample slices.
+	// Scratch for the four products, reused every sample: y = C x + D u,
+	// then x = A x + B u, with no per-sample slices.
 	cx, du := make([]float64, s.Outputs()), make([]float64, s.Outputs())
 	ax, bu := make([]float64, s.Order()), make([]float64, s.Order())
 	for k := 0; k < t; k++ {
@@ -105,11 +92,6 @@ func (s *StateSpace) Simulate(x0 []float64, u *mat.Matrix) (*mat.Matrix, error) 
 		mat.VecAddInto(x, mat.MulVecInto(ax, s.A, x), mat.MulVecInto(bu, s.B, uk))
 	}
 	return y, nil
-}
-
-// Poles returns the eigenvalues of A.
-func (s *StateSpace) Poles() ([]complex128, error) {
-	return mat.Eigenvalues(s.A)
 }
 
 // IsStable reports whether every pole lies strictly inside the unit
@@ -133,62 +115,4 @@ func (s *StateSpace) DCGain() (*mat.Matrix, error) {
 		return nil, fmt.Errorf("lti: DC gain undefined (pole at z=1): %w", err)
 	}
 	return mat.Add(mat.Mul(s.C, x), s.D), nil
-}
-
-// StepResponse simulates the response to a unit step on input j for
-// nSteps samples from zero initial state.
-func (s *StateSpace) StepResponse(j, nSteps int) (*mat.Matrix, error) {
-	if j < 0 || j >= s.Inputs() {
-		return nil, fmt.Errorf("lti: input index %d out of range", j)
-	}
-	u := mat.New(nSteps, s.Inputs())
-	for k := 0; k < nSteps; k++ {
-		u.Set(k, j, 1)
-	}
-	return s.Simulate(make([]float64, s.Order()), u)
-}
-
-// ControllabilityMatrix returns [B AB A²B ... Aⁿ⁻¹B].
-func (s *StateSpace) ControllabilityMatrix() *mat.Matrix {
-	n := s.Order()
-	blocks := make([]*mat.Matrix, n)
-	cur := s.B.Clone()
-	for i := 0; i < n; i++ {
-		blocks[i] = cur
-		cur = mat.Mul(s.A, cur)
-	}
-	return mat.HStack(blocks...)
-}
-
-// ObservabilityMatrix returns [C; CA; CA²; ...; CAⁿ⁻¹].
-func (s *StateSpace) ObservabilityMatrix() *mat.Matrix {
-	n := s.Order()
-	blocks := make([]*mat.Matrix, n)
-	cur := s.C.Clone()
-	for i := 0; i < n; i++ {
-		blocks[i] = cur
-		cur = mat.Mul(cur, s.A)
-	}
-	return mat.VStack(blocks...)
-}
-
-// IsControllable reports whether (A, B) is controllable (controllability
-// matrix has full row rank).
-func (s *StateSpace) IsControllable() bool {
-	cm := s.ControllabilityMatrix()
-	svd, err := mat.FactorSVD(cm)
-	if err != nil {
-		return false
-	}
-	return svd.Rank(0) == s.Order()
-}
-
-// IsObservable reports whether (A, C) is observable.
-func (s *StateSpace) IsObservable() bool {
-	om := s.ObservabilityMatrix()
-	svd, err := mat.FactorSVD(om)
-	if err != nil {
-		return false
-	}
-	return svd.Rank(0) == s.Order()
 }

@@ -81,11 +81,10 @@ func CMulInto(dst *CMatrix, a, b *CMatrix) *CMatrix {
 	return dst
 }
 
-// CSolveInto solves a*x = b like CSolve, but factors into the
-// caller-provided lu scratch (same shape as a) and writes the solution
-// into x (same shape as b) instead of allocating clones. a and b are
-// left untouched; x, lu, a, b must all be distinct. The elimination is
-// the same code path as CSolve, so results are bit-identical.
+// CSolveInto solves the square complex system a*x = b by LU with
+// partial pivoting, factoring into the caller-provided lu scratch (same
+// shape as a) and writing the solution into x (same shape as b). a and
+// b are left untouched; x, lu, a, b must all be distinct.
 func CSolveInto(x, lu *CMatrix, a, b *CMatrix) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("mat: CSolve of non-square %dx%d matrix", a.rows, a.cols)
@@ -101,8 +100,7 @@ func CSolveInto(x, lu *CMatrix, a, b *CMatrix) error {
 }
 
 // cSolveInPlace runs LU elimination with partial pivoting, destroying
-// lu and overwriting x with the solution. Shared by CSolve and
-// CSolveInto so the two stay arithmetically identical.
+// lu and overwriting x with the solution.
 func cSolveInPlace(lu, x *CMatrix) error {
 	n := lu.rows
 	for k := 0; k < n; k++ {

@@ -8,7 +8,8 @@ import (
 
 // CMatrix is a dense, row-major matrix of complex128 values. It supports
 // the small amount of complex arithmetic needed for frequency-response
-// computation: construction, multiply, and LU solve.
+// computation: construction, the in-place kernels and their LU solve
+// (cinplace.go), and the spectral norm.
 type CMatrix struct {
 	rows, cols int
 	data       []complex128
@@ -38,95 +39,6 @@ func CIdentity(n int) *CMatrix {
 		m.data[i*n+i] = 1
 	}
 	return m
-}
-
-// Rows returns the number of rows.
-func (m *CMatrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *CMatrix) Cols() int { return m.cols }
-
-// At returns the element at row i, column j.
-func (m *CMatrix) At(i, j int) complex128 { return m.data[i*m.cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *CMatrix) Set(i, j int, v complex128) { m.data[i*m.cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *CMatrix) Clone() *CMatrix {
-	c := CNew(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// CScale returns s*a.
-func CScale(s complex128, a *CMatrix) *CMatrix {
-	c := CNew(a.rows, a.cols)
-	for i, v := range a.data {
-		c.data[i] = s * v
-	}
-	return c
-}
-
-// CAdd returns a + b.
-func CAdd(a, b *CMatrix) *CMatrix {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("mat: CAdd shape mismatch %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	c := CNew(a.rows, a.cols)
-	for i, v := range a.data {
-		c.data[i] = v + b.data[i]
-	}
-	return c
-}
-
-// CSub returns a - b.
-func CSub(a, b *CMatrix) *CMatrix {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("mat: CSub shape mismatch %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	c := CNew(a.rows, a.cols)
-	for i, v := range a.data {
-		c.data[i] = v - b.data[i]
-	}
-	return c
-}
-
-// CMul returns the complex matrix product a*b.
-func CMul(a, b *CMatrix) *CMatrix {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: CMul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	c := CNew(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		for k := 0; k < a.cols; k++ {
-			av := a.data[i*a.cols+k]
-			if av == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				c.data[i*c.cols+j] += av * b.data[k*b.cols+j]
-			}
-		}
-	}
-	return c
-}
-
-// CSolve solves the square complex system a*x = b by LU with partial
-// pivoting.
-func CSolve(a, b *CMatrix) (*CMatrix, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("mat: CSolve of non-square %dx%d matrix", a.rows, a.cols)
-	}
-	if b.rows != a.rows {
-		return nil, fmt.Errorf("mat: CSolve shape mismatch %dx%d vs n=%d", b.rows, b.cols, a.rows)
-	}
-	lu := a.Clone()
-	x := b.Clone()
-	if err := cSolveInPlace(lu, x); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // CNorm2 returns the spectral norm (largest singular value) of a complex

@@ -24,10 +24,10 @@ import "fmt"
 // deliberately leaves the cap un-truncated, so in practice every
 // illegal overlap between package-built values is caught.
 //
-// Every Into kernel performs bit-identical arithmetic to its
-// allocating counterpart: same loop structure, same operation order,
-// including Mul's zero-skip. Replacing X(...) with XInto(dst, ...)
-// never changes a single output bit.
+// Every Into kernel performs bit-identical arithmetic to the
+// allocating form of its operation (testkit.MulVec, VecSub and VecAdd,
+// which the tests hold the kernels against): same loop structure, same
+// operation order.
 
 // sharedArray reports whether a and b are backed by the same array. It
 // identifies an array by the address of its final element, reachable
@@ -58,79 +58,6 @@ func checkExactAlias(op string, dst, v []float64) {
 	if sharedArray(dst, v) && !exactAlias(dst, v) {
 		panic("mat: " + op + ": dst partially overlaps an operand")
 	}
-}
-
-func intoShape(op string, dst *Matrix, r, c int) {
-	if dst.rows != r || dst.cols != c {
-		panic(fmt.Sprintf("mat: %s dst is %dx%d, want %dx%d", op, dst.rows, dst.cols, r, c))
-	}
-}
-
-// AddInto stores a + b into dst and returns dst. All three must share
-// one shape. Exact aliasing: dst may be a and/or b.
-func AddInto(dst, a, b *Matrix) *Matrix {
-	sameShape("AddInto", a, b)
-	intoShape("AddInto", dst, a.rows, a.cols)
-	checkExactAlias("AddInto", dst.data, a.data)
-	checkExactAlias("AddInto", dst.data, b.data)
-	for i, v := range a.data {
-		dst.data[i] = v + b.data[i]
-	}
-	return dst
-}
-
-// SubInto stores a - b into dst and returns dst. All three must share
-// one shape. Exact aliasing: dst may be a and/or b.
-func SubInto(dst, a, b *Matrix) *Matrix {
-	sameShape("SubInto", a, b)
-	intoShape("SubInto", dst, a.rows, a.cols)
-	checkExactAlias("SubInto", dst.data, a.data)
-	checkExactAlias("SubInto", dst.data, b.data)
-	for i, v := range a.data {
-		dst.data[i] = v - b.data[i]
-	}
-	return dst
-}
-
-// ScaleInto stores s * a into dst and returns dst. dst and a must share
-// one shape. Exact aliasing: dst may be a.
-func ScaleInto(dst *Matrix, s float64, a *Matrix) *Matrix {
-	intoShape("ScaleInto", dst, a.rows, a.cols)
-	checkExactAlias("ScaleInto", dst.data, a.data)
-	for i, v := range a.data {
-		dst.data[i] = s * v
-	}
-	return dst
-}
-
-// MulInto stores the matrix product a * b into dst and returns dst.
-// dst must be a.Rows() x b.Cols(). No aliasing: dst must not share
-// storage with a or b (the product reads every operand entry after the
-// first dst write).
-func MulInto(dst, a, b *Matrix) *Matrix {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: MulInto dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	intoShape("MulInto", dst, a.rows, b.cols)
-	checkNoAlias("MulInto", dst.data, a.data)
-	checkNoAlias("MulInto", dst.data, b.data)
-	for i := range dst.data {
-		dst.data[i] = 0
-	}
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		crow := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return dst
 }
 
 // MulVecInto stores the matrix-vector product a*x into dst and returns
@@ -180,19 +107,6 @@ func VecAddInto(dst, x, y []float64) []float64 {
 	checkExactAlias("VecAddInto", dst, y)
 	for i := range x {
 		dst[i] = x[i] + y[i]
-	}
-	return dst
-}
-
-// VecScaleInto stores s*x into dst and returns dst. dst and x must
-// share one length. Exact aliasing: dst may be x.
-func VecScaleInto(dst []float64, s float64, x []float64) []float64 {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: VecScaleInto length mismatch dst %d, x %d", len(dst), len(x)))
-	}
-	checkExactAlias("VecScaleInto", dst, x)
-	for i, v := range x {
-		dst[i] = s * v
 	}
 	return dst
 }

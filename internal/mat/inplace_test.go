@@ -1,8 +1,11 @@
-package mat
+package mat_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"mimoctl/internal/mat"
+	"mimoctl/internal/testkit"
 )
 
 func mustPanic(t *testing.T, name string, f func()) {
@@ -15,11 +18,11 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-func randSparseMatrix(rng *rand.Rand, r, c int) *Matrix {
-	m := New(r, c)
+func randSparseMatrix(rng *rand.Rand, r, c int) *mat.Matrix {
+	m := mat.New(r, c)
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
-			// Sprinkle exact zeros so Mul's zero-skip path is exercised.
+			// Sprinkle exact zeros so mat.Mul's zero-skip path is exercised.
 			if rng.Intn(4) == 0 {
 				continue
 			}
@@ -51,10 +54,9 @@ func sliceEqual(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestIntoBitIdentical asserts each Into kernel produces exactly the
-// same bits as its allocating counterpart across random shapes and
-// values — the property that lets hot paths switch kernels without
-// moving a single golden-output byte.
+// TestIntoBitIdentical asserts each vector Into kernel produces exactly
+// the same bits as the allocating form of its operation across random
+// shapes and values.
 func TestIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	shapes := [][2]int{{1, 1}, {2, 3}, {3, 2}, {4, 4}, {5, 1}, {1, 5}}
@@ -62,26 +64,12 @@ func TestIntoBitIdentical(t *testing.T) {
 		for _, sh := range shapes {
 			r, c := sh[0], sh[1]
 			a := randSparseMatrix(rng, r, c)
-			b := randSparseMatrix(rng, r, c)
-			sliceEqual(t, "AddInto", AddInto(New(r, c), a, b).RawData(), Add(a, b).RawData())
-			sliceEqual(t, "SubInto", SubInto(New(r, c), a, b).RawData(), Sub(a, b).RawData())
-			s := rng.NormFloat64()
-			sliceEqual(t, "ScaleInto", ScaleInto(New(r, c), s, a).RawData(), Scale(s, a).RawData())
-
-			k := 1 + rng.Intn(4)
-			bm := randSparseMatrix(rng, c, k)
-			sliceEqual(t, "MulInto", MulInto(New(r, k), a, bm).RawData(), Mul(a, bm).RawData())
-			// MulInto must fully overwrite a dirty destination.
-			dirty := randSparseMatrix(rng, r, k)
-			sliceEqual(t, "MulInto(dirty)", MulInto(dirty, a, bm).RawData(), Mul(a, bm).RawData())
-
 			x := randVec(rng, c)
-			sliceEqual(t, "MulVecInto", MulVecInto(make([]float64, r), a, x), MulVec(a, x))
+			sliceEqual(t, "MulVecInto", mat.MulVecInto(make([]float64, r), a, x), testkit.MulVec(a, x))
 
 			y := randVec(rng, c)
-			sliceEqual(t, "VecSubInto", VecSubInto(make([]float64, c), x, y), VecSub(x, y))
-			sliceEqual(t, "VecAddInto", VecAddInto(make([]float64, c), x, y), VecAdd(x, y))
-			sliceEqual(t, "VecScaleInto", VecScaleInto(make([]float64, c), s, x), VecScale(s, x))
+			sliceEqual(t, "VecSubInto", mat.VecSubInto(make([]float64, c), x, y), testkit.VecSub(x, y))
+			sliceEqual(t, "VecAddInto", mat.VecAddInto(make([]float64, c), x, y), testkit.VecAdd(x, y))
 		}
 	}
 }
@@ -90,95 +78,60 @@ func TestIntoBitIdentical(t *testing.T) {
 // the elementwise kernels.
 func TestIntoExactAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	a := randSparseMatrix(rng, 3, 4)
-	b := randSparseMatrix(rng, 3, 4)
-	want := Add(a, b)
-	got := a.Clone()
-	AddInto(got, got, b)
-	if !got.Equal(want) {
-		t.Fatal("AddInto dst==a differs")
-	}
-	got = b.Clone()
-	AddInto(got, a, got)
-	if !got.Equal(want) {
-		t.Fatal("AddInto dst==b differs")
-	}
-	got = a.Clone()
-	SubInto(got, got, b)
-	if !got.Equal(Sub(a, b)) {
-		t.Fatal("SubInto dst==a differs")
-	}
-	got = a.Clone()
-	ScaleInto(got, 2.5, got)
-	if !got.Equal(Scale(2.5, a)) {
-		t.Fatal("ScaleInto dst==a differs")
-	}
-
 	x := randVec(rng, 5)
 	y := randVec(rng, 5)
 	gv := append([]float64(nil), x...)
-	VecSubInto(gv, gv, y)
-	sliceEqual(t, "VecSubInto dst==x", gv, VecSub(x, y))
+	mat.VecSubInto(gv, gv, y)
+	sliceEqual(t, "VecSubInto dst==x", gv, testkit.VecSub(x, y))
 	gv = append([]float64(nil), y...)
-	VecAddInto(gv, x, gv)
-	sliceEqual(t, "VecAddInto dst==y", gv, VecAdd(x, y))
-	gv = append([]float64(nil), x...)
-	VecScaleInto(gv, -1, gv)
-	sliceEqual(t, "VecScaleInto dst==x", gv, VecScale(-1, x))
+	mat.VecAddInto(gv, x, gv)
+	sliceEqual(t, "VecAddInto dst==y", gv, testkit.VecAdd(x, y))
 }
 
 // TestIntoOverlapPanics verifies that detectable illegal aliasing —
 // partial overlap for elementwise kernels, any sharing for the product
 // kernels — panics instead of silently corrupting results.
 func TestIntoOverlapPanics(t *testing.T) {
-	m := New(4, 4)
+	m := mat.New(4, 4)
 	other := make([]float64, 4)
 	r0 := m.RowView(0)
 	r1 := m.RowView(1)
 	// Two views of one matrix share its backing array without being the
 	// identical slice.
-	mustPanic(t, "VecSubInto overlapping views", func() { VecSubInto(r0, r1, other) })
-	mustPanic(t, "VecAddInto overlapping views", func() { VecAddInto(r0, other, r1) })
+	mustPanic(t, "VecSubInto overlapping views", func() { mat.VecSubInto(r0, r1, other) })
+	mustPanic(t, "VecAddInto overlapping views", func() { mat.VecAddInto(r0, other, r1) })
 
 	backing := make([]float64, 10)
 	mustPanic(t, "VecSubInto shifted overlap", func() {
-		VecSubInto(backing[0:5], backing[2:7], make([]float64, 5))
-	})
-	mustPanic(t, "VecScaleInto shifted overlap", func() {
-		VecScaleInto(backing[0:5], 2, backing[2:7])
+		mat.VecSubInto(backing[0:5], backing[2:7], make([]float64, 5))
 	})
 
-	// Product kernels reject even exact aliasing: they read operands
+	// The product kernel rejects even exact aliasing: it reads operands
 	// after writing dst.
-	sq := New(3, 3)
-	mustPanic(t, "MulInto dst==a", func() { MulInto(sq, sq, New(3, 3)) })
-	mustPanic(t, "MulInto dst==b", func() { MulInto(sq, New(3, 3), sq) })
+	sq := mat.New(3, 3)
 	v := make([]float64, 3)
-	mustPanic(t, "MulVecInto dst==x", func() { MulVecInto(v, New(3, 3), v) })
-	mustPanic(t, "MulVecInto dst aliases a", func() { MulVecInto(sq.RowView(0), sq, make([]float64, 3)) })
+	mustPanic(t, "MulVecInto dst==x", func() { mat.MulVecInto(v, mat.New(3, 3), v) })
+	mustPanic(t, "MulVecInto dst aliases a", func() { mat.MulVecInto(sq.RowView(0), sq, make([]float64, 3)) })
 }
 
-// TestIntoShapePanics checks dimension validation of every Into kernel.
+// TestIntoShapePanics checks dimension validation of every Into kernel
+// and of the matrix operations.
 func TestIntoShapePanics(t *testing.T) {
-	a23 := New(2, 3)
-	a22 := New(2, 2)
-	mustPanic(t, "AddInto operand shapes", func() { AddInto(New(2, 3), a23, a22) })
-	mustPanic(t, "AddInto dst shape", func() { AddInto(a22, a23, New(2, 3)) })
-	mustPanic(t, "SubInto dst shape", func() { SubInto(a22, a23, New(2, 3)) })
-	mustPanic(t, "ScaleInto dst shape", func() { ScaleInto(a22, 2, a23) })
-	mustPanic(t, "MulInto inner dims", func() { MulInto(New(2, 2), a23, a23) })
-	mustPanic(t, "MulInto dst shape", func() { MulInto(a22, a23, New(3, 3)) })
-	mustPanic(t, "MulVecInto x len", func() { MulVecInto(make([]float64, 2), a23, make([]float64, 2)) })
-	mustPanic(t, "MulVecInto dst len", func() { MulVecInto(make([]float64, 3), a23, make([]float64, 3)) })
-	mustPanic(t, "VecSubInto lens", func() { VecSubInto(make([]float64, 2), make([]float64, 3), make([]float64, 3)) })
-	mustPanic(t, "VecAddInto lens", func() { VecAddInto(make([]float64, 3), make([]float64, 3), make([]float64, 2)) })
-	mustPanic(t, "VecScaleInto lens", func() { VecScaleInto(make([]float64, 2), 1, make([]float64, 3)) })
+	a23 := mat.New(2, 3)
+	a22 := mat.New(2, 2)
+	mustPanic(t, "Add operand shapes", func() { mat.Add(a23, a22) })
+	mustPanic(t, "Sub operand shapes", func() { mat.Sub(a23, a22) })
+	mustPanic(t, "Mul inner dims", func() { mat.Mul(a23, a23) })
+	mustPanic(t, "MulVecInto x len", func() { mat.MulVecInto(make([]float64, 2), a23, make([]float64, 2)) })
+	mustPanic(t, "MulVecInto dst len", func() { mat.MulVecInto(make([]float64, 3), a23, make([]float64, 3)) })
+	mustPanic(t, "VecSubInto lens", func() { mat.VecSubInto(make([]float64, 2), make([]float64, 3), make([]float64, 3)) })
+	mustPanic(t, "VecAddInto lens", func() { mat.VecAddInto(make([]float64, 3), make([]float64, 3), make([]float64, 2)) })
 }
 
 // TestRowView checks the view semantics RowView documents: writes show
 // through, and out-of-range panics.
 func TestRowView(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := testkit.FromRows([][]float64{{1, 2}, {3, 4}})
 	rv := m.RowView(1)
 	rv[0] = 9
 	if m.At(1, 0) != 9 {

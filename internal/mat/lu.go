@@ -64,16 +64,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	return &LU{lu: lu, piv: piv, signP: sign}, nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := f.signP
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
-}
-
 // SolveVec solves A*x = b for a single right-hand side.
 func (f *LU) SolveVec(b []float64) ([]float64, error) {
 	n := f.lu.rows
@@ -134,25 +124,7 @@ func Solve(a, b *Matrix) (*Matrix, error) {
 	return f.Solve(b)
 }
 
-// SolveVec solves the square linear system a*x = b for a vector b.
-func SolveVec(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b)
-}
-
 // Inverse returns a⁻¹, or ErrSingular.
 func Inverse(a *Matrix) (*Matrix, error) {
 	return Solve(a, Identity(a.rows))
-}
-
-// Det returns the determinant of a square matrix (0 if singular).
-func Det(a *Matrix) float64 {
-	f, err := FactorLU(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }

@@ -32,35 +32,6 @@ func New(r, c int) *Matrix {
 	return &Matrix{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equally long rows. The data is
-// copied.
-func FromRows(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic(fmt.Sprintf("mat: ragged rows: row %d has %d entries, want %d", i, len(row), c))
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
-// FromSlice wraps a flat row-major slice as an r x c matrix. The data is
-// copied.
-func FromSlice(r, c int, data []float64) *Matrix {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: FromSlice got %d values for %dx%d", len(data), r, c))
-	}
-	m := New(r, c)
-	copy(m.data, data)
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -80,29 +51,11 @@ func Diag(d ...float64) *Matrix {
 	return m
 }
 
-// ColVec returns a column vector (n x 1 matrix) holding v. The data is
-// copied.
-func ColVec(v ...float64) *Matrix {
-	m := New(len(v), 1)
-	copy(m.data, v)
-	return m
-}
-
-// RowVec returns a row vector (1 x n matrix) holding v. The data is copied.
-func RowVec(v ...float64) *Matrix {
-	m := New(1, len(v))
-	copy(m.data, v)
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *Matrix) Cols() int { return m.cols }
-
-// Dims returns (rows, cols).
-func (m *Matrix) Dims() (int, int) { return m.rows, m.cols }
 
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 {
@@ -129,16 +82,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i as a slice.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range for %dx%d", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RowView returns row i as a slice aliasing the matrix storage: writes
 // through the slice mutate the matrix. The cap is deliberately left
 // un-truncated (it reaches the end of the backing array) so the
@@ -162,14 +105,6 @@ func (m *Matrix) Col(j int) []float64 {
 		out[i] = m.data[i*m.cols+j]
 	}
 	return out
-}
-
-// SetRow copies v into row i.
-func (m *Matrix) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow got %d values, want %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
 }
 
 // SetCol copies v into column j.
@@ -239,18 +174,6 @@ func (m *Matrix) String() string {
 // IsSquare reports whether m has as many rows as columns.
 func (m *Matrix) IsSquare() bool { return m.rows == m.cols }
 
-// Trace returns the sum of diagonal entries. It panics if m is not square.
-func (m *Matrix) Trace() float64 {
-	if !m.IsSquare() {
-		panic("mat: Trace of non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.rows; i++ {
-		t += m.data[i*m.cols+i]
-	}
-	return t
-}
-
 // MaxAbs returns the largest absolute entry, or 0 for an empty matrix.
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
@@ -260,72 +183,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// NormFro returns the Frobenius norm.
-func (m *Matrix) NormFro() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Norm1 returns the maximum absolute column sum.
-func (m *Matrix) Norm1() float64 {
-	var mx float64
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for i := 0; i < m.rows; i++ {
-			s += math.Abs(m.data[i*m.cols+j])
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-// NormInf returns the maximum absolute row sum.
-func (m *Matrix) NormInf() float64 {
-	var mx float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for j := 0; j < m.cols; j++ {
-			s += math.Abs(m.data[i*m.cols+j])
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-// Equal reports exact element-wise equality of shape and values.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if v != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports whether m and o have the same shape and all entries
-// within tol of each other.
-func (m *Matrix) ApproxEqual(o *Matrix, tol float64) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-o.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // IsFinite reports whether every entry is finite (no NaN or Inf).

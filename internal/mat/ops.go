@@ -40,16 +40,6 @@ func Scale(s float64, a *Matrix) *Matrix {
 	return c
 }
 
-// AddScaled returns a + s*b.
-func AddScaled(a *Matrix, s float64, b *Matrix) *Matrix {
-	sameShape("AddScaled", a, b)
-	c := New(a.rows, a.cols)
-	for i, v := range a.data {
-		c.data[i] = v + s*b.data[i]
-	}
-	return c
-}
-
 // Mul returns the matrix product a * b.
 func Mul(a, b *Matrix) *Matrix {
 	if a.cols != b.rows {
@@ -84,64 +74,6 @@ func MulChain(ms ...*Matrix) *Matrix {
 	return p
 }
 
-// MulVec returns the matrix-vector product a*x as a slice of length
-// a.Rows().
-func MulVec(a *Matrix, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * len %d", a.rows, a.cols, len(x)))
-	}
-	y := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// MulVecT returns xᵀ*a as a slice of length a.Cols().
-func MulVecT(x []float64, a *Matrix) []float64 {
-	if a.rows != len(x) {
-		panic(fmt.Sprintf("mat: MulVecT dimension mismatch len %d * %dx%d", len(x), a.rows, a.cols))
-	}
-	y := make([]float64, a.cols)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		for j, v := range row {
-			y[j] += xv * v
-		}
-	}
-	return y
-}
-
-// HStack concatenates matrices horizontally (same row count).
-func HStack(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows := ms[0].rows
-	cols := 0
-	for _, m := range ms {
-		if m.rows != rows {
-			panic(fmt.Sprintf("mat: HStack row mismatch %d vs %d", m.rows, rows))
-		}
-		cols += m.cols
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		out.SetSubmatrix(0, off, m)
-		off += m.cols
-	}
-	return out
-}
-
 // VStack concatenates matrices vertically (same column count).
 func VStack(ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
@@ -164,23 +96,6 @@ func VStack(ms ...*Matrix) *Matrix {
 	return out
 }
 
-// BlockDiag builds a block-diagonal matrix from the given blocks.
-func BlockDiag(ms ...*Matrix) *Matrix {
-	var rows, cols int
-	for _, m := range ms {
-		rows += m.rows
-		cols += m.cols
-	}
-	out := New(rows, cols)
-	r, c := 0, 0
-	for _, m := range ms {
-		out.SetSubmatrix(r, c, m)
-		r += m.rows
-		c += m.cols
-	}
-	return out
-}
-
 // Symmetrize returns (a + aᵀ)/2, removing numerical asymmetry.
 func Symmetrize(a *Matrix) *Matrix {
 	if !a.IsSquare() {
@@ -195,18 +110,6 @@ func Symmetrize(a *Matrix) *Matrix {
 	return s
 }
 
-// Dot returns the inner product of two equal-length vectors.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
 // VecNorm2 returns the Euclidean norm of x.
 func VecNorm2(x []float64) float64 {
 	var s float64
@@ -214,37 +117,4 @@ func VecNorm2(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// VecSub returns x - y as a new slice.
-func VecSub(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: VecSub length mismatch %d vs %d", len(x), len(y)))
-	}
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] - y[i]
-	}
-	return z
-}
-
-// VecAdd returns x + y as a new slice.
-func VecAdd(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: VecAdd length mismatch %d vs %d", len(x), len(y)))
-	}
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] + y[i]
-	}
-	return z
-}
-
-// VecScale returns s*x as a new slice.
-func VecScale(s float64, x []float64) []float64 {
-	z := make([]float64, len(x))
-	for i, v := range x {
-		z[i] = s * v
-	}
-	return z
 }

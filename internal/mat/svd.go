@@ -119,36 +119,6 @@ func FactorSVD(a *Matrix) (*SVD, error) {
 	return &SVD{U: us, S: ss, V: vs}, nil
 }
 
-// Rank returns the numerical rank at tolerance max(m,n)*eps*s[0] (or the
-// supplied tol if positive).
-func (s *SVD) Rank(tol float64) int {
-	if len(s.S) == 0 {
-		return 0
-	}
-	if tol <= 0 {
-		mx := s.U.rows
-		if s.V.rows > mx {
-			mx = s.V.rows
-		}
-		tol = float64(mx) * 2.22e-16 * s.S[0]
-	}
-	r := 0
-	for _, v := range s.S {
-		if v > tol {
-			r++
-		}
-	}
-	return r
-}
-
-// Cond returns the 2-norm condition number s_max/s_min (Inf if singular).
-func (s *SVD) Cond() float64 {
-	if len(s.S) == 0 || s.S[len(s.S)-1] == 0 {
-		return math.Inf(1)
-	}
-	return s.S[0] / s.S[len(s.S)-1]
-}
-
 // PInv returns the Moore-Penrose pseudo-inverse of a computed via the SVD.
 func PInv(a *Matrix) (*Matrix, error) {
 	s, err := FactorSVD(a)
@@ -176,16 +146,4 @@ func PInv(a *Matrix) (*Matrix, error) {
 		}
 	}
 	return Mul(vsi, s.U.T()), nil
-}
-
-// Norm2 returns the spectral norm (largest singular value) of a.
-func Norm2(a *Matrix) float64 {
-	s, err := FactorSVD(a)
-	if err != nil {
-		return 0
-	}
-	if len(s.S) == 0 {
-		return 0
-	}
-	return s.S[0]
 }

@@ -7,12 +7,13 @@ import (
 	"mimoctl/internal/lqg"
 	"mimoctl/internal/lti"
 	"mimoctl/internal/mat"
+	"mimoctl/internal/testkit"
 )
 
 func testPlant(t *testing.T) *lti.StateSpace {
 	t.Helper()
-	a := mat.FromRows([][]float64{{0.7, 0.1}, {0.05, 0.6}})
-	b := mat.FromRows([][]float64{{0.5, 0.2}, {0.1, 0.4}})
+	a := testkit.FromRows([][]float64{{0.7, 0.1}, {0.05, 0.6}})
+	b := testkit.FromRows([][]float64{{0.5, 0.2}, {0.1, 0.4}})
 	c := mat.Identity(2)
 	return lti.MustStateSpace(a, b, c, nil, 50e-6)
 }
@@ -187,10 +188,10 @@ func TestAnalyzeValidatesGuardbands(t *testing.T) {
 func TestAnalyzeUnstableLoopReported(t *testing.T) {
 	// A destabilizing "controller": positive feedback with large gain on
 	// an integrating plant.
-	plant := lti.MustStateSpace(mat.Diag(0.99), mat.FromRows([][]float64{{1}}),
-		mat.FromRows([][]float64{{1}}), nil, 1)
-	ctrl := lti.MustStateSpace(mat.Diag(0.5), mat.FromRows([][]float64{{1}}),
-		mat.FromRows([][]float64{{0}}), mat.FromRows([][]float64{{5}}), 1)
+	plant := lti.MustStateSpace(mat.Diag(0.99), testkit.FromRows([][]float64{{1}}),
+		testkit.FromRows([][]float64{{1}}), nil, 1)
+	ctrl := lti.MustStateSpace(mat.Diag(0.5), testkit.FromRows([][]float64{{1}}),
+		testkit.FromRows([][]float64{{0}}), testkit.FromRows([][]float64{{5}}), 1)
 	rep, err := Analyze(plant, ctrl, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mimoctl/internal/mat"
+	"mimoctl/internal/testkit"
 )
 
 // constantRecord is the canonical unexcited closed-loop window: the
@@ -65,11 +66,11 @@ func TestModelFromBlocksMatchesFitARX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.SS.A.ApproxEqual(ref.SS.A, 0) || !m.SS.B.ApproxEqual(ref.SS.B, 0) ||
-		!m.SS.C.ApproxEqual(ref.SS.C, 0) || !m.SS.D.ApproxEqual(ref.SS.D, 0) {
+	if !testkit.ApproxEqual(m.SS.A, ref.SS.A, 0) || !testkit.ApproxEqual(m.SS.B, ref.SS.B, 0) ||
+		!testkit.ApproxEqual(m.SS.C, ref.SS.C, 0) || !testkit.ApproxEqual(m.SS.D, ref.SS.D, 0) {
 		t.Fatal("ModelFromBlocks realization differs from FitARX")
 	}
-	if !m.K.ApproxEqual(ref.K, 0) || !m.W.ApproxEqual(ref.W, 0) {
+	if !testkit.ApproxEqual(m.K, ref.K, 0) || !testkit.ApproxEqual(m.W, ref.W, 0) {
 		t.Fatal("ModelFromBlocks noise matrices differ from FitARX")
 	}
 }
