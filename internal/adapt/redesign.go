@@ -3,6 +3,7 @@ package adapt
 import (
 	"fmt"
 
+	"mimoctl/internal/core"
 	"mimoctl/internal/lqg"
 	"mimoctl/internal/lti"
 	"mimoctl/internal/mat"
@@ -87,11 +88,14 @@ func (a *Adapter) redesign() (*candidate, error) {
 	}
 
 	gb := a.guardbands()
-	inW := append([]float64(nil), a.opts.InputWeights...)
+	inW := []float64{core.DefaultFreqWeight, core.DefaultCacheWeight}
+	if a.nu == 3 {
+		inW = append(inW, core.DefaultROBWeight)
+	}
 	var lastErr error
-	for iter := 0; iter < a.opts.MaxRSAIterations; iter++ {
+	for iter := 0; iter < maxRSAIterations; iter++ {
 		lq, err := lqg.Design(model.SS,
-			lqg.Weights{OutputWeights: a.opts.OutputWeights, InputWeights: inW},
+			lqg.Weights{OutputWeights: []float64{core.DefaultIPSWeight, core.DefaultPowerWeight}, InputWeights: inW},
 			lqg.Noise{W: model.W, V: model.V},
 			lqg.Options{DeltaU: true, Integral: true})
 		if err != nil {
@@ -153,8 +157,7 @@ func (a *Adapter) verifyAndSwap(v *Verdict) bool {
 	a.pendModel, a.pendCtrlSS = cand.model, cand.ctrlSS
 	a.opts.Monitor.Rebase(cand.model.SS, cand.ctrlSS)
 	a.base = cand.model.Off
-	a.est = newRLS(cand.model, a.opts.Lambda, a.opts.InitialCovariance,
-		a.opts.CovarianceCap, a.opts.NoiseAlpha, a.opts.OperatingPointAlpha)
+	a.est = newRLS(cand.model)
 	a.lastErr = nil
 	a.stats.Swaps++
 	if m := a.tel; m != nil {
@@ -181,8 +184,7 @@ func (a *Adapter) revert(v *Verdict) {
 		} else {
 			a.opts.Monitor.Rebase(a.deployedModel.SS, a.deployedCtrlSS)
 			a.base = a.deployedModel.Off
-			a.est = newRLS(a.deployedModel, a.opts.Lambda, a.opts.InitialCovariance,
-				a.opts.CovarianceCap, a.opts.NoiseAlpha, a.opts.OperatingPointAlpha)
+			a.est = newRLS(a.deployedModel)
 			v.Flags |= obs.FlagAdaptRevert
 			v.Reverted = true
 		}

@@ -51,9 +51,9 @@ type rls struct {
 
 // newRLS warm-starts the tracker from an identified model: the batch
 // coefficients seed theta, the batch noise covariance seeds the
-// residual EMA, and P starts at p0*I (small enough that it takes real
-// evidence to move a trusted coefficient).
-func newRLS(m *sysid.Model, lambda, p0, traceCap, noiseAlpha, opAlpha float64) *rls {
+// residual EMA, and P starts at rlsInitialCovariance·I (small enough
+// that it takes real evidence to move a trusted coefficient).
+func newRLS(m *sysid.Model) *rls {
 	na, nb := len(m.ABlocks), len(m.BBlocks)
 	ny, nu := m.SS.Outputs(), m.SS.Inputs()
 	lags := na
@@ -63,7 +63,7 @@ func newRLS(m *sysid.Model, lambda, p0, traceCap, noiseAlpha, opAlpha float64) *
 	nreg := na*ny + nb*nu + 1
 	r := &rls{
 		na: na, nb: nb, ny: ny, nu: nu, lags: lags, nreg: nreg,
-		lambda: lambda, traceCap: traceCap, noiseAlpha: noiseAlpha, opAlpha: opAlpha,
+		lambda: rlsLambda, traceCap: rlsCovarianceCap, noiseAlpha: rlsNoiseAlpha, opAlpha: rlsOperatingPointAlpha,
 		theta: make([]float64, nreg*ny),
 		cov:   make([]float64, nreg*nreg),
 		phi:   make([]float64, nreg),
@@ -94,7 +94,7 @@ func newRLS(m *sysid.Model, lambda, p0, traceCap, noiseAlpha, opAlpha float64) *
 		}
 	}
 	for i := 0; i < nreg; i++ {
-		r.cov[i*nreg+i] = p0
+		r.cov[i*nreg+i] = rlsInitialCovariance
 	}
 	for i := 0; i < ny; i++ {
 		for j := 0; j < ny; j++ {

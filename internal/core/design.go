@@ -20,17 +20,16 @@ type DesignSpec struct {
 	// (paper: 4). It is realized as ARX orders NA = NB = dim/2 for the
 	// two outputs.
 	ModelDimension int
-	// Output/input weights; zero values take the Table III defaults.
-	IPSWeight, PowerWeight             float64
-	FreqWeight, CacheWeight, ROBWeight float64
+	// Output/input weights; zero values take the Table III defaults
+	// (the ROB knob's is always DefaultROBWeight).
+	IPSWeight, PowerWeight  float64
+	FreqWeight, CacheWeight float64
 	// Guardbands for robust stability analysis; zero values take the
 	// paper's 50%/30%.
 	IPSGuardband, PowerGuardband float64
 	// EpochsPerApp is the identification waveform length per training
 	// application.
 	EpochsPerApp int
-	// ValidationEpochs is the length of each validation run.
-	ValidationEpochs int
 	// Training and Validation workloads; nil selects the paper's sets
 	// only when the caller wires them in (the experiments package does).
 	Training   []sim.Workload
@@ -46,6 +45,9 @@ type DesignSpec struct {
 	DisableDeltaU   bool
 	DisableIntegral bool
 }
+
+// validationEpochs is the length of each validation run.
+const validationEpochs = 1500
 
 // withDefaults fills zero fields with Table III values.
 func (s DesignSpec) withDefaults() DesignSpec {
@@ -64,9 +66,6 @@ func (s DesignSpec) withDefaults() DesignSpec {
 	if s.CacheWeight == 0 {
 		s.CacheWeight = DefaultCacheWeight
 	}
-	if s.ROBWeight == 0 {
-		s.ROBWeight = DefaultROBWeight
-	}
 	if s.IPSGuardband == 0 {
 		s.IPSGuardband = DefaultIPSGuardband
 	}
@@ -75,9 +74,6 @@ func (s DesignSpec) withDefaults() DesignSpec {
 	}
 	if s.EpochsPerApp == 0 {
 		s.EpochsPerApp = 3000
-	}
-	if s.ValidationEpochs == 0 {
-		s.ValidationEpochs = 1500
 	}
 	if s.MaxRSAIterations == 0 {
 		s.MaxRSAIterations = 8
@@ -213,7 +209,7 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 
 	// Validate on held-out applications (paper §VI-A2).
 	if len(spec.Validation) > 0 {
-		valData, err := CollectIdentificationData(spec.Validation, spec.ThreeInput, spec.ValidationEpochs, spec.Seed+99991)
+		valData, err := CollectIdentificationData(spec.Validation, spec.ThreeInput, validationEpochs, spec.Seed+99991)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: validation runs: %w", err)
 		}
@@ -230,7 +226,7 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 
 	inW := []float64{spec.FreqWeight, spec.CacheWeight}
 	if spec.ThreeInput {
-		inW = append(inW, spec.ROBWeight)
+		inW = append(inW, DefaultROBWeight)
 	}
 	outW := []float64{spec.IPSWeight, spec.PowerWeight}
 

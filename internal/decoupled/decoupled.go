@@ -55,9 +55,6 @@ type DesignSpec struct {
 	Training     []sim.Workload
 	EpochsPerApp int
 	Seed         int64
-	// Weights; zero selects values consistent with the MIMO design.
-	IPSWeight, PowerWeight  float64
-	CacheWeight, FreqWeight float64
 }
 
 // Design identifies the two SISO models and builds their controllers.
@@ -67,18 +64,6 @@ func Design(spec DesignSpec) (*Controller, error) {
 	}
 	if spec.EpochsPerApp == 0 {
 		spec.EpochsPerApp = 3000
-	}
-	if spec.IPSWeight == 0 {
-		spec.IPSWeight = core.DefaultIPSWeight
-	}
-	if spec.PowerWeight == 0 {
-		spec.PowerWeight = core.DefaultPowerWeight
-	}
-	if spec.CacheWeight == 0 {
-		spec.CacheWeight = core.DefaultCacheWeight
-	}
-	if spec.FreqWeight == 0 {
-		spec.FreqWeight = core.DefaultFreqWeight
 	}
 	// SISO identification: excite one knob, hold the other at midrange.
 	cacheData, err := collectSISO(spec, true)
@@ -98,14 +83,14 @@ func Design(spec DesignSpec) (*Controller, error) {
 		return nil, fmt.Errorf("decoupled: frequency model: %w", err)
 	}
 	cacheLoop, err := lqg.Design(cacheModel.SS,
-		lqg.Weights{OutputWeights: []float64{spec.IPSWeight}, InputWeights: []float64{spec.CacheWeight}},
+		lqg.Weights{OutputWeights: []float64{core.DefaultIPSWeight}, InputWeights: []float64{core.DefaultCacheWeight}},
 		lqg.Noise{W: cacheModel.W, V: cacheModel.V},
 		lqg.Options{DeltaU: true, Integral: true})
 	if err != nil {
 		return nil, fmt.Errorf("decoupled: cache controller: %w", err)
 	}
 	freqLoop, err := lqg.Design(freqModel.SS,
-		lqg.Weights{OutputWeights: []float64{spec.PowerWeight}, InputWeights: []float64{spec.FreqWeight}},
+		lqg.Weights{OutputWeights: []float64{core.DefaultPowerWeight}, InputWeights: []float64{core.DefaultFreqWeight}},
 		lqg.Noise{W: freqModel.W, V: freqModel.V},
 		lqg.Options{DeltaU: true, Integral: true})
 	if err != nil {

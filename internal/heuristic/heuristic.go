@@ -35,33 +35,25 @@ import (
 type Options struct {
 	// ThreeInput enables the ROB knob; the rule set changes with it.
 	ThreeInput bool
-	// PowerDeadband / IPSDeadband are the relative error thresholds
-	// below which no action is taken.
-	PowerDeadband, IPSDeadband float64
-	// MemBoundL2MPKI is the L2 miss rate above which the application is
-	// classified memory-bound, changing the feature ranking.
-	MemBoundL2MPKI float64
 	// DecisionEveryEpochs rate-limits actuation.
 	DecisionEveryEpochs int
-	// EMAAlpha smooths the noisy sensors before rule evaluation.
-	EMAAlpha float64
 }
 
+// The rule thresholds: powerDeadband and ipsDeadband are the relative
+// errors below which no action is taken; memBoundL2MPKI is the L2 miss
+// rate above which the application is classified memory-bound, changing
+// the feature ranking; emaAlpha smooths the noisy sensors before rule
+// evaluation.
+const (
+	powerDeadband  float64 = 0.04
+	ipsDeadband    float64 = 0.05
+	memBoundL2MPKI float64 = 5.0
+	emaAlpha       float64 = 0.25
+)
+
 func (o Options) withDefaults() Options {
-	if o.PowerDeadband == 0 {
-		o.PowerDeadband = 0.04
-	}
-	if o.IPSDeadband == 0 {
-		o.IPSDeadband = 0.05
-	}
-	if o.MemBoundL2MPKI == 0 {
-		o.MemBoundL2MPKI = 5.0
-	}
 	if o.DecisionEveryEpochs == 0 {
 		o.DecisionEveryEpochs = 4
-	}
-	if o.EMAAlpha == 0 {
-		o.EMAAlpha = 0.25
 	}
 	return o
 }
@@ -118,10 +110,10 @@ func (h *Tracker) Step(t sim.Telemetry) sim.Config {
 
 	eP := (h.emaP - h.powerTarget) / h.powerTarget
 	eI := (h.emaIPS - h.ipsTarget) / h.ipsTarget
-	memBound := h.emaL2 > h.opts.MemBoundL2MPKI
+	memBound := h.emaL2 > memBoundL2MPKI
 
 	switch {
-	case eP > h.opts.PowerDeadband:
+	case eP > powerDeadband:
 		// Over the power budget: power has priority. Frequency has the
 		// largest power impact; if it is already at the floor, shed the
 		// next-ranked feature.
@@ -130,11 +122,11 @@ func (h *Tracker) Step(t sim.Telemetry) sim.Config {
 				h.dec(&h.cur.ROBIdx, len(sim.ROBSettings))
 			}
 		}
-	case eI < -h.opts.IPSDeadband && eP < -h.opts.PowerDeadband/2:
+	case eI < -ipsDeadband && eP < -powerDeadband/2:
 		// Too slow with power headroom: grow the feature ranked highest
 		// for IPS on this application class.
 		h.boostIPS(memBound)
-	case eI < -h.opts.IPSDeadband:
+	case eI < -ipsDeadband:
 		// Too slow at the power limit: trade features — shrink a
 		// low-IPS-impact power consumer, grow a high-IPS one.
 		if memBound {
@@ -146,9 +138,9 @@ func (h *Tracker) Step(t sim.Telemetry) sim.Config {
 				h.inc(&h.cur.FreqIdx, len(sim.FreqSettingsGHz))
 			}
 		}
-	case eI > h.opts.IPSDeadband && eP < -h.opts.PowerDeadband:
+	case eI > ipsDeadband && eP < -powerDeadband:
 		// Faster than required with power headroom: nothing to fix.
-	case eI > h.opts.IPSDeadband:
+	case eI > ipsDeadband:
 		// Faster than required: save power with the cheapest lever.
 		h.dec(&h.cur.FreqIdx, len(sim.FreqSettingsGHz))
 	}
@@ -171,7 +163,7 @@ func (h *Tracker) observe(t sim.Telemetry) {
 		h.haveEMA = true
 		return
 	}
-	a := h.opts.EMAAlpha
+	a := emaAlpha
 	if usable(t.IPS) {
 		h.emaIPS += a * (t.IPS - h.emaIPS)
 	}
@@ -289,7 +281,6 @@ type SearcherConfig struct {
 	// K selects the metric IPS^K/P.
 	K int
 	Options
-	MaxTries      int
 	SettleEpochs  int
 	MeasureEpochs int
 	PeriodEpochs  int
@@ -299,9 +290,6 @@ type SearcherConfig struct {
 func NewSearcher(cfg SearcherConfig) (*Searcher, error) {
 	if cfg.K < 1 {
 		return nil, errors.New("heuristic: K must be >= 1")
-	}
-	if cfg.MaxTries == 0 {
-		cfg.MaxTries = core.DefaultOptimizerMaxTries
 	}
 	if cfg.SettleEpochs == 0 {
 		cfg.SettleEpochs = 8
@@ -314,7 +302,7 @@ func NewSearcher(cfg SearcherConfig) (*Searcher, error) {
 	}
 	s := &Searcher{
 		k: cfg.K, opts: cfg.Options.withDefaults(),
-		maxTries: cfg.MaxTries, refineTries: 2, settle: cfg.SettleEpochs,
+		maxTries: core.DefaultOptimizerMaxTries, refineTries: 2, settle: cfg.SettleEpochs,
 		measure: cfg.MeasureEpochs, period: cfg.PeriodEpochs,
 		ipsTarget: core.DefaultIPSTarget, powerTarget: core.DefaultPowerTarget,
 	}
@@ -404,7 +392,7 @@ func (s *Searcher) Step(t sim.Telemetry) sim.Config {
 			// Reuse the rank slice's backing array across search
 			// episodes: a long-lived searcher re-ranks every period and
 			// must not allocate in steady state.
-			if l2 > s.opts.MemBoundL2MPKI {
+			if l2 > memBoundL2MPKI {
 				if s.opts.ThreeInput {
 					s.rank = append(s.rank[:0], knobCache, knobROB, knobFreq)
 				} else {
