@@ -11,7 +11,8 @@ import (
 // is re-keyed with the named labels stripped, and series that collapse
 // onto the same residual label set are aggregated —
 //
-//   - counters (integer and float) sum,
+//   - counters sum: integer ones exactly, printed as integers, float
+//     ones as floats,
 //   - gauges emit three samples per group, labeled agg="avg", agg="max",
 //     and agg="sum",
 //   - histograms merge bucket-wise (instruments whose bucket bounds
@@ -76,6 +77,10 @@ func groupEntries(entries []*entry, dropped map[string]bool) (map[string][]*entr
 func renderGroup(sb *strings.Builder, name, typ, labels string, group []*entry) {
 	switch typ {
 	case "counter":
+		if sum, ok := intSum(group); ok {
+			writeSample(sb, name, labels, formatUint(sum))
+			return
+		}
 		sum := 0.0
 		for _, e := range group {
 			sum += scalarValue(e.inst)
@@ -140,6 +145,22 @@ func renderGroup(sb *strings.Builder, name, typ, labels string, group []*entry) 
 		writeSample(sb, name+"_sum", labels, formatFloat(merged.Sum))
 		writeSample(sb, name+"_count", labels, formatUint(merged.Count))
 	}
+}
+
+// intSum sums a group of integer counters; ok is false when a member
+// counts floats.
+func intSum(group []*entry) (sum uint64, ok bool) {
+	for _, e := range group {
+		switch v := e.inst.(type) {
+		case *counter:
+			sum += v.Value()
+		case funcCounter:
+			sum += v()
+		default:
+			return 0, false
+		}
+	}
+	return sum, true
 }
 
 // scalarValue extracts the current value of a scalar instrument.
