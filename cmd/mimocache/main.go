@@ -1,9 +1,10 @@
-// Command mimocache exercises the set-associative cache simulator: it
-// generates a synthetic address trace with the given locality profile,
-// replays it through the modeled L1/L2 geometries at every enabled-way
-// count, and fits the power-law miss curve the epoch-level processor
-// model uses. This is the calibration path behind the per-workload miss
-// curves in internal/workloads.
+// Command mimocache calibrates miss curves: it generates a synthetic
+// address trace with the given locality profile, measures its miss rate
+// in the modeled L1/L2 geometries at every enabled-way count (single
+// pass over LRU stack distances, exact against a replay through a
+// set-associative cache), and fits the power-law miss curve the
+// epoch-level processor model uses. This is the calibration path behind
+// the per-workload miss curves in internal/workloads.
 package main
 
 import (
