@@ -38,8 +38,9 @@ var (
 // rebuilt by refresh only when the PhaseParams fields it reads change
 // (compared by bit pattern): the ROB half is keyed on ROBDemand, the
 // miss-curve half on the six L1*/L2* fields. An analytic workload
-// changes them only at a phase boundary; the trace-driven processor
-// rewrites the miss curve every epoch and never rebuilds the ROB half.
+// changes them only at a phase boundary; the tests' trace-driven
+// processor rewrites the miss curve every epoch and never rebuilds the
+// ROB half.
 type surface struct {
 	valid bool // both halves have been built at least once
 

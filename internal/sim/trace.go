@@ -8,8 +8,8 @@ import (
 // Synthetic memory address stream generators. They stand in for the SPEC
 // CPU2006 address traces the paper's simulator executed: each generator
 // produces streams with a controllable working set, locality, and stride
-// mix so that the cache simulator exhibits realistic miss-rate-vs-ways
-// curves.
+// mix so that a set-associative cache exhibits realistic
+// miss-rate-vs-ways curves.
 
 // TraceSpec parameterizes a synthetic address stream.
 type TraceSpec struct {
@@ -144,7 +144,7 @@ func scatter(x uint64) uint64 {
 // to calibration points (least squares on the log of the excess over the
 // floor), returning (m1, alpha, floor). The epoch model uses this form
 // for its per-workload miss curves; this fit ties those curves to the
-// cache simulator's ground truth.
+// calibrated miss rates.
 func FitPowerLawMissCurve(points []MissCurvePoint) (m1, alpha, floor float64) {
 	if len(points) == 0 {
 		return 0, 0, 0

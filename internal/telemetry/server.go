@@ -15,8 +15,8 @@ type HealthFunc func() (ok bool, detail string)
 
 // ServerOptions wires the diagnostics endpoints.
 type ServerOptions struct {
-	// Registry backs /metrics. A nil or Nop registry serves an empty
-	// (but valid) exposition.
+	// Registry backs /metrics. A nil registry serves an empty (but
+	// valid) exposition.
 	Registry *Registry
 	// Health backs /healthz; nil means always healthy. The binaries pass
 	// their fleet's obs.Fleet.Healthz, which builds the answer from the
