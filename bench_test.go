@@ -19,11 +19,12 @@ import (
 // BenchmarkExpAll times the full experiment suite (every figure/table at
 // a reduced epoch budget) at several worker counts. The design cache is
 // pre-warmed outside the timer so the benchmark measures run execution,
-// not one-time design. Output is byte-identical at every worker count
-// (the golden suite asserts this); the benchmark measures only the
-// wall-clock effect. On a single-CPU host the CPU-bound jobs cannot
-// overlap, so expect parity there and see BenchmarkRunnerWallClock for
-// the latency-bound scaling proof.
+// not one-time design; Fig7's identifications at dimensions 2, 6 and 8
+// are memoized by the first pass, so later passes time none. Output is
+// byte-identical at every worker count (the golden suite asserts this);
+// the benchmark measures only the wall-clock effect. On a single-CPU
+// host the CPU-bound jobs cannot overlap, so expect parity there and
+// see BenchmarkRunnerWallClock for the latency-bound scaling proof.
 func BenchmarkExpAll(b *testing.B) {
 	warmExpDesigns(b)
 	for _, workers := range []int{0, 1, 4} {

@@ -187,7 +187,7 @@ const (
 	rlsOperatingPointAlpha float64 = 0.005
 )
 
-// The redesign recipe mirrors core.DesignMIMO: Table III weights, the
+// The redesign recipe mirrors core.DesignFrom: Table III weights, the
 // input weights doubled up to maxRSAIterations times until the
 // small-gain check passes.
 const maxRSAIterations = 8

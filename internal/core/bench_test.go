@@ -106,3 +106,36 @@ func BenchmarkBaselineProfile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDesignMIMO times the two halves of the standard two-input
+// design at the harness's spec: identify (training record, ARX fit,
+// training-fit score) and synthesize (LQG design and the
+// robust-stability loop on one fixed identification). The spec has no
+// validation set, like the designs Fig6, Fig8 and the ablation run, so
+// synthesize is what each of them costs on a memoized identification.
+//
+// Run with: go test ./internal/core/ -run '^$' -bench=DesignMIMO -benchmem -cpu 1
+func BenchmarkDesignMIMO(b *testing.B) {
+	spec := core.DesignSpec{Training: experiments.TrainingWorkloads(), Seed: experiments.DefaultSeed}
+	b.Run("identify", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.IdentifyMIMO(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("synthesize", func(b *testing.B) {
+		id, err := core.IdentifyMIMO(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.DesignFrom(spec, id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -179,33 +179,87 @@ func normalizedROBLevels() []float64 {
 	return out
 }
 
-// DesignMIMO runs the full Fig. 3 flow: collect identification data on
-// the training set, fit the state-space model, design the LQG controller
-// with the Table III weights, validate the model on held-out
-// applications, and iterate Robust Stability Analysis — doubling the
-// input weights when the check fails — until the design is certified.
-func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
-	spec = spec.withDefaults()
-	if len(spec.Training) == 0 {
-		return nil, nil, errors.New("core: DesignSpec.Training is required")
-	}
-	data, err := CollectIdentificationData(spec.Training, spec.ThreeInput, spec.EpochsPerApp, spec.Seed)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: identification: %w", err)
-	}
-	// Model order: state dim = NA * outputs; two outputs.
-	na := (spec.ModelDimension + 1) / 2
+// Identification is the model half of the Fig. 3 flow: the ARX model
+// fit on the training record and its fit there. It depends only on the
+// knob set, model dimension, training set, record length and seed, and
+// nothing writes through it once built, so any number of designs (and
+// their clones) may share one.
+type Identification struct {
+	Model *sysid.Model
+	// TrainingFit is the model's FitPercent on the training record per
+	// output (nil if the prediction failed).
+	TrainingFit []float64
+}
+
+// arxOrders realizes a model dimension as ARX orders: state dim = NA *
+// outputs, two outputs.
+func arxOrders(dim int) sysid.ARXOrders {
+	na := (dim + 1) / 2
 	if na < 1 {
 		na = 1
 	}
-	model, err := sysid.FitARX(data, sysid.ARXOrders{NA: na, NB: na})
+	return sysid.ARXOrders{NA: na, NB: na}
+}
+
+// IdentifyMIMO runs the identification steps of the Fig. 3 flow:
+// collect the excitation record on the training set, fit the
+// state-space model and score it on that record. Of spec it reads only
+// ThreeInput, ModelDimension, Training, EpochsPerApp and Seed.
+func IdentifyMIMO(spec DesignSpec) (*Identification, error) {
+	spec = spec.withDefaults()
+	if len(spec.Training) == 0 {
+		return nil, errors.New("core: DesignSpec.Training is required")
+	}
+	data, err := CollectIdentificationData(spec.Training, spec.ThreeInput, spec.EpochsPerApp, spec.Seed)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: model fit: %w", err)
+		return nil, fmt.Errorf("core: identification: %w", err)
 	}
-	rep := &DesignReport{Model: model}
+	model, err := sysid.FitARX(data, arxOrders(spec.ModelDimension))
+	if err != nil {
+		return nil, fmt.Errorf("core: model fit: %w", err)
+	}
+	id := &Identification{Model: model}
 	if pred, err := model.Predict(data); err == nil {
-		rep.TrainingFit, _ = sysid.FitPercent(data.Y, pred)
+		id.TrainingFit, _ = sysid.FitPercent(data.Y, pred)
 	}
+	return id, nil
+}
+
+// DesignMIMO runs the full Fig. 3 flow: IdentifyMIMO, then DesignFrom
+// on its model.
+func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
+	id, err := IdentifyMIMO(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return DesignFrom(spec, id)
+}
+
+// DesignFrom runs the synthesis steps of the Fig. 3 flow on an
+// identified model: validate the model on held-out applications, design
+// the LQG controller with the Table III weights, and iterate Robust
+// Stability Analysis — doubling the input weights when the check fails
+// — until the design is certified. id must come from IdentifyMIMO at
+// spec's knob set and model dimension; the controller and the report
+// share its model and training fit.
+func DesignFrom(spec DesignSpec, id *Identification) (*MIMOController, *DesignReport, error) {
+	spec = spec.withDefaults()
+	if id == nil || id.Model == nil {
+		return nil, nil, errors.New("core: DesignFrom needs an identification")
+	}
+	model := id.Model
+	nu := 2
+	if spec.ThreeInput {
+		nu = 3
+	}
+	if got := model.SS.Inputs(); got != nu {
+		return nil, nil, fmt.Errorf("core: identification has %d inputs, spec wants %d", got, nu)
+	}
+	if got, want := model.Orders, arxOrders(spec.ModelDimension); got != want {
+		return nil, nil, fmt.Errorf("core: identification has ARX orders %+v, model dimension %d wants %+v",
+			got, spec.ModelDimension, want)
+	}
+	rep := &DesignReport{Model: model, TrainingFit: id.TrainingFit}
 
 	// Validate on held-out applications (paper §VI-A2).
 	if len(spec.Validation) > 0 {
@@ -232,6 +286,7 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 
 	var lq *lqg.Controller
 	for iter := 0; iter < spec.MaxRSAIterations; iter++ {
+		var err error
 		lq, err = lqg.Design(model.SS,
 			lqg.Weights{OutputWeights: outW, InputWeights: inW},
 			lqg.Noise{W: model.W, V: model.V},

@@ -43,17 +43,18 @@ func Ablation(seed int64, epochs int) (*AblationResult, error) {
 		{"model dimension 2", func(s *core.DesignSpec) { s.ModelDimension = 2 }},
 		{"model dimension 8", func(s *core.DesignSpec) { s.ModelDimension = 8 }},
 	}
-	// Stage 1: one design job per variant.
+	// Stage 1: one design job per variant, each on the shared
+	// identification of its model dimension.
 	ctrls := make([]*core.MIMOController, len(variants))
 	design := make([]runner.Job, len(variants))
 	for vi, v := range variants {
 		vi, v := vi, v
 		design[vi] = runner.Job{Label: "ablation/design/" + v.name, Run: func() error {
-			spec := core.DesignSpec{Training: TrainingWorkloads(), Seed: seed}
+			spec := core.DesignSpec{Seed: seed}
 			if v.mutate != nil {
 				v.mutate(&spec)
 			}
-			ctrl, _, err := core.DesignMIMO(spec)
+			ctrl, _, err := designMIMO(spec)
 			if err != nil {
 				return fmt.Errorf("ablation %q: %w", v.name, err)
 			}

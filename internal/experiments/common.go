@@ -60,6 +60,49 @@ func designOnce[T any](key any, f func() T) T {
 	return entry.val.(T)
 }
 
+// identKey keys the identification family of the design cache.
+type identKey struct {
+	three bool
+	dim   int
+	seed  int64
+}
+
+// identifiedMIMO returns the identification of the paper's training set
+// at the default record length for one knob set, model dimension (0 =
+// core.DefaultModelDimension) and seed, cached and single-flight. Every
+// design at that key shares the one model read-only.
+func identifiedMIMO(threeInput bool, seed int64, dim int) (*core.Identification, error) {
+	if dim == 0 {
+		dim = core.DefaultModelDimension
+	}
+	type val struct {
+		id  *core.Identification
+		err error
+	}
+	v := designOnce(identKey{threeInput, dim, seed}, func() val {
+		id, err := core.IdentifyMIMO(core.DesignSpec{
+			ThreeInput:     threeInput,
+			ModelDimension: dim,
+			Training:       TrainingWorkloads(),
+			Seed:           seed,
+		})
+		return val{id, err}
+	})
+	return v.id, v.err
+}
+
+// designMIMO is core.DesignMIMO on the memoized identification of spec's
+// knob set, model dimension and seed. spec's Training and EpochsPerApp
+// are not read: the identification always uses the paper's training set
+// at the default record length.
+func designMIMO(spec core.DesignSpec) (*core.MIMOController, *core.DesignReport, error) {
+	id, err := identifiedMIMO(spec.ThreeInput, spec.Seed, spec.ModelDimension)
+	if err != nil {
+		return nil, nil, err
+	}
+	return core.DesignFrom(spec, id)
+}
+
 // DesignedMIMO returns the standard MIMO controller (cached per
 // (threeInput, seed), single-flight). All callers of one key share one
 // pointer: the controller has runtime state, so parallel experiment jobs
@@ -76,9 +119,8 @@ func DesignedMIMO(threeInput bool, seed int64) (*core.MIMOController, *core.Desi
 		err  error
 	}
 	v := designOnce(key{threeInput, seed}, func() val {
-		ctrl, rep, err := core.DesignMIMO(core.DesignSpec{
+		ctrl, rep, err := designMIMO(core.DesignSpec{
 			ThreeInput: threeInput,
-			Training:   TrainingWorkloads(),
 			Validation: ValidationWorkloads(),
 			Seed:       seed,
 		})

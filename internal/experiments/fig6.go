@@ -60,8 +60,8 @@ type Fig6Result struct {
 
 // Fig6 runs the experiment. epochs <= 0 selects 2500 as in the figure's
 // axis range. The plan is one job per weight set (each designs and runs
-// its own controller); points land in Table V order regardless of
-// worker count.
+// its own controller on the seed's shared identification); points land
+// in Table V order regardless of worker count.
 func Fig6(seed int64, epochs int) (*Fig6Result, error) {
 	if epochs <= 0 {
 		epochs = 2500
@@ -96,8 +96,7 @@ func Fig6(seed int64, epochs int) (*Fig6Result, error) {
 // convergence and tracking on namd — one independent job.
 func fig6Point(namd sim.Workload, set Fig6WeightSet, seed int64, epochs int) (Fig6Point, error) {
 	point := Fig6Point{Set: set}
-	ctrl, _, err := core.DesignMIMO(core.DesignSpec{
-		Training:         TrainingWorkloads(),
+	ctrl, _, err := designMIMO(core.DesignSpec{
 		Seed:             seed,
 		IPSWeight:        set.IPS,
 		PowerWeight:      set.Power,

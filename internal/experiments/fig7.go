@@ -11,8 +11,9 @@ import (
 )
 
 // Fig7 reproduces Figure 7: maximum model prediction error versus model
-// dimension, justifying the paper's choice of dimension 4. One model is
-// fit per dimension on the training-set identification record; errors
+// dimension, justifying the paper's choice of dimension 4. Each
+// dimension's model is the two-input design flow's identification at
+// that dimension (memoized, shared with every design there); errors
 // are the model's one-step prediction errors on held-out validation
 // applications (h264ref, tonto) — the standard system-identification
 // prediction-error metric, which isolates how well each order captures
@@ -37,37 +38,31 @@ type Fig7Result struct {
 
 // Fig7 runs the sweep over even dimensions 2..maxDim (two outputs means
 // realizable state dimensions come in steps of 2). The plan has two
-// stages: the training and per-application validation records are
-// collected by independent jobs, then one job per dimension fits and
-// scores its model against the shared (read-only) records.
+// stages: the per-application validation records are collected by
+// independent jobs, then one job per dimension takes its memoized
+// model (identifying it on first use) and scores it against the shared
+// (read-only) records.
 func Fig7(seed int64, maxDim int) (*Fig7Result, error) {
 	if maxDim <= 0 {
 		maxDim = 8
 	}
-	// Stage 1: identification records. Index 0 is the training record;
-	// 1.. are one validation record per held-out application (the
+	// Stage 1: one validation record per held-out application (the
 	// figure's "maximum error" is the worst per-application average
 	// prediction error, as in §VI-A2).
 	valWorkloads := ValidationWorkloads()
-	records := make([]*sysid.Data, 1+len(valWorkloads))
-	collect := make([]runner.Job, 0, len(records))
-	collect = append(collect, runner.Job{Label: "fig7/collect/train", Run: func() error {
-		d, err := core.CollectIdentificationData(TrainingWorkloads(), false, 3000, seed)
-		records[0] = d
-		return err
-	}})
+	valRecords := make([]*sysid.Data, len(valWorkloads))
+	collect := make([]runner.Job, len(valWorkloads))
 	for i, w := range valWorkloads {
 		i, w := i, w
-		collect = append(collect, runner.Job{Label: "fig7/collect/" + w.Name(), Run: func() error {
+		collect[i] = runner.Job{Label: "fig7/collect/" + w.Name(), Run: func() error {
 			d, err := core.CollectIdentificationData([]sim.Workload{w}, false, 1500, seed+99991)
-			records[1+i] = d
+			valRecords[i] = d
 			return err
-		}})
+		}}
 	}
 	if err := runPlan(collect); err != nil {
 		return nil, err
 	}
-	train, valRecords := records[0], records[1:]
 
 	// Stage 2: one job per model dimension.
 	var dims []int
@@ -79,7 +74,7 @@ func Fig7(seed int64, maxDim int) (*Fig7Result, error) {
 	for i, dim := range dims {
 		i, dim := i, dim
 		fit[i] = runner.Job{Label: fmt.Sprintf("fig7/dim=%d", dim), Run: func() error {
-			p, err := fig7Point(train, valRecords, dim)
+			p, err := fig7Point(seed, valRecords, dim)
 			if err != nil {
 				return err
 			}
@@ -95,14 +90,15 @@ func Fig7(seed int64, maxDim int) (*Fig7Result, error) {
 	return res, nil
 }
 
-// fig7Point fits one dimension's model on the training record and
-// scores it on the validation records — one independent job; it only
-// reads the shared records.
-func fig7Point(train *sysid.Data, valRecords []*sysid.Data, dim int) (Fig7Point, error) {
-	model, err := sysid.FitARX(train, sysid.ARXOrders{NA: dim / 2, NB: dim / 2})
+// fig7Point scores one dimension's memoized two-input model on the
+// validation records — one independent job; it only reads the shared
+// model and records.
+func fig7Point(seed int64, valRecords []*sysid.Data, dim int) (Fig7Point, error) {
+	id, err := identifiedMIMO(false, seed, dim)
 	if err != nil {
 		return Fig7Point{}, fmt.Errorf("dimension %d: %w", dim, err)
 	}
+	model := id.Model
 	point := Fig7Point{Dimension: dim}
 	var fitI, fitP []float64
 	for _, val := range valRecords {

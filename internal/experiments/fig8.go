@@ -43,8 +43,7 @@ func Fig8(seed int64, epochs int) (*Fig8Result, error) {
 	var high, low *core.MIMOController
 	design := []runner.Job{
 		{Label: "fig8/design/high", Run: func() error {
-			c, _, err := core.DesignMIMO(core.DesignSpec{
-				Training:    TrainingWorkloads(),
+			c, _, err := designMIMO(core.DesignSpec{
 				Seed:        seed,
 				FreqWeight:  core.DefaultFreqWeight * 4,
 				CacheWeight: core.DefaultCacheWeight * 4,
@@ -56,8 +55,7 @@ func Fig8(seed int64, epochs int) (*Fig8Result, error) {
 			return nil
 		}},
 		{Label: "fig8/design/low", Run: func() error {
-			c, _, err := core.DesignMIMO(core.DesignSpec{
-				Training:       TrainingWorkloads(),
+			c, _, err := designMIMO(core.DesignSpec{
 				Seed:           seed,
 				IPSGuardband:   0.30,
 				PowerGuardband: 0.20,

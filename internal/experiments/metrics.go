@@ -19,10 +19,10 @@ import (
 // and the designs a job owns), its runner plans and its own two
 // counters. With nothing attached, nothing is bound.
 //
-// Plants the design flow builds internally (core.DesignMIMO,
-// decoupled.Design, core.ProfileStatic) stay unbound, so
-// sim_epochs_total counts the epochs the harness drives and no
-// identification epochs.
+// Plants the design flow builds internally (core.IdentifyMIMO, the
+// validation runs of core.DesignFrom, decoupled.Design,
+// core.ProfileStatic) stay unbound, so sim_epochs_total counts the
+// epochs the harness drives and no identification epochs.
 
 // attachment is what SetObservability attached.
 type attachment struct {

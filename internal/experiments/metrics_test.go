@@ -14,7 +14,9 @@ import (
 // binds every plant it builds, every controller it steps, its runner
 // plans and its own counters to the fleet's registry, under the metric
 // names and labels of GUIDE §10, without moving a result byte; the
-// counts reconcile exactly. Once detached it binds nothing.
+// counts reconcile exactly. The trace-driven hierarchy's per-level
+// cache counters are not among them: only a trace-mode plant, which no
+// program builds, registers those. Once detached it binds nothing.
 func TestHarnessBindsAttachedRegistry(t *testing.T) {
 	const epochs = 600 // fig6's golden budget
 	fig6 := goldenCase{name: "fig6", run: func() (Tabular, error) { return Fig6(DefaultSeed, epochs) }}
@@ -56,7 +58,6 @@ func TestHarnessBindsAttachedRegistry(t *testing.T) {
 		"sim_temp_celsius", "sim_l1_mpki", "sim_l2_mpki", "sim_energy_joules_total",
 		"sim_instructions_total", "sim_dvfs_transitions_total", "sim_cache_resizes_total",
 		"sim_rob_resizes_total", "sim_apply_invalid_total",
-		`sim_cache_accesses_total{level="l1"}`, `sim_cache_misses_total{level="l2"}`,
 		"ctrl_steps_total", "ctrl_step_seconds_count", "lqg_step_seconds_count",
 		`ctrl_innovation_abs_count{output="ips"}`, `ctrl_innovation_abs_count{output="power"}`,
 		`ctrl_tracking_error_rel{output="ips"}`, `ctrl_tracking_error_rel{output="power"}`,
@@ -69,6 +70,11 @@ func TestHarnessBindsAttachedRegistry(t *testing.T) {
 	} {
 		if !strings.Contains(before.String(), "\n"+sample+" ") {
 			t.Errorf("sample %s missing from the attached registry", sample)
+		}
+	}
+	for _, family := range []string{"sim_cache_accesses_total", "sim_cache_misses_total"} {
+		if strings.Contains(before.String(), "\n"+family) {
+			t.Errorf("the attached registry exports %s, which only a trace-mode plant writes", family)
 		}
 	}
 

@@ -88,8 +88,6 @@ type Controller struct {
 	// runtime reads their flat copies in g.
 	kx, ku, kz *mat.Matrix // LQR gain partitions
 	lc         *mat.Matrix // Kalman filter gain (filtered form)
-	pRicc      *mat.Matrix // LQR DARE solution (for inspection)
-	pKalm      *mat.Matrix // estimator DARE solution
 	qy, rCost  *mat.Matrix // designer cost matrices (diagonal)
 
 	// Target calculator: [x_ss; u_ss] = targetGain * r.
@@ -284,7 +282,6 @@ func (c *Controller) designLQR(w Weights) error {
 	if err != nil {
 		return fmt.Errorf("lqg: LQR gain: %w", err)
 	}
-	c.pRicc = sol
 	c.kx = k.Slice(0, ni, 0, n)
 	if c.opts.DeltaU {
 		c.ku = k.Slice(0, ni, uOff, uOff+ni)
@@ -312,7 +309,6 @@ func (c *Controller) designKalman(noise Noise) error {
 	if err != nil {
 		return fmt.Errorf("lqg: Kalman innovation covariance singular: %w", err)
 	}
-	c.pKalm = sol
 	c.lc = mat.MulChain(sol, p.C.T(), sinv)
 	return nil
 }

@@ -35,13 +35,6 @@ type procMetrics struct {
 	cacheResizes    telemetry.Counter
 	robResizes      telemetry.Counter
 	applyInvalid    telemetry.Counter
-
-	// Trace-driven hierarchy (per-level hit/miss), fed only by the
-	// test-side TraceProcessor.
-	l1Accesses telemetry.Counter
-	l1Misses   telemetry.Counter
-	l2Accesses telemetry.Counter
-	l2Misses   telemetry.Counter
 }
 
 // BindTelemetry binds this processor to a registry. A nil registry
@@ -73,10 +66,5 @@ func newProcMetrics(reg *telemetry.Registry) *procMetrics {
 		cacheResizes:    reg.Counter("sim_cache_resizes_total", "cache way-gating changes applied"),
 		robResizes:      reg.Counter("sim_rob_resizes_total", "reorder-buffer resizes applied"),
 		applyInvalid:    reg.Counter("sim_apply_invalid_total", "Apply calls rejected by Config validation"),
-
-		l1Accesses: reg.Counter("sim_cache_accesses_total", "trace-mode cache accesses", telemetry.L("level", "l1")),
-		l1Misses:   reg.Counter("sim_cache_misses_total", "trace-mode cache misses", telemetry.L("level", "l1")),
-		l2Accesses: reg.Counter("sim_cache_accesses_total", "trace-mode cache accesses", telemetry.L("level", "l2")),
-		l2Misses:   reg.Counter("sim_cache_misses_total", "trace-mode cache misses", telemetry.L("level", "l2")),
 	}
 }

@@ -116,7 +116,7 @@ func refTraceStep(p *TraceProcessor) Telemetry {
 	for a := 0; a < accesses; a++ {
 		p.hier.Access(p.gen.Next())
 	}
-	if m := p.inner.met; m != nil {
+	if m := p.met; m != nil {
 		// Per-level hit/miss telemetry: stats were reset at the top of
 		// this epoch, so Stats() is exactly this epoch's replay.
 		a1, m1 := p.hier.L1.Stats()

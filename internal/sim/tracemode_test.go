@@ -41,6 +41,15 @@ type TraceProcessor struct {
 	MaxAccessesPerEpoch int
 	// lastIPC seeds the access-count estimate for the next epoch.
 	lastIPC float64
+	// met is the per-level cache telemetry (nil when unbound).
+	met *traceMetrics
+}
+
+// traceMetrics are the trace-driven hierarchy's per-level hit/miss
+// counters, registered only where a TraceProcessor binds.
+type traceMetrics struct {
+	l1Accesses, l1Misses telemetry.Counter
+	l2Accesses, l2Misses telemetry.Counter
 }
 
 // NewTraceProcessor builds a trace-driven processor. The workload must
@@ -122,7 +131,7 @@ func (p *TraceProcessor) Step() (tel Telemetry) {
 	for a := 0; a < accesses; a++ {
 		p.hier.Access(p.gen.Next())
 	}
-	if m := p.inner.met; m != nil {
+	if m := p.met; m != nil {
 		// Per-level hit/miss telemetry: stats were reset at the top of
 		// this epoch, so Stats() is exactly this epoch's replay.
 		a1, m1 := p.hier.L1.Stats()
@@ -168,4 +177,16 @@ func (p *TraceProcessor) Hierarchy() *Hierarchy { return p.hier }
 
 // BindTelemetry binds the trace-driven processor, its per-level cache
 // counters included, under the rules of Processor.BindTelemetry.
-func (p *TraceProcessor) BindTelemetry(reg *telemetry.Registry) { p.inner.BindTelemetry(reg) }
+func (p *TraceProcessor) BindTelemetry(reg *telemetry.Registry) {
+	p.inner.BindTelemetry(reg)
+	if !reg.Enabled() {
+		p.met = nil
+		return
+	}
+	p.met = &traceMetrics{
+		l1Accesses: reg.Counter("sim_cache_accesses_total", "trace-mode cache accesses", telemetry.L("level", "l1")),
+		l1Misses:   reg.Counter("sim_cache_misses_total", "trace-mode cache misses", telemetry.L("level", "l1")),
+		l2Accesses: reg.Counter("sim_cache_accesses_total", "trace-mode cache accesses", telemetry.L("level", "l2")),
+		l2Misses:   reg.Counter("sim_cache_misses_total", "trace-mode cache misses", telemetry.L("level", "l2")),
+	}
+}
