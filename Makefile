@@ -27,6 +27,7 @@ fuzz:
 	$(GO) test ./internal/flightrec/ -run '^$$' -fuzz FuzzReadDump -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSurfaceMatchesReference -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStaticSweepMatchesProcessor -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzLockstepMatchesProcessors -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzSupervisedBatchVsScalar -fuzztime $(or $(FUZZTIME),10s)
 
 # golden re-records the golden regression CSVs after an intentional

@@ -49,6 +49,10 @@ type DesignSpec struct {
 // validationEpochs is the length of each validation run.
 const validationEpochs = 1500
 
+// DefaultEpochsPerApp is the identification record length per training
+// application.
+const DefaultEpochsPerApp = 3000
+
 // withDefaults fills zero fields with Table III values.
 func (s DesignSpec) withDefaults() DesignSpec {
 	if s.ModelDimension == 0 {
@@ -73,7 +77,7 @@ func (s DesignSpec) withDefaults() DesignSpec {
 		s.PowerGuardband = DefaultPowerGuardband
 	}
 	if s.EpochsPerApp == 0 {
-		s.EpochsPerApp = 3000
+		s.EpochsPerApp = DefaultEpochsPerApp
 	}
 	if s.MaxRSAIterations == 0 {
 		s.MaxRSAIterations = 8
@@ -202,9 +206,9 @@ func arxOrders(dim int) sysid.ARXOrders {
 }
 
 // IdentifyMIMO runs the identification steps of the Fig. 3 flow:
-// collect the excitation record on the training set, fit the
-// state-space model and score it on that record. Of spec it reads only
-// ThreeInput, ModelDimension, Training, EpochsPerApp and Seed.
+// collect the excitation record on the training set, then IdentifyFrom
+// it. Of spec it reads only ThreeInput, ModelDimension, Training,
+// EpochsPerApp and Seed.
 func IdentifyMIMO(spec DesignSpec) (*Identification, error) {
 	spec = spec.withDefaults()
 	if len(spec.Training) == 0 {
@@ -214,7 +218,18 @@ func IdentifyMIMO(spec DesignSpec) (*Identification, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: identification: %w", err)
 	}
-	model, err := sysid.FitARX(data, arxOrders(spec.ModelDimension))
+	return IdentifyFrom(data, spec.ModelDimension)
+}
+
+// IdentifyFrom fits the state-space model of dimension dim (0 =
+// DefaultModelDimension) on a training record and scores it there. It
+// only reads data, so one record collected by CollectIdentificationData
+// may serve every dimension of its knob set and seed, concurrently.
+func IdentifyFrom(data *sysid.Data, dim int) (*Identification, error) {
+	if dim == 0 {
+		dim = DefaultModelDimension
+	}
+	model, err := sysid.FitARX(data, arxOrders(dim))
 	if err != nil {
 		return nil, fmt.Errorf("core: model fit: %w", err)
 	}

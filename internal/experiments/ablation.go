@@ -65,28 +65,33 @@ func Ablation(seed int64, epochs int) (*AblationResult, error) {
 	if err := runPlan(design); err != nil {
 		return nil, err
 	}
-	// Stage 2: one run job per (variant, responsive workload); the sums
+	// Stage 2: one run job per responsive workload, its variants
+	// stepping in lockstep on one bank of the workload's plant; the sums
 	// are reduced afterwards in canonical workload order so float
 	// summation order never depends on the worker count.
 	apps := workloads.ResponsiveSet()
 	stats := make([]TrackStats, len(variants)*len(apps))
-	run := make([]runner.Job, 0, len(stats))
-	for vi := range variants {
-		for wi, p := range apps {
-			vi, wi, p := vi, wi, p
-			run = append(run, runner.Job{
-				Label: fmt.Sprintf("ablation/%s/%s", variants[vi].name, p.Name()),
-				Run: func() error {
-					ctrl := bindMIMO(ctrls[vi].Clone())
+	run := make([]runner.Job, len(apps))
+	for wi, p := range apps {
+		wi, p := wi, p
+		run[wi] = runner.Job{
+			Label: "ablation/" + p.Name(),
+			Run: func() error {
+				row := make([]core.ArchController, len(ctrls))
+				for vi, proto := range ctrls {
+					ctrl := bindMIMO(proto.Clone())
 					ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
-					st, err := RunTracking(ctrl, p, seed+101, epochs, epochs/6)
-					if err != nil {
-						return err
-					}
+					row[vi] = ctrl
+				}
+				sts, err := RunTracking(row, p, seed+101, epochs, epochs/6)
+				if err != nil {
+					return err
+				}
+				for vi, st := range sts {
 					stats[vi*len(apps)+wi] = st
-					return nil
-				},
-			})
+				}
+				return nil
+			},
 		}
 	}
 	if err := runPlan(run); err != nil {

@@ -12,8 +12,10 @@ import (
 
 	"mimoctl/internal/core"
 	"mimoctl/internal/decoupled"
+	"mimoctl/internal/flightrec"
 	"mimoctl/internal/heuristic"
 	"mimoctl/internal/sim"
+	"mimoctl/internal/sysid"
 	"mimoctl/internal/workloads"
 )
 
@@ -72,6 +74,12 @@ type identKey struct {
 // core.DefaultModelDimension) and seed, cached and single-flight. Every
 // design at that key shares the one model read-only.
 func identifiedMIMO(threeInput bool, seed int64, dim int) (*core.Identification, error) {
+	return identifiedFrom(&trainingRecord{three: threeInput, seed: seed}, dim)
+}
+
+// identifiedFrom is identifiedMIMO at rec's knob set and seed: a cold
+// key is fit on rec, which collects itself on first use.
+func identifiedFrom(rec *trainingRecord, dim int) (*core.Identification, error) {
 	if dim == 0 {
 		dim = core.DefaultModelDimension
 	}
@@ -79,16 +87,41 @@ func identifiedMIMO(threeInput bool, seed int64, dim int) (*core.Identification,
 		id  *core.Identification
 		err error
 	}
-	v := designOnce(identKey{threeInput, dim, seed}, func() val {
-		id, err := core.IdentifyMIMO(core.DesignSpec{
-			ThreeInput:     threeInput,
-			ModelDimension: dim,
-			Training:       TrainingWorkloads(),
-			Seed:           seed,
-		})
+	v := designOnce(identKey{rec.three, dim, rec.seed}, func() val {
+		data, err := rec.get()
+		if err != nil {
+			return val{nil, fmt.Errorf("core: identification: %w", err)}
+		}
+		id, err := core.IdentifyFrom(data, dim)
 		return val{id, err}
 	})
 	return v.id, v.err
+}
+
+// trainingRecord is the identification record of the paper's training
+// set at the default record length for one knob set and seed, collected
+// once on first use. Identifications that share one (Fig7's cold
+// dimensions) collect it once between them; it is never cached beyond
+// its holder, since a record is ~0.4 MB.
+type trainingRecord struct {
+	three bool
+	seed  int64
+
+	once sync.Once
+	data *sysid.Data
+	err  error
+}
+
+// collectTraining collects a training record; tests count the
+// collections through it.
+var collectTraining = core.CollectIdentificationData
+
+// get collects the record on its first call and returns it.
+func (r *trainingRecord) get() (*sysid.Data, error) {
+	r.once.Do(func() {
+		r.data, r.err = collectTraining(TrainingWorkloads(), r.three, core.DefaultEpochsPerApp, r.seed)
+	})
+	return r.data, r.err
 }
 
 // designMIMO is core.DesignMIMO on the memoized identification of spec's
@@ -196,81 +229,120 @@ type TrackStats struct {
 	Seconds      float64
 }
 
-// RunTracking drives a controller against a workload for `epochs`
-// control epochs, measuring after `skip` warm-up epochs against the
-// controller's (possibly time-varying) targets.
-func RunTracking(ctrl core.ArchController, w sim.Workload, seed int64, epochs, skip int) (TrackStats, error) {
-	proc, err := newProcessor(w, seed)
+// RunTracking drives each controller of ctrls against its own plant of
+// w for `epochs` control epochs and returns ctrls[i]'s stats at index
+// i, measured after `skip` warm-up epochs against the controller's
+// (possibly time-varying) targets. The plants are the members of one
+// lockstep bank of (w, seed): each controller runs exactly as it would
+// on a processor of its own, and the plant stream is computed once for
+// the row.
+func RunTracking(ctrls []core.ArchController, w sim.Workload, seed int64, epochs, skip int) ([]TrackStats, error) {
+	bank, err := newLockstep(w, seed, len(ctrls))
 	if err != nil {
-		return TrackStats{}, err
+		return nil, err
 	}
-	ctrl.Reset()
-	rec := attachFlightRec(ctrl, trackingMeta(ctrl, w, seed, epochs))
-	defer finishFlightRec(rec, ctrl, "track_"+w.Name()+"_"+ctrl.Name())
-	tel := proc.Step()
-	var sumIPS, sumP, sumIErr, sumPErr float64
+	finish := startRow(ctrls, "track", w, seed, epochs)
+	defer finish()
+	type sums struct{ ips, p, iErr, pErr float64 }
+	acc := make([]sums, len(ctrls))
 	n := 0
+	tels := bank.Step()
 	for k := 0; k < epochs; k++ {
-		cfg := ctrl.Step(tel)
-		if err := proc.Apply(cfg); err != nil {
-			return TrackStats{}, err
+		if err := stepRow(bank, ctrls, tels, w); err != nil {
+			return nil, err
 		}
-		tel = proc.Step()
-		if k >= skip {
+		tels = bank.Step()
+		if k < skip {
+			continue
+		}
+		n++
+		for i, ctrl := range ctrls {
+			tel, a := &tels[i], &acc[i]
 			ipsRef, pRef := ctrl.Targets()
-			sumIPS += tel.TrueIPS
-			sumP += tel.TruePowerW
+			a.ips += tel.TrueIPS
+			a.p += tel.TruePowerW
 			if ipsRef > 0 {
-				sumIErr += math.Abs(tel.TrueIPS-ipsRef) / ipsRef
+				a.iErr += math.Abs(tel.TrueIPS-ipsRef) / ipsRef
 			}
 			if pRef > 0 {
-				sumPErr += math.Abs(tel.TruePowerW-pRef) / pRef
+				a.pErr += math.Abs(tel.TruePowerW-pRef) / pRef
 			}
-			n++
 		}
 	}
-	countEpochs(epochs)
-	e, instr, secs := proc.Totals()
-	if n == 0 {
-		n = 1
+	countEpochs(epochs * len(ctrls))
+	nf := float64(max(n, 1))
+	out := make([]TrackStats, len(ctrls))
+	for i, ctrl := range ctrls {
+		a, t := acc[i], bank.Totals(i)
+		out[i] = TrackStats{
+			Workload: w.Name(), Arch: ctrl.Name(),
+			MeanIPS: a.ips / nf, MeanPower: a.p / nf,
+			IPSErrPct: 100 * a.iErr / nf, PowerErrPct: 100 * a.pErr / nf,
+			EnergyJ: t.EnergyJ, Instructions: t.Instructions, Seconds: t.Seconds,
+		}
 	}
-	return TrackStats{
-		Workload: w.Name(), Arch: ctrl.Name(),
-		MeanIPS: sumIPS / float64(n), MeanPower: sumP / float64(n),
-		IPSErrPct: 100 * sumIErr / float64(n), PowerErrPct: 100 * sumPErr / float64(n),
-		EnergyJ: e, Instructions: instr, Seconds: secs,
-	}, nil
+	return out, nil
 }
 
-// RunEnergy drives a controller and returns the E·D^(k-1) per
-// instruction achieved over the run (after `warm` settling epochs).
-func RunEnergy(ctrl core.ArchController, w sim.Workload, seed int64, epochs, warm, k int) (float64, error) {
-	proc, err := newProcessor(w, seed)
+// RunEnergy drives each controller of ctrls against its own plant of w,
+// the members of one lockstep bank of (w, seed) as in RunTracking, and
+// returns the E·D^(k-1) per instruction ctrls[i] achieved over the run
+// (after `warm` settling epochs) at index i.
+func RunEnergy(ctrls []core.ArchController, w sim.Workload, seed int64, epochs, warm, k int) ([]float64, error) {
+	bank, err := newLockstep(w, seed, len(ctrls))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	ctrl.Reset()
-	rec := attachFlightRec(ctrl, trackingMeta(ctrl, w, seed, warm+epochs))
-	defer finishFlightRec(rec, ctrl, "energy_"+w.Name()+"_"+ctrl.Name())
-	tel := proc.Step()
+	finish := startRow(ctrls, "energy", w, seed, warm+epochs)
+	defer finish()
+	tels := bank.Step()
 	for i := 0; i < warm; i++ {
-		cfg := ctrl.Step(tel)
-		if err := proc.Apply(cfg); err != nil {
-			return 0, err
+		if err := stepRow(bank, ctrls, tels, w); err != nil {
+			return nil, err
 		}
-		tel = proc.Step()
+		tels = bank.Step()
 	}
-	proc.ResetTotals()
+	bank.ResetTotals()
 	for i := 0; i < epochs; i++ {
-		cfg := ctrl.Step(tel)
-		if err := proc.Apply(cfg); err != nil {
-			return 0, err
+		if err := stepRow(bank, ctrls, tels, w); err != nil {
+			return nil, err
 		}
-		tel = proc.Step()
+		tels = bank.Step()
 	}
-	countEpochs(warm + epochs)
-	e, instr, secs := proc.Totals()
-	return sim.EnergyDelayProduct(e, instr, secs, k), nil
+	countEpochs((warm + epochs) * len(ctrls))
+	out := make([]float64, len(ctrls))
+	for i := range ctrls {
+		t := bank.Totals(i)
+		out[i] = sim.EnergyDelayProduct(t.EnergyJ, t.Instructions, t.Seconds, k)
+	}
+	return out, nil
+}
+
+// startRow resets each controller of a row and attaches its flight
+// recorder (kind labels the dumps); the returned function finishes the
+// recordings in row order.
+func startRow(ctrls []core.ArchController, kind string, w sim.Workload, seed int64, epochs int) func() {
+	recs := make([]*flightrec.Recorder, len(ctrls))
+	for i, ctrl := range ctrls {
+		ctrl.Reset()
+		recs[i] = attachFlightRec(ctrl, trackingMeta(ctrl, w, seed, epochs))
+	}
+	return func() {
+		for i, ctrl := range ctrls {
+			finishFlightRec(recs[i], ctrl, kind+"_"+w.Name()+"_"+ctrl.Name())
+		}
+	}
+}
+
+// stepRow steps each controller of a row on its member's telemetry and
+// applies its decision to that member.
+func stepRow(bank *sim.Lockstep, ctrls []core.ArchController, tels []sim.Telemetry, w sim.Workload) error {
+	for i, ctrl := range ctrls {
+		if err := bank.Apply(i, ctrl.Step(tels[i])); err != nil {
+			return fmt.Errorf("%s on %s: %w", ctrl.Name(), w.Name(), err)
+		}
+	}
+	return nil
 }
 
 // SteadyStateEpoch returns the first epoch after which the integer

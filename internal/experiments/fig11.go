@@ -35,9 +35,9 @@ type Fig11Result struct {
 var Fig11Archs = []string{"MIMO", "Heuristic", "Decoupled"}
 
 // Fig11 runs the tracking comparison. epochs <= 0 selects 6000. The
-// plan is one job per (application, architecture); each job builds a
-// private controller (a clone of the cached design, or a fresh
-// heuristic).
+// plan is one job per application: its architectures, each a private
+// controller (a clone of the cached design, or a fresh heuristic), step
+// in lockstep on one bank of the application's plant.
 func Fig11(seed int64, epochs int) (*Fig11Result, error) {
 	if epochs <= 0 {
 		epochs = 6000
@@ -51,36 +51,36 @@ func Fig11(seed int64, epochs int) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	newCtrl := []func() core.ArchController{
-		func() core.ArchController { return bindMIMO(mimo.Clone()) },
-		func() core.ArchController { return NewHeuristicTracker(false) },
-		func() core.ArchController { return dec.Clone() },
+	newCtrls := func() []core.ArchController {
+		ctrls := []core.ArchController{bindMIMO(mimo.Clone()), NewHeuristicTracker(false), dec.Clone()}
+		for _, ctrl := range ctrls {
+			ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
+		}
+		return ctrls
 	}
 	apps := workloads.ProductionSet()
-	rows := make([]Fig11Row, len(apps)*len(newCtrl))
-	jobs := make([]runner.Job, 0, len(rows))
+	rows := make([]Fig11Row, len(apps)*len(Fig11Archs))
+	jobs := make([]runner.Job, len(apps))
 	for wi, p := range apps {
-		for ci, mk := range newCtrl {
-			wi, ci, p, mk := wi, ci, p, mk
-			jobs = append(jobs, runner.Job{
-				Label: fmt.Sprintf("fig11/%s/%s", p.Name(), Fig11Archs[ci]),
-				Run: func() error {
-					ctrl := mk()
-					ctrl.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
-					st, err := RunTracking(ctrl, p, seed+101, epochs, skip)
-					if err != nil {
-						return fmt.Errorf("%s on %s: %w", ctrl.Name(), p.Name(), err)
-					}
-					rows[wi*len(newCtrl)+ci] = Fig11Row{
+		wi, p := wi, p
+		jobs[wi] = runner.Job{
+			Label: "fig11/" + p.Name(),
+			Run: func() error {
+				sts, err := RunTracking(newCtrls(), p, seed+101, epochs, skip)
+				if err != nil {
+					return err
+				}
+				for ci, st := range sts {
+					rows[wi*len(Fig11Archs)+ci] = Fig11Row{
 						Workload:   p.Name(),
-						Arch:       ctrl.Name(),
+						Arch:       st.Arch,
 						Responsive: !workloads.NonResponsive(p.Name()),
 						IPSErrPct:  st.IPSErrPct,
 						PowerPct:   st.PowerErrPct,
 					}
-					return nil
-				},
-			})
+				}
+				return nil
+			},
 		}
 	}
 	if err := runPlan(jobs); err != nil {

@@ -40,8 +40,9 @@ type Fig7Result struct {
 // realizable state dimensions come in steps of 2). The plan has two
 // stages: the per-application validation records are collected by
 // independent jobs, then one job per dimension takes its memoized
-// model (identifying it on first use) and scores it against the shared
-// (read-only) records.
+// model and scores it against the shared (read-only) records. The
+// dimensions not yet identified for the seed are fit on one training
+// record, collected by the first of them and dropped with this call.
 func Fig7(seed int64, maxDim int) (*Fig7Result, error) {
 	if maxDim <= 0 {
 		maxDim = 8
@@ -69,12 +70,13 @@ func Fig7(seed int64, maxDim int) (*Fig7Result, error) {
 	for dim := 2; dim <= maxDim; dim += 2 {
 		dims = append(dims, dim)
 	}
+	train := &trainingRecord{three: false, seed: seed}
 	points := make([]Fig7Point, len(dims))
 	fit := make([]runner.Job, len(dims))
 	for i, dim := range dims {
 		i, dim := i, dim
 		fit[i] = runner.Job{Label: fmt.Sprintf("fig7/dim=%d", dim), Run: func() error {
-			p, err := fig7Point(seed, valRecords, dim)
+			p, err := fig7Point(train, valRecords, dim)
 			if err != nil {
 				return err
 			}
@@ -90,11 +92,11 @@ func Fig7(seed int64, maxDim int) (*Fig7Result, error) {
 	return res, nil
 }
 
-// fig7Point scores one dimension's memoized two-input model on the
-// validation records — one independent job; it only reads the shared
-// model and records.
-func fig7Point(seed int64, valRecords []*sysid.Data, dim int) (Fig7Point, error) {
-	id, err := identifiedMIMO(false, seed, dim)
+// fig7Point scores one dimension's memoized two-input model, fit on
+// train when cold, on the validation records — one independent job; it
+// only reads the shared model and records.
+func fig7Point(train *trainingRecord, valRecords []*sysid.Data, dim int) (Fig7Point, error) {
+	id, err := identifiedFrom(train, dim)
 	if err != nil {
 		return Fig7Point{}, fmt.Errorf("dimension %d: %w", dim, err)
 	}

@@ -110,30 +110,30 @@ func runEnergyExperiment(seed int64, epochs, k int, threeInput bool) (*EnergyRes
 		return nil, fmt.Errorf("unknown arch %q", arch)
 	}
 	apps := workloads.ProductionSet()
-	// One job per (workload, Baseline ∪ archs); edps[wi][0] is the
-	// workload's baseline and edps[wi][1+ai] architecture ai.
+	// One job per workload: Baseline and every arch step in lockstep on
+	// one bank of its plant, so a row computes its plant stream once.
+	// edps[wi][0] is the workload's baseline and edps[wi][1+ai]
+	// architecture ai.
+	row := append([]string{"Baseline"}, archs...)
 	edps := make([][]float64, len(apps))
-	jobs := make([]runner.Job, 0, len(apps)*(1+len(archs)))
+	jobs := make([]runner.Job, len(apps))
 	for wi, p := range apps {
 		wi, p := wi, p
-		edps[wi] = make([]float64, 1+len(archs))
-		for ci, arch := range append([]string{"Baseline"}, archs...) {
-			ci, arch := ci, arch
-			jobs = append(jobs, runner.Job{
-				Label: fmt.Sprintf("ed%d/%s/%s", k, p.Name(), arch),
-				Run: func() error {
+		jobs[wi] = runner.Job{
+			Label: fmt.Sprintf("ed%d/%s", k, p.Name()),
+			Run: func() error {
+				ctrls := make([]core.ArchController, len(row))
+				for ci, arch := range row {
 					ctrl, err := newCtrl(arch)
 					if err != nil {
 						return err
 					}
-					edp, err := RunEnergy(ctrl, p, seed+7, epochs, warm, k)
-					if err != nil {
-						return fmt.Errorf("%s on %s: %w", arch, p.Name(), err)
-					}
-					edps[wi][ci] = edp
-					return nil
-				},
-			})
+					ctrls[ci] = ctrl
+				}
+				edp, err := RunEnergy(ctrls, p, seed+7, epochs, warm, k)
+				edps[wi] = edp
+				return err
+			},
 		}
 	}
 	if err := runPlan(jobs); err != nil {

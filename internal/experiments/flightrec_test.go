@@ -179,7 +179,7 @@ func TestFlightRecordingDumpsToDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTracking(mimo.Clone(), w, DefaultSeed, 300, 100); err != nil {
+	if _, err := RunTracking([]core.ArchController{mimo.Clone()}, w, DefaultSeed, 300, 100); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)

@@ -14,15 +14,17 @@ import (
 // attach point. Every supervised loop the harness builds registers with
 // the attached fleet and reports to its loop scope (wireLoopObs). When
 // the fleet carries an enabled registry, the harness also binds the
-// root of that registry to every plant it builds (newProcessor), every
+// root of that registry to every plant it builds (newProcessor, and
+// newLockstep for the banks RunTracking and RunEnergy step), every
 // MIMO controller it steps (bindMIMO: the clones of memoized designs
 // and the designs a job owns), its runner plans and its own two
 // counters. With nothing attached, nothing is bound.
 //
-// Plants the design flow builds internally (core.IdentifyMIMO, the
-// validation runs of core.DesignFrom, decoupled.Design,
-// core.ProfileStatic) stay unbound, so sim_epochs_total counts the
-// epochs the harness drives and no identification epochs.
+// Plants the design flow builds internally (the training records of
+// core.CollectIdentificationData, the validation runs of
+// core.DesignFrom, decoupled.Design, core.ProfileStatic) stay unbound,
+// so sim_epochs_total counts the epochs the harness drives and no
+// identification epochs.
 
 // attachment is what SetObservability attached.
 type attachment struct {
@@ -72,6 +74,17 @@ func newProcessor(w sim.Workload, seed int64) (*sim.Processor, error) {
 	}
 	proc.BindTelemetry(harnessRegistry())
 	return proc, nil
+}
+
+// newLockstep builds the bank of n plants one row of controllers runs
+// on, with the default noise, bound to the harness registry.
+func newLockstep(w sim.Workload, seed int64, n int) (*sim.Lockstep, error) {
+	bank, err := sim.NewLockstep(w, sim.DefaultProcessorOptions(), seed, n)
+	if err != nil {
+		return nil, err
+	}
+	bank.BindTelemetry(harnessRegistry())
+	return bank, nil
 }
 
 // bindMIMO binds a MIMO controller one job owns (a clone, or a design

@@ -90,3 +90,53 @@ func TestHarnessBindsAttachedRegistry(t *testing.T) {
 		t.Error("a run after SetObservability(nil) moved the registry")
 	}
 }
+
+// TestBoundBanksCountAsProcessors: attached to a registry, Fig11 and
+// TableEDK(k=1) at their golden budgets step each row of controllers on
+// one bound lockstep bank. The output keeps its golden bytes, and the
+// plant and harness counters read exactly what one bound processor per
+// controller read before the banks (pinned).
+func TestBoundBanksCountAsProcessors(t *testing.T) {
+	for _, tc := range []struct {
+		c    goldenCase
+		want map[string]uint64
+	}{
+		// 23 applications × 3 architectures × 1200 epochs, and each
+		// plant's initial step.
+		{goldenCase{name: "fig11", run: func() (Tabular, error) { return Fig11(DefaultSeed, 1200) }}, map[string]uint64{
+			"sim_epochs_total":           82869,
+			"sim_dvfs_transitions_total": 7433,
+			"sim_cache_resizes_total":    412,
+			"sim_rob_resizes_total":      0,
+			"sim_apply_invalid_total":    0,
+			"experiments_epochs_total":   82800,
+		}},
+		// 23 applications × (Baseline + 3 architectures) × (400 warm +
+		// 1200 measured epochs), and each plant's initial step.
+		{goldenCase{name: "ed1", run: func() (Tabular, error) { return TableEDK(DefaultSeed, 1200, 1) }}, map[string]uint64{
+			"sim_epochs_total":           147292,
+			"sim_dvfs_transitions_total": 1657,
+			"sim_cache_resizes_total":    124,
+			"sim_rob_resizes_total":      23,
+			"sim_apply_invalid_total":    0,
+			"experiments_epochs_total":   147200,
+		}},
+	} {
+		want, err := os.ReadFile(goldenPath(tc.c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		SetObservability(obs.NewFleet(obs.Options{Registry: reg}))
+		got := renderCSV(t, tc.c, 2)
+		SetObservability(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: attached output differs from the golden\n%s", tc.c.name, firstDiff(got, want))
+		}
+		for name, n := range tc.want {
+			if v := reg.Counter(name, "").Value(); v != n {
+				t.Errorf("%s: %s = %d, want %d", tc.c.name, name, v, n)
+			}
+		}
+	}
+}

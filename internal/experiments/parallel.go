@@ -7,16 +7,19 @@ import (
 )
 
 // Parallel execution of experiment plans. Every Fig*/Table*/sweep
-// function decomposes into independent (controller, workload, seed)
-// jobs executed through internal/runner; this knob sets the worker
+// function decomposes into independent jobs executed through
+// internal/runner, one per (controller, workload, seed) or, where a
+// row of controllers shares a plant stream, one per (workload, seed)
+// stepping the row on one lockstep bank; this knob sets the worker
 // count they all use.
 //
-// Determinism contract: each job owns its controller (a Clone of the
-// memoized design, or a freshly constructed one), its processor, and an
-// RNG seeded from the job's identity — never from worker order — and
-// writes only its own pre-assigned result slot, which the reduce step
-// reads in canonical order. Output is therefore byte-identical for any
-// worker count; the golden-regression suite enforces this.
+// Determinism contract: each job owns its controllers (Clones of the
+// memoized designs, or freshly constructed ones), its processor or
+// bank, and RNGs seeded from the job's identity — never from worker
+// order — and writes only its own pre-assigned result slots, which the
+// reduce step reads in canonical order. Output is therefore
+// byte-identical for any worker count; the golden-regression suite
+// enforces this.
 
 // parallelism is the configured worker count; 0 (the default) runs
 // every plan serially on the calling goroutine, the seed behaviour.

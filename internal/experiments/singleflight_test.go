@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mimoctl/internal/core"
+	"mimoctl/internal/sim"
+	"mimoctl/internal/sysid"
 )
 
 // TestDesignCacheSingleFlight hammers the memoized design entry points
@@ -74,9 +77,18 @@ func TestDesignCacheSingleFlight(t *testing.T) {
 // identify the plant once per (knob set, model dimension): five
 // identifications for the seed, where each of their 14 designs used to
 // collect and fit its own and Fig7 fit four models on a record of its
-// own. Every design at a key shares that key's model.
+// own. Every design at a key shares that key's model. They collect
+// three training records: one per standard design, and one that Fig7's
+// three cold dimensions share, where each used to collect its own.
 func TestIdentificationsSharedPerSeed(t *testing.T) {
 	const seed = DefaultSeed + 737373 // no other test uses it
+	var collected atomic.Int64
+	prev := collectTraining
+	defer func() { collectTraining = prev }()
+	collectTraining = func(training []sim.Workload, threeInput bool, epochsPerApp int, seed int64) (*sysid.Data, error) {
+		collected.Add(1)
+		return prev(training, threeInput, epochsPerApp, seed)
+	}
 	_, rep2, err := DesignedMIMO(false, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -85,14 +97,25 @@ func TestIdentificationsSharedPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range []func() (Tabular, error){
-		func() (Tabular, error) { return Fig6(seed, 600) },
-		func() (Tabular, error) { return Fig7(seed, 8) },
-		func() (Tabular, error) { return Fig8(seed, 400) },
-		func() (Tabular, error) { return Ablation(seed, 800) },
+	if got := collected.Load(); got != 2 {
+		t.Errorf("the standard designs collected %d training records, want 2", got)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (Tabular, error)
+		want int64 // training records the experiment collects
+	}{
+		{"fig6", func() (Tabular, error) { return Fig6(seed, 600) }, 0},
+		{"fig7", func() (Tabular, error) { return Fig7(seed, 8) }, 1},
+		{"fig8", func() (Tabular, error) { return Fig8(seed, 400) }, 0},
+		{"ablation", func() (Tabular, error) { return Ablation(seed, 800) }, 0},
 	} {
-		if _, err := run(); err != nil {
+		before := collected.Load()
+		if _, err := c.run(); err != nil {
 			t.Fatal(err)
+		}
+		if got := collected.Load() - before; got != c.want {
+			t.Errorf("%s collected %d training records, want %d", c.name, got, c.want)
 		}
 	}
 	dims := map[identKey]bool{}

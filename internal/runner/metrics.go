@@ -57,7 +57,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 
 // jobDone records one completed job: the pool-level instruments plus a
 // per-job-family scope (label job="<label up to the first '/'>", i.e.
-// the experiment name for "fig11/astar/MIMO"-style labels).
+// the experiment name for "fig11/astar"-style labels).
 func (m *metrics) jobDone(label string, seconds float64) {
 	m.done.Inc()
 	m.jobSeconds.Observe(seconds)

@@ -20,11 +20,12 @@ import (
 )
 
 // Job is one independent unit of an experiment plan, typically one
-// (controller, workload, seed) run. Run must not share mutable state
-// with any other job of the same plan.
+// (controller, workload, seed) run or one row of controllers on a
+// (workload, seed). Run must not share mutable state with any other
+// job of the same plan.
 type Job struct {
 	// Label identifies the job in telemetry and errors, e.g.
-	// "fig11/astar/MIMO".
+	// "fig11/astar".
 	Label string
 	// Run executes the job. The result goes into the slot the plan
 	// builder captured in the closure, keyed by the job's canonical

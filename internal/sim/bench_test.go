@@ -1,12 +1,13 @@
 package sim_test
 
 // Micro-benchmarks of the plant: one analytic epoch on namd, unbound
-// and bound to a live telemetry registry, and one access of the
-// trace-driven cache model.
+// and bound to a live telemetry registry, one epoch of a Lockstep bank
+// of namd plants, and one access of the trace-driven cache model.
 //
 // Run with: go test ./internal/sim/ -run '^$' -bench=. -benchmem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -46,6 +47,41 @@ func BenchmarkProcessorEpochTelemetry(b *testing.B) {
 				reg = telemetry.NewRegistry()
 			}
 			benchEpochs(b, reg)
+		})
+	}
+}
+
+// BenchmarkLockstepEpoch times one unbound bank epoch of 1, 3, 4 and 6
+// namd members held at distinct configurations, and reports it per
+// member-epoch: BenchmarkProcessorEpoch is the cost of one member
+// stepped alone.
+func BenchmarkLockstepEpoch(b *testing.B) {
+	w, err := workloads.ByName("namd")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs := []sim.Config{
+		sim.MidrangeConfig(), sim.BaselineConfig(),
+		{FreqIdx: 15, CacheIdx: 3, ROBIdx: 7}, {FreqIdx: 0, CacheIdx: 0, ROBIdx: 0},
+		{FreqIdx: 11, CacheIdx: 2, ROBIdx: 5}, {FreqIdx: 3, CacheIdx: 1, ROBIdx: 1},
+	}
+	for _, n := range []int{1, 3, 4, 6} {
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			bank, err := sim.NewLockstep(w, sim.DefaultProcessorOptions(), 1, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := bank.Apply(i, cfgs[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bank.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/member-epoch")
 		})
 	}
 }

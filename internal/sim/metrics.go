@@ -14,7 +14,8 @@ import (
 // instruments BindTelemetry gave it, and an unbound one (the default)
 // pays one nil check per step. Processors bound to one registry share
 // its instruments, so counters sum over them and gauges report the
-// most recent sampled epoch of whichever processor stepped last.
+// most recent sampled epoch of whichever processor stepped last. A
+// bound Lockstep bank counts as its members would, one processor each.
 
 // procSampleEvery is the sampling interval (a power of two) for the
 // heavyweight per-epoch observations.
@@ -41,15 +42,47 @@ type procMetrics struct {
 // unbinds it. The energy and instruction counters count from the
 // binding on.
 func (p *Processor) BindTelemetry(reg *telemetry.Registry) {
-	if !reg.Enabled() {
-		p.met = nil
-		return
-	}
 	p.met = newProcMetrics(reg)
-	p.metEnergy0, p.metInstr0 = p.totalEnergyJ, p.totalInstr
+	p.markCounted()
 }
 
+// BindTelemetry binds the bank to a registry under the rules of
+// Processor.BindTelemetry; a bound bank of N members drives the
+// instruments as N bound processors would (see Lockstep).
+func (l *Lockstep) BindTelemetry(reg *telemetry.Registry) {
+	l.met = newProcMetrics(reg)
+	l.lead.markCounted()
+	for i := range l.others {
+		l.others[i].markCounted()
+	}
+}
+
+// markCounted marks s's totals as added to the energy and instruction
+// counters.
+func (s *configState) markCounted() {
+	s.metEnergy0, s.metInstr0 = s.totalEnergyJ, s.totalInstr
+}
+
+// sample records one sampled epoch of the plant whose telemetry is t
+// and whose state is s: the output gauges, and the energy and
+// instructions s accumulated since it was last sampled.
+func (m *procMetrics) sample(t *Telemetry, s *configState) {
+	m.ips.Set(t.IPS)
+	m.power.Set(t.PowerW)
+	m.temp.Set(t.TempC)
+	m.l1mpki.Set(t.L1MPKI)
+	m.l2mpki.Set(t.L2MPKI)
+	m.energyJ.Add(s.totalEnergyJ - s.metEnergy0)
+	m.instructions.Add(s.totalInstr - s.metInstr0)
+	s.markCounted()
+}
+
+// newProcMetrics returns reg's plant instruments, nil when reg is not
+// enabled.
 func newProcMetrics(reg *telemetry.Registry) *procMetrics {
+	if !reg.Enabled() {
+		return nil
+	}
 	stepBuckets := telemetry.ExponentialBuckets(50e-9, 2, 14) // 50 ns .. ~400 µs
 	return &procMetrics{
 		epochs:       reg.Counter("sim_epochs_total", "control epochs executed by the plant"),

@@ -79,20 +79,43 @@ type Processor struct {
 
 	// configState is everything that depends on the applied
 	// configuration; the fields above are shared by every configuration
-	// run on one (workload, seed) (see StaticSweep).
+	// run on one (workload, seed) (see Lockstep).
 	configState
 
-	// Telemetry binding (nil when unbound, see BindTelemetry) and the
-	// flush marks for the cumulative float counters.
-	met                   *procMetrics
-	metEnergy0, metInstr0 float64
+	// Telemetry binding (nil when unbound, see BindTelemetry).
+	met *procMetrics
+}
+
+// sensorNoise is one epoch's multiplicative sensor noise: the factors
+// the measured IPS and power are scaled by, when on (it is off under
+// Deterministic).
+type sensorNoise struct {
+	on         bool
+	ips, power float64
+}
+
+// apply sets t's measured outputs: its true ones, scaled by n when on
+// and clamped at zero.
+func (n sensorNoise) apply(t *Telemetry) {
+	t.IPS = t.TrueIPS
+	t.PowerW = t.TruePowerW
+	if n.on {
+		t.IPS *= n.ips
+		t.PowerW *= n.power
+		if t.IPS < 0 {
+			t.IPS = 0
+		}
+		if t.PowerW < 0 {
+			t.PowerW = 0
+		}
+	}
 }
 
 // configState is the part of the plant that depends on the applied
 // configuration: the knobs, the thermal node, the cache warm-up
 // transients, the pending DVFS stall and the cumulative totals. Its
-// apply and advance methods are the plant's one copy of the actuation
-// and per-epoch arithmetic.
+// apply, advance and report methods are the plant's one copy of the
+// actuation and per-epoch arithmetic.
 type configState struct {
 	cfg       Config
 	tempC     float64
@@ -103,6 +126,37 @@ type configState struct {
 	totalEnergyJ float64
 	totalInstr   float64
 	totalSeconds float64
+	// metEnergy0 and metInstr0 are the totals already added to the
+	// bound energy and instruction counters.
+	metEnergy0, metInstr0 float64
+}
+
+func initialConfigState() configState {
+	return configState{cfg: MidrangeConfig(), tempC: tempAmbientC + 10}
+}
+
+// applyCounted validates cfg and applies it, counting the rejection or
+// the knobs it changed on m when m is non-nil.
+func (s *configState) applyCounted(cfg Config, m *procMetrics) error {
+	if err := cfg.Validate(); err != nil {
+		if m != nil {
+			m.applyInvalid.Inc()
+		}
+		return err
+	}
+	freq, cache, rob := s.apply(cfg)
+	if m != nil {
+		if freq {
+			m.dvfsTransitions.Inc()
+		}
+		if cache {
+			m.cacheResizes.Inc()
+		}
+		if rob {
+			m.robResizes.Inc()
+		}
+	}
+	return nil
 }
 
 // apply switches s to cfg, which must be valid, charging the actuation
@@ -162,27 +216,49 @@ func (s *configState) advance(surf *surface, params *PhaseParams, perf *PerfResu
 	s.totalSeconds += EpochSeconds
 }
 
+// report fills t from the epoch s just advanced, perf and pw being
+// what advance wrote, and the epoch and phase: every field but the
+// measured outputs, which sensorNoise.apply sets. The two are kept
+// small enough to inline, so neither costs the solo step a call.
+func (s *configState) report(t *Telemetry, perf *PerfResult, pw *PowerResult, epoch, phaseID int) {
+	// Filled field by field: a composite literal assigned through t
+	// compiles to a zeroed temporary plus a whole-struct copy.
+	t.Epoch = epoch
+	t.TrueIPS = perf.BIPS
+	t.TruePowerW = pw.TotalW
+	t.TempC = s.tempC
+	t.Instructions = perf.Instructions
+	t.EnergyJ = pw.EnergyJ
+	t.L1MPKI = perf.L1MPKI
+	t.L2MPKI = perf.L2MPKI
+	t.PhaseID = phaseID
+	t.Config = s.cfg
+}
+
 func (s *configState) totals() Totals {
 	return Totals{EnergyJ: s.totalEnergyJ, Instructions: s.totalInstr, Seconds: s.totalSeconds}
 }
 
 func (s *configState) resetTotals() {
 	s.totalEnergyJ, s.totalInstr, s.totalSeconds = 0, 0, 0
+	s.metEnergy0, s.metInstr0 = 0, 0
 }
 
 // NewProcessor builds a processor running the given workload from the
 // midrange configuration. The seed fixes all stochastic behaviour.
 func NewProcessor(w Workload, opts ProcessorOptions, seed int64) (*Processor, error) {
 	if w == nil {
-		return nil, errors.New("sim: workload is required")
+		return nil, errNoWorkload
 	}
 	return &Processor{
 		workload:    w,
 		opts:        opts,
 		rng:         rand.New(rand.NewSource(seed)),
-		configState: configState{cfg: MidrangeConfig(), tempC: tempAmbientC + 10},
+		configState: initialConfigState(),
 	}, nil
 }
+
+var errNoWorkload = errors.New("sim: workload is required")
 
 // Config returns the current knob settings.
 func (p *Processor) Config() Config { return p.cfg }
@@ -192,25 +268,7 @@ func (p *Processor) Config() Config { return p.cfg }
 // warm-up misses proportional to the number of ways changed (gated ways
 // lose their contents; re-enabled ways come back cold).
 func (p *Processor) Apply(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		if p.met != nil {
-			p.met.applyInvalid.Inc()
-		}
-		return err
-	}
-	freq, cache, rob := p.configState.apply(cfg)
-	if m := p.met; m != nil {
-		if freq {
-			m.dvfsTransitions.Inc()
-		}
-		if cache {
-			m.cacheResizes.Inc()
-		}
-		if rob {
-			m.robResizes.Inc()
-		}
-	}
-	return nil
+	return p.configState.applyCounted(cfg, p.met)
 }
 
 // Step executes one 50 µs control epoch and returns the telemetry.
@@ -253,21 +311,15 @@ func (p *Processor) stepWithParams(params *PhaseParams, phaseID int, t *Telemetr
 	t0 := time.Now()
 	p.stepCore(params, phaseID, t)
 	m.stepSeconds.Observe(time.Since(t0).Seconds())
-	m.ips.Set(t.IPS)
-	m.power.Set(t.PowerW)
-	m.temp.Set(t.TempC)
-	m.l1mpki.Set(t.L1MPKI)
-	m.l2mpki.Set(t.L2MPKI)
-	m.energyJ.Add(p.totalEnergyJ - p.metEnergy0)
-	m.instructions.Add(p.totalInstr - p.metInstr0)
-	p.metEnergy0, p.metInstr0 = p.totalEnergyJ, p.totalInstr
+	m.sample(t, &p.configState)
 }
 
 // stepCore is the uninstrumented epoch step. It sets every field of t,
 // leaves params scaled by the epoch's fluctuation and p.surf refreshed
-// for them, and draws from p's random stream exactly what it would at
-// any configuration (StaticSweep relies on all three).
-func (p *Processor) stepCore(params *PhaseParams, phaseID int, t *Telemetry) {
+// for them, draws from p's random stream exactly what it would at any
+// configuration, and returns the epoch's sensor noise (Lockstep relies
+// on all four).
+func (p *Processor) stepCore(params *PhaseParams, phaseID int, t *Telemetry) sensorNoise {
 	// Stochastic workload fluctuation (AR(1) in the log domain) applied
 	// to ILP, memory intensity, and activity.
 	mult := 1.0
@@ -283,32 +335,16 @@ func (p *Processor) stepCore(params *PhaseParams, phaseID int, t *Telemetry) {
 	var perf PerfResult
 	var pw PowerResult
 	p.configState.advance(&p.surf, params, &perf, &pw)
-
-	// Filled field by field: a composite literal assigned through t
-	// compiles to a zeroed temporary plus a whole-struct copy.
-	t.Epoch = p.epoch
-	t.TrueIPS = perf.BIPS
-	t.TruePowerW = pw.TotalW
-	t.TempC = p.tempC
-	t.Instructions = perf.Instructions
-	t.EnergyJ = pw.EnergyJ
-	t.L1MPKI = perf.L1MPKI
-	t.L2MPKI = perf.L2MPKI
-	t.PhaseID = phaseID
-	t.Config = p.cfg
-	t.IPS = t.TrueIPS
-	t.PowerW = t.TruePowerW
+	p.configState.report(t, &perf, &pw, p.epoch, phaseID)
+	var n sensorNoise
 	if !p.opts.Deterministic {
-		t.IPS *= 1 + sensorIPSStd*p.rng.NormFloat64()
-		t.PowerW *= 1 + sensorPowerStd*p.rng.NormFloat64()
-		if t.IPS < 0 {
-			t.IPS = 0
-		}
-		if t.PowerW < 0 {
-			t.PowerW = 0
-		}
+		n.on = true
+		n.ips = 1 + sensorIPSStd*p.rng.NormFloat64()
+		n.power = 1 + sensorPowerStd*p.rng.NormFloat64()
 	}
+	n.apply(t)
 	p.epoch++
+	return n
 }
 
 // Totals returns cumulative energy (J), instructions, and wall-clock
@@ -320,7 +356,6 @@ func (p *Processor) Totals() (energyJ, instructions, seconds float64) {
 // ResetTotals clears the cumulative counters (not the dynamic state).
 func (p *Processor) ResetTotals() {
 	p.configState.resetTotals()
-	p.metEnergy0, p.metInstr0 = 0, 0
 }
 
 // EnergyDelayProduct returns E·D^(k-1) per instruction committed, the

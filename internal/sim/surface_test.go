@@ -99,9 +99,10 @@ func (w phasedWorkload) Params(epoch int) (PhaseParams, int) {
 // TestPlantStepAllocFree pins the plant's epoch step at zero
 // allocations, across phase boundaries where both halves of the
 // surface are rebuilt, unbound and bound to a live registry (whose
-// sampled epochs the measured windows cross). StaticSweep allocates
-// its set-up and results only: its count does not grow with the
-// epochs it runs.
+// sampled epochs the measured windows cross): a processor's, a fault
+// injector's and a Lockstep bank's, its members moving their knobs
+// every epoch. StaticSweep allocates its set-up and results only: its
+// count does not grow with the epochs it runs.
 func TestPlantStepAllocFree(t *testing.T) {
 	a, b := computeParams(), memoryParams()
 	b.ROBDemand = 55 // a's is 0 (the default): the ROB key changes too
@@ -119,6 +120,21 @@ func TestPlantStepAllocFree(t *testing.T) {
 		inj := NewFaultInjector(newProc(), 2).
 			AddSensorFault(SensorFault{Kind: FaultDrift, Channel: ChPower, Magnitude: 1e-3}).
 			AddPlantFault(PlantFault{Kind: PlantGainDrift, GainRateIPS: 1e-4, GainLimitIPS: 0.9})
+		const members = 4
+		bank, err := NewLockstep(w, DefaultProcessorOptions(), 1, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bank.BindTelemetry(reg)
+		walk := []Config{BaselineConfig(), MidrangeConfig(), {FreqIdx: 15, CacheIdx: 3, ROBIdx: 7}}
+		bankStep := func() {
+			for i := 0; i < members; i++ {
+				if err := bank.Apply(i, walk[(bank.lead.epoch+i)%len(walk)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bank.Step()
+		}
 		bound := map[bool]string{false: "unbound", true: "live"}[reg != nil]
 		for _, tc := range []struct {
 			name  string
@@ -127,6 +143,7 @@ func TestPlantStepAllocFree(t *testing.T) {
 		}{
 			{"Processor.Step", proc, func() { proc.Step() }},
 			{"FaultInjector.Step", inj.proc, func() { inj.Step() }},
+			{"Lockstep.Step", bank.lead, bankStep},
 		} {
 			before := tc.plant.epoch
 			if n := testing.AllocsPerRun(100, tc.step); n != 0 {
