@@ -37,8 +37,10 @@ golden:
 
 # golden-doctor re-records the committed flight-recorder dumps the
 # mimodoctor smoke job diagnoses (testdata/golden/doctor_sensor-freeze.frec
-# and doctor_plant-drift.frec); needed after an intentional
-# recording-format or control-loop change.
+# and doctor_plant-drift.frec) from their RecordedRun scenarios; needed
+# after an intentional recording-format or control-loop change. A dump
+# of an older format version is re-recorded, not converted: the readers
+# refuse it.
 golden-doctor:
 	$(GO) test ./internal/experiments/ -run TestGoldenDoctorDump -update
 

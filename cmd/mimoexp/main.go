@@ -58,7 +58,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		experiments.SetFlightRecording(experiments.FlightRecConfig{Enabled: true, Dir: *frDir})
+		experiments.SetFlightRecording(*frDir)
 	}
 
 	var reg *telemetry.Registry

@@ -18,10 +18,8 @@
 // With -flightrec the run also keeps a control-loop flight recorder
 // attached: the last epochs of controller internals are dumped to the
 // given path on SIGQUIT, on supervisor fallback, and at exit, and
-// served live at /debug/flightrec when -metrics-addr is set.
-//
-// `mimotrace explain <dump>` renders a recorded dump's ranked
-// root-cause diagnosis (the same report as cmd/mimodoctor).
+// served live at /debug/flightrec when -metrics-addr is set; diagnose a
+// dump with cmd/mimodoctor.
 //
 // Examples:
 //
@@ -29,7 +27,6 @@
 //	mimotrace -workload astar -arch heuristic -battery
 //	mimotrace -workload milc -arch supervised -format jsonl -metrics-addr :8090
 //	mimotrace -workload namd -arch supervised -flightrec run.frec > trace.csv
-//	mimotrace explain run.frec
 package main
 
 import (
@@ -44,7 +41,6 @@ import (
 	"mimoctl/internal/core"
 	"mimoctl/internal/experiments"
 	"mimoctl/internal/flightrec"
-	"mimoctl/internal/health"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/supervisor"
@@ -53,10 +49,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "explain" {
-		explainMain(os.Args[2:])
-		return
-	}
 	var (
 		workload    = flag.String("workload", "namd", "application to run (SPEC CPU2006 name)")
 		arch        = flag.String("arch", "mimo", "controller: mimo, mimo3, heuristic, decoupled, baseline, supervised")
@@ -104,9 +96,10 @@ func main() {
 	}
 
 	// trace keeps the most recent records for /trace; the harness
-	// appends every epoch, so its sequence is the epoch number. loop is
-	// the run's handle in the one-loop fleet behind /healthz, and reg
-	// the registry its processor and controller report to.
+	// appends every epoch, so its sequence (from 1) is the epoch
+	// number. loop is the run's handle in the one-loop fleet behind
+	// /healthz, and reg the registry its processor and controller
+	// report to.
 	var trace *flightrec.Recorder
 	var loop *obs.Loop
 	var reg *telemetry.Registry
@@ -203,7 +196,7 @@ func main() {
 		}
 		tel = proc.Step()
 		ev := &batch[0]
-		fillEvent(ev, uint64(k), ctrl, ir, cfg, &tel)
+		fillEvent(ev, uint64(k+1), ctrl, ir, cfg, &tel)
 		if supervised {
 			ev.Mode = uint8(sup.Mode())
 		}
@@ -230,7 +223,8 @@ func main() {
 	}
 }
 
-// fillEvent writes the harness's record of epoch k: cfg is the
+// fillEvent writes the harness's record of epoch k (from 1, as the
+// flight ring and the fleet loop count): cfg is the
 // configuration the controller requested, tel the telemetry of the epoch
 // it produced. Internals the harness cannot see (continuous request,
 // excess, guardband) are NaN, as is the innovation of a controller that
@@ -298,26 +292,6 @@ func flightrecEndpoints(r *flightrec.Recorder) []telemetry.Endpoint {
 		Desc:    "flight recorder dump (binary; ?format=jsonl)",
 		Handler: flightrec.Handler(r),
 	}}
-}
-
-// explainMain implements `mimotrace explain <dump>`: load a flight
-// recording and print its ranked root-cause diagnosis.
-func explainMain(args []string) {
-	fs := flag.NewFlagSet("mimotrace explain", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mimotrace explain <dump.frec|dump.jsonl>")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(args)
-	if fs.NArg() != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	meta, recs, err := flightrec.ReadDumpFile(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	health.WriteReport(os.Stdout, meta, health.Diagnose(meta, recs))
 }
 
 func buildController(arch string, seed int64) (core.ArchController, error) {

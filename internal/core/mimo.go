@@ -49,14 +49,17 @@ type MIMOController struct {
 	cur                    sim.Config
 	haveCur                bool
 	health                 Health
+	// stepErr reports whether the most recent Step failed (FillInternals).
+	stepErr bool
 
 	// tel is the telemetry binding (nil when unbound, see
 	// BindTelemetry); stepCount paces its latency sampling.
 	tel       *ctrlMetrics
 	stepCount uint64
 
-	// fr, when attached, receives one flight record per Step. A nil
-	// recorder costs one comparison on the hot path.
+	// fr, when attached, receives one flight record per Step of a
+	// standalone controller. A nil recorder costs one comparison on the
+	// hot path.
 	fr *flightrec.Recorder
 
 	// scr holds fixed-size scratch for the per-step conversions so Step
@@ -68,7 +71,7 @@ type MIMOController struct {
 // mimoScratch is sized for the worst case (3-input variant, 2 outputs).
 type mimoScratch struct {
 	y     [2]float64 // measured outputs, deviation coordinates
-	u     [3]float64 // requested knobs, absolute units
+	u     [3]float64 // requested knobs, absolute units (FillInternals reads it)
 	uq    [3]float64 // quantized knobs, absolute units
 	dq    [3]float64 // quantized knobs, deviation coordinates
 	ref   [2]float64 // reference for TrySetTargets
@@ -115,7 +118,32 @@ func (c *MIMOController) LastInnovationInto(dst []float64) []float64 {
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight recorder
 // that receives one record per Step. Implements flightrec.Recordable.
+// A supervisor wrapping the controller records its epochs itself (with
+// FillInternals) and does not attach one here.
 func (c *MIMOController) SetFlightRecorder(r *flightrec.Recorder) { c.fr = r }
+
+// FillInternals writes into ev what only this controller knows about
+// its most recent Step: the continuous request in absolute knob units
+// (NaN when the step failed), the anti-windup ExcessNorm, FlagStepError
+// on a failed step, and ReqROB = IdxNA when the ROB knob is not driven.
+// The other fields are the record writer's: the standalone record below
+// and a supervisor's per-epoch event both call it.
+func (c *MIMOController) FillInternals(ev *obs.Event) {
+	nan := math.NaN()
+	ev.ExcessNorm = c.lq.LastExcessNorm()
+	ev.UFreqGHz, ev.UL2Ways, ev.UROBEntries = nan, nan, nan
+	if c.stepErr {
+		ev.Flags |= obs.FlagStepError
+	} else {
+		ev.UFreqGHz, ev.UL2Ways = c.scr.u[0], c.scr.u[1]
+		if c.threeInput {
+			ev.UROBEntries = c.scr.u[2] * ROBUnit
+		}
+	}
+	if !c.threeInput {
+		ev.ReqROB = obs.IdxNA
+	}
+}
 
 // TrySetTargets validates and updates the output references, reporting
 // why a reference was rejected. Rejected targets leave the previous
@@ -194,6 +222,7 @@ func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
 	} else {
 		du, err = c.lq.Step(y)
 	}
+	c.stepErr = err != nil
 	if err != nil {
 		// Dimensions are fixed at construction; count the event and
 		// hold the current config if the impossible happens.
@@ -202,7 +231,7 @@ func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
 			m.stepErrors.Inc()
 		}
 		if c.fr != nil {
-			c.appendRecord(t, c.cur, obs.FlagStepError, nil, nil)
+			c.appendRecord(t, nil)
 		}
 		return c.cur
 	}
@@ -243,7 +272,7 @@ func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
 		}
 	}
 	if c.fr != nil {
-		c.appendRecord(t, c.cur, 0, u, innov)
+		c.appendRecord(t, innov)
 	}
 	if timed {
 		m.stepSeconds.Observe(time.Since(t0).Seconds())
@@ -251,14 +280,13 @@ func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
 	return c.cur
 }
 
-// appendRecord writes this epoch's flight record: req is the
-// configuration the controller settled on, u the continuous request in
-// absolute knob units (nil on step-error epochs), innov the step's
-// Kalman innovation (nil when no step completed).
-func (c *MIMOController) appendRecord(t sim.Telemetry, req sim.Config, flags uint32, u, innov []float64) {
+// appendRecord writes a standalone controller's flight record of this
+// epoch: the configuration it settled on, the step's Kalman innovation
+// (nil when no step completed) and FillInternals. Innovation norm and
+// guardband are a supervisor's and stay NaN.
+func (c *MIMOController) appendRecord(t sim.Telemetry, innov []float64) {
 	nan := math.NaN()
 	ev := obs.Event{
-		Flags:       flags,
 		IPSTarget:   c.ipsTarget,
 		PowerTarget: c.powerTarget,
 		IPS:         t.IPS,
@@ -268,14 +296,10 @@ func (c *MIMOController) appendRecord(t sim.Telemetry, req sim.Config, flags uin
 		InnovIPS:    nan,
 		InnovPowerW: nan,
 		InnovNorm:   nan,
-		ExcessNorm:  c.lq.LastExcessNorm(),
 		Guardband:   nan,
-		UFreqGHz:    nan,
-		UL2Ways:     nan,
-		UROBEntries: nan,
-		ReqFreq:     int16(req.FreqIdx),
-		ReqCache:    int16(req.CacheIdx),
-		ReqROB:      int16(req.ROBIdx),
+		ReqFreq:     int16(c.cur.FreqIdx),
+		ReqCache:    int16(c.cur.CacheIdx),
+		ReqROB:      int16(c.cur.ROBIdx),
 		CfgFreq:     int16(t.Config.FreqIdx),
 		CfgCache:    int16(t.Config.CacheIdx),
 		CfgROB:      int16(t.Config.ROBIdx),
@@ -283,15 +307,7 @@ func (c *MIMOController) appendRecord(t sim.Telemetry, req sim.Config, flags uin
 	if len(innov) >= 2 {
 		ev.InnovIPS, ev.InnovPowerW = innov[0], innov[1]
 	}
-	if len(u) >= 2 {
-		ev.UFreqGHz, ev.UL2Ways = u[0], u[1]
-	}
-	if len(u) >= 3 {
-		ev.UROBEntries = u[2] * ROBUnit
-	}
-	if !c.threeInput {
-		ev.ReqROB = obs.IdxNA
-	}
+	c.FillInternals(&ev)
 	c.fr.Append(&ev)
 }
 

@@ -84,7 +84,7 @@ func TestGoldenDoctorDump(t *testing.T) {
 					t.Fatal("golden dump records no adapt hot-swap epoch; the recovery arc is missing")
 				}
 			}
-			// The binary stays small enough to live in git (one ring ≈ 128 KB).
+			// The binary stays small enough to live in git (one ring ≈ 144 KB).
 			if fi, err := os.Stat(path); err != nil || fi.Size() > 256<<10 {
 				t.Fatalf("golden dump size check: size=%v err=%v", fi.Size(), err)
 			}

@@ -20,57 +20,49 @@ import (
 // cmd/mimodoctor is built on. Recording is off by default and observes
 // without perturbing: golden outputs are byte-identical either way.
 
-// FlightRecConfig is the harness-wide recording switch.
-type FlightRecConfig struct {
-	// Enabled attaches a recorder to every Recordable controller driven
-	// by RunTracking, RunEnergy, and the fault sweep.
-	Enabled bool
-	// Dir, when non-empty, receives one dump file per recorded run
-	// (binary format, .frec).
-	Dir string
-	// Capacity is the ring size (default 2048 records = 2048 epochs).
-	Capacity int
-}
+// harnessRingCapacity is the ring size of the harness-wide recorders:
+// a dump holds the last 2048 epochs of its run.
+const harnessRingCapacity = 2048
 
 var (
 	frMu  sync.Mutex
-	frCfg FlightRecConfig
+	frDir string // "" when harness-wide recording is off
 	frSeq int
 )
 
-// SetFlightRecording installs the harness-wide recording configuration.
-func SetFlightRecording(cfg FlightRecConfig) {
+// SetFlightRecording turns harness-wide recording on with dir as the
+// dump directory, or off with "": every Recordable controller driven by
+// RunTracking, RunEnergy and the fault sweep then keeps a ring of its
+// last harnessRingCapacity epochs, dumped into dir (binary format,
+// .frec) when its run ends.
+func SetFlightRecording(dir string) {
 	frMu.Lock()
-	frCfg = cfg
+	frDir = dir
 	frSeq = 0
 	frMu.Unlock()
 }
 
 // attachFlightRec attaches a fresh recorder to ctrl when recording is
-// enabled and the controller supports it; returns nil otherwise.
+// on and the controller supports it; returns nil otherwise.
 func attachFlightRec(ctrl core.ArchController, meta flightrec.Meta) *flightrec.Recorder {
 	frMu.Lock()
-	cfg := frCfg
+	on := frDir != ""
 	frMu.Unlock()
-	if !cfg.Enabled {
+	if !on {
 		return nil
 	}
 	rc, ok := ctrl.(flightrec.Recordable)
 	if !ok {
 		return nil
 	}
-	cap := cfg.Capacity
-	if cap <= 0 {
-		cap = 2048
-	}
-	rec := flightrec.New(cap)
+	rec := flightrec.New(harnessRingCapacity)
 	rec.SetMeta(meta)
 	rc.SetFlightRecorder(rec)
 	return rec
 }
 
-// finishFlightRec detaches and, when a dump directory is configured,
-// writes the run's recording as <label>_<seq>.frec.
+// finishFlightRec detaches and writes the run's recording into the dump
+// directory as <label>_<seq>.frec.
 func finishFlightRec(rec *flightrec.Recorder, ctrl core.ArchController, label string) {
 	if rec == nil {
 		return
@@ -79,11 +71,12 @@ func finishFlightRec(rec *flightrec.Recorder, ctrl core.ArchController, label st
 		rc.SetFlightRecorder(nil)
 	}
 	frMu.Lock()
-	dir := frCfg.Dir
+	dir := frDir
 	frSeq++
 	seq := frSeq
 	frMu.Unlock()
 	if dir == "" {
+		// Recording was switched off while the run was in flight.
 		return
 	}
 	name := fmt.Sprintf("%s_%03d.frec", sanitizeLabel(label), seq)

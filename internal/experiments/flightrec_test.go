@@ -22,7 +22,7 @@ import (
 func TestMain(m *testing.M) {
 	if dir := os.Getenv("FLIGHTREC_DUMP_DIR"); dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err == nil {
-			SetFlightRecording(FlightRecConfig{Enabled: true, Dir: dir})
+			SetFlightRecording(dir)
 		}
 	}
 	os.Exit(m.Run())
@@ -62,7 +62,7 @@ func TestRecordedRunDeterministic(t *testing.T) {
 // it keeps its own recorder (the harness writes no second dump) and
 // registers no fleet loop.
 func TestRecordedRunMatchesSweepRecording(t *testing.T) {
-	prev := func() FlightRecConfig { frMu.Lock(); defer frMu.Unlock(); return frCfg }()
+	prev := func() string { frMu.Lock(); defer frMu.Unlock(); return frDir }()
 	defer SetFlightRecording(prev)
 	defer SetObservability(nil)
 	const epochs = 800
@@ -83,7 +83,7 @@ func TestRecordedRunMatchesSweepRecording(t *testing.T) {
 		{"adaptive", "plant-drift", func() (core.ArchController, error) { return NewAdaptiveSupervised(DefaultSeed) }},
 	} {
 		dir := t.TempDir()
-		SetFlightRecording(FlightRecConfig{Enabled: true, Dir: dir, Capacity: epochs})
+		SetFlightRecording(dir)
 		fc, ok := FaultClassByName(tc.class, epochs)
 		if !ok {
 			t.Fatalf("unknown class %q", tc.class)
@@ -166,10 +166,10 @@ func TestDoctorClassifiesFaults(t *testing.T) {
 }
 
 func TestFlightRecordingDumpsToDir(t *testing.T) {
-	prev := func() FlightRecConfig { frMu.Lock(); defer frMu.Unlock(); return frCfg }()
+	prev := func() string { frMu.Lock(); defer frMu.Unlock(); return frDir }()
 	defer SetFlightRecording(prev)
 	dir := t.TempDir()
-	SetFlightRecording(FlightRecConfig{Enabled: true, Dir: dir, Capacity: 256})
+	SetFlightRecording(dir)
 
 	w, err := workloads.ByName(FaultSweepWorkload)
 	if err != nil {
@@ -197,11 +197,11 @@ func TestFlightRecordingDumpsToDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Workload != "namd" || meta.Reason != "run-complete" {
+	if meta.Workload != "namd" || meta.Reason != "run-complete" || meta.Capacity != harnessRingCapacity {
 		t.Errorf("dump meta %+v", meta)
 	}
-	if len(recs) != 256 {
-		t.Errorf("dump holds %d records, want the full 256-record ring", len(recs))
+	if len(recs) != 300 || recs[len(recs)-1].Epoch != 300 {
+		t.Errorf("dump holds %d records, want every one of the run's 300 epochs", len(recs))
 	}
 }
 

@@ -198,13 +198,13 @@ func TestGoldenParallelIdentical(t *testing.T) {
 // It returns the number of recorded runs.
 func checkAttached(t *testing.T, c goldenCase, workers int, mode obsMode, record bool, want []byte) int {
 	t.Helper()
-	prev := func() FlightRecConfig { frMu.Lock(); defer frMu.Unlock(); return frCfg }()
+	prev := func() string { frMu.Lock(); defer frMu.Unlock(); return frDir }()
 	defer SetFlightRecording(prev)
 	var dir string
 	if record {
 		dir = t.TempDir()
 	}
-	SetFlightRecording(FlightRecConfig{Enabled: record, Dir: dir})
+	SetFlightRecording(dir)
 
 	var (
 		fleet *obs.Fleet
@@ -281,8 +281,8 @@ func checkAttached(t *testing.T, c goldenCase, workers int, mode obsMode, record
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) == 0 || recs[len(recs)-1].Epoch+1 != uint64(meta.Epochs) {
-			t.Fatalf("%s: %d records, want the last at epoch %d", e.Name(), len(recs), meta.Epochs-1)
+		if len(recs) == 0 || recs[len(recs)-1].Epoch != uint64(meta.Epochs) {
+			t.Fatalf("%s: %d records, want the last at epoch %d", e.Name(), len(recs), meta.Epochs)
 		}
 	}
 	return runs

@@ -8,6 +8,7 @@ import (
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
+	"mimoctl/internal/testkit"
 	"mimoctl/internal/workloads"
 )
 
@@ -20,11 +21,11 @@ func (c *captureSink) WriteEvents(batch []obs.Event) error {
 
 // TestRingAndBusAgreePerLoopEpoch is the one-key lookup the per-epoch
 // record exists for: a supervised loop with a flight recorder and a
-// fleet loop attached, driven from nominal into a sensor-fault fallback
-// and back to engaged, leaves one ring record and one bus event per
-// epoch, and the two agree on the epoch's mode, targets, outputs and
-// in-effect configuration. The bus numbers epochs from 1, the ring from
-// 0.
+// fleet loop attached, driven from nominal into a sensor-fault fallback,
+// back to engaged and through a target change, leaves one ring record
+// and one bus event per epoch, and the two are the same record: equal
+// epochs, and every field bit-identical but the two only the fleet loop
+// stamps (LoopID, FlagTargetChange), which the ring never carries.
 func TestRingAndBusAgreePerLoopEpoch(t *testing.T) {
 	const epochs = 2000
 	sup, err := NewMonitoredSupervised(DefaultSeed)
@@ -52,6 +53,9 @@ func TestRingAndBusAgreePerLoopEpoch(t *testing.T) {
 	sup.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
 	tel := inj.Step()
 	for k := 0; k < epochs; k++ {
+		if k == epochs*3/4 {
+			sup.SetTargets(0.9*core.DefaultIPSTarget, 0.9*core.DefaultPowerTarget)
+		}
 		cfg := sup.Step(tel)
 		if cfg.Validate() != nil {
 			cfg = tel.Config
@@ -75,24 +79,34 @@ func TestRingAndBusAgreePerLoopEpoch(t *testing.T) {
 		t.Fatalf("ring seq %d (%d held), bus events %d, /slo epochs %d; want %d each",
 			ring.Meta().Epochs, len(recs), len(sink.evs), rep.Rows[0].Epochs, epochs)
 	}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	fallbacks := 0
+	fallbacks, internals, targetChanges := 0, 0, 0
 	for i := range recs {
-		r, e := &recs[i], &sink.evs[i]
-		if e.Epoch != r.Epoch+1 {
-			t.Fatalf("record %d: bus epoch %d, ring epoch %d", i, e.Epoch, r.Epoch)
+		r, e := recs[i], sink.evs[i]
+		if r.Epoch != uint64(i+1) || e.Epoch != r.Epoch {
+			t.Fatalf("record %d: ring epoch %d, bus epoch %d, want %d", i, r.Epoch, e.Epoch, i+1)
 		}
-		if r.Mode != e.Mode || !same(r.IPSTarget, e.IPSTarget) || !same(r.PowerTarget, e.PowerTarget) ||
-			!same(r.IPS, e.IPS) || !same(r.PowerW, e.PowerW) ||
-			!same(r.TrueIPS, e.TrueIPS) || !same(r.TruePowerW, e.TruePowerW) ||
-			r.CfgFreq != e.CfgFreq || r.CfgCache != e.CfgCache || r.CfgROB != e.CfgROB {
-			t.Fatalf("epoch %d: ring and bus disagree\nring %+v\n bus %+v", r.Epoch, *r, *e)
+		if r.LoopID != 0 || r.Flags&obs.FlagTargetChange != 0 {
+			t.Fatalf("epoch %d: the ring carries the fleet loop's stamps: %+v", r.Epoch, r)
+		}
+		if e.Flags&obs.FlagTargetChange != 0 {
+			targetChanges++
+		}
+		// Only the fleet loop stamps these two, after the ring's copy.
+		e.LoopID, e.Flags = 0, e.Flags&^obs.FlagTargetChange
+		if d := testkit.EventDiff(r, e); len(d) != 0 {
+			t.Fatalf("epoch %d: ring and bus disagree on %v\nring %+v\n bus %+v", r.Epoch, d, r, e)
 		}
 		if r.Mode == obs.ModeFallback {
 			fallbacks++
+		} else if !math.IsNaN(r.UFreqGHz) && r.ReqROB == obs.IdxNA {
+			internals++ // the MIMO's continuous request and undriven ROB knob
 		}
 	}
 	if fallbacks == 0 || int(rep.Rows[0].FallbackEpochs) != fallbacks {
 		t.Fatalf("ring holds %d fallback epochs, /slo counts %d", fallbacks, rep.Rows[0].FallbackEpochs)
+	}
+	if internals == 0 || targetChanges != 1 {
+		t.Fatalf("%d engaged records carry the MIMO's internals, %d bus events a target change; want > 0 and 1",
+			internals, targetChanges)
 	}
 }

@@ -16,28 +16,43 @@ import (
 
 // Dump format. Two encodings of the same versioned schema:
 //
-//   - binary: magic + version + JSON meta + fixed 128-byte records with
-//     raw little-endian IEEE float bits — bit-exact round-trip for every
-//     value including NaN payloads,
+//   - binary: magic + version + JSON meta + fixed 144-byte records, each
+//     a whole obs.Event with raw little-endian IEEE float bits — bit-exact
+//     round-trip for every field including NaN payloads,
 //   - JSONL: a meta header line then one record object per line in the
 //     obs.Event text codec, whose "NaN"/"+Inf"/"-Inf" sentinels let
 //     faulted windows survive a text dump too. JSONL canonicalizes NaN
 //     payload bits; the binary format is the authoritative one for
 //     byte-identical replay comparisons.
 //
-// The v1 binary record stores the flight-record fields of an obs.Event;
-// LoopID, Health, Adapt, InnovNorm and Guardband are not stored and
-// decode as 0 and NaN. ReadDump auto-detects the encoding from the
-// first bytes.
+// FormatVersion covers both encodings; a dump of any other version
+// (the v1 records dropped LoopID, Health, Adapt, InnovNorm and
+// Guardband) is rejected rather than decoded with defaults. ReadDump
+// auto-detects the encoding from the first bytes.
 
 // FormatVersion is the dump schema version.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Magic starts every binary dump.
 const Magic = "MIMOFREC"
 
-// recordBinSize is the fixed on-disk record size (v1).
-const recordBinSize = 128
+// recordBinSize is the fixed on-disk record size: the epoch, the
+// float fields, LoopID and Flags, the six knob indices, then Mode,
+// Health and Adapt and one zero pad byte.
+const recordBinSize = 144
+
+// fields returns ev's float fields and knob indices in declaration
+// order, the order the binary record stores them in.
+func fields(ev *obs.Event) ([14]*float64, [6]*int16) {
+	return [...]*float64{
+			&ev.IPSTarget, &ev.PowerTarget, &ev.IPS, &ev.PowerW,
+			&ev.TrueIPS, &ev.TruePowerW, &ev.InnovIPS, &ev.InnovPowerW,
+			&ev.InnovNorm, &ev.ExcessNorm, &ev.Guardband,
+			&ev.UFreqGHz, &ev.UL2Ways, &ev.UROBEntries,
+		}, [...]*int16{
+			&ev.ReqFreq, &ev.ReqCache, &ev.ReqROB, &ev.CfgFreq, &ev.CfgCache, &ev.CfgROB,
+		}
+}
 
 // EncodeRecords renders records in the fixed binary layout (no header).
 // Replay tests compare these bytes: float equality at the bit level is
@@ -50,41 +65,34 @@ func EncodeRecords(recs []obs.Event) []byte {
 	return out
 }
 
+// putRecord writes r into b[:recordBinSize].
 func putRecord(b []byte, r *obs.Event) {
 	le := binary.LittleEndian
-	le.PutUint64(b[0:], r.Epoch)
-	le.PutUint32(b[8:], r.Flags)
-	b[12] = r.Mode
-	b[13], b[14], b[15] = 0, 0, 0
-	for i, v := range [...]float64{
-		r.IPSTarget, r.PowerTarget, r.IPS, r.PowerW,
-		r.TrueIPS, r.TruePowerW, r.InnovIPS, r.InnovPowerW,
-		r.ExcessNorm, r.UFreqGHz, r.UL2Ways, r.UROBEntries,
-	} {
-		le.PutUint64(b[16+8*i:], math.Float64bits(v))
+	b = le.AppendUint64(b[:0], r.Epoch)
+	fs, is := fields(r)
+	for _, f := range fs {
+		b = le.AppendUint64(b, math.Float64bits(*f))
 	}
-	for i, v := range [...]int16{r.ReqFreq, r.ReqCache, r.ReqROB, r.CfgFreq, r.CfgCache, r.CfgROB} {
-		le.PutUint16(b[112+2*i:], uint16(v))
+	b = le.AppendUint32(le.AppendUint32(b, r.LoopID), r.Flags)
+	for _, v := range is {
+		b = le.AppendUint16(b, uint16(*v))
 	}
-	le.PutUint32(b[124:], 0)
+	_ = append(b, r.Mode, r.Health, r.Adapt, 0)
 }
 
 func getRecord(b []byte) obs.Event {
 	le := binary.LittleEndian
-	r := obs.Event{InnovNorm: math.NaN(), Guardband: math.NaN()}
-	r.Epoch = le.Uint64(b[0:])
-	r.Flags = le.Uint32(b[8:])
-	r.Mode = b[12]
-	f := func(i int) float64 { return math.Float64frombits(le.Uint64(b[16+8*i:])) }
-	r.IPSTarget, r.PowerTarget = f(0), f(1)
-	r.IPS, r.PowerW = f(2), f(3)
-	r.TrueIPS, r.TruePowerW = f(4), f(5)
-	r.InnovIPS, r.InnovPowerW = f(6), f(7)
-	r.ExcessNorm = f(8)
-	r.UFreqGHz, r.UL2Ways, r.UROBEntries = f(9), f(10), f(11)
-	s := func(i int) int16 { return int16(le.Uint16(b[112+2*i:])) }
-	r.ReqFreq, r.ReqCache, r.ReqROB = s(0), s(1), s(2)
-	r.CfgFreq, r.CfgCache, r.CfgROB = s(3), s(4), s(5)
+	var r obs.Event
+	r.Epoch, b = le.Uint64(b), b[8:]
+	fs, is := fields(&r)
+	for _, f := range fs {
+		*f, b = math.Float64frombits(le.Uint64(b)), b[8:]
+	}
+	r.LoopID, r.Flags, b = le.Uint32(b), le.Uint32(b[4:]), b[8:]
+	for _, v := range is {
+		*v, b = int16(le.Uint16(b)), b[2:]
+	}
+	r.Mode, r.Health, r.Adapt = b[0], b[1], b[2]
 	return r
 }
 

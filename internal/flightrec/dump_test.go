@@ -5,64 +5,77 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"mimoctl/internal/obs"
+	"mimoctl/internal/testkit"
 )
 
-// sameRecord compares two records on every field: the v1 binary bytes
-// are bit-exact on the flight-record fields (NaN payloads included) and
-// the JSON text covers the rest.
-func sameRecord(a, b obs.Event) bool {
-	ja, errA := json.Marshal(a)
-	jb, errB := json.Marshal(b)
-	return errA == nil && errB == nil && bytes.Equal(ja, jb) &&
-		bytes.Equal(EncodeRecords([]obs.Event{a}), EncodeRecords([]obs.Event{b}))
+// everyField returns a record whose every field holds a value derived
+// from seed, set through reflection so that a field added to obs.Event
+// without a place in the binary record fails the round trip. Every
+// other float is a special value: NaNs with distinct payloads and both
+// signs, ±Inf, and −0.
+func everyField(t testing.TB, seed uint64) obs.Event {
+	specials := []float64{
+		math.Float64frombits(0x7ff8_0000_0000_0001 + seed), // quiet NaN with a payload
+		math.Float64frombits(0xfff0_0000_0000_0002 + seed), // negative signalling NaN
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+	}
+	var ev obs.Event
+	v := reflect.ValueOf(&ev).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, n := v.Field(i), seed*31+uint64(i)+1
+		switch f.Kind() {
+		case reflect.Float64:
+			if i%2 == 0 {
+				f.SetFloat(specials[(int(seed)+i/2)%len(specials)])
+			} else {
+				f.SetFloat(float64(n) * 1.25)
+			}
+		case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+			f.SetUint(n % 251)
+		case reflect.Int16:
+			f.SetInt(-int64(n))
+		default:
+			t.Fatalf("obs.Event.%s: no value for kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return ev
 }
 
-// legacyJSONL is a JSONL dump as written before the flight record and
-// the bus event became one type: "flags" and "mode" omitted when zero,
-// and no loop/health/adapt/innov_norm/guardband keys.
+// legacyJSONL is a v1 JSONL dump.
 const legacyJSONL = `{"flightrec":{"version":1,"arch":"supervised","workload":"namd","fault_class":"sensor-nan","seed":7,"epochs":2,"capacity":4,"target_ips":2.5,"target_power_w":2,"freq_levels":16,"cache_levels":4,"rob_levels":8}}
 {"epoch":0,"flags":11,"mode":1,"ips_target":2.5,"power_target":2,"ips_meas":2.1,"power_meas":"+Inf","ips_true":2.3125,"power_true":1.96,"innov_ips":"NaN","innov_power":"NaN","excess_norm":"NaN","u_freq_ghz":"NaN","u_l2_ways":"NaN","u_rob":"NaN","req_freq":0,"req_cache":0,"req_rob":0,"cfg_freq":7,"cfg_cache":2,"cfg_rob":3}
-{"epoch":1,"ips_target":2.5,"power_target":2,"ips_meas":2.4375,"power_meas":1.9,"ips_true":2.45,"power_true":1.95,"innov_ips":-0.03125,"innov_power":0.0125,"excess_norm":0.25,"u_freq_ghz":1.6,"u_l2_ways":6.5,"u_rob":"NaN","req_freq":8,"req_cache":3,"req_rob":-1,"cfg_freq":7,"cfg_cache":2,"cfg_rob":3}
 `
 
-// TestReadLegacyJSONL: a dump in the earlier JSONL format decodes to
-// the values it was written with; the keys it lacks decode as "not
-// stored" (0 and NaN), exactly as the binary format's.
-func TestReadLegacyJSONL(t *testing.T) {
-	meta, recs, err := ReadDump(strings.NewReader(legacyJSONL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMeta := Meta{Version: 1, Arch: "supervised", Workload: "namd", FaultClass: "sensor-nan", Seed: 7,
-		Epochs: 2, Capacity: 4, TargetIPS: 2.5, TargetPowerW: 2, FreqLevels: 16, CacheLevels: 4, ROBLevels: 8}
-	if meta != wantMeta {
-		t.Fatalf("meta = %+v\nwant %+v", meta, wantMeta)
-	}
-	nan := math.NaN()
-	want := []obs.Event{{
-		Epoch: 0, Flags: obs.FlagSupervised | obs.FlagFallback | obs.FlagSanitizedIPS, Mode: obs.ModeFallback,
-		IPSTarget: 2.5, PowerTarget: 2, IPS: 2.1, PowerW: math.Inf(1), TrueIPS: 2.3125, TruePowerW: 1.96,
-		InnovIPS: nan, InnovPowerW: nan, InnovNorm: nan, ExcessNorm: nan, Guardband: nan,
-		UFreqGHz: nan, UL2Ways: nan, UROBEntries: nan,
-		CfgFreq: 7, CfgCache: 2, CfgROB: 3,
-	}, {
-		Epoch:     1,
-		IPSTarget: 2.5, PowerTarget: 2, IPS: 2.4375, PowerW: 1.9, TrueIPS: 2.45, TruePowerW: 1.95,
-		InnovIPS: -0.03125, InnovPowerW: 0.0125, InnovNorm: nan, ExcessNorm: 0.25, Guardband: nan,
-		UFreqGHz: 1.6, UL2Ways: 6.5, UROBEntries: nan,
-		ReqFreq: 8, ReqCache: 3, ReqROB: obs.IdxNA, CfgFreq: 7, CfgCache: 2, CfgROB: 3,
-	}}
-	if len(recs) != len(want) {
-		t.Fatalf("decoded %d records, want %d", len(recs), len(want))
-	}
-	for i := range want {
-		if !sameRecord(recs[i], want[i]) {
-			t.Errorf("record %d:\n got %+v\nwant %+v", i, recs[i], want[i])
+// v1Binary is a v1 binary dump: version 1 in the header and one
+// 128-byte record.
+func v1Binary() []byte {
+	var b bytes.Buffer
+	put := func(v uint32) { _ = binary.Write(&b, binary.LittleEndian, v) }
+	meta := []byte(`{"version":1,"arch":"mimo","seed":3,"epochs":1,"capacity":1}`)
+	b.WriteString(Magic)
+	put(1)
+	put(uint32(len(meta)))
+	b.Write(meta)
+	put(128)
+	put(1)
+	b.Write(make([]byte, 128))
+	return b.Bytes()
+}
+
+// TestReadRejectsV1: a v1 dump, binary or JSONL, is refused with an
+// error naming its version; it is not decoded with the fields v1 did
+// not store defaulted.
+func TestReadRejectsV1(t *testing.T) {
+	for name, dump := range map[string][]byte{"binary": v1Binary(), "jsonl": []byte(legacyJSONL)} {
+		_, recs, err := ReadDump(bytes.NewReader(dump))
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("%s: err = %v (%d records), want a rejection naming version 1", name, err, len(recs))
 		}
 	}
 }
@@ -72,7 +85,7 @@ func TestReadLegacyJSONL(t *testing.T) {
 func truncatedDump(count uint32) []byte {
 	var b bytes.Buffer
 	put := func(v uint32) { _ = binary.Write(&b, binary.LittleEndian, v) }
-	meta := []byte(`{"version":1,"seed":1,"epochs":0,"capacity":1}`)
+	meta := []byte(`{"version":2,"seed":1,"epochs":0,"capacity":1}`)
 	b.WriteString(Magic)
 	put(FormatVersion)
 	put(uint32(len(meta)))
@@ -104,9 +117,10 @@ func TestReadBinaryTruncatedAllocBounded(t *testing.T) {
 	}
 }
 
-// FuzzReadDump: arbitrary bytes never panic the dump reader, and any
-// input that decodes re-encodes through EncodeRecords to bytes that
-// decode to the same records (on the fields the binary format stores).
+// FuzzReadDump: arbitrary bytes never panic the dump reader, a dump
+// whose header claims another version than FormatVersion is rejected,
+// and any input that decodes re-encodes through EncodeRecords to bytes
+// that decode to the same records, bit-exact on every field.
 func FuzzReadDump(f *testing.F) {
 	// One record per seed: the minimizer's cost grows with input length.
 	r := New(1)
@@ -123,21 +137,36 @@ func FuzzReadDump(f *testing.F) {
 	}
 	f.Add(bin.Bytes())
 	f.Add(jl.Bytes())
-	f.Add([]byte(legacyJSONL[:strings.Index(legacyJSONL, "\n{\"epoch\":1")+1]))
+	f.Add(v1Binary())
 	f.Add(truncatedDump(3))
+	f.Add([]byte(legacyJSONL))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, recs, err := ReadDump(bytes.NewReader(b))
 		if err != nil {
 			return
 		}
+		if v := headerVersion(b); v != FormatVersion {
+			t.Fatalf("decoded a dump whose header claims version %d", v)
+		}
 		enc := EncodeRecords(recs)
 		for i := range recs {
-			want := recs[i]
-			want.LoopID, want.Health, want.Adapt = 0, 0, 0
-			want.InnovNorm, want.Guardband = math.NaN(), math.NaN()
-			if got := getRecord(enc[i*recordBinSize:]); !sameRecord(got, want) {
-				t.Fatalf("record %d re-decodes as %+v, want %+v", i, got, want)
+			if d := testkit.EventDiff(getRecord(enc[i*recordBinSize:]), recs[i]); len(d) != 0 {
+				t.Fatalf("record %d re-decodes differently: %v", i, d)
 			}
 		}
 	})
+}
+
+// headerVersion is the version a dump's header claims: the binary
+// header's version word, else the JSONL meta line's version (-1 when
+// neither parses).
+func headerVersion(b []byte) int {
+	if bytes.HasPrefix(b, []byte(Magic)) && len(b) >= len(Magic)+4 {
+		return int(binary.LittleEndian.Uint32(b[len(Magic):]))
+	}
+	var head jsonlHeader
+	if json.NewDecoder(bytes.NewReader(b)).Decode(&head) != nil {
+		return -1
+	}
+	return head.Meta.Version
 }

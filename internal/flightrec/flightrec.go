@@ -17,8 +17,9 @@
 //
 // The record is obs.Event, the one per-epoch schema the bus, the SLO
 // engine, the history store and cmd/mimotrace share; the ring stamps
-// its Epoch from its own sequence, starting at 0. The flag bits, modes
-// and IdxNA the records carry are defined beside it in internal/obs.
+// its Epoch from its own sequence, starting at 1 as the fleet loop's
+// does. The flag bits, modes and IdxNA the records carry are defined
+// beside it in internal/obs.
 //
 // A nil *Recorder is valid and records nothing, so controllers can wire
 // the Append call unconditionally.
@@ -55,8 +56,10 @@ type Meta struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Recordable is implemented by controllers that can write their own
-// flight records (core.MIMOController, supervisor.Supervised).
+// Recordable is implemented by controllers that write their own flight
+// records (core.MIMOController, supervisor.Supervised). A supervised
+// loop's records are the supervisor's alone: it does not hand the ring
+// to the controller it wraps.
 type Recordable interface {
 	SetFlightRecorder(*Recorder)
 }
@@ -70,7 +73,6 @@ type Recorder struct {
 	next   int    // ring write position
 	count  int    // records currently in the ring
 	seq    uint64 // records ever appended; stamps Event.Epoch
-	staged uint32 // flags staged for the next Append
 	meta   Meta
 	onDump func(reason string, r *Recorder)
 }
@@ -85,20 +87,18 @@ func New(capacity int) *Recorder {
 }
 
 // Append copies one record into the ring, stamping the copy's Epoch
-// from the recorder's sequence counter and merging (then clearing) any
-// staged flags; ev itself is not modified. The hot-path cost is one
-// uncontended mutex and a struct copy.
+// from the recorder's sequence counter (the first record is epoch 1);
+// ev itself is not modified. The hot-path cost is one uncontended mutex
+// and a struct copy.
 func (r *Recorder) Append(ev *obs.Event) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	r.seq++
 	slot := &r.buf[r.next]
 	*slot = *ev
 	slot.Epoch = r.seq
-	slot.Flags |= r.staged
-	r.staged = 0
-	r.seq++
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -106,18 +106,6 @@ func (r *Recorder) Append(ev *obs.Event) {
 	if r.count < len(r.buf) {
 		r.count++
 	}
-	r.mu.Unlock()
-}
-
-// StageFlags ORs bits into the flag set the next Append will carry.
-// The supervisor stages sanitization/mode evidence before stepping the
-// inner controller, which then writes the epoch's record.
-func (r *Recorder) StageFlags(flags uint32) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.staged |= flags
 	r.mu.Unlock()
 }
 
@@ -180,7 +168,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.mu.Lock()
-	r.next, r.count, r.seq, r.staged = 0, 0, 0, 0
+	r.next, r.count, r.seq = 0, 0, 0
 	r.mu.Unlock()
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mimoctl/internal/obs"
+	"mimoctl/internal/testkit"
 )
 
 // rec returns a record whose fields are all derived from i, with NaN
@@ -17,13 +18,14 @@ import (
 func rec(i int) *obs.Event {
 	f := float64(i)
 	r := &obs.Event{
-		Flags: uint32(i), Mode: uint8(i % 2),
+		LoopID: uint32(i + 7), Flags: uint32(i),
+		Mode: uint8(i % 2), Health: uint8(i % 3), Adapt: uint8(i % 5),
 		IPSTarget: 2.5, PowerTarget: 2.0,
 		IPS: f * 1.01, PowerW: f * 1.02,
 		TrueIPS: f * 1.03, TruePowerW: f * 1.04,
-		InnovIPS: f * 0.01, InnovPowerW: f * 0.02,
-		ExcessNorm: f * 0.001,
-		UFreqGHz:   f * 0.1, UL2Ways: f * 0.2, UROBEntries: f * 16,
+		InnovIPS: f * 0.01, InnovPowerW: f * 0.02, InnovNorm: f * 0.03,
+		ExcessNorm: f * 0.001, Guardband: f * 0.05,
+		UFreqGHz: f * 0.1, UL2Ways: f * 0.2, UROBEntries: f * 16,
 		ReqFreq: int16(i % 16), ReqCache: int16(i % 4), ReqROB: obs.IdxNA,
 		CfgFreq: int16((i + 1) % 16), CfgCache: int16((i + 1) % 4), CfgROB: 0,
 	}
@@ -35,10 +37,8 @@ func rec(i int) *obs.Event {
 		r.PowerW = math.Inf(1)
 	case 3:
 		r.UFreqGHz = math.Inf(-1)
+		r.Guardband = math.NaN()
 	}
-	// Fields the v1 binary record does not store hold what it decodes
-	// them as, so a ring snapshot and its decoded dump compare equal.
-	r.InnovNorm, r.Guardband = math.NaN(), math.NaN()
 	return r
 }
 
@@ -58,12 +58,12 @@ func TestRingWraparound(t *testing.T) {
 		t.Fatalf("snapshot has %d records, want 8", len(snap))
 	}
 	for k, s := range snap {
-		want := uint64(12 + k) // oldest surviving record is #12
-		if s.Epoch != want {
+		// The oldest surviving record is append #12, epoch 13.
+		if want := uint64(13 + k); s.Epoch != want {
 			t.Errorf("snap[%d].Epoch = %d, want %d", k, s.Epoch, want)
 		}
 		if s.ReqFreq != int16((12+k)%16) {
-			t.Errorf("snap[%d] payload does not match epoch %d", k, want)
+			t.Errorf("snap[%d] payload does not match append %d", k, 12+k)
 		}
 	}
 }
@@ -78,30 +78,15 @@ func TestAppendBelowCapacity(t *testing.T) {
 		t.Fatalf("snapshot has %d records, want 5", len(snap))
 	}
 	for k, s := range snap {
-		if s.Epoch != uint64(k) {
-			t.Errorf("snap[%d].Epoch = %d, want %d", k, s.Epoch, k)
+		if s.Epoch != uint64(k+1) {
+			t.Errorf("snap[%d].Epoch = %d, want %d", k, s.Epoch, k+1)
 		}
-	}
-}
-
-func TestStagedFlagsMergeOnce(t *testing.T) {
-	r := New(4)
-	r.StageFlags(obs.FlagSupervised | obs.FlagSanitizedIPS)
-	r.Append(&obs.Event{})
-	r.Append(&obs.Event{})
-	snap := r.Snapshot()
-	if snap[0].Flags != obs.FlagSupervised|obs.FlagSanitizedIPS {
-		t.Errorf("first record flags = %#x, want staged bits", snap[0].Flags)
-	}
-	if snap[1].Flags != 0 {
-		t.Errorf("staged flags leaked into second record: %#x", snap[1].Flags)
 	}
 }
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Append(rec(0))
-	r.StageFlags(obs.FlagHold)
 	r.RequestDump("nil")
 	r.SetMeta(Meta{})
 	r.Reset()
@@ -121,7 +106,6 @@ func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < writes; i++ {
-			r.StageFlags(obs.FlagSupervised)
 			r.Append(rec(i))
 		}
 	}()
@@ -147,6 +131,9 @@ func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBinaryRoundTrip: a binary dump stores every field of obs.Event
+// bit-exact, the epoch, NaN payloads, signalling NaNs, infinities and
+// negative zero included.
 func TestBinaryRoundTrip(t *testing.T) {
 	r := New(32)
 	r.SetMeta(Meta{Arch: "mimo", Workload: "namd", FaultClass: "sensor-nan", Seed: 2016,
@@ -154,8 +141,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		r.Append(rec(i))
 	}
+	want := append(r.Snapshot(), everyField(t, 0), everyField(t, 1), everyField(t, 2))
 	var buf bytes.Buffer
-	if err := writeBinary(&buf, r.Meta(), r.Snapshot()); err != nil {
+	if err := writeBinary(&buf, r.Meta(), want); err != nil {
 		t.Fatal(err)
 	}
 	meta, recs, err := ReadBinary(bytes.NewReader(buf.Bytes()))
@@ -165,8 +153,13 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if meta.Arch != "mimo" || meta.FaultClass != "sensor-nan" || meta.Seed != 2016 || meta.Capacity != 32 {
 		t.Errorf("meta did not round-trip: %+v", meta)
 	}
-	if !bytes.Equal(EncodeRecords(recs), EncodeRecords(r.Snapshot())) {
-		t.Fatal("binary round-trip is not byte-identical")
+	if len(recs) != len(want) {
+		t.Fatalf("decoded %d records, want %d", len(recs), len(want))
+	}
+	for i := range want {
+		if d := testkit.EventDiff(recs[i], want[i]); len(d) != 0 {
+			t.Errorf("record %d did not round-trip: %v", i, d)
+		}
 	}
 }
 
@@ -275,7 +268,6 @@ func TestAppendDoesNotAllocate(t *testing.T) {
 	r := New(1024)
 	sample := rec(1)
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.StageFlags(obs.FlagSupervised)
 		r.Append(sample)
 	})
 	if allocs != 0 {

@@ -338,8 +338,7 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// WriteReport renders a human-readable diagnosis, shared by
-// cmd/mimodoctor and `mimotrace explain`.
+// WriteReport renders cmd/mimodoctor's human-readable diagnosis.
 func WriteReport(w io.Writer, meta flightrec.Meta, d *Diagnosis) {
 	fmt.Fprintf(w, "flight recording: arch=%s workload=%s fault=%s seed=%d epochs=%d (%d records examined)\n",
 		orUnknown(meta.Arch), orUnknown(meta.Workload), orUnknown(meta.FaultClass), meta.Seed, meta.Epochs, d.Records)

@@ -55,15 +55,14 @@ package obs
 // The struct is fixed-size and pointer-free, so a ring append or a bus
 // publish is one copy and a dropped event loses one epoch of one loop,
 // nothing more. NaN in a float field means "not computed this epoch"
-// (the innovation on a fallback pin, the continuous request on the bus);
-// IdxNA in a knob index means "knob not driven".
-//
-// Epoch bases differ by writer and are pinned by committed goldens: the
-// flight ring stamps its own sequence from 0, the fleet loop stamps its
-// observed-epoch count from 1. The same epoch of a supervised loop with
-// both attached therefore carries ring Epoch e and bus Epoch e+1.
+// (the innovation on a fallback pin, the continuous request of a
+// controller that did not step); IdxNA in a knob index means "knob not
+// driven".
 type Event struct {
-	// Epoch is stamped by the writer that owns the sequence (see above).
+	// Epoch counts from 1. The flight ring stamps it from its own append
+	// sequence and the fleet loop from its observed-epoch count, so a
+	// supervised loop's ring record and bus event of one epoch carry the
+	// same number.
 	Epoch uint64
 
 	// References in effect.
@@ -82,8 +81,7 @@ type Event struct {
 	// Guardband is the model-health monitor's guardband-consumption EMA.
 	Guardband float64
 	// Continuous actuation request in absolute units before
-	// quantization. Only the controller that computed it writes it, into
-	// its flight ring; it is NaN on the bus.
+	// quantization.
 	UFreqGHz, UL2Ways, UROBEntries float64
 
 	// LoopID is the fleet-assigned loop id (stamped by Loop.Observe).
@@ -92,7 +90,8 @@ type Event struct {
 	Flags uint32
 
 	// ReqFreq/ReqCache/ReqROB are the quantized configuration indices
-	// requested this epoch; CfgFreq/CfgCache/CfgROB are the indices in
+	// requested this epoch (for a supervised loop, the configuration the
+	// supervisor issued); CfgFreq/CfgCache/CfgROB are the indices in
 	// effect during the epoch (the previous request as the plant
 	// actually applied it). A persistent Req[k] != Cfg[k+1] divergence
 	// is the signature of a stuck actuator.
@@ -105,11 +104,7 @@ type Event struct {
 	Mode, Health, Adapt uint8
 }
 
-// Flag bits on an Event. Bits 0–10 are the flight recorder's v1 bit
-// positions, so committed dumps decode unchanged. The supervisor stages
-// its per-epoch flags on the flight ring before the inner controller
-// runs (flightrec.Recorder.StageFlags); whichever component appends the
-// epoch's record picks them up.
+// Flag bits on an Event.
 const (
 	// FlagSupervised marks an epoch that passed through the supervised
 	// runtime (internal/supervisor).

@@ -181,7 +181,7 @@ func TestAdaptationIdleStepZeroAlloc(t *testing.T) {
 
 // TestSwapFlagsReachRecorder: an episode started by a model fallback
 // under an attached flight recorder must leave FlagExcitation evidence
-// in the records (staged via the one-epoch smear on recorded epochs).
+// in the records.
 func TestSwapFlagsReachRecorder(t *testing.T) {
 	inner := newFakeInner()
 	ad := newTestAdapter(t, nil, adapt.Options{

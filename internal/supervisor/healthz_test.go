@@ -141,7 +141,7 @@ func TestSupervisedRecordsEveryEpoch(t *testing.T) {
 		t.Fatalf("recorded %d epochs, want %d (one record per epoch)", len(snap), n)
 	}
 	for k, r := range snap {
-		if r.Epoch != uint64(k) {
+		if r.Epoch != uint64(k+1) {
 			t.Errorf("record %d has epoch %d", k, r.Epoch)
 		}
 		if r.Flags&obs.FlagSupervised == 0 {

@@ -26,22 +26,16 @@ func (s *Supervised) LoopObs() *obs.Loop { return s.loopObs }
 // published on the loop's bus. t carries the sanitized measurements, req
 // the configuration issued, flags the supervisor's evidence for this
 // epoch, and innov the inner controller's fresh innovation (nil on
-// epochs it did not step). author selects whether the supervisor also
-// appends the record to the flight ring: it does on fallback pins,
-// actuation holds and engaged epochs of an inner that does not record
-// itself; a recording inner has already written its engaged epochs.
-// Controller internals only the inner computes (continuous request,
-// excess) are NaN.
-func (s *Supervised) endEpoch(t *sim.Telemetry, ev *obs.Event, req sim.Config, flags uint32, mode uint8, innov []float64, author bool) bool {
-	rec := s.rec
-	if !author {
-		rec = nil
-	}
-	if rec == nil && s.loopObs == nil {
+// epochs it did not step). On an epoch a MIMO inner stepped, its
+// internals (continuous request, excess, step error, undriven ROB knob)
+// come from core.MIMOController.FillInternals; otherwise they are NaN.
+// The ring copies ev before the fleet loop stamps LoopID, Epoch and
+// FlagTargetChange on it, so attaching a fleet never changes a ring.
+func (s *Supervised) endEpoch(t *sim.Telemetry, ev *obs.Event, req sim.Config, flags uint32, mode uint8, innov []float64) bool {
+	if s.rec == nil && s.loopObs == nil {
 		return false
 	}
-	// Every field is written: ev may be a reused slot. The fleet loop
-	// stamps LoopID and Epoch.
+	// Every field is written: ev may be a reused slot.
 	nan := math.NaN()
 	ev.Epoch, ev.LoopID = 0, 0
 	ev.Flags, ev.Mode, ev.Health, ev.Adapt = flags, mode, uint8(s.opts.ModelHealth.Level()), 0
@@ -54,12 +48,15 @@ func (s *Supervised) endEpoch(t *sim.Telemetry, ev *obs.Event, req sim.Config, f
 	if v := s.relInnovation(innov); v >= 0 {
 		ev.InnovIPS, ev.InnovPowerW, ev.InnovNorm = innov[0], innov[1], v
 	}
+	if s.mimo != nil && innov != nil {
+		s.mimo.FillInternals(ev)
+	}
 	if mon := s.opts.ModelHealth; mon != nil {
 		ev.Guardband = mon.Snapshot().GuardbandConsumption
 	}
 	if s.adapter != nil {
 		ev.Adapt = uint8(s.adapter.State())
 	}
-	rec.Append(ev)
+	s.rec.Append(ev)
 	return s.loopObs.ObserveInto(ev)
 }

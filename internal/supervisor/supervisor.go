@@ -260,12 +260,9 @@ type Supervised struct {
 	fallbackEpochs int
 	healthyStreak  int
 
-	// Flight recording. When the inner controller is itself Recordable
-	// it writes the engaged epochs (with the supervisor's evidence
-	// staged as flags); the supervisor writes the epochs the inner never
-	// sees: fallback pins, actuation-backoff holds.
-	rec          *flightrec.Recorder
-	innerRecords bool
+	// Flight recording: the supervisor writes every epoch's record, the
+	// one it also hands the fleet loop (endEpoch).
+	rec *flightrec.Recorder
 
 	// The inner controller resolved once in New: as the MIMO controller
 	// when it is one, which the engaged step calls and reads the
@@ -319,20 +316,11 @@ func (s *Supervised) Mode() Mode { return s.mode }
 func (s *Supervised) SafeConfig() sim.Config { return sim.BaselineConfig() }
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight
-// recorder. Implements flightrec.Recordable. The recorder is also
-// handed to the inner controller when it is Recordable, so engaged
-// epochs carry the full controller internals (innovation, continuous
-// request); the supervisor only authors the epochs the inner never
-// steps.
-func (s *Supervised) SetFlightRecorder(r *flightrec.Recorder) {
-	s.rec = r
-	if rc, ok := s.inner.(flightrec.Recordable); ok {
-		rc.SetFlightRecorder(r)
-		s.innerRecords = r != nil
-	} else {
-		s.innerRecords = false
-	}
-}
+// recorder. Implements flightrec.Recordable. The supervisor writes one
+// record per epoch, engaged or not; the inner controller is left
+// alone, and a MIMO inner contributes its step's internals through
+// core.MIMOController.FillInternals.
+func (s *Supervised) SetFlightRecorder(r *flightrec.Recorder) { s.rec = r }
 
 // Health returns the counters since the last Reset, including the
 // inner controller's absorbed-error count when it reports one.
@@ -475,7 +463,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 				s.rec.RequestDump("adapt-revert")
 			}
 		}
-		return cfg, s.endEpoch(&t, ev, cfg, flags|obs.FlagFallback, obs.ModeFallback, nil, true)
+		return cfg, s.endEpoch(&t, ev, cfg, flags|obs.FlagFallback, obs.ModeFallback, nil)
 	}
 
 	// Engaged: dead-channel and model-health checks.
@@ -542,7 +530,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 			}
 			s.adapter.NoteGap()
 		}
-		return sim.BaselineConfig(), s.endEpoch(&t, ev, sim.BaselineConfig(), flags|obs.FlagFallback, obs.ModeFallback, nil, true)
+		return sim.BaselineConfig(), s.endEpoch(&t, ev, sim.BaselineConfig(), flags|obs.FlagFallback, obs.ModeFallback, nil)
 	}
 
 	// Actuation retry with bounded exponential backoff: after a failed
@@ -554,7 +542,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 		s.adapter.NoteGap()
 		if s.holdEpochs > 0 {
 			s.holdEpochs--
-			return t.Config, s.endEpoch(&t, ev, t.Config, flags|obs.FlagHold, obs.ModeEngaged, nil, true)
+			return t.Config, s.endEpoch(&t, ev, t.Config, flags|obs.FlagHold, obs.ModeEngaged, nil)
 		}
 		s.health.ApplyRetries++
 		if m != nil {
@@ -566,14 +554,9 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 			s.backoff *= 2
 		}
 		s.holdEpochs = s.backoff
-		return s.lastRequested, s.endEpoch(&t, ev, s.lastRequested, flags|obs.FlagHold, obs.ModeEngaged, nil, true)
+		return s.lastRequested, s.endEpoch(&t, ev, s.lastRequested, flags|obs.FlagHold, obs.ModeEngaged, nil)
 	}
 
-	if s.innerRecords {
-		// The inner controller writes this epoch's record during its
-		// Step; hand it the supervisor's evidence to merge in.
-		s.rec.StageFlags(flags)
-	}
 	var cfg sim.Config
 	if s.mimo != nil {
 		cfg = s.mimo.Step(t)
@@ -584,7 +567,6 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 	if mon := s.opts.ModelHealth; mon != nil && len(innov) >= 2 {
 		mon.Observe(innov[0], innov[1])
 	}
-	illegal := false
 	if err := cfg.Validate(); err != nil {
 		// An illegal request must never reach the hardware: hold the
 		// plant's current (known legal) configuration instead.
@@ -593,13 +575,12 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 			m.illegalConfigs.Inc()
 		}
 		cfg = t.Config
-		illegal = true
+		flags |= obs.FlagIllegalConfig
 	}
-	var adaptFlags uint32
 	if s.adapter != nil {
 		v := s.adapter.Advance(t, cfg, clean && s.applyOK)
 		cfg = v.Cfg
-		adaptFlags = v.Flags
+		flags |= v.Flags
 		if v.Swapped || v.Reverted {
 			// Fresh gains (or restored ones) produce a deliberate
 			// transient: restart the alarm grace period and forget
@@ -615,24 +596,15 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 			}
 		}
 	}
-	late := adaptFlags
-	if illegal {
-		late |= obs.FlagIllegalConfig
-	}
-	if s.innerRecords && late != 0 {
-		// The inner's record for this epoch is already written; the
-		// evidence rides on the next one (one-epoch smear, still
-		// visible). The bus event below carries it on this epoch.
-		s.rec.StageFlags(late)
-	}
-	flags |= late
 	s.lastRequested = cfg
 	s.haveRequested = true
 	if s.adapter != nil {
-		// A swap or revert this epoch reset the inner's innovation.
+		// A swap or revert this epoch reset the inner's innovation (and
+		// its excess, which endEpoch reads): the record shows the design
+		// now installed.
 		innov = s.lastInnovation()
 	}
-	return cfg, s.endEpoch(&t, ev, cfg, flags, obs.ModeEngaged, innov, !s.innerRecords)
+	return cfg, s.endEpoch(&t, ev, cfg, flags, obs.ModeEngaged, innov)
 }
 
 // modelCertOK reports whether the model-health monitor permits

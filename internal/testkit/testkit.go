@@ -1,16 +1,19 @@
 // Package testkit holds the test helpers that the tests of several
 // packages share: matrix literals and comparisons, the allocating
-// vector operations, and the positive-definiteness and observability
-// checks that design tests assert. Only _test.go files import it, so no
-// program links it.
+// vector operations, the positive-definiteness and observability
+// checks that design tests assert, and a field-by-field comparison of
+// per-epoch records. Only _test.go files import it, so no program links
+// it.
 package testkit
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"mimoctl/internal/mat"
+	"mimoctl/internal/obs"
 )
 
 // FromRows builds a matrix from a slice of equally long rows. The data
@@ -194,4 +197,24 @@ func Observable(a, c *mat.Matrix) bool {
 // whether (aᵀ, bᵀ) is observable.
 func Controllable(a, b *mat.Matrix) bool {
 	return Observable(a.T(), b.T())
+}
+
+// EventDiff names every field on which a and b differ, with both
+// values. Floats compare by their bits, so NaN payloads count; the
+// fields are found by reflection, so a field added to obs.Event is
+// compared too.
+func EventDiff(a, b obs.Event) []string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	var diff []string
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb, name := va.Field(i), vb.Field(i), va.Type().Field(i).Name
+		if fa.Kind() == reflect.Float64 {
+			if x, y := math.Float64bits(fa.Float()), math.Float64bits(fb.Float()); x != y {
+				diff = append(diff, fmt.Sprintf("%s %v (%#x) vs %v (%#x)", name, fa.Float(), x, fb.Float(), y))
+			}
+		} else if fa.Interface() != fb.Interface() {
+			diff = append(diff, fmt.Sprintf("%s %v vs %v", name, fa.Interface(), fb.Interface()))
+		}
+	}
+	return diff
 }
