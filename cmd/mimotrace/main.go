@@ -6,20 +6,26 @@
 // when the controller reports one, the requested and in-effect knob
 // indices, and the supervisor mode.
 //
+// The run keeps one flight ring and every row is read from it. The
+// MIMO controllers (mimo, mimo3) and the supervised runtime write their
+// own record of each epoch, so a row carries what only they know (the
+// continuous request, the excess, the supervisor's flags and
+// innovation norm); for the other architectures the harness writes the
+// record, with NaN for what it cannot see.
+//
 // -format selects CSV (default) or JSONL, -every subsamples, and
 // -metrics-addr additionally serves live diagnostics (/metrics,
-// /healthz, /trace with the most recent records, /debug/pprof) while
+// /healthz, /trace with the ring's records, /debug/pprof) while
 // the run is in flight. The run is registered as the one loop of an
 // obs.Fleet, which serves /slo (watch with cmd/mimostat) and composes
 // /healthz from the loop's last epoch: 503 naming the loop while it is
 // in supervisor fallback, fails its model-health monitor or alerts on a
 // control SLO, in that order; warns annotate a 200.
 //
-// With -flightrec the run also keeps a control-loop flight recorder
-// attached: the last epochs of controller internals are dumped to the
-// given path on SIGQUIT, on supervisor fallback, and at exit, and
-// served live at /debug/flightrec when -metrics-addr is set; diagnose a
-// dump with cmd/mimodoctor.
+// With -flightrec (mimo, mimo3 and supervised) the ring's last 4096
+// records are dumped to the given path on SIGQUIT, on supervisor
+// fallback, and at exit, and served live at /debug/flightrec when
+// -metrics-addr is set; diagnose a dump with cmd/mimodoctor.
 //
 // Examples:
 //
@@ -33,6 +39,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -48,27 +55,41 @@ import (
 	"mimoctl/internal/workloads"
 )
 
+// ringCap is the capacity of the run's flight ring: the records /trace
+// serves and a -flightrec dump holds.
+const ringCap = 4096
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, drives the experiment and writes its rows to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mimotrace", flag.ExitOnError)
 	var (
-		workload    = flag.String("workload", "namd", "application to run (SPEC CPU2006 name)")
-		arch        = flag.String("arch", "mimo", "controller: mimo, mimo3, heuristic, decoupled, baseline, supervised")
-		epochs      = flag.Int("epochs", 5000, "number of 50 µs control epochs")
-		ips         = flag.Float64("ips", core.DefaultIPSTarget, "IPS target (BIPS)")
-		power       = flag.Float64("power", core.DefaultPowerTarget, "power target (W)")
-		battery     = flag.Bool("battery", false, "drive targets from the battery/QoE scheduler (Fig. 12)")
-		seed        = flag.Int64("seed", experiments.DefaultSeed, "simulation seed")
-		every       = flag.Int("every", 1, "emit every Nth epoch (must be >= 1)")
-		format      = flag.String("format", "csv", "trace format: csv or jsonl")
-		metricsAddr = flag.String("metrics-addr", "", "serve live diagnostics on this address (e.g. :8090); empty disables")
-		frPath      = flag.String("flightrec", "", "keep a flight recorder attached and dump it to this path (SIGQUIT, supervisor fallback, and exit); empty disables")
-		frCap       = flag.Int("flightrec-cap", 4096, "flight recorder ring capacity (records)")
+		workload    = fs.String("workload", "namd", "application to run (SPEC CPU2006 name)")
+		arch        = fs.String("arch", "mimo", "controller: mimo, mimo3, heuristic, decoupled, baseline, supervised")
+		epochs      = fs.Int("epochs", 5000, "number of 50 µs control epochs")
+		ips         = fs.Float64("ips", core.DefaultIPSTarget, "IPS target (BIPS)")
+		power       = fs.Float64("power", core.DefaultPowerTarget, "power target (W)")
+		battery     = fs.Bool("battery", false, "drive targets from the battery/QoE scheduler (Fig. 12)")
+		seed        = fs.Int64("seed", experiments.DefaultSeed, "simulation seed")
+		every       = fs.Int("every", 1, "emit every Nth epoch (must be >= 1)")
+		format      = fs.String("format", "csv", "trace format: csv or jsonl")
+		metricsAddr = fs.String("metrics-addr", "", "serve live diagnostics on this address (e.g. :8090); empty disables")
+		frPath      = fs.String("flightrec", "", "dump the run's flight ring to this path (SIGQUIT, supervisor fallback, and exit); empty disables")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *every < 1 {
-		fatal(fmt.Errorf("-every must be >= 1, got %d", *every))
+		return fmt.Errorf("-every must be >= 1, got %d", *every)
 	}
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(stdout)
 	var sink obs.Sink
 	switch *format {
 	case "csv":
@@ -76,46 +97,48 @@ func main() {
 	case "jsonl":
 		sink = obs.NewJSONLSink(out, nil)
 	default:
-		fatal(fmt.Errorf("unknown -format %q (want csv or jsonl)", *format))
+		return fmt.Errorf("unknown -format %q (want csv or jsonl)", *format)
 	}
 
-	var frec *flightrec.Recorder
+	// ring is the run's one flight ring, written once per epoch by the
+	// controller (mimo, mimo3, supervised) or by fillEvent (the others);
+	// rows, /trace and the -flightrec dump all read it. It stamps the
+	// epoch from its sequence, from 1.
+	ring := flightrec.New(ringCap)
 	if *frPath != "" {
-		frec = flightrec.New(*frCap)
-		frec.SetOnDump(func(reason string, r *flightrec.Recorder) {
+		ring.SetOnDump(func(reason string, r *flightrec.Recorder) {
 			if err := r.WriteFile(*frPath, reason); err != nil {
 				fmt.Fprintf(os.Stderr, "flightrec dump: %v\n", err)
 				return
 			}
 			fmt.Fprintf(os.Stderr, "flightrec dump (%s) -> %s\n", reason, *frPath)
 		})
-		stop := flightrec.DumpOnSignal(frec, syscall.SIGQUIT, *frPath, func(err error) {
+		stop := flightrec.DumpOnSignal(ring, syscall.SIGQUIT, *frPath, func(err error) {
 			fmt.Fprintf(os.Stderr, "flightrec signal dump: %v\n", err)
 		})
 		defer stop()
 	}
 
-	// trace keeps the most recent records for /trace; the harness
-	// appends every epoch, so its sequence (from 1) is the epoch
-	// number. loop is the run's handle in the one-loop fleet behind
-	// /healthz, and reg the registry its processor and controller
-	// report to.
-	var trace *flightrec.Recorder
+	// loop is the run's handle in the one-loop fleet behind /healthz,
+	// and reg the registry its processor and controller report to.
 	var loop *obs.Loop
 	var reg *telemetry.Registry
 	if *metricsAddr != "" {
-		trace = flightrec.New(0)
 		reg = telemetry.NewRegistry()
 		telemetry.RegisterGoMetrics(reg)
 		fleet := obs.NewFleet(obs.Options{Registry: reg})
 		loop = fleet.Register(*arch + "/" + *workload)
+		extra := fleet.Endpoints()
+		if *frPath != "" {
+			extra = append(extra, flightrecEndpoint(ring))
+		}
 		srv, err := telemetry.StartServer(*metricsAddr, telemetry.ServerOptions{
 			Registry: reg,
 			Health:   func() (bool, string) { return fleet.Healthz() },
-			Extra:    append(append(fleet.Endpoints(), flightrecEndpoints(frec)...), traceEndpoint(trace)),
+			Extra:    append(extra, traceEndpoint(ring)),
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "diagnostics on http://%s/ (metrics, healthz, slo, trace, debug/pprof)\n", srv.Addr())
@@ -123,25 +146,24 @@ func main() {
 
 	w, err := workloads.ByName(*workload)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ctrl, err := buildController(*arch, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ctrl.SetTargets(*ips, *power)
-	if frec != nil {
-		rc, ok := ctrl.(flightrec.Recordable)
-		if !ok {
-			fatal(fmt.Errorf("-flightrec: architecture %q does not support flight recording", *arch))
-		}
-		frec.SetMeta(flightrec.Meta{
-			Arch: *arch, Workload: *workload, Seed: *seed,
-			TargetIPS: *ips, TargetPowerW: *power,
-			FreqLevels: len(sim.FreqSettingsGHz), CacheLevels: len(sim.CacheSettings), ROBLevels: len(sim.ROBSettings),
-		})
-		rc.SetFlightRecorder(frec)
+	rc, recordable := ctrl.(flightrec.Recordable)
+	if recordable {
+		rc.SetFlightRecorder(ring)
+	} else if *frPath != "" {
+		return fmt.Errorf("-flightrec: architecture %q does not support flight recording", *arch)
 	}
+	ring.SetMeta(flightrec.Meta{
+		Arch: *arch, Workload: *workload, Seed: *seed,
+		TargetIPS: *ips, TargetPowerW: *power,
+		FreqLevels: len(sim.FreqSettingsGHz), CacheLevels: len(sim.CacheSettings), ROBLevels: len(sim.ROBSettings),
+	})
 
 	var sched *core.BatteryScheduler
 	if *battery {
@@ -149,13 +171,13 @@ func main() {
 			InitialIPS: *ips, InitialPower: *power, TotalEnergyJ: 1.0,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	proc, err := sim.NewProcessor(w, sim.DefaultProcessorOptions(), *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	proc.BindTelemetry(reg)
 	sup, supervised := ctrl.(*supervisor.Supervised)
@@ -172,8 +194,7 @@ func main() {
 		sup.BindTelemetry(loop.Scope())
 	}
 
-	ir, _ := ctrl.(supervisor.InnovationReporter)
-	batch := make([]obs.Event, 1)
+	row := make([]obs.Event, 1)
 	var sinkErr error
 	tel := proc.Step()
 	for k := 0; k < *epochs; k++ {
@@ -183,57 +204,51 @@ func main() {
 			}
 		}
 		cfg := ctrl.Step(tel)
+		if !recordable {
+			fillEvent(&row[0], ctrl, cfg, &tel)
+			ring.Append(&row[0])
+		}
 		if err := proc.Apply(cfg); err != nil {
-			if supervised {
-				// The supervised runtime retries failed actuations and
-				// falls back when they persist; report and continue.
-				sup.ObserveApply(cfg, err)
-			} else {
-				fatal(err)
+			if !supervised {
+				return err
 			}
+			// The supervised runtime retries failed actuations and
+			// falls back when they persist; report and continue.
+			sup.ObserveApply(cfg, err)
 		} else if supervised {
 			sup.ObserveApply(cfg, nil)
 		}
 		tel = proc.Step()
-		ev := &batch[0]
-		fillEvent(ev, uint64(k+1), ctrl, ir, cfg, &tel)
-		if supervised {
-			ev.Mode = uint8(sup.Mode())
-		}
-		trace.Append(ev)
+		ring.Last(&row[0])
 		if loop != nil && !supervised {
-			// A copy: Observe restamps the epoch the trace keeps.
-			fev := *ev
-			loop.Observe(&fev)
+			// A copy: Observe stamps its loop id, epoch and
+			// target-change flag, and the row stays the ring's record.
+			ev := row[0]
+			loop.Observe(&ev)
 		}
 		if k%*every == 0 && sinkErr == nil {
-			sinkErr = sink.WriteEvents(batch)
+			sinkErr = sink.WriteEvents(row)
 		}
 	}
-	if frec != nil {
-		frec.RequestDump("run-complete")
-	}
+	ring.RequestDump("run-complete")
 	// A trace whose tail was silently dropped (full disk, closed pipe)
 	// must not exit 0: the first write or flush error is fatal.
 	if err := out.Flush(); sinkErr == nil {
 		sinkErr = err
 	}
-	if sinkErr != nil {
-		fatal(sinkErr)
-	}
+	return sinkErr
 }
 
-// fillEvent writes the harness's record of epoch k (from 1, as the
-// flight ring and the fleet loop count): cfg is the
-// configuration the controller requested, tel the telemetry of the epoch
-// it produced. Internals the harness cannot see (continuous request,
-// excess, guardband) are NaN, as is the innovation of a controller that
-// reports none.
-func fillEvent(ev *obs.Event, k uint64, ctrl core.ArchController, ir supervisor.InnovationReporter, cfg sim.Config, tel *sim.Telemetry) {
+// fillEvent writes the harness's record of an epoch for a controller
+// that records none: tel is the telemetry the controller stepped on
+// (its measurement, and the configuration in effect during that epoch)
+// and cfg the configuration it requested. The ring stamps the epoch.
+// What the harness cannot see (innovation, continuous request, excess,
+// guardband) is NaN.
+func fillEvent(ev *obs.Event, ctrl core.ArchController, cfg sim.Config, tel *sim.Telemetry) {
 	ti, tp := ctrl.Targets()
 	nan := math.NaN()
 	*ev = obs.Event{
-		Epoch:       k,
 		IPSTarget:   ti,
 		PowerTarget: tp,
 		IPS:         tel.IPS,
@@ -254,11 +269,6 @@ func fillEvent(ev *obs.Event, k uint64, ctrl core.ArchController, ir supervisor.
 		CfgFreq:     int16(tel.Config.FreqIdx),
 		CfgCache:    int16(tel.Config.CacheIdx),
 		CfgROB:      int16(tel.Config.ROBIdx),
-	}
-	if ir != nil {
-		if innov := ir.LastInnovation(); len(innov) >= 2 {
-			ev.InnovIPS, ev.InnovPowerW = innov[0], innov[1]
-		}
 	}
 }
 
@@ -282,16 +292,13 @@ func traceEndpoint(r *flightrec.Recorder) telemetry.Endpoint {
 	}
 }
 
-// flightrecEndpoints mounts /debug/flightrec when a recorder is live.
-func flightrecEndpoints(r *flightrec.Recorder) []telemetry.Endpoint {
-	if r == nil {
-		return nil
-	}
-	return []telemetry.Endpoint{{
+// flightrecEndpoint mounts the ring's dump at /debug/flightrec.
+func flightrecEndpoint(r *flightrec.Recorder) telemetry.Endpoint {
+	return telemetry.Endpoint{
 		Path:    "/debug/flightrec",
 		Desc:    "flight recorder dump (binary; ?format=jsonl)",
 		Handler: flightrec.Handler(r),
-	}}
+	}
 }
 
 func buildController(arch string, seed int64) (core.ArchController, error) {
@@ -321,9 +328,4 @@ func buildController(arch string, seed int64) (core.ArchController, error) {
 	default:
 		return nil, fmt.Errorf("unknown architecture %q", arch)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -5,9 +5,10 @@
 // ROB size) to control power and performance in a coordinated way.
 //
 // The library is organized as internal packages — see DESIGN.md for the
-// full inventory — with runnable entry points under cmd/ and examples/,
-// the end-to-end benchmark under bench/, and micro-benchmarks next to
-// the packages they measure:
+// full inventory — with runnable entry points under cmd/, walkthroughs
+// as testable examples (Example_* in the packages' example_test.go
+// files), the end-to-end benchmark under bench/, and micro-benchmarks
+// next to the packages they measure:
 //
 //   - internal/mat, internal/lti, internal/sysid, internal/lqg,
 //     internal/robust: the numerical control stack (linear algebra,

@@ -244,6 +244,16 @@ func (p *pairing) step(t testing.TB, epoch int, tel func(i int) sim.Telemetry, a
 	}
 }
 
+// supMode is a supervisor's mode as its Health fixes it: it starts
+// engaged, and each fallback counts in Fallbacks and each re-engagement
+// in Reengagements.
+func supMode(s *supervisor.Supervised) supervisor.Mode {
+	if h := s.Health(); h.Fallbacks > h.Reengagements {
+		return supervisor.ModeFallback
+	}
+	return supervisor.ModeEngaged
+}
+
 // requireSame compares every loop's Health and mode, then (closing the
 // buses) the two event streams field by field and the supervisor_*
 // exposition line by line.
@@ -253,7 +263,7 @@ func (p *pairing) requireSame(t *testing.T) {
 		if got, want := p.e.Health(i), a.Health(); got != want {
 			t.Fatalf("loop %d: health %+v, standalone %+v", i, got, want)
 		}
-		if got, want := p.fleet.loops[i].Mode(), a.Mode(); got != want {
+		if got, want := supMode(p.fleet.loops[i]), supMode(a); got != want {
 			t.Fatalf("loop %d: mode %v, standalone %v", i, got, want)
 		}
 	}

@@ -166,15 +166,15 @@ func TestBatchSupervisedEvictReadmitBitIdentical(t *testing.T) {
 	}
 	nanIPS = true
 	run(130)
-	if !p.e.Parked(0) || p.fleet.loops[0].Mode() != supervisor.ModeFallback {
-		t.Fatalf("stuck sensor: parked=%v mode=%v, want parked in fallback", p.e.Parked(0), p.fleet.loops[0].Mode())
+	if !p.e.Parked(0) || supMode(p.fleet.loops[0]) != supervisor.ModeFallback {
+		t.Fatalf("stuck sensor: parked=%v mode=%v, want parked in fallback", p.e.Parked(0), supMode(p.fleet.loops[0]))
 	}
 	nanIPS = false
 	for ; epoch < 400 && p.e.Parked(0); epoch++ {
 		p.step(t, epoch, tel, applyErr)
 	}
-	if p.e.Parked(0) || p.fleet.loops[0].Mode() != supervisor.ModeEngaged {
-		t.Fatalf("recovery: parked=%v mode=%v, want unparked and engaged", p.e.Parked(0), p.fleet.loops[0].Mode())
+	if p.e.Parked(0) || supMode(p.fleet.loops[0]) != supervisor.ModeEngaged {
+		t.Fatalf("recovery: parked=%v mode=%v, want unparked and engaged", p.e.Parked(0), supMode(p.fleet.loops[0]))
 	}
 	failApply = true
 	run(epoch + 1)

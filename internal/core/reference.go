@@ -100,6 +100,3 @@ func (b *BatteryScheduler) Remaining() float64 {
 func (b *BatteryScheduler) TargetFraction() float64 {
 	return b.minFrac + (1-b.minFrac)*math.Pow(b.Remaining(), b.gamma)
 }
-
-// ConsumedJ returns the energy drawn so far.
-func (b *BatteryScheduler) ConsumedJ() float64 { return b.consumedJ }

@@ -11,9 +11,10 @@ import (
 
 // refFindBestStatic is the per-processor Baseline search: one fresh
 // processor per (configuration, training application), held at the
-// configuration, settled 20 epochs, reset and measured, for one k. It
-// is the oracle ProfileStatic(...).Best(k) must reproduce bit for bit;
-// the body is not to be edited.
+// configuration, settled 20 epochs, then measured by summing each
+// epoch's telemetry (the additions the processor's own totals make, in
+// the same order), for one k. It is the oracle ProfileStatic(...).Best(k)
+// must reproduce bit for bit; the body is not to be edited.
 func refFindBestStatic(training []sim.Workload, k int, threeInput bool, epochsPerApp int, seed int64) (sim.Config, float64, error) {
 	if len(training) == 0 {
 		return sim.Config{}, 0, errors.New("core: no training workloads")
@@ -47,11 +48,13 @@ func refFindBestStatic(training []sim.Workload, k int, threeInput bool, epochsPe
 					for i := 0; i < 20; i++ { // settle transients
 						proc.Step()
 					}
-					proc.ResetTotals()
+					var e, n, s float64
 					for i := 0; i < epochsPerApp; i++ {
-						proc.Step()
+						t := proc.Step()
+						e += t.EnergyJ
+						n += t.Instructions
+						s += sim.EpochSeconds
 					}
-					e, n, s := proc.Totals()
 					m := sim.EnergyDelayProduct(e, n, s, k)
 					if math.IsInf(m, 1) || m <= 0 {
 						valid = false

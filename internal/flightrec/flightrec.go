@@ -126,6 +126,25 @@ func (r *Recorder) Snapshot() []obs.Event {
 	return out
 }
 
+// Last copies the most recent record into ev and reports whether the
+// ring holds one; it does not allocate.
+func (r *Recorder) Last(ev *obs.Event) bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.count == 0 {
+		return false
+	}
+	i := r.next - 1
+	if i < 0 {
+		i += len(r.buf)
+	}
+	*ev = r.buf[i]
+	return true
+}
+
 // Len reports how many records the ring currently holds.
 func (r *Recorder) Len() int {
 	if r == nil {

@@ -68,6 +68,26 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestLastIsNewestRecord: Last copies what Snapshot ends with, through
+// every ring position, wrapped or not.
+func TestLastIsNewestRecord(t *testing.T) {
+	r := New(8)
+	var ev obs.Event
+	if r.Last(&ev) {
+		t.Fatal("Last on an empty ring reported a record")
+	}
+	for i := 0; i < 20; i++ {
+		r.Append(rec(i))
+		if !r.Last(&ev) {
+			t.Fatalf("after append %d: Last reported no record", i)
+		}
+		snap := r.Snapshot()
+		if d := testkit.EventDiff(ev, snap[len(snap)-1]); d != nil {
+			t.Fatalf("after append %d: Last differs from the snapshot's newest: %v", i, d)
+		}
+	}
+}
+
 func TestAppendBelowCapacity(t *testing.T) {
 	r := New(16)
 	for i := 0; i < 5; i++ {
@@ -90,7 +110,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.RequestDump("nil")
 	r.SetMeta(Meta{})
 	r.Reset()
-	if r.Snapshot() != nil || r.Len() != 0 || r.Meta() != (Meta{}) {
+	if r.Snapshot() != nil || r.Len() != 0 || r.Meta() != (Meta{}) || r.Last(rec(0)) {
 		t.Fatal("nil recorder must observe as empty")
 	}
 }

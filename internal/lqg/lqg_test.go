@@ -11,12 +11,22 @@ import (
 	"mimoctl/internal/testkit"
 )
 
-// testPlant returns a stable 2-input 2-output coupled plant of order 2.
 // output is the plant's y = C x + D u.
 func output(p *lti.StateSpace, x, u []float64) []float64 {
 	return testkit.VecAdd(testkit.MulVec(p.C, x), testkit.MulVec(p.D, u))
 }
 
+// newSS is lti.NewStateSpace for literals, failing the test on error.
+func newSS(t *testing.T, a, b, c, d *mat.Matrix, ts float64) *lti.StateSpace {
+	t.Helper()
+	ss, err := lti.NewStateSpace(a, b, c, d, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+// testPlant returns a stable 2-input 2-output coupled plant of order 2.
 func testPlant(t *testing.T) *lti.StateSpace {
 	t.Helper()
 	a := testkit.FromRows([][]float64{{0.7, 0.1}, {0.05, 0.6}})
@@ -112,7 +122,7 @@ func TestTrackingWithNoiseStaysNearReference(t *testing.T) {
 func TestIntegralEliminatesOffsetUnderModelMismatch(t *testing.T) {
 	plant := testPlant(t)
 	// Perturbed "real" plant: 20% stronger B — like an unusual app.
-	real0 := lti.MustStateSpace(plant.A, mat.Scale(1.2, plant.B), plant.C, nil, plant.Ts)
+	real0 := newSS(t, plant.A, mat.Scale(1.2, plant.B), plant.C, nil, plant.Ts)
 
 	withInt := design(t, plant, defaultWeights(), Options{DeltaU: true, Integral: true})
 	without := design(t, plant, defaultWeights(), Options{DeltaU: true, Integral: false})
@@ -166,7 +176,7 @@ func TestOutputWeightPrioritizesOutput(t *testing.T) {
 	// which reference is honored (paper §IV-B2, Fig. 6 "Power").
 	a := mat.Diag(0.5, 0.5)
 	b := testkit.FromRows([][]float64{{0.5, 0.25}, {0.5, 0.25}})
-	plant := lti.MustStateSpace(a, b, mat.Identity(2), nil, 1)
+	plant := newSS(t, a, b, mat.Identity(2), nil, 1)
 	ref := []float64{2, 0} // infeasible pair: outputs are always equal
 
 	mk := func(w0, w1 float64) float64 {
@@ -193,7 +203,7 @@ func TestDesignRejectsMoreOutputsThanInputs(t *testing.T) {
 	a := mat.Diag(0.5)
 	b := testkit.FromRows([][]float64{{1}})
 	c := testkit.FromRows([][]float64{{1}, {2}})
-	plant := lti.MustStateSpace(a, b, c, nil, 1)
+	plant := newSS(t, a, b, c, nil, 1)
 	_, err := Design(plant, Weights{OutputWeights: []float64{1, 1}, InputWeights: []float64{1}},
 		smallNoise(1, 2), Options{DeltaU: true})
 	if err == nil {
@@ -206,7 +216,7 @@ func TestDesignRejectsFeedThrough(t *testing.T) {
 	b := testkit.FromRows([][]float64{{1}})
 	c := testkit.FromRows([][]float64{{1}})
 	d := testkit.FromRows([][]float64{{0.1}})
-	plant := lti.MustStateSpace(a, b, c, d, 1)
+	plant := newSS(t, a, b, c, d, 1)
 	_, err := Design(plant, Weights{OutputWeights: []float64{1}, InputWeights: []float64{1}},
 		smallNoise(1, 1), Options{})
 	if err == nil {

@@ -1,7 +1,7 @@
 // Package lti implements discrete-time linear time-invariant (LTI)
 // state-space systems and the matrix equation used in controller design:
-// simulation, stability, DC gain, the H∞ norm over the frequency
-// response, and the discrete algebraic Riccati equation (DARE).
+// simulation, the H∞ norm over the frequency response, and the discrete
+// algebraic Riccati equation (DARE).
 //
 // A system is
 //
@@ -50,16 +50,6 @@ func NewStateSpace(a, b, c, d *mat.Matrix, ts float64) (*StateSpace, error) {
 	return &StateSpace{A: a, B: b, C: c, D: d, Ts: ts}, nil
 }
 
-// MustStateSpace is NewStateSpace that panics on error; for literals in
-// tests and examples.
-func MustStateSpace(a, b, c, d *mat.Matrix, ts float64) *StateSpace {
-	ss, err := NewStateSpace(a, b, c, d, ts)
-	if err != nil {
-		panic(err)
-	}
-	return ss
-}
-
 // Order returns the state dimension N.
 func (s *StateSpace) Order() int { return s.A.Rows() }
 
@@ -92,27 +82,4 @@ func (s *StateSpace) Simulate(x0 []float64, u *mat.Matrix) (*mat.Matrix, error) 
 		mat.VecAddInto(x, mat.MulVecInto(ax, s.A, x), mat.MulVecInto(bu, s.B, uk))
 	}
 	return y, nil
-}
-
-// IsStable reports whether every pole lies strictly inside the unit
-// circle (Schur stability), with margin eps.
-func (s *StateSpace) IsStable(eps float64) (bool, error) {
-	r, err := mat.SpectralRadius(s.A)
-	if err != nil {
-		return false, err
-	}
-	return r < 1-eps, nil
-}
-
-// DCGain returns the steady-state gain matrix C (I-A)⁻¹ B + D, the output
-// reached for a unit constant input. Returns an error if (I-A) is
-// singular (a pole at z = 1).
-func (s *StateSpace) DCGain() (*mat.Matrix, error) {
-	n := s.Order()
-	ia := mat.Sub(mat.Identity(n), s.A)
-	x, err := mat.Solve(ia, s.B)
-	if err != nil {
-		return nil, fmt.Errorf("lti: DC gain undefined (pole at z=1): %w", err)
-	}
-	return mat.Add(mat.Mul(s.C, x), s.D), nil
 }

@@ -31,6 +31,39 @@ func (s *StateSpace) StepResponse(j, nSteps int) (*mat.Matrix, error) {
 	return s.Simulate(make([]float64, s.Order()), u)
 }
 
+// MustStateSpace is NewStateSpace that panics on error; for literals in
+// tests.
+func MustStateSpace(a, b, c, d *mat.Matrix, ts float64) *StateSpace {
+	ss, err := NewStateSpace(a, b, c, d, ts)
+	if err != nil {
+		panic(err)
+	}
+	return ss
+}
+
+// IsStable reports whether every pole lies strictly inside the unit
+// circle (Schur stability), with margin eps.
+func (s *StateSpace) IsStable(eps float64) (bool, error) {
+	r, err := mat.SpectralRadius(s.A)
+	if err != nil {
+		return false, err
+	}
+	return r < 1-eps, nil
+}
+
+// DCGain returns the steady-state gain matrix C (I-A)⁻¹ B + D, the output
+// reached for a unit constant input. Returns an error if (I-A) is
+// singular (a pole at z = 1).
+func (s *StateSpace) DCGain() (*mat.Matrix, error) {
+	n := s.Order()
+	ia := mat.Sub(mat.Identity(n), s.A)
+	x, err := mat.Solve(ia, s.B)
+	if err != nil {
+		return nil, fmt.Errorf("lti: DC gain undefined (pole at z=1): %w", err)
+	}
+	return mat.Add(mat.Mul(s.C, x), s.D), nil
+}
+
 // twoStateSystem returns a simple stable 2-state, 1-in, 1-out system.
 func twoStateSystem(t *testing.T) *StateSpace {
 	t.Helper()

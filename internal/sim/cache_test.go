@@ -5,10 +5,11 @@ import (
 	"fmt"
 )
 
-// Cache geometry and miss-curve calibration. The epoch-level processor
-// model uses miss-rate curves; CalibrateMissCurve measures them from an
-// address trace for the mimocache tool. The set-associative cache
-// simulator it is verified against lives with the tests
+// Cache geometry and miss-curve measurement. The epoch-level processor
+// model evaluates hand-set power-law miss curves (internal/workloads);
+// CalibrateMissCurve measures miss rates from a synthetic address trace
+// (trace_test.go), so the tests can hold that form against the
+// set-associative cache simulator it is verified against
 // (cachesim_test.go).
 
 // CacheGeometry describes one cache level.
@@ -49,8 +50,7 @@ type MissCurvePoint struct {
 
 // CalibrateMissCurve reports the steady-state miss rate at every
 // enabled-way count from 1 to the full associativity (warming up on the
-// first warmup accesses). This is how the workload profiles' analytic
-// miss curves were fit against the true cache behaviour.
+// first warmup accesses).
 //
 // It runs Mattson's LRU stack-distance algorithm: a single pass over
 // the trace maintains, per set, the distinct lines ordered most- to

@@ -7,10 +7,10 @@ import (
 )
 
 // The set-associative cache simulator with LRU replacement and way
-// power gating. Programs calibrate miss curves with the single-pass
-// CalibrateMissCurve; this simulator is the ground truth the tests hold
-// it and the analytic miss model against, directly and through the
-// trace-driven processor (tracemode_test.go).
+// power gating: the ground truth the tests hold the single-pass
+// CalibrateMissCurve (cache_test.go) and the analytic miss model
+// against, directly and through the trace-driven processor
+// (tracemode_test.go).
 
 // Cache is a single-level set-associative cache with LRU replacement.
 // Ways can be power-gated at runtime: gating way w invalidates its

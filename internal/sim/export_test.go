@@ -44,3 +44,12 @@ func (p *Processor) Run(n int) []Telemetry {
 	}
 	return out
 }
+
+// Totals returns cumulative energy (J), instructions, and wall-clock
+// seconds since construction or the last ResetTotals.
+func (p *Processor) Totals() (energyJ, instructions, seconds float64) {
+	return p.totalEnergyJ, p.totalInstr, p.totalSeconds
+}
+
+// Counts reports the injection tallies so far.
+func (f *FaultInjector) Counts() FaultCounts { return f.counts }

@@ -263,9 +263,6 @@ func (f *FaultInjector) AddPlantFault(pf PlantFault) *FaultInjector {
 	return f
 }
 
-// Counts reports the injection tallies so far.
-func (f *FaultInjector) Counts() FaultCounts { return f.counts }
-
 // active reports whether a fault window fires on epoch k, consuming a
 // random draw when the fault is probabilistic.
 func (f *FaultInjector) active(from, until, every int, prob float64, k int) bool {

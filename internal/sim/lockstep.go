@@ -152,7 +152,7 @@ func (l *Lockstep) ResetTotals() {
 //	for range settle { p.Step() }
 //	p.ResetTotals()
 //	for range epochs { p.Step() }
-//	p.Totals()
+//	p.Totals() // the tests' accessor (export_test.go)
 //
 // Non-positive settle or epochs run no epochs.
 func StaticSweep(w Workload, opts ProcessorOptions, seed int64, cfgs []Config, settle, epochs int) ([]Totals, error) {

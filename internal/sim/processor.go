@@ -347,12 +347,6 @@ func (p *Processor) stepCore(params *PhaseParams, phaseID int, t *Telemetry) sen
 	return n
 }
 
-// Totals returns cumulative energy (J), instructions, and wall-clock
-// seconds since construction or the last ResetTotals.
-func (p *Processor) Totals() (energyJ, instructions, seconds float64) {
-	return p.totalEnergyJ, p.totalInstr, p.totalSeconds
-}
-
 // ResetTotals clears the cumulative counters (not the dynamic state).
 func (p *Processor) ResetTotals() {
 	p.configState.resetTotals()

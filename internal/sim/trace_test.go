@@ -142,9 +142,8 @@ func scatter(x uint64) uint64 {
 //	miss(ways) ≈ floor + (m1 - floor) · ways^(-alpha)
 //
 // to calibration points (least squares on the log of the excess over the
-// floor), returning (m1, alpha, floor). The epoch model uses this form
-// for its per-workload miss curves; this fit ties those curves to the
-// calibrated miss rates.
+// floor), returning (m1, alpha, floor): the form of the epoch model's
+// per-workload miss curves.
 func FitPowerLawMissCurve(points []MissCurvePoint) (m1, alpha, floor float64) {
 	if len(points) == 0 {
 		return 0, 0, 0

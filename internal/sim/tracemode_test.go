@@ -8,20 +8,21 @@ import (
 
 // Trace-driven execution mode: instead of evaluating the analytic
 // per-workload miss curves, each epoch replays a synthetic address
-// stream through the real set-associative cache hierarchy (cache.go) and
-// feeds the *measured* miss rates into the interval model. Way-gating
+// stream through the real set-associative cache hierarchy
+// (cachesim_test.go) and feeds the *measured* miss rates into the
+// interval model. Way-gating
 // effects — the capacity loss and the cold-start transient after a
 // resize — then emerge from the cache contents themselves rather than
 // from the warm-up heuristic.
 //
 // It is two to three orders of magnitude slower than the analytic mode,
-// so the control experiments use the analytic curves (calibrated against
-// this very machinery, see CalibrateMissCurve) and the trace mode serves
-// as the ground-truth cross-check (see sim tests and cmd/mimocache).
+// so the control experiments use the analytic curves and the trace mode
+// serves as the ground-truth cross-check the tests hold them against.
 
 // TraceSpecProvider is an optional interface a Workload can implement to
-// supply the address-stream character of each phase. workloads.Profile
-// implements it.
+// supply the address-stream character of each phase. tracedProfile
+// (tracespec_test.go) implements it for the workload profiles, deriving
+// each phase's stream from the profile's miss-curve constants.
 type TraceSpecProvider interface {
 	TraceSpec(phaseID int) TraceSpec
 }

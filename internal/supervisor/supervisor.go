@@ -308,13 +308,6 @@ func (s *Supervised) Adapter() *adapt.Adapter { return s.adapter }
 // Inner exposes the wrapped controller.
 func (s *Supervised) Inner() core.ArchController { return s.inner }
 
-// Mode returns the current operating mode.
-func (s *Supervised) Mode() Mode { return s.mode }
-
-// SafeConfig returns the fallback configuration: the static Baseline,
-// sim.BaselineConfig.
-func (s *Supervised) SafeConfig() sim.Config { return sim.BaselineConfig() }
-
 // SetFlightRecorder attaches (or, with nil, detaches) a flight
 // recorder. Implements flightrec.Recordable. The supervisor writes one
 // record per epoch, engaged or not; the inner controller is left

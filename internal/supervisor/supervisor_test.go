@@ -9,6 +9,13 @@ import (
 	"mimoctl/internal/sim"
 )
 
+// Mode returns the current operating mode.
+func (s *Supervised) Mode() Mode { return s.mode }
+
+// SafeConfig returns the fallback configuration: the static Baseline,
+// sim.BaselineConfig.
+func (s *Supervised) SafeConfig() sim.Config { return sim.BaselineConfig() }
+
 // fakeInner is a scriptable ArchController for deterministic unit tests.
 type fakeInner struct {
 	cfg    sim.Config

@@ -76,21 +76,6 @@ func NewData(u, y *mat.Matrix, ts float64) (*Data, error) {
 // Samples returns the record length.
 func (d *Data) Samples() int { return d.U.Rows() }
 
-// Split divides the record into a training prefix holding frac of the
-// samples and a validation suffix with the remainder.
-func (d *Data) Split(frac float64) (train, val *Data) {
-	t := int(float64(d.Samples()) * frac)
-	if t < 1 {
-		t = 1
-	}
-	if t >= d.Samples() {
-		t = d.Samples() - 1
-	}
-	train = &Data{U: d.U.Slice(0, t, 0, d.U.Cols()), Y: d.Y.Slice(0, t, 0, d.Y.Cols()), Ts: d.Ts}
-	val = &Data{U: d.U.Slice(t, d.Samples(), 0, d.U.Cols()), Y: d.Y.Slice(t, d.Samples(), 0, d.Y.Cols()), Ts: d.Ts}
-	return train, val
-}
-
 // Offsets records the operating point removed from a record before
 // fitting, so the identified model describes deviations around it.
 type Offsets struct {
@@ -153,16 +138,6 @@ func (o ARXOrders) Validate() error {
 		return errors.New("sysid: model must depend on the input (NB >= 1 or Direct)")
 	}
 	return nil
-}
-
-// StateDim returns the dimension of the state-space realization produced
-// by FitARX for these orders.
-func (o ARXOrders) StateDim(outputs int) int {
-	p := o.NA
-	if o.NB > p {
-		p = o.NB
-	}
-	return p * outputs
 }
 
 // Model is an identified state-space model in deviation coordinates plus

@@ -149,11 +149,12 @@ func register(p *Profile) *Profile {
 	return p
 }
 
-// The profiles. Miss-curve parameters follow the power-law form fitted
-// to miss rates calibrated from synthetic traces (see
-// sim.CalibrateMissCurve and sim.FitPowerLawMissCurve); per-application values encode each
-// benchmark's published character (memory-boundedness, branchiness,
-// ILP), scaled to the modeled A15-class core.
+// The profiles. Miss-curve parameters are hand-set in the power-law form
+// the processor model evaluates (floor + (m1 - floor)·ways^-alpha); sim's
+// tests hold that form against its set-associative cache simulator.
+// Per-application values encode each benchmark's published character
+// (memory-boundedness, branchiness, ILP), scaled to the modeled
+// A15-class core.
 var (
 	// ---- Training set (§VII-A) ----
 	sjeng    = register(makeProfile("sjeng", Int, params(2.6, 240, 18, 0.8, 1.5, 2.0, 1.0, 0.15, 9, 2.5, 22), twoPhase(4000, 3000, 0.92, 1.2)))

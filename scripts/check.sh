@@ -1,19 +1,23 @@
 #!/bin/sh
-# Default verify flow: the fuzz-list, gofmt and reachability gates, then
-# vet, build, race-enabled tests in shuffled order
-# (a test that leans on state another test left behind fails here), then
-# the benchmark module (bench/ is its own Go module, so the root ./...
-# never compiles it; it uses the obs, tsdb and supervisor APIs).
+# Default verify flow: the fuzz-list, gofmt, program-set and
+# reachability gates, then vet, build, race-enabled tests in shuffled
+# order (a test that leans on state another test left behind fails
+# here), then the benchmark module (bench/ is its own Go module, so the
+# root ./... never compiles it; it uses the obs, tsdb and supervisor
+# APIs).
 #
-# The reachability gate (scripts/linkcheck, a module of its own, vetted
-# and tested here) builds every program, that is
-# each main package of the root module that imports internal/ (cmd/*,
-# examples/*) and bench/, with inlining off, reads their symbols with go
-# tool nm, and fails naming each function in a non-test file under
-# internal/ that no program links. It takes about 8 s with a warm build
-# cache on a 2-CPU host. To fix a failure, delete the function, or move
-# it into a _test.go file of its package (into internal/testkit when
-# other packages' tests use it): a package only tests import is test code.
+# The programs are what ships: the commands under cmd/ and bench/. The
+# program-set gate fails naming any main package of the root module
+# outside cmd/; runnable documentation is an Example in a _test.go file,
+# which tier-1 runs. The reachability gate (scripts/linkcheck, a module
+# of its own, vetted and tested here) builds every program, that is each
+# main package of the root module that imports internal/ (cmd/*) and
+# bench/, with inlining off, reads their symbols with go tool nm, and
+# fails naming each function in a non-test file under internal/ that no
+# program links. It takes about 4 s with a warm build cache on a 2-CPU
+# host. To fix a failure, delete the function, or move it into a
+# _test.go file of its package (into internal/testkit when other
+# packages' tests use it): a package only tests import is test code.
 # Run from the repo root: ./scripts/check.sh  (or: make check)
 set -eu
 
@@ -61,6 +65,17 @@ unformatted=$(find . -name '*.go' -not -path './.git/*' -not -path './.bench_bui
 if [ -n "$unformatted" ]; then
 	echo "not gofmt-clean (run gofmt -w on them):"
 	printf '%s\n' "$unformatted"
+	exit 1
+fi
+
+echo "== the root module's main packages are under cmd/"
+# linkcheck counts every main package as a program, so a demo added
+# anywhere else would keep alive code that only it reaches.
+mod=$(go list -m)
+stray=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | grep -v -e '^$' -e "^$mod/cmd/" || true)
+if [ -n "$stray" ]; then
+	echo "main package outside cmd/ (make it a command under cmd/, or an Example in a _test.go file):"
+	printf '%s\n' "$stray"
 	exit 1
 fi
 
