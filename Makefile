@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover fuzz golden golden-doctor golden-tsdb
+.PHONY: check vet build test race cover fuzz golden golden-doctor golden-tsdb kernels
 
 # check is the default verify flow: vet + build + race-enabled tests,
 # plus vet and tests of the bench/ module.
@@ -50,6 +50,13 @@ golden-doctor:
 # history-recording change. Review the stat drift like code.
 golden-tsdb:
 	$(GO) test ./internal/experiments/ -run TestHistoryBaselineDrift -update
+
+# kernels regenerates internal/lqg/kernels.go, the unrolled LQG step
+# of every shape in the table of internal/lqg/kernels_test.go, after a
+# change to the table or the template; TestKernelsGenerated fails until
+# the committed file is their rendering.
+kernels:
+	$(GO) test ./internal/lqg/ -run '^TestKernelsGenerated$$' -update
 
 vet:
 	$(GO) vet ./...

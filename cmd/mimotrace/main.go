@@ -22,7 +22,7 @@
 // in supervisor fallback, fails its model-health monitor or alerts on a
 // control SLO, in that order; warns annotate a 200.
 //
-// With -flightrec (mimo, mimo3 and supervised) the ring's last 4096
+// With -flightrec, for every architecture, the ring's last 4096
 // records are dumped to the given path on SIGQUIT, on supervisor
 // fallback, and at exit, and served live at /debug/flightrec when
 // -metrics-addr is set; diagnose a dump with cmd/mimodoctor.
@@ -156,8 +156,6 @@ func run(args []string, stdout io.Writer) error {
 	rc, recordable := ctrl.(flightrec.Recordable)
 	if recordable {
 		rc.SetFlightRecorder(ring)
-	} else if *frPath != "" {
-		return fmt.Errorf("-flightrec: architecture %q does not support flight recording", *arch)
 	}
 	ring.SetMeta(flightrec.Meta{
 		Arch: *arch, Workload: *workload, Seed: *seed,

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http/httptest"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"mimoctl/internal/flightrec"
+	"mimoctl/internal/health"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/testkit"
 )
@@ -48,22 +50,51 @@ func TestSupervisedRowsAreTheSupervisorsRecords(t *testing.T) {
 	}
 }
 
-// TestMIMORowsEqualTheDump: a mimo run's rows and its -flightrec dump
-// are the same records, field by field.
+// TestMIMORowsEqualTheDump: for every architecture, a run's rows and
+// its -flightrec dump are the same records, field by field: the
+// controller's own for mimo, mimo3 and supervised, the harness's for
+// the others.
 func TestMIMORowsEqualTheDump(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.frec")
-	rows := runRows(t, "-arch", "mimo", "-flightrec", path)
-	_, recs, err := flightrec.ReadDumpFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, arch := range []string{"mimo", "mimo3", "heuristic", "decoupled", "baseline", "supervised"} {
+		t.Run(arch, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.frec")
+			rows := runRows(t, "-arch", arch, "-flightrec", path)
+			_, recs, err := flightrec.ReadDumpFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != len(rows) {
+				t.Fatalf("dump holds %d records, the run printed %d rows", len(recs), len(rows))
+			}
+			for i := range rows {
+				if d := testkit.EventDiff(rows[i], recs[i]); d != nil {
+					t.Fatalf("row %d differs from its dump record: %v", i, d)
+				}
+			}
+		})
 	}
-	if len(recs) != len(rows) {
-		t.Fatalf("dump holds %d records, the run printed %d rows", len(recs), len(rows))
-	}
-	for i := range rows {
-		if d := testkit.EventDiff(rows[i], recs[i]); d != nil {
-			t.Fatalf("row %d differs from its dump record: %v", i, d)
-		}
+}
+
+// TestDoctorCallsHarnessRecordedRunsHealthy pins mimodoctor's verdict
+// on a healthy namd run of the two architectures whose records the
+// harness writes and that react to their measurements: healthy, since
+// Diagnose skips the innovations those records leave NaN.
+func TestDoctorCallsHarnessRecordedRunsHealthy(t *testing.T) {
+	for _, arch := range []string{"decoupled", "heuristic"} {
+		t.Run(arch, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.frec")
+			args := []string{"-arch", arch, "-workload", "namd", "-epochs", "3000", "-seed", "2016", "-flightrec", path}
+			if err := run(args, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			meta, recs, err := flightrec.ReadDumpFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if top := health.Diagnose(meta, recs).Top(); top.Cause != health.CauseHealthy {
+				t.Fatalf("verdict %s (%.2f: %s), want %s", top.Cause, top.Score, top.Evidence, health.CauseHealthy)
+			}
+		})
 	}
 }
 

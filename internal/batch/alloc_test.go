@@ -13,8 +13,8 @@ import (
 
 // allocFleet builds an n-loop fleet warmed past its grace period (so
 // the alarm and EMA path is live) for the zero-alloc gates, alternating
-// 2-input loops (the fleet kernel) and 3-input loops (the flat path)
-// when mixed. wire attaches a fleet plane: "" none, "fleet" a registry
+// 2-input loops (the N4I2O2 kernel) and 3-input loops (the N4I3O2
+// kernel) when mixed. wire attaches a fleet plane: "" none, "fleet" a registry
 // with per-loop scopes, "events" the registry plus an event bus.
 func allocFleet(tb testing.TB, n int, mixed bool, wire string) (*SupEngine, []sim.Telemetry, []sim.Config, func()) {
 	tb.Helper()

@@ -341,11 +341,11 @@ func randTelemetry(rng *rand.Rand) sim.Telemetry {
 	return tel
 }
 
-// TestBatchFleetBitIdentical runs a mixed fleet — the 2-input design
-// (the fleet kernel), the 3-input design, the no-ΔU ablation and the
-// Decoupled SISO pair, half of them flight-recorded — through thousands
-// of randomized epochs with non-finite telemetry, target changes (some
-// rejected) and resets. The engine's loops must match their standalone
+// TestBatchFleetBitIdentical runs a mixed fleet — the 2-input design,
+// the 3-input design, the no-ΔU ablation and the Decoupled SISO pair,
+// four kernels of the lqg shape table, half of them flight-recorded —
+// through thousands of randomized epochs with non-finite telemetry,
+// target changes (some rejected) and resets. The engine's loops must match their standalone
 // twins in configurations, Health, events, instruments and flight
 // records.
 func TestBatchFleetBitIdentical(t *testing.T) {

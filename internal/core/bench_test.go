@@ -2,8 +2,9 @@ package core_test
 
 // Micro-benchmarks of the controller step, the step every 50 µs epoch
 // runs: bare, with a flight recorder attached, and bound to a live
-// telemetry registry. Each runs a clone of the standard design, the one
-// the experiment suite steps.
+// telemetry registry, each on a clone of the standard two-input design;
+// and bare for the three-input design and the Decoupled pair, the other
+// formal controllers the experiment suite steps.
 //
 // Run with: go test ./internal/core/ -run '^$' -bench=ControllerStep -benchmem
 
@@ -32,7 +33,7 @@ func benchController(b *testing.B) *core.MIMOController {
 }
 
 // benchStep times c stepping on its own requests.
-func benchStep(b *testing.B, c *core.MIMOController) {
+func benchStep(b *testing.B, c core.ArchController) {
 	tel := sim.Telemetry{IPS: 2.3, PowerW: 1.9, Config: sim.MidrangeConfig()}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -46,6 +47,32 @@ func benchStep(b *testing.B, c *core.MIMOController) {
 // multiplies".
 func BenchmarkControllerStep(b *testing.B) {
 	benchStep(b, benchController(b))
+}
+
+// BenchmarkControllerStepThreeInput is BenchmarkControllerStep for the
+// three-input design (Fig10): order 4, 3 inputs, 2 outputs.
+func BenchmarkControllerStepThreeInput(b *testing.B) {
+	proto, _, err := experiments.DesignedMIMO(true, experiments.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := proto.Clone()
+	c.Reset()
+	c.SetTargets(2.5, 2.0)
+	benchStep(b, c)
+}
+
+// BenchmarkControllerStepDecoupled is BenchmarkControllerStep for the
+// Decoupled pair: two order-2 SISO loops per step.
+func BenchmarkControllerStepDecoupled(b *testing.B) {
+	proto, err := experiments.DesignedDecoupled(experiments.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := proto.Clone()
+	c.Reset()
+	c.SetTargets(2.5, 2.0)
+	benchStep(b, c)
 }
 
 // BenchmarkControllerStepFlightRec prices the flight recorder: detached

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mimoctl/internal/core"
+	"mimoctl/internal/lqg"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/workloads"
 )
@@ -42,6 +43,25 @@ func TestInterfaceAndTargets(t *testing.T) {
 	c.Reset()
 	if ips, p = c.Targets(); ips != 2.2 || p != 1.8 {
 		t.Fatal("Reset must preserve targets")
+	}
+}
+
+// TestLoopsAreOneTableShape: both SISO loops are order 2 with one input
+// and one output, ΔU and integral action, the shape the lqg kernel
+// table runs unrolled. Their controller state, [x̂; u_prev; z], has
+// order + inputs + outputs = 4 entries only with both options on.
+func TestLoopsAreOneTableShape(t *testing.T) {
+	c := design(t)
+	for name, loop := range map[string]*lqg.Controller{"cache": c.cacheLoop, "frequency": c.freqLoop} {
+		p := loop.Plant()
+		ss, err := loop.AsStateSpace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Order() != 2 || p.Inputs() != 1 || p.Outputs() != 1 || ss.Order() != 4 {
+			t.Fatalf("%s loop: order %d, %d input(s), %d output(s), controller order %d; want (2, 1, 1) with ΔU and integral (controller order 4)",
+				name, p.Order(), p.Inputs(), p.Outputs(), ss.Order())
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"mimoctl/internal/lti"
-	"mimoctl/internal/testkit"
+	"mimoctl/internal/mat"
 )
 
 // The steady-state loop — Controller.Step and Controller.ObserveApplied
@@ -12,47 +12,93 @@ import (
 // workspaces are preallocated and the returned slices are
 // workspace-owned. These gates keep that property from regressing.
 
-// fleetPlant returns a stable order-4 plant with two inputs and two
-// outputs: with ΔU and integral action its controller steps through
-// the unrolled fleet kernel.
-func fleetPlant(t *testing.T) *lti.StateSpace {
-	t.Helper()
-	a := testkit.FromRows([][]float64{
-		{0.6, 0.1, 0, 0}, {0.05, 0.5, 0.1, 0}, {0, 0.1, 0.4, 0.05}, {0, 0, 0.1, 0.3}})
-	b := testkit.FromRows([][]float64{{0.5, 0.2}, {0.1, 0.4}, {0.2, 0.1}, {0.1, 0.3}})
-	c := testkit.FromRows([][]float64{{1, 0, 0.5, 0}, {0, 1, 0, 0.5}})
+// shapePlant returns a stable plant of order n with ni inputs and no
+// outputs, every entry of B and C nonzero.
+func shapePlant(tb testing.TB, n, ni, no int) *lti.StateSpace {
+	tb.Helper()
+	a, b, c := mat.New(n, n), mat.New(n, ni), mat.New(no, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 0.6-0.3*float64(i)/float64(n))
+		if i+1 < n {
+			a.Set(i, i+1, 0.1)
+			a.Set(i+1, i, 0.05)
+		}
+		for j := 0; j < ni; j++ {
+			b.Set(i, j, 0.1+0.1*float64((i+2*j)%5))
+		}
+		for j := 0; j < no; j++ {
+			c.Set(j, i, 0.2+0.2*float64((3*i+j)%4))
+		}
+	}
 	ss, err := lti.NewStateSpace(a, b, c, nil, 50e-6)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ss
 }
 
+// shapeDesign designs a controller of shape s on shapePlant.
+func shapeDesign(tb testing.TB, s kernelShape) *Controller {
+	tb.Helper()
+	w := Weights{OutputWeights: make([]float64, s.no), InputWeights: make([]float64, s.ni)}
+	for i := range w.OutputWeights {
+		w.OutputWeights[i] = 100
+	}
+	for i := range w.InputWeights {
+		w.InputWeights[i] = 1 + float64(i)
+	}
+	c, err := Design(shapePlant(tb, s.n, s.ni, s.no), w, smallNoise(s.n, s.no),
+		Options{DeltaU: s.deltaU, Integral: s.integral})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// allocCase is one controller shape the zero-alloc gates step.
+type allocCase struct {
+	name  string
+	shape kernelShape
+}
+
+// allocCases is the generic loops on four shapes outside the kernel
+// table, then every kernel of the table, named after it.
+func allocCases() []allocCase {
+	cases := []allocCase{
+		{"plain", kernelShape{2, 2, 2, false, false}},
+		{"deltaU", kernelShape{2, 2, 2, true, false}},
+		{"integral", kernelShape{2, 2, 2, false, true}},
+		{"deltaU+integral", kernelShape{3, 2, 2, true, true}},
+	}
+	for _, s := range kernelTable {
+		cases = append(cases, allocCase{s.kernelName(), s})
+	}
+	return cases
+}
+
+// allocController designs shape s, checks the kernel it selected and
+// sets a reference; it returns the controller and an output and an
+// applied input of the shape's lengths.
+func allocController(t *testing.T, s kernelShape) (c *Controller, y, applied []float64) {
+	t.Helper()
+	c = shapeDesign(t, s)
+	want := ""
+	if _, ok := kernels[s]; ok {
+		want = s.kernelName()
+	}
+	if c.g.kernel.name != want || (c.g.kernel.step == nil) != (want == "") {
+		t.Fatalf("shape %+v selected kernel %q, want %q", s, c.g.kernel.name, want)
+	}
+	if err := c.SetReference([]float64{1, 0.5}[:s.no]); err != nil {
+		t.Fatal(err)
+	}
+	return c, []float64{0.4, 0.2}[:s.no], []float64{0.1, 0.05, 0.02}[:s.ni]
+}
+
 func TestControllerStepZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		opts  Options
-		fleet bool
-	}{
-		{"plain", Options{}, false},
-		{"deltaU", Options{DeltaU: true}, false},
-		{"integral", Options{Integral: true}, false},
-		{"deltaU+integral", Options{DeltaU: true, Integral: true}, false},
-		{"fleet-kernel", Options{DeltaU: true, Integral: true}, true},
-	} {
+	for _, tc := range allocCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			plant := testPlant(t)
-			if tc.fleet {
-				plant = fleetPlant(t)
-			}
-			c := design(t, plant, defaultWeights(), tc.opts)
-			if c.g.fleet != tc.fleet {
-				t.Fatalf("fleet kernel selected = %v, want %v", c.g.fleet, tc.fleet)
-			}
-			if err := c.SetReference([]float64{1, 0.5}); err != nil {
-				t.Fatal(err)
-			}
-			y := []float64{0.4, 0.2}
+			c, y, _ := allocController(t, tc.shape)
 			if _, err := c.Step(y); err != nil {
 				t.Fatal(err)
 			}
@@ -69,27 +115,24 @@ func TestControllerStepZeroAllocs(t *testing.T) {
 }
 
 func TestControllerObserveAppliedZeroAllocs(t *testing.T) {
-	for _, plant := range []*lti.StateSpace{testPlant(t), fleetPlant(t)} {
-		c := design(t, plant, defaultWeights(), Options{DeltaU: true, Integral: true})
-		if err := c.SetReference([]float64{1, 0.5}); err != nil {
-			t.Fatal(err)
-		}
-		y := []float64{0.4, 0.2}
-		applied := []float64{0.1, 0.05}
-		if _, err := c.Step(y); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
+	for _, tc := range allocCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			c, y, applied := allocController(t, tc.shape)
 			if _, err := c.Step(y); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.ObserveApplied(applied); err != nil {
-				t.Fatal(err)
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := c.Step(y); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.ObserveApplied(applied); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Step+ObserveApplied allocates %v times per call, want 0", allocs)
 			}
 		})
-		if allocs != 0 {
-			t.Fatalf("Step+ObserveApplied (order %d) allocates %v times per call, want 0", plant.Order(), allocs)
-		}
 	}
 }
 

@@ -173,6 +173,9 @@ func lockstep(t *testing.T, stage string, c *lqg.Controller, r *lqg.Ref, rng *ra
 		if d := lqg.SliceBitDiff(uc, ur); d != "" {
 			t.Fatalf("%s epoch %d: returned input%s", stage, ep, d)
 		}
+		if d := lqg.FilteredBitDiff(c, r); d != "" {
+			t.Fatalf("%s epoch %d: filtered estimate%s", stage, ep, d)
+		}
 		// The actuator: mostly a quantizer (so the excess arms the
 		// anti-windup), sometimes exact, sometimes a broken value, and
 		// sometimes no feedback at all.
@@ -202,19 +205,19 @@ func lockstep(t *testing.T, stage string, c *lqg.Controller, r *lqg.Ref, rng *ra
 }
 
 // TestStepMatchesReferencePaperDesigns runs the paper's 2-input design
-// (the fleet kernel) and 3-input design (the flat path) against the
-// reference, with NaN and ±Inf in the outputs and applied inputs.
+// (the N4I2O2 kernel) and 3-input design (the N4I3O2 kernel) against
+// the reference, with NaN and ±Inf in the outputs and applied inputs.
 func TestStepMatchesReferencePaperDesigns(t *testing.T) {
 	for _, three := range []bool{false, true} {
-		name := "two-input"
+		name, kernel := "two-input", "N4I2O2"
 		if three {
-			name = "three-input"
+			name, kernel = "three-input", "N4I3O2"
 		}
 		t.Run(name, func(t *testing.T) {
 			c := paperDesign(t, three).Clone()
 			c.Reset()
-			if got := c.IsFleetKernel(); got == three {
-				t.Fatalf("fleet kernel selected = %v for the %s design", got, name)
+			if got := c.Kernel(); got != kernel {
+				t.Fatalf("the %s design runs kernel %q, want %q", name, got, kernel)
 			}
 			if err := c.SetReference([]float64{0.3, -0.2}); err != nil {
 				t.Fatal(err)
@@ -227,29 +230,78 @@ func TestStepMatchesReferencePaperDesigns(t *testing.T) {
 // TestStepMatchesReferenceRandomShapes runs random designs of every
 // shape the controller supports — order 1–8, 1–3 inputs, 1–2 outputs,
 // ΔU, integral and anti-windup each on and off — against the reference.
-// The fleets' shape is drawn with random gains too.
+// Every fourth trial draws the next shape of the kernel table, with
+// random gains and anti-windup, so every kernel runs at least
+// minPerKernel designs; a uniform draw would reach (2, 1, 1, ΔU,
+// integral) about once in 96 trials.
 func TestStepMatchesReferenceRandomShapes(t *testing.T) {
+	const minPerKernel = 10
+	table := lqg.KernelTable()
 	rng := rand.New(rand.NewSource(2))
-	designed, kernel := 0, 0
+	designed := 0
+	ran := map[string]int{}
 	for trial := 0; trial < 400; trial++ {
 		s := shape{n: 1 + rng.Intn(8), ni: 1 + rng.Intn(3),
 			deltaU: rng.Intn(2) == 0, integral: rng.Intn(2) == 0, antiWindup: rng.Intn(2) == 0}
 		s.no = 1 + rng.Intn(min(2, s.ni))
-		if trial%8 == 0 {
-			s.n, s.ni, s.no, s.deltaU, s.integral = 4, 2, 2, true, true
+		if trial%4 == 0 {
+			k := table[trial/4%len(table)]
+			s.n, s.ni, s.no, s.deltaU, s.integral = k.N, k.NI, k.NO, k.DeltaU, k.Integral
 		}
 		c := randomDesign(s, rng)
 		if c == nil {
 			continue
 		}
 		designed++
-		if c.IsFleetKernel() {
-			kernel++
-		}
+		ran[c.Kernel()]++
 		lockstep(t, s.String(), c, lqg.NewRef(c), rng, 300)
 	}
-	if designed < 300 || kernel < 40 {
-		t.Fatalf("only %d of 400 random designs succeeded (%d on the fleet kernel)", designed, kernel)
+	if designed < 300 {
+		t.Fatalf("only %d of 400 random designs succeeded", designed)
+	}
+	for _, k := range table {
+		if ran[k.Kernel] < minPerKernel {
+			t.Fatalf("kernel %s ran %d random designs, want at least %d (by kernel: %v)", k.Kernel, ran[k.Kernel], minPerKernel, ran)
+		}
+	}
+}
+
+// TestAblationDesignsRunKernels designs the ablation's four variants
+// whose shape differs from the paper's through core.DesignMIMO, as
+// paperDesign does, and runs each against the reference on its kernel.
+func TestAblationDesignsRunKernels(t *testing.T) {
+	var training []sim.Workload
+	for _, p := range workloads.TrainingSet() {
+		training = append(training, p)
+	}
+	for _, v := range []struct {
+		name   string
+		mutate func(*core.DesignSpec)
+		kernel string
+	}{
+		{"no Δu", func(s *core.DesignSpec) { s.DisableDeltaU = true }, "N4I2O2NoDeltaU"},
+		{"no integral", func(s *core.DesignSpec) { s.DisableIntegral = true }, "N4I2O2NoIntegral"},
+		{"model dimension 2", func(s *core.DesignSpec) { s.ModelDimension = 2 }, "N2I2O2"},
+		{"model dimension 8", func(s *core.DesignSpec) { s.ModelDimension = 8 }, "N8I2O2"},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			spec := core.DesignSpec{Training: training, EpochsPerApp: 1500, Seed: 5}
+			v.mutate(&spec)
+			mc, _, err := core.DesignMIMO(spec)
+			if err != nil {
+				t.Fatalf("DesignMIMO: %v", err)
+			}
+			lq, _ := mc.CurrentDesign()
+			c := lq.Clone()
+			c.Reset()
+			if got := c.Kernel(); got != v.kernel {
+				t.Fatalf("runs kernel %q, want %q", got, v.kernel)
+			}
+			if err := c.SetReference([]float64{0.3, -0.2}); err != nil {
+				t.Fatal(err)
+			}
+			lockstep(t, v.name, c, lqg.NewRef(c), rand.New(rand.NewSource(3)), 2000)
+		})
 	}
 }
 
@@ -274,10 +326,31 @@ func FuzzStepVsReference(f *testing.F) {
 		}
 		return out
 	}
-	fleet := []byte{3 | 1<<3 | 1<<5, 0x07, 7}
+	// header encodes a shape as the fuzz body decodes it, with
+	// anti-windup on and plant seed 7.
+	header := func(n, ni, no int, deltaU, integral bool) []byte {
+		flags := byte(4)
+		if deltaU {
+			flags |= 1
+		}
+		if integral {
+			flags |= 2
+		}
+		return []byte{byte(n-1) | byte(ni-1)<<3 | byte(no-1)<<5, flags, 7}
+	}
+	fleet := header(4, 2, 2, true, true)
 	f.Add(append(fleet, rec(2, 0.4, -0.1, 0.25)...))
 	f.Add(append([]byte{7 | 2<<3, 0x05, 3}, append(rec(0, 1, 2, 0), rec(3, math.NaN(), math.Inf(1), 0.5)...)...))
 	f.Add(append(append(fleet, rec(4, math.Inf(-1), 1, math.NaN())...), rec(5, 0.3, 0.2, math.Inf(1))...))
+	// One seed per kernel: a reference change, then steps fed back
+	// exactly, perturbed, from the payload and not at all.
+	for _, k := range lqg.KernelTable() {
+		body := append(header(k.N, k.NI, k.NO, k.DeltaU, k.Integral), rec(0, 0.5, -0.25, 0)...)
+		for op := byte(2); op < 6; op++ {
+			body = append(body, rec(op, 0.3, -0.6, 0.9)...)
+		}
+		f.Add(body)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -327,6 +400,9 @@ func FuzzStepVsReference(f *testing.F) {
 				}
 				if d := lqg.SliceBitDiff(uc, ur); d != "" {
 					t.Fatalf("epoch %d: returned input%s", ep, d)
+				}
+				if d := lqg.FilteredBitDiff(c, r); d != "" {
+					t.Fatalf("%v epoch %d: filtered estimate%s", s, ep, d)
 				}
 				for i := range applied {
 					switch op % 6 {

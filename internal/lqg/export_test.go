@@ -66,8 +66,37 @@ func SliceBitDiff(a, b []float64) string {
 	return ""
 }
 
-// IsFleetKernel reports whether Step runs the unrolled fleet kernel.
-func (c *Controller) IsFleetKernel() bool { return c.g.fleet }
+// FilteredBitDiff compares the filtered estimates x̂ᶜ that the last
+// Step of c and of r computed. Call it right after a Step: the
+// reference keeps x̂ᶜ in its workspace, which its Reset leaves stale.
+func FilteredBitDiff(c *Controller, r *Ref) string {
+	return SliceBitDiff(c.xc, r.ws.xc)
+}
+
+// Kernel names the unrolled kernel Step and ObserveApplied run
+// (kernels.go), or returns "generic" for the loops of step.go.
+func (c *Controller) Kernel() string {
+	if c.g.kernel.step == nil {
+		return "generic"
+	}
+	return c.g.kernel.name
+}
+
+// TableShape is one entry of the kernel table and the kernel it selects.
+type TableShape struct {
+	N, NI, NO        int
+	DeltaU, Integral bool
+	Kernel           string
+}
+
+// KernelTable lists the kernel table.
+func KernelTable() []TableShape {
+	var out []TableShape
+	for _, s := range kernelTable {
+		out = append(out, TableShape{s.n, s.ni, s.no, s.deltaU, s.integral, s.kernelName()})
+	}
+	return out
+}
 
 // instrumented reports whether this test binary was built with the race
 // detector or runs under coverage-guided fuzzing (go test -fuzz), which

@@ -117,7 +117,8 @@ type Controller struct {
 }
 
 // flatGains holds the runtime's matrices, row-major and negated (see
-// mulRow), and the structure flags the step branches on.
+// mulRow), the structure flags the generic step branches on, and the
+// unrolled kernel of the design's shape.
 type flatGains struct {
 	n, ni, no int
 	a, b, c   []float64 // plant: n×n, n×ni, no×n
@@ -128,9 +129,24 @@ type flatGains struct {
 	tg        []float64 // target calculator: (n+ni)×no
 
 	deltaU, integral, antiWindup bool
-	// fleet marks the fleets' shape (order 4, two inputs, two outputs,
-	// ΔU + integral), which Step runs through the unrolled step4x2.
-	fleet bool
+	// kernel is the unrolled Step and ObserveApplied kernels.go holds
+	// for the design's shape. For a shape outside that table its funcs
+	// are nil, and Step and ObserveApplied run the generic loops.
+	kernel kernel
+}
+
+// kernelShape is a controller structure with an unrolled kernel: the
+// plant's order, inputs and outputs, and the ΔU and integral options.
+// Anti-windup is not part of it; a kernel tests that flag at run time.
+type kernelShape struct {
+	n, ni, no        int
+	deltaU, integral bool
+}
+
+// kernel is one shape's generated Step and ObserveApplied.
+type kernel struct {
+	name          string
+	step, observe func(*Controller, []float64)
 }
 
 func newFlatGains(c *Controller) *flatGains {
@@ -154,7 +170,7 @@ func newFlatGains(c *Controller) *flatGains {
 		integral:   c.opts.Integral,
 		antiWindup: !c.opts.DisableAntiWindup,
 	}
-	g.fleet = g.n == 4 && g.ni == 2 && g.no == 2 && g.deltaU && g.integral
+	g.kernel = kernels[kernelShape{g.n, g.ni, g.no, g.deltaU, g.integral}]
 	return g
 }
 

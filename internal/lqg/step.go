@@ -30,8 +30,16 @@ import (
 //   - the anti-windup test math.Sqrt(‖excess‖²) > 1e-12 is the compare
 //     ‖excess‖² > satThreshold, the same predicate for every input.
 //
+// Every shape a program steps runs an unrolled kernel instead of these
+// loops: kernels.go holds one Step and one ObserveApplied per entry of
+// the shape table in kernels_test.go, generated from a template whose
+// every statement is the arithmetic below, in the order below, over
+// constant indices. Any other shape runs the loops, which stay the
+// semantics the template mirrors.
+//
 // The lockstep differentials and FuzzStepVsReference compare every
-// returned input and every state word by math.Float64bits.
+// returned input and every state word by math.Float64bits, and the
+// filtered estimate x̂ᶜ after every Step, on the kernels and the loops.
 
 // negOne is -1 as a value the compiler cannot fold into a negation.
 var negOne = -1.0
@@ -79,8 +87,8 @@ func (c *Controller) Step(y []float64) ([]float64, error) {
 	if len(y) != g.no {
 		return nil, fmt.Errorf("lqg: output has %d entries, want %d", len(y), g.no)
 	}
-	if g.fleet {
-		c.step4x2(y)
+	if k := g.kernel.step; k != nil {
+		k(c, y)
 		return c.u, nil
 	}
 	n, ni, no := g.n, g.ni, g.no
@@ -157,130 +165,6 @@ func (c *Controller) Step(y []float64) ([]float64, error) {
 	return u, nil
 }
 
-// step4x2 is Step for the fleets' shape — order 4, inputs [frequency,
-// cache ways], outputs [IPS, power], ΔU + integral — unrolled with
-// every dimension a constant. Each statement is the generic path's
-// arithmetic in the generic path's order.
-func (c *Controller) step4x2(y []float64) {
-	g := c.g
-	m1 := negOne
-	A := g.a[:16:16]
-	B := g.b[:8:8] // 4×2
-	C := g.c[:8:8]
-	lc := g.lc[:8:8]
-	kx := g.kx[:8:8] // 2×4
-	ku := g.ku[:4:4]
-	kz := g.kz[:4:4]
-	xhat := c.xhat[:4:4]
-	xss := c.xss[:4:4]
-	uPrev := c.uPrev[:2:2]
-	uss := c.uss[:2:2]
-	lastExcess := c.lastExcess[:2:2]
-	zInt := c.zInt[:2:2]
-	ref := c.ref[:2:2]
-	lastInnov := c.lastInnov[:2:2]
-	y0, y1 := y[0], y[1]
-
-	// Measurement update: innov = y - C·x̂, x̂ᶜ = x̂ + Lc·innov.
-	var cy0, cy1 float64
-	cy0 -= C[0] * xhat[0]
-	cy0 -= C[1] * xhat[1]
-	cy0 -= C[2] * xhat[2]
-	cy0 -= C[3] * xhat[3]
-	cy1 -= C[4] * xhat[0]
-	cy1 -= C[5] * xhat[1]
-	cy1 -= C[6] * xhat[2]
-	cy1 -= C[7] * xhat[3]
-	in0 := y0 - cy0
-	in1 := y1 - cy1
-	lastInnov[0], lastInnov[1] = in0, in1
-	var l0, l1, l2, l3 float64
-	l0 -= lc[0] * in0
-	l0 -= lc[1] * in1
-	l1 -= lc[2] * in0
-	l1 -= lc[3] * in1
-	l2 -= lc[4] * in0
-	l2 -= lc[5] * in1
-	l3 -= lc[6] * in0
-	l3 -= lc[7] * in1
-	xc0 := xhat[0] - m1*l0
-	xc1 := xhat[1] - m1*l1
-	xc2 := xhat[2] - m1*l2
-	xc3 := xhat[3] - m1*l3
-
-	// ΔU feedback: v = -Kx·(xᶜ-x_ss) - Ku·(u_prev-u_ss) - Kz·z.
-	dx0 := xc0 - xss[0]
-	dx1 := xc1 - xss[1]
-	dx2 := xc2 - xss[2]
-	dx3 := xc3 - xss[3]
-	du0 := uPrev[0] - uss[0]
-	du1 := uPrev[1] - uss[1]
-	var u0, u1 float64
-	{
-		var kv float64
-		kv -= kx[0] * dx0
-		kv -= kx[1] * dx1
-		kv -= kx[2] * dx2
-		kv -= kx[3] * dx3
-		v := m1 * kv
-		var kv2 float64
-		kv2 -= ku[0] * du0
-		kv2 -= ku[1] * du1
-		v -= kv2
-		var kv3 float64
-		kv3 -= kz[0] * zInt[0]
-		kv3 -= kz[1] * zInt[1]
-		v -= kv3
-		u0 = uPrev[0] - m1*v
-	}
-	{
-		var kv float64
-		kv -= kx[4] * dx0
-		kv -= kx[5] * dx1
-		kv -= kx[6] * dx2
-		kv -= kx[7] * dx3
-		v := m1 * kv
-		var kv2 float64
-		kv2 -= ku[2] * du0
-		kv2 -= ku[3] * du1
-		v -= kv2
-		var kv3 float64
-		kv3 -= kz[2] * zInt[0]
-		kv3 -= kz[3] * zInt[1]
-		v -= kv3
-		u1 = uPrev[1] - m1*v
-	}
-
-	// Conditional-integration anti-windup.
-	var nrm float64
-	nrm += lastExcess[0] * lastExcess[0]
-	nrm += lastExcess[1] * lastExcess[1]
-	saturated := g.antiWindup && nrm > satThreshold
-	if e := ref[0] - y0; !saturated || e == 0 || !(kz[0]*e*lastExcess[0]+kz[2]*e*lastExcess[1] > 0) {
-		zInt[0] = e - m1*zInt[0]
-	}
-	if e := ref[1] - y1; !saturated || e == 0 || !(kz[1]*e*lastExcess[0]+kz[3]*e*lastExcess[1] > 0) {
-		zInt[1] = e - m1*zInt[1]
-	}
-
-	// Time update: x̂ = A·xᶜ + B·u.
-	for i := 0; i < 4; i++ {
-		a := A[4*i : 4*i+4 : 4*i+4]
-		var ax float64
-		ax -= a[0] * xc0
-		ax -= a[1] * xc1
-		ax -= a[2] * xc2
-		ax -= a[3] * xc3
-		var bu float64
-		bu -= B[2*i] * u0
-		bu -= B[2*i+1] * u1
-		xhat[i] = ax - m1*bu
-	}
-	u := c.u[:2:2]
-	u[0], u[1] = u0, u1
-	uPrev[0], uPrev[1] = u0, u1
-}
-
 // ObserveApplied informs the controller of the input actually applied
 // when an actuator modified (e.g. quantized or range-limited) the
 // requested input. It re-runs the time update with the corrected input
@@ -293,8 +177,8 @@ func (c *Controller) ObserveApplied(u []float64) error {
 	if len(u) != g.ni {
 		return fmt.Errorf("lqg: applied input has %d entries, want %d", len(u), g.ni)
 	}
-	if g.fleet {
-		c.observe4x2(u)
+	if k := g.kernel.observe; k != nil {
+		k(c, u)
 		return nil
 	}
 	m1 := negOne
@@ -311,25 +195,4 @@ func (c *Controller) ObserveApplied(u []float64) error {
 	}
 	copy(c.uPrev, u)
 	return nil
-}
-
-// observe4x2 is ObserveApplied for the fleets' shape, unrolled like
-// step4x2.
-func (c *Controller) observe4x2(u []float64) {
-	m1 := negOne
-	B := c.g.b[:8:8]
-	xhat := c.xhat[:4:4]
-	uPrev := c.uPrev[:2:2]
-	u0, u1 := u[0], u[1]
-	d0 := u0 - uPrev[0]
-	d1 := u1 - uPrev[1]
-	for i := 0; i < 4; i++ {
-		var bd float64
-		bd -= B[2*i] * d0
-		bd -= B[2*i+1] * d1
-		xhat[i] -= m1 * bd
-	}
-	lastExcess := c.lastExcess[:2:2]
-	lastExcess[0], lastExcess[1] = m1*d0, m1*d1
-	uPrev[0], uPrev[1] = u0, u1
 }

@@ -50,6 +50,3 @@ func (p *Processor) Run(n int) []Telemetry {
 func (p *Processor) Totals() (energyJ, instructions, seconds float64) {
 	return p.totalEnergyJ, p.totalInstr, p.totalSeconds
 }
-
-// Counts reports the injection tallies so far.
-func (f *FaultInjector) Counts() FaultCounts { return f.counts }

@@ -169,23 +169,6 @@ func (e *ActuatorError) Error() string {
 	return fmt.Sprintf("sim: injected actuator failure at epoch %d", e.Epoch)
 }
 
-// FaultCounts tallies what the injector actually did, for assertions and
-// reports.
-type FaultCounts struct {
-	// SensorHits counts corrupted sensor samples (per firing, per
-	// channel touched).
-	SensorHits int
-	// ApplyErrors counts Apply calls failed by ActError.
-	ApplyErrors int
-	// StuckWrites counts knob writes discarded by ActStuck.
-	StuckWrites int
-	// DelayedApplies counts configurations deferred by ActDelay.
-	DelayedApplies int
-	// PlantDriftEpochs counts epochs on which a plant fault advanced its
-	// degradation (not epochs it merely kept applying).
-	PlantDriftEpochs int
-}
-
 // FaultInjector wraps a Processor with a scripted/stochastic fault
 // model. It mirrors the processor's control surface — Apply then Step,
 // once per epoch — so any closed-loop harness can substitute it for the
@@ -199,8 +182,7 @@ type FaultInjector struct {
 	act    []ActuatorFault
 	plant  []PlantFault
 
-	epoch  int
-	counts FaultCounts
+	epoch int
 
 	// Per-fault freeze/drift state, indexed like sensor.
 	frozen    []([2]float64) // captured readings per freeze fault
@@ -289,28 +271,19 @@ func (f *FaultInjector) Apply(cfg Config) error {
 		}
 		switch af.Kind {
 		case ActError:
-			f.counts.ApplyErrors++
 			return &ActuatorError{Epoch: f.epoch}
 		case ActStuck:
 			cur := f.proc.Config()
-			stuck := false
 			if af.Knob == KnobAll || af.Knob == KnobFreq {
-				stuck = stuck || cfg.FreqIdx != cur.FreqIdx
 				cfg.FreqIdx = cur.FreqIdx
 			}
 			if af.Knob == KnobAll || af.Knob == KnobCache {
-				stuck = stuck || cfg.CacheIdx != cur.CacheIdx
 				cfg.CacheIdx = cur.CacheIdx
 			}
 			if af.Knob == KnobAll || af.Knob == KnobROB {
-				stuck = stuck || cfg.ROBIdx != cur.ROBIdx
 				cfg.ROBIdx = cur.ROBIdx
 			}
-			if stuck {
-				f.counts.StuckWrites++
-			}
 		case ActDelay:
-			f.counts.DelayedApplies++
 			f.pending = append(f.pending, delayedApply{due: f.epoch + af.DelayEpochs, cfg: cfg})
 			return nil
 		}
@@ -365,7 +338,6 @@ func (f *FaultInjector) applyPlantFault(i int, t *Telemetry) {
 		st.gain[0] = approach(st.gain[0], pf.GainLimitIPS, pf.GainRateIPS)
 		st.gain[1] = approach(st.gain[1], pf.GainLimitPower, pf.GainRatePower)
 		st.pole = approach(st.pole, pf.PoleLimit, pf.PoleRate)
-		f.counts.PlantDriftEpochs++
 	}
 	switch pf.Kind {
 	case PlantGainDrift:
@@ -464,11 +436,5 @@ func (f *FaultInjector) corrupt(i int, sf *SensorFault, t *Telemetry) {
 		if hitPower {
 			t.PowerW = math.Inf(1)
 		}
-	}
-	if hitIPS {
-		f.counts.SensorHits++
-	}
-	if hitPower {
-		f.counts.SensorHits++
 	}
 }

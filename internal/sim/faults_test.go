@@ -81,9 +81,6 @@ func TestFaultInjectorSensorKinds(t *testing.T) {
 			if tel.TrueIPS != cleanTel.TrueIPS || tel.TruePowerW != cleanTel.TruePowerW {
 				t.Fatal("fault corrupted the noiseless evaluation outputs")
 			}
-			if inj.Counts().SensorHits == 0 {
-				t.Fatal("no sensor hits counted")
-			}
 		})
 	}
 }
@@ -177,9 +174,6 @@ func TestFaultInjectorActuatorError(t *testing.T) {
 	if err := inj.Apply(BaselineConfig()); err != nil {
 		t.Fatalf("after window: %v", err)
 	}
-	if inj.Counts().ApplyErrors != 1 {
-		t.Fatalf("apply errors %d", inj.Counts().ApplyErrors)
-	}
 }
 
 func TestFaultInjectorStuckKnob(t *testing.T) {
@@ -199,9 +193,6 @@ func TestFaultInjectorStuckKnob(t *testing.T) {
 	}
 	if got.CacheIdx != want.CacheIdx {
 		t.Fatalf("healthy knob blocked: %v", got)
-	}
-	if inj.Counts().StuckWrites != 1 {
-		t.Fatalf("stuck writes %d", inj.Counts().StuckWrites)
 	}
 }
 
@@ -225,9 +216,6 @@ func TestFaultInjectorDelayedActuation(t *testing.T) {
 	inj.Step() // epoch 2: due
 	if inj.proc.Config() != req {
 		t.Fatalf("delayed config never landed: %v", inj.proc.Config())
-	}
-	if inj.Counts().DelayedApplies != 1 {
-		t.Fatalf("delayed applies %d", inj.Counts().DelayedApplies)
 	}
 }
 
@@ -265,9 +253,6 @@ func TestPlantGainDriftRampsAndPersists(t *testing.T) {
 	// they are equal).
 	if tel.IPS != tel.TrueIPS || tel.PowerW != tel.TruePowerW {
 		t.Fatal("measured channels did not follow the drifted plant")
-	}
-	if inj.Counts().PlantDriftEpochs != 10 {
-		t.Fatalf("PlantDriftEpochs = %d, want 10", inj.Counts().PlantDriftEpochs)
 	}
 }
 
