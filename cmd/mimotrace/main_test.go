@@ -76,11 +76,12 @@ func TestMIMORowsEqualTheDump(t *testing.T) {
 }
 
 // TestDoctorCallsHarnessRecordedRunsHealthy pins mimodoctor's verdict
-// on a healthy namd run of the two architectures whose records the
-// harness writes and that react to their measurements: healthy, since
-// Diagnose skips the innovations those records leave NaN.
+// on a healthy namd run of the architectures whose records the harness
+// writes: healthy, since Diagnose skips the innovations those records
+// leave NaN, and the baseline's one configuration, re-issued every
+// epoch with no continuous request, pushes at no knob limit.
 func TestDoctorCallsHarnessRecordedRunsHealthy(t *testing.T) {
-	for _, arch := range []string{"decoupled", "heuristic"} {
+	for _, arch := range []string{"decoupled", "heuristic", "baseline"} {
 		t.Run(arch, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.frec")
 			args := []string{"-arch", arch, "-workload", "namd", "-epochs", "3000", "-seed", "2016", "-flightrec", path}

@@ -3,8 +3,8 @@
 // guardband check) runs once, offline, and the deployed controller then
 // trusts its model forever. internal/health can detect that the trust is
 // misplaced — plant aging moves the true dynamics until the Kalman
-// innovations stop being white and eat through the certified guardband —
-// but detection alone only buys a safe fallback pin.
+// innovations eat through the certified guardband — but detection alone
+// only buys a safe fallback pin.
 //
 // This package turns that detection into recovery. An Adapter rides the
 // supervised control loop and, on sustained drift evidence, walks a
@@ -38,7 +38,7 @@
 //	    and the estimator re-warm-starts from the adopted model. The new
 //	    design then flies on probation: if the rebased monitor returns to
 //	    its fail verdict — or the supervisor reports another model-shaped
-//	    fallback — within ProbationEpochs, the pre-swap gains are
+//	    fallback — within probationEpochs, the pre-swap gains are
 //	    restored and the episode ends in cooldown. This is the defense
 //	    against identification poisoned by an undetected transient fault
 //	    (plausibly lying sensors, silently lagging actuation): such a
@@ -80,7 +80,7 @@ const (
 	StateVerifying
 	// StateSwapped: new gains installed; on probation until the rebased
 	// health monitor has stayed off its fail verdict for
-	// ProbationEpochs (reverts to the previous gains otherwise), then
+	// probationEpochs (reverts to the previous gains otherwise), then
 	// settling before rearming.
 	StateSwapped
 )
@@ -117,13 +117,16 @@ type designSnapshotter interface {
 	CurrentDesign() (*lqg.Controller, sysid.Offsets)
 }
 
-// Options configures an Adapter. Model and Target are required.
+// Options configures an Adapter: the deployed design it shadows and
+// where its verdicts go. Its tuning is not an option: the constants
+// below are the one configuration that runs.
 type Options struct {
 	// Model is the currently deployed identified model: it fixes the
 	// ARX orders, warm-starts the estimator, and provides the
-	// design-time operating point.
+	// design-time operating point. Required.
 	Model *sysid.Model
 	// Target receives accepted designs (the deployed MIMO controller).
+	// Required.
 	Target DesignTarget
 	// Monitor is the model-health monitor whose fail verdict triggers
 	// adaptation and whose observed mismatch inflates the verification
@@ -133,46 +136,52 @@ type Options struct {
 	// Seed fixes the excitation randomness.
 	Seed int64
 
-	// FailStreak is how many consecutive epochs the monitor must report
-	// LevelFail before adaptation triggers (default 192 ≈ 10 ms).
-	FailStreak int
-	// ExciteEpochs is the dither duration per excitation round
-	// (default 1500); DitherHold is the PRBS hold time in epochs
-	// (default 6).
-	ExciteEpochs int
-	DitherHold   int
-	// ExcitationGood is the max-diag(P) level at or below which the
-	// estimator counts as recently well-excited and the dither round
-	// can be skipped (default 500). The metric cannot reach zero: an
-	// over-parameterized ARX regressor is inherently near-collinear,
-	// so its weakest covariance direction floors at O(10) even under
-	// persistent excitation, while covariance windup under steady
-	// closed-loop operation grows it to the CovarianceCap scale. The
-	// threshold separates those two regimes.
-	ExcitationGood float64
-	// SettleEpochs is how long after a swap the machine waits before
-	// rearming (default 400). CooldownEpochs is the lockout after the
-	// attempt budget is exhausted or a probation revert (default 4000).
-	// MaxAttempts bounds excite→redesign→verify rounds per drift
-	// episode (default 3).
-	SettleEpochs   int
-	CooldownEpochs int
-	MaxAttempts    int
-	// ProbationEpochs is the post-swap watch window (default 600): a
-	// freshly swapped design that drives the rebased health monitor
-	// back to its fail verdict — or sends the supervisor into another
-	// model-shaped fallback — within this window is judged worse than
-	// what it replaced, and the previous gains are restored. The window
-	// covers identification poisoned by an undetected transient fault
-	// (sensors lying plausibly, actuation lagging silently): the
-	// candidate passed the small-gain gate against its own wrong model,
-	// and only the closed loop can expose it.
-	ProbationEpochs int
-
-	// Design guardbands; verification uses
+	// The deployed design's guardbands (core.DesignReport.Guardbands),
+	// both positive; verification uses
 	// max(guardband, Monitor.ObservedMismatch()) per channel.
 	IPSGuardband, PowerGuardband float64
 }
+
+// The adaptation tuning, sized for the fault sweep's timeline
+// (internal/experiments): the drift ramp occupies [epochs/4, 3·epochs/8)
+// and recovery is scored from 3·epochs/4, so detection, excitation and
+// redesign must all complete inside one quarter of the run (1000 epochs
+// at the default 4000).
+const (
+	// triggerAfter is how many consecutive epochs the monitor must
+	// report LevelFail before adaptation triggers (≈5 ms).
+	triggerAfter = 96
+	// exciteEpochs is the dither duration per excitation round;
+	// ditherHold is the PRBS hold time in epochs.
+	exciteEpochs = 600
+	ditherHold   = 4
+	// excitationGood is the max-diag(P) level at or below which the
+	// estimator counts as recently well-excited and the dither round can
+	// be skipped. The metric cannot reach zero: an over-parameterized
+	// ARX regressor is inherently near-collinear, so its weakest
+	// covariance direction floors at O(10) even under persistent
+	// excitation, while covariance windup under steady closed-loop
+	// operation grows it to the rlsCovarianceCap scale. The threshold
+	// separates those two regimes.
+	excitationGood = 500
+	// settleEpochs is how long after a swap the machine waits before
+	// rearming. cooldownEpochs is the lockout after the attempt budget
+	// is exhausted or a probation revert. maxAttempts bounds
+	// excite→redesign→verify rounds per drift episode.
+	settleEpochs   = 200
+	cooldownEpochs = 800
+	maxAttempts    = 3
+	// probationEpochs is the post-swap watch window: a freshly swapped
+	// design that drives the rebased health monitor back to its fail
+	// verdict — or sends the supervisor into another model-shaped
+	// fallback — within this window is judged worse than what it
+	// replaced, and the previous gains are restored. The window covers
+	// identification poisoned by an undetected transient fault (sensors
+	// lying plausibly, actuation lagging silently): the candidate passed
+	// the small-gain gate against its own wrong model, and only the
+	// closed loop can expose it.
+	probationEpochs = 600
+)
 
 // RLS tuning: rlsLambda is the forgetting factor (≈200-epoch memory at
 // 50 µs epochs); rlsInitialCovariance scales the warm-start parameter
@@ -191,40 +200,6 @@ const (
 // input weights doubled up to maxRSAIterations times until the
 // small-gain check passes.
 const maxRSAIterations = 8
-
-func (o Options) withDefaults() Options {
-	if o.FailStreak == 0 {
-		o.FailStreak = 192
-	}
-	if o.ExciteEpochs == 0 {
-		o.ExciteEpochs = 1500
-	}
-	if o.DitherHold == 0 {
-		o.DitherHold = 6
-	}
-	if o.ExcitationGood == 0 {
-		o.ExcitationGood = 500
-	}
-	if o.SettleEpochs == 0 {
-		o.SettleEpochs = 400
-	}
-	if o.CooldownEpochs == 0 {
-		o.CooldownEpochs = 4000
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 3
-	}
-	if o.ProbationEpochs == 0 {
-		o.ProbationEpochs = 600
-	}
-	if o.IPSGuardband == 0 {
-		o.IPSGuardband = core.DefaultIPSGuardband
-	}
-	if o.PowerGuardband == 0 {
-		o.PowerGuardband = core.DefaultPowerGuardband
-	}
-	return o
-}
 
 // Stats counts adaptation activity since construction.
 type Stats struct {
@@ -319,7 +294,9 @@ func New(opts Options) (*Adapter, error) {
 	if opts.Target == nil {
 		return nil, errors.New("adapt: Options.Target is required")
 	}
-	opts = opts.withDefaults()
+	if !(opts.IPSGuardband > 0 && opts.PowerGuardband > 0) {
+		return nil, fmt.Errorf("adapt: guardbands %v/%v, want both positive", opts.IPSGuardband, opts.PowerGuardband)
+	}
 	ny, nu := opts.Model.SS.Outputs(), opts.Model.SS.Inputs()
 	if ny != 2 || (nu != 2 && nu != 3) {
 		return nil, fmt.Errorf("adapt: unsupported plant shape %d outputs x %d inputs", ny, nu)
@@ -409,7 +386,7 @@ func (a *Adapter) Advance(t sim.Telemetry, proposed sim.Config, clean bool) Verd
 		} else {
 			a.failStreak = 0
 		}
-		if a.cooldown == 0 && (a.pending || a.failStreak >= a.opts.FailStreak) {
+		if a.cooldown == 0 && (a.pending || a.failStreak >= triggerAfter) {
 			a.pending = false
 			a.failStreak = 0
 			a.attempts = 0
@@ -424,7 +401,7 @@ func (a *Adapter) Advance(t sim.Telemetry, proposed sim.Config, clean bool) Verd
 		// One observable epoch between trigger and action. Skip the
 		// excitation round only if recent data already pinned the
 		// coefficients down.
-		if a.est.excitation() <= a.opts.ExcitationGood {
+		if a.est.excitation() <= excitationGood {
 			a.toState(StateRedesigning)
 		} else {
 			a.beginExcitation()
@@ -457,8 +434,8 @@ func (a *Adapter) Advance(t sim.Telemetry, proposed sim.Config, clean bool) Verd
 
 	case StateVerifying:
 		if a.verifyAndSwap(&v) {
-			a.settleLeft = a.opts.SettleEpochs
-			a.probLeft = a.opts.ProbationEpochs
+			a.settleLeft = settleEpochs
+			a.probLeft = probationEpochs
 			a.revertPending = false
 			a.toState(StateSwapped)
 		} else {
@@ -501,7 +478,7 @@ func (a *Adapter) Advance(t sim.Telemetry, proposed sim.Config, clean bool) Verd
 // and another attempt while the budget lasts, then a give-up cooldown.
 func (a *Adapter) episodeFailed() {
 	a.attempts++
-	if a.attempts < a.opts.MaxAttempts {
+	if a.attempts < maxAttempts {
 		a.beginExcitation()
 		return
 	}
@@ -509,7 +486,7 @@ func (a *Adapter) episodeFailed() {
 	if m := a.tel; m != nil {
 		m.giveUps.Inc()
 	}
-	a.cooldown = a.opts.CooldownEpochs
+	a.cooldown = cooldownEpochs
 	a.toState(StateNominal)
 }
 
@@ -517,11 +494,11 @@ func (a *Adapter) episodeFailed() {
 // per knob keep the input channels from moving in lockstep (which
 // would leave their columns collinear).
 func (a *Adapter) beginExcitation() {
-	n := a.opts.ExciteEpochs
-	a.dFreq = sysid.PRBS(a.rng, n, a.opts.DitherHold, -1, 1)
-	a.dCache = sysid.PRBS(a.rng, n, 2*a.opts.DitherHold+1, -1, 1)
+	n := exciteEpochs
+	a.dFreq = sysid.PRBS(a.rng, n, ditherHold, -1, 1)
+	a.dCache = sysid.PRBS(a.rng, n, 2*ditherHold+1, -1, 1)
 	if a.nu == 3 {
-		a.dROB = sysid.PRBS(a.rng, n, 3*a.opts.DitherHold+1, -1, 1)
+		a.dROB = sysid.PRBS(a.rng, n, 3*ditherHold+1, -1, 1)
 	}
 	a.dPos = 0
 	a.exciteLeft = n

@@ -42,7 +42,7 @@ func (a *Adapter) guardbands() []float64 {
 // redesign realizes the estimator's current coefficients and re-runs
 // the paper's design recipe against them: LQG with the Table III
 // weights, input weights doubled until the small-gain check passes at
-// the inflated guardbands, bounded by MaxRSAIterations. Runs off the
+// the inflated guardbands, bounded by maxRSAIterations. Runs off the
 // per-epoch hot path; allocation is fine here.
 func (a *Adapter) redesign() (*candidate, error) {
 	aB, bB, intercept, vCov := a.est.blocks()
@@ -197,6 +197,6 @@ func (a *Adapter) revert(v *Verdict) {
 	if m := a.tel; m != nil {
 		m.reverts.Inc()
 	}
-	a.cooldown = a.opts.CooldownEpochs
+	a.cooldown = cooldownEpochs
 	a.toState(StateNominal)
 }

@@ -38,7 +38,7 @@ func allocFleet(tb testing.TB, n int, mixed bool, wire string) (*SupEngine, []si
 		tels[i] = sim.Telemetry{IPS: 1.5 + rng.Float64(), PowerW: 5 + rng.Float64()*2, Config: sim.MidrangeConfig()}
 	}
 	for i := 0; i < n; i++ {
-		s := supervisor.New(designedController(tb, mixed && i%2 == 1), supervisor.Options{GraceEpochs: 60})
+		s := supervisor.New(designedController(tb, mixed && i%2 == 1), supervisor.Options{})
 		s.SetTargets(tels[i].IPS, tels[i].PowerW)
 		if fleet != nil {
 			l := fleet.Register(fmt.Sprintf("loop-%d", i))
@@ -50,7 +50,7 @@ func allocFleet(tb testing.TB, n int, mixed bool, wire string) (*SupEngine, []si
 		}
 	}
 	outs := make([]sim.Config, n)
-	for w := 0; w < 100; w++ {
+	for w := 0; w < supGrace+100; w++ {
 		if err := e.StepAll(tels, outs); err != nil {
 			tb.Fatal(err)
 		}

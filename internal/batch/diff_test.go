@@ -354,8 +354,7 @@ func TestBatchFleetBitIdentical(t *testing.T) {
 	var recs [][2]*flightrec.Recorder
 	p := newPairing(t, n, func(i int) (*supervisor.Supervised, *supervisor.Supervised) {
 		kind := kinds[i%len(kinds)]
-		o := supervisor.Options{GraceEpochs: 50 + 10*i}
-		f, a := supervisor.New(freshInner(t, kind), o), supervisor.New(freshInner(t, kind), o)
+		f, a := supervisor.New(freshInner(t, kind), supervisor.Options{}), supervisor.New(freshInner(t, kind), supervisor.Options{})
 		ips, pow := 1+0.2*float64(i), 2+0.5*float64(i)
 		f.SetTargets(ips, pow)
 		a.SetTargets(ips, pow)

@@ -49,8 +49,14 @@ const (
 	DefaultPowerGuardband = 0.30
 	// Model dimension chosen in the paper (§VI-A2, Fig. 7).
 	DefaultModelDimension = 4
-	// Optimizer parameters (Table III).
-	DefaultOptimizerMaxTries = 10
+	// Optimizer parameters (Table III): trials per search episode, the
+	// epochs to wait after each retarget before measuring, and the
+	// epochs the metric is averaged over — long enough that the sensor
+	// and phase noise (a few percent per epoch) averages below the
+	// metric differences being compared.
+	DefaultOptimizerMaxTries      = 10
+	DefaultOptimizerSettleEpochs  = 8
+	DefaultOptimizerMeasureEpochs = 20
 	// OptimizerPeriodEpochs is 10 ms at 50 µs per epoch.
 	DefaultOptimizerPeriodEpochs = 200
 	// Default tracking targets (§VII-B1).

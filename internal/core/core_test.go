@@ -208,21 +208,36 @@ func (f *idealTracker) telemetry(phase int) sim.Telemetry {
 	return sim.Telemetry{IPS: f.ips, PowerW: f.power, PhaseID: phase}
 }
 
+// searchEpisodeEpochs bounds one full search episode at Table III's
+// parameters: the midrange measurement and every trial, each settled
+// and measured.
+const searchEpisodeEpochs = (DefaultOptimizerMaxTries + 1) * (DefaultOptimizerSettleEpochs + DefaultOptimizerMeasureEpochs)
+
+// stepToHold steps opt on tel until its search episode ends, failing
+// when it has not ended within one episode's epochs.
+func stepToHold(t *testing.T, opt *Optimizer, tel func() sim.Telemetry) {
+	t.Helper()
+	for k := 0; opt.state != optHold; k++ {
+		if k > searchEpisodeEpochs {
+			t.Fatalf("search still in state %v after %d epochs", opt.state, k)
+		}
+		opt.Step(tel())
+	}
+}
+
 func TestOptimizerClimbsIdealMetric(t *testing.T) {
 	base := &idealTracker{ips: 2, power: 2}
-	opt, err := NewOptimizer(base, OptimizerConfig{K: 2, MaxTries: 6, SettleEpochs: 2, MeasureEpochs: 2, PeriodEpochs: 10000})
+	opt, err := NewOptimizer(base, OptimizerConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With ideal tracking, "Up" multiplies IPS²/P by 1.1²/1.03 > 1, so
-	// every Up move is accepted and the final IPS target is the start
-	// times 1.1^MaxTries.
-	for k := 0; k < 200; k++ {
-		opt.Step(base.telemetry(0))
-	}
+	// With ideal tracking, "Up" multiplies IPS²/P by 1.12²/1.08 > 1, so
+	// every Up move is accepted and the held IPS target is the start
+	// times 1.12^DefaultOptimizerMaxTries.
+	stepToHold(t, opt, func() sim.Telemetry { return base.telemetry(0) })
 	ips, power := base.Targets()
-	if ips <= 2.5 {
-		t.Fatalf("optimizer failed to climb: final IPS target %v", ips)
+	if want := 2 * math.Pow(1.12, DefaultOptimizerMaxTries); math.Abs(ips-want) > 1e-9*want {
+		t.Fatalf("held IPS target %v, want %v (every Up accepted)", ips, want)
 	}
 	m0 := math.Pow(2, 2) / 2
 	m1 := math.Pow(ips, 2) / power
@@ -235,16 +250,15 @@ func TestOptimizerReversesOnWorseMetric(t *testing.T) {
 	// A tracker whose power explodes with IPS beyond 2.2, making Up
 	// moves unprofitable: the optimizer must go Down instead.
 	base := &idealTracker{ips: 2, power: 2}
-	opt, err := NewOptimizer(base, OptimizerConfig{K: 1, MaxTries: 8, SettleEpochs: 1, MeasureEpochs: 1, PeriodEpochs: 10000})
+	opt, err := NewOptimizer(base, OptimizerConfig{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 100; k++ {
-		// Distort realized outputs: power grows quadratically with the
-		// requested IPS, so IPS/P falls when pushing up.
-		tel := sim.Telemetry{IPS: base.ips, PowerW: base.power * (1 + math.Pow(base.ips/2, 4)), PhaseID: 0}
-		opt.Step(tel)
-	}
+	// Distort realized outputs: power grows with the fourth power of the
+	// requested IPS, so IPS/P falls when pushing up.
+	stepToHold(t, opt, func() sim.Telemetry {
+		return sim.Telemetry{IPS: base.ips, PowerW: base.power * (1 + math.Pow(base.ips/2, 4)), PhaseID: 0}
+	})
 	ips, _ := base.Targets()
 	if ips >= 2.2 {
 		t.Fatalf("optimizer kept pushing up (IPS target %v) despite worse metric", ips)
@@ -253,16 +267,11 @@ func TestOptimizerReversesOnWorseMetric(t *testing.T) {
 
 func TestOptimizerRestartsOnPhaseChange(t *testing.T) {
 	base := &idealTracker{ips: 2, power: 2}
-	opt, err := NewOptimizer(base, OptimizerConfig{K: 2, MaxTries: 3, SettleEpochs: 1, MeasureEpochs: 1, PeriodEpochs: 100000})
+	opt, err := NewOptimizer(base, OptimizerConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 50; k++ {
-		opt.Step(base.telemetry(0))
-	}
-	if opt.state != optHold {
-		t.Fatalf("expected hold state, got %v", opt.state)
-	}
+	stepToHold(t, opt, func() sim.Telemetry { return base.telemetry(0) })
 	resets := base.resets
 	opt.Step(base.telemetry(1)) // phase change
 	if opt.state != optInit {

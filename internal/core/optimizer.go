@@ -17,7 +17,8 @@ import (
 // then repeatedly moves the reference "Up" (much higher IPS, slightly
 // higher power) or "Down" (slightly lower IPS, much lower power),
 // keeping moves that improve the measured metric and reversing direction
-// otherwise, for at most MaxTries trials with no backtracking.
+// otherwise, for at most DefaultOptimizerMaxTries trials with no
+// backtracking.
 //
 // A full search runs at startup and on every workload phase change
 // (§VI-C). The periodic 10 ms invocations refine instead: they re-measure
@@ -27,11 +28,6 @@ import (
 type Optimizer struct {
 	base ArchController
 	k    int
-
-	maxTries int
-	settle   int
-	measure  int
-	period   int
 
 	// Step factors for the Up and Down moves.
 	upIPS, upPower     float64
@@ -74,19 +70,13 @@ const (
 	optHold                  // best point held until next invocation
 )
 
-// OptimizerConfig tunes the search; zero values take Table III defaults.
+// OptimizerConfig selects the metric; the search itself runs Table
+// III's parameters (DefaultOptimizerMaxTries, DefaultOptimizerSettleEpochs,
+// DefaultOptimizerMeasureEpochs, DefaultOptimizerPeriodEpochs).
 type OptimizerConfig struct {
 	// K selects the metric IPS^K/P: K=1 minimizes energy, K=2 E×D,
 	// K=3 E×D².
 	K int
-	// MaxTries per search episode (Table III: 10).
-	MaxTries int
-	// SettleEpochs to wait after each retarget before measuring.
-	SettleEpochs int
-	// MeasureEpochs to average the metric over.
-	MeasureEpochs int
-	// PeriodEpochs between search episodes (Table III: 10 ms = 200).
-	PeriodEpochs int
 }
 
 // refineTries is the trial budget of a periodic (non-phase-change)
@@ -101,24 +91,8 @@ func NewOptimizer(base ArchController, cfg OptimizerConfig) (*Optimizer, error) 
 	if cfg.K < 1 {
 		return nil, errors.New("core: optimizer K must be >= 1")
 	}
-	if cfg.MaxTries == 0 {
-		cfg.MaxTries = DefaultOptimizerMaxTries
-	}
-	if cfg.SettleEpochs == 0 {
-		cfg.SettleEpochs = 8
-	}
-	if cfg.MeasureEpochs == 0 {
-		// Long enough that the sensor and phase noise (a few percent per
-		// epoch) averages below the metric differences being compared.
-		cfg.MeasureEpochs = 20
-	}
-	if cfg.PeriodEpochs == 0 {
-		cfg.PeriodEpochs = DefaultOptimizerPeriodEpochs
-	}
 	o := &Optimizer{
 		base: base, k: cfg.K,
-		maxTries: cfg.MaxTries, settle: cfg.SettleEpochs,
-		measure: cfg.MeasureEpochs, period: cfg.PeriodEpochs,
 		refineTries: refineTries,
 		upIPS:       1.12, upPower: 1.08,
 		downIPS: 0.985, downPower: 0.90,
@@ -148,7 +122,7 @@ func (o *Optimizer) Reset() {
 	o.state = optInit
 	o.stateEpochs = 0
 	o.tries = 0
-	o.triesBudget = o.maxTries
+	o.triesBudget = DefaultOptimizerMaxTries
 	o.forceMid = true
 	o.dirUp = true
 	o.bestMetric = 0
@@ -187,12 +161,12 @@ func (o *Optimizer) Step(t sim.Telemetry) sim.Config {
 	case optInit:
 		// Hold the midrange configuration while the plant settles, then
 		// measure the starting point.
-		if o.stateEpochs > o.settle {
+		if o.stateEpochs > DefaultOptimizerSettleEpochs {
 			o.sumIPS += t.IPS
 			o.sumPower += t.PowerW
 			o.sumCount++
 		}
-		if o.stateEpochs >= o.settle+o.measure {
+		if o.stateEpochs >= DefaultOptimizerSettleEpochs+DefaultOptimizerMeasureEpochs {
 			ips := o.sumIPS / float64(o.sumCount)
 			power := o.sumPower / float64(o.sumCount)
 			o.bestIPS, o.bestPower = ips, power
@@ -206,12 +180,12 @@ func (o *Optimizer) Step(t sim.Telemetry) sim.Config {
 		return o.base.Step(t)
 
 	case optTrial:
-		if o.stateEpochs > o.settle {
+		if o.stateEpochs > DefaultOptimizerSettleEpochs {
 			o.sumIPS += t.IPS
 			o.sumPower += t.PowerW
 			o.sumCount++
 		}
-		if o.stateEpochs >= o.settle+o.measure {
+		if o.stateEpochs >= DefaultOptimizerSettleEpochs+DefaultOptimizerMeasureEpochs {
 			ips := o.sumIPS / float64(o.sumCount)
 			power := o.sumPower / float64(o.sumCount)
 			m := o.metric(ips, power)
@@ -243,7 +217,7 @@ func (o *Optimizer) Step(t sim.Telemetry) sim.Config {
 		return o.base.Step(t)
 
 	default: // optHold
-		if o.sincePeriod >= o.period*o.backoff {
+		if o.sincePeriod >= DefaultOptimizerPeriodEpochs*o.backoff {
 			o.restartSearch(false)
 		}
 		return o.base.Step(t)
@@ -288,7 +262,7 @@ func (o *Optimizer) restartSearch(full bool) {
 	o.sincePeriod = 0
 	o.forceMid = full
 	if full {
-		o.triesBudget = o.maxTries
+		o.triesBudget = DefaultOptimizerMaxTries
 		o.base.Reset()
 	} else {
 		o.triesBudget = o.refineTries

@@ -237,10 +237,14 @@ func reqCfgMismatch(r, next obs.Event) bool {
 	return r.ReqROB != obs.IdxNA && r.ReqROB != next.CfgROB
 }
 
-// pinnedAtLimit reports whether any driven knob request sits at the
-// end of its legal range. Level counts come from the dump's meta; the
-// defaults match the simulator's tables (16 frequency steps, 4 cache
-// configurations, 8 ROB sizes).
+// pinnedAtLimit reports whether the loop asks for more of a driven
+// knob whose request sits at the end of its legal range. A record shows
+// the ask when it carries the loop's continuous request for the knob
+// (a MIMO step's u) or requests a move of it: a configuration re-issued
+// with no continuous request behind it — a static controller's, a
+// fallback pin — pushes at no limit, wherever it sits. Level counts
+// come from the dump's meta; the defaults match the simulator's tables
+// (16 frequency steps, 4 cache configurations, 8 ROB sizes).
 func pinnedAtLimit(r obs.Event, meta flightrec.Meta) bool {
 	fl, cl, rl := meta.FreqLevels, meta.CacheLevels, meta.ROBLevels
 	if fl <= 0 {
@@ -252,13 +256,13 @@ func pinnedAtLimit(r obs.Event, meta flightrec.Meta) bool {
 	if rl <= 0 {
 		rl = 8
 	}
-	if r.ReqFreq == 0 || int(r.ReqFreq) == fl-1 {
-		return true
+	atLimit := func(req, cfg int16, u float64, levels int) bool {
+		asks := !math.IsNaN(u) || req != cfg
+		return asks && (req == 0 || int(req) == levels-1)
 	}
-	if r.ReqCache == 0 || int(r.ReqCache) == cl-1 {
-		return true
-	}
-	return r.ReqROB != obs.IdxNA && (r.ReqROB == 0 || int(r.ReqROB) == rl-1)
+	return atLimit(r.ReqFreq, r.CfgFreq, r.UFreqGHz, fl) ||
+		atLimit(r.ReqCache, r.CfgCache, r.UL2Ways, cl) ||
+		(r.ReqROB != obs.IdxNA && atLimit(r.ReqROB, r.CfgROB, r.UROBEntries, rl))
 }
 
 // trackingFar reports whether the true outputs miss the references by

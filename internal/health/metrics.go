@@ -10,8 +10,6 @@ import (
 // monitor drives none.
 
 type healthMetrics struct {
-	whitenessIPS    telemetry.Gauge
-	whitenessPower  telemetry.Gauge
 	consumptionIPS  telemetry.Gauge
 	consumptionPow  telemetry.Gauge
 	stabilityMargin telemetry.Gauge
@@ -35,8 +33,6 @@ func (m *Monitor) BindTelemetry(reg *telemetry.Registry) {
 
 func newHealthMetrics(reg *telemetry.Registry) *healthMetrics {
 	return &healthMetrics{
-		whitenessIPS:    reg.Gauge("health_whiteness_pvalue", "Ljung-Box innovation whiteness p-value", telemetry.L("channel", "ips")),
-		whitenessPower:  reg.Gauge("health_whiteness_pvalue", "Ljung-Box innovation whiteness p-value", telemetry.L("channel", "power")),
 		consumptionIPS:  reg.Gauge("health_guardband_consumption", "EMA innovation magnitude over the design guardband", telemetry.L("channel", "ips")),
 		consumptionPow:  reg.Gauge("health_guardband_consumption", "EMA innovation magnitude over the design guardband", telemetry.L("channel", "power")),
 		stabilityMargin: reg.Gauge("health_stability_margin", "small-gain margin recomputed with the observed guardband"),
@@ -44,13 +40,9 @@ func newHealthMetrics(reg *telemetry.Registry) *healthMetrics {
 	}
 }
 
-// publish mirrors one evaluation into the gauges. The per-channel
-// whiteness gauges both receive the combined (minimum) p-value: the
-// verdict is per-loop, the labels keep the family shape stable if a
-// per-channel split is wanted later.
+// publish mirrors one evaluation into the gauges: cons is each
+// channel's guardband consumption.
 func (t *healthMetrics) publish(s Snapshot, cons [2]float64) {
-	t.whitenessIPS.Set(s.WhitenessP)
-	t.whitenessPower.Set(s.WhitenessP)
 	t.consumptionIPS.Set(cons[0])
 	t.consumptionPow.Set(cons[1])
 	t.stabilityMargin.Set(s.StabilityMargin)

@@ -8,8 +8,6 @@
 // hold while the real plant stays inside the guardband. This package
 // watches the conditions at runtime:
 //
-//   - innovation whiteness (Ljung–Box): a correct Kalman model leaves a
-//     white innovation sequence; autocorrelation means model drift;
 //   - guardband consumption: the running innovation magnitude relative
 //     to each output's design guardband — how much of the certified
 //     uncertainty budget the live mismatch is already spending;
@@ -18,8 +16,13 @@
 //     observed mismatch, so the certificate is re-checked against
 //     reality instead of the design assumption.
 //
-// Monitor streams these from the control loop; Diagnose (diagnose.go)
-// applies the same statistics to a flight-recorder dump after the fact.
+// Monitor streams these from the control loop. Innovation whiteness
+// (Ljung–Box) is not among them: a quantized-actuation loop's
+// innovation is never white even when healthy (the quantizer injects
+// correlated disturbance), so online it cannot separate drift from
+// nominal. Diagnose (diagnose.go) applies it, with the other
+// statistics, to a flight-recorder dump after the fact, where it only
+// corroborates growth.
 package health
 
 import (
@@ -27,6 +30,7 @@ import (
 	"math"
 	"sync"
 
+	"mimoctl/internal/core"
 	"mimoctl/internal/lti"
 	"mimoctl/internal/robust"
 )
@@ -52,102 +56,39 @@ func (l Level) String() string {
 	}
 }
 
-// Options tunes the monitor. Zero values select the defaults, which
-// mirror the paper's operating point (targets 2.5 BIPS / 2.0 W as the
-// normalization scales, guardbands 50% IPS / 30% power from §VI-A2).
-type Options struct {
-	// Window is the sliding-window length for the whiteness test
-	// (default 256 observations).
-	Window int
-	// Lags is the number of Ljung–Box autocorrelation lags (default 8).
-	Lags int
-	// EvalEvery re-runs the whiteness test every this many observations
-	// (default 64): the test is O(Window·Lags), too heavy per epoch.
-	EvalEvery int
-	// IPSScale / PowerScale normalize the innovation channels (defaults
-	// 2.5 BIPS, 2.0 W — the paper's targets).
-	IPSScale, PowerScale float64
-	// IPSGuardband / PowerGuardband are the design guardbands the
-	// consumption gauge is measured against (defaults 0.50, 0.30).
-	IPSGuardband, PowerGuardband float64
-	// ConsumptionAlpha is the EMA coefficient of the running innovation
-	// magnitude (default 0.02 ≈ 50-epoch memory).
-	ConsumptionAlpha float64
-	// Whiteness p-value thresholds (defaults: warn below 1e-2, fail
-	// below 1e-4). A negative threshold disables that check: a
-	// quantized-actuation loop's innovation is never white even when
-	// healthy (the quantizer injects correlated disturbance), so
-	// deployments on coarse knob grids gate on consumption alone.
-	WhitenessWarn, WhitenessFail float64
-	// Guardband-consumption thresholds (defaults: warn at 0.8, fail at
-	// 1.0 — the observed mismatch has eaten the certified budget).
-	ConsumptionWarn, ConsumptionFail float64
-	// Stability-margin thresholds (defaults: warn below 1.2, fail below
-	// 1.0 — the recomputed small-gain certificate no longer holds).
-	MarginWarn, MarginFail float64
-	// Plant and Ctrl, when both set, enable the periodic margin
-	// recompute via robust.Analyze with the guardband inflated to the
-	// observed consumption.
-	Plant, Ctrl *lti.StateSpace
-	// RecomputeEvery is the margin recompute period in observations
-	// (default 2048; the analysis walks a 512-point frequency grid).
-	RecomputeEvery int
-}
+// The monitor's tuning. Innovations are normalized by the paper's
+// targets (core.DefaultIPSTarget, core.DefaultPowerTarget) and their
+// consumption is measured against its design guardbands
+// (core.DefaultIPSGuardband, core.DefaultPowerGuardband, §VI-A2).
+//
+// The consumption thresholds are calibrated against the namd fault
+// sweep: the nominal engaged loop idles near an EMA consumption of
+// ~0.22-0.25, while the plant-drift class pushes it well past the fail
+// line (internal/experiments TestFaultSweep). A fail verdict is a
+// supervisor alarm and arms the adaptation trigger, so it must mean
+// the observed mismatch is drift, not the loop's quantization floor.
+const (
+	// evalEvery re-evaluates the verdict every this many observations.
+	evalEvery = 16
+	// consumptionAlpha is the EMA coefficient of the running innovation
+	// magnitude (≈20-epoch memory).
+	consumptionAlpha = 0.05
+	// consumptionWarn / consumptionFail are the guardband-consumption
+	// thresholds (compared with >=).
+	consumptionWarn = 0.30
+	consumptionFail = 0.40
+	// marginWarn / marginFail are the stability-margin thresholds
+	// (compared with <): below 1 the recomputed small-gain certificate
+	// no longer holds.
+	marginWarn = 1.2
+	marginFail = 1.0
+	// recomputeEvery is the margin recompute period in observations (the
+	// analysis walks a 512-point frequency grid).
+	recomputeEvery = 2048
+)
 
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 256
-	}
-	if o.Lags <= 0 {
-		o.Lags = 8
-	}
-	if o.EvalEvery <= 0 {
-		o.EvalEvery = 64
-	}
-	if o.IPSScale <= 0 {
-		o.IPSScale = 2.5
-	}
-	if o.PowerScale <= 0 {
-		o.PowerScale = 2.0
-	}
-	if o.IPSGuardband <= 0 {
-		o.IPSGuardband = 0.50
-	}
-	if o.PowerGuardband <= 0 {
-		o.PowerGuardband = 0.30
-	}
-	if o.ConsumptionAlpha <= 0 || o.ConsumptionAlpha > 1 {
-		o.ConsumptionAlpha = 0.02
-	}
-	if o.WhitenessWarn == 0 {
-		o.WhitenessWarn = 1e-2
-	}
-	if o.WhitenessFail == 0 {
-		o.WhitenessFail = 1e-4
-	}
-	if o.ConsumptionWarn <= 0 {
-		o.ConsumptionWarn = 0.8
-	}
-	if o.ConsumptionFail <= 0 {
-		o.ConsumptionFail = 1.0
-	}
-	if o.MarginWarn <= 0 {
-		o.MarginWarn = 1.2
-	}
-	if o.MarginFail <= 0 {
-		o.MarginFail = 1.0
-	}
-	if o.RecomputeEvery <= 0 {
-		o.RecomputeEvery = 2048
-	}
-	return o
-}
-
-// Snapshot is one evaluation of the three monitors.
+// Snapshot is one evaluation of the monitor.
 type Snapshot struct {
-	// WhitenessP is the worst (minimum) Ljung–Box p-value across the
-	// innovation channels; 1 until the window has enough samples.
-	WhitenessP float64
 	// GuardbandConsumption is the worst channel's EMA |innovation| /
 	// (scale × guardband): 1.0 means the live mismatch equals the
 	// certified uncertainty budget.
@@ -164,39 +105,32 @@ type Snapshot struct {
 }
 
 // Monitor streams innovation samples from the control loop and
-// maintains the three health figures. Observe is cheap (two ring writes
-// and two EMA updates); the whiteness test and margin recompute run on
-// the configured periods. A nil *Monitor is valid and ignores all
-// calls, so callers can wire it unconditionally.
+// maintains the health figures. Observe is cheap (two EMA updates); the
+// verdict is re-evaluated every evalEvery observations and the margin
+// recomputed every recomputeEvery. A nil *Monitor is valid and ignores
+// all calls, so callers can wire it unconditionally.
 type Monitor struct {
-	mu   sync.Mutex
-	opts Options
+	mu sync.Mutex
 
-	ring  [2][]float64 // normalized innovations, ring order
-	next  int
-	count int
-	n     uint64
-	ema   [2]float64 // EMA of |normalized innovation| per channel
+	// plant and ctrl, when both set (by Rebase), enable the periodic
+	// margin recompute via robust.Analyze with the guardband inflated to
+	// the observed consumption.
+	plant, ctrl *lti.StateSpace
 
-	whiteP float64
+	n   uint64
+	ema [2]float64 // EMA of |normalized innovation| per channel
+
 	margin float64
 	level  Level
 	detail string
 
-	ordered []float64 // scratch: window in chronological order
-
 	tel *healthMetrics // gauges (nil: unbound)
 }
 
-// NewMonitor builds a monitor with the given options.
-func NewMonitor(opts Options) *Monitor {
-	o := opts.withDefaults()
-	m := &Monitor{opts: o, whiteP: 1, margin: math.NaN()}
-	m.ring[0] = make([]float64, o.Window)
-	m.ring[1] = make([]float64, o.Window)
-	m.ordered = make([]float64, o.Window)
-	m.detail = "model health ok"
-	return m
+// NewMonitor builds a monitor with no plant/controller pair: the margin
+// recompute starts when Rebase supplies one.
+func NewMonitor() *Monitor {
+	return &Monitor{margin: math.NaN(), detail: "model health ok"}
 }
 
 // Observe consumes one epoch's Kalman innovation in absolute output
@@ -207,27 +141,17 @@ func (m *Monitor) Observe(innovIPS, innovPowerW float64) {
 	if m == nil {
 		return
 	}
-	ni := innovIPS / m.opts.IPSScale
-	np := innovPowerW / m.opts.PowerScale
+	ni := innovIPS / core.DefaultIPSTarget
+	np := innovPowerW / core.DefaultPowerTarget
 	if math.IsNaN(ni) || math.IsInf(ni, 0) || math.IsNaN(np) || math.IsInf(np, 0) {
 		return
 	}
 	m.mu.Lock()
-	m.ring[0][m.next] = ni
-	m.ring[1][m.next] = np
-	m.next++
-	if m.next == len(m.ring[0]) {
-		m.next = 0
-	}
-	if m.count < len(m.ring[0]) {
-		m.count++
-	}
-	a := m.opts.ConsumptionAlpha
-	m.ema[0] += a * (math.Abs(ni) - m.ema[0])
-	m.ema[1] += a * (math.Abs(np) - m.ema[1])
+	m.ema[0] += consumptionAlpha * (math.Abs(ni) - m.ema[0])
+	m.ema[1] += consumptionAlpha * (math.Abs(np) - m.ema[1])
 	m.n++
-	evalDue := m.n%uint64(m.opts.EvalEvery) == 0
-	marginDue := m.opts.Plant != nil && m.opts.Ctrl != nil && m.n%uint64(m.opts.RecomputeEvery) == 0
+	evalDue := m.n%evalEvery == 0
+	marginDue := m.plant != nil && m.ctrl != nil && m.n%recomputeEvery == 0
 	if marginDue {
 		m.recomputeMarginLocked()
 	}
@@ -237,18 +161,6 @@ func (m *Monitor) Observe(innovIPS, innovPowerW float64) {
 	m.mu.Unlock()
 }
 
-// window copies channel ch of the ring into m.ordered chronologically.
-func (m *Monitor) window(ch int) []float64 {
-	out := m.ordered[:m.count]
-	start := m.next - m.count
-	if start < 0 {
-		start += len(m.ring[ch])
-	}
-	n := copy(out, m.ring[ch][start:])
-	copy(out[n:], m.ring[ch][:m.count-n])
-	return out
-}
-
 // recomputeMarginLocked re-runs the small-gain analysis with each
 // guardband inflated to the observed consumption: the certificate is
 // only as good as the uncertainty bound, so once the live mismatch
@@ -256,10 +168,10 @@ func (m *Monitor) window(ch int) []float64 {
 // what the plant is actually doing.
 func (m *Monitor) recomputeMarginLocked() {
 	gb := [2]float64{
-		math.Max(m.opts.IPSGuardband, m.ema[0]),
-		math.Max(m.opts.PowerGuardband, m.ema[1]),
+		math.Max(core.DefaultIPSGuardband, m.ema[0]),
+		math.Max(core.DefaultPowerGuardband, m.ema[1]),
 	}
-	rep, err := robust.Analyze(m.opts.Plant, m.opts.Ctrl, gb[:])
+	rep, err := robust.Analyze(m.plant, m.ctrl, gb[:])
 	if err != nil {
 		return // keep the previous margin; the models did not change
 	}
@@ -270,19 +182,9 @@ func (m *Monitor) recomputeMarginLocked() {
 	m.margin = rep.Margin
 }
 
-// evaluateLocked refreshes the whiteness p-value, folds the three
-// figures into a Level, and publishes.
+// evaluateLocked folds consumption and margin into a Level and
+// publishes.
 func (m *Monitor) evaluateLocked() {
-	o := m.opts
-	p := 1.0
-	if m.count >= o.Lags+2 {
-		for ch := 0; ch < 2; ch++ {
-			if v := ljungBoxP(m.window(ch), o.Lags); v < p {
-				p = v
-			}
-		}
-	}
-	m.whiteP = p
 	cons := m.consumptionLocked()
 	level, detail := LevelOK, "model health ok"
 	check := func(l Level, d string) {
@@ -290,39 +192,33 @@ func (m *Monitor) evaluateLocked() {
 			level, detail = l, d
 		}
 	}
-	if o.WhitenessFail > 0 && p < o.WhitenessFail {
-		check(LevelFail, fmt.Sprintf("innovation not white (Ljung-Box p=%.2g)", p))
-	} else if o.WhitenessWarn > 0 && p < o.WhitenessWarn {
-		check(LevelWarn, fmt.Sprintf("innovation whiteness degraded (Ljung-Box p=%.2g)", p))
-	}
-	if cons >= o.ConsumptionFail {
+	if cons >= consumptionFail {
 		check(LevelFail, fmt.Sprintf("guardband exhausted (consumption %.0f%%)", cons*100))
-	} else if cons >= o.ConsumptionWarn {
+	} else if cons >= consumptionWarn {
 		check(LevelWarn, fmt.Sprintf("guardband consumption %.0f%%", cons*100))
 	}
 	if !math.IsNaN(m.margin) {
-		if m.margin < o.MarginFail {
+		if m.margin < marginFail {
 			check(LevelFail, fmt.Sprintf("small-gain certificate lost (margin %.2f)", m.margin))
-		} else if m.margin < o.MarginWarn {
+		} else if m.margin < marginWarn {
 			check(LevelWarn, fmt.Sprintf("stability margin thin (%.2f)", m.margin))
 		}
 	}
 	m.level, m.detail = level, detail
 	if m.tel != nil {
-		m.tel.publish(m.snapshotLocked(), [2]float64{m.ema[0] / o.IPSGuardband, m.ema[1] / o.PowerGuardband})
+		m.tel.publish(m.snapshotLocked(), [2]float64{m.ema[0] / core.DefaultIPSGuardband, m.ema[1] / core.DefaultPowerGuardband})
 	}
 }
 
 // consumptionLocked returns the worst channel's budget consumption.
 func (m *Monitor) consumptionLocked() float64 {
-	c0 := m.ema[0] / m.opts.IPSGuardband
-	c1 := m.ema[1] / m.opts.PowerGuardband
+	c0 := m.ema[0] / core.DefaultIPSGuardband
+	c1 := m.ema[1] / core.DefaultPowerGuardband
 	return math.Max(c0, c1)
 }
 
 func (m *Monitor) snapshotLocked() Snapshot {
 	return Snapshot{
-		WhitenessP:           m.whiteP,
 		GuardbandConsumption: m.consumptionLocked(),
 		StabilityMargin:      m.margin,
 		Level:                m.level,
@@ -349,29 +245,22 @@ func (m *Monitor) ObservedMismatch() (ips, power float64) {
 
 // Rebase re-points the margin recompute at a new plant/controller pair
 // and clears every running statistic. The adaptation loop calls it
-// after a hot swap: the ring and EMAs describe the old model's
-// innovations, and left in place they would immediately re-trigger the
-// very drift alarm the swap just resolved. Passing nil models disables
-// the margin recompute.
+// after a hot swap: the EMAs describe the old model's innovations, and
+// left in place they would immediately re-trigger the very drift alarm
+// the swap just resolved. Passing nil models disables the margin
+// recompute.
 func (m *Monitor) Rebase(plant, ctrl *lti.StateSpace) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.opts.Plant, m.opts.Ctrl = plant, ctrl
-	for i := range m.ring[0] {
-		m.ring[0][i] = 0
-		m.ring[1][i] = 0
-	}
-	m.next, m.count = 0, 0
+	m.plant, m.ctrl = plant, ctrl
 	m.ema = [2]float64{}
-	m.whiteP = 1
 	m.margin = math.NaN()
 	m.level, m.detail = LevelOK, "model health ok (rebased)"
 }
 
-// Snapshot returns the most recent evaluation.
 // Level returns the current combined verdict without copying the full
 // snapshot — cheap enough for a per-epoch supervisor check.
 func (m *Monitor) Level() Level {
@@ -383,9 +272,10 @@ func (m *Monitor) Level() Level {
 	return m.level
 }
 
+// Snapshot returns the most recent evaluation.
 func (m *Monitor) Snapshot() Snapshot {
 	if m == nil {
-		return Snapshot{WhitenessP: 1, StabilityMargin: math.NaN(), Detail: "no monitor"}
+		return Snapshot{StabilityMargin: math.NaN(), Detail: "no monitor"}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -29,34 +29,26 @@ import (
 	"mimoctl/internal/sim"
 )
 
-// Options holds the tuned rule parameters. Zero values select the
-// constants obtained by offline tuning on the paper's training set
-// (sjeng, gobmk, leslie3d, namd).
+// Options selects the rule set.
 type Options struct {
 	// ThreeInput enables the ROB knob; the rule set changes with it.
 	ThreeInput bool
-	// DecisionEveryEpochs rate-limits actuation.
-	DecisionEveryEpochs int
 }
 
-// The rule thresholds: powerDeadband and ipsDeadband are the relative
-// errors below which no action is taken; memBoundL2MPKI is the L2 miss
-// rate above which the application is classified memory-bound, changing
-// the feature ranking; emaAlpha smooths the noisy sensors before rule
-// evaluation.
+// The rule constants, obtained by offline tuning on the paper's
+// training set (sjeng, gobmk, leslie3d, namd): powerDeadband and
+// ipsDeadband are the relative errors below which no action is taken;
+// memBoundL2MPKI is the L2 miss rate above which the application is
+// classified memory-bound, changing the feature ranking; emaAlpha
+// smooths the noisy sensors before rule evaluation; decisionEveryEpochs
+// rate-limits actuation.
 const (
-	powerDeadband  float64 = 0.04
-	ipsDeadband    float64 = 0.05
-	memBoundL2MPKI float64 = 5.0
-	emaAlpha       float64 = 0.25
+	powerDeadband       float64 = 0.04
+	ipsDeadband         float64 = 0.05
+	memBoundL2MPKI      float64 = 5.0
+	emaAlpha            float64 = 0.25
+	decisionEveryEpochs         = 4
 )
-
-func (o Options) withDefaults() Options {
-	if o.DecisionEveryEpochs == 0 {
-		o.DecisionEveryEpochs = 4
-	}
-	return o
-}
 
 // Tracker is the tracking-mode heuristic controller.
 type Tracker struct {
@@ -73,7 +65,7 @@ type Tracker struct {
 
 // NewTracker builds the tracking controller.
 func NewTracker(opts Options) *Tracker {
-	t := &Tracker{opts: opts.withDefaults()}
+	t := &Tracker{opts: opts}
 	t.SetTargets(core.DefaultIPSTarget, core.DefaultPowerTarget)
 	return t
 }
@@ -103,7 +95,7 @@ func (h *Tracker) Step(t sim.Telemetry) sim.Config {
 	}
 	h.observe(t)
 	h.sinceDecision++
-	if !h.haveEMA || h.sinceDecision < h.opts.DecisionEveryEpochs {
+	if !h.haveEMA || h.sinceDecision < decisionEveryEpochs {
 		return h.cur
 	}
 	h.sinceDecision = 0
@@ -222,20 +214,17 @@ func (h *Tracker) decCache() bool { return h.inc(&h.cur.CacheIdx, len(sim.CacheS
 
 // Searcher is the optimization-mode heuristic (minimize E·D^(k-1)): an
 // iterative coordinate search testing a few configurations of each
-// feature in impact-rank order, limited to MaxTries trials per episode.
-// A full search (from the midrange configuration) runs at startup and on
-// phase changes; the periodic invocations re-measure the current point
-// and probe the top-ranked feature only.
+// feature in impact-rank order, limited to the MIMO optimizer's
+// core.DefaultOptimizerMaxTries trials per episode and timed by its
+// settle, measure and period constants. A full search (from the
+// midrange configuration) runs at startup and on phase changes; the
+// periodic invocations re-measure the current point and probe
+// refineTries moves of the top-ranked feature.
 type Searcher struct {
 	k    int
 	opts Options
 
-	maxTries    int
-	refineTries int
-	backoff     int
-	settle      int
-	measure     int
-	period      int
+	backoff int
 
 	// Search state.
 	state       searchState
@@ -268,6 +257,9 @@ const (
 	searchHold
 )
 
+// refineTries is the trial budget of a periodic refinement episode.
+const refineTries = 2
+
 type knob int
 
 const (
@@ -281,9 +273,6 @@ type SearcherConfig struct {
 	// K selects the metric IPS^K/P.
 	K int
 	Options
-	SettleEpochs  int
-	MeasureEpochs int
-	PeriodEpochs  int
 }
 
 // NewSearcher builds the optimization-mode controller.
@@ -291,19 +280,8 @@ func NewSearcher(cfg SearcherConfig) (*Searcher, error) {
 	if cfg.K < 1 {
 		return nil, errors.New("heuristic: K must be >= 1")
 	}
-	if cfg.SettleEpochs == 0 {
-		cfg.SettleEpochs = 8
-	}
-	if cfg.MeasureEpochs == 0 {
-		cfg.MeasureEpochs = 20
-	}
-	if cfg.PeriodEpochs == 0 {
-		cfg.PeriodEpochs = core.DefaultOptimizerPeriodEpochs
-	}
 	s := &Searcher{
-		k: cfg.K, opts: cfg.Options.withDefaults(),
-		maxTries: core.DefaultOptimizerMaxTries, refineTries: 2, settle: cfg.SettleEpochs,
-		measure: cfg.MeasureEpochs, period: cfg.PeriodEpochs,
+		k: cfg.K, opts: cfg.Options,
 		ipsTarget: core.DefaultIPSTarget, powerTarget: core.DefaultPowerTarget,
 	}
 	s.Reset()
@@ -326,7 +304,7 @@ func (s *Searcher) Reset() {
 	s.state = searchInit
 	s.stateEpochs = 0
 	s.tries = 0
-	s.triesBudget = s.maxTries
+	s.triesBudget = core.DefaultOptimizerMaxTries
 	s.forceMid = true
 	s.rankPos = 0
 	s.dir = +1
@@ -344,7 +322,7 @@ func (s *Searcher) refine() {
 	s.state = searchInit
 	s.stateEpochs = 0
 	s.tries = 0
-	s.triesBudget = s.refineTries
+	s.triesBudget = refineTries
 	s.forceMid = false
 	s.rankPos = 0
 	s.dir = +1
@@ -375,13 +353,13 @@ func (s *Searcher) Step(t sim.Telemetry) sim.Config {
 
 	switch s.state {
 	case searchInit:
-		if s.stateEpochs > s.settle && usable(t.IPS) && usable(t.PowerW) && usable(t.L2MPKI) {
+		if s.stateEpochs > core.DefaultOptimizerSettleEpochs && usable(t.IPS) && usable(t.PowerW) && usable(t.L2MPKI) {
 			s.sumIPS += t.IPS
 			s.sumP += t.PowerW
 			s.sumL2 += t.L2MPKI
 			s.sumN++
 		}
-		if s.stateEpochs >= s.settle+s.measure && s.sumN > 0 {
+		if s.stateEpochs >= core.DefaultOptimizerSettleEpochs+core.DefaultOptimizerMeasureEpochs && s.sumN > 0 {
 			ips := s.sumIPS / float64(s.sumN)
 			p := s.sumP / float64(s.sumN)
 			l2 := s.sumL2 / float64(s.sumN)
@@ -412,12 +390,12 @@ func (s *Searcher) Step(t sim.Telemetry) sim.Config {
 		return s.cur
 
 	case searchTrial:
-		if s.stateEpochs > s.settle && usable(t.IPS) && usable(t.PowerW) {
+		if s.stateEpochs > core.DefaultOptimizerSettleEpochs && usable(t.IPS) && usable(t.PowerW) {
 			s.sumIPS += t.IPS
 			s.sumP += t.PowerW
 			s.sumN++
 		}
-		if s.stateEpochs >= s.settle+s.measure && s.sumN > 0 {
+		if s.stateEpochs >= core.DefaultOptimizerSettleEpochs+core.DefaultOptimizerMeasureEpochs && s.sumN > 0 {
 			ips := s.sumIPS / float64(s.sumN)
 			p := s.sumP / float64(s.sumN)
 			m := s.metric(ips, p)
@@ -451,7 +429,7 @@ func (s *Searcher) Step(t sim.Telemetry) sim.Config {
 	default: // searchHold
 		// Fruitless refinements back off exponentially, like the MIMO
 		// optimizer, so a converged search stops paying exploration cost.
-		if s.sincePeriod >= s.period*s.backoff {
+		if s.sincePeriod >= core.DefaultOptimizerPeriodEpochs*s.backoff {
 			s.refine()
 		}
 		return s.cur

@@ -63,21 +63,24 @@ func TestTrackerDeadbandHolds(t *testing.T) {
 }
 
 func TestTrackerRateLimit(t *testing.T) {
-	h := NewTracker(Options{DecisionEveryEpochs: 10})
+	h := NewTracker(Options{})
 	h.SetTargets(2.5, 2.0)
 	start := sim.MidrangeConfig()
-	sample := tel(2.5, 3.0, 1, start)
-	var moves int
+	sample := tel(2.5, 3.0, 1, start) // over budget: every decision moves
+	moves, last := 0, -decisionEveryEpochs
 	prev := start
 	for i := 0; i < 40; i++ {
 		cfg := h.Step(sample)
 		if cfg != prev {
+			if i-last < decisionEveryEpochs {
+				t.Fatalf("moved at epochs %d and %d, closer than the %d-epoch decision interval", last, i, decisionEveryEpochs)
+			}
 			moves++
-			prev = cfg
+			last, prev = i, cfg
 		}
 	}
-	if moves > 4 {
-		t.Fatalf("%d moves in 40 epochs with a 10-epoch decision interval", moves)
+	if moves < 2 {
+		t.Fatalf("%d moves in 40 epochs over budget: the interval was never tested", moves)
 	}
 }
 
@@ -136,16 +139,32 @@ func (searchPlant) telemetry(cfg sim.Config, phase int) sim.Telemetry {
 	return sim.Telemetry{IPS: ips, PowerW: power, L2MPKI: 1, PhaseID: phase, Config: cfg}
 }
 
+// trialEpochs is one settled and measured search trial.
+const trialEpochs = core.DefaultOptimizerSettleEpochs + core.DefaultOptimizerMeasureEpochs
+
+// searchToHold steps s on the telemetry tel returns for each issued
+// configuration until its search episode ends, failing when it has not
+// ended within one full episode (the midrange measurement and every
+// trial); it returns the configuration held.
+func searchToHold(t *testing.T, s *Searcher, tel func(sim.Config) sim.Telemetry) sim.Config {
+	t.Helper()
+	cfg := sim.MidrangeConfig()
+	for k := 0; k == 0 || s.state != searchHold; k++ {
+		if k > (core.DefaultOptimizerMaxTries+1)*trialEpochs {
+			t.Fatalf("search still in state %v after %d epochs", s.state, k)
+		}
+		cfg = s.Step(tel(cfg))
+	}
+	return cfg
+}
+
 func TestSearcherImprovesMetric(t *testing.T) {
-	s, err := NewSearcher(SearcherConfig{K: 2, SettleEpochs: 1, MeasureEpochs: 1, PeriodEpochs: 100000})
+	s, err := NewSearcher(SearcherConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := searchPlant{}
-	cfg := sim.MidrangeConfig()
-	for i := 0; i < 300; i++ {
-		cfg = s.Step(p.telemetry(cfg, 0))
-	}
+	cfg := searchToHold(t, s, func(c sim.Config) sim.Telemetry { return p.telemetry(c, 0) })
 	mid := p.telemetry(sim.MidrangeConfig(), 0)
 	final := p.telemetry(cfg, 0)
 	m0 := mid.IPS * mid.IPS / mid.PowerW
@@ -153,24 +172,15 @@ func TestSearcherImprovesMetric(t *testing.T) {
 	if m1 <= m0 {
 		t.Fatalf("search did not improve the metric: %v -> %v (cfg %v)", m0, m1, cfg)
 	}
-	if s.state != searchHold {
-		t.Fatalf("search did not settle: state %v", s.state)
-	}
 }
 
 func TestSearcherRestartsOnPhaseChange(t *testing.T) {
-	s, err := NewSearcher(SearcherConfig{K: 2, SettleEpochs: 1, MeasureEpochs: 1, PeriodEpochs: 100000})
+	s, err := NewSearcher(SearcherConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := searchPlant{}
-	cfg := sim.MidrangeConfig()
-	for i := 0; i < 300; i++ {
-		cfg = s.Step(p.telemetry(cfg, 0))
-	}
-	if s.state != searchHold {
-		t.Fatal("not settled")
-	}
+	cfg := searchToHold(t, s, func(c sim.Config) sim.Telemetry { return p.telemetry(c, 0) })
 	s.Step(p.telemetry(cfg, 1))
 	if s.state != searchInit {
 		t.Fatal("phase change did not restart search")
@@ -178,7 +188,7 @@ func TestSearcherRestartsOnPhaseChange(t *testing.T) {
 }
 
 func TestSearcherPeriodicRestart(t *testing.T) {
-	s, err := NewSearcher(SearcherConfig{K: 2, SettleEpochs: 1, MeasureEpochs: 1, PeriodEpochs: 120})
+	s, err := NewSearcher(SearcherConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +196,9 @@ func TestSearcherPeriodicRestart(t *testing.T) {
 	cfg := sim.MidrangeConfig()
 	settled := false
 	restarted := false
-	for i := 0; i < 400; i++ {
+	// The first hold doubles the period: the refinement starts 2 periods
+	// after the search did.
+	for i := 0; i < 3*core.DefaultOptimizerPeriodEpochs; i++ {
 		cfg = s.Step(p.telemetry(cfg, 0))
 		if s.state == searchHold {
 			settled = true
@@ -202,21 +214,21 @@ func TestSearcherPeriodicRestart(t *testing.T) {
 }
 
 func TestSearcherRanksMemoryBoundCacheFirst(t *testing.T) {
-	s, err := NewSearcher(SearcherConfig{K: 2, SettleEpochs: 1, MeasureEpochs: 1})
+	s, err := NewSearcher(SearcherConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.MidrangeConfig()
 	// Feed memory-bound telemetry through the init phase.
-	for i := 0; i < 3 && s.state == searchInit; i++ {
+	for i := 0; i < trialEpochs && s.state == searchInit; i++ {
 		s.Step(sim.Telemetry{IPS: 1, PowerW: 1, L2MPKI: 30, Config: cfg})
 	}
 	if len(s.rank) == 0 || s.rank[0] != knobCache {
 		t.Fatalf("memory-bound rank %v, want cache first", s.rank)
 	}
 	// And compute-bound puts frequency first.
-	s2, _ := NewSearcher(SearcherConfig{K: 2, SettleEpochs: 1, MeasureEpochs: 1})
-	for i := 0; i < 3 && s2.state == searchInit; i++ {
+	s2, _ := NewSearcher(SearcherConfig{K: 2})
+	for i := 0; i < trialEpochs && s2.state == searchInit; i++ {
 		s2.Step(sim.Telemetry{IPS: 1, PowerW: 1, L2MPKI: 0.5, Config: cfg})
 	}
 	if len(s2.rank) == 0 || s2.rank[0] != knobFreq {
@@ -243,7 +255,7 @@ func TestSearcherValidation(t *testing.T) {
 }
 
 func TestSearcherThreeInputMovesROB(t *testing.T) {
-	s, err := NewSearcher(SearcherConfig{K: 2, Options: Options{ThreeInput: true}, SettleEpochs: 1, MeasureEpochs: 1, PeriodEpochs: 100000})
+	s, err := NewSearcher(SearcherConfig{K: 2, Options: Options{ThreeInput: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +264,7 @@ func TestSearcherThreeInputMovesROB(t *testing.T) {
 		ips := 1 + float64(cfg.ROBEntries())/64
 		return sim.Telemetry{IPS: ips, PowerW: 1, L2MPKI: 30, PhaseID: phase, Config: cfg}
 	}
-	cfg := sim.MidrangeConfig()
-	for i := 0; i < 300; i++ {
-		cfg = s.Step(mk(cfg, 0))
-	}
+	cfg := searchToHold(t, s, func(c sim.Config) sim.Telemetry { return mk(c, 0) })
 	if cfg.ROBIdx <= sim.MidrangeConfig().ROBIdx {
 		t.Fatalf("3-input search never grew the ROB: %v", cfg)
 	}

@@ -65,13 +65,13 @@ func paperDesign(t testing.TB, threeInput bool) *lqg.Controller {
 
 // shape is one random controller structure.
 type shape struct {
-	n, ni, no                    int
-	deltaU, integral, antiWindup bool
+	n, ni, no        int
+	deltaU, integral bool
 }
 
 func (s shape) String() string {
-	return fmt.Sprintf("n=%d ni=%d no=%d deltaU=%v integral=%v antiWindup=%v",
-		s.n, s.ni, s.no, s.deltaU, s.integral, s.antiWindup)
+	return fmt.Sprintf("n=%d ni=%d no=%d deltaU=%v integral=%v",
+		s.n, s.ni, s.no, s.deltaU, s.integral)
 }
 
 // randomDesign designs a controller of shape s for a random stable
@@ -108,9 +108,7 @@ func randomDesign(s shape, rng *rand.Rand) *lqg.Controller {
 		w.InputWeights[i] = math.Exp(2 * rng.Float64())
 	}
 	noise := lqg.Noise{W: mat.Scale(1e-3, mat.Identity(s.n)), V: mat.Scale(1e-3, mat.Identity(s.no))}
-	ctrl, err := lqg.Design(plant, w, noise, lqg.Options{
-		DeltaU: s.deltaU, Integral: s.integral, DisableAntiWindup: !s.antiWindup,
-	})
+	ctrl, err := lqg.Design(plant, w, noise, lqg.Options{DeltaU: s.deltaU, Integral: s.integral})
 	if err != nil {
 		return nil
 	}
@@ -229,9 +227,9 @@ func TestStepMatchesReferencePaperDesigns(t *testing.T) {
 
 // TestStepMatchesReferenceRandomShapes runs random designs of every
 // shape the controller supports — order 1–8, 1–3 inputs, 1–2 outputs,
-// ΔU, integral and anti-windup each on and off — against the reference.
-// Every fourth trial draws the next shape of the kernel table, with
-// random gains and anti-windup, so every kernel runs at least
+// ΔU and integral each on and off — against the reference. Every
+// fourth trial draws the next shape of the kernel table, with random
+// gains, so every kernel runs at least
 // minPerKernel designs; a uniform draw would reach (2, 1, 1, ΔU,
 // integral) about once in 96 trials.
 func TestStepMatchesReferenceRandomShapes(t *testing.T) {
@@ -242,7 +240,7 @@ func TestStepMatchesReferenceRandomShapes(t *testing.T) {
 	ran := map[string]int{}
 	for trial := 0; trial < 400; trial++ {
 		s := shape{n: 1 + rng.Intn(8), ni: 1 + rng.Intn(3),
-			deltaU: rng.Intn(2) == 0, integral: rng.Intn(2) == 0, antiWindup: rng.Intn(2) == 0}
+			deltaU: rng.Intn(2) == 0, integral: rng.Intn(2) == 0}
 		s.no = 1 + rng.Intn(min(2, s.ni))
 		if trial%4 == 0 {
 			k := table[trial/4%len(table)]
@@ -326,10 +324,10 @@ func FuzzStepVsReference(f *testing.F) {
 		}
 		return out
 	}
-	// header encodes a shape as the fuzz body decodes it, with
-	// anti-windup on and plant seed 7.
+	// header encodes a shape as the fuzz body decodes it, with plant
+	// seed 7.
 	header := func(n, ni, no int, deltaU, integral bool) []byte {
-		flags := byte(4)
+		var flags byte
 		if deltaU {
 			flags |= 1
 		}
@@ -340,7 +338,7 @@ func FuzzStepVsReference(f *testing.F) {
 	}
 	fleet := header(4, 2, 2, true, true)
 	f.Add(append(fleet, rec(2, 0.4, -0.1, 0.25)...))
-	f.Add(append([]byte{7 | 2<<3, 0x05, 3}, append(rec(0, 1, 2, 0), rec(3, math.NaN(), math.Inf(1), 0.5)...)...))
+	f.Add(append([]byte{7 | 2<<3, 0x01, 3}, append(rec(0, 1, 2, 0), rec(3, math.NaN(), math.Inf(1), 0.5)...)...))
 	f.Add(append(append(fleet, rec(4, math.Inf(-1), 1, math.NaN())...), rec(5, 0.3, 0.2, math.Inf(1))...))
 	// One seed per kernel: a reference change, then steps fed back
 	// exactly, perturbed, from the payload and not at all.
@@ -357,7 +355,7 @@ func FuzzStepVsReference(f *testing.F) {
 			return
 		}
 		s := shape{n: 1 + int(data[0]&7), ni: 1 + int(data[0]>>3&3)%3,
-			deltaU: data[1]&1 != 0, integral: data[1]&2 != 0, antiWindup: data[1]&4 != 0}
+			deltaU: data[1]&1 != 0, integral: data[1]&2 != 0}
 		s.no = 1 + int(data[0]>>5&1)%min(2, s.ni)
 		key := [3]byte{data[0], data[1], data[2]}
 		fuzzDesigns.Lock()

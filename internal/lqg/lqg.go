@@ -47,16 +47,16 @@ type Options struct {
 	DeltaU bool
 	// Integral adds integrator states on the tracking errors so constant
 	// model mismatch cannot leave a steady-state offset.
+	//
+	// The integrators always run conditional integration: when the
+	// actuator cannot realize the requested input (quantization or range
+	// saturation, reported via ObserveApplied), any integrator whose
+	// error pushes the inputs further into the unrealizable direction is
+	// frozen for that step, while integrators pulling back toward the
+	// feasible region keep working. Without it, an unreachable reference
+	// winds the integrators up without bound and the actuators slam into
+	// a corner.
 	Integral bool
-	// DisableAntiWindup turns off conditional integration. By default,
-	// when the actuator cannot realize the requested input (quantization
-	// or range saturation, reported via ObserveApplied), any integrator
-	// whose error pushes the inputs further into the unrealizable
-	// direction is frozen for that step, while integrators pulling back
-	// toward the feasible region keep working. Without this, an
-	// unreachable reference winds the integrators up without bound and
-	// the actuators slam into a corner.
-	DisableAntiWindup bool
 }
 
 // integralWeight scales the cost on the integrator states relative to
@@ -128,7 +128,7 @@ type flatGains struct {
 	kz        []float64 // ni×no (Integral only)
 	tg        []float64 // target calculator: (n+ni)×no
 
-	deltaU, integral, antiWindup bool
+	deltaU, integral bool
 	// kernel is the unrolled Step and ObserveApplied kernels.go holds
 	// for the design's shape. For a shape outside that table its funcs
 	// are nil, and Step and ObserveApplied run the generic loops.
@@ -137,7 +137,6 @@ type flatGains struct {
 
 // kernelShape is a controller structure with an unrolled kernel: the
 // plant's order, inputs and outputs, and the ΔU and integral options.
-// Anti-windup is not part of it; a kernel tests that flag at run time.
 type kernelShape struct {
 	n, ni, no        int
 	deltaU, integral bool
@@ -165,10 +164,9 @@ func newFlatGains(c *Controller) *flatGains {
 		n: p.Order(), ni: p.Inputs(), no: p.Outputs(),
 		a: flat(p.A), b: flat(p.B), c: flat(p.C),
 		lc: flat(c.lc), kx: flat(c.kx), ku: flat(c.ku), kz: flat(c.kz),
-		tg:         flat(c.targetGain),
-		deltaU:     c.opts.DeltaU,
-		integral:   c.opts.Integral,
-		antiWindup: !c.opts.DisableAntiWindup,
+		tg:       flat(c.targetGain),
+		deltaU:   c.opts.DeltaU,
+		integral: c.opts.Integral,
 	}
 	g.kernel = kernels[kernelShape{g.n, g.ni, g.no, g.deltaU, g.integral}]
 	return g

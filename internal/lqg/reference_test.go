@@ -194,7 +194,7 @@ func (c *refController) Step(y []float64) ([]float64, error) {
 	// the inputs further into the unrealizable direction is skipped
 	// this step; errors pulling back toward feasibility still integrate.
 	if c.opts.Integral {
-		saturated := !c.opts.DisableAntiWindup && mat.VecNorm2(c.lastExcess) > 1e-12
+		saturated := mat.VecNorm2(c.lastExcess) > 1e-12
 		for i := range c.zInt {
 			e := c.ref[i] - y[i]
 			if saturated && e != 0 {

@@ -133,14 +133,11 @@ func (c *Controller) Step(y []float64) ([]float64, error) {
 	// the inputs further into the unrealizable direction is skipped
 	// this step; errors pulling back toward feasibility still integrate.
 	if g.integral {
-		saturated := false
-		if g.antiWindup {
-			var nrm float64
-			for _, v := range c.lastExcess {
-				nrm += v * v
-			}
-			saturated = nrm > satThreshold
+		var nrm float64
+		for _, v := range c.lastExcess {
+			nrm += v * v
 		}
+		saturated := nrm > satThreshold
 		for i := 0; i < no; i++ {
 			e := c.ref[i] - y[i]
 			if saturated && e != 0 {

@@ -18,9 +18,8 @@ import (
 
 // quietInner is an ArchController whose Step performs no allocation, for
 // hot-path budget tests (fakeInner records the telemetry it sees, which
-// allocates). Its innovations cycle through a precomputed white-noise
-// ring: a constant innovation is maximally autocorrelated and would —
-// correctly — fail the model-health whiteness test.
+// allocates). Its innovations cycle through a precomputed ring of small
+// white noise, well inside the model-health guardband.
 type quietInner struct {
 	cfg    sim.Config
 	innovs [][]float64
@@ -29,7 +28,7 @@ type quietInner struct {
 
 func newQuietInner(seed int64) *quietInner {
 	rng := rand.New(rand.NewSource(seed))
-	innovs := make([][]float64, 509) // prime-ish vs the monitor window
+	innovs := make([][]float64, 509)
 	for i := range innovs {
 		innovs[i] = []float64{0.01 * rng.NormFloat64(), 0.01 * rng.NormFloat64()}
 	}
@@ -73,12 +72,12 @@ func adaptModel(t *testing.T) *sysid.Model {
 	return m
 }
 
-func newTestAdapter(t *testing.T, mon *health.Monitor, opts adapt.Options) *adapt.Adapter {
+func newTestAdapter(t *testing.T, mon *health.Monitor, seed int64) *adapt.Adapter {
 	t.Helper()
-	opts.Model = adaptModel(t)
-	opts.Target = &adoptSink{}
-	opts.Monitor = mon
-	ad, err := adapt.New(opts)
+	ad, err := adapt.New(adapt.Options{
+		Model: adaptModel(t), Target: &adoptSink{}, Monitor: mon, Seed: seed,
+		IPSGuardband: core.DefaultIPSGuardband, PowerGuardband: core.DefaultPowerGuardband,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func newTestAdapter(t *testing.T, mon *health.Monitor, opts adapt.Options) *adap
 }
 
 func TestAdaptiveNameAndAccessor(t *testing.T) {
-	ad := newTestAdapter(t, nil, adapt.Options{Seed: 1})
+	ad := newTestAdapter(t, nil, 1)
 	sup := New(newFakeInner(), Options{Adapter: ad})
 	if got := sup.Name(); got != "Adaptive(Fake)" {
 		t.Fatalf("Name() = %q, want Adaptive(Fake)", got)
@@ -99,22 +98,27 @@ func TestAdaptiveNameAndAccessor(t *testing.T) {
 	}
 }
 
+// windUpEpochs is a healthy stretch of constant telemetry long enough
+// to wind the adapter's estimator covariance past its excitation
+// threshold, so the next episode starts with a dither round.
+const windUpEpochs = 1000
+
 // TestModelFallbackTriggersAdapter: a fallback caused by model-shaped
 // evidence (innovation alarm on live sensors) must hand the adapter a
 // drift trigger, and the adaptation loop must keep running — and dither
 // — while the supervisor sits pinned in fallback.
 func TestModelFallbackTriggersAdapter(t *testing.T) {
 	inner := newFakeInner()
+	ad := newTestAdapter(t, nil, 2)
+	sup := New(inner, Options{Adapter: ad})
+	k := 0
+	for ; k < windUpEpochs; k++ {
+		sup.Step(goodTel(k))
+	}
 	inner.innov = []float64{5, 5} // sustained 2x-target model error
-	ad := newTestAdapter(t, nil, adapt.Options{
-		Seed: 2, ExciteEpochs: 40, ExcitationGood: 1e-9, MaxAttempts: 1,
-	})
-	opts := Options{GraceEpochs: 10, InnovationAlpha: 0.2, InnovationLimit: 0.6,
-		FallbackAfter: 20, MinFallbackEpochs: 1 << 30, Adapter: ad}
-	sup := New(inner, opts)
 
 	sawExcite := false
-	for k := 0; k < 300 && !sawExcite; k++ {
+	for ; k < 2*windUpEpochs && !sawExcite; k++ {
 		cfg := sup.Step(goodTel(k))
 		if sup.Mode() == ModeFallback && cfg != sup.SafeConfig() {
 			sawExcite = true // dither moved the pinned configuration
@@ -123,8 +127,11 @@ func TestModelFallbackTriggersAdapter(t *testing.T) {
 	if sup.Mode() != ModeFallback {
 		t.Fatal("innovation alarm never tripped the fallback")
 	}
-	if ad.Stats().Triggers == 0 {
-		t.Fatal("model-shaped fallback did not trigger the adapter")
+	if h := sup.Health(); h.Fallbacks != 1 || h.InnovationAlarms != fallbackAfter {
+		t.Fatalf("health %+v, want 1 fallback after %d innovation alarms", h, fallbackAfter)
+	}
+	if n := ad.Stats().Triggers; n != 1 {
+		t.Fatalf("model-shaped fallback started %d adaptation episodes, want 1", n)
 	}
 	if !sawExcite {
 		t.Fatal("adapter never dithered around the pinned safe configuration")
@@ -136,17 +143,16 @@ func TestModelFallbackTriggersAdapter(t *testing.T) {
 // a plant we cannot observe would be garbage-in.
 func TestDeadSensorFallbackDoesNotTriggerAdapter(t *testing.T) {
 	inner := newFakeInner()
-	ad := newTestAdapter(t, nil, adapt.Options{Seed: 3})
-	opts := Options{MaxStaleEpochs: 20, FallbackAfter: 10, MinFallbackEpochs: 1 << 30, Adapter: ad}
-	sup := New(inner, opts)
+	ad := newTestAdapter(t, nil, 3)
+	sup := New(inner, Options{Adapter: ad})
 	sup.Step(goodTel(0))
-	for k := 1; k < 300; k++ {
+	for k := 1; k < 3*(maxStaleEpochs+fallbackAfter); k++ {
 		dead := goodTel(k)
 		dead.PowerW = 0 // hard dropout every epoch
 		sup.Step(dead)
 	}
-	if sup.Mode() != ModeFallback {
-		t.Fatal("dead sensor never tripped the fallback")
+	if h := sup.Health(); sup.Mode() != ModeFallback || h.Fallbacks != 1 || h.DeadSensorEpochs != fallbackAfter {
+		t.Fatalf("mode %v health %+v, want one dead-sensor fallback", sup.Mode(), h)
 	}
 	if n := ad.Stats().Triggers; n != 0 {
 		t.Fatalf("dead-sensor fallback triggered %d adaptation episodes, want 0", n)
@@ -158,11 +164,12 @@ func TestDeadSensorFallbackDoesNotTriggerAdapter(t *testing.T) {
 // idle adapter must still cost zero allocations per engaged epoch.
 func TestAdaptationIdleStepZeroAlloc(t *testing.T) {
 	q := newQuietInner(44)
-	mon := health.NewMonitor(health.Options{})
-	ad := newTestAdapter(t, mon, adapt.Options{Seed: 4})
+	mon := health.NewMonitor()
+	ad := newTestAdapter(t, mon, 4)
 	sup := New(q, Options{ModelHealth: mon, Adapter: ad})
 	tel := goodTel(0)
-	for k := 0; k < 60; k++ {
+	// Past the grace period, the alarm path runs every epoch.
+	for k := 0; k < graceEpochs+64; k++ {
 		sup.Step(tel)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -181,31 +188,32 @@ func TestAdaptationIdleStepZeroAlloc(t *testing.T) {
 
 // TestSwapFlagsReachRecorder: an episode started by a model fallback
 // under an attached flight recorder must leave FlagExcitation evidence
-// in the records.
+// in the records: one flagged record per dithered epoch.
 func TestSwapFlagsReachRecorder(t *testing.T) {
 	inner := newFakeInner()
-	ad := newTestAdapter(t, nil, adapt.Options{
-		Seed: 5, ExciteEpochs: 30, ExcitationGood: 1e-9, MaxAttempts: 1,
-	})
+	ad := newTestAdapter(t, nil, 5)
 	sup := New(inner, Options{Adapter: ad})
 	rec := flightrec.New(4096)
 	sup.SetFlightRecorder(rec)
+	k := 0
+	for ; k < windUpEpochs; k++ {
+		sup.Step(goodTel(k))
+	}
 	ad.NoteModelFallback()
-	for k := 0; k < 200; k++ {
+	for ; k < 2*windUpEpochs; k++ {
 		sup.Step(goodTel(k))
 	}
 	st := ad.Stats()
-	if st.Triggers == 0 || st.ExciteEpochs == 0 {
+	if st.Triggers != 1 || st.ExciteEpochs == 0 {
 		t.Fatalf("triggered episode did not run: %+v", st)
 	}
-	recs := rec.Snapshot()
-	sawExcite := false
-	for _, r := range recs {
+	flagged := 0
+	for _, r := range rec.Snapshot() {
 		if r.Flags&obs.FlagExcitation != 0 {
-			sawExcite = true
+			flagged++
 		}
 	}
-	if !sawExcite {
-		t.Fatal("no flight record carries FlagExcitation")
+	if flagged != st.ExciteEpochs {
+		t.Fatalf("%d flight records carry FlagExcitation, want one per dithered epoch (%d)", flagged, st.ExciteEpochs)
 	}
 }

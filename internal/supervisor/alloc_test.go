@@ -40,15 +40,14 @@ func TestObsOffStepAllocFree(t *testing.T) {
 	}
 
 	f := obs.NewFleet(obs.Options{Registry: telemetry.NewRegistry()})
-	opts := supervisor.Options{GraceEpochs: 400}
-	sup := supervisor.New(proto.Clone(), opts)
+	sup := supervisor.New(proto.Clone(), supervisor.Options{})
 	sup.SetTargets(2.5, 2.0)
 	sup.SetLoopObs(f.Register("gate"))
 	st := benchTel()
 	epoch := 0
 	// Warm up past the grace period (and with it the engage/hold
 	// transient and first-epoch latches).
-	for ; epoch < opts.GraceEpochs+64; epoch++ {
+	for ; epoch < supervisor.GraceEpochs+64; epoch++ {
 		st.Epoch = epoch
 		st.Config = sup.Step(st)
 	}

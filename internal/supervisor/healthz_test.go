@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mimoctl/internal/core"
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/health"
 	"mimoctl/internal/obs"
@@ -20,7 +21,7 @@ func TestHealthzFallbackIsUnhealthy(t *testing.T) {
 	f := obs.NewFleet(obs.Options{Registry: reg, Specs: []obs.Spec{}})
 	healthy := New(newFakeInner(), Options{})
 	healthy.SetLoopObs(f.Register("healthy"))
-	sup := New(newFakeInner(), Options{MaxStaleEpochs: 10, FallbackAfter: 5})
+	sup := New(newFakeInner(), Options{})
 	l := f.Register("faulty")
 	sup.SetLoopObs(l)
 	sup.BindTelemetry(l.Scope())
@@ -32,7 +33,7 @@ func TestHealthzFallbackIsUnhealthy(t *testing.T) {
 	if ok, detail := f.Healthz(); !ok || detail != "2 loops engaged" {
 		t.Fatalf("engaged: ok=%v detail=%q", ok, detail)
 	}
-	for k := 5; sup.Mode() == ModeEngaged && k < 100; k++ {
+	for k := 5; sup.Mode() == ModeEngaged && k < 500; k++ {
 		healthy.Step(goodTel(k))
 		bad := goodTel(k)
 		bad.PowerW = 0
@@ -53,21 +54,22 @@ func TestHealthzFallbackIsUnhealthy(t *testing.T) {
 	}
 }
 
-// modelHealthInnovation is the innovation magnitude (BIPS) that drives
-// a Window-64 monitor to the requested level: ~90% of the IPS guardband
-// warns, past it fails.
+// modelHealthInnovation is the IPS innovation magnitude (BIPS) that
+// drives the monitor to the requested level: 35% of the IPS guardband
+// warns, 50% fails.
 func modelHealthInnovation(level health.Level) float64 {
+	budget := core.DefaultIPSTarget * core.DefaultIPSGuardband
 	switch level {
 	case health.LevelWarn:
-		return 0.45 * 2.5
+		return 0.35 * budget
 	case health.LevelFail:
-		return 0.60 * 2.5
+		return 0.50 * budget
 	}
 	return 0.02
 }
 
-// stepToLevel steps sup with white innovations of the level's magnitude
-// until its monitor reaches level (at most 256 epochs).
+// stepToLevel steps sup with innovations of the level's magnitude and
+// random sign until its monitor reaches level (at most 256 epochs).
 func stepToLevel(t *testing.T, sup *Supervised, inner *fakeInner, level health.Level) {
 	t.Helper()
 	mag := modelHealthInnovation(level)
@@ -76,15 +78,15 @@ func stepToLevel(t *testing.T, sup *Supervised, inner *fakeInner, level health.L
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return float64(int64(rng>>11))/float64(1<<52) - 1
 	}
-	for i := 0; i < 256 && sup.opts.ModelHealth.Level() != level; i++ {
+	for i := 0; i < 256 && sup.monitor.Level() != level; i++ {
 		s := 1.0
 		if unit() < 0 {
-			s = -1 // random signs keep the sequence white
+			s = -1
 		}
 		inner.innov = []float64{s * mag * (1 + 0.01*unit()), 0.01 * unit()}
 		sup.Step(goodTel(i))
 	}
-	if got := sup.opts.ModelHealth.Level(); got != level {
+	if got := sup.monitor.Level(); got != level {
 		t.Fatalf("monitor at %v, want %v", got, level)
 	}
 }
@@ -96,8 +98,8 @@ func stepToLevel(t *testing.T, sup *Supervised, inner *fakeInner, level health.L
 func TestHealthzFoldsModelHealth(t *testing.T) {
 	f := obs.NewFleet(obs.Options{Specs: []obs.Spec{}})
 	inner := newFakeInner()
-	mon := health.NewMonitor(health.Options{Window: 64, EvalEvery: 16, Lags: 4})
-	sup := New(inner, Options{ModelHealth: mon, GraceEpochs: 600, FallbackAfter: 5})
+	mon := health.NewMonitor()
+	sup := New(inner, Options{ModelHealth: mon})
 	sup.SetLoopObs(f.Register("monitored"))
 
 	stepToLevel(t, sup, inner, health.LevelWarn)
@@ -120,6 +122,17 @@ func TestHealthzFoldsModelHealth(t *testing.T) {
 	}
 	if sup.Mode() != ModeFallback {
 		t.Fatal("never fell back on the fail verdict")
+	}
+	if h := sup.Health(); h.Fallbacks != 1 || h.ModelHealthAlarms != fallbackAfter || h.InnovationAlarms != 0 {
+		t.Fatalf("health %+v, want 1 fallback after %d model-health alarms", h, fallbackAfter)
+	}
+	// A void certificate is not re-armed by clean telemetry: the monitor
+	// sees no innovations while pinned, so its fail verdict stands.
+	for k := 0; k < 2*(minFallbackEpochs+reengageAfter); k++ {
+		sup.Step(goodTel(k))
+	}
+	if sup.Mode() != ModeFallback || sup.Health().Reengagements != 0 {
+		t.Fatalf("mode %v with the certificate void, want fallback", sup.Mode())
 	}
 	if ok, detail := f.Healthz(); ok || !strings.Contains(detail, "supervisor fallback: loop monitored") {
 		t.Fatalf("fallback+fail: ok=%v detail=%q", ok, detail)
@@ -176,7 +189,7 @@ func TestSupervisedRecordsSanitizeFlags(t *testing.T) {
 
 func TestFallbackRecordsAndRequestsDump(t *testing.T) {
 	inner := newFakeInner()
-	sup := New(inner, Options{MaxStaleEpochs: 10, FallbackAfter: 5, MinFallbackEpochs: 20, ReengageAfter: 10})
+	sup := New(inner, Options{})
 	rec := flightrec.New(256)
 	var dumpReason string
 	rec.SetOnDump(func(reason string, _ *flightrec.Recorder) { dumpReason = reason })
@@ -184,7 +197,7 @@ func TestFallbackRecordsAndRequestsDump(t *testing.T) {
 
 	sup.Step(goodTel(0))
 	epochs := 1
-	for k := 1; sup.Mode() == ModeEngaged && k < 100; k++ {
+	for k := 1; sup.Mode() == ModeEngaged && k < 500; k++ {
 		bad := goodTel(k)
 		bad.PowerW = 0
 		sup.Step(bad)
@@ -218,7 +231,7 @@ func TestFallbackRecordsAndRequestsDump(t *testing.T) {
 func TestSupervisedFeedsModelHealthMonitor(t *testing.T) {
 	inner := newFakeInner()
 	inner.innov = []float64{0.1, 0.05}
-	mon := health.NewMonitor(health.Options{Window: 64, EvalEvery: 16, Lags: 4})
+	mon := health.NewMonitor()
 	sup := New(inner, Options{ModelHealth: mon})
 	for k := 0; k < 32; k++ {
 		sup.Step(goodTel(k))

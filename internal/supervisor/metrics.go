@@ -49,7 +49,7 @@ type supMetrics struct {
 // SetLoopObs: a supervisor attached to a loop when it binds reports
 // supervisor_epochs_total as that loop's epoch count.
 func (s *Supervised) BindTelemetry(reg *telemetry.Registry) {
-	s.opts.ModelHealth.BindTelemetry(reg)
+	s.monitor.BindTelemetry(reg)
 	if s.adapter != nil {
 		s.adapter.BindTelemetry(reg)
 	}

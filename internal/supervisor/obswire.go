@@ -38,7 +38,7 @@ func (s *Supervised) endEpoch(t *sim.Telemetry, ev *obs.Event, req sim.Config, f
 	// Every field is written: ev may be a reused slot.
 	nan := math.NaN()
 	ev.Epoch, ev.LoopID = 0, 0
-	ev.Flags, ev.Mode, ev.Health, ev.Adapt = flags, mode, uint8(s.opts.ModelHealth.Level()), 0
+	ev.Flags, ev.Mode, ev.Health, ev.Adapt = flags, mode, uint8(s.monitor.Level()), 0
 	ev.IPSTarget, ev.PowerTarget = s.ipsTarget, s.powerTarget
 	ev.IPS, ev.PowerW, ev.TrueIPS, ev.TruePowerW = t.IPS, t.PowerW, t.TrueIPS, t.TruePowerW
 	ev.InnovIPS, ev.InnovPowerW, ev.InnovNorm = nan, nan, nan
@@ -51,8 +51,8 @@ func (s *Supervised) endEpoch(t *sim.Telemetry, ev *obs.Event, req sim.Config, f
 	if s.mimo != nil && innov != nil {
 		s.mimo.FillInternals(ev)
 	}
-	if mon := s.opts.ModelHealth; mon != nil {
-		ev.Guardband = mon.Snapshot().GuardbandConsumption
+	if s.monitor != nil {
+		ev.Guardband = s.monitor.Snapshot().GuardbandConsumption
 	}
 	if s.adapter != nil {
 		ev.Adapt = uint8(s.adapter.State())

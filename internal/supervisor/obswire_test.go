@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"mimoctl/internal/adapt"
 	"mimoctl/internal/health"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/telemetry"
@@ -62,10 +61,10 @@ func TestSupervisedPublishesObsSamples(t *testing.T) {
 
 func TestSupervisedObsFallbackFlag(t *testing.T) {
 	f := obs.NewFleet(obs.Options{})
-	sup := New(newFakeInner(), Options{MaxStaleEpochs: 10, FallbackAfter: 5})
+	sup := New(newFakeInner(), Options{})
 	sup.SetLoopObs(f.Register("loop0"))
 	sup.Step(goodTel(0))
-	for k := 1; sup.Mode() == ModeEngaged && k < 100; k++ {
+	for k := 1; sup.Mode() == ModeEngaged && k < 500; k++ {
 		bad := goodTel(k)
 		bad.PowerW = 0
 		sup.Step(bad)
@@ -79,7 +78,7 @@ func TestSupervisedObsFallbackFlag(t *testing.T) {
 		sup.Step(bad)
 	}
 	rep := f.Report()
-	if rep.Rows[0].FallbackEpochs == 0 {
+	if rep.Rows[0].FallbackEpochs != 11 { // the epoch that fell back, then 10 pinned
 		t.Fatalf("fallback epochs not observed: %+v", rep.Rows[0])
 	}
 	if rep.Rows[0].Mode != "fallback" {
@@ -97,8 +96,8 @@ func TestBindTelemetryScopesInstance(t *testing.T) {
 	supA.BindTelemetry(reg.Scope(telemetry.L("loop", "a")))
 	supB := New(newFakeInner(), Options{})
 	supB.BindTelemetry(reg.Scope(telemetry.L("loop", "b")))
-	mon := health.NewMonitor(health.Options{Window: 64, EvalEvery: 16, Lags: 4})
-	supC := New(newQuietInner(3), Options{ModelHealth: mon, Adapter: newTestAdapter(t, mon, adapt.Options{Seed: 1})})
+	mon := health.NewMonitor()
+	supC := New(newQuietInner(3), Options{ModelHealth: mon, Adapter: newTestAdapter(t, mon, 1)})
 	supC.BindTelemetry(reg.Scope(telemetry.L("loop", "c")))
 	unbound := New(newFakeInner(), Options{})
 	for k := 0; k < 5; k++ {

@@ -83,59 +83,19 @@ type ApplyObserver interface {
 	ObserveApply(cfg sim.Config, err error)
 }
 
-// Options tunes the supervisor. The zero value selects defaults sized
-// for the paper's 50 µs epoch and the A15-class plant in internal/sim.
+// Options attaches the supervisor's optional collaborators. Its tuning
+// is not an option: the constants below are the one configuration that
+// runs.
 type Options struct {
-	// MaxStaleEpochs is how long a channel may coast on substituted
-	// readings before it is declared dead (default 50 epochs = 2.5 ms).
-	MaxStaleEpochs int
-
-	// InnovationLimit is the threshold on the smoothed relative Kalman
-	// innovation magnitude (default 0.6); InnovationAlpha is the EMA
-	// coefficient (default 0.05). Only used when the inner controller
-	// implements InnovationReporter.
-	InnovationLimit float64
-	InnovationAlpha float64
-
-	// DivergenceLimit is the threshold on the smoothed relative
-	// tracking error (default 0.5); DivergenceAlpha is the EMA
-	// coefficient (default 0.02).
-	DivergenceLimit float64
-	DivergenceAlpha float64
-
-	// GraceEpochs suppresses the model-health alarms after engagement,
-	// re-engagement, or a target change, while the transient settles
-	// (default 400 epochs = 20 ms).
-	GraceEpochs int
-
-	// FallbackAfter is how many consecutive sick epochs (dead channel
-	// or model-health alarm) trigger the fallback (default 50).
-	FallbackAfter int
-
-	// ApplyFallbackAfter is how many consecutive failed Apply attempts
-	// trigger the fallback (default 6).
-	ApplyFallbackAfter int
-	// ApplyBackoffLimit caps the exponential backoff between Apply
-	// retries, in epochs (default 8).
-	ApplyBackoffLimit int
-
-	// ReengageAfter is how many consecutive healthy epochs (plausible
-	// telemetry and successful actuation) re-engage the inner
-	// controller (default 150); MinFallbackEpochs is the shortest stay
-	// in fallback (default 100). Together they are the hysteresis that
-	// prevents mode flapping.
-	ReengageAfter     int
-	MinFallbackEpochs int
-
 	// ModelHealth, when set, receives every engaged epoch's Kalman
-	// innovation (internal/health): the streaming whiteness test,
-	// guardband-consumption gauge, and stability-margin recompute run
-	// there and surface through the loop's events (Event.Health, which
-	// obs.Fleet.Healthz reads) and its telemetry scope. The monitor is
-	// also load-bearing for safety: its fail verdict counts as a sick
-	// epoch (fallback after FallbackAfter), and re-engagement is refused
-	// while the verdict stands — a loop whose certificate is void must
-	// not be re-armed by clean telemetry alone.
+	// innovation (internal/health): the guardband-consumption gauge and
+	// stability-margin recompute run there and surface through the
+	// loop's events (Event.Health, which obs.Fleet.Healthz reads) and
+	// its telemetry scope. The monitor is also load-bearing for safety:
+	// its fail verdict counts as a sick epoch (fallback after
+	// fallbackAfter), and re-engagement is refused while the verdict
+	// stands — a loop whose certificate is void must not be re-armed by
+	// clean telemetry alone.
 	ModelHealth *health.Monitor
 
 	// Adapter, when set, closes the adaptation loop (internal/adapt):
@@ -147,6 +107,47 @@ type Options struct {
 	Adapter *adapt.Adapter
 }
 
+// The supervisor's tuning, sized for the paper's 50 µs epoch and the
+// A15-class plant in internal/sim.
+const (
+	// maxStaleEpochs is how long a channel may coast on substituted
+	// readings before it is declared dead (2.5 ms).
+	maxStaleEpochs = 50
+
+	// innovationLimit is the threshold on the smoothed relative Kalman
+	// innovation magnitude and innovationAlpha its EMA coefficient. Only
+	// used when the inner controller reports its innovation.
+	innovationLimit = 0.6
+	innovationAlpha = 0.05
+
+	// divergenceLimit is the threshold on the smoothed relative tracking
+	// error and divergenceAlpha its EMA coefficient.
+	divergenceLimit = 0.5
+	divergenceAlpha = 0.02
+
+	// graceEpochs suppresses the model-health alarms after engagement,
+	// re-engagement, a target change or an adapter swap, while the
+	// transient settles (20 ms).
+	graceEpochs = 400
+
+	// fallbackAfter is how many consecutive sick epochs (dead channel or
+	// model-health alarm) trigger the fallback.
+	fallbackAfter = 50
+
+	// applyFallbackAfter is how many consecutive failed Apply attempts
+	// trigger the fallback; applyBackoffLimit caps the exponential
+	// backoff between Apply retries, in epochs.
+	applyFallbackAfter = 6
+	applyBackoffLimit  = 8
+
+	// reengageAfter is how many consecutive healthy epochs (plausible
+	// telemetry and successful actuation) re-engage the inner
+	// controller; minFallbackEpochs is the shortest stay in fallback.
+	// Together they are the hysteresis that prevents mode flapping.
+	reengageAfter     = 150
+	minFallbackEpochs = 100
+)
+
 // Physical plausibility bounds for the two sensors. Readings outside
 // [min, max] are rejected and substituted: IPS in [0.01, 10] BIPS,
 // power in [0.02, 12] W — generously wide for the A15-class core, but
@@ -156,43 +157,6 @@ const (
 	minIPS, maxIPS       float64 = 0.01, 10
 	minPowerW, maxPowerW float64 = 0.02, 12
 )
-
-func (o Options) withDefaults() Options {
-	if o.MaxStaleEpochs == 0 {
-		o.MaxStaleEpochs = 50
-	}
-	if o.InnovationLimit == 0 {
-		o.InnovationLimit = 0.6
-	}
-	if o.InnovationAlpha == 0 {
-		o.InnovationAlpha = 0.05
-	}
-	if o.DivergenceLimit == 0 {
-		o.DivergenceLimit = 0.5
-	}
-	if o.DivergenceAlpha == 0 {
-		o.DivergenceAlpha = 0.02
-	}
-	if o.GraceEpochs == 0 {
-		o.GraceEpochs = 400
-	}
-	if o.FallbackAfter == 0 {
-		o.FallbackAfter = 50
-	}
-	if o.ApplyFallbackAfter == 0 {
-		o.ApplyFallbackAfter = 6
-	}
-	if o.ApplyBackoffLimit == 0 {
-		o.ApplyBackoffLimit = 8
-	}
-	if o.ReengageAfter == 0 {
-		o.ReengageAfter = 150
-	}
-	if o.MinFallbackEpochs == 0 {
-		o.MinFallbackEpochs = 100
-	}
-	return o
-}
 
 // Health counts what the supervisor saw and did. All counters are
 // cumulative since the last Reset.
@@ -228,8 +192,8 @@ type Health struct {
 // Supervised wraps an inner ArchController with the supervised runtime.
 // It implements core.ArchController and ApplyObserver.
 type Supervised struct {
-	inner core.ArchController
-	opts  Options
+	inner   core.ArchController
+	monitor *health.Monitor // Options.ModelHealth (nil: none)
 
 	ipsTarget, powerTarget float64
 
@@ -284,11 +248,11 @@ type Supervised struct {
 // New wraps the inner controller. The inner controller's current
 // targets become the supervisor's.
 func New(inner core.ArchController, opts Options) *Supervised {
-	s := &Supervised{inner: inner, opts: opts.withDefaults(), applyOK: true, adapter: opts.Adapter}
+	s := &Supervised{inner: inner, monitor: opts.ModelHealth, applyOK: true, adapter: opts.Adapter}
 	s.mimo, _ = inner.(*core.MIMOController)
 	s.innov, _ = inner.(InnovationReporter)
 	s.ipsTarget, s.powerTarget = inner.Targets()
-	s.grace = s.opts.GraceEpochs
+	s.grace = graceEpochs
 	return s
 }
 
@@ -335,7 +299,7 @@ func (s *Supervised) SetTargets(ips, power float64) {
 	}
 	s.ipsTarget, s.powerTarget = ips, power
 	s.inner.SetTargets(ips, power)
-	s.grace = s.opts.GraceEpochs
+	s.grace = graceEpochs
 }
 
 // Targets implements core.ArchController.
@@ -348,7 +312,7 @@ func (s *Supervised) Reset() {
 	s.health = Health{}
 	s.haveGood = false
 	s.staleIPS, s.stalePower = 0, 0
-	s.grace = s.opts.GraceEpochs
+	s.grace = graceEpochs
 	s.emaInnov, s.emaErr = 0, 0
 	s.sickStreak = 0
 	s.applyOK = true
@@ -361,8 +325,8 @@ func (s *Supervised) Reset() {
 }
 
 // ObserveApply implements ApplyObserver: the harness reports the
-// outcome of each Apply attempt. Consecutive failures beyond
-// ApplyFallbackAfter force the safe-state fallback.
+// outcome of each Apply attempt. applyFallbackAfter consecutive
+// failures force the safe-state fallback.
 func (s *Supervised) ObserveApply(cfg sim.Config, err error) {
 	if err == nil {
 		s.applyOK = true
@@ -377,7 +341,7 @@ func (s *Supervised) ObserveApply(cfg sim.Config, err error) {
 		m.applyFailures.Inc()
 	}
 	s.failStreak++
-	if s.mode == ModeEngaged && s.failStreak >= s.opts.ApplyFallbackAfter {
+	if s.mode == ModeEngaged && s.failStreak >= applyFallbackAfter {
 		s.enterFallback()
 	}
 }
@@ -431,7 +395,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 		} else {
 			s.healthyStreak = 0
 		}
-		if s.fallbackEpochs >= s.opts.MinFallbackEpochs && s.healthyStreak >= s.opts.ReengageAfter &&
+		if s.fallbackEpochs >= minFallbackEpochs && s.healthyStreak >= reengageAfter &&
 			s.modelCertOK() {
 			s.reengage()
 		}
@@ -462,7 +426,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 	// Engaged: dead-channel and model-health checks.
 	sick := false
 	dead := false
-	if s.staleIPS > s.opts.MaxStaleEpochs || s.stalePower > s.opts.MaxStaleEpochs {
+	if s.staleIPS > maxStaleEpochs || s.stalePower > maxStaleEpochs {
 		s.health.DeadSensorEpochs++
 		if m != nil {
 			m.deadSensorEpochs.Inc()
@@ -474,8 +438,8 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 		s.grace--
 	} else {
 		if v := s.relInnovation(s.lastInnovation()); v >= 0 {
-			s.emaInnov += s.opts.InnovationAlpha * (v - s.emaInnov)
-			if s.emaInnov > s.opts.InnovationLimit {
+			s.emaInnov += innovationAlpha * (v - s.emaInnov)
+			if s.emaInnov > innovationLimit {
 				s.health.InnovationAlarms++
 				if m != nil {
 					m.innovationAlarms.Inc()
@@ -484,8 +448,8 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 			}
 		}
 		e := s.relError(t)
-		s.emaErr += s.opts.DivergenceAlpha * (e - s.emaErr)
-		if s.emaErr > s.opts.DivergenceLimit {
+		s.emaErr += divergenceAlpha * (e - s.emaErr)
+		if s.emaErr > divergenceLimit {
 			s.health.DivergenceAlarms++
 			if m != nil {
 				m.divergenceAlarms.Inc()
@@ -498,8 +462,8 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 		// longer covers the plant it is actually driving — engaged control
 		// on a voided certificate is exactly what the safe state exists to
 		// prevent. (The monitor sees the previous epoch's innovation; the
-		// one-epoch skew is irrelevant at FallbackAfter's timescale.)
-		if s.opts.ModelHealth.Level() == health.LevelFail {
+		// one-epoch skew is irrelevant at fallbackAfter's timescale.)
+		if s.monitor.Level() == health.LevelFail {
 			s.health.ModelHealthAlarms++
 			if m != nil {
 				m.modelHealthAlarms.Inc()
@@ -512,7 +476,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 	} else {
 		s.sickStreak = 0
 	}
-	if s.sickStreak >= s.opts.FallbackAfter {
+	if s.sickStreak >= fallbackAfter {
 		s.enterFallback()
 		if s.adapter != nil {
 			// A fallback forced by model-health alarms on live sensors is
@@ -543,7 +507,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 		}
 		if s.backoff == 0 {
 			s.backoff = 1
-		} else if s.backoff < s.opts.ApplyBackoffLimit {
+		} else if s.backoff < applyBackoffLimit {
 			s.backoff *= 2
 		}
 		s.holdEpochs = s.backoff
@@ -557,8 +521,8 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 		cfg = s.inner.Step(t)
 	}
 	innov := s.lastInnovation()
-	if mon := s.opts.ModelHealth; mon != nil && len(innov) >= 2 {
-		mon.Observe(innov[0], innov[1])
+	if s.monitor != nil && len(innov) >= 2 {
+		s.monitor.Observe(innov[0], innov[1])
 	}
 	if err := cfg.Validate(); err != nil {
 		// An illegal request must never reach the hardware: hold the
@@ -579,7 +543,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 			// transient: restart the alarm grace period and forget
 			// loop-shape statistics learned under the outgoing design,
 			// exactly as on re-engagement.
-			s.grace = s.opts.GraceEpochs
+			s.grace = graceEpochs
 			s.emaInnov, s.emaErr = 0, 0
 			s.sickStreak = 0
 			if v.Swapped {
@@ -609,7 +573,7 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 // without one the pin is permanent — the pre-adaptation behavior of a
 // drifted plant.
 func (s *Supervised) modelCertOK() bool {
-	return s.opts.ModelHealth.Level() != health.LevelFail
+	return s.monitor.Level() != health.LevelFail
 }
 
 // lastInnovation returns the inner controller's most recent innovation,
@@ -692,7 +656,7 @@ func (s *Supervised) relInnovation(innov []float64) float64 {
 	v := math.Max(math.Abs(innov[0])/iScale, math.Abs(innov[1])/pScale)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		// A corrupted estimator state is itself a divergence signal.
-		return 10 * s.opts.InnovationLimit
+		return 10 * innovationLimit
 	}
 	return v
 }
@@ -741,7 +705,7 @@ func (s *Supervised) reengage() {
 		m.toEngaged.Inc()
 		m.mode.Set(float64(ModeEngaged))
 	}
-	s.grace = s.opts.GraceEpochs
+	s.grace = graceEpochs
 	s.emaInnov, s.emaErr = 0, 0
 	s.sickStreak = 0
 	s.applyOK = true

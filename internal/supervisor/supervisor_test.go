@@ -110,13 +110,12 @@ func TestSanitizationBeforeFirstGoodUsesTargets(t *testing.T) {
 
 func TestDeadSensorFallsBackAndReengagesWithHysteresis(t *testing.T) {
 	inner := newFakeInner()
-	opts := Options{MaxStaleEpochs: 20, FallbackAfter: 10, MinFallbackEpochs: 30, ReengageAfter: 25}
-	sup := New(inner, opts)
+	sup := New(inner, Options{})
 	sup.Step(goodTel(0)) // establish last-good
 
 	// Dead power meter: hard zero every epoch.
 	k := 1
-	for ; sup.Mode() == ModeEngaged && k < 200; k++ {
+	for ; sup.Mode() == ModeEngaged && k < 500; k++ {
 		bad := goodTel(k)
 		bad.PowerW = 0
 		cfg := sup.Step(bad)
@@ -127,13 +126,14 @@ func TestDeadSensorFallsBackAndReengagesWithHysteresis(t *testing.T) {
 	if sup.Mode() != ModeFallback {
 		t.Fatal("never fell back with a dead power meter")
 	}
-	// Fallback must engage after staleness limit + sick streak, not
-	// instantly and not hundreds of epochs late.
-	if k < 20+10 || k > 60 {
-		t.Fatalf("fell back after %d epochs, want ~31", k)
+	// The channel is declared dead once it has coasted past
+	// maxStaleEpochs, and the loop gives up fallbackAfter dead epochs
+	// later: not instantly, and not late.
+	if want := maxStaleEpochs + fallbackAfter + 1; k != want {
+		t.Fatalf("fell back after %d epochs, want %d", k, want)
 	}
-	if h := sup.Health(); h.Fallbacks != 1 || h.DeadSensorEpochs == 0 {
-		t.Fatalf("health %+v", h)
+	if h := sup.Health(); h.Fallbacks != 1 || h.DeadSensorEpochs != fallbackAfter {
+		t.Fatalf("health %+v, want 1 fallback after %d dead-sensor epochs", h, fallbackAfter)
 	}
 
 	// While the sensor stays dead the safe config is pinned.
@@ -145,19 +145,19 @@ func TestDeadSensorFallsBackAndReengagesWithHysteresis(t *testing.T) {
 		}
 	}
 
-	// Sensor heals: hysteresis demands ReengageAfter consecutive healthy
+	// Sensor heals: hysteresis demands reengageAfter consecutive healthy
 	// epochs before the inner controller returns.
 	resets := inner.resets
 	healthy := 0
-	for i := 0; i < 100 && sup.Mode() == ModeFallback; i++ {
+	for i := 0; i < 2*reengageAfter && sup.Mode() == ModeFallback; i++ {
 		sup.Step(goodTel(1000 + i))
 		healthy++
 	}
 	if sup.Mode() != ModeEngaged {
 		t.Fatal("never re-engaged after sensor healed")
 	}
-	if healthy < opts.ReengageAfter {
-		t.Fatalf("re-engaged after only %d healthy epochs, want >= %d", healthy, opts.ReengageAfter)
+	if healthy != reengageAfter {
+		t.Fatalf("re-engaged after %d healthy epochs, want %d", healthy, reengageAfter)
 	}
 	if inner.resets != resets+1 {
 		t.Fatalf("inner resets %d, want %d (fresh state on re-engage)", inner.resets, resets+1)
@@ -169,11 +169,10 @@ func TestDeadSensorFallsBackAndReengagesWithHysteresis(t *testing.T) {
 
 func TestHysteresisBlocksFlappingSensor(t *testing.T) {
 	inner := newFakeInner()
-	opts := Options{MaxStaleEpochs: 10, FallbackAfter: 5, MinFallbackEpochs: 40, ReengageAfter: 30}
-	sup := New(inner, opts)
+	sup := New(inner, Options{})
 	sup.Step(goodTel(0))
 	// Kill the sensor long enough to fall back.
-	for k := 1; sup.Mode() == ModeEngaged && k < 100; k++ {
+	for k := 1; sup.Mode() == ModeEngaged && k < 500; k++ {
 		bad := goodTel(k)
 		bad.PowerW = math.NaN()
 		sup.Step(bad)
@@ -181,14 +180,16 @@ func TestHysteresisBlocksFlappingSensor(t *testing.T) {
 	if sup.Mode() != ModeFallback {
 		t.Fatal("no fallback")
 	}
-	// A sensor that flaps (good 20, bad 5, repeat) never accumulates
-	// ReengageAfter=30 consecutive healthy epochs: stay in fallback.
-	for cycle := 0; cycle < 10; cycle++ {
-		for i := 0; i < 20; i++ {
-			sup.Step(goodTel(200 + cycle*25 + i))
+	// A sensor that flaps (good one epoch short of reengageAfter, bad
+	// 5, repeat) never accumulates reengageAfter consecutive healthy
+	// epochs: stay in fallback.
+	const cycle = reengageAfter - 1 + 5
+	for c := 0; c < 10; c++ {
+		for i := 0; i < reengageAfter-1; i++ {
+			sup.Step(goodTel(1000 + c*cycle + i))
 		}
 		for i := 0; i < 5; i++ {
-			bad := goodTel(220 + cycle*25 + i)
+			bad := goodTel(1000 + c*cycle + reengageAfter - 1 + i)
 			bad.PowerW = math.NaN()
 			sup.Step(bad)
 		}
@@ -199,16 +200,22 @@ func TestHysteresisBlocksFlappingSensor(t *testing.T) {
 	if sup.Health().Reengagements != 0 {
 		t.Fatalf("reengagements %d, want 0", sup.Health().Reengagements)
 	}
+	// Once the sensor holds for reengageAfter epochs, the loop returns.
+	for i := 0; i < reengageAfter; i++ {
+		sup.Step(goodTel(1000 + 10*cycle + i))
+	}
+	if sup.Mode() != ModeEngaged || sup.Health().Reengagements != 1 {
+		t.Fatalf("mode %v after a steady sensor, %d reengagements, want engaged and 1", sup.Mode(), sup.Health().Reengagements)
+	}
 }
 
 func TestDivergenceDetectionTripsFallback(t *testing.T) {
 	inner := newFakeInner()
-	opts := Options{GraceEpochs: 10, DivergenceAlpha: 0.2, DivergenceLimit: 0.5, FallbackAfter: 20}
-	sup := New(inner, opts)
+	sup := New(inner, Options{})
 	// Plausible telemetry, but power pinned at 3x the target: a sick
 	// loop the sanitizer alone cannot see.
 	k := 0
-	for ; sup.Mode() == ModeEngaged && k < 500; k++ {
+	for ; sup.Mode() == ModeEngaged && k < 2000; k++ {
 		bad := goodTel(k)
 		bad.PowerW = 3 * core.DefaultPowerTarget
 		sup.Step(bad)
@@ -216,13 +223,18 @@ func TestDivergenceDetectionTripsFallback(t *testing.T) {
 	if sup.Mode() != ModeFallback {
 		t.Fatal("divergence never tripped the fallback")
 	}
-	if sup.Health().DivergenceAlarms == 0 {
-		t.Fatal("no divergence alarms counted")
+	// The alarm waits out the grace period, and fallbackAfter alarm
+	// epochs then trip the fallback.
+	if k <= graceEpochs+fallbackAfter {
+		t.Fatalf("fell back after %d epochs, inside the %d-epoch grace period", k, graceEpochs)
+	}
+	if h := sup.Health(); h.Fallbacks != 1 || h.DivergenceAlarms != fallbackAfter || h.InnovationAlarms != 0 {
+		t.Fatalf("health %+v, want 1 fallback after %d divergence alarms", h, fallbackAfter)
 	}
 	// And healthy on-target telemetry must never trip it.
 	inner2 := newFakeInner()
-	sup2 := New(inner2, opts)
-	for k := 0; k < 1000; k++ {
+	sup2 := New(inner2, Options{})
+	for k := 0; k < 2000; k++ {
 		sup2.Step(goodTel(k))
 	}
 	if sup2.Mode() != ModeEngaged || sup2.Health().DivergenceAlarms != 0 {
@@ -233,17 +245,19 @@ func TestDivergenceDetectionTripsFallback(t *testing.T) {
 func TestInnovationMonitorTripsFallback(t *testing.T) {
 	inner := newFakeInner()
 	inner.innov = []float64{5, 5} // model errs by 2x the targets, sustained
-	opts := Options{GraceEpochs: 10, InnovationAlpha: 0.2, InnovationLimit: 0.6, FallbackAfter: 20}
-	sup := New(inner, opts)
+	sup := New(inner, Options{})
 	k := 0
-	for ; sup.Mode() == ModeEngaged && k < 500; k++ {
+	for ; sup.Mode() == ModeEngaged && k < 2000; k++ {
 		sup.Step(goodTel(k))
 	}
 	if sup.Mode() != ModeFallback {
 		t.Fatal("innovation monitor never tripped the fallback")
 	}
-	if sup.Health().InnovationAlarms == 0 {
-		t.Fatal("no innovation alarms counted")
+	if k <= graceEpochs+fallbackAfter {
+		t.Fatalf("fell back after %d epochs, inside the %d-epoch grace period", k, graceEpochs)
+	}
+	if h := sup.Health(); h.Fallbacks != 1 || h.InnovationAlarms != fallbackAfter || h.DivergenceAlarms != 0 {
+		t.Fatalf("health %+v, want 1 fallback after %d innovation alarms", h, fallbackAfter)
 	}
 }
 
@@ -251,8 +265,7 @@ func TestApplyRetryBackoffAndFallback(t *testing.T) {
 	inner := newFakeInner()
 	want := sim.Config{FreqIdx: 9, CacheIdx: 1, ROBIdx: 2}
 	inner.cfg = want
-	opts := Options{ApplyFallbackAfter: 6, ApplyBackoffLimit: 4, GraceEpochs: 10000}
-	sup := New(inner, opts)
+	sup := New(inner, Options{})
 
 	applyErr := errors.New("actuator wedged")
 	tel := goodTel(0)
@@ -271,18 +284,20 @@ func TestApplyRetryBackoffAndFallback(t *testing.T) {
 	if sup.Mode() != ModeFallback {
 		t.Fatal("sustained actuator failure never forced the fallback")
 	}
-	if retries < 2 || holds < 2 {
-		t.Fatalf("retries %d holds %d: want retries interleaved with backoff holds", retries, holds)
+	// Every attempt failed: the request, a retry after a 1-epoch hold,
+	// a retry after a 2-epoch hold — applyFallbackAfter failures.
+	if retries != 3 || holds != 3 {
+		t.Fatalf("retries %d holds %d: want 3 issues of the request interleaved with 3 backoff holds", retries, holds)
 	}
 	h := sup.Health()
-	if h.ApplyFailures < opts.ApplyFallbackAfter || h.ApplyRetries == 0 {
-		t.Fatalf("health %+v", h)
+	if h.ApplyFailures != applyFallbackAfter || h.ApplyRetries != 2 || h.Fallbacks != 1 {
+		t.Fatalf("health %+v, want 1 fallback after %d failures and 2 retries", h, applyFallbackAfter)
 	}
 
 	// A single transient failure resets the streak: no fallback.
 	inner2 := newFakeInner()
 	inner2.cfg = want
-	sup2 := New(inner2, opts)
+	sup2 := New(inner2, Options{})
 	for k := 0; k < 50; k++ {
 		cfg := sup2.Step(goodTel(k))
 		var err error
@@ -332,9 +347,9 @@ func TestNonFiniteTargetsNeverReachInner(t *testing.T) {
 
 func TestResetClearsEverything(t *testing.T) {
 	inner := newFakeInner()
-	sup := New(inner, Options{MaxStaleEpochs: 5, FallbackAfter: 5})
+	sup := New(inner, Options{})
 	sup.Step(goodTel(0))
-	for k := 1; k < 60; k++ {
+	for k := 1; k < 2*(maxStaleEpochs+fallbackAfter); k++ {
 		bad := goodTel(k)
 		bad.PowerW = math.NaN()
 		sup.Step(bad)
