@@ -127,9 +127,11 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// paper's 50µs epoch period the same cost is <1%
 	// (BenchmarkSupervisedStepObs in internal/supervisor prices each
 	// attachment tier). The in-test gate only catches pathological
-	// regressions — an O(specs×windows) blowup or a blocking publish —
-	// and is skipped under the race detector, whose instrumentation
-	// multiplies exactly the atomic ops the plane is built from.
+	// regressions — per-epoch work that grows with the SLO windows (an
+	// epoch writes one bit per SLO; window counts are taken when read)
+	// or a blocking publish — and is skipped under the race detector,
+	// whose instrumentation multiplies exactly the atomic ops the plane
+	// is built from.
 	if !raceEnabled && overhead > 1.0 {
 		t.Errorf("observability overhead %.1f%% (detached %v, attached %v), gate 100%%",
 			100*overhead, base, withObs)

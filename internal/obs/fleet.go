@@ -46,10 +46,18 @@ type Fleet struct {
 	nextID uint32
 }
 
-// NewFleet builds a fleet.
+// NewFleet builds a fleet. It panics on a spec window shorter than one
+// epoch.
 func NewFleet(opts Options) *Fleet {
 	if opts.Specs == nil {
 		opts.Specs = DefaultSpecs()
+	}
+	for _, s := range opts.Specs {
+		for i, w := range s.Windows {
+			if w.Epochs < 1 {
+				panic(fmt.Sprintf("obs: SLO %q window %d spans %d epochs; a window spans at least one", s.Name, i, w.Epochs))
+			}
+		}
 	}
 	if opts.Registry.Enabled() {
 		opts.Registry.SetScopeLimit(scopeLimit)
@@ -123,12 +131,12 @@ func (f *Fleet) Register(name string) *Loop {
 		for _, e := range l.slos {
 			slo := telemetry.L("slo", e.spec.Name)
 			scope.GaugeFunc("slo_burn_rate", "worst-window burn rate",
-				locked(l, func() float64 { return e.worstBurn }), slo)
+				locked(l, func() float64 { worst, _, _ := e.verdict(nil); return worst }), slo)
 			scope.CounterFunc("slo_bad_epochs_total", "epochs violating the SLO condition",
 				locked(l, func() uint64 { return e.totalBad }), slo)
 			scope.GaugeFunc("slo_alerting", "1 while every burn window exceeds its threshold",
 				locked(l, func() float64 {
-					if e.alerting {
+					if _, _, alerting := e.verdict(nil); alerting {
 						return 1
 					}
 					return 0
@@ -254,7 +262,7 @@ func (l *Loop) ObserveInto(ev *Event) bool {
 	if !math.IsInf(trackErr, 0) {
 		l.emaSq += rmsAlpha * (trackErr*trackErr - l.emaSq)
 	}
-	if above(ev.PowerW, ev.PowerTarget) > 0.15 {
+	if above(ev.PowerW, ev.PowerTarget) > powerBand {
 		l.violationEpochs++
 	}
 	if ev.Mode != ModeEngaged {
@@ -289,15 +297,6 @@ func (l Level) String() string {
 	return "ok"
 }
 
-// Verdict is the fleet-level SLO judgment reported on /slo.
-type Verdict struct {
-	Level         Level
-	Detail        string
-	Loops         int
-	BurningLoops  int
-	AlertingLoops int
-}
-
 // loopHealth is one loop's scrape-time health input: its last observed
 // mode, model-health level and guardband consumption, and the first SLO
 // (in spec order) alerting and burning on it, "" when none.
@@ -318,10 +317,11 @@ func (f *Fleet) scan() []loopHealth {
 		l.mu.Lock()
 		h := loopHealth{name: l.name, mode: l.mode, health: l.health, guardband: l.guardband}
 		for _, e := range l.slos {
-			if e.alerting && h.alerting == "" {
+			_, burning, alerting := e.verdict(nil)
+			if alerting && h.alerting == "" {
 				h.alerting = e.spec.Name
 			}
-			if e.burning && h.burning == "" {
+			if burning && h.burning == "" {
 				h.burning = e.spec.Name
 			}
 		}
@@ -329,32 +329,6 @@ func (f *Fleet) scan() []loopHealth {
 		hs[i] = h
 	}
 	return hs
-}
-
-// Verdict returns the current fleet-level judgment.
-func (f *Fleet) Verdict() Verdict {
-	hs := f.scan()
-	v := Verdict{Loops: len(hs)}
-	for _, h := range hs {
-		if h.alerting != "" {
-			v.AlertingLoops++
-		}
-		if h.burning != "" {
-			v.BurningLoops++
-		}
-	}
-	alerting, burning, n := v.AlertingLoops, v.BurningLoops, v.Loops
-	switch {
-	case alerting > 0:
-		v.Level = LevelFail
-		v.Detail = fmt.Sprintf("%d/%d loops alerting on a control SLO", alerting, n)
-	case burning > 0:
-		v.Level = LevelWarn
-		v.Detail = fmt.Sprintf("%d/%d loops burning error budget", burning, n)
-	default:
-		v.Detail = fmt.Sprintf("%d loops within SLO", n)
-	}
-	return v
 }
 
 // Model-health levels recorded in Event.Health (mirrors health.Level).
@@ -467,16 +441,31 @@ func (f *Fleet) Report() FleetReport {
 	f.mu.Lock()
 	loops := append([]*Loop(nil), f.byID...)
 	f.mu.Unlock()
-	v := f.Verdict()
-	rep := FleetReport{
-		Loops: v.Loops, Level: v.Level.String(), Detail: v.Detail,
-		AlertingLoops: v.AlertingLoops, BurningLoops: v.BurningLoops,
+	// The fleet verdict is graded from the rows, so a report counts each
+	// window once.
+	rep := FleetReport{Loops: len(loops)}
+	for _, l := range loops {
+		row, burning := l.status(epochPeriod)
+		rep.Rows = append(rep.Rows, row)
+		if row.Alerting {
+			rep.AlertingLoops++
+		}
+		if burning {
+			rep.BurningLoops++
+		}
 	}
+	level, n := LevelOK, rep.Loops
+	switch {
+	case rep.AlertingLoops > 0:
+		level, rep.Detail = LevelFail, fmt.Sprintf("%d/%d loops alerting on a control SLO", rep.AlertingLoops, n)
+	case rep.BurningLoops > 0:
+		level, rep.Detail = LevelWarn, fmt.Sprintf("%d/%d loops burning error budget", rep.BurningLoops, n)
+	default:
+		rep.Detail = fmt.Sprintf("%d loops within SLO", n)
+	}
+	rep.Level = level.String()
 	if bus := f.opts.Bus; bus != nil {
 		rep.EventsPublished, rep.EventsDropped, _ = bus.Stats()
-	}
-	for _, l := range loops {
-		rep.Rows = append(rep.Rows, l.status(epochPeriod))
 	}
 	sort.Slice(rep.Rows, func(i, j int) bool {
 		if rep.Rows[i].WorstBurn != rep.Rows[j].WorstBurn {
@@ -487,8 +476,8 @@ func (f *Fleet) Report() FleetReport {
 	return rep
 }
 
-// status snapshots one loop.
-func (l *Loop) status(epochPeriod time.Duration) LoopStatus {
+// status snapshots one loop and reports whether any of its SLOs burns.
+func (l *Loop) status(epochPeriod time.Duration) (LoopStatus, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := LoopStatus{
@@ -504,8 +493,9 @@ func (l *Loop) status(epochPeriod time.Duration) LoopStatus {
 	if l.mode != ModeEngaged {
 		st.Mode = "fallback"
 	}
+	burning := false
 	for _, e := range l.slos {
-		s := e.status()
+		s, burns := e.status()
 		st.SLOs = append(st.SLOs, s)
 		if s.WorstBurn >= st.WorstBurn {
 			if s.WorstBurn > st.WorstBurn || st.WorstSLO == "" {
@@ -513,6 +503,7 @@ func (l *Loop) status(epochPeriod time.Duration) LoopStatus {
 			}
 		}
 		st.Alerting = st.Alerting || s.Alerting
+		burning = burning || burns
 	}
-	return st
+	return st, burning
 }

@@ -25,23 +25,31 @@ func TestFleetVerdictTransitions(t *testing.T) {
 		a.Observe(goodSample())
 		b.Observe(goodSample())
 	}
-	if v := f.Verdict(); v.Level != LevelOK {
-		t.Fatalf("healthy fleet verdict = %+v", v)
+	if rep := f.Report(); rep.Level != "ok" {
+		t.Fatalf("healthy fleet verdict = %s (%s)", rep.Level, rep.Detail)
+	}
+	// A 30-epoch burst burns availability's 256-epoch window (burn 11.7
+	// of 10) but not its 2 048-epoch one: a warning, no alert.
+	for i := 0; i < 30; i++ {
+		b.Observe(badSample())
+	}
+	if rep := f.Report(); rep.Level != "warn" || rep.BurningLoops != 1 || rep.AlertingLoops != 0 ||
+		rep.Detail != "1/2 loops burning error budget" {
+		t.Fatalf("burst verdict = %s, %d burning, %d alerting (%s), want warn with 1 burning", rep.Level, rep.BurningLoops, rep.AlertingLoops, rep.Detail)
 	}
 	// Drive loop b bad long enough for every window to burn.
 	for i := 0; i < 3000; i++ {
 		b.Observe(badSample())
 	}
-	v := f.Verdict()
-	if v.Level != LevelFail || v.AlertingLoops != 1 {
-		t.Fatalf("faulted fleet verdict = %+v, want fail with 1 alerting", v)
+	if rep := f.Report(); rep.Level != "fail" || rep.AlertingLoops != 1 {
+		t.Fatalf("faulted fleet verdict = %s with %d alerting (%s), want fail with 1", rep.Level, rep.AlertingLoops, rep.Detail)
 	}
 	// Recovery clears the alert.
 	for i := 0; i < 5000; i++ {
 		b.Observe(goodSample())
 	}
-	if v := f.Verdict(); v.Level != LevelOK {
-		t.Fatalf("recovered fleet verdict = %+v", v)
+	if rep := f.Report(); rep.Level != "ok" {
+		t.Fatalf("recovered fleet verdict = %s (%s)", rep.Level, rep.Detail)
 	}
 }
 

@@ -221,15 +221,15 @@ func TestHealthzPrecedence(t *testing.T) {
 // first scrape after the loop degrades already reports it.
 func TestHealthzReadsAtScrapeTime(t *testing.T) {
 	f := NewFleet(Options{})
-	if v := f.Verdict(); v.Level != LevelOK || v.Loops != 0 {
-		t.Fatalf("empty fleet verdict = %+v", v)
+	if rep := f.Report(); rep.Level != "ok" || rep.Loops != 0 {
+		t.Fatalf("empty fleet verdict = %s over %d loops", rep.Level, rep.Loops)
 	}
 	l := f.Register("a")
 	for i := 0; i < 3000; i++ {
 		l.Observe(offTarget())
 	}
-	if v := f.Verdict(); v.Level != LevelFail || v.AlertingLoops != 1 {
-		t.Fatalf("faulted verdict = %+v, want fail with 1 alerting", v)
+	if rep := f.Report(); rep.Level != "fail" || rep.AlertingLoops != 1 {
+		t.Fatalf("faulted verdict = %s with %d alerting, want fail with 1", rep.Level, rep.AlertingLoops)
 	}
 	wantHealthz(t, f, false, "control SLO fail", "loop a alerting on tracking", "1/1 loops alerting")
 }

@@ -38,7 +38,7 @@
 //     surfaced via /slo and per-loop burn-rate series, and folded into
 //     Fleet.Healthz.
 //
-// A fleet holds no process state: Healthz, Verdict and Report read only
+// A fleet holds no process state: Healthz and Report read only
 // the fleet's own loops at scrape time, so two fleets in one process
 // (or two parallel tests) answer independently.
 package obs

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The control-SLO engine scores each loop's formal contract online. An
@@ -86,7 +87,8 @@ type Spec struct {
 	// after a target change.
 	Grace int
 	// Windows are the burn-rate windows; an alert requires every window
-	// to burn past its threshold. Empty specs never alert.
+	// to burn past its threshold. Empty specs never alert. Each window
+	// spans at least one epoch.
 	Windows []Window
 }
 
@@ -98,6 +100,11 @@ func (s Spec) errBudget() float64 {
 	}
 	return b
 }
+
+// powerBand is the paper's recovery band, power within 15% above its
+// target: the power-budget SLO's threshold, and the excess past which a
+// fleet loop counts a power-violation epoch.
+const powerBand = 0.15
 
 // DefaultSpecs returns the standard control-SLO set, sized for the
 // 50 µs epoch and the default targets. The window pairs follow the
@@ -115,7 +122,7 @@ func DefaultSpecs() []Spec {
 		{
 			Name:      "power-budget",
 			Signal:    SignalPowerBudget,
-			Threshold: 0.15, // the paper's recovery band: power within 15% above target
+			Threshold: powerBand,
 			Objective: 0.95,
 			Windows:   []Window{{Epochs: 256, MaxBurn: 4}, {Epochs: 2048, MaxBurn: 2}},
 		},
@@ -130,13 +137,14 @@ func DefaultSpecs() []Spec {
 }
 
 // sloEval is the online evaluator of one Spec for one loop: a ring of
-// bad-epoch bits as long as the longest window, with each window's bad
-// count and burn rate maintained incrementally. Each window keeps the
-// ring index of the epoch that leaves it next, advanced by
-// compare-and-wrap, and recomputes its burn rate only when its bad
-// count changes or while its span is still filling. Updates are
-// O(windows) with no allocation, and a loop's rings stay a few hundred
-// bytes, so a fleet's fit in cache.
+// bad-epoch bits as long as the longest window. An epoch writes its
+// bit over the oldest one and advances the counts, nothing else. A
+// window's bad count is the popcount of the ring's last
+// min(Epochs, epochs observed) bits, taken when a reader asks: the
+// scrape funcs, the fleet verdict behind /healthz, and /slo. An epoch
+// is O(1) with no allocation; a read costs one word per 64 epochs of
+// each window. A loop's rings stay a few hundred bytes, so a fleet's
+// fit in cache.
 type sloEval struct {
 	spec   Spec
 	budget float64
@@ -146,112 +154,96 @@ type sloEval struct {
 	pos  int      // next write index
 	seen int      // epochs observed, capped at n
 
-	win []winState // per spec window
-
 	totalBad    uint64
 	totalEpochs uint64
-
-	alerting bool
-	burning  bool
-	// worstBurn is the maximum burn rate across windows after the
-	// last observe (the per-loop burn gauge).
-	worstBurn float64
 }
 
-// winState is one window's spec and running state.
-type winState struct {
-	Window
-	leave int     // ring index of the epoch that leaves the window next
-	bad   int     // bad epochs within the window
-	burn  float64 // burn rate over the window
-}
-
+// newSLOEval returns an evaluator of spec, every window of which spans
+// at least one epoch (NewFleet checks).
 func newSLOEval(spec Spec) *sloEval {
 	n := 1
 	for _, w := range spec.Windows {
-		if w.Epochs > n {
-			n = w.Epochs
-		}
+		n = max(n, w.Epochs)
 	}
-	e := &sloEval{
-		spec:   spec,
-		budget: spec.errBudget(),
-		ring:   make([]uint64, (n+63)/64),
-		n:      n,
-		win:    make([]winState, len(spec.Windows)),
-	}
-	for i, w := range spec.Windows {
-		e.win[i].Window = w
-		// The epoch leaving a window is w.Epochs back from the write
-		// position; a window of w.Epochs >= 1 first drops the epoch at 0.
-		if w.Epochs < 0 {
-			e.win[i].leave = -w.Epochs % n
-		}
-		e.win[i].burn = e.burn(0, w.Epochs)
-	}
-	return e
+	return &sloEval{spec: spec, budget: spec.errBudget(), ring: make([]uint64, (n+63)/64), n: n}
 }
 
-// observe folds one epoch's badness in and refreshes the verdicts.
+// observe writes one epoch's bad bit over the oldest one.
 func (e *sloEval) observe(bad bool) {
-	v := 0
-	if bad {
-		v = 1
-		e.totalBad++
-	}
-	e.totalEpochs++
-	prev := e.seen
-	if e.seen < e.n {
-		e.seen++
-	}
-	e.burning, e.alerting = false, len(e.win) > 0
-	e.worstBurn = 0
-	for i := range e.win {
-		w := &e.win[i]
-		d := v
-		if prev >= w.Epochs {
-			d -= int(e.ring[w.leave>>6] >> (w.leave & 63) & 1)
-			if w.leave++; w.leave == e.n {
-				w.leave = 0
-			}
-		}
-		// The burn rate moves only with the bad count, or with the span
-		// while it is still filling.
-		if d != 0 || prev < w.Epochs {
-			w.bad += d
-			w.burn = e.burn(w.bad, w.Epochs)
-		}
-		if w.burn >= w.MaxBurn {
-			e.burning = true
-		} else {
-			e.alerting = false
-		}
-		if w.burn > e.worstBurn {
-			e.worstBurn = w.burn
-		}
-	}
 	word, bit := &e.ring[e.pos>>6], uint64(1)<<(e.pos&63)
 	if bad {
 		*word |= bit
+		e.totalBad++
 	} else {
 		*word &^= bit
+	}
+	e.totalEpochs++
+	if e.seen < e.n {
+		e.seen++
 	}
 	if e.pos++; e.pos == e.n {
 		e.pos = 0
 	}
 }
 
-// burn returns the burn rate of bad bad epochs over a window of epochs
-// epochs, of which only the ones observed so far count.
-func (e *sloEval) burn(bad, epochs int) float64 {
-	span := epochs
-	if e.seen < span {
-		span = e.seen
-	}
+// burn returns window w's burn rate: the bad fraction of its span, the
+// epochs of it observed so far, over the error budget.
+func (e *sloEval) burn(w Window) float64 {
+	span := min(w.Epochs, e.seen)
 	if span == 0 {
 		return 0
 	}
+	// The span is the ring's last span bits before pos, wrapping past
+	// its start.
+	var bad int
+	if lo := e.pos - span; lo >= 0 {
+		bad = e.ones(lo, e.pos)
+	} else {
+		bad = e.ones(0, e.pos) + e.ones(lo+e.n, e.n)
+	}
 	return (float64(bad) / float64(span)) / e.budget
+}
+
+// ones counts the bad bits at ring positions [lo, hi).
+func (e *sloEval) ones(lo, hi int) int {
+	if lo == hi {
+		return 0
+	}
+	first, last := lo>>6, (hi-1)>>6
+	head := ^uint64(0) << (lo & 63)              // bits lo... of the first word
+	tail := ^uint64(0) >> (63 - ((hi - 1) & 63)) // bits ...hi-1 of the last word
+	if first == last {
+		return bits.OnesCount64(e.ring[first] & head & tail)
+	}
+	c := bits.OnesCount64(e.ring[first]&head) + bits.OnesCount64(e.ring[last]&tail)
+	for _, w := range e.ring[first+1 : last] {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// verdict counts every window once and returns the worst burn rate,
+// whether any window burns past its threshold and whether every one
+// does (the alert). When ws is not nil it receives each window's
+// status.
+func (e *sloEval) verdict(ws []WindowStatus) (worst float64, burning, alerting bool) {
+	alerting = len(e.spec.Windows) > 0
+	for i, w := range e.spec.Windows {
+		b := e.burn(w)
+		hot := b >= w.MaxBurn
+		if ws != nil {
+			ws[i] = WindowStatus{Epochs: w.Epochs, Burn: b, MaxBurn: w.MaxBurn, Burning: hot}
+		}
+		burning = burning || hot
+		alerting = alerting && hot
+		if b > worst {
+			worst = b
+		}
+	}
+	if e.seen == 0 { // no epoch, no verdict: a threshold of 0 burns only once scored
+		return worst, false, false
+	}
+	return worst, burning, alerting
 }
 
 // isBad evaluates the spec's badness condition on one epoch. since is
@@ -336,8 +328,8 @@ type SLOStatus struct {
 	Alerting    bool           `json:"alerting"`
 }
 
-// status snapshots the evaluator.
-func (e *sloEval) status() SLOStatus {
+// status snapshots the evaluator and reports whether any window burns.
+func (e *sloEval) status() (SLOStatus, bool) {
 	st := SLOStatus{
 		Name:        e.spec.Name,
 		Signal:      e.spec.Signal.String(),
@@ -345,14 +337,8 @@ func (e *sloEval) status() SLOStatus {
 		BadEpochs:   e.totalBad,
 		TotalEpochs: e.totalEpochs,
 		Windows:     make([]WindowStatus, len(e.spec.Windows)),
-		Alerting:    e.alerting,
 	}
-	for i, w := range e.win {
-		b := w.burn
-		st.Windows[i] = WindowStatus{Epochs: w.Epochs, Burn: b, MaxBurn: w.MaxBurn, Burning: b >= w.MaxBurn}
-		if b > st.WorstBurn {
-			st.WorstBurn = b
-		}
-	}
-	return st
+	var burning bool
+	st.WorstBurn, burning, st.Alerting = e.verdict(st.Windows)
+	return st, burning
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mimoctl/internal/telemetry"
@@ -22,7 +24,7 @@ func TestSLOAlertsOnlyWhenAllWindowsBurn(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		e.observe(false)
 	}
-	if e.burning || e.alerting {
+	if _, burning, alerting := e.verdict(nil); burning || alerting {
 		t.Fatal("clean history must not burn")
 	}
 	// Four bad epochs: short-window fraction 4/8=0.5 -> burn 5 (burning),
@@ -30,25 +32,26 @@ func TestSLOAlertsOnlyWhenAllWindowsBurn(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.observe(true)
 	}
-	if !e.burning {
+	_, burning, alerting := e.verdict(nil)
+	if !burning {
 		t.Fatal("short window should burn after 4 consecutive bad epochs")
 	}
-	if e.alerting {
+	if alerting {
 		t.Fatal("alert requires every window to burn")
 	}
 	// Keep it bad: long window catches up and the alert fires.
 	for i := 0; i < 8; i++ {
 		e.observe(true)
 	}
-	if !e.alerting {
-		t.Fatalf("sustained badness must alert (windows %+v)", e.win)
+	if st, _ := e.status(); !st.Alerting {
+		t.Fatalf("sustained badness must alert (windows %+v)", st.Windows)
 	}
 	// Recovery: a clean stretch clears the short window first, dropping
 	// the alert.
 	for i := 0; i < 8; i++ {
 		e.observe(false)
 	}
-	if e.alerting {
+	if _, _, alerting := e.verdict(nil); alerting {
 		t.Fatal("alert must clear once the short window is clean")
 	}
 }
@@ -62,11 +65,8 @@ func TestSLOWindowAccounting(t *testing.T) {
 	for _, b := range pattern {
 		e.observe(b)
 	}
-	// Last 4 epochs: false false false true -> 1 bad.
-	if e.win[0].bad != 1 {
-		t.Fatalf("window bad count = %d, want 1", e.win[0].bad)
-	}
-	if got := e.win[0].burn; math.Abs(got-(0.25/0.5)) > 1e-12 {
+	// Last 4 epochs: false false false true -> 1 bad, burn (1/4)/0.5.
+	if got := e.burn(e.spec.Windows[0]); math.Abs(got-(0.25/0.5)) > 1e-12 {
 		t.Fatalf("burn = %g, want 0.5", got)
 	}
 	if e.totalBad != 4 || e.totalEpochs != 8 {
@@ -81,8 +81,27 @@ func TestSLOPartialWindow(t *testing.T) {
 	})
 	e.observe(true)
 	// One bad of one seen: fraction 1.0, budget 0.1 -> burn 10.
-	if got := e.worstBurn; math.Abs(got-10) > 1e-12 {
+	if got, _, _ := e.verdict(nil); math.Abs(got-10) > 1e-12 {
 		t.Fatalf("partial-window burn = %g, want 10", got)
+	}
+}
+
+// TestNewFleetRejectsShortWindow: a window spans at least one epoch, and
+// NewFleet panics naming the spec and the window that does not.
+func TestNewFleetRejectsShortWindow(t *testing.T) {
+	for _, epochs := range []int{0, -3} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf(`SLO "degenerate" window 1 spans %d epochs`, epochs); !strings.Contains(msg, want) {
+					t.Fatalf("NewFleet with a %d-epoch window panicked with %q, want it to name %s", epochs, msg, want)
+				}
+			}()
+			NewFleet(Options{Specs: []Spec{
+				{Name: "ok", Windows: []Window{{Epochs: 1, MaxBurn: 1}}},
+				{Name: "degenerate", Objective: 0.9, Windows: []Window{{Epochs: 5, MaxBurn: 1}, {Epochs: epochs, MaxBurn: 1}}},
+			}})
+		}()
 	}
 }
 
@@ -163,11 +182,12 @@ func directBad(s Spec, ev *Event, since int) bool {
 }
 
 // TestObserveMatchesDirectEvaluation checks ObserveInto — one TrackErr
-// per epoch shared by every spec and the RMS family, and the worst burn
-// recorded by observe — against a fold of the same events (EventFold)
-// that evaluates TrackErr per spec and, with the reference evaluator,
-// recomputes the worst burn over the windows. Every per-loop series of
-// a scrape must agree bit for bit, every epoch.
+// per epoch shared by every spec and the RMS family — and the worst
+// burn and alert counted from the rings when scraped, against a fold of
+// the same events (EventFold) that evaluates TrackErr per spec and, with
+// the reference evaluator, recomputes the worst burn over the windows.
+// Every per-loop series of a scrape must agree bit for bit, every
+// epoch.
 func TestObserveMatchesDirectEvaluation(t *testing.T) {
 	specs := append(DefaultSpecs(),
 		Spec{Name: "settling", Signal: SignalSettling, Threshold: 0.1, Grace: 40, Objective: 0.9,
@@ -231,69 +251,120 @@ func TestObserveMatchesDirectEvaluation(t *testing.T) {
 	}
 }
 
+// diffReference compares e's read-time verdict and status with ref's,
+// every burn rate by its bits, and describes the first difference (""
+// when there is none).
+func diffReference(e *sloEval, ref *refSLOEval) string {
+	worst, burning, alerting := e.verdict(nil)
+	if math.Float64bits(worst) != math.Float64bits(ref.worstBurn) || burning != ref.burning || alerting != ref.alerting {
+		return fmt.Sprintf("worst %v burning %v alerting %v, reference %v %v %v",
+			worst, burning, alerting, ref.worstBurn, ref.burning, ref.alerting)
+	}
+	got, _ := e.status()
+	want := ref.status()
+	same := got.Name == want.Name && got.BadEpochs == want.BadEpochs &&
+		got.TotalEpochs == want.TotalEpochs && got.Alerting == want.Alerting &&
+		math.Float64bits(got.WorstBurn) == math.Float64bits(want.WorstBurn) &&
+		len(got.Windows) == len(want.Windows)
+	for i := 0; same && i < len(got.Windows); i++ {
+		g, w := got.Windows[i], want.Windows[i]
+		same = g.Epochs == w.Epochs && g.Burning == w.Burning &&
+			math.Float64bits(g.Burn) == math.Float64bits(w.Burn) &&
+			math.Float64bits(g.MaxBurn) == math.Float64bits(w.MaxBurn)
+	}
+	if !same {
+		return fmt.Sprintf("status %+v, reference %+v", got, want)
+	}
+	return ""
+}
+
 // TestSLOEvalMatchesReference drives sloEval and the reference
-// evaluator with the same random bad-epoch streams under random specs
-// — a window longer than the run, two equal windows, no windows, and
-// windows of zero and negative length — and requires identical
-// worstBurn bits, burning and alerting every epoch, and identical
-// status (every burn rate by its bits) before the first epoch and
-// every 50 epochs after.
+// evaluator with the same random bad-epoch streams under specs — no
+// windows, a window far longer than the rest, two equal windows, a
+// one-epoch window, a zero threshold, windows either side of one and
+// two ring words, and random ones — and requires the same read-time
+// verdict and status, every burn rate by its bits, before the first
+// epoch and after every one. Each run lasts long enough for its ring to
+// wrap at least five times.
 func TestSLOEvalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	const epochs = 3000
 	specs := []Spec{
 		{Name: "none", Objective: 0.9},
-		{Name: "longer-than-run", Objective: 0.95,
-			Windows: []Window{{Epochs: 16, MaxBurn: 3}, {Epochs: 2 * epochs, MaxBurn: 1}}},
+		{Name: "long", Objective: 0.95,
+			Windows: []Window{{Epochs: 16, MaxBurn: 3}, {Epochs: 6000, MaxBurn: 1}}},
 		{Name: "equal", Objective: 0.9,
 			Windows: []Window{{Epochs: 64, MaxBurn: 2}, {Epochs: 64, MaxBurn: 4}, {Epochs: 1, MaxBurn: 5}}},
 		{Name: "full", Objective: 1, Windows: []Window{{Epochs: 8, MaxBurn: 1}}},
-		{Name: "degenerate", Objective: 0.9,
-			Windows: []Window{{Epochs: 0, MaxBurn: 0}, {Epochs: -3, MaxBurn: -1}, {Epochs: 5, MaxBurn: 1}}},
+		{Name: "zero-threshold", Objective: 0.9, Windows: []Window{{Epochs: 5, MaxBurn: 0}}},
+		{Name: "word-edges", Objective: 0.8, Windows: []Window{
+			{Epochs: 63, MaxBurn: 1}, {Epochs: 64, MaxBurn: 2}, {Epochs: 65, MaxBurn: 3},
+			{Epochs: 127, MaxBurn: 1.5}, {Epochs: 128, MaxBurn: 2.5}, {Epochs: 129, MaxBurn: 1}}},
 	}
-	for len(specs) < 40 {
+	// A ring of each edge length: the longest window sets it.
+	for _, n := range []int{63, 64, 65, 127, 128, 129} {
+		specs = append(specs, Spec{Name: fmt.Sprintf("ring-%d", n), Objective: 0.9,
+			Windows: []Window{{Epochs: n - 1, MaxBurn: 2}, {Epochs: n, MaxBurn: 1.5}, {Epochs: 2, MaxBurn: 4}}})
+	}
+	for len(specs) < 50 {
 		s := Spec{Name: "random", Objective: rng.Float64()}
 		for n := rng.Intn(5); n > 0; n-- {
 			s.Windows = append(s.Windows, Window{Epochs: 1 + rng.Intn(700), MaxBurn: 10 * rng.Float64()})
 		}
 		specs = append(specs, s)
 	}
-	sameStatus := func(si, k int, got, want SLOStatus) {
-		t.Helper()
-		same := got.Name == want.Name && got.BadEpochs == want.BadEpochs &&
-			got.TotalEpochs == want.TotalEpochs && got.Alerting == want.Alerting &&
-			math.Float64bits(got.WorstBurn) == math.Float64bits(want.WorstBurn) &&
-			len(got.Windows) == len(want.Windows)
-		for i := 0; same && i < len(got.Windows); i++ {
-			g, w := got.Windows[i], want.Windows[i]
-			same = g.Epochs == w.Epochs && g.Burning == w.Burning &&
-				math.Float64bits(g.Burn) == math.Float64bits(w.Burn) &&
-				math.Float64bits(g.MaxBurn) == math.Float64bits(w.MaxBurn)
-		}
-		if !same {
-			t.Fatalf("spec %d (%s) epoch %d: status %+v, reference %+v", si, got.Name, k, got, want)
-		}
-	}
 	for si, spec := range specs {
 		e, ref := newSLOEval(spec), newRefSLOEval(spec)
-		sameStatus(si, -1, e.status(), ref.status())
+		if d := diffReference(e, ref); d != "" {
+			t.Fatalf("spec %d (%s) before the first epoch: %s", si, spec.Name, d)
+		}
 		// Bad epochs arrive in bursts whose density drifts over the run.
 		p := rng.Float64()
-		for k := 0; k < epochs; k++ {
+		for k := 0; k < max(3000, 5*e.n+e.n/2); k++ {
 			if rng.Intn(100) == 0 {
 				p = rng.Float64()
 			}
 			bad := rng.Float64() < p
 			e.observe(bad)
 			ref.observe(bad)
-			if math.Float64bits(e.worstBurn) != math.Float64bits(ref.worstBurn) ||
-				e.burning != ref.burning || e.alerting != ref.alerting {
-				t.Fatalf("spec %d (%s) epoch %d: worst %v burning %v alerting %v, reference %v %v %v",
-					si, spec.Name, k, e.worstBurn, e.burning, e.alerting, ref.worstBurn, ref.burning, ref.alerting)
-			}
-			if k%50 == 0 || k == epochs-1 {
-				sameStatus(si, k, e.status(), ref.status())
+			if d := diffReference(e, ref); d != "" {
+				t.Fatalf("spec %d (%s) epoch %d: %s", si, spec.Name, k, d)
 			}
 		}
 	}
+}
+
+// FuzzSLOEvalVsReference holds sloEval to the reference evaluator on a
+// spec and a bad-epoch stream read from the fuzz input. Each 3-byte
+// record of spec is one window (up to 8), 1 to 512 epochs long (two
+// bytes) with a burn threshold in [0, 16) (one byte); the stream's bits
+// are the epochs' badness, repeated until the ring has wrapped three
+// times. The verdict and the status must match by bits after every
+// epoch.
+func FuzzSLOEvalVsReference(f *testing.F) {
+	f.Add([]byte{62, 0, 16, 63, 0, 32, 64, 0, 8}, []byte{0xff, 0x00, 0x0f, 0xf0, 0xaa})
+	f.Add([]byte{126, 0, 20, 127, 0, 20, 128, 0, 20, 0, 0, 50}, []byte{0x01, 0x80, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00})
+	f.Add([]byte{255, 1, 4}, []byte{0x55})
+	f.Fuzz(func(t *testing.T, spec, stream []byte) {
+		s := Spec{Name: "fuzz", Objective: 0.9}
+		for ; len(spec) >= 3 && len(s.Windows) < 8; spec = spec[3:] {
+			s.Windows = append(s.Windows, Window{
+				Epochs:  1 + int(spec[0]) + int(spec[1]&1)<<8,
+				MaxBurn: float64(spec[2]) / 16,
+			})
+		}
+		if len(stream) == 0 {
+			stream = []byte{0}
+		}
+		stream = stream[:min(len(stream), 1024)]
+		e, ref := newSLOEval(s), newRefSLOEval(s)
+		for k := 0; k < max(8*len(stream), 3*e.n+1); k++ {
+			i := k % (8 * len(stream))
+			bad := stream[i>>3]>>(i&7)&1 == 1
+			e.observe(bad)
+			ref.observe(bad)
+			if d := diffReference(e, ref); d != "" {
+				t.Fatalf("windows %+v epoch %d: %s", s.Windows, k, d)
+			}
+		}
+	})
 }
