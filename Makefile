@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStaticSweepMatchesProcessor -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzLockstepMatchesProcessors -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzSupervisedBatchVsScalar -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/supervisor/ -run '^$$' -fuzz FuzzModeMachineVsReference -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzSLOEvalVsReference -fuzztime $(or $(FUZZTIME),10s)
 
 # golden re-records the golden regression CSVs after an intentional

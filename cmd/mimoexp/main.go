@@ -94,7 +94,7 @@ func main() {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}
-				det := tsdb.NewDetector(hist, base, 0, 0, tsdb.DriftConfig{})
+				det := tsdb.NewDetector(hist, base)
 				rec.SetDetector(det)
 				warns = append(warns, det.Annotation)
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -141,5 +142,39 @@ func TestRenderJSONMirrorsReport(t *testing.T) {
 	}
 	if back.PolledAt.IsZero() {
 		t.Fatal("polled_at not stamped")
+	}
+}
+
+// TestFetchDecodesEitherForm: /slo serves compact JSON, and fetch
+// decodes it and an indented body alike; -json indents its own copy.
+func TestFetchDecodesEitherForm(t *testing.T) {
+	fleet := obs.NewFleet(obs.Options{})
+	loop := fleet.Register("core0")
+	for i := 0; i < 10; i++ {
+		loop.Observe(&obs.Event{IPS: 2, IPSTarget: 2, PowerW: 10, PowerTarget: 10})
+	}
+	compact := httptest.NewServer(fleet.SLOHandler())
+	defer compact.Close()
+	want, err := fetch(compact.Client(), compact.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(want)
+	}))
+	defer indented.Close()
+	got, err := fetch(indented.Client(), indented.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || want.Loops != 1 || len(want.Rows) != 1 {
+		t.Fatalf("indented body decoded to %+v, compact to %+v", got, want)
+	}
+	var sb strings.Builder
+	renderJSON(&sb, want)
+	if !strings.Contains(sb.String(), "\n  \"loops\": 1,") {
+		t.Fatalf("-json output not indented:\n%s", sb.String())
 	}
 }

@@ -256,8 +256,8 @@ func supMode(s *supervisor.Supervised) supervisor.Mode {
 
 // requireSame compares every loop's Health and mode, then (closing the
 // buses) the two event streams field by field and the supervisor_*
-// exposition line by line.
-func (p *pairing) requireSame(t *testing.T) {
+// exposition line by line. It returns the fleet side's events.
+func (p *pairing) requireSame(t *testing.T) []obs.Event {
 	t.Helper()
 	for i, a := range p.alone.loops {
 		if got, want := p.e.Health(i), a.Health(); got != want {
@@ -267,11 +267,13 @@ func (p *pairing) requireSame(t *testing.T) {
 			t.Fatalf("loop %d: mode %v, standalone %v", i, got, want)
 		}
 	}
-	requireSameEvents(t, p.fleet.events(t), p.alone.events(t))
+	evs := p.fleet.events(t)
+	requireSameEvents(t, evs, p.alone.events(t))
 	got, want := p.fleet.exposition(t, "supervisor_"), p.alone.exposition(t, "supervisor_")
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("supervisor_* exposition differs:\nfleet:\n%s\nstandalone:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+	return evs
 }
 
 // eventFloats lists all 14 float fields of an event.

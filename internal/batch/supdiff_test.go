@@ -1,8 +1,6 @@
 package batch
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -10,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/supervisor"
+	"mimoctl/internal/testkit"
 )
 
 var errApplyInject = errors.New("injected actuation failure")
@@ -26,16 +26,6 @@ const (
 	supReengage     = 150         // healthy epochs until re-engagement
 	supGrace        = 400
 )
-
-// nearTarget draws plausible telemetry within ±20% of the loop's
-// targets: the tracking-error alarm never trips on it.
-func nearTarget(rng *rand.Rand, s *supervisor.Supervised) sim.Telemetry {
-	ips, pow := s.Targets()
-	tel := sim.Telemetry{IPS: ips * (0.8 + 0.4*rng.Float64()), PowerW: pow * (0.8 + 0.4*rng.Float64())}
-	tel.TrueIPS, tel.TruePowerW = tel.IPS, tel.PowerW
-	tel.L1MPKI, tel.L2MPKI = rng.Float64()*20, rng.Float64()*5
-	return tel
-}
 
 // TestBatchSupervisedFleetBitIdentical is the fault-injected fleet
 // differential: a mixed fleet of supervised 2- and 3-input loops, each
@@ -96,7 +86,8 @@ func TestBatchSupervisedFleetBitIdentical(t *testing.T) {
 			if !inQuiet(j) && rng.Intn(100) == 0 {
 				return randTelemetry(rng) // mostly a non-finite or extreme glitch
 			}
-			tel := nearTarget(rng, p.alone.loops[j])
+			ips, pow := p.alone.loops[j].Targets()
+			tel := testkit.NearTarget(rng, ips, pow)
 			switch {
 			case epoch >= deadFrom(j) && epoch < deadFrom(j)+supDeadFallback:
 				tel.IPS = math.NaN()
@@ -286,48 +277,9 @@ func TestBatchInstrumentsMatchStandalone(t *testing.T) {
 // and the fallback and re-engagement windows after it.
 const supFuzzEpochs = 2048
 
-// supFuzzRecord encodes one FuzzSupervisedBatchVsScalar record: op
-// (its kind in the low 3 bits, its hold in the rest) and the two
-// float64 operands.
-func supFuzzRecord(kind, hold byte, a, b float64) []byte {
-	out := []byte{kind | hold<<3}
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(a))
-	return binary.LittleEndian.AppendUint64(out, math.Float64bits(b))
-}
-
-// supFuzzSeeds are FuzzSupervisedBatchVsScalar's seeds, named for the
-// supervisor path each must reach (TestSupFuzzSeedsReachEveryPath).
-var supFuzzSeeds = []struct {
-	name string
-	data []byte
-	seed int64
-}{
-	{"one-epoch", []byte{0}, 1},
-	{"mixed", []byte{5, 1, 2, 3, 4, 250, 9, 9, 9, 9, 17, 0, 0, 0, 0, 0, 0, 4, 1}, 42},
-	{"raw-non-finite", append(
-		binary.LittleEndian.AppendUint64([]byte{2}, math.Float64bits(math.NaN())),
-		binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.Inf(1)))...), 7},
-	// A dead IPS sensor for 249 epochs, then 2·249 healthy ones.
-	{"dead-sensor-reengage", bytes.Join([][]byte{
-		supFuzzRecord(0, 31, 0, 0), supFuzzRecord(7, 31, 0, 0), supFuzzRecord(7, 31, 0, 0)}, nil), 2},
-	// Nine failed applies in a row.
-	{"apply-failures", supFuzzRecord(4, 1, 0, 0), 3},
-	// Plausible readings far above the targets, past the grace period.
-	{"divergence", bytes.Join([][]byte{
-		supFuzzRecord(2, 31, 3.5, 10), supFuzzRecord(2, 31, 3.5, 10)}, nil), 4},
-	// IPS alternating far either side of target, past the grace period.
-	{"innovation", bytes.Join([][]byte{
-		supFuzzRecord(6, 31, 0.6, 3.4), supFuzzRecord(6, 31, 0.6, 3.4)}, nil), 5},
-}
-
 // supFuzzRun steps one fleet loop and its standalone twin through the
-// schedule data decodes, and returns their pairing. Each 17-byte record
-// is an op byte and two float64 bit patterns a, b; the op's low 3 bits
-// pick what it does, and it holds for 1+8·(op>>3) epochs: 0 a NaN IPS
-// sensor, 1 an infinite power reading, 2 raw (a, b) telemetry, 3 a
-// target change to (a, b), 4 a failed apply, 5 a reset, 6 IPS
-// alternating between a and b, 7 telemetry near the targets. Target
-// changes and resets act on the record's first epoch.
+// schedule data decodes (testkit.SupSchedule), and returns their
+// pairing.
 func supFuzzRun(t *testing.T, data []byte, seed int64) *pairing {
 	three := seed%2 == 0
 	p := newPairing(t, 1, func(int) (*supervisor.Supervised, *supervisor.Supervised) {
@@ -336,47 +288,23 @@ func supFuzzRun(t *testing.T, data []byte, seed int64) *pairing {
 		a.SetTargets(2, 6)
 		return f, a
 	})
-	rng := rand.New(rand.NewSource(seed))
-	f64 := func(off int) float64 {
-		var b [8]byte
-		copy(b[:], data[min(off, len(data)):min(off+8, len(data))])
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-	}
 	epoch := 0
-	for off := 0; off < len(data) && epoch < supFuzzEpochs; off += 17 {
-		op := data[off]
-		a, b := f64(off+1), f64(off+9)
-		for k := 0; k < 1+8*int(op>>3) && epoch < supFuzzEpochs; k, epoch = k+1, epoch+1 {
-			tel := nearTarget(rng, p.alone.loops[0])
-			var aerr error
-			switch op % 8 {
-			case 0:
-				tel.IPS, tel.PowerW = math.NaN(), rng.Float64()*20
-			case 1:
-				tel.IPS, tel.PowerW = rng.Float64()*4, math.Inf(1)
-			case 2:
-				tel.IPS, tel.PowerW = a, b // raw fuzz bit patterns
-			case 3:
-				if k == 0 {
-					p.fleet.loops[0].SetTargets(a, b)
-					p.alone.loops[0].SetTargets(a, b)
-				}
-			case 4:
-				aerr = errApplyInject
-			case 5:
-				if k == 0 {
-					p.fleet.loops[0].Reset()
-					p.alone.loops[0].Reset()
-				}
-			case 6:
-				tel.IPS = a
-				if k%2 == 1 {
-					tel.IPS = b
-				}
-			}
-			p.step(t, epoch, func(int) sim.Telemetry { return tel }, func(int) error { return aerr })
+	testkit.SupSchedule(data, seed, supFuzzEpochs, p.alone.loops[0].Targets, func(e testkit.SupEpoch) {
+		if e.Retarget {
+			p.fleet.loops[0].SetTargets(e.IPS, e.Power)
+			p.alone.loops[0].SetTargets(e.IPS, e.Power)
 		}
-	}
+		if e.Reset {
+			p.fleet.loops[0].Reset()
+			p.alone.loops[0].Reset()
+		}
+		var aerr error
+		if e.ApplyFails {
+			aerr = errApplyInject
+		}
+		p.step(t, epoch, func(int) sim.Telemetry { return e.Tel }, func(int) error { return aerr })
+		epoch++
+	})
 	return p
 }
 
@@ -386,8 +314,8 @@ func supFuzzRun(t *testing.T, data []byte, seed int64) *pairing {
 // same configuration every epoch and the same Health, events and
 // instruments at the end.
 func FuzzSupervisedBatchVsScalar(f *testing.F) {
-	for _, s := range supFuzzSeeds {
-		f.Add(s.data, s.seed)
+	for _, s := range testkit.SupSeeds {
+		f.Add(s.Data, s.Seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		if len(data) == 0 {
@@ -401,36 +329,48 @@ func FuzzSupervisedBatchVsScalar(f *testing.F) {
 // supervisor path the shipped windows guard — a dead-sensor, an
 // apply-failure, a divergence and an innovation fallback, and a
 // re-engagement — so the short CI fuzz smoke starts from all of them.
+// Every hold epoch carries FlagHold, and no other epoch does: an
+// engaged epoch whose inner controller did not step (no innovation on
+// its record) is a hold or a retry.
 func TestSupFuzzSeedsReachEveryPath(t *testing.T) {
-	reached := func(h supervisor.Health) map[string]bool {
+	reached := func(h supervisor.Health, holds int) map[string]bool {
 		return map[string]bool{
 			"dead-sensor":    h.Fallbacks > 0 && h.DeadSensorEpochs > 0,
-			"apply-failures": h.Fallbacks > 0 && h.ApplyFailures >= 6,
+			"apply-failures": h.Fallbacks > 0 && h.ApplyFailures >= 6 && holds > 0,
 			"divergence":     h.Fallbacks > 0 && h.DivergenceAlarms > 0,
 			"innovation":     h.Fallbacks > 0 && h.InnovationAlarms > 0,
 			"reengage":       h.Reengagements > 0,
 		}
 	}
-	for _, s := range supFuzzSeeds {
+	for _, s := range testkit.SupSeeds {
 		var want []string
 		for _, path := range []string{"dead-sensor", "apply-failures", "divergence", "innovation", "reengage"} {
-			if strings.Contains(s.name, path) {
+			if strings.Contains(s.Name, path) {
 				want = append(want, path)
 			}
 		}
 		if len(want) == 0 {
 			continue
 		}
-		t.Run(s.name, func(t *testing.T) {
-			p := supFuzzRun(t, s.data, s.seed)
+		t.Run(s.Name, func(t *testing.T) {
+			p := supFuzzRun(t, s.Data, s.Seed)
 			h := p.e.Health(0)
-			got := reached(h)
-			for _, path := range want {
-				if !got[path] {
-					t.Errorf("seed does not reach %s: %+v", path, h)
+			holds := 0
+			for _, ev := range p.requireSame(t) {
+				held := ev.Mode == obs.ModeEngaged && math.IsNaN(ev.InnovNorm)
+				if flagged := ev.Flags&obs.FlagHold != 0; flagged != held {
+					t.Fatalf("epoch %d: held %v, FlagHold %v (flags %#x)", ev.Epoch, held, flagged, ev.Flags)
+				}
+				if held {
+					holds++
 				}
 			}
-			p.requireSame(t)
+			got := reached(h, holds)
+			for _, path := range want {
+				if !got[path] {
+					t.Errorf("seed does not reach %s: %+v, %d hold epochs", path, h, holds)
+				}
+			}
 		})
 	}
 }

@@ -127,7 +127,7 @@ func TestHistoryBaselineDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := tsdb.NewDetector(db, committed, 0, 0, tsdb.DriftConfig{})
+	det := tsdb.NewDetector(db, committed)
 	st := det.Check(to)
 	if len(st.Drifts) != 0 {
 		t.Errorf("healthy run drifts against its own baseline: %v", st.Drifts)
@@ -147,7 +147,7 @@ func TestHistoryBaselineDrift(t *testing.T) {
 	if !ok {
 		t.Fatal("drifted run recorded no history")
 	}
-	det2 := tsdb.NewDetector(drifted, committed, 0, 0, tsdb.DriftConfig{})
+	det2 := tsdb.NewDetector(drifted, committed)
 	st2 := det2.Check(to2)
 	var sawTrackErr bool
 	for _, d := range st2.Drifts {

@@ -96,22 +96,20 @@ func (b *Bus) Publish(ev *Event) bool {
 		pos := b.head.Load()
 		s := &b.slots[pos&b.mask]
 		seq := s.seq.Load()
-		if seq == pos {
-			if b.head.CompareAndSwap(pos, pos+1) {
-				s.ev = *ev
-				s.seq.Store(pos + 1)
-				b.published.Add(1)
-				b.wakeIfNeeded(b.noteOccupancy(pos + 1))
-				return true
-			}
-			continue
+		if seq == pos && b.head.CompareAndSwap(pos, pos+1) {
+			s.ev = *ev
+			s.seq.Store(pos + 1)
+			b.published.Add(1)
+			b.wakeIfNeeded(b.noteOccupancy(pos + 1))
+			return true
 		}
 		if seq < pos {
 			// The consumer has not freed this slot: ring full.
 			b.dropped.Add(1)
 			return false
 		}
-		// seq > pos: another producer advanced head; reload and retry.
+		// Another producer advanced head (seq > pos, or it won the CAS):
+		// reload and retry.
 	}
 }
 

@@ -123,6 +123,41 @@ func TestBusOccupancyHWM(t *testing.T) {
 	}
 }
 
+// TestBusOccupancyClampsToCapacity: a producer reading the tail before
+// the pump advances it can compute an occupancy past the ring's
+// capacity; the high-water mark never exceeds the capacity.
+func TestBusOccupancyClampsToCapacity(t *testing.T) {
+	b := &Bus{slots: make([]busSlot, 4), mask: 3}
+	if occ := b.noteOccupancy(2); occ != 2 || b.OccupancyHWM() != 2 {
+		t.Fatalf("occupancy %d, HWM %d, want 2 and 2", occ, b.OccupancyHWM())
+	}
+	if occ := b.noteOccupancy(6); occ != 4 || b.OccupancyHWM() != 4 {
+		t.Fatalf("occupancy %d, HWM %d past capacity, want 4 and 4", occ, b.OccupancyHWM())
+	}
+}
+
+// TestBusSubscriberDropsWhenBehind: a subscriber that does not read
+// keeps its channel's buffer and loses the rest, counted, however the
+// pump batches them.
+func TestBusSubscriberDropsWhenBehind(t *testing.T) {
+	bus := NewBus(64)
+	events, cancel := bus.Subscribe(1)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		ev := Event{Epoch: uint64(i)}
+		bus.Publish(&ev)
+	}
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, subDrops := bus.Stats(); subDrops != 2 {
+		t.Fatalf("subscriber drops %d, want 2", subDrops)
+	}
+	if got := <-events; got.Epoch != 0 {
+		t.Fatalf("subscriber kept epoch %d, want the first event", got.Epoch)
+	}
+}
+
 func TestBusNilSafe(t *testing.T) {
 	var bus *Bus
 	ev := Event{}

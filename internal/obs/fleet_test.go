@@ -224,6 +224,9 @@ func TestSLOHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
 	}
+	if body := rec.Body.String(); strings.Count(body, "\n") != 1 || !strings.HasSuffix(body, "}\n") {
+		t.Fatalf("body is not one compact JSON line:\n%s", body)
+	}
 	if rep.Loops != 1 || len(rep.Rows) != 1 || rep.Rows[0].Loop != "a" {
 		t.Fatalf("report = %+v", rep)
 	}

@@ -8,8 +8,8 @@ import (
 	"mimoctl/internal/telemetry"
 )
 
-// SLOHandler serves the fleet report as JSON, loops sorted hottest
-// first.
+// SLOHandler serves the fleet report as compact JSON, loops sorted
+// hottest first.
 func (f *Fleet) SLOHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rep := f.Report()
@@ -23,9 +23,7 @@ func (f *Fleet) SLOHandler() http.Handler {
 			rep.Rows = rows
 		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
+		_ = json.NewEncoder(w).Encode(rep)
 	})
 }
 

@@ -127,8 +127,9 @@ func TestHealthzFoldsModelHealth(t *testing.T) {
 		t.Fatalf("health %+v, want 1 fallback after %d model-health alarms", h, fallbackAfter)
 	}
 	// A void certificate is not re-armed by clean telemetry: the monitor
-	// sees no innovations while pinned, so its fail verdict stands.
-	for k := 0; k < 2*(minFallbackEpochs+reengageAfter); k++ {
+	// sees no innovations while pinned, so its fail verdict stands over
+	// several hysteresis windows of healthy epochs.
+	for k := 0; k < 3*reengageAfter; k++ {
 		sup.Step(goodTel(k))
 	}
 	if sup.Mode() != ModeFallback || sup.Health().Reengagements != 0 {

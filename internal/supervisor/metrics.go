@@ -24,7 +24,7 @@ import (
 // signal).
 
 type supMetrics struct {
-	epochs         telemetry.Counter // nil when read from the fleet loop
+	epochs         telemetry.Counter // nil when read from the fleet loop, or unbound
 	mode           telemetry.Gauge
 	toFallback     telemetry.Counter
 	toEngaged      telemetry.Counter
@@ -53,13 +53,12 @@ func (s *Supervised) BindTelemetry(reg *telemetry.Registry) {
 	if s.adapter != nil {
 		s.adapter.BindTelemetry(reg)
 	}
-	if !reg.Enabled() {
-		s.tel = nil
-		return
-	}
 	s.tel = newSupMetrics(reg, s.loopObs)
-	s.tel.mode.Set(float64(s.mode))
+	s.tel.mode.Set(float64(s.st.mode))
 }
+
+// unbound is an unbound supervisor's instruments, a nil registry's no-ops.
+var unbound = newSupMetrics(nil, nil)
 
 func newSupMetrics(reg *telemetry.Registry, loop *obs.Loop) *supMetrics {
 	m := &supMetrics{
@@ -82,7 +81,7 @@ func newSupMetrics(reg *telemetry.Registry, loop *obs.Loop) *supMetrics {
 	const epochsName, epochsHelp = "supervisor_epochs_total", "supervised steps executed"
 	if loop != nil {
 		reg.CounterFunc(epochsName, epochsHelp, loop.Epochs)
-	} else {
+	} else if reg.Enabled() {
 		m.epochs = reg.Counter(epochsName, epochsHelp)
 	}
 	return m

@@ -17,8 +17,8 @@
 //   - model-health monitoring: the Kalman innovation magnitude and the
 //     tracking-error trend are watched for sustained divergence — the
 //     signature of a plant that no longer matches the identified model,
-//   - actuation supervision: failed Apply calls are retried with
-//     bounded exponential backoff,
+//   - actuation supervision: failed Apply calls are retried with a
+//     doubling backoff,
 //   - safe-state fallback: under a dead sensor channel, a diverging
 //     model, or sustained actuation failure, the supervisor abandons
 //     the inner controller and pins the safe static configuration (the
@@ -40,6 +40,7 @@ import (
 	"mimoctl/internal/health"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
+	"mimoctl/internal/telemetry"
 )
 
 // Mode is the supervisor's operating mode.
@@ -135,17 +136,15 @@ const (
 	fallbackAfter = 50
 
 	// applyFallbackAfter is how many consecutive failed Apply attempts
-	// trigger the fallback; applyBackoffLimit caps the exponential
-	// backoff between Apply retries, in epochs.
+	// while engaged trigger the fallback. Between them the retry backoff
+	// doubles: retry, hold 1, retry, hold 2, and the sixth failure falls
+	// back.
 	applyFallbackAfter = 6
-	applyBackoffLimit  = 8
 
-	// reengageAfter is how many consecutive healthy epochs (plausible
-	// telemetry and successful actuation) re-engage the inner
-	// controller; minFallbackEpochs is the shortest stay in fallback.
-	// Together they are the hysteresis that prevents mode flapping.
-	reengageAfter     = 150
-	minFallbackEpochs = 100
+	// reengageAfter is how many consecutive healthy fallback epochs
+	// (plausible telemetry and successful actuation) re-engage the inner
+	// controller: the hysteresis that prevents mode flapping.
+	reengageAfter = 150
 )
 
 // Physical plausibility bounds for the two sensors. Readings outside
@@ -157,6 +156,142 @@ const (
 	minIPS, maxIPS       float64 = 0.01, 10
 	minPowerW, maxPowerW float64 = 0.02, 12
 )
+
+// modeState is everything the supervisor's mode decisions read, as one
+// value: New, Reset, a fallback and a re-engagement each assign a whole
+// one, and next is its one transition. A counter only compared with a
+// threshold saturates there, so every field stays bounded.
+type modeState struct {
+	mode Mode
+	// Sensing: consecutive implausible samples per channel, the epochs
+	// left before the model-health alarms count, the run of sick epochs.
+	staleIPS, stalePower, grace, sickStreak int
+	// Actuation: the last reported apply succeeded, the run of failed
+	// applies while engaged, the retry backoff, the epochs to hold before
+	// the next retry, and a request since the loop (re-)engaged.
+	applyOK                         bool
+	failStreak, backoff, holdEpochs int
+	haveRequested                   bool
+	healthyStreak                   int // consecutive healthy fallback epochs
+}
+
+// event is the kind of input the mode machine takes: an epoch's sensing,
+// an apply report, an adapter's swap or revert, or a target change.
+type event uint8
+
+const (
+	evStep event = iota
+	evApply
+	evSwap
+	evRevert
+	evTarget
+)
+
+// input is one input class of the mode machine.
+type input struct {
+	ev             event
+	ipsOK, powerOK bool // evStep: each channel's sample is plausible
+	alarm          bool // evStep: a model-health alarm (armed epochs only)
+	certOK         bool // evStep: the model-health certificate stands
+	applied        bool // evApply: the apply succeeded
+}
+
+// action is what an evStep epoch issues.
+type action uint8
+
+const (
+	actStep  action = iota // the inner controller's request
+	actHold                // the plant's configuration, backing off
+	actRetry               // the last request again
+	actPin                 // the safe configuration
+)
+
+// engage is the state of a loop handed to a freshly reset inner
+// controller: a full grace period and no actuation history. The
+// channels' staleness carries over.
+func (m *modeState) engage() modeState {
+	return modeState{staleIPS: m.staleIPS, stalePower: m.stalePower, grace: graceEpochs, applyOK: true}
+}
+
+// pin is the state of a loop that has just fallen back: nothing is
+// requested or held, the hysteresis counts from zero, the staleness and
+// the last apply's outcome carry over, the grace is full.
+func (m *modeState) pin() modeState {
+	return modeState{mode: ModeFallback, staleIPS: m.staleIPS, stalePower: m.stalePower, grace: graceEpochs, applyOK: m.applyOK}
+}
+
+// dead reports whether a channel has coasted past maxStaleEpochs.
+func (m *modeState) dead() bool { return m.staleIPS > maxStaleEpochs || m.stalePower > maxStaleEpochs }
+
+// next is the mode machine: it advances the state by input in and
+// returns, for evStep, what the epoch issues. It reads and writes the
+// state alone; the Supervised methods act on the mode changes it makes.
+func (m *modeState) next(in input) action {
+	switch in.ev {
+	case evTarget:
+		m.grace = graceEpochs
+	case evApply:
+		m.applyOK = in.applied
+		switch {
+		case in.applied:
+			m.failStreak, m.backoff, m.holdEpochs = 0, 0, 0
+		case m.mode == ModeEngaged:
+			if m.failStreak++; m.failStreak >= applyFallbackAfter {
+				*m = m.pin()
+			}
+		}
+	case evSwap, evRevert:
+		if m.mode == ModeEngaged {
+			// Fresh (or restored) gains produce a deliberate transient.
+			m.grace, m.sickStreak = graceEpochs, 0
+		} else if in.ev == evSwap {
+			// The pinned loop has nothing to settle: hand control back.
+			*m = m.engage()
+		}
+	case evStep:
+		m.staleIPS, m.stalePower = stale(m.staleIPS, in.ipsOK), stale(m.stalePower, in.powerOK)
+		if m.mode == ModeFallback {
+			m.healthyStreak = min(m.healthyStreak+1, reengageAfter)
+			if !in.ipsOK || !in.powerOK || !m.applyOK {
+				m.healthyStreak = 0
+			}
+			if m.healthyStreak >= reengageAfter && in.certOK {
+				*m = m.engage()
+			}
+			return actPin
+		}
+		sick := m.dead() || (m.grace == 0 && in.alarm)
+		m.grace = max(m.grace-1, 0)
+		m.sickStreak++
+		if !sick {
+			m.sickStreak = 0
+		}
+		switch {
+		case m.sickStreak >= fallbackAfter:
+			*m = m.pin()
+			return actPin
+		case m.applyOK || !m.haveRequested:
+			m.haveRequested = true
+		case m.holdEpochs > 0:
+			m.holdEpochs--
+			return actHold
+		default:
+			m.backoff = max(1, 2*m.backoff)
+			m.holdEpochs = m.backoff
+			return actRetry
+		}
+	}
+	return actStep
+}
+
+// stale advances a channel's count of consecutive implausible samples,
+// saturating one past maxStaleEpochs.
+func stale(n int, ok bool) int {
+	if ok {
+		return 0
+	}
+	return min(n+1, maxStaleEpochs+1)
+}
 
 // Health counts what the supervisor saw and did. All counters are
 // cumulative since the last Reset.
@@ -194,39 +329,20 @@ type Health struct {
 type Supervised struct {
 	inner   core.ArchController
 	monitor *health.Monitor // Options.ModelHealth (nil: none)
+	adapter *adapt.Adapter  // Options.Adapter (nil: none)
 
 	ipsTarget, powerTarget float64
 
-	mode   Mode
+	st     modeState
 	health Health
 
-	// Sanitization state.
-	goodIPS, goodPower   float64
-	haveGood             bool
-	staleIPS, stalePower int
-	goodL1, goodL2       float64
-
-	// Model-health state.
-	grace      int
-	emaInnov   float64
-	emaErr     float64
-	sickStreak int
-
-	// Actuation state.
-	applyOK       bool
-	failStreak    int
-	backoff       int
-	holdEpochs    int
-	lastRequested sim.Config
-	haveRequested bool
-
-	// Fallback/hysteresis state.
-	fallbackEpochs int
-	healthyStreak  int
-
-	// Flight recording: the supervisor writes every epoch's record, the
-	// one it also hands the fleet loop (endEpoch).
-	rec *flightrec.Recorder
+	// The last plausible readings, substituted for implausible ones; the
+	// model-health alarms' smoothed innovation and tracking error; the
+	// last request, re-issued by a retry.
+	goodIPS, goodPower, goodL1, goodL2 float64
+	haveGood                           bool
+	emaInnov, emaErr                   float64
+	lastRequested                      sim.Config
 
 	// The inner controller resolved once in New: as the MIMO controller
 	// when it is one, which the engaged step calls and reads the
@@ -236,11 +352,10 @@ type Supervised struct {
 	innov        InnovationReporter
 	innovScratch [2]float64
 
-	// Adaptation (nil when Options.Adapter was not set).
-	adapter *adapt.Adapter
-
-	// Instrument binding (nil: unbound) and fleet observability handle
-	// (nil: no per-epoch events).
+	// The flight recorder the supervisor writes every epoch's record to
+	// (endEpoch), the instruments (no-ops when unbound) and the fleet
+	// loop (nil: no per-epoch events).
+	rec     *flightrec.Recorder
 	tel     *supMetrics
 	loopObs *obs.Loop
 }
@@ -248,11 +363,10 @@ type Supervised struct {
 // New wraps the inner controller. The inner controller's current
 // targets become the supervisor's.
 func New(inner core.ArchController, opts Options) *Supervised {
-	s := &Supervised{inner: inner, monitor: opts.ModelHealth, applyOK: true, adapter: opts.Adapter}
+	s := &Supervised{inner: inner, monitor: opts.ModelHealth, st: new(modeState).engage(), adapter: opts.Adapter, tel: unbound}
 	s.mimo, _ = inner.(*core.MIMOController)
 	s.innov, _ = inner.(InnovationReporter)
 	s.ipsTarget, s.powerTarget = inner.Targets()
-	s.grace = graceEpochs
 	return s
 }
 
@@ -299,7 +413,7 @@ func (s *Supervised) SetTargets(ips, power float64) {
 	}
 	s.ipsTarget, s.powerTarget = ips, power
 	s.inner.SetTargets(ips, power)
-	s.grace = graceEpochs
+	s.transition(input{ev: evTarget})
 }
 
 // Targets implements core.ArchController.
@@ -308,42 +422,21 @@ func (s *Supervised) Targets() (float64, float64) { return s.ipsTarget, s.powerT
 // Reset implements core.ArchController.
 func (s *Supervised) Reset() {
 	s.inner.Reset()
-	s.mode = ModeEngaged
+	s.st = new(modeState).engage()
 	s.health = Health{}
 	s.haveGood = false
-	s.staleIPS, s.stalePower = 0, 0
-	s.grace = graceEpochs
 	s.emaInnov, s.emaErr = 0, 0
-	s.sickStreak = 0
-	s.applyOK = true
-	s.failStreak, s.backoff, s.holdEpochs = 0, 0, 0
-	s.haveRequested = false
-	s.fallbackEpochs, s.healthyStreak = 0, 0
-	if m := s.tel; m != nil {
-		m.mode.Set(float64(ModeEngaged))
-	}
+	s.tel.mode.Set(float64(ModeEngaged))
 }
 
 // ObserveApply implements ApplyObserver: the harness reports the
-// outcome of each Apply attempt. applyFallbackAfter consecutive
-// failures force the safe-state fallback.
+// outcome of each step's Apply, once per step. applyFallbackAfter
+// consecutive failures while engaged force the safe-state fallback.
 func (s *Supervised) ObserveApply(cfg sim.Config, err error) {
-	if err == nil {
-		s.applyOK = true
-		s.failStreak = 0
-		s.backoff = 0
-		s.holdEpochs = 0
-		return
+	if err != nil {
+		count(&s.health.ApplyFailures, s.tel.applyFailures)
 	}
-	s.applyOK = false
-	s.health.ApplyFailures++
-	if m := s.tel; m != nil {
-		m.applyFailures.Inc()
-	}
-	s.failStreak++
-	if s.mode == ModeEngaged && s.failStreak >= applyFallbackAfter {
-		s.enterFallback()
-	}
+	s.transition(input{ev: evApply, applied: err == nil})
 }
 
 // Step implements core.ArchController. Every epoch: sanitize the
@@ -368,117 +461,41 @@ func (s *Supervised) Step(t sim.Telemetry) sim.Config {
 func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool) {
 	m := s.tel
 	s.health.Epochs++
-	if m != nil && m.epochs != nil {
+	if m.epochs != nil {
 		m.epochs.Inc()
 	}
-	ipsOK, powerOK := s.sanitize(&t, m)
-	clean := ipsOK && powerOK
-	flags := obs.FlagSupervised
-	if !ipsOK {
-		flags |= obs.FlagSanitizedIPS
-	}
-	if !powerOK {
-		flags |= obs.FlagSanitizedPower
-	}
-	if !s.applyOK {
+	flags := obs.FlagSupervised | s.sanitize(&t)
+	in := input{ev: evStep, ipsOK: flags&obs.FlagSanitizedIPS == 0, powerOK: flags&obs.FlagSanitizedPower == 0}
+	clean := in.ipsOK && in.powerOK
+	if !s.st.applyOK {
 		flags |= obs.FlagApplyError
 	}
+	pinned := s.st.mode == ModeFallback
+	if pinned {
+		// The monitor sees no innovations in fallback, so its verdict is
+		// frozen: a fallback on a model-health fail stays pinned until an
+		// adapter's accepted redesign restores the certificate.
+		in.certOK = s.monitor.Level() != health.LevelFail
+	} else if s.st.grace == 0 {
+		in.alarm = s.alarmed(&t) // armed: past the grace period
+	}
+	act := s.transition(in)
+	dead := !pinned && s.st.dead()
+	if dead {
+		count(&s.health.DeadSensorEpochs, m.deadSensorEpochs)
+	}
 
-	if s.mode == ModeFallback {
-		s.health.FallbackEpochs++
-		if m != nil {
-			m.fallbackEpochs.Inc()
-		}
-		s.fallbackEpochs++
-		if clean && s.applyOK {
-			s.healthyStreak++
-		} else {
-			s.healthyStreak = 0
-		}
-		if s.fallbackEpochs >= minFallbackEpochs && s.healthyStreak >= reengageAfter &&
-			s.modelCertOK() {
-			s.reengage()
-		}
+	switch act {
+	case actPin:
 		cfg := sim.BaselineConfig()
-		if s.adapter != nil {
-			// The adaptation loop keeps running while pinned: dither
-			// around the safe configuration is open-loop identification
-			// data, and an accepted swap hands control straight back —
-			// the pinned loop has nothing to settle.
-			v := s.adapter.Advance(t, cfg, clean && s.applyOK)
-			cfg = v.Cfg
-			flags |= v.Flags
-			if v.Swapped {
-				s.rec.RequestDump("adapt-swap")
-				if s.mode == ModeFallback {
-					s.reengage()
-				}
-			} else if v.Reverted {
-				// A probation revert while pinned: the monitor was rebased
-				// onto the restored design, so the normal healthy-streak
-				// hysteresis decides when to re-engage it.
-				s.rec.RequestDump("adapt-revert")
-			}
-		}
-		return cfg, s.endEpoch(&t, ev, cfg, flags|obs.FlagFallback, obs.ModeFallback, nil)
-	}
-
-	// Engaged: dead-channel and model-health checks.
-	sick := false
-	dead := false
-	if s.staleIPS > maxStaleEpochs || s.stalePower > maxStaleEpochs {
-		s.health.DeadSensorEpochs++
-		if m != nil {
-			m.deadSensorEpochs.Inc()
-		}
-		sick = true
-		dead = true
-	}
-	if s.grace > 0 {
-		s.grace--
-	} else {
-		if v := s.relInnovation(s.lastInnovation()); v >= 0 {
-			s.emaInnov += innovationAlpha * (v - s.emaInnov)
-			if s.emaInnov > innovationLimit {
-				s.health.InnovationAlarms++
-				if m != nil {
-					m.innovationAlarms.Inc()
-				}
-				sick = true
-			}
-		}
-		e := s.relError(t)
-		s.emaErr += divergenceAlpha * (e - s.emaErr)
-		if s.emaErr > divergenceLimit {
-			s.health.DivergenceAlarms++
-			if m != nil {
-				m.divergenceAlarms.Inc()
-			}
-			sick = true
-		}
-		// The model-health monitor's verdict is a supervisor alarm in its
-		// own right: a fail level means the observed mismatch has exhausted
-		// the certified guardband, so the loop's stability certificate no
-		// longer covers the plant it is actually driving — engaged control
-		// on a voided certificate is exactly what the safe state exists to
-		// prevent. (The monitor sees the previous epoch's innovation; the
-		// one-epoch skew is irrelevant at fallbackAfter's timescale.)
-		if s.monitor.Level() == health.LevelFail {
-			s.health.ModelHealthAlarms++
-			if m != nil {
-				m.modelHealthAlarms.Inc()
-			}
-			sick = true
-		}
-	}
-	if sick {
-		s.sickStreak++
-	} else {
-		s.sickStreak = 0
-	}
-	if s.sickStreak >= fallbackAfter {
-		s.enterFallback()
-		if s.adapter != nil {
+		switch {
+		case pinned:
+			count(&s.health.FallbackEpochs, m.fallbackEpochs)
+			// The adaptation loop keeps running while pinned: dither around
+			// the safe configuration is open-loop identification data, and
+			// an accepted swap hands control straight back.
+			cfg, flags = s.adapted(t, cfg, flags, clean)
+		case s.adapter != nil:
 			// A fallback forced by model-health alarms on live sensors is
 			// the drift signature; a dead channel is not a modeling
 			// problem and must not trigger re-identification.
@@ -487,31 +504,17 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 			}
 			s.adapter.NoteGap()
 		}
-		return sim.BaselineConfig(), s.endEpoch(&t, ev, sim.BaselineConfig(), flags|obs.FlagFallback, obs.ModeFallback, nil)
-	}
-
-	// Actuation retry with bounded exponential backoff: after a failed
-	// Apply, hold the plant's current configuration for the backoff
-	// interval, then re-issue the last request.
-	if !s.applyOK && s.haveRequested {
-		// Held/re-issued epochs break the adapter's (u, y) pairing: its
-		// estimator must restart its lag history.
+		return cfg, s.endEpoch(&t, ev, cfg, flags|obs.FlagFallback, obs.ModeFallback, nil)
+	case actHold, actRetry:
+		// Held and re-issued epochs break the adapter's (u, y) pairing:
+		// its estimator must restart its lag history.
 		s.adapter.NoteGap()
-		if s.holdEpochs > 0 {
-			s.holdEpochs--
-			return t.Config, s.endEpoch(&t, ev, t.Config, flags|obs.FlagHold, obs.ModeEngaged, nil)
+		cfg := t.Config
+		if act == actRetry {
+			count(&s.health.ApplyRetries, m.applyRetries)
+			cfg = s.lastRequested
 		}
-		s.health.ApplyRetries++
-		if m != nil {
-			m.applyRetries.Inc()
-		}
-		if s.backoff == 0 {
-			s.backoff = 1
-		} else if s.backoff < applyBackoffLimit {
-			s.backoff *= 2
-		}
-		s.holdEpochs = s.backoff
-		return s.lastRequested, s.endEpoch(&t, ev, s.lastRequested, flags|obs.FlagHold, obs.ModeEngaged, nil)
+		return cfg, s.endEpoch(&t, ev, cfg, flags|obs.FlagHold, obs.ModeEngaged, nil)
 	}
 
 	var cfg sim.Config
@@ -527,53 +530,99 @@ func (s *Supervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, bool
 	if err := cfg.Validate(); err != nil {
 		// An illegal request must never reach the hardware: hold the
 		// plant's current (known legal) configuration instead.
-		s.health.IllegalConfigs++
-		if m != nil {
-			m.illegalConfigs.Inc()
-		}
+		count(&s.health.IllegalConfigs, m.illegalConfigs)
 		cfg = t.Config
 		flags |= obs.FlagIllegalConfig
 	}
 	if s.adapter != nil {
-		v := s.adapter.Advance(t, cfg, clean && s.applyOK)
-		cfg = v.Cfg
-		flags |= v.Flags
-		if v.Swapped || v.Reverted {
-			// Fresh gains (or restored ones) produce a deliberate
-			// transient: restart the alarm grace period and forget
-			// loop-shape statistics learned under the outgoing design,
-			// exactly as on re-engagement.
-			s.grace = graceEpochs
-			s.emaInnov, s.emaErr = 0, 0
-			s.sickStreak = 0
-			if v.Swapped {
-				s.rec.RequestDump("adapt-swap")
-			} else {
-				s.rec.RequestDump("adapt-revert")
-			}
-		}
-	}
-	s.lastRequested = cfg
-	s.haveRequested = true
-	if s.adapter != nil {
+		cfg, flags = s.adapted(t, cfg, flags, clean)
 		// A swap or revert this epoch reset the inner's innovation (and
 		// its excess, which endEpoch reads): the record shows the design
 		// now installed.
 		innov = s.lastInnovation()
 	}
+	s.lastRequested = cfg
 	return cfg, s.endEpoch(&t, ev, cfg, flags, obs.ModeEngaged, innov)
 }
 
-// modelCertOK reports whether the model-health monitor permits
-// re-engagement. In fallback the inner controller does not step, so the
-// monitor receives no innovations and its last verdict is frozen: a
-// fallback entered on a model-health fail therefore stays pinned until
-// something restores the certificate. With an adapter attached that is
-// an accepted redesign (the swap rebases the monitor and re-engages);
-// without one the pin is permanent — the pre-adaptation behavior of a
-// drifted plant.
-func (s *Supervised) modelCertOK() bool {
-	return s.monitor.Level() != health.LevelFail
+// transition feeds one input to the mode machine and acts on the mode
+// change it makes. A fallback dumps the flight ring while the fault-era
+// records are still in it. A re-engagement resets the inner controller,
+// whose estimator and integrators were fed fault-era data, and starts
+// the alarm statistics afresh with the grace period.
+func (s *Supervised) transition(in input) action {
+	was := s.st.mode
+	act := s.st.next(in)
+	if s.st.mode == was {
+		return act
+	}
+	if was == ModeEngaged {
+		count(&s.health.Fallbacks, s.tel.toFallback)
+		s.rec.RequestDump("supervisor-fallback")
+	} else {
+		s.inner.Reset()
+		s.inner.SetTargets(s.ipsTarget, s.powerTarget)
+		count(&s.health.Reengagements, s.tel.toEngaged)
+		s.emaInnov, s.emaErr = 0, 0
+	}
+	s.tel.mode.Set(float64(s.st.mode))
+	return act
+}
+
+// count adds one to a Health counter and to its instrument.
+func count(n *int, c telemetry.Counter) {
+	*n++
+	c.Inc()
+}
+
+// adapted advances the adaptation loop (when attached) on the epoch's
+// configuration and returns the configuration and flags it leaves. A hot
+// swap or probation revert goes to the mode machine, and the alarm
+// statistics learned under the outgoing design are forgotten.
+func (s *Supervised) adapted(t sim.Telemetry, cfg sim.Config, flags uint32, clean bool) (sim.Config, uint32) {
+	v := s.adapter.Advance(t, cfg, clean && s.st.applyOK)
+	switch {
+	case v.Swapped:
+		s.rec.RequestDump("adapt-swap")
+		s.transition(input{ev: evSwap})
+	case v.Reverted:
+		s.rec.RequestDump("adapt-revert")
+		s.transition(input{ev: evRevert})
+	default:
+		return v.Cfg, flags | v.Flags
+	}
+	s.emaInnov, s.emaErr = 0, 0
+	return v.Cfg, flags | v.Flags
+}
+
+// alarmed updates the model-health alarms of an armed epoch and reports
+// whether any of them fires: the smoothed innovation, the smoothed
+// tracking error, and the model-health monitor's fail verdict.
+func (s *Supervised) alarmed(t *sim.Telemetry) bool {
+	alarm := false
+	if v := s.relInnovation(s.lastInnovation()); v >= 0 {
+		s.emaInnov += innovationAlpha * (v - s.emaInnov)
+		if s.emaInnov > innovationLimit {
+			count(&s.health.InnovationAlarms, s.tel.innovationAlarms)
+			alarm = true
+		}
+	}
+	e := s.relError(t)
+	if s.emaErr += divergenceAlpha * (e - s.emaErr); s.emaErr > divergenceLimit {
+		count(&s.health.DivergenceAlarms, s.tel.divergenceAlarms)
+		alarm = true
+	}
+	// A fail verdict means the observed mismatch has exhausted the
+	// certified guardband: the stability certificate no longer covers the
+	// plant, and engaged control on a void certificate is what the safe
+	// state exists to prevent. (The monitor sees the previous epoch's
+	// innovation; the one-epoch skew is irrelevant at fallbackAfter's
+	// timescale.)
+	if s.monitor.Level() == health.LevelFail {
+		count(&s.health.ModelHealthAlarms, s.tel.modelHealthAlarms)
+		alarm = true
+	}
+	return alarm
 }
 
 // lastInnovation returns the inner controller's most recent innovation,
@@ -591,58 +640,47 @@ func (s *Supervised) lastInnovation() []float64 {
 }
 
 // sanitize replaces implausible sensor readings with the last good ones
-// (or the targets before any good reading exists) and maintains the
-// per-channel staleness counters. It reports per channel whether the
-// raw sample was plausible.
-func (s *Supervised) sanitize(t *sim.Telemetry, m *supMetrics) (cleanIPS, cleanPower bool) {
+// (or the targets before any good reading exists). It returns the
+// FlagSanitized bits of the channels whose raw sample was implausible.
+func (s *Supervised) sanitize(t *sim.Telemetry) (flags uint32) {
 	ipsOK := plausible(t.IPS, minIPS, maxIPS)
 	powerOK := plausible(t.PowerW, minPowerW, maxPowerW)
-	if ipsOK {
-		s.goodIPS = t.IPS
-		s.staleIPS = 0
-	} else {
-		s.health.SanitizedIPS++
-		if m != nil {
-			m.sanitizedIPS.Inc()
-		}
-		s.staleIPS++
-		if s.haveGood {
-			t.IPS = s.goodIPS
-		} else {
-			t.IPS = s.ipsTarget
-		}
+	t.IPS = s.substitute(t.IPS, ipsOK, &s.goodIPS, s.ipsTarget)
+	t.PowerW = s.substitute(t.PowerW, powerOK, &s.goodPower, s.powerTarget)
+	if !ipsOK {
+		count(&s.health.SanitizedIPS, s.tel.sanitizedIPS)
+		flags |= obs.FlagSanitizedIPS
 	}
-	if powerOK {
-		s.goodPower = t.PowerW
-		s.stalePower = 0
-	} else {
-		s.health.SanitizedPower++
-		if m != nil {
-			m.sanitizedPower.Inc()
-		}
-		s.stalePower++
-		if s.haveGood {
-			t.PowerW = s.goodPower
-		} else {
-			t.PowerW = s.powerTarget
-		}
+	if !powerOK {
+		count(&s.health.SanitizedPower, s.tel.sanitizedPower)
+		flags |= obs.FlagSanitizedPower
 	}
-	if ipsOK && powerOK {
-		s.haveGood = true
-	}
+	s.haveGood = s.haveGood || (ipsOK && powerOK)
 	// Cache miss counters feed the heuristic's ranking rules; a corrupt
 	// counter must not poison them either.
-	if finite(t.L1MPKI) && t.L1MPKI >= 0 {
-		s.goodL1 = t.L1MPKI
-	} else {
-		t.L1MPKI = s.goodL1
+	t.L1MPKI, t.L2MPKI = lastGood(t.L1MPKI, &s.goodL1), lastGood(t.L2MPKI, &s.goodL2)
+	return flags
+}
+
+// substitute returns v when plausible (kept in *good), else the last
+// good reading, or target until both sensors have read plausible.
+func (s *Supervised) substitute(v float64, ok bool, good *float64, target float64) float64 {
+	if ok {
+		*good = v
+		return v
 	}
-	if finite(t.L2MPKI) && t.L2MPKI >= 0 {
-		s.goodL2 = t.L2MPKI
-	} else {
-		t.L2MPKI = s.goodL2
+	if s.haveGood {
+		return *good
 	}
-	return ipsOK, powerOK
+	return target
+}
+
+// lastGood returns v when it is a valid miss count, else the last one.
+func lastGood(v float64, good *float64) float64 {
+	if finite(v) && v >= 0 {
+		*good = v
+	}
+	return *good
 }
 
 // relInnovation maps the inner controller's innovation vector [IPS, W]
@@ -663,7 +701,7 @@ func (s *Supervised) relInnovation(innov []float64) float64 {
 
 // relError is the instantaneous relative tracking error of the
 // sanitized measurements against the targets (worst channel).
-func (s *Supervised) relError(t sim.Telemetry) float64 {
+func (s *Supervised) relError(t *sim.Telemetry) float64 {
 	e := 0.0
 	if s.ipsTarget > 0 {
 		e = math.Abs(t.IPS-s.ipsTarget) / s.ipsTarget
@@ -676,56 +714,16 @@ func (s *Supervised) relError(t sim.Telemetry) float64 {
 	return e
 }
 
-func (s *Supervised) enterFallback() {
-	s.mode = ModeFallback
-	s.health.Fallbacks++
-	if m := s.tel; m != nil {
-		m.toFallback.Inc()
-		m.mode.Set(float64(ModeFallback))
-	}
-	// Preserve the evidence: dump the ring the moment the loop gives up,
-	// while the fault-era records are still in it.
-	s.rec.RequestDump("supervisor-fallback")
-	s.fallbackEpochs = 0
-	s.healthyStreak = 0
-	s.sickStreak = 0
-	s.holdEpochs = 0
-	s.haveRequested = false
-}
-
-// reengage resets the inner controller — its estimator and integrators
-// were fed fault-era data — and hands control back with a fresh grace
-// period.
-func (s *Supervised) reengage() {
-	s.inner.Reset()
-	s.inner.SetTargets(s.ipsTarget, s.powerTarget)
-	s.mode = ModeEngaged
-	s.health.Reengagements++
-	if m := s.tel; m != nil {
-		m.toEngaged.Inc()
-		m.mode.Set(float64(ModeEngaged))
-	}
-	s.grace = graceEpochs
-	s.emaInnov, s.emaErr = 0, 0
-	s.sickStreak = 0
-	s.applyOK = true
-	s.failStreak, s.backoff, s.holdEpochs = 0, 0, 0
-	s.haveRequested = false
-}
-
 // Nominal reports whether the supervisor is on the nominal engaged
-// path: engaged mode, healthy actuation, and no retry or backoff in
-// flight. internal/batch reports a loop off this path as parked.
-func (s *Supervised) Nominal() bool {
-	return s.mode == ModeEngaged && s.applyOK &&
-		s.failStreak == 0 && s.backoff == 0 && s.holdEpochs == 0
-}
+// path: engaged mode and healthy actuation, hence no retry or backoff
+// in flight. internal/batch reports a loop off this path as parked.
+func (s *Supervised) Nominal() bool { return s.st.mode == ModeEngaged && s.st.applyOK }
 
 // String summarizes the supervisor state for logs.
 func (s *Supervised) String() string {
 	h := s.Health()
 	return fmt.Sprintf("%s mode=%s fallbacks=%d reengagements=%d sanitized=%d/%d applyFailures=%d",
-		s.Name(), s.mode, h.Fallbacks, h.Reengagements, h.SanitizedIPS, h.SanitizedPower, h.ApplyFailures)
+		s.Name(), s.st.mode, h.Fallbacks, h.Reengagements, h.SanitizedIPS, h.SanitizedPower, h.ApplyFailures)
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

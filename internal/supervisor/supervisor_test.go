@@ -10,7 +10,7 @@ import (
 )
 
 // Mode returns the current operating mode.
-func (s *Supervised) Mode() Mode { return s.mode }
+func (s *Supervised) Mode() Mode { return s.st.mode }
 
 // SafeConfig returns the fallback configuration: the static Baseline,
 // sim.BaselineConfig.

@@ -1,9 +1,10 @@
 // Package testkit holds the test helpers that the tests of several
 // packages share: matrix literals and comparisons, the allocating
 // vector operations, the positive-definiteness and observability
-// checks that design tests assert, and a field-by-field comparison of
-// per-epoch records. Only _test.go files import it, so no program links
-// it.
+// checks that design tests assert, a field-by-field comparison of
+// per-epoch records, and the supervised-loop fault schedules that the
+// batch and supervisor differentials decode. Only _test.go files import
+// it, so no program links it.
 package testkit
 
 import (

@@ -139,27 +139,16 @@ const (
 	driftAbsMin    float64 = 1e-3
 )
 
-// DriftConfig tunes the comparison.
-type DriftConfig struct {
-	// MinCount skips comparison when the live window pooled fewer finite
-	// samples (default 64) — a cold store never drifts.
-	MinCount uint64
-}
-
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.MinCount == 0 {
-		c.MinCount = 64
-	}
-	return c
-}
+// driftMinCount is the fewest finite live samples a signal must pool
+// before it is compared: a cold store never drifts.
+const driftMinCount = 64
 
 // CompareBaseline scores the live [from, to] window against base:
 // every baselined signal whose live mean or p95 exceeds the baseline
 // by more than the tolerance (relative AND absolute) is flagged.
 // Regressions are one-sided — these are cost/error signals where only
 // increases are bad. Results sort by signal then stat.
-func CompareBaseline(db *DB, base Baseline, from, to uint64, cfg DriftConfig) []Drift {
-	cfg = cfg.withDefaults()
+func CompareBaseline(db *DB, base Baseline, from, to uint64) []Drift {
 	sigs := make([]string, 0, len(base.Signals))
 	for sig := range base.Signals {
 		sigs = append(sigs, sig)
@@ -169,7 +158,7 @@ func CompareBaseline(db *DB, base Baseline, from, to uint64, cfg DriftConfig) []
 	for _, sig := range sigs {
 		bs := base.Signals[sig]
 		live, ok := fleetStat(db, sig, from, to)
-		if !ok || live.Count < cfg.MinCount {
+		if !ok || live.Count < driftMinCount {
 			continue
 		}
 		for _, cmp := range []struct {
@@ -215,7 +204,6 @@ type DriftStatus struct {
 type Detector struct {
 	db     *DB
 	base   Baseline
-	cfg    DriftConfig
 	window uint64 // live window length in epochs
 	every  uint64 // check cadence in epochs
 
@@ -223,25 +211,15 @@ type Detector struct {
 	status    atomic.Pointer[DriftStatus]
 }
 
-// NewDetector builds a drift detector over db. window is the trailing
-// live window compared on each check (default: the baseline's own
-// span); every is the check cadence in epochs (default window/2).
-func NewDetector(db *DB, base Baseline, window, every uint64, cfg DriftConfig) *Detector {
-	if window == 0 {
-		if span := base.To - base.From; span > 0 {
-			window = span
-		} else {
-			window = 1024
-		}
+// NewDetector builds a drift detector over db. Each check compares the
+// trailing window of the baseline's own span (1 024 epochs when the
+// span is empty), every half window.
+func NewDetector(db *DB, base Baseline) *Detector {
+	window := uint64(1024)
+	if span := base.To - base.From; span > 0 {
+		window = span
 	}
-	if every == 0 {
-		every = window / 2
-		if every == 0 {
-			every = 1
-		}
-	}
-	d := &Detector{db: db, base: base, cfg: cfg.withDefaults(), window: window, every: every, nextCheck: window}
-	return d
+	return &Detector{db: db, base: base, window: window, every: max(window/2, 1), nextCheck: window}
 }
 
 // advance notes ingest progress and runs a comparison each time the
@@ -262,7 +240,7 @@ func (d *Detector) Check(now uint64) DriftStatus {
 		from = now - d.window
 	}
 	st := DriftStatus{CheckedAt: now, Window: d.window,
-		Drifts: CompareBaseline(d.db, d.base, from, now, d.cfg)}
+		Drifts: CompareBaseline(d.db, d.base, from, now)}
 	d.status.Store(&st)
 	return st
 }

@@ -70,13 +70,13 @@ func TestCompareBaselineFlagsRegression(t *testing.T) {
 	base := CaptureBaseline(baselineDB(0.02), []string{"track_err", "power_w"}, 0, 255)
 
 	// Healthy live run: same distribution, no drift.
-	healthy := CompareBaseline(baselineDB(0.02), base, 0, 255, DriftConfig{})
+	healthy := CompareBaseline(baselineDB(0.02), base, 0, 255)
 	if len(healthy) != 0 {
 		t.Fatalf("healthy run flagged: %+v", healthy)
 	}
 
 	// Regressed live run: tracking error tripled, power unchanged.
-	drifts := CompareBaseline(baselineDB(0.06), base, 0, 255, DriftConfig{})
+	drifts := CompareBaseline(baselineDB(0.06), base, 0, 255)
 	if len(drifts) == 0 {
 		t.Fatal("3x tracking-error regression not flagged")
 	}
@@ -92,9 +92,10 @@ func TestCompareBaselineFlagsRegression(t *testing.T) {
 
 func TestCompareBaselineMinCount(t *testing.T) {
 	base := CaptureBaseline(baselineDB(0.02), []string{"track_err"}, 0, 255)
-	// A cold live store pools nothing; a tiny one pools under MinCount.
+	// A cold live store pools nothing; a tiny one pools under
+	// driftMinCount.
 	cold := New(Options{})
-	if got := CompareBaseline(cold, base, 0, 255, DriftConfig{}); len(got) != 0 {
+	if got := CompareBaseline(cold, base, 0, 255); len(got) != 0 {
 		t.Fatalf("cold store flagged drift: %+v", got)
 	}
 	tiny := New(Options{})
@@ -102,15 +103,15 @@ func TestCompareBaselineMinCount(t *testing.T) {
 	for e := uint64(0); e < 10; e++ {
 		s.Append(e, 5.0)
 	}
-	if got := CompareBaseline(tiny, base, 0, 255, DriftConfig{MinCount: 64}); len(got) != 0 {
-		t.Fatalf("under-MinCount window flagged drift: %+v", got)
+	if got := CompareBaseline(tiny, base, 0, 255); len(got) != 0 {
+		t.Fatalf("window under driftMinCount flagged drift: %+v", got)
 	}
 }
 
 func TestDetectorAnnotationLifecycle(t *testing.T) {
 	base := CaptureBaseline(baselineDB(0.02), []string{"track_err"}, 0, 255)
 	live := baselineDB(0.06)
-	det := NewDetector(live, base, 256, 0, DriftConfig{})
+	det := NewDetector(live, base)
 	if _, active := det.Annotation(); active {
 		t.Fatal("annotation active before any check")
 	}

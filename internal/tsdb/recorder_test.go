@@ -103,11 +103,12 @@ func TestRecorderAdvancesDetector(t *testing.T) {
 	db := New(Options{})
 	rec := NewRecorder(db, nil)
 
-	// Seed a healthy baseline: track_err mean 0.
+	// Seed a healthy baseline: track_err mean 0. The detector compares
+	// its 99-epoch span every 49 epochs.
 	base := Baseline{Version: BaselineVersion, From: 0, To: 99, Signals: map[string]BaselineStat{
 		"track_err": {Mean: 0, P95: 0, Max: 0, Count: 100},
 	}}
-	det := NewDetector(db, base, 100, 50, DriftConfig{MinCount: 10})
+	det := NewDetector(db, base)
 	rec.SetDetector(det)
 
 	// Feed 200 epochs of badly-tracking telemetry through the recorder.
