@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test ./internal/batch/ -run '^$$' -fuzz FuzzSupervisedBatchVsScalar -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/supervisor/ -run '^$$' -fuzz FuzzModeMachineVsReference -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzSLOEvalVsReference -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzFillEventVsReference -fuzztime $(or $(FUZZTIME),10s)
 
 # golden re-records the golden regression CSVs after an intentional
 # output change; review the diff like code.

@@ -44,7 +44,7 @@ func main() {
 		format      = flag.String("format", "text", "output format: text or csv")
 		parallel    = flag.Int("parallel", runner.DefaultWorkers(), "experiment worker count: 0 = serial, N = pool of N workers (output is byte-identical either way)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live diagnostics (/metrics, /healthz, /slo, /events, /debug/pprof) on this address (e.g. :8090) with the fleet observability plane attached (watch with cmd/mimostat); empty disables")
-		frDir       = flag.String("flightrec-dir", "", "attach a flight recorder to every recordable run and dump each ring to this directory; empty disables")
+		frDir       = flag.String("flightrec-dir", "", "record every member of every experiment row and every fault-sweep run, and dump each ring to this directory; empty disables")
 		eventsPath  = flag.String("events", "", "write one JSONL event per supervised epoch per loop to this file")
 		historyOn   = flag.Bool("history", false, "record per-loop telemetry history into the embedded time-series store, served on /history (watch with cmd/mimostat)")
 		basePath    = flag.String("baseline", "", "compare live history against this committed baseline snapshot and surface drift on /healthz (implies -history)")

@@ -7,11 +7,11 @@
 // indices, and the supervisor mode.
 //
 // The run keeps one flight ring and every row is read from it. The
-// MIMO controllers (mimo, mimo3) and the supervised runtime write their
-// own record of each epoch, so a row carries what only they know (the
-// continuous request, the excess, the supervisor's flags and
-// innovation norm); for the other architectures the harness writes the
-// record, with NaN for what it cannot see.
+// supervised runtime writes its own record of each epoch, with its
+// flags and innovation norm; for every other architecture the harness
+// writes the record with core.FillEvent, which adds what only a MIMO
+// controller knows (the innovation, the continuous request, the excess)
+// and leaves NaN for what the loop cannot see.
 //
 // -format selects CSV (default) or JSONL, -every subsamples, and
 // -metrics-addr additionally serves live diagnostics (/metrics,
@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"syscall"
@@ -101,7 +100,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// ring is the run's one flight ring, written once per epoch by the
-	// controller (mimo, mimo3, supervised) or by fillEvent (the others);
+	// supervisor (supervised) or by core.FillEvent (the others);
 	// rows, /trace and the -flightrec dump all read it. It stamps the
 	// epoch from its sequence, from 1.
 	ring := flightrec.New(ringCap)
@@ -153,9 +152,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	ctrl.SetTargets(*ips, *power)
-	rc, recordable := ctrl.(flightrec.Recordable)
-	if recordable {
-		rc.SetFlightRecorder(ring)
+	sup, supervised := ctrl.(*supervisor.Supervised)
+	if supervised {
+		sup.SetFlightRecorder(ring)
 	}
 	ring.SetMeta(flightrec.Meta{
 		Arch: *arch, Workload: *workload, Seed: *seed,
@@ -178,7 +177,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	proc.BindTelemetry(reg)
-	sup, supervised := ctrl.(*supervisor.Supervised)
 	inner := ctrl
 	if supervised {
 		inner = sup.Inner()
@@ -202,8 +200,8 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		cfg := ctrl.Step(tel)
-		if !recordable {
-			fillEvent(&row[0], ctrl, cfg, &tel)
+		if !supervised {
+			core.FillEvent(&row[0], ctrl, cfg, &tel)
 			ring.Append(&row[0])
 		}
 		if err := proc.Apply(cfg); err != nil {
@@ -235,39 +233,6 @@ func run(args []string, stdout io.Writer) error {
 		sinkErr = err
 	}
 	return sinkErr
-}
-
-// fillEvent writes the harness's record of an epoch for a controller
-// that records none: tel is the telemetry the controller stepped on
-// (its measurement, and the configuration in effect during that epoch)
-// and cfg the configuration it requested. The ring stamps the epoch.
-// What the harness cannot see (innovation, continuous request, excess,
-// guardband) is NaN.
-func fillEvent(ev *obs.Event, ctrl core.ArchController, cfg sim.Config, tel *sim.Telemetry) {
-	ti, tp := ctrl.Targets()
-	nan := math.NaN()
-	*ev = obs.Event{
-		IPSTarget:   ti,
-		PowerTarget: tp,
-		IPS:         tel.IPS,
-		PowerW:      tel.PowerW,
-		TrueIPS:     tel.TrueIPS,
-		TruePowerW:  tel.TruePowerW,
-		InnovIPS:    nan,
-		InnovPowerW: nan,
-		InnovNorm:   nan,
-		ExcessNorm:  nan,
-		Guardband:   nan,
-		UFreqGHz:    nan,
-		UL2Ways:     nan,
-		UROBEntries: nan,
-		ReqFreq:     int16(cfg.FreqIdx),
-		ReqCache:    int16(cfg.CacheIdx),
-		ReqROB:      int16(cfg.ROBIdx),
-		CfgFreq:     int16(tel.Config.FreqIdx),
-		CfgCache:    int16(tel.Config.CacheIdx),
-		CfgROB:      int16(tel.Config.ROBIdx),
-	}
 }
 
 // traceEndpoint serves the recent records as /trace: JSONL by default,

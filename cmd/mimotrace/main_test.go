@@ -52,8 +52,7 @@ func TestSupervisedRowsAreTheSupervisorsRecords(t *testing.T) {
 
 // TestMIMORowsEqualTheDump: for every architecture, a run's rows and
 // its -flightrec dump are the same records, field by field: the
-// controller's own for mimo, mimo3 and supervised, the harness's for
-// the others.
+// supervisor's for supervised, core.FillEvent's for the others.
 func TestMIMORowsEqualTheDump(t *testing.T) {
 	for _, arch := range []string{"mimo", "mimo3", "heuristic", "decoupled", "baseline", "supervised"} {
 		t.Run(arch, func(t *testing.T) {

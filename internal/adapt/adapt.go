@@ -196,11 +196,6 @@ const (
 	rlsOperatingPointAlpha float64 = 0.005
 )
 
-// The redesign recipe mirrors core.DesignFrom: Table III weights, the
-// input weights doubled up to maxRSAIterations times until the
-// small-gain check passes.
-const maxRSAIterations = 8
-
 // Stats counts adaptation activity since construction.
 type Stats struct {
 	// Triggers counts accepted drift episodes.

@@ -40,10 +40,12 @@ func (a *Adapter) guardbands() []float64 {
 }
 
 // redesign realizes the estimator's current coefficients and re-runs
-// the paper's design recipe against them: LQG with the Table III
-// weights, input weights doubled until the small-gain check passes at
-// the inflated guardbands, bounded by maxRSAIterations. Runs off the
-// per-epoch hot path; allocation is fine here.
+// the paper's synthesis loop against them (core.Synthesize: LQG with
+// the Table III weights, input weights doubled until the small-gain
+// check passes at the inflated guardbands, at most
+// core.DefaultMaxRSAIterations designs); the candidate must be
+// nominally and robustly stable. Runs off the per-epoch hot path;
+// allocation is fine here.
 func (a *Adapter) redesign() (*candidate, error) {
 	aB, bB, intercept, vCov := a.est.blocks()
 
@@ -92,33 +94,16 @@ func (a *Adapter) redesign() (*candidate, error) {
 	if a.nu == 3 {
 		inW = append(inW, core.DefaultROBWeight)
 	}
-	var lastErr error
-	for iter := 0; iter < maxRSAIterations; iter++ {
-		lq, err := lqg.Design(model.SS,
-			lqg.Weights{OutputWeights: []float64{core.DefaultIPSWeight, core.DefaultPowerWeight}, InputWeights: inW},
-			lqg.Noise{W: model.W, V: model.V},
-			lqg.Options{DeltaU: true, Integral: true})
-		if err != nil {
-			return nil, fmt.Errorf("adapt: LQG redesign: %w", err)
-		}
-		ctrlSS, err := lq.AsStateSpace()
-		if err != nil {
-			return nil, fmt.Errorf("adapt: candidate controller realization: %w", err)
-		}
-		rep, err := robust.Analyze(model.SS, ctrlSS, gb)
-		if err != nil {
-			return nil, fmt.Errorf("adapt: robustness analysis: %w", err)
-		}
-		if rep.NominallyStable && rep.RobustlyStable {
-			return &candidate{model: model, lq: lq, ctrlSS: ctrlSS, report: rep}, nil
-		}
-		lastErr = fmt.Errorf("adapt: redesign iteration %d fails small-gain at guardbands %.2f/%.2f (spectral radius %.4f, peak gain %.3f)",
-			iter, gb[0], gb[1], rep.SpectralRadius, rep.PeakGain)
-		for i := range inW {
-			inW[i] *= 2
-		}
+	syn, err := core.Synthesize(model, []float64{core.DefaultIPSWeight, core.DefaultPowerWeight}, inW,
+		lqg.Options{DeltaU: true, Integral: true}, gb, core.DefaultMaxRSAIterations)
+	if err != nil {
+		return nil, fmt.Errorf("adapt: redesign: %w", err)
 	}
-	return nil, lastErr
+	if rep := syn.RSA; !rep.NominallyStable || !rep.RobustlyStable {
+		return nil, fmt.Errorf("adapt: redesign iteration %d fails small-gain at guardbands %.2f/%.2f (spectral radius %.4f, peak gain %.3f)",
+			syn.Doublings, gb[0], gb[1], rep.SpectralRadius, rep.PeakGain)
+	}
+	return &candidate{model: model, lq: syn.LQ, ctrlSS: syn.CtrlSS, report: syn.RSA}, nil
 }
 
 // verifyAndSwap is the acceptance gate: the candidate is re-analyzed

@@ -1,7 +1,7 @@
 package core_test
 
 // Micro-benchmarks of the controller step, the step every 50 µs epoch
-// runs: bare, with a flight recorder attached, and bound to a live
+// runs: bare, followed by the harness's flight record, and bound to a live
 // telemetry registry, each on a clone of the standard two-input design;
 // and bare for the three-input design and the Decoupled pair, the other
 // formal controllers the experiment suite steps.
@@ -14,6 +14,7 @@ import (
 	"mimoctl/internal/core"
 	"mimoctl/internal/experiments"
 	"mimoctl/internal/flightrec"
+	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
 	"mimoctl/internal/telemetry"
 )
@@ -75,21 +76,26 @@ func BenchmarkControllerStepDecoupled(b *testing.B) {
 	benchStep(b, c)
 }
 
-// BenchmarkControllerStepFlightRec prices the flight recorder: detached
-// it is one nil check, attached one uncontended mutex acquire plus a
-// fixed-layout record copy, with zero allocations either way.
+// BenchmarkControllerStepFlightRec prices the harness's flight record of
+// a MIMO loop's epoch: the bare step, and the step followed by
+// core.FillEvent and the ring's Append (one uncontended mutex acquire
+// plus a fixed-layout record copy), with zero allocations either way.
 func BenchmarkControllerStepFlightRec(b *testing.B) {
-	for _, tier := range []struct {
-		name string
-		rec  *flightrec.Recorder
-	}{
-		{"detached", nil},
-		{"attached", flightrec.New(4096)},
-	} {
-		b.Run(tier.name, func(b *testing.B) {
+	for _, rec := range []*flightrec.Recorder{nil, flightrec.New(4096)} {
+		b.Run(map[bool]string{false: "detached", true: "attached"}[rec != nil], func(b *testing.B) {
 			c := benchController(b)
-			c.SetFlightRecorder(tier.rec)
-			benchStep(b, c)
+			tel := sim.Telemetry{IPS: 2.3, PowerW: 1.9, Config: sim.MidrangeConfig()}
+			var ev obs.Event
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg := c.Step(tel)
+				if rec != nil {
+					core.FillEvent(&ev, c, cfg, &tel)
+					rec.Append(&ev)
+				}
+				tel.Config = cfg
+			}
 		})
 	}
 }

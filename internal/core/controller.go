@@ -5,7 +5,12 @@
 // optimization of E·D^k leveraging tracking.
 package core
 
-import "mimoctl/internal/sim"
+import (
+	"math"
+
+	"mimoctl/internal/obs"
+	"mimoctl/internal/sim"
+)
 
 // ArchController is a hardware controller invoked once per 50 µs control
 // epoch: it reads the sensors from the completed epoch and chooses the
@@ -27,6 +32,48 @@ type ArchController interface {
 	// Reset clears controller state (estimates, integrators, search
 	// positions) without changing targets.
 	Reset()
+}
+
+// FillEvent writes the record of one epoch of a loop without a
+// supervisor, the one writer of those records (a supervised loop's are
+// its supervisor's): tel is the telemetry ctrl stepped on (its
+// measurement, and the configuration in effect during that epoch) and
+// cfg the configuration it returned; the recorder stamps the epoch.
+// What the loop cannot see is NaN. A *MIMOController adds its
+// FillInternals and, when the step succeeded, its Kalman innovation;
+// the innovation norm and guardband are a supervisor's and stay NaN.
+func FillEvent(ev *obs.Event, ctrl ArchController, cfg sim.Config, tel *sim.Telemetry) {
+	ti, tp := ctrl.Targets()
+	nan := math.NaN()
+	*ev = obs.Event{
+		IPSTarget:   ti,
+		PowerTarget: tp,
+		IPS:         tel.IPS,
+		PowerW:      tel.PowerW,
+		TrueIPS:     tel.TrueIPS,
+		TruePowerW:  tel.TruePowerW,
+		InnovIPS:    nan,
+		InnovPowerW: nan,
+		InnovNorm:   nan,
+		ExcessNorm:  nan,
+		Guardband:   nan,
+		UFreqGHz:    nan,
+		UL2Ways:     nan,
+		UROBEntries: nan,
+		ReqFreq:     int16(cfg.FreqIdx),
+		ReqCache:    int16(cfg.CacheIdx),
+		ReqROB:      int16(cfg.ROBIdx),
+		CfgFreq:     int16(tel.Config.FreqIdx),
+		CfgCache:    int16(tel.Config.CacheIdx),
+		CfgROB:      int16(tel.Config.ROBIdx),
+	}
+	if c, ok := ctrl.(*MIMOController); ok {
+		if !c.stepErr {
+			innov := c.lq.LastInnovationInto(c.scr.innov[:0])
+			ev.InnovIPS, ev.InnovPowerW = innov[0], innov[1]
+		}
+		c.FillInternals(ev)
+	}
 }
 
 // Defaults from the paper's Table III.

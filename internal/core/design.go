@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"mimoctl/internal/lqg"
+	"mimoctl/internal/lti"
 	"mimoctl/internal/mat"
 	"mimoctl/internal/robust"
 	"mimoctl/internal/sim"
@@ -37,7 +38,8 @@ type DesignSpec struct {
 	// Seed fixes the excitation randomness.
 	Seed int64
 	// MaxRSAIterations bounds the redesign loop that raises input
-	// weights until robust stability holds.
+	// weights until robust stability holds (0 = DefaultMaxRSAIterations;
+	// at least one design runs).
 	MaxRSAIterations int
 	// DisableDeltaU and DisableIntegral switch off the Δu-penalized
 	// formulation and the integral action, for ablation studies; the
@@ -80,7 +82,7 @@ func (s DesignSpec) withDefaults() DesignSpec {
 		s.EpochsPerApp = DefaultEpochsPerApp
 	}
 	if s.MaxRSAIterations == 0 {
-		s.MaxRSAIterations = 8
+		s.MaxRSAIterations = DefaultMaxRSAIterations
 	}
 	return s
 }
@@ -100,8 +102,56 @@ type DesignReport struct {
 	// RSAIterations counts how many redesigns (input-weight doublings)
 	// were needed before the robustness check passed.
 	RSAIterations int
-	// FinalInputWeights after any RSA-driven increases.
+	// FinalInputWeights are the input weights of the returned design,
+	// after any RSA-driven increases.
 	FinalInputWeights []float64
+}
+
+// DefaultMaxRSAIterations bounds the designs of the Fig. 3 synthesis
+// loop (Synthesize): the first and up to seven input-weight doublings.
+const DefaultMaxRSAIterations = 8
+
+// Synthesis is the last design of the Fig. 3 synthesis loop: the LQG
+// controller, its realization, its robust-stability report, how many
+// input-weight doublings preceded it and its input weights.
+type Synthesis struct {
+	LQ           *lqg.Controller
+	CtrlSS       *lti.StateSpace
+	RSA          *robust.Report
+	Doublings    int
+	InputWeights []float64
+}
+
+// Synthesize runs the synthesis loop of the Fig. 3 flow on model: design
+// the LQG controller at the output weights outW and input weights inW
+// (not modified), run Robust Stability Analysis at guardbands, and while
+// the design is not both nominally and robustly stable double the input
+// weights (paper §IV-B4: "use lower Q weights relative to R weights,
+// thereby making the system less ripply") and design again, maxIter
+// designs at most and one at least. It returns the last design; whether
+// it is good enough is the caller's rule.
+func Synthesize(model *sysid.Model, outW, inW []float64, opts lqg.Options, guardbands []float64, maxIter int) (*Synthesis, error) {
+	w := append([]float64(nil), inW...)
+	for iter := 0; ; iter++ {
+		lq, err := lqg.Design(model.SS, lqg.Weights{OutputWeights: outW, InputWeights: w}, lqg.Noise{W: model.W, V: model.V}, opts)
+		if err != nil {
+			return nil, fmt.Errorf("core: LQG design: %w", err)
+		}
+		ctrlSS, err := lq.AsStateSpace()
+		if err != nil {
+			return nil, fmt.Errorf("core: controller realization: %w", err)
+		}
+		rsa, err := robust.Analyze(model.SS, ctrlSS, guardbands)
+		if err != nil {
+			return nil, fmt.Errorf("core: robust stability analysis: %w", err)
+		}
+		if (rsa.NominallyStable && rsa.RobustlyStable) || iter+1 >= maxIter {
+			return &Synthesis{LQ: lq, CtrlSS: ctrlSS, RSA: rsa, Doublings: iter, InputWeights: w}, nil
+		}
+		for i := range w {
+			w[i] *= 2
+		}
+	}
 }
 
 // CollectIdentificationData applies persistently exciting random-level
@@ -251,12 +301,12 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 }
 
 // DesignFrom runs the synthesis steps of the Fig. 3 flow on an
-// identified model: validate the model on held-out applications, design
-// the LQG controller with the Table III weights, and iterate Robust
-// Stability Analysis — doubling the input weights when the check fails
-// — until the design is certified. id must come from IdentifyMIMO at
-// spec's knob set and model dimension; the controller and the report
-// share its model and training fit.
+// identified model: validate the model on held-out applications, then
+// run the synthesis loop (Synthesize) from the Table III weights until
+// the design is certified or spec.MaxRSAIterations designs are spent;
+// the design returned must be nominally stable. id must come from
+// IdentifyMIMO at spec's knob set and model dimension; the controller
+// and the report share its model and training fit.
 func DesignFrom(spec DesignSpec, id *Identification) (*MIMOController, *DesignReport, error) {
 	spec = spec.withDefaults()
 	if id == nil || id.Model == nil {
@@ -297,42 +347,17 @@ func DesignFrom(spec DesignSpec, id *Identification) (*MIMOController, *DesignRe
 	if spec.ThreeInput {
 		inW = append(inW, DefaultROBWeight)
 	}
-	outW := []float64{spec.IPSWeight, spec.PowerWeight}
-
-	var lq *lqg.Controller
-	for iter := 0; iter < spec.MaxRSAIterations; iter++ {
-		var err error
-		lq, err = lqg.Design(model.SS,
-			lqg.Weights{OutputWeights: outW, InputWeights: inW},
-			lqg.Noise{W: model.W, V: model.V},
-			lqg.Options{DeltaU: !spec.DisableDeltaU, Integral: !spec.DisableIntegral})
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: LQG design: %w", err)
-		}
-		ctrlSS, err := lq.AsStateSpace()
-		if err != nil {
-			return nil, nil, err
-		}
-		rsa, err := robust.Analyze(model.SS, ctrlSS, rep.Guardbands)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: robust stability analysis: %w", err)
-		}
-		rep.RSA = rsa
-		rep.RSAIterations = iter
-		if rsa.NominallyStable && rsa.RobustlyStable {
-			break
-		}
-		// Paper §IV-B4: "use lower Q weights relative to R weights,
-		// thereby making the system less ripply" — double input weights.
-		for i := range inW {
-			inW[i] *= 2
-		}
+	syn, err := Synthesize(model, []float64{spec.IPSWeight, spec.PowerWeight}, inW,
+		lqg.Options{DeltaU: !spec.DisableDeltaU, Integral: !spec.DisableIntegral},
+		rep.Guardbands, spec.MaxRSAIterations)
+	if err != nil {
+		return nil, nil, err
 	}
-	rep.FinalInputWeights = inW
-	if rep.RSA == nil || !rep.RSA.NominallyStable {
+	rep.RSA, rep.RSAIterations, rep.FinalInputWeights = syn.RSA, syn.Doublings, syn.InputWeights
+	if !rep.RSA.NominallyStable {
 		return nil, rep, errors.New("core: design did not reach nominal stability")
 	}
-	ctrl, err := NewMIMOController(lq, model.Off, spec.ThreeInput)
+	ctrl, err := NewMIMOController(syn.LQ, model.Off, spec.ThreeInput)
 	if err != nil {
 		return nil, rep, err
 	}

@@ -248,3 +248,43 @@ func sameWords(t *testing.T, what string, got, want []float64) {
 		}
 	}
 }
+
+// TestFinalInputWeightsAreTheReturnedDesigns: when the robust-stability
+// budget runs out before a design is certified (guardbands of 1000% are
+// never met), the report names the input weights the returned
+// controller was designed at, not one doubling past them.
+func TestFinalInputWeightsAreTheReturnedDesigns(t *testing.T) {
+	training := experiments.TrainingWorkloads()
+	id, err := core.IdentifyMIMO(core.DesignSpec{Training: training, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(iters int, freq, cache float64) core.DesignSpec {
+		return core.DesignSpec{Training: training, Seed: 7, IPSGuardband: 10, PowerGuardband: 10,
+			FreqWeight: freq, CacheWeight: cache, MaxRSAIterations: iters}
+	}
+	for _, c := range []struct {
+		iters int
+		want  []float64
+	}{
+		{1, []float64{core.DefaultFreqWeight, core.DefaultCacheWeight}},
+		{3, []float64{4 * core.DefaultFreqWeight, 4 * core.DefaultCacheWeight}},
+	} {
+		ctrl, rep, err := core.DesignFrom(spec(c.iters, 0, 0), id)
+		if err != nil {
+			t.Fatalf("%d designs: %v", c.iters, err)
+		}
+		if rep.RSA.RobustlyStable || rep.RSAIterations != c.iters-1 {
+			t.Fatalf("%d designs: robustly stable %v after %d doublings; want the budget spent uncertified",
+				c.iters, rep.RSA.RobustlyStable, rep.RSAIterations)
+		}
+		sameWords(t, "FinalInputWeights", rep.FinalInputWeights, c.want)
+		// A spec that starts at the reported weights and stops there
+		// designs the same controller.
+		at, _, err := core.DesignFrom(spec(1, c.want[0], c.want[1]), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareControllers(t, ctrl, at)
+	}
+}

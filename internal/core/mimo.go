@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"mimoctl/internal/flightrec"
 	"mimoctl/internal/lqg"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
@@ -57,11 +56,6 @@ type MIMOController struct {
 	tel       *ctrlMetrics
 	stepCount uint64
 
-	// fr, when attached, receives one flight record per Step of a
-	// standalone controller. A nil recorder costs one comparison on the
-	// hot path.
-	fr *flightrec.Recorder
-
 	// scr holds fixed-size scratch for the per-step conversions so Step
 	// allocates nothing in steady state. The arrays are struct values:
 	// Clone's shallow copy gives every clone independent scratch.
@@ -75,7 +69,7 @@ type mimoScratch struct {
 	uq    [3]float64 // quantized knobs, absolute units
 	dq    [3]float64 // quantized knobs, deviation coordinates
 	ref   [2]float64 // reference for TrySetTargets
-	innov [2]float64 // last innovation, absolute units
+	innov [2]float64 // last innovation, absolute units (Step's instruments, FillEvent)
 }
 
 // NewMIMOController wraps a designed LQG controller. Prefer DesignMIMO,
@@ -111,23 +105,17 @@ func (c *MIMOController) LastInnovation() []float64 { return c.lq.LastInnovation
 
 // LastInnovationInto appends the most recent innovation to dst[:0],
 // avoiding LastInnovation's per-call allocation for streaming consumers
-// (the model-health monitor, the flight recorder).
+// (the supervisor's model-health alarms and records).
 func (c *MIMOController) LastInnovationInto(dst []float64) []float64 {
 	return c.lq.LastInnovationInto(dst)
 }
-
-// SetFlightRecorder attaches (or, with nil, detaches) a flight recorder
-// that receives one record per Step. Implements flightrec.Recordable.
-// A supervisor wrapping the controller records its epochs itself (with
-// FillInternals) and does not attach one here.
-func (c *MIMOController) SetFlightRecorder(r *flightrec.Recorder) { c.fr = r }
 
 // FillInternals writes into ev what only this controller knows about
 // its most recent Step: the continuous request in absolute knob units
 // (NaN when the step failed), the anti-windup ExcessNorm, FlagStepError
 // on a failed step, and ReqROB = IdxNA when the ROB knob is not driven.
-// The other fields are the record writer's: the standalone record below
-// and a supervisor's per-epoch event both call it.
+// The other fields are the record writer's: FillEvent, for a loop
+// without a supervisor, and a supervisor's per-epoch event both call it.
 func (c *MIMOController) FillInternals(ev *obs.Event) {
 	nan := math.NaN()
 	ev.ExcessNorm = c.lq.LastExcessNorm()
@@ -230,17 +218,10 @@ func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
 		if m != nil {
 			m.stepErrors.Inc()
 		}
-		if c.fr != nil {
-			c.appendRecord(t, nil)
-		}
 		return c.cur
 	}
-	var innov []float64
-	if m != nil || c.fr != nil {
-		innov = c.lq.LastInnovationInto(c.scr.innov[:0])
-	}
 	if m != nil {
-		if len(innov) >= 2 {
+		if innov := c.lq.LastInnovationInto(c.scr.innov[:0]); len(innov) >= 2 {
 			m.innovIPS.Observe(math.Abs(innov[0]))
 			m.innovPower.Observe(math.Abs(innov[1]))
 		}
@@ -271,44 +252,10 @@ func (c *MIMOController) Step(t sim.Telemetry) sim.Config {
 			m.feedbackErrors.Inc()
 		}
 	}
-	if c.fr != nil {
-		c.appendRecord(t, innov)
-	}
 	if timed {
 		m.stepSeconds.Observe(time.Since(t0).Seconds())
 	}
 	return c.cur
-}
-
-// appendRecord writes a standalone controller's flight record of this
-// epoch: the configuration it settled on, the step's Kalman innovation
-// (nil when no step completed) and FillInternals. Innovation norm and
-// guardband are a supervisor's and stay NaN.
-func (c *MIMOController) appendRecord(t sim.Telemetry, innov []float64) {
-	nan := math.NaN()
-	ev := obs.Event{
-		IPSTarget:   c.ipsTarget,
-		PowerTarget: c.powerTarget,
-		IPS:         t.IPS,
-		PowerW:      t.PowerW,
-		TrueIPS:     t.TrueIPS,
-		TruePowerW:  t.TruePowerW,
-		InnovIPS:    nan,
-		InnovPowerW: nan,
-		InnovNorm:   nan,
-		Guardband:   nan,
-		ReqFreq:     int16(c.cur.FreqIdx),
-		ReqCache:    int16(c.cur.CacheIdx),
-		ReqROB:      int16(c.cur.ROBIdx),
-		CfgFreq:     int16(t.Config.FreqIdx),
-		CfgCache:    int16(t.Config.CacheIdx),
-		CfgROB:      int16(t.Config.ROBIdx),
-	}
-	if len(innov) >= 2 {
-		ev.InnovIPS, ev.InnovPowerW = innov[0], innov[1]
-	}
-	c.FillInternals(&ev)
-	c.fr.Append(&ev)
 }
 
 // AdoptDesign hot-swaps a freshly designed LQG controller (and the
@@ -356,9 +303,7 @@ func (c *MIMOController) CurrentDesign() (*lqg.Controller, sysid.Offsets) {
 func (c *MIMOController) Clone() *MIMOController {
 	d := *c
 	d.lq = c.lq.Clone()
-	// A recorder holds one run's records, and whoever steps a clone
-	// binds its instruments: clones start detached and unbound.
-	d.fr = nil
+	// Whoever steps a clone binds its instruments: clones start unbound.
 	d.tel = nil
 	return &d
 }

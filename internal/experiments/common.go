@@ -241,14 +241,14 @@ func RunTracking(ctrls []core.ArchController, w sim.Workload, seed int64, epochs
 	if err != nil {
 		return nil, err
 	}
-	finish := startRow(ctrls, "track", w, seed, epochs)
+	drive, finish := startRow(ctrls, "track", w, seed, epochs)
 	defer finish()
 	type sums struct{ ips, p, iErr, pErr float64 }
 	acc := make([]sums, len(ctrls))
 	n := 0
 	tels := bank.Step()
 	for k := 0; k < epochs; k++ {
-		if err := stepRow(bank, ctrls, tels, w); err != nil {
+		if err := stepRow(bank, ctrls, drive, tels, w); err != nil {
 			return nil, err
 		}
 		tels = bank.Step()
@@ -293,18 +293,18 @@ func RunEnergy(ctrls []core.ArchController, w sim.Workload, seed int64, epochs, 
 	if err != nil {
 		return nil, err
 	}
-	finish := startRow(ctrls, "energy", w, seed, warm+epochs)
+	drive, finish := startRow(ctrls, "energy", w, seed, warm+epochs)
 	defer finish()
 	tels := bank.Step()
 	for i := 0; i < warm; i++ {
-		if err := stepRow(bank, ctrls, tels, w); err != nil {
+		if err := stepRow(bank, ctrls, drive, tels, w); err != nil {
 			return nil, err
 		}
 		tels = bank.Step()
 	}
 	bank.ResetTotals()
 	for i := 0; i < epochs; i++ {
-		if err := stepRow(bank, ctrls, tels, w); err != nil {
+		if err := stepRow(bank, ctrls, drive, tels, w); err != nil {
 			return nil, err
 		}
 		tels = bank.Step()
@@ -319,26 +319,32 @@ func RunEnergy(ctrls []core.ArchController, w sim.Workload, seed int64, epochs, 
 }
 
 // startRow resets each controller of a row and attaches its flight
-// recorder (kind labels the dumps); the returned function finishes the
+// recorder (kind labels the dumps). It returns the recorders stepRow
+// writes, one per member (nil: none), and a function that finishes the
 // recordings in row order.
-func startRow(ctrls []core.ArchController, kind string, w sim.Workload, seed int64, epochs int) func() {
+func startRow(ctrls []core.ArchController, kind string, w sim.Workload, seed int64, epochs int) ([]*flightrec.Recorder, func()) {
 	recs := make([]*flightrec.Recorder, len(ctrls))
+	drive := make([]*flightrec.Recorder, len(ctrls))
 	for i, ctrl := range ctrls {
 		ctrl.Reset()
-		recs[i] = attachFlightRec(ctrl, trackingMeta(ctrl, w, seed, epochs))
+		ips, pow := ctrl.Targets()
+		recs[i], drive[i] = attachFlightRec(ctrl, runMeta(ctrl.Name(), w.Name(), "", seed, epochs, ips, pow))
 	}
-	return func() {
+	return drive, func() {
 		for i, ctrl := range ctrls {
 			finishFlightRec(recs[i], ctrl, kind+"_"+w.Name()+"_"+ctrl.Name())
 		}
 	}
 }
 
-// stepRow steps each controller of a row on its member's telemetry and
-// applies its decision to that member.
-func stepRow(bank *sim.Lockstep, ctrls []core.ArchController, tels []sim.Telemetry, w sim.Workload) error {
+// stepRow steps each controller of a row on its member's telemetry,
+// records the epoch to the member's recorder in drive, and applies its
+// decision to that member.
+func stepRow(bank *sim.Lockstep, ctrls []core.ArchController, drive []*flightrec.Recorder, tels []sim.Telemetry, w sim.Workload) error {
 	for i, ctrl := range ctrls {
-		if err := bank.Apply(i, ctrl.Step(tels[i])); err != nil {
+		cfg := ctrl.Step(tels[i])
+		record(drive[i], ctrl, cfg, &tels[i])
+		if err := bank.Apply(i, cfg); err != nil {
 			return fmt.Errorf("%s on %s: %w", ctrl.Name(), w.Name(), err)
 		}
 	}

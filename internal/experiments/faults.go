@@ -183,26 +183,22 @@ func FaultSweep(seed int64, epochs int) (*FaultSweepResult, error) {
 // sweep: the harness recorder (when recording is on) and the attached
 // fleet see the run, and driveFaulted scores it.
 func runFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed int64, epochs int) (FaultRow, error) {
-	rec := attachFlightRec(ctrl, flightrec.Meta{
-		Arch: ctrl.Name(), Workload: w.Name(), FaultClass: fc.Name,
-		Seed: seed, Epochs: epochs,
-		TargetIPS: core.DefaultIPSTarget, TargetPowerW: core.DefaultPowerTarget,
-		FreqLevels: len(sim.FreqSettingsGHz), CacheLevels: len(sim.CacheSettings), ROBLevels: len(sim.ROBSettings),
-	})
+	rec, drive := attachFlightRec(ctrl, runMeta(ctrl.Name(), w.Name(), fc.Name, seed, epochs, core.DefaultIPSTarget, core.DefaultPowerTarget))
 	defer finishFlightRec(rec, ctrl, "faults_"+fc.Name+"_"+ctrl.Name())
 	wireLoopObs(ctrl, "faults/"+fc.Name+"/"+ctrl.Name())
-	return driveFaulted(ctrl, w, fc, seed, epochs, core.DefaultIPSTarget, core.DefaultPowerTarget)
+	return driveFaulted(ctrl, drive, w, fc, seed, epochs, core.DefaultIPSTarget, core.DefaultPowerTarget)
 }
 
 // driveFaulted is the fault sweep's loop, shared with RecordedRun: it
 // runs ctrl toward the (ips, power) targets on w's plant (processor
 // seed+701) behind a fault injector (seed+702) carrying fc's faults,
-// and scores the true outputs against the targets. It attaches nothing:
-// the recorders and fleet loops that observe a run are the caller's.
-// Apply errors are reported to the controller when it observes
-// actuation outcomes (the supervised runtime) and tolerated otherwise —
-// a deployed loop cannot abort on a failed knob write.
-func driveFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed int64, epochs int, ips, power float64) (FaultRow, error) {
+// and scores the true outputs against the targets. It writes each
+// epoch's record to rec (nil: none) and attaches nothing: the recorders
+// and fleet loops that observe a run are the caller's. Apply errors are
+// reported to the controller when it observes actuation outcomes (the
+// supervised runtime) and tolerated otherwise — a deployed loop cannot
+// abort on a failed knob write.
+func driveFaulted(ctrl core.ArchController, rec *flightrec.Recorder, w sim.Workload, fc FaultClass, seed int64, epochs int, ips, power float64) (FaultRow, error) {
 	proc, err := newProcessor(w, seed+701)
 	if err != nil {
 		return FaultRow{}, err
@@ -231,6 +227,7 @@ func driveFaulted(ctrl core.ArchController, w sim.Workload, fc FaultClass, seed 
 	tel := inj.Step()
 	for k := 0; k < epochs; k++ {
 		cfg := ctrl.Step(tel)
+		record(rec, ctrl, cfg, &tel)
 		if err := cfg.Validate(); err != nil {
 			row.IllegalConfigs++
 			cfg = tel.Config

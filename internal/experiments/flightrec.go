@@ -8,17 +8,22 @@ import (
 
 	"mimoctl/internal/core"
 	"mimoctl/internal/flightrec"
+	"mimoctl/internal/obs"
 	"mimoctl/internal/sim"
+	"mimoctl/internal/supervisor"
 	"mimoctl/internal/workloads"
 )
 
 // Flight-recorder plumbing for the experiment harness: an opt-in global
-// switch that attaches a recorder to every Recordable controller a Run*
-// helper drives, dumping each run to a directory — the CI hook that
-// preserves the evidence when a fault-sweep assertion fails — plus
-// RecordedRun/ReplayRecorded, the deterministic capture/replay pair
-// cmd/mimodoctor is built on. Recording is off by default and observes
-// without perturbing: golden outputs are byte-identical either way.
+// switch that records every run a Run* helper or the fault sweep
+// drives, each member of a row its own run, dumping each to a directory
+// — the CI hook that preserves the evidence when a fault-sweep
+// assertion fails — plus RecordedRun/ReplayRecorded, the deterministic
+// capture/replay pair cmd/mimodoctor is built on. A supervised loop's
+// records are its supervisor's; the loops that step the others
+// (stepRow, driveFaulted) write theirs with core.FillEvent. Recording
+// is off by default and observes without perturbing: golden outputs
+// are byte-identical either way.
 
 // harnessRingCapacity is the ring size of the harness-wide recorders:
 // a dump holds the last 2048 epochs of its run.
@@ -31,10 +36,10 @@ var (
 )
 
 // SetFlightRecording turns harness-wide recording on with dir as the
-// dump directory, or off with "": every Recordable controller driven by
-// RunTracking, RunEnergy and the fault sweep then keeps a ring of its
-// last harnessRingCapacity epochs, dumped into dir (binary format,
-// .frec) when its run ends.
+// dump directory, or off with "": every run driven by RunTracking,
+// RunEnergy and the fault sweep then keeps a ring of its last
+// harnessRingCapacity epochs, dumped into dir (binary format, .frec)
+// when its run ends.
 func SetFlightRecording(dir string) {
 	frMu.Lock()
 	frDir = dir
@@ -42,23 +47,41 @@ func SetFlightRecording(dir string) {
 	frMu.Unlock()
 }
 
-// attachFlightRec attaches a fresh recorder to ctrl when recording is
-// on and the controller supports it; returns nil otherwise.
-func attachFlightRec(ctrl core.ArchController, meta flightrec.Meta) *flightrec.Recorder {
+// attachFlightRec returns a fresh recorder for ctrl's run when
+// recording is on (nil otherwise) and the one the loop stepping ctrl
+// writes (see recordTo).
+func attachFlightRec(ctrl core.ArchController, meta flightrec.Meta) (rec, drive *flightrec.Recorder) {
 	frMu.Lock()
 	on := frDir != ""
 	frMu.Unlock()
 	if !on {
-		return nil
+		return nil, nil
 	}
-	rc, ok := ctrl.(flightrec.Recordable)
-	if !ok {
-		return nil
-	}
-	rec := flightrec.New(harnessRingCapacity)
+	rec = flightrec.New(harnessRingCapacity)
 	rec.SetMeta(meta)
-	rc.SetFlightRecorder(rec)
+	return rec, recordTo(ctrl, rec)
+}
+
+// recordTo makes rec the recorder of ctrl's run (nil detaches) and
+// returns the one the loop stepping ctrl writes each epoch with
+// core.FillEvent: rec, or nil for a supervised loop, whose supervisor
+// writes its own records.
+func recordTo(ctrl core.ArchController, rec *flightrec.Recorder) *flightrec.Recorder {
+	if sup, ok := ctrl.(*supervisor.Supervised); ok {
+		sup.SetFlightRecorder(rec)
+		return nil
+	}
 	return rec
+}
+
+// record writes the harness's record of ctrl's epoch, which stepped on
+// tel and returned cfg, to rec; a nil rec records nothing.
+func record(rec *flightrec.Recorder, ctrl core.ArchController, cfg sim.Config, tel *sim.Telemetry) {
+	if rec != nil {
+		var ev obs.Event
+		core.FillEvent(&ev, ctrl, cfg, tel)
+		rec.Append(&ev)
+	}
 }
 
 // finishFlightRec detaches and writes the run's recording into the dump
@@ -67,9 +90,7 @@ func finishFlightRec(rec *flightrec.Recorder, ctrl core.ArchController, label st
 	if rec == nil {
 		return
 	}
-	if rc, ok := ctrl.(flightrec.Recordable); ok {
-		rc.SetFlightRecorder(nil)
-	}
+	recordTo(ctrl, nil)
 	frMu.Lock()
 	dir := frDir
 	frSeq++
@@ -84,13 +105,12 @@ func finishFlightRec(rec *flightrec.Recorder, ctrl core.ArchController, label st
 	_ = rec.WriteFile(filepath.Join(dir, name), "run-complete")
 }
 
-// trackingMeta builds the recording identity for a Run* helper.
-func trackingMeta(ctrl core.ArchController, w sim.Workload, seed int64, epochs int) flightrec.Meta {
-	ips, pow := ctrl.Targets()
+// runMeta is the recording identity of one harness run.
+func runMeta(arch, workload, class string, seed int64, epochs int, ips, power float64) flightrec.Meta {
 	return flightrec.Meta{
-		Arch: ctrl.Name(), Workload: w.Name(),
+		Arch: arch, Workload: workload, FaultClass: class,
 		Seed: seed, Epochs: epochs,
-		TargetIPS: ips, TargetPowerW: pow,
+		TargetIPS: ips, TargetPowerW: power,
 		FreqLevels: len(sim.FreqSettingsGHz), CacheLevels: len(sim.CacheSettings), ROBLevels: len(sim.ROBSettings),
 	}
 }
@@ -190,21 +210,8 @@ func RecordedRun(arch, class string, seed int64, epochs, capacity int) (*flightr
 	}
 
 	rec := flightrec.New(capacity)
-	rec.SetMeta(flightrec.Meta{
-		Arch:         arch,
-		Workload:     FaultSweepWorkload,
-		FaultClass:   fc.Name,
-		Seed:         seed,
-		Epochs:       epochs,
-		TargetIPS:    tgtIPS,
-		TargetPowerW: tgtPow,
-		FreqLevels:   len(sim.FreqSettingsGHz),
-		CacheLevels:  len(sim.CacheSettings),
-		ROBLevels:    len(sim.ROBSettings),
-	})
-	ctrl.(flightrec.Recordable).SetFlightRecorder(rec)
-	defer ctrl.(flightrec.Recordable).SetFlightRecorder(nil)
-	if _, err := driveFaulted(ctrl, w, fc, seed, epochs, tgtIPS, tgtPow); err != nil {
+	rec.SetMeta(runMeta(arch, FaultSweepWorkload, fc.Name, seed, epochs, tgtIPS, tgtPow))
+	if _, err := driveFaulted(ctrl, recordTo(ctrl, rec), w, fc, seed, epochs, tgtIPS, tgtPow); err != nil {
 		return nil, err
 	}
 	return rec, nil

@@ -114,7 +114,7 @@ func TestRecordedRunMatchesSweepRecording(t *testing.T) {
 		if after, _ := filepath.Glob(filepath.Join(dir, "*.frec")); len(after) != 1 {
 			t.Errorf("%s/%s: the harness recorder dumped RecordedRun's run: %v", tc.arch, tc.class, after)
 		}
-		if n := len(fleet.Report().Rows); n != 0 {
+		if n := len(fleet.Report("").Rows); n != 0 {
 			t.Errorf("%s/%s: RecordedRun registered %d fleet loops", tc.arch, tc.class, n)
 		}
 		if rec.Len() != epochs {

@@ -7,12 +7,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mimoctl/internal/flightrec"
 	"mimoctl/internal/obs"
 	"mimoctl/internal/telemetry"
 	"mimoctl/internal/tsdb"
+	"mimoctl/internal/workloads"
 )
 
 // Golden-result regression suite: every Tabular experiment result is
@@ -34,13 +36,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden CSV files with
 // the controllers reach steady state and the CSVs exercise every column.
 // attach lists the observation modes the case runs under in the mode
 // matrix (TestGoldenParallelIdentical): the ones its runs reach. For a
-// matrix case, records says whether any of its controllers is
-// Recordable, i.e. whether flight recording leaves dumps.
+// matrix case, runs is how many runs flight recording dumps: one per
+// member of every row RunTracking or RunEnergy drives, and one per
+// fault-sweep run.
 type goldenCase struct {
-	name    string
-	run     func() (Tabular, error)
-	attach  []obsMode
-	records bool
+	name   string
+	run    func() (Tabular, error)
+	attach []obsMode
+	runs   int
 }
 
 // obsMode is one fleet attachment of the mode matrix.
@@ -57,24 +60,26 @@ const (
 
 func goldenCases() []goldenCase {
 	const seed = DefaultSeed
+	apps := len(workloads.ProductionSet())
 	return []goldenCase{
 		{name: "fig6", run: func() (Tabular, error) { return Fig6(seed, 600) }},
 		{name: "fig7", run: func() (Tabular, error) { return Fig7(seed, 8) }},
 		{name: "fig8", run: func() (Tabular, error) { return Fig8(seed, 400) }},
 		{name: "fig9", run: func() (Tabular, error) { return Fig9(seed, 1500) }},
 		{name: "fig10", run: func() (Tabular, error) { return Fig10(seed, 1500) }},
-		// RunTracking: the flight recorder reaches it.
-		{name: "fig11", run: func() (Tabular, error) { return Fig11(seed, 1200) }, attach: []obsMode{noFleet}, records: true},
+		// RunTracking: a row per application, its MIMO, Heuristic and
+		// Decoupled members each recorded.
+		{name: "fig11", run: func() (Tabular, error) { return Fig11(seed, 1200) }, attach: []obsMode{noFleet}, runs: apps * len(Fig11Archs)},
 		{name: "fig12", run: func() (Tabular, error) { return Fig12(seed, 2000, 250) }},
-		// RunEnergy: the flight recorder reaches it, but none of the
-		// E·D^k controllers (static, optimizer-wrapped, heuristic search)
-		// is Recordable, so recording must leave no dump.
-		{name: "ed1", run: func() (Tabular, error) { return TableEDK(seed, 1200, 1) }, attach: []obsMode{noFleet}},
+		// RunEnergy: a row per application, its Baseline, Optimizer(MIMO),
+		// Heuristic searcher and Optimizer(Decoupled) members each
+		// recorded.
+		{name: "ed1", run: func() (Tabular, error) { return TableEDK(seed, 1200, 1) }, attach: []obsMode{noFleet}, runs: apps * 4},
 		{name: "ed3", run: func() (Tabular, error) { return TableEDK(seed, 1200, 3) }},
 		{name: "ablation", run: func() (Tabular, error) { return Ablation(seed, 800) }},
 		// The fault sweep's supervised loops register with the fleet, and
-		// every run is recordable.
-		{name: "faults", run: func() (Tabular, error) { return FaultSweep(seed, 1000) }, attach: []obsMode{noFleet, withFleet, withHistory}, records: true},
+		// every run is recorded: five architectures per fault class.
+		{name: "faults", run: func() (Tabular, error) { return FaultSweep(seed, 1000) }, attach: []obsMode{noFleet, withFleet, withHistory}, runs: len(FaultClasses(1000)) * 5},
 	}
 }
 
@@ -193,7 +198,8 @@ func TestGoldenParallelIdentical(t *testing.T) {
 //
 //   - bus published + dropped = the sum of the /slo row epochs;
 //   - history points per signal = published events;
-//   - one dump per recorded run, each ending on the run's last epoch.
+//   - one dump per recorded run, c.runs of them, each holding a record
+//     of every epoch the ring keeps and ending on the run's last epoch.
 //
 // It returns the number of recorded runs.
 func checkAttached(t *testing.T, c goldenCase, workers int, mode obsMode, record bool, want []byte) int {
@@ -235,7 +241,7 @@ func checkAttached(t *testing.T, c goldenCase, workers int, mode obsMode, record
 		if err := bus.Close(); err != nil {
 			t.Fatal(err)
 		}
-		rep := fleet.Report()
+		rep := fleet.Report("")
 		if len(rep.Rows) == 0 {
 			t.Fatal("no loop registered with the fleet")
 		}
@@ -273,17 +279,24 @@ func checkAttached(t *testing.T, c goldenCase, workers int, mode obsMode, record
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != runs || (runs > 0) != c.records {
-		t.Fatalf("%d dumps for %d recorded runs (case records: %v)", len(entries), runs, c.records)
+	if len(entries) != runs || runs != c.runs {
+		t.Fatalf("%d dumps for %d recorded runs, want %d", len(entries), runs, c.runs)
 	}
+	// A run is named <kind>_<workload>_<arch>_<seq>: the names less
+	// their sequence numbers tell the runs apart.
+	labels := map[string]bool{}
 	for _, e := range entries {
+		labels[e.Name()[:strings.LastIndexByte(e.Name(), '_')]] = true
 		meta, recs, err := flightrec.ReadDumpFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) == 0 || recs[len(recs)-1].Epoch != uint64(meta.Epochs) {
-			t.Fatalf("%s: %d records, want the last at epoch %d", e.Name(), len(recs), meta.Epochs)
+		if len(recs) != min(meta.Epochs, meta.Capacity) || recs[len(recs)-1].Epoch != uint64(meta.Epochs) {
+			t.Fatalf("%s: %d records, want %d ending at epoch %d", e.Name(), len(recs), min(meta.Epochs, meta.Capacity), meta.Epochs)
 		}
+	}
+	if len(labels) != runs {
+		t.Fatalf("%d distinct runs among %d dumps", len(labels), runs)
 	}
 	return runs
 }

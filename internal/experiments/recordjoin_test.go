@@ -71,7 +71,7 @@ func TestRingAndBusAgreePerLoopEpoch(t *testing.T) {
 	}
 
 	recs := ring.Snapshot()
-	rep := fleet.Report()
+	rep := fleet.Report("")
 	if _, dropped, _ := bus.Stats(); dropped != 0 {
 		t.Fatalf("bus dropped %d events", dropped)
 	}

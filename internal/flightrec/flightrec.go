@@ -1,6 +1,6 @@
 // Package flightrec implements the control-loop flight recorder: a
 // fixed-size, allocation-free ring of per-epoch structured records
-// written from the controller hot path and dumped on demand.
+// written from the control loop's hot path and dumped on demand.
 //
 // The paper's safety flow — validate the model, set a guardband, prove
 // robust stability (§IV-B, Fig. 3) — is design-time; the recorder is
@@ -21,8 +21,10 @@
 // does. The flag bits, modes and IdxNA the records carry are defined
 // beside it in internal/obs.
 //
-// A nil *Recorder is valid and records nothing, so controllers can wire
-// the Append call unconditionally.
+// A loop has one record writer: a supervised loop's supervisor
+// (supervisor.Supervised.SetFlightRecorder), and for every other loop
+// the code that steps it, which fills each epoch's record with
+// core.FillEvent and appends it. A nil *Recorder is valid and records nothing.
 package flightrec
 
 import (
@@ -54,14 +56,6 @@ type Meta struct {
 	ROBLevels   int `json:"rob_levels,omitempty"`
 	// Reason records what triggered the dump ("" while recording).
 	Reason string `json:"reason,omitempty"`
-}
-
-// Recordable is implemented by controllers that write their own flight
-// records (core.MIMOController, supervisor.Supervised). A supervised
-// loop's records are the supervisor's alone: it does not hand the ring
-// to the controller it wraps.
-type Recordable interface {
-	SetFlightRecorder(*Recorder)
 }
 
 // Recorder is the fixed-size ring. Append never allocates; Snapshot

@@ -316,19 +316,26 @@ func (f *Fleet) scan() []loopHealth {
 	for i, l := range loops {
 		l.mu.Lock()
 		h := loopHealth{name: l.name, mode: l.mode, health: l.health, guardband: l.guardband}
-		for _, e := range l.slos {
-			_, burning, alerting := e.verdict(nil)
-			if alerting && h.alerting == "" {
-				h.alerting = e.spec.Name
-			}
-			if burning && h.burning == "" {
-				h.burning = e.spec.Name
-			}
-		}
+		h.alerting, h.burning = l.sloVerdicts()
 		l.mu.Unlock()
 		hs[i] = h
 	}
 	return hs
+}
+
+// sloVerdicts returns the first SLO (in spec order) alerting and the
+// first burning on l, "" when none; the caller holds l.mu.
+func (l *Loop) sloVerdicts() (alerting, burning string) {
+	for _, e := range l.slos {
+		_, burns, alerts := e.verdict(nil)
+		if alerts && alerting == "" {
+			alerting = e.spec.Name
+		}
+		if burns && burning == "" {
+			burning = e.spec.Name
+		}
+	}
+	return alerting, burning
 }
 
 // Model-health levels recorded in Event.Health (mirrors health.Level).
@@ -436,18 +443,38 @@ type FleetReport struct {
 }
 
 // Report snapshots every loop, sorted by worst burn descending (ties by
-// name, so the report is deterministic).
-func (f *Fleet) Report() FleetReport {
+// name, so the report is deterministic), or with only set just that
+// loop's row (none when no loop has the name). The header counts the
+// whole fleet either way: a loop without a row contributes its SLO
+// verdicts (sloVerdicts, as scan reads them), a loop with one the
+// verdicts of its row, so each window is counted once.
+func (f *Fleet) Report(only string) FleetReport {
 	f.mu.Lock()
 	loops := append([]*Loop(nil), f.byID...)
 	f.mu.Unlock()
-	// The fleet verdict is graded from the rows, so a report counts each
-	// window once.
 	rep := FleetReport{Loops: len(loops)}
+	if n := len(loops); n > 0 {
+		// A fleet with loops serves rows as a JSON array even when the
+		// filter leaves it empty.
+		if only != "" {
+			n = 1
+		}
+		rep.Rows = make([]LoopStatus, 0, n)
+	}
 	for _, l := range loops {
-		row, burning := l.status(epochPeriod)
-		rep.Rows = append(rep.Rows, row)
-		if row.Alerting {
+		var alerting, burning bool
+		if only == "" || l.name == only {
+			var row LoopStatus
+			row, burning = l.status(epochPeriod)
+			alerting = row.Alerting
+			rep.Rows = append(rep.Rows, row)
+		} else {
+			l.mu.Lock()
+			a, b := l.sloVerdicts()
+			l.mu.Unlock()
+			alerting, burning = a != "", b != ""
+		}
+		if alerting {
 			rep.AlertingLoops++
 		}
 		if burning {

@@ -25,7 +25,7 @@ func TestFleetVerdictTransitions(t *testing.T) {
 		a.Observe(goodSample())
 		b.Observe(goodSample())
 	}
-	if rep := f.Report(); rep.Level != "ok" {
+	if rep := f.Report(""); rep.Level != "ok" {
 		t.Fatalf("healthy fleet verdict = %s (%s)", rep.Level, rep.Detail)
 	}
 	// A 30-epoch burst burns availability's 256-epoch window (burn 11.7
@@ -33,7 +33,7 @@ func TestFleetVerdictTransitions(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		b.Observe(badSample())
 	}
-	if rep := f.Report(); rep.Level != "warn" || rep.BurningLoops != 1 || rep.AlertingLoops != 0 ||
+	if rep := f.Report(""); rep.Level != "warn" || rep.BurningLoops != 1 || rep.AlertingLoops != 0 ||
 		rep.Detail != "1/2 loops burning error budget" {
 		t.Fatalf("burst verdict = %s, %d burning, %d alerting (%s), want warn with 1 burning", rep.Level, rep.BurningLoops, rep.AlertingLoops, rep.Detail)
 	}
@@ -41,14 +41,14 @@ func TestFleetVerdictTransitions(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		b.Observe(badSample())
 	}
-	if rep := f.Report(); rep.Level != "fail" || rep.AlertingLoops != 1 {
+	if rep := f.Report(""); rep.Level != "fail" || rep.AlertingLoops != 1 {
 		t.Fatalf("faulted fleet verdict = %s with %d alerting (%s), want fail with 1", rep.Level, rep.AlertingLoops, rep.Detail)
 	}
 	// Recovery clears the alert.
 	for i := 0; i < 5000; i++ {
 		b.Observe(goodSample())
 	}
-	if rep := f.Report(); rep.Level != "ok" {
+	if rep := f.Report(""); rep.Level != "ok" {
 		t.Fatalf("recovered fleet verdict = %s (%s)", rep.Level, rep.Detail)
 	}
 }
@@ -61,7 +61,7 @@ func TestFleetReportSortedByBurn(t *testing.T) {
 		good.Observe(goodSample())
 		bad.Observe(badSample())
 	}
-	rep := f.Report()
+	rep := f.Report("")
 	if len(rep.Rows) != 2 {
 		t.Fatalf("got %d rows", len(rep.Rows))
 	}
@@ -92,11 +92,11 @@ func TestFleetReportSortedByBurn(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Observe(&Event{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10, Mode: ModeFallback})
 	}
-	if row := custom.Report().Rows[0]; row.Mode != "fallback" || row.FallbackEpochs != 10 {
+	if row := custom.Report("").Rows[0]; row.Mode != "fallback" || row.FallbackEpochs != 10 {
 		t.Fatalf("custom-specs row = mode %q, %d fallback epochs; want fallback, 10", row.Mode, row.FallbackEpochs)
 	}
 	l.Observe(&Event{IPSTarget: 100, PowerTarget: 10, IPS: 100, PowerW: 10})
-	if row := custom.Report().Rows[0]; row.Mode != "engaged" {
+	if row := custom.Report("").Rows[0]; row.Mode != "engaged" {
 		t.Fatalf("re-engaged loop reports mode %q", row.Mode)
 	}
 }

@@ -221,14 +221,14 @@ func TestHealthzPrecedence(t *testing.T) {
 // first scrape after the loop degrades already reports it.
 func TestHealthzReadsAtScrapeTime(t *testing.T) {
 	f := NewFleet(Options{})
-	if rep := f.Report(); rep.Level != "ok" || rep.Loops != 0 {
+	if rep := f.Report(""); rep.Level != "ok" || rep.Loops != 0 {
 		t.Fatalf("empty fleet verdict = %s over %d loops", rep.Level, rep.Loops)
 	}
 	l := f.Register("a")
 	for i := 0; i < 3000; i++ {
 		l.Observe(offTarget())
 	}
-	if rep := f.Report(); rep.Level != "fail" || rep.AlertingLoops != 1 {
+	if rep := f.Report(""); rep.Level != "fail" || rep.AlertingLoops != 1 {
 		t.Fatalf("faulted verdict = %s with %d alerting, want fail with 1", rep.Level, rep.AlertingLoops)
 	}
 	wantHealthz(t, f, false, "control SLO fail", "loop a alerting on tracking", "1/1 loops alerting")
@@ -291,7 +291,7 @@ func TestHealthzFleetsIndependent(t *testing.T) {
 				defer close(scraped)
 				for k := 0; k < 200; k++ {
 					f.Healthz()
-					f.Report()
+					f.Report("")
 				}
 			}()
 			wg.Wait()

@@ -9,21 +9,12 @@ import (
 )
 
 // SLOHandler serves the fleet report as compact JSON, loops sorted
-// hottest first.
+// hottest first; ?loop=<name> serves only that loop's row, under the
+// whole fleet's header.
 func (f *Fleet) SLOHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rep := f.Report()
-		if loop := r.URL.Query().Get("loop"); loop != "" {
-			rows := rep.Rows[:0]
-			for _, row := range rep.Rows {
-				if row.Loop == loop {
-					rows = append(rows, row)
-				}
-			}
-			rep.Rows = rows
-		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(rep)
+		_ = json.NewEncoder(w).Encode(f.Report(r.URL.Query().Get("loop")))
 	})
 }
 

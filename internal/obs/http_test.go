@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -145,5 +148,53 @@ func TestEventsHandlerCSVLimited(t *testing.T) {
 		default:
 			l.Observe(goodSample())
 		}
+	}
+}
+
+// TestSLOHandlerLoopMatchesFilteredReport holds /slo?loop=<name>, which
+// builds only that loop's row, to the whole Report with its rows
+// filtered to the loop, byte for byte: for every loop of a fleet with
+// ok, burning and alerting loops, for an unknown name, and on an empty
+// fleet.
+func TestSLOHandlerLoopMatchesFilteredReport(t *testing.T) {
+	filtered := func(rep FleetReport, loop string) []byte {
+		rows := rep.Rows[:0]
+		for _, row := range rep.Rows {
+			if row.Loop == loop {
+				rows = append(rows, row)
+			}
+		}
+		rep.Rows = rows
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	check := func(f *Fleet, loop string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		f.SLOHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/slo?loop="+loop, nil))
+		if want := filtered(f.Report(""), loop); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("/slo?loop=%s:\n%s\nwant\n%s", loop, rec.Body.Bytes(), want)
+		}
+	}
+	check(NewFleet(Options{}), "nope")
+
+	bus := NewBus(1 << 10)
+	defer bus.Close()
+	f := NewFleet(Options{Specs: healthzSpecs(), Bus: bus})
+	var names []string
+	for i, level := range []Level{LevelOK, LevelFail, LevelWarn, LevelOK, LevelFail, LevelWarn, LevelWarn} {
+		name := fmt.Sprintf("loop-%d", i)
+		driveSLO(f.Register(name), level)
+		names = append(names, name)
+	}
+	rep := f.Report("")
+	if rep.AlertingLoops != 2 || rep.BurningLoops != 5 {
+		t.Fatalf("fleet has %d alerting and %d burning loops, want 2 and 5", rep.AlertingLoops, rep.BurningLoops)
+	}
+	for _, name := range append(names, "nope") {
+		check(f, name)
 	}
 }

@@ -258,8 +258,8 @@ func reconcile(t *testing.T, r *fleetRig, folds []*obs.EventFold, specs []obs.Sp
 	return alerting
 }
 
-// TestScrapeWhileStepping scrapes /metrics, and its rollup view, over
-// and over while a 16-loop fleet steps; run it under -race. Every loop's
+// TestScrapeWhileStepping scrapes /metrics over and over while a
+// 16-loop fleet steps; run it under -race. Every loop's
 // epoch count must never fall from one scrape to the next, and once the
 // fleet stops, each supervisor's epoch count must equal its loop's.
 func TestScrapeWhileStepping(t *testing.T) {
@@ -290,18 +290,13 @@ func TestScrapeWhileStepping(t *testing.T) {
 				return
 			default:
 			}
-			var body string
-			for _, target := range []string{"/metrics?view=rollup", "/metrics"} {
-				rec := httptest.NewRecorder()
-				mux.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
-				if rec.Code != 200 {
-					t.Errorf("GET %s: status %d", target, rec.Code)
-					return
-				}
-				body = rec.Body.String()
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			if rec.Code != 200 {
+				t.Errorf("GET /metrics: status %d", rec.Code)
+				return
 			}
-			// body is the per-loop view, read last.
-			sc := obs.ParseExposition(body)
+			sc := obs.ParseExposition(rec.Body.String())
 			for i := 0; i < nLoops; i++ {
 				key := fmt.Sprintf(`loop_epochs_total{loop="loop-%02d"}`, i)
 				n, err := strconv.ParseUint(sc[key], 10, 64)

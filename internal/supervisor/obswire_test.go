@@ -24,7 +24,7 @@ func TestSupervisedPublishesObsSamples(t *testing.T) {
 	for k := 0; k < n; k++ {
 		sup.Step(goodTel(k))
 	}
-	rep := f.Report()
+	rep := f.Report("")
 	if len(rep.Rows) != 1 || rep.Rows[0].Epochs != n {
 		t.Fatalf("fleet saw %+v, want %d epochs on one loop", rep.Rows, n)
 	}
@@ -54,7 +54,7 @@ func TestSupervisedPublishesObsSamples(t *testing.T) {
 	// Detached: no more samples.
 	sup.SetLoopObs(nil)
 	sup.Step(goodTel(n))
-	if got := f.Report().Rows[0].Epochs; got != n {
+	if got := f.Report("").Rows[0].Epochs; got != n {
 		t.Fatalf("detached supervisor still observed: %d epochs", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestSupervisedObsFallbackFlag(t *testing.T) {
 		bad.PowerW = 0
 		sup.Step(bad)
 	}
-	rep := f.Report()
+	rep := f.Report("")
 	if rep.Rows[0].FallbackEpochs != 11 { // the epoch that fell back, then 10 pinned
 		t.Fatalf("fallback epochs not observed: %+v", rep.Rows[0])
 	}

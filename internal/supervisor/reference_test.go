@@ -323,7 +323,6 @@ func (s *refSupervised) StepEvent(t sim.Telemetry, ev *obs.Event) (sim.Config, b
 			// exactly as on re-engagement.
 			s.grace = graceEpochs
 			s.emaInnov, s.emaErr = 0, 0
-			s.sickStreak = 0
 			if v.Swapped {
 				s.rec.RequestDump("adapt-swap")
 			} else {

@@ -242,8 +242,10 @@ func (m *modeState) next(in input) action {
 		}
 	case evSwap, evRevert:
 		if m.mode == ModeEngaged {
-			// Fresh (or restored) gains produce a deliberate transient.
-			m.grace, m.sickStreak = graceEpochs, 0
+			// Fresh (or restored) gains produce a deliberate transient: the
+			// grace mutes the alarms, and the sick streak keeps counting a
+			// dead channel.
+			m.grace = graceEpochs
 		} else if in.ev == evSwap {
 			// The pinned loop has nothing to settle: hand control back.
 			*m = m.engage()
@@ -387,10 +389,9 @@ func (s *Supervised) Adapter() *adapt.Adapter { return s.adapter }
 func (s *Supervised) Inner() core.ArchController { return s.inner }
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight
-// recorder. Implements flightrec.Recordable. The supervisor writes one
-// record per epoch, engaged or not; the inner controller is left
-// alone, and a MIMO inner contributes its step's internals through
-// core.MIMOController.FillInternals.
+// recorder. The supervisor is the one writer of a supervised loop's
+// records: one per epoch, engaged or not, and a MIMO inner contributes
+// its step's internals through core.MIMOController.FillInternals.
 func (s *Supervised) SetFlightRecorder(r *flightrec.Recorder) { s.rec = r }
 
 // Health returns the counters since the last Reset, including the

@@ -11,9 +11,8 @@ import (
 // supervisor's contract on every transition:
 //
 //  1. a channel implausible on every epoch from some engaged epoch on
-//     falls back within maxStaleEpochs + fallbackAfter + 1 epochs, grace
-//     or not, unless an adapter swap or revert restarts the sick streak
-//     on the way;
+//     falls back within maxStaleEpochs + fallbackAfter + 1 epochs, grace,
+//     adapter swaps and reverts or not;
 //  2. grace suppresses the model-health alarms and never a dead channel;
 //  3. fallback ends only after reengageAfter consecutive healthy epochs
 //     with the certificate OK, or at once on an adapter swap;
@@ -325,8 +324,7 @@ func (w *walk) check(r epochRun, c class, keep func(dst, src modeState) modeStat
 
 	// 1. A channel implausible from an engaged epoch on: every such
 	// epoch falls back or lowers the channel's rank, which starts at
-	// most maxStaleEpochs + fallbackAfter + 1. A swap or revert restarts
-	// the sick streak.
+	// most maxStaleEpochs + fallbackAfter + 1.
 	channels := [2]struct {
 		ok         bool
 		stale, now int
@@ -340,8 +338,7 @@ func (w *walk) check(r epochRun, c class, keep func(dst, src modeState) modeStat
 		if pr < 1 || pr > maxStaleEpochs+fallbackAfter+1 {
 			w.fail(r, c, "rank %d out of [1, %d]", pr, maxStaleEpochs+fallbackAfter+1)
 		}
-		restarted := r.adapterRan && c.adapt != evStep
-		if !ch.ok && !restarted && post.mode == ModeEngaged && rank(post, ch.now) >= pr {
+		if !ch.ok && post.mode == ModeEngaged && rank(post, ch.now) >= pr {
 			w.fail(r, c, "implausible channel's rank %d → %d", pr, rank(post, ch.now))
 		}
 		if !ch.ok && ch.stale == maxStaleEpochs {

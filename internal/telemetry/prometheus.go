@@ -11,8 +11,7 @@ import (
 // text exposition format (version 0.0.4). The output order is fully
 // deterministic regardless of registration order: families sort by
 // name, and instruments within a family by their canonical rendered
-// label set — so scrapes are diffable across runs and the rollup view
-// aggregates over a stable series order.
+// label set — so scrapes are diffable across runs.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if !r.Enabled() {
 		return nil
@@ -47,7 +46,6 @@ type familySnapshot struct {
 	name, help, typ string
 	keys            []string
 	insts           []renderable
-	entries         []*entry // same order as keys; for the rollup view
 }
 
 // snapshotFamilies copies the family and instrument lists under the
@@ -64,10 +62,8 @@ func (r *Registry) snapshotFamilies() []familySnapshot {
 		}
 		sort.Strings(fs.keys)
 		fs.insts = make([]renderable, len(fs.keys))
-		fs.entries = make([]*entry, len(fs.keys))
 		for i, k := range fs.keys {
-			fs.insts[i] = f.insts[k].inst
-			fs.entries[i] = f.insts[k]
+			fs.insts[i] = f.insts[k]
 		}
 		out = append(out, fs)
 	}

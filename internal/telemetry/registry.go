@@ -152,14 +152,7 @@ type instKey struct{ family, key string }
 
 type family struct {
 	name, help, typ string
-	insts           map[string]*entry
-}
-
-// entry is one registered instrument together with its full label set
-// (kept for the rollup view, which aggregates across label sets).
-type entry struct {
-	labels []Label
-	inst   renderable
+	insts           map[string]renderable // by canonical rendered label set
 }
 
 // renderable is an instrument (or func gauge) that can render its
@@ -343,15 +336,15 @@ func (r *Registry) register(name, help, typ string, labels []Label, inst rendera
 	defer s.mu.Unlock()
 	f := s.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, typ: typ, insts: make(map[string]*entry)}
+		f = &family{name: name, help: help, typ: typ, insts: make(map[string]renderable)}
 		s.families[name] = f
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: %s registered as %s, requested as %s", name, f.typ, typ))
 	}
 	if have, ok := f.insts[key]; ok {
-		return have.inst
+		return have
 	}
-	f.insts[key] = &entry{labels: append([]Label(nil), full...), inst: inst}
+	f.insts[key] = inst
 	if r.scopeKey != "" {
 		e := s.touchScopeLocked(r.scopeKey)
 		e.keys = append(e.keys, instKey{family: name, key: key})

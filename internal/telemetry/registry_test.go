@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -166,16 +165,6 @@ func TestCounterFuncRendersLikeCounter(t *testing.T) {
 		if !strings.Contains(out, want+"\n") {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
-	}
-	// The rollup view sums both kinds.
-	sb.Reset()
-	if err := r.WritePrometheusRollup(&sb, "via"); err != nil {
-		t.Fatal(err)
-	}
-	_, v, _ := strings.Cut(sb.String(), "\nepochs_total ")
-	v, _, _ = strings.Cut(v, "\n")
-	if sum, err := strconv.ParseFloat(v, 64); err != nil || sum != 2*n {
-		t.Fatalf("rollup sum %q, want %d:\n%s", v, 2*n, sb.String())
 	}
 }
 

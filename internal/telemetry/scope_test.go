@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -106,7 +105,7 @@ func TestScopeEvictionDropsEmptyFamilies(t *testing.T) {
 // TestWritePrometheusDeterministicOrder is the regression test for the
 // ordering contract: families sort by name and label sets sort by their
 // canonical rendering, independent of registration order — scrape
-// diffing and the rollup aggregation both rely on it.
+// diffing relies on it.
 func TestWritePrometheusDeterministicOrder(t *testing.T) {
 	render := func(register func(r *Registry)) string {
 		r := NewRegistry()
@@ -140,75 +139,6 @@ func TestWritePrometheusDeterministicOrder(t *testing.T) {
 	}
 	if v1, v2 := strings.Index(forward, `k="v1"`), strings.Index(forward, `k="v2"`); v1 > v2 {
 		t.Fatalf("label sets not sorted:\n%s", forward)
-	}
-}
-
-func TestRollupAggregation(t *testing.T) {
-	r := NewRegistry()
-	for i, v := range []float64{1, 2, 3} {
-		s := r.Scope(L("loop", fmt.Sprintf("l%d", i)))
-		s.Counter("loop_epochs_total", "epochs").Add(uint64(10 * (i + 1)))
-		s.Gauge("loop_burn", "burn rate").Set(v)
-		h := s.Histogram("loop_lat_seconds", "lat", []float64{1, 10})
-		h.Observe(0.5)
-		h.Observe(float64(i) * 5)
-	}
-	// Integer counters, counted or read at scrape time, sum exactly and
-	// print as integers at any size; float counters stay floats.
-	for _, loop := range []string{"a", "b"} {
-		s := r.Scope(L("loop", loop))
-		s.Counter("big_epochs_total", "epochs").Add(3840000)
-		s.CounterFunc("func_epochs_total", "epochs", func() uint64 { return 3840000 })
-		s.FloatCounter("energy_joules_total", "energy").Add(1.25)
-	}
-	// An unscoped series in a different family must survive untouched.
-	r.Gauge("global_mode", "mode").Set(7)
-
-	var sb strings.Builder
-	if err := r.WritePrometheusRollup(&sb, "loop"); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"loop_epochs_total 60",
-		"big_epochs_total 7680000",
-		"func_epochs_total 7680000",
-		"energy_joules_total 2.5",
-		`loop_burn{agg="avg"} 2`,
-		`loop_burn{agg="max"} 3`,
-		`loop_burn{agg="sum"} 6`,
-		`loop_lat_seconds_bucket{le="1"} 4`,
-		`loop_lat_seconds_bucket{le="10"} 6`,
-		`loop_lat_seconds_bucket{le="+Inf"} 6`,
-		"loop_lat_seconds_count 6",
-		`global_mode{agg="avg"} 7`,
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Fatalf("rollup missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, `loop="l0"`) {
-		t.Fatalf("rollup must strip the dropped label:\n%s", out)
-	}
-}
-
-func TestRollupKeepsOtherLabels(t *testing.T) {
-	r := NewRegistry()
-	r.Scope(L("loop", "a")).Counter("x_total", "x", L("channel", "ips")).Add(1)
-	r.Scope(L("loop", "b")).Counter("x_total", "x", L("channel", "ips")).Add(2)
-	r.Scope(L("loop", "b")).Counter("x_total", "x", L("channel", "power")).Add(5)
-	var sb strings.Builder
-	if err := r.WritePrometheusRollup(&sb, "loop"); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`x_total{channel="ips"} 3`,
-		`x_total{channel="power"} 5`,
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Fatalf("rollup missing %q:\n%s", want, out)
-		}
 	}
 }
 

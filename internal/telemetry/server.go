@@ -60,17 +60,6 @@ func NewMux(opts ServerOptions) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		// ?view=rollup aggregates across the dropped labels (default
-		// "loop") instead of serving every per-loop series; see
-		// WritePrometheusRollup.
-		if req.URL.Query().Get("view") == "rollup" {
-			drop := req.URL.Query()["drop"]
-			if len(drop) == 0 {
-				drop = []string{"loop"}
-			}
-			_ = opts.Registry.WritePrometheusRollup(w, drop...)
-			return
-		}
 		_ = opts.Registry.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
